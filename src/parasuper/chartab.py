@@ -18,9 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .algebra import lcm
+from .algebra import is_odd_prime, lcm, primitive_root
 from .errors import ValidationError
-from .groups import partition_by_perms, table_generators
+from .groups import table_generators
+from .orbits import partition_by_perms
 
 
 class TableGroup:
@@ -152,9 +153,6 @@ class CharTable:
         idc = int(self.classes.class_of[self.group.ident])
         return [c[idc].as_int() for c in self.chars]
 
-    def value_on(self, char_idx, element):
-        return self.chars[char_idx][int(self.classes.class_of[element])]
-
 
 def inner_product_classes(classes, group_order, vals1, vals2):
     """(1/|G|) sum over G of v1 * conj(v2), via class sums; exact."""
@@ -264,22 +262,9 @@ def _next_prime_1_mod(e, floor):
     ell = max(floor, e + 1)
     ell += (1 - ell) % e
     while True:
-        if ell > floor and _is_prime(ell):
+        if ell > floor and is_odd_prime(ell):
             return ell
         ell += e
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _class_matrices(group, classes):
@@ -302,34 +287,10 @@ def _charpoly_roots(B, ell):
     ys = []
     for x in xs:
         M = [[(B[i][j] - (x if i == j else 0)) % ell for j in range(m)] for i in range(m)]
-        ys.append(_det_mod(M, ell))
+        ys.append(linalg.det(M, ell))
     coeffs = _interpolate(xs, ys, ell)
     roots = [t for t in range(ell) if _poly_eval(coeffs, t, ell) == 0]
     return roots
-
-
-def _det_mod(M, ell):
-    M = [row[:] for row in M]
-    n = len(M)
-    det = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if M[r][col] % ell:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det % ell
-        det = det * M[col][col] % ell
-        inv = pow(M[col][col], ell - 2, ell)
-        for r in range(col + 1, n):
-            f = M[r][col] * inv % ell
-            if f:
-                M[r] = [(a - f * b) % ell for a, b in zip(M[r], M[col])]
-    return det % ell
 
 
 def _interpolate(xs, ys, ell):
@@ -370,7 +331,7 @@ def _dixon_characters(group, classes, field):
     k = classes.k
     e = group.exponent
     ell = _next_prime_1_mod(e, 2 * n)
-    g0 = _primitive_root_mod(ell)
+    g0 = primitive_root(ell)
     z = pow(g0, (ell - 1) // e, ell)          # fixed element of order e in F_ell
 
     mats = _class_matrices(group, classes)
@@ -450,23 +411,6 @@ def _int_sqrt_exact(x):
     return r
 
 
-def _primitive_root_mod(ell):
-    order = ell - 1
-    factors = set()
-    m, d = order, 2
-    while d * d <= m:
-        while m % d == 0:
-            factors.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
-    for g in range(2, ell):
-        if all(pow(g, order // f, ell) != 1 for f in factors):
-            return g
-    raise AssertionError("no primitive root mod %d" % ell)
-
-
 def _lift_character(group, classes, chi_mod, deg, e, z, ell, field):
     """Lift per-class values mod ell to exact sums of roots of unity."""
     vals = []
@@ -497,7 +441,7 @@ def _lift_character(group, classes, chi_mod, deg, e, z, ell, field):
 
 
 # ---------------------------------------------------------------------------
-# orbit sums, induction, inner products
+# orbit sums
 
 def s_orbit_sums(parent, sub_ids, table, s_ids):
     """Sum the irreducibles of a normal subgroup over the orbits of a
@@ -534,30 +478,8 @@ def s_orbit_sums(parent, sub_ids, table, s_ids):
             perm_irr.append(irr_index[moved_vals])
         irr_perms.append(perm_irr)
 
-    def orbits_of(perms, count):
-        seen = [False] * count
-        orbits = []
-        for start in range(count):
-            if seen[start]:
-                continue
-            orb = {start}
-            frontier = [start]
-            seen[start] = True
-            while frontier:
-                nxt = []
-                for pm in perms:
-                    for x in frontier:
-                        y = pm[x]
-                        if not seen[y]:
-                            seen[y] = True
-                            orb.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            orbits.append(sorted(orb))
-        return orbits
-
-    irr_orbits = orbits_of(irr_perms, len(table.chars))
-    class_orbits = orbits_of(class_perms, k)
+    irr_orbits = partition_by_perms(len(table.chars), [np.array(pm) for pm in irr_perms])[1]
+    class_orbits = partition_by_perms(k, [np.array(pm) for pm in class_perms])[1]
     assert len(irr_orbits) == len(class_orbits), \
         "orbit counts on irreducibles (%d) and classes (%d) disagree" % (
             len(irr_orbits), len(class_orbits))
@@ -570,29 +492,3 @@ def s_orbit_sums(parent, sub_ids, table, s_ids):
         sums.append(vals)
     sums.sort(key=lambda vals: tuple(v.coeffs for v in vals))
     return sums
-
-
-def induce_values(sub_values, sub_ids, group, classes):
-    """Induced class function on a TableGroup from values on subgroup ids.
-
-    sub_values maps subgroup element position -> Cyc; returns one value per
-    class of the ambient group, by the standard averaging formula.
-    """
-    val_by_id = {}
-    for pos, gid in enumerate(sub_ids):
-        if not 0 <= int(gid) < group.n:
-            raise ValidationError("not-a-subgroup",
-                                  "subgroup id %r outside the group" % (gid,))
-        val_by_id[int(gid)] = sub_values[pos]
-    field = next(iter(val_by_id.values())).field
-    h_order = len(sub_ids)
-    out = []
-    for c in range(classes.k):
-        acc = field.zero
-        for x in classes.members[c]:
-            v = val_by_id.get(int(x))
-            if v is not None:
-                acc = acc + v
-        cent = group.n // classes.sizes[c]
-        out.append(acc.scale(Fraction(cent, h_order)))
-    return out

@@ -1,6 +1,8 @@
 """Command-line driver: configuration parsing, builds, checks, table output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All output is
+Exit codes: 0 success, 1 verification failure, 2 usage error or resource
+guard, 3 internal error (any other exception; its traceback goes to
+stderr, so it is never mistaken for a falsification).  All output is
 canonical and byte-identical across runs on the same configuration; wall
 clock timings go to stderr or behind --timing.
 """
@@ -13,11 +15,11 @@ import io
 import json
 import os
 import sys
+import traceback
 
 from .errors import FalsificationError, ResourceGuardError, ValidationError
 from .groups import DEFAULT_GUARDS, Parabolic, build_spec
-from .orbits import partition_orbits
-from .utheory import action_on_u, action_on_ustar, build_u_theory
+from .utheory import build_u_theory, u_orbit_partition, ustar_orbit_partition
 from .gtheory import build_g_theory
 from . import verify as verify_mod
 
@@ -115,11 +117,8 @@ def cmd_spec(args):
 
 def cmd_orbits(args):
     world = make_world(args)
-    if args.space == "u":
-        action = action_on_u(world, args.group)
-    else:
-        action = action_on_ustar(world, args.group)
-    orbits = partition_orbits(action, world.guards["space"])
+    partition = u_orbit_partition if args.space == "u" else ustar_orbit_partition
+    orbits = partition(world, args.group)
     payload = {
         "config": config_payload(args),
         "space": args.space,
@@ -300,6 +299,10 @@ def main(argv=None):
         print("falsified: %s\ncounterexample: %s" % (exc, exc.counterexample),
               file=sys.stderr)
         return 1
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ import numpy as np
 from . import linalg
 from .algebra import CycField, is_odd_prime, lcm, primitive_root, smallest_nonsquare
 from .errors import ResourceGuardError, ValidationError
+from .orbits import partition_by_perms
 
 DEFAULT_GUARDS = {
     "levi": 10 ** 6,      # upper bound on |L|
@@ -750,10 +751,17 @@ class Parabolic:
             perms.append(self.mulU[self.mulU[v, ar], self.invU[v]].astype(np.int64))
         return partition_by_perms(self.nU, perms)
 
+    # -- Levi action matrices -------------------------------------------------
+
     @cached_property
-    def exponent_G(self):
-        e = self.exponent_L
-        return lcm(e, self.spec.p)
+    def ustar_levi_mats(self):
+        """(nL, d, d) stack of the dot action of each Levi element on u*."""
+        return np.array([ustar_action_matrix(self.spec, h) for h in self.L], dtype=np.int64)
+
+    @cached_property
+    def ucstar_levi_mats(self):
+        """(nL, d, d) stack of the coadjoint action of each Levi element on Uc*."""
+        return np.array([ucstar_ad_matrix(self.spec, h) for h in self.L], dtype=np.int64)
 
 
 def table_generators(mul, ident):
@@ -783,31 +791,3 @@ def table_generators(mul, ident):
         if len(closure) == n:
             break
     return gens
-
-
-def partition_by_perms(n, perms):
-    """Orbit partition of {0..n-1} under a list of permutations (int64 arrays)."""
-    label = np.full(n, -1, dtype=np.int64)
-    classes = []
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        cid = len(classes)
-        label[start] = cid
-        frontier = np.array([start], dtype=np.int64)
-        members = [start]
-        while frontier.size:
-            nxt = []
-            for pm in perms:
-                img = pm[frontier]
-                fresh = img[label[img] < 0]
-                if fresh.size:
-                    fresh = np.unique(fresh)
-                    fresh = fresh[label[fresh] < 0]
-                    label[fresh] = cid
-                    nxt.append(fresh)
-                    members.append(fresh)
-            frontier = np.concatenate(nxt) if nxt else np.array([], dtype=np.int64)
-        flat = [np.atleast_1d(np.asarray(m, dtype=np.int64)) for m in members]
-        classes.append(np.unique(np.concatenate(flat)))
-    return label, classes

@@ -24,11 +24,10 @@ from .theory import (
     sort_canonical,
 )
 from .utheory import (
-    _memo, action_on_u, action_on_ustar, counts_to_values, form_data,
-    intern_ids, l_table, orbit_eps_counts, u_orbit_partition,
-    ustar_orbit_partition,
+    _memo, counts_to_values, form_data, intern_ids, l_table, orbit_eps_counts,
+    orbit_of, u_orbit_partition, ustar_orbit_partition,
 )
-from .orbits import enumerate_subspace, orbit_closure
+from .orbits import enumerate_subspace, levi_stabilizer
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +439,11 @@ def scalar_levi_subgroup(world, merged):
 # theory assembly
 
 def g_orbit_of_form(world, pair):
-    return orbit_closure(pair_point_ustar(world, pair), action_on_ustar(world, "Gb"))
+    return orbit_of(world, "ustar", "Gb", pair_point_ustar(world, pair))
 
 
 def g_orbit_of_point(world, pair):
-    return orbit_closure(pair_point_u(world, pair), action_on_u(world, "Gb"))
+    return orbit_of(world, "u", "Gb", pair_point_u(world, pair))
 
 
 def pair_context(world, sig, pair):
@@ -472,13 +471,7 @@ def pair_context(world, sig, pair):
     ld_ids = scalar_levi_subgroup(world, merged)
 
     # pointwise stabilizer of the orbit must be exactly the scalar subgroup
-    from .groups import ustar_action_matrix
-    stab = []
-    for hid, h in enumerate(world.L):
-        m = ustar_action_matrix(spec, h)
-        img = (digs @ m.T) % spec.p
-        if np.array_equal(img, digs):
-            stab.append(hid)
+    stab = levi_stabilizer(world, orbit_form.points, "ustar", "pointwise")
     if stab != sorted(ld_ids):
         raise FalsificationError(
             "scalar Levi subgroup differs from the orbit's pointwise stabilizer",

@@ -1,9 +1,13 @@
 """Orbit machinery for the linear actions used throughout.
 
 Every action here is by invertible linear maps on a finite coordinate space
-F_p^dim; points are packed little-endian base-p integers.  Orbits are closed
-under generators via breadth-first search, whole spaces are partitioned via
-full permutation arrays, and the ambient groups acting are never enumerated.
+F_p^dim; points are packed little-endian base-p integers.  Every orbit comes
+out of a single breadth-first search routine over sorted int64 point
+arrays, and the ambient groups acting are never enumerated.
+
+Spaces that are enumerated anyway (u and u* under Ub, Hb and Gb) are
+partitioned once per world and an orbit is looked up there by label; only
+the spaces of forms on Uc, too large to enumerate, are closed from a seed.
 """
 
 from __future__ import annotations
@@ -41,11 +45,15 @@ class LinearAction:
     def apply(self, mat, pts):
         return self.pack(self.unpack(pts) @ np.asarray(mat).T)
 
+    def images(self, pts):
+        """The images of the points under each generator."""
+        digits = self.unpack(pts)
+        return [self.pack(digits @ np.asarray(m).T) for m in self.gen_mats]
+
     def full_perms(self, guard=10 ** 7):
         if self.size > guard:
             raise ResourceGuardError("space of size %d exceeds guard %d" % (self.size, guard))
-        digits = self.unpack(np.arange(self.size))
-        return [self.pack(digits @ np.asarray(m).T) for m in self.gen_mats]
+        return self.images(np.arange(self.size))
 
 
 @dataclass
@@ -62,9 +70,22 @@ class Orbit:
     def size(self):
         return int(self.points.size)
 
-    def contains(self, pt):
-        i = np.searchsorted(self.points, pt)
-        return i < self.points.size and self.points[i] == pt
+
+def _bfs(seeds, images):
+    """Sorted closure of the seed points; images(pts) lists the generator
+    images of a point array.  Each layer's new points are found by binary
+    search in the sorted members, so no visited array spans the space."""
+    members = np.unique(np.asarray(seeds, dtype=np.int64))
+    frontier = members
+    while frontier.size:
+        imgs = images(frontier)
+        if not imgs:
+            break
+        cand = np.unique(np.concatenate(imgs))
+        at = np.searchsorted(members, cand).clip(max=members.size - 1)
+        frontier = cand[members[at] != cand]
+        members = np.sort(np.concatenate([members, frontier]), kind="stable")
+    return members
 
 
 def orbit_closure(seed, action):
@@ -72,79 +93,53 @@ def orbit_closure(seed, action):
     seed = int(seed)
     if not 0 <= seed < action.size:
         raise ValidationError("seed", "seed %d outside space of size %d" % (seed, action.size))
-    seen = {seed}
-    frontier = np.array([seed], dtype=np.int64)
-    while frontier.size:
-        new = []
-        for m in action.gen_mats:
-            img = action.apply(m, frontier)
-            for x in np.unique(img):
-                x = int(x)
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-        frontier = np.array(new, dtype=np.int64)
-    return Orbit(np.fromiter(seen, dtype=np.int64, count=len(seen)))
+    return Orbit(_bfs([seed], action.images))
+
+
+def partition_by_perms(n, perms):
+    """Orbit partition of {0..n-1} under a list of permutations (int64 arrays):
+    (label array, sorted member arrays ordered by smallest member)."""
+    label = np.full(n, -1, dtype=np.int64)
+    classes = []
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        members = _bfs([start], lambda pts: [pm[pts] for pm in perms])
+        label[members] = len(classes)
+        classes.append(members)
+    return label, classes
 
 
 def partition_orbits(action, guard=10 ** 7):
     """Disjoint orbits covering the whole space; sizes sum to p^dim."""
-    perms = action.full_perms(guard)
-    n = action.size
-    label = np.full(n, -1, dtype=np.int64)
-    orbits = []
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        cid = len(orbits)
-        label[start] = cid
-        frontier = np.array([start], dtype=np.int64)
-        members = [frontier]
-        while frontier.size:
-            nxt = []
-            for pm in perms:
-                img = pm[frontier]
-                fresh = np.unique(img[label[img] < 0])
-                if fresh.size:
-                    label[fresh] = cid
-                    nxt.append(fresh)
-            frontier = np.concatenate(nxt) if nxt else np.array([], dtype=np.int64)
-            if frontier.size:
-                members.append(frontier)
-        orbits.append(Orbit(np.concatenate(members)))
+    _, classes = partition_by_perms(action.size, action.full_perms(guard))
+    orbits = [Orbit(m) for m in classes]
     total = sum(o.size for o in orbits)
-    assert total == n, "orbit sizes %d do not cover the space %d" % (total, n)
+    assert total == action.size, "orbit sizes %d do not cover the space %d" % (total, action.size)
     return orbits
 
 
-def stabilizer_in_levi(world, orbit, space="ustar", mode="setwise"):
-    """Levi elements fixing an orbit as a set or point by point.
+def levi_stabilizer(world, points, space, mode):
+    """Ids of the Levi elements fixing a sorted point set, as a set
+    ("setwise") or point by point ("pointwise").
 
-    The pointwise stabilizer is contained in the setwise one; both are
-    subgroups, and closure under products is guaranteed because the whole
-    Levi subgroup acts.
+    `space` names the action: "ustar" is the dot action on forms over u,
+    "ucstar" the coadjoint action on forms over Uc.  Both stabilizers are
+    subgroups, the pointwise one inside the setwise one.
     """
     if mode not in ("setwise", "pointwise"):
         raise ValidationError("mode", "mode must be setwise or pointwise")
-    from . import groups as G
-    if space == "ustar":
-        mat_of = lambda h: G.ustar_action_matrix(world.spec, h)
-    elif space == "u":
-        mat_of = lambda h: G.u_action_matrix(world.spec, h)
-    else:
-        raise ValidationError("space", "space must be 'u' or 'ustar'")
-    p = world.spec.p
-    digits = (orbit.points[:, None]
-              // np.array([p ** t for t in range(world.spec.u_dim)])[None, :]) % p
-    powers = np.array([p ** t for t in range(world.spec.u_dim)], dtype=np.int64)
+    if space not in ("ustar", "ucstar"):
+        raise ValidationError("space", "space must be 'ustar' or 'ucstar'")
+    mats = world.ustar_levi_mats if space == "ustar" else world.ucstar_levi_mats
+    act = LinearAction(space, world.spec.p, mats.shape[1], [])
+    digits = act.unpack(points)
     out = []
-    for hid, h in enumerate(world.L):
-        img = ((digits @ np.asarray(mat_of(h)).T) % p) @ powers
-        if mode == "pointwise":
-            ok = bool(np.array_equal(img, orbit.points))
-        else:
-            ok = bool(np.array_equal(np.sort(img), orbit.points))
-        if ok:
+    for hid, m in enumerate(mats):
+        img = act.pack(digits @ m.T)
+        if mode == "setwise":
+            img.sort()
+        if np.array_equal(img, points):
             out.append(hid)
     return out
 

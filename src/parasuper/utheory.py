@@ -21,12 +21,11 @@ from .chartab import TableGroup, irr_characters, s_orbit_sums
 from .errors import FalsificationError, ValidationError
 from .groups import (
     gb_generators, mat_mul, subgroup_generators, u_action_matrix,
-    ucstar_ad_matrix, ucstar_left_matrix, ucstar_right_matrix,
-    ustar_action_matrix,
+    ucstar_left_matrix, ucstar_right_matrix, ustar_action_matrix,
 )
 from .orbits import (
-    LinearAction, orbit_closure, partition_orbits, quotient_orbits,
-    smallest_bimodule,
+    LinearAction, enumerate_subspace, levi_stabilizer, orbit_closure,
+    partition_orbits, quotient_orbits, smallest_bimodule,
 )
 from .theory import (
     SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes,
@@ -84,14 +83,30 @@ def action_left_ucstar(world, tag):
     return _memo(world, ("action_ucstar_left", tag), build)
 
 
+def _orbit_partition(world, space, tag):
+    """Orbits of u or u* under one group, with the orbit index of each point."""
+    def build():
+        action = action_on_u(world, tag) if space == "u" else action_on_ustar(world, tag)
+        orbits = partition_orbits(action, world.guards["space"])
+        label = np.empty(action.size, dtype=np.int64)
+        for idx, orb in enumerate(orbits):
+            label[orb.points] = idx
+        return orbits, label
+    return _memo(world, ("orbits", space, tag), build)
+
+
 def ustar_orbit_partition(world, tag="Ub"):
-    return _memo(world, ("ustar_orbits", tag),
-                 lambda: partition_orbits(action_on_ustar(world, tag), world.guards["space"]))
+    return _orbit_partition(world, "ustar", tag)[0]
 
 
 def u_orbit_partition(world, tag="Ub"):
-    return _memo(world, ("u_orbits", tag),
-                 lambda: partition_orbits(action_on_u(world, tag), world.guards["space"]))
+    return _orbit_partition(world, "u", tag)[0]
+
+
+def orbit_of(world, space, tag, point):
+    """The orbit of one point of u or u*, looked up in the memoized partition."""
+    orbits, label = _orbit_partition(world, space, tag)
+    return orbits[label[int(point)]]
 
 
 # ---------------------------------------------------------------------------
@@ -164,26 +179,15 @@ class FormData:
         assert red_r == red_l, "the two annihilator conditions cut out different subalgebras of u"
         self.u_lam_basis = list(red_r)
 
-        # Lemma: Lambda vanishes on products from Uc_Lambda
-        for va in self.UcLam_basis:
-            ma = spec.mat_of_uc(va)
-            for vb in self.UcLam_basis:
-                mb = spec.mat_of_uc(vb)
-                if Lam_of_mat(mat_mul(ma, mb, p)) != 0:
-                    raise FalsificationError(
-                        "extension does not vanish on a product of annihilator elements",
-                        {"lam": self.lam, "x": list(va), "y": list(vb)})
-
         # subgroup U_lam = points of u_lam under the Springer bijection
-        from .orbits import enumerate_subspace
         pts = enumerate_subspace(self.u_lam_basis, p, spec.u_dim)
         self.U_lam_ids = np.unique(world.pack_u_array(pts))
         sub = world.mulU[np.ix_(self.U_lam_ids, self.U_lam_ids)]
         assert np.isin(sub, self.U_lam_ids).all(), "U_lam is not closed under products"
 
         # orbits
-        self.orbit_ub = orbit_closure(self.lam, action_on_ustar(world, "Ub"))
-        self.orbit_hb = orbit_closure(self.lam, action_on_ustar(world, "Hb"))
+        self.orbit_ub = orbit_of(world, "ustar", "Ub", self.lam)
+        self.orbit_hb = orbit_of(world, "ustar", "Hb", self.lam)
         assert np.isin(self.orbit_hb.points, self.orbit_ub.points).all()
 
         uc_powers = np.array([p ** t for t in range(spec.uc_dim)], dtype=np.int64)
@@ -191,15 +195,8 @@ class FormData:
         self.orbit_two_sided = orbit_closure(self.Lam_packed, action_twosided_ucstar(world))
 
         # Levi stabilizers: pointwise on the two-sided orbit, setwise on the dot orbit
-        self.L0_ids = []
-        two_digits = (self.orbit_two_sided.points[:, None] // uc_powers[None, :]) % p
-        for hid, h in enumerate(world.L):
-            m = ucstar_ad_matrix(spec, h)
-            img = (two_digits @ m.T) % p
-            if np.array_equal(img, two_digits):
-                self.L0_ids.append(hid)
-        from .orbits import stabilizer_in_levi
-        self.S_ids = stabilizer_in_levi(world, self.orbit_ub, "ustar", "setwise")
+        self.L0_ids = levi_stabilizer(world, self.orbit_two_sided.points, "ucstar", "pointwise")
+        self.S_ids = levi_stabilizer(world, self.orbit_ub.points, "ustar", "setwise")
         assert set(self.L0_ids) <= set(self.S_ids), \
             "pointwise stabilizer must sit inside the setwise stabilizer"
 
@@ -265,8 +262,8 @@ def radical_supercharacter(world, lam):
     Returns local (ids, values); equals the character induced from the
     elementary character of the associated subgroup (oracle-checked).
     """
-    orb = orbit_closure(int(lam), action_on_ustar(world, "Ub"))
-    hb = orbit_closure(int(lam), action_on_ustar(world, "Hb"))
+    orb = orbit_of(world, "ustar", "Ub", lam)
+    hb = orbit_of(world, "ustar", "Hb", lam)
     counts = orbit_eps_counts(world, orb.points)
     ids_local, values = counts_to_values(world, counts, Fraction(hb.size, orb.size))
     return ids_local, values, orb, hb

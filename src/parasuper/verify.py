@@ -20,11 +20,11 @@ import numpy as np
 from .algebra import lcm
 from .errors import FalsificationError, ValidationError
 from .groups import mat_inv, mat_mul, subgroup_generators, gb_generators
-from .orbits import orbit_closure
+from .orbits import levi_stabilizer, orbit_closure
 from .theory import SuperChar, SuperClass
 from .utheory import (
-    _memo, action_left_ucstar, action_on_ustar, build_u_theory,
-    counts_to_values, form_data, orbit_eps_counts, ustar_orbit_partition,
+    _memo, action_left_ucstar, build_u_theory, counts_to_values, form_data,
+    orbit_eps_counts, orbit_of, ustar_orbit_partition,
 )
 from .gtheory import build_g_theory, classify_g_orbits
 
@@ -283,8 +283,18 @@ def check_lemmas(world):
     uc_powers = np.array([p ** t for t in range(spec.uc_dim)], dtype=np.int64)
 
     def product_vanishing():
+        # the extension of each form vanishes on products from Uc_Lambda
         for lam in reps:
-            form_data(world, lam)   # the constructor asserts the product lemma
+            fd = form_data(world, lam)
+            Lam = np.array(fd.Lam_coords, dtype=np.int64)
+            for va in fd.UcLam_basis:
+                ma = spec.mat_of_uc(va)
+                for vb in fd.UcLam_basis:
+                    prod = spec.uc_coords(mat_mul(ma, spec.mat_of_uc(vb), p), check=False)
+                    if int(Lam @ np.array(prod, dtype=np.int64)) % p:
+                        raise FalsificationError(
+                            "extension does not vanish on a product of annihilator elements",
+                            {"lam": lam, "x": list(va), "y": list(vb)})
     report.run("annihilator-products-vanish", product_vanishing)
 
     def projection_of_left_orbit():
@@ -321,17 +331,9 @@ def check_lemmas(world):
     report.run("fiber-equals-orbit", fiber_equals_orbit)
 
     def setwise_stabilizers_agree():
-        from .groups import ucstar_ad_matrix
         for lam in reps:
             fd = form_data(world, lam)
-            two = fd.orbit_two_sided.points
-            digs = (two[:, None] // uc_powers[None, :]) % p
-            s_two = []
-            for hid, h in enumerate(world.L):
-                m = ucstar_ad_matrix(spec, h)
-                img = np.sort((((digs @ m.T) % p) @ uc_powers))
-                if np.array_equal(img, two):
-                    s_two.append(hid)
+            s_two = levi_stabilizer(world, fd.orbit_two_sided.points, "ucstar", "setwise")
             if s_two != fd.S_ids:
                 raise FalsificationError(
                     "setwise stabilizers computed two ways disagree",
@@ -441,7 +443,7 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
             lam = ch.provenance["lam"]
             theta_by_l = ch.provenance["theta_by_l"]
             ld_ids = ch.provenance["ld_ids"]
-            orbit = orbit_closure(lam, action_on_ustar(world, "Gb"))
+            orbit = orbit_of(world, "ustar", "Gb", lam)
             zeta_ids, zeta_vals = counts_to_values(
                 world, orbit_eps_counts(world, orbit.points))
             h_ids, h_vals = [], []

@@ -6,11 +6,12 @@ import pytest
 
 from parasuper.algebra import CycField, lcm
 from parasuper.chartab import (
-    TableGroup, conjugacy_classes, induce_values, inner_product_classes,
-    irr_characters, s_orbit_sums,
+    TableGroup, conjugacy_classes, inner_product_classes, irr_characters,
+    s_orbit_sums,
 )
 from parasuper.errors import ValidationError
 from parasuper.groups import enumerate_gl, mat_mul
+from parasuper.verify import induce_exact
 
 
 def cyclic(n):
@@ -124,11 +125,11 @@ def test_induction_degree_and_trivial():
     cls = conjugacy_classes(g)
     sub_ids = [0, 2, 4]
     vals = [field.one] * 3
-    ind = induce_values(vals, sub_ids, g, cls)
+    ind = induce_exact(g.n, cls.members, sub_ids, vals, field)
     idc = int(cls.class_of[g.ident])
     assert ind[idc].as_int() == 2          # index of the subgroup
     # inducing the trivial character of the whole group gives it back
-    full = induce_values([field.one] * 6, list(range(6)), g, cls)
+    full = induce_exact(g.n, cls.members, list(range(6)), [field.one] * 6, field)
     assert all(v == field.one for v in full)
 
 
@@ -144,7 +145,7 @@ def test_frobenius_reciprocity(gl23):
     theta = sub_tab.chars[random.randrange(len(sub_tab.chars))]
     psi = tab.chars[random.randrange(len(tab.chars))]
     theta_by_el = [theta[int(sub_tab.classes.class_of[t])] for t in range(sub.n)]
-    ind = induce_values(theta_by_el, sub.parent_ids, gl23, cls)
+    ind = induce_exact(gl23.n, cls.members, sub.parent_ids, theta_by_el, field)
     lhs = inner_product_classes(cls, gl23.n, ind, psi)
     # <theta, Res psi> on the subgroup
     res = [psi[int(cls.class_of[sub.parent_ids[int(r)]])] for r in sub_tab.classes.reps]

@@ -150,3 +150,18 @@ def test_out_flag(tmp_path, capsys):
     assert code == 0 and out == ""
     data = json.loads(path.read_text())
     assert data["counts"]["supercharacters"] >= 1
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    # an exception that is not a falsification, usage error or guard gets
+    # its own exit code and a traceback, never the falsification code 1
+    import parasuper.cli as cli
+
+    def broken(args):
+        raise AssertionError("planted internal failure")
+
+    monkeypatch.setattr(cli, "make_world", broken)
+    code, out, err = run_cli(
+        ["spec", "--family", "B", "--n", "2", "--q", "3", "--blocks", "1,1,1"], capsys)
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "planted internal failure" in err

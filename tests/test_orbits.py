@@ -1,13 +1,16 @@
 """Orbit machinery: closures, partitions, stabilizers, bimodules, quotients."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from parasuper.groups import identity, ustar_action_matrix
+from parasuper import linalg
+from parasuper.groups import identity, ucstar_ad_matrix, ustar_action_matrix
 from parasuper.orbits import (
-    LinearAction, QuotientSpace, enumerate_subspace, orbit_closure,
-    partition_orbits, quotient_orbits, smallest_bimodule,
+    LinearAction, QuotientSpace, enumerate_subspace, levi_stabilizer,
+    orbit_closure, partition_orbits, quotient_orbits, smallest_bimodule,
 )
-from parasuper.utheory import action_on_u, action_on_ustar
+from parasuper.utheory import action_on_u, action_on_ustar, form_data
 
 
 def test_orbit_of_zero_is_fixed(borel_d2):
@@ -53,41 +56,77 @@ def test_one_point_space():
     assert len(orbits) == 1 and orbits[0].size == 1
 
 
+@st.composite
+def small_actions(draw):
+    p = draw(st.sampled_from([3, 5]))
+    dim = draw(st.integers(1, 3))
+    entries = st.lists(st.integers(0, p - 1), min_size=dim * dim, max_size=dim * dim)
+    mats = entries.map(lambda e: np.array(e, dtype=np.int64).reshape(dim, dim)).filter(
+        lambda m: linalg.det(m.tolist(), p) != 0)
+    return LinearAction("random", p, dim, draw(st.lists(mats, min_size=1, max_size=3)))
+
+
+def naive_closure(seed, act):
+    seen, todo = {seed}, [seed]
+    while todo:
+        x = todo.pop()
+        for m in act.gen_mats:
+            y = int(act.apply(m, [x])[0])
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return tuple(sorted(seen))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_actions())
+def test_partition_is_the_set_of_single_seed_closures(act):
+    orbits = partition_orbits(act)
+    total = np.concatenate([o.points for o in orbits])
+    assert np.array_equal(np.sort(total), np.arange(act.size))
+    assert [o.rep for o in orbits] == sorted(o.rep for o in orbits)
+    closures = {naive_closure(x, act) for x in range(act.size)}
+    assert {tuple(o.points.tolist()) for o in orbits} == closures
+    for x in range(act.size):
+        assert tuple(orbit_closure(x, act).points.tolist()) == naive_closure(x, act)
+
+
 def test_stabilizers_on_zero_orbit(borel_b2):
     w = borel_b2
-    act = action_on_ustar(w, "Ub")
-    orb = orbit_closure(0, act)
-    from parasuper.orbits import stabilizer_in_levi
-    assert stabilizer_in_levi(w, orb, "ustar", "setwise") == list(range(w.nL))
-    assert stabilizer_in_levi(w, orb, "ustar", "pointwise") == list(range(w.nL))
-    from parasuper.utheory import form_data
+    for space in ("ustar", "ucstar"):
+        for mode in ("setwise", "pointwise"):
+            assert levi_stabilizer(w, np.array([0]), space, mode) == list(range(w.nL))
     fd = form_data(w, 0)
     assert fd.L0_ids == list(range(w.nL))
     assert fd.S_ids == list(range(w.nL))
 
 
-def test_stabilizers_by_direct_filter(borel_b2):
-    # dual vector of the first simple crossing root: compare the generic
-    # stabilizer routine against a handwritten filter over all of L
+@pytest.mark.parametrize("mode", ["setwise", "pointwise"])
+@pytest.mark.parametrize("space", ["ustar", "ucstar"])
+def test_stabilizers_by_direct_filter(borel_b2, space, mode):
+    # dual vectors of the first two crossing roots (on u*) and their extended
+    # forms' two-sided orbits (on Uc*): compare the generic stabilizer routine
+    # against a handwritten filter over all of L; on the second form the
+    # setwise and pointwise stabilizers differ
     w = borel_b2
     spec = w.spec
-    lam = w.pack_u([1] + [0] * (spec.u_dim - 1))
-    act = action_on_ustar(w, "Ub")
-    orb = orbit_closure(lam, act)
-    from parasuper.orbits import stabilizer_in_levi
-    got_set = stabilizer_in_levi(w, orb, "ustar", "setwise")
-    got_pt = stabilizer_in_levi(w, orb, "ustar", "pointwise")
-    by_hand_set, by_hand_pt = [], []
-    pts = set(orb.points.tolist())
-    for hid, h in enumerate(w.L):
-        m = ustar_action_matrix(spec, h)
-        img = [int(x) for x in act.apply(m, orb.points)]
-        if set(img) == pts:
-            by_hand_set.append(hid)
-        if img == orb.points.tolist():
-            by_hand_pt.append(hid)
-    assert got_set == by_hand_set and got_pt == by_hand_pt
-    assert set(got_pt) <= set(got_set)
+    for t in (0, 1):
+        lam = w.pack_u([int(s == t) for s in range(spec.u_dim)])
+        if space == "ustar":
+            points = orbit_closure(lam, action_on_ustar(w, "Ub")).points
+            act, mat_of = action_on_ustar(w, "Ub"), ustar_action_matrix
+        else:
+            points = form_data(w, lam).orbit_two_sided.points
+            act, mat_of = LinearAction("uc", spec.p, spec.uc_dim, []), ucstar_ad_matrix
+        by_hand = []
+        for hid, h in enumerate(w.L):
+            img = [int(x) for x in act.apply(mat_of(spec, h), points)]
+            if (set(img) == set(points.tolist()) if mode == "setwise"
+                    else img == points.tolist()):
+                by_hand.append(hid)
+        got = levi_stabilizer(w, points, space, mode)
+        assert got == by_hand
+        assert set(levi_stabilizer(w, points, space, "pointwise")) <= set(got)
 
 
 def test_smallest_bimodule_identity(borel_b2):

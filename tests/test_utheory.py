@@ -27,8 +27,8 @@ def test_form_extension_is_deterministic(borel_c2):
 
 
 def test_form_data_full_sweep(borel_c2):
-    # the constructor asserts: restriction, anti-self-duality, the product
-    # lemma, both annihilator descriptions of u_lam, and multiplicativity
+    # the constructor asserts: restriction, anti-self-duality, both
+    # annihilator descriptions of u_lam, and multiplicativity
     for orb in ustar_orbit_partition(borel_c2, "Ub"):
         fd = form_data(borel_c2, orb.rep)
         assert fd.orbit_hb.size <= fd.orbit_ub.size

@@ -119,3 +119,30 @@ def test_gram_matches_elementwise_inner_product(borel_d2):
             via_gram = field.from_coeffs(
                 [Fraction(int(x), n * dens[a] * dens[b]) for x in gram[a, b]])
             assert direct == via_gram
+
+
+def test_product_lemma_rechecks_memoized_forms():
+    # the theories are built first (as under --suite all), so the form data
+    # is memoized before the lemma runs; a planted pair of Uc_Lambda vectors
+    # whose product the extension does not kill must still be reported
+    from parasuper.groups import Parabolic, build_spec, mat_mul
+    from parasuper.utheory import form_data, ustar_orbit_partition
+    w = Parabolic(build_spec("D", 2, 3, (1, 1, 0, 1, 1)))
+    theories(w)
+    spec, p = w.spec, w.spec.p
+    units = [tuple(int(a == b) for b in range(spec.uc_dim)) for a in range(spec.uc_dim)]
+
+    def lam_of_product(fd, x, y):
+        prod = mat_mul(spec.mat_of_uc(x), spec.mat_of_uc(y), p)
+        return int(np.array(fd.Lam_coords) @ np.array(spec.uc_coords(prod, check=False))) % p
+
+    planted = next((fd, x, y) for orb in ustar_orbit_partition(w, "Ub")
+                   for fd in [form_data(w, orb.rep)]
+                   for x in units for y in units if lam_of_product(fd, x, y))
+    fd, x, y = planted
+    fd.UcLam_basis = list(fd.UcLam_basis) + [x, y]
+    lemmas = run_suites(w, "all")[0]
+    check = next(c for c in lemmas.checks if c.name == "annihilator-products-vanish")
+    assert not check.passed
+    assert check.counterexample["lam"] == fd.lam
+    assert lam_of_product(fd, check.counterexample["x"], check.counterexample["y"])
