@@ -21,7 +21,7 @@ from .chartab import irr_characters
 from .errors import FalsificationError, ValidationError
 from .theory import (
     SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes,
-    sort_canonical,
+    intern_values, sort_canonical,
 )
 from .utheory import (
     _memo, counts_to_values, form_data, intern_ids, l_table, orbit_eps_counts,
@@ -516,15 +516,7 @@ def superclass_g(world, ctx, cl_parent_ids, h_parent):
 def chi_alpha_g(world, ctx, theta_by_l):
     """Values of one ambient-orbit supercharacter, as local (ids, values)."""
     scale = Fraction(world.nL, len(ctx["ld_ids"]))
-    tvals, tids = [], np.empty(world.nL, dtype=np.int64)
-    tindex = {}
-    for r, v in enumerate(theta_by_l):
-        got = tindex.get(v)
-        if got is None:
-            got = len(tvals)
-            tvals.append(v)
-            tindex[v] = got
-        tids[r] = got
+    tids, tvals = intern_values(theta_by_l)
     zeta_ids, zeta_vals = ctx["zeta_ids"], ctx["zeta_vals"]
     nz = len(zeta_vals)
     codes = (tids[:, None] * nz + zeta_ids[None, :]).ravel()

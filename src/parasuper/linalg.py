@@ -6,6 +6,8 @@ vectors.  Everything is exact arithmetic mod a prime m; no floats.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def rref(rows, m):
     """Row-reduce over F_m.  Returns (reduced_rows, pivot_columns).
@@ -58,6 +60,32 @@ def reduce_vec(rref_rows, pivots, v, m):
 
 def in_span(rref_rows, pivots, v, m):
     return not any(reduce_vec(rref_rows, pivots, v, m))
+
+
+def invariant_span(vecs, mats, m):
+    """Smallest subspace that contains the vectors and is mapped into itself
+    by every matrix (acting on column vectors), as rref (rows, pivots).
+
+    A vector that leaves the span so far joins it, reduced against the
+    earlier rows, and its images under all matrices are reduced in one array.
+    """
+    mats = np.asarray(mats, dtype=np.int64)
+    rows, pivots = [], []
+    cand = np.array(vecs, dtype=np.int64, ndmin=2) % m
+    done = 0
+    while True:
+        for row, piv in zip(rows, pivots):
+            cand = (cand - cand[:, piv, None] * row) % m
+        cand = cand[cand.any(axis=1)]
+        if cand.size:
+            piv = int(np.flatnonzero(cand[0])[0])
+            rows.append(cand[0] * pow(int(cand[0, piv]), m - 2, m) % m)
+            pivots.append(piv)
+        elif done < len(rows):
+            cand = mats @ rows[done] % m
+            done += 1
+        else:
+            return rref(rows, m)
 
 
 def right_kernel(rows, m, ncols=None):

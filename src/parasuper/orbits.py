@@ -226,31 +226,17 @@ def smallest_bimodule(world, h):
     invariance under the two-sided unipotent group action.
     """
     from . import groups as G
+    from .utheory import action_twosided_ucstar
     spec = world.spec
     p = spec.p
     hi = G.mat_inv(h, p)
-    basis_rows = []
-    pivots = []
-    queue = []
-
-    def insert(vec, mat):
-        nonlocal basis_rows, pivots
-        red = linalg.reduce_vec(basis_rows, pivots, vec, p)
-        if any(red):
-            basis_rows, pivots = linalg.rref(basis_rows + [red], p)
-            queue.append(mat)
-            return True
-        return False
-
-    unit_mats = [spec.E(i, j) for (i, j) in spec.uc_positions]
-    for em in unit_mats:
-        m = G.mat_sub(G.mat_mul(G.mat_mul(h, em, p), hi, p), em, p)
-        insert(spec.uc_coords(m, check=False), m)
-    while queue:
-        w = queue.pop()
-        for em in unit_mats:
-            for prod in (G.mat_mul(em, w, p), G.mat_mul(w, em, p)):
-                insert(spec.uc_coords(prod, check=False), prod)
+    units = [spec.E(i, j) for (i, j) in spec.uc_positions]
+    defects = [spec.uc_coords(G.mat_sub(G.mat_mul(G.mat_mul(h, em, p), hi, p), em, p),
+                              check=False) for em in units]
+    # the transposed generators are x -> (1+E)x and x -> x(1+E) on Uc itself;
+    # a subspace closed under those is closed under x -> Ex and x -> xE
+    mats = [m.T for m in action_twosided_ucstar(world).gen_mats]
+    basis_rows, pivots = linalg.invariant_span(defects, mats, p)
 
     # intersection with u, expressed in root coordinates
     emb = spec.u_embed_matrix()                     # uc_dim rows x u_dim cols

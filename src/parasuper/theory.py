@@ -34,6 +34,13 @@ class ValuePool:
         return len(self.values)
 
 
+def intern_values(values):
+    """Ids of hashable values in order of first appearance: (ids, distinct)."""
+    index = {}
+    ids = np.array([index.setdefault(v, len(index)) for v in values], dtype=np.int64)
+    return ids, list(index)
+
+
 @dataclass
 class SuperChar:
     """One supercharacter: interned values over packed group ids."""
@@ -118,7 +125,9 @@ def dedup_classes(classes):
 
 def sort_canonical(theory):
     """Deterministic presentation: classes by (size, members), characters by
-    (identity value id, value bytes)."""
+    (identity value id, value bytes).  Pool ids follow first appearance, so
+    the order in which each builder interns its local values is printed output.
+    """
     theory.classes.sort(key=lambda kl: (kl.size, kl.members.tolist()))
     theory.chars.sort(key=lambda ch: (int(ch.ids[theory.ident_id]), ch.key()))
     return theory

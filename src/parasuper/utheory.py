@@ -24,12 +24,12 @@ from .groups import (
     ucstar_left_matrix, ucstar_right_matrix, ustar_action_matrix,
 )
 from .orbits import (
-    LinearAction, enumerate_subspace, levi_stabilizer, orbit_closure,
-    partition_orbits, quotient_orbits, smallest_bimodule,
+    LinearAction, enumerate_subspace, levi_stabilizer, partition_orbits,
+    quotient_orbits, smallest_bimodule,
 )
 from .theory import (
     SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes,
-    sort_canonical,
+    intern_values, sort_canonical,
 )
 
 
@@ -192,10 +192,13 @@ class FormData:
 
         uc_powers = np.array([p ** t for t in range(spec.uc_dim)], dtype=np.int64)
         self.Lam_packed = int((np.array(Lam, dtype=np.int64) % p) @ uc_powers)
-        self.orbit_two_sided = orbit_closure(self.Lam_packed, action_twosided_ucstar(world))
 
-        # Levi stabilizers: pointwise on the two-sided orbit, setwise on the dot orbit
-        self.L0_ids = levi_stabilizer(world, self.orbit_two_sided.points, "ucstar", "pointwise")
+        # Levi stabilizers: pointwise on the two-sided orbit, computed on the
+        # orbit's span (the smallest invariant subspace holding Lam), and
+        # setwise on the dot orbit
+        span, _ = linalg.invariant_span([Lam], action_twosided_ucstar(world).gen_mats, p)
+        span = np.array(span, dtype=np.int64).reshape(-1, spec.uc_dim) @ uc_powers
+        self.L0_ids = levi_stabilizer(world, span, "ucstar", "pointwise")
         self.S_ids = levi_stabilizer(world, self.orbit_ub.points, "ustar", "setwise")
         assert set(self.L0_ids) <= set(self.S_ids), \
             "pointwise stabilizer must sit inside the setwise stabilizer"
@@ -207,9 +210,7 @@ class FormData:
 
         # the elementary character is multiplicative on U_lam
         tvals = (world.u_digits(self.U_lam_ids) @ lam_vec) % p
-        prod = world.mulU[np.ix_(self.U_lam_ids, self.U_lam_ids)]
-        pos = {int(g): t for t, g in enumerate(self.U_lam_ids)}
-        prod_pos = np.vectorize(pos.__getitem__)(prod)
+        prod_pos = np.searchsorted(self.U_lam_ids, sub)
         if not np.array_equal(tvals[prod_pos] % p, (tvals[:, None] + tvals[None, :]) % p):
             raise FalsificationError(
                 "form composed with the Springer map is not multiplicative on U_lam",
@@ -241,7 +242,7 @@ def counts_to_values(world, counts, scale=None):
     """Intern one exact value per distinct count column; returns (ids, values)."""
     p = world.spec.p
     field = world.field
-    cols, inverse = np.unique(counts.T, axis=0, return_inverse=True)
+    cols, inverse = unique_rows(counts.T)
     values = []
     for col in cols:
         acc = field.zero
@@ -252,7 +253,19 @@ def counts_to_values(world, counts, scale=None):
         if scale is not None:
             acc = acc.scale(scale)
         values.append(acc)
-    return inverse.astype(np.int64), values
+    return inverse, values
+
+
+def unique_rows(a):
+    """Distinct rows of a 2-d integer array in ascending lexicographic order,
+    and the index of each row among them."""
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    starts = np.ones(len(a), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
 
 
 def radical_supercharacter(world, lam):
@@ -274,54 +287,32 @@ def chi_alpha_u(world, fd, theta_vals_by_l):
 
     theta_vals_by_l: list of Cyc, one per Levi element id, zero outside the
     pointwise stabilizer.  Evaluates the closed Levi-averaged formula on all
-    of G at once via count tensors.
+    of G at once: row g of codes holds the (theta, zeta) value-pair code at
+    rho g rho^-1 for each rho.  Local ids number the sorted rows in descending
+    order (the ascending order of their pair counts), with theta ids in order
+    of first appearance; this order is printed output (see sort_canonical).
     """
-    field = world.field
-    nL, nU = world.nL, world.nU
     scale = Fraction(fd.orbit_hb.size, fd.orbit_ub.size * len(fd.L0_ids))
 
     zer_ids, zer_vals = counts_to_values(world, orbit_eps_counts(world, fd.orbit_ub.points))
+    tids, tvals = intern_values(theta_vals_by_l)
+    nz = len(zer_vals)
+    dtype = np.min_scalar_type(len(tvals) * nz)
+    t_codes = (tids[world.conjL.T] * nz).astype(dtype)            # [r, rho]
+    z_codes = zer_ids[world.conjUbyL.T].astype(dtype)             # [u, rho]
+    codes = (t_codes[:, None, :] + z_codes[None, :, :]).reshape(-1, world.nL)
+    codes.sort(axis=1)
+    uniq, inverse = unique_rows(codes)
+    uniq, inverse = uniq[::-1], len(uniq) - 1 - inverse
 
-    tvals = []
-    tindex = {}
-    tids = np.empty(nL, dtype=np.int64)
-    for r, v in enumerate(theta_vals_by_l):
-        got = tindex.get(v)
-        if got is None:
-            got = len(tvals)
-            tvals.append(v)
-            tindex[v] = got
-        tids[r] = got
-    nt, nz = len(tvals), len(zer_vals)
-
-    conjL, conjU = world.conjL, world.conjUbyL
-    pair_codes = []
-    for rho in range(nL):
-        t_p = tids[conjL[rho]]                               # (nL,)
-        z_p = zer_ids[conjU[rho]]                            # (nU,)
-        pair_codes.append((t_p[:, None] * nz + z_p[None, :]).ravel())
-    occurring = np.unique(np.concatenate([np.unique(pc) for pc in pair_codes]))
-    remap = np.full(nt * nz, -1, dtype=np.int64)
-    remap[occurring] = np.arange(occurring.size)
-    counts = np.zeros((nL * nU, occurring.size), dtype=np.int32)
-    rows = np.arange(nL * nU)
-    for pc in pair_codes:
-        np.add.at(counts, (rows, remap[pc]), 1)
-
-    uniq, inverse = np.unique(counts, axis=0, return_inverse=True)
+    prods = {c: tvals[c // nz] * zer_vals[c % nz] for c in np.unique(uniq).tolist()}
     final_vals = []
-    prod_cache = {}
     for row in uniq:
-        acc = field.zero
-        for slot in np.nonzero(row)[0]:
-            code = int(occurring[slot])
-            prod = prod_cache.get(code)
-            if prod is None:
-                prod = tvals[code // nz] * zer_vals[code % nz]
-                prod_cache[code] = prod
-            acc = acc + prod.scale(int(row[slot]))
+        acc = world.field.zero
+        for code, count in zip(*np.unique(row, return_counts=True)):
+            acc = acc + prods[int(code)].scale(int(count))
         final_vals.append(acc.scale(scale))
-    return inverse.astype(np.int64), final_vals
+    return inverse, final_vals
 
 
 def superclass_u(world, h_idx, coset_points):

@@ -21,10 +21,10 @@ from .algebra import lcm
 from .errors import FalsificationError, ValidationError
 from .groups import mat_inv, mat_mul, subgroup_generators, gb_generators
 from .orbits import levi_stabilizer, orbit_closure
-from .theory import SuperChar, SuperClass
+from .theory import SuperChar, SuperClass, intern_values
 from .utheory import (
-    _memo, action_left_ucstar, build_u_theory, counts_to_values, form_data,
-    orbit_eps_counts, orbit_of, ustar_orbit_partition,
+    _memo, action_left_ucstar, action_twosided_ucstar, build_u_theory,
+    counts_to_values, form_data, orbit_eps_counts, orbit_of, ustar_orbit_partition,
 )
 from .gtheory import build_g_theory, classify_g_orbits
 
@@ -333,7 +333,8 @@ def check_lemmas(world):
     def setwise_stabilizers_agree():
         for lam in reps:
             fd = form_data(world, lam)
-            s_two = levi_stabilizer(world, fd.orbit_two_sided.points, "ucstar", "setwise")
+            two_sided = orbit_closure(fd.Lam_packed, action_twosided_ucstar(world))
+            s_two = levi_stabilizer(world, two_sided.points, "ucstar", "setwise")
             if s_two != fd.S_ids:
                 raise FalsificationError(
                     "setwise stabilizers computed two ways disagree",
@@ -361,16 +362,9 @@ def check_lemmas(world):
 def induce_exact(group_size, classes, h_ids, h_vals, field):
     """Frobenius induction as per-class values, via centralizer counting."""
     h_order = len(h_ids)
-    local = [field.zero]
-    index = {field.zero: 0}
+    h_local, local = intern_values([field.zero] + list(h_vals))
     ids = np.zeros(group_size, dtype=np.int64)
-    for gid, v in zip(h_ids, h_vals):
-        t = index.get(v)
-        if t is None:
-            t = len(local)
-            local.append(v)
-            index[v] = t
-        ids[int(gid)] = t
+    ids[np.asarray(h_ids, dtype=np.int64)] = h_local[1:]
     out = []
     for members in classes:
         counts = np.bincount(ids[members], minlength=len(local))

@@ -10,7 +10,9 @@ from parasuper.orbits import (
     LinearAction, QuotientSpace, enumerate_subspace, levi_stabilizer,
     orbit_closure, partition_orbits, quotient_orbits, smallest_bimodule,
 )
-from parasuper.utheory import action_on_u, action_on_ustar, form_data
+from parasuper.utheory import (
+    action_on_u, action_on_ustar, action_twosided_ucstar, form_data,
+)
 
 
 def test_orbit_of_zero_is_fixed(borel_d2):
@@ -91,6 +93,27 @@ def test_partition_is_the_set_of_single_seed_closures(act):
         assert tuple(orbit_closure(x, act).points.tolist()) == naive_closure(x, act)
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_actions(), st.data())
+def test_invariant_span_is_the_span_of_the_orbits(act, data):
+    seeds = data.draw(st.lists(st.integers(0, act.size - 1), max_size=3))
+    orbit_points = [orbit_closure(x, act).points for x in seeds]
+    digits = act.unpack(np.concatenate(orbit_points)) if seeds else []
+    want = linalg.rref([list(v) for v in digits], act.p)
+    assert linalg.invariant_span(act.unpack(seeds), act.gen_mats, act.p) == want
+
+
+@pytest.mark.parametrize("name", ["borel_b2", "borel_c2", "borel_d2"])
+def test_pointwise_stabilizer_of_the_span_is_that_of_the_orbit(name, request):
+    # FormData reads L0 off the span of the two-sided orbit; the enumerated
+    # orbit must give the same pointwise stabilizer for every form
+    w = request.getfixturevalue(name)
+    for lam in range(w.u_size):
+        fd = form_data(w, lam)
+        orbit = orbit_closure(fd.Lam_packed, action_twosided_ucstar(w))
+        assert fd.L0_ids == levi_stabilizer(w, orbit.points, "ucstar", "pointwise")
+
+
 def test_stabilizers_on_zero_orbit(borel_b2):
     w = borel_b2
     for space in ("ustar", "ucstar"):
@@ -116,7 +139,8 @@ def test_stabilizers_by_direct_filter(borel_b2, space, mode):
             points = orbit_closure(lam, action_on_ustar(w, "Ub")).points
             act, mat_of = action_on_ustar(w, "Ub"), ustar_action_matrix
         else:
-            points = form_data(w, lam).orbit_two_sided.points
+            points = orbit_closure(form_data(w, lam).Lam_packed,
+                                   action_twosided_ucstar(w)).points
             act, mat_of = LinearAction("uc", spec.p, spec.uc_dim, []), ucstar_ad_matrix
         by_hand = []
         for hid, h in enumerate(w.L):

@@ -1,10 +1,13 @@
 """Radical-orbit theory: form extensions, supercharacters, superclasses."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from parasuper.chartab import irr_characters, s_orbit_sums
 from parasuper.utheory import (
-    action_on_ustar, build_u_theory, form_data, l_table, orbit_eps_counts,
+    action_on_ustar, build_u_theory, chi_alpha_u, form_data, l_table, orbit_eps_counts,
     counts_to_values, ustar_orbit_partition, u_orbit_partition,
 )
 
@@ -33,6 +36,52 @@ def test_form_data_full_sweep(borel_c2):
         fd = form_data(borel_c2, orb.rep)
         assert fd.orbit_hb.size <= fd.orbit_ub.size
         assert set(fd.L0_ids) <= set(fd.S_ids)
+
+
+def chi_alpha_u_by_counting(w, fd, theta_by_l):
+    # plain reference: count the (theta, zeta) value pairs that Levi
+    # conjugation takes each element of G to, and number the distinct count
+    # vectors in ascending order
+    zer_ids, zer_vals = counts_to_values(w, orbit_eps_counts(w, fd.orbit_ub.points))
+    tvals = list(dict.fromkeys(theta_by_l))
+    tid = [tvals.index(v) for v in theta_by_l]
+    pairs = [(t, z) for t in range(len(tvals)) for z in range(len(zer_vals))]
+    # theta and zeta ids at rho g rho^-1, over all rho
+    t_at = [[tid[rc] for rc in w.conjL[:, r].tolist()] for r in range(w.nL)]
+    z_at = [zer_ids[w.conjUbyL[:, u]].tolist() for u in range(w.nU)]
+    vectors = []
+    for r in range(w.nL):
+        for u in range(w.nU):
+            count = Counter(zip(t_at[r], z_at[u]))
+            vectors.append(tuple(map(count.__getitem__, pairs)))
+    distinct = sorted(set(vectors))
+    position = {vec: i for i, vec in enumerate(distinct)}
+    scale = Fraction(fd.orbit_hb.size, fd.orbit_ub.size * len(fd.L0_ids))
+    values = []
+    for vec in distinct:
+        acc = w.field.zero
+        for (t, z), c in zip(pairs, vec):
+            if c:
+                acc = acc + (tvals[t] * zer_vals[z]).scale(c)
+        values.append(acc.scale(scale))
+    return [position[vec] for vec in vectors], values
+
+
+@pytest.mark.parametrize("name", ["borel_d2", "twoblock_c2"])
+def test_chi_alpha_u_matches_pair_counting(name, request):
+    w = request.getfixturevalue(name)
+    ltable = l_table(w)
+    for orb in ustar_orbit_partition(w, "Ub"):
+        fd = form_data(w, orb.rep)
+        table = irr_characters(ltable.subgroup(fd.L0_ids), w.field)
+        pos_of = {g: t for t, g in enumerate(fd.L0_ids)}
+        for vals in s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids):
+            theta_by_l = [vals[int(table.classes.class_of[pos_of[r]])] if r in pos_of
+                          else w.field.zero for r in range(w.nL)]
+            ids, values = chi_alpha_u(w, fd, theta_by_l)
+            want_ids, want_values = chi_alpha_u_by_counting(w, fd, theta_by_l)
+            assert ids.tolist() == want_ids
+            assert values == want_values
 
 
 def test_radical_supercharacter_values(borel_c2):
