@@ -373,25 +373,29 @@ def _extract_block(spec, X, k):
 
 
 def enumerate_middle(spec, guard_middle):
-    """Elements M of the middle block with M-dagger equal to M-inverse."""
+    """Elements M of the middle block with M-dagger M = 1 (so M is invertible),
+    in lexicographic entry order, tested as one batch of all q^(n0^2) matrices.
+    The middle labels are symmetric, so M-dagger[a][b] = s_a s_b M[-b][-a]."""
     n0 = len(spec.segments.get(0, ()))
     if n0 == 0:
         return [()]
     if n0 > guard_middle:
         raise ResourceGuardError("middle block size %d exceeds guard %d" % (n0, guard_middle))
-    out = []
-    for m in enumerate_gl(n0, spec.p):
-        emb = _embed_block(spec, m, 0)
-        if spec.is_isometry(emb):
-            out.append(m)
-    return out
+    q = spec.p
+    codes = np.arange(q ** (n0 * n0), dtype=np.int64)
+    shifts = q ** np.arange(n0 * n0 - 1, -1, -1, dtype=np.int64)
+    mats = ((codes[:, None] // shifts[None, :]) % q).reshape(-1, n0, n0)
+    signs = np.array([spec.sign(lab) for lab in spec.segments[0]], dtype=np.int64)
+    dag = signs[:, None] * signs[None, :] * mats[:, ::-1, ::-1].transpose(0, 2, 1)
+    keep = ((dag @ mats) % q == np.eye(n0, dtype=np.int64)).all(axis=(1, 2))
+    return [tuple(map(tuple, m)) for m in mats[keep].tolist()]
 
 
 def enumerate_levi(spec, guard=None, guard_middle=None):
     """The full Levi subgroup L, enumerated deterministically.
 
     Positive-side blocks range over GL(n_k, q); the mirrored block is forced
-    by the isometry condition; the middle block is filtered by brute force.
+    by the isometry condition; the middle block is one batched isometry test.
     """
     guard = DEFAULT_GUARDS["levi"] if guard is None else guard
     guard_middle = DEFAULT_GUARDS["middle"] if guard_middle is None else guard_middle
@@ -526,14 +530,6 @@ def ucstar_ad_matrix(spec, h):
 
 # ---------------------------------------------------------------------------
 # the assembled world
-
-def mat_key(m, p):
-    k = 0
-    for row in m:
-        for v in row:
-            k = k * p + v
-    return k
-
 
 class Parabolic:
     """One fully enumerated configuration: L, U, index tables, value field.

@@ -24,8 +24,8 @@ from .theory import (
     intern_values, sort_canonical,
 )
 from .utheory import (
-    _memo, counts_to_values, form_data, intern_ids, l_table, orbit_eps_counts,
-    orbit_of, u_orbit_partition, ustar_orbit_partition,
+    _memo, counts_to_values, form_data, intern_ids, l_table, lift_to_levi,
+    orbit_eps_counts, orbit_of, u_orbit_partition, ustar_orbit_partition,
 )
 from .orbits import enumerate_subspace, levi_stabilizer
 
@@ -549,22 +549,18 @@ def build_g_theory(world, check=True):
                 "scalar Levi subgroup is not normal in the Levi subgroup",
                 {"pair": pair.label()})
         table = irr_characters(sub, world.field, world.guards["chartab"])
-        pos_of = {g: t for t, g in enumerate(ctx["ld_ids"])}
 
         for tidx, ch in enumerate(table.chars):
-            theta_by_l = []
-            for r in range(world.nL):
-                t = pos_of.get(r)
-                theta_by_l.append(world.field.zero if t is None
-                                  else ch[int(table.classes.class_of[t])])
-            for rho in range(world.nL):
-                for d in ctx["ld_ids"]:
-                    if theta_by_l[int(world.conjL[rho, d])] != theta_by_l[d]:
-                        raise FalsificationError(
-                            "character of the scalar Levi subgroup is moved by "
-                            "Levi conjugation",
-                            {"pair": pair.label(), "theta": tidx,
-                             "rho": rho, "r": int(d)})
+            theta_by_l = lift_to_levi(world, ctx["ld_ids"], table, ch)
+            tids, _ = intern_values(theta_by_l)
+            moved = np.argwhere(tids[conj_ids] != tids[ld_arr])
+            if moved.size:
+                rho, k = moved[0].tolist()
+                raise FalsificationError(
+                    "character of the scalar Levi subgroup is moved by "
+                    "Levi conjugation",
+                    {"pair": pair.label(), "theta": tidx,
+                     "rho": rho, "r": int(ld_arr[k])})
             ids_local, values = chi_alpha_g(world, ctx, theta_by_l)
             ids = intern_ids(pool, ids_local, values)
             chars.append(SuperChar(

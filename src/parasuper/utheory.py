@@ -20,7 +20,7 @@ from . import linalg
 from .chartab import TableGroup, irr_characters, s_orbit_sums
 from .errors import FalsificationError, ValidationError
 from .groups import (
-    gb_generators, mat_mul, subgroup_generators, u_action_matrix,
+    gb_generators, subgroup_generators, u_action_matrix,
     ucstar_left_matrix, ucstar_right_matrix, ustar_action_matrix,
 )
 from .orbits import (
@@ -151,29 +151,29 @@ class FormData:
             assert (Lam_of_mat(spec.dagger(e)) + Lam_of_mat(e)) % p == 0, \
                 "extension is not anti-self-dual"
 
-        hc_pos = spec.hc_positions()
-        hc_mats = [spec.E(a, b) for (a, b) in hc_pos]
-        uc_mats = [spec.E(i, j) for (i, j) in spec.uc_positions]
-
-        # R = {x : Lambda(x Hc) = 0}, Lc = {x : Lambda(Hc-dagger x) = 0}
-        rows_r = []
-        rows_l = []
-        for hm in hc_mats:
-            hd = spec.dagger(hm)
-            rows_r.append([Lam_of_mat(mat_mul(xm, hm, p)) for xm in uc_mats])
-            rows_l.append([Lam_of_mat(mat_mul(hd, xm, p)) for xm in uc_mats])
-        self.R_basis = linalg.right_kernel(rows_r, p, spec.uc_dim)
-        self.L_basis = linalg.right_kernel(rows_l, p, spec.uc_dim)
+        # R = {x : Lambda(x Hc) = 0}, Lc = {x : Lambda(Hc-dagger x) = 0}; with
+        # Lambda as a matrix LamM, zero outside Uc, Lambda(E(i,j) h) is
+        # (LamM h^T)[i, j] and Lambda(h-dagger E(i,j)) is (h-dagger^T LamM)[i, j]
+        ri, rj = np.array([[spec.pos[i], spec.pos[j]] for (i, j) in spec.uc_positions],
+                          dtype=np.int64).reshape(-1, 2).T
+        LamM = np.zeros((spec.N, spec.N), dtype=np.int64)
+        LamM[ri, rj] = Lam
+        hc = np.array([spec.E(a, b) for (a, b) in spec.hc_positions()],
+                      dtype=np.int64).reshape(-1, spec.N, spec.N)
+        hc_dag = np.array([spec.dagger(h) for h in hc.tolist()],
+                          dtype=np.int64).reshape(hc.shape)
+        rows_r = (LamM @ hc.transpose(0, 2, 1))[:, ri, rj] % p
+        rows_l = (hc_dag.transpose(0, 2, 1) @ LamM)[:, ri, rj] % p
+        self.R_basis = linalg.right_kernel(rows_r.tolist(), p, spec.uc_dim)
+        self.L_basis = linalg.right_kernel(rows_l.tolist(), p, spec.uc_dim)
         self.UcLam_basis = linalg.intersect(self.R_basis, self.L_basis, p)
 
         # u_lam inside u, via both defining conditions; they must agree
-        # (products of u with the ideal leave u, so the extension evaluates them)
-        u_mats = [spec.root_matrix(r) for r in spec.roots_u]
-        rows_ur = [[Lam_of_mat(mat_mul(xm, hm, p)) for xm in u_mats] for hm in hc_mats]
-        rows_ul = [[Lam_of_mat(mat_mul(spec.dagger(hm), xm, p)) for xm in u_mats]
-                   for hm in hc_mats]
-        k_r = linalg.right_kernel(rows_ur, p, spec.u_dim)
-        k_l = linalg.right_kernel(rows_ul, p, spec.u_dim)
+        # (products of u with the ideal leave u, so the extension evaluates
+        # them).  Lambda is linear: the u rows are the Uc rows times the embedding
+        emb = np.array(spec.u_embed_matrix(), dtype=np.int64).reshape(spec.uc_dim, spec.u_dim)
+        k_r = linalg.right_kernel((rows_r @ emb % p).tolist(), p, spec.u_dim)
+        k_l = linalg.right_kernel((rows_l @ emb % p).tolist(), p, spec.u_dim)
         red_r = linalg.rref(k_r, p)[0] if k_r else []
         red_l = linalg.rref(k_l, p)[0] if k_l else []
         assert red_r == red_l, "the two annihilator conditions cut out different subalgebras of u"
@@ -363,15 +363,8 @@ def build_u_theory(world, target="G", check=True):
             sub = ltable.subgroup(fd.L0_ids)
             table = irr_characters(sub, world.field, world.guards["chartab"])
             sums = s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids)
-            pos_of = {g: t for t, g in enumerate(fd.L0_ids)}
             for sidx, vals in enumerate(sums):
-                theta_by_l = []
-                for r in range(world.nL):
-                    t = pos_of.get(r)
-                    if t is None:
-                        theta_by_l.append(world.field.zero)
-                    else:
-                        theta_by_l.append(vals[int(table.classes.class_of[t])])
+                theta_by_l = lift_to_levi(world, fd.L0_ids, table, vals)
                 ids_local, values = chi_alpha_u(world, fd, theta_by_l)
                 ids = intern_ids(pool, ids_local, values)
                 chars.append(SuperChar(
@@ -403,6 +396,15 @@ def build_u_theory(world, target="G", check=True):
                                      report.first_failure())
         theory.meta["axioms"] = "pass"
     return theory
+
+
+def lift_to_levi(world, sub_ids, table, vals):
+    """A class function of the Levi subgroup on `sub_ids` (one value per class
+    of its `table`) as a list over all Levi element ids, zero outside it."""
+    out = [world.field.zero] * world.nL
+    for t, r in enumerate(sub_ids):
+        out[r] = vals[int(table.classes.class_of[t])]
+    return out
 
 
 def l_table(world):

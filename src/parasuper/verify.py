@@ -359,23 +359,34 @@ def check_lemmas(world):
 # ---------------------------------------------------------------------------
 # induction oracles
 
-def induce_exact(group_size, classes, h_ids, h_vals, field):
-    """Frobenius induction as per-class values, via centralizer counting."""
-    h_order = len(h_ids)
-    h_local, local = intern_values([field.zero] + list(h_vals))
-    ids = np.zeros(group_size, dtype=np.int64)
-    ids[np.asarray(h_ids, dtype=np.int64)] = h_local[1:]
-    out = []
-    for members in classes:
-        counts = np.bincount(ids[members], minlength=len(local))
-        acc = field.zero
-        for t in np.nonzero(counts)[0]:
-            if t == 0 and local[0].is_zero():
-                continue
-            acc = acc + local[int(t)].scale(int(counts[t]))
-        cent = group_size // int(members.size)
-        out.append(acc.scale(Fraction(cent, h_order)))
-    return out
+def induce_exact(class_of, sizes, h_ids, h_local, h_values, field):
+    """Frobenius induction from a subgroup H, as one value per class of G.
+
+    `class_of` labels the elements of G by class, `sizes` gives the class
+    sizes.  The function on H is interned: its value at h_ids[i] is
+    h_values[h_local[i]].  The value on a class K is |G| / (|K| |H|) times
+    its sum over H meet K, counted per (class, value id) pair over H only.
+    """
+    nv = len(h_values)
+    codes, counts = np.unique(class_of[h_ids] * nv + h_local, return_counts=True)
+    sums = {}
+    for code, c in zip(codes.tolist(), counts.tolist()):
+        k, t = divmod(code, nv)
+        sums[k] = sums.get(k, field.zero) + h_values[t].scale(c)
+    return [sums.get(k, field.zero).scale(Fraction(len(class_of) // int(size), len(h_ids)))
+            for k, size in enumerate(sizes)]
+
+
+def _product_on_h(world, r_ids, u_ids, theta_by_l, z_ids, z_values):
+    """theta(r) * zeta(u) on H = {r u : r in r_ids, u in u_ids} in induce_exact's
+    form, where zeta(u_ids[j]) = z_values[z_ids[j]]; one product per distinct pair."""
+    tids, tvals = intern_values([theta_by_l[r] for r in r_ids])
+    nz = len(z_values)
+    h_ids = (np.asarray(r_ids, dtype=np.int64)[:, None] * world.nU + u_ids[None, :]).ravel()
+    used, h_local = np.unique((tids[:, None] * nz + z_ids[None, :]).ravel(),
+                              return_inverse=True)
+    h_values = [tvals[c // nz] * z_values[c % nz] for c in used.tolist()]
+    return h_ids, h_local, h_values
 
 
 def _compare_char_to_induced(ch, classes, induced, what):
@@ -401,52 +412,42 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
     report = Report("oracles")
     field = world.field
     p = world.spec.p
+    eps = [field.additive_character(p, t) for t in range(p)]
+
+    def eps_exponents(fd):
+        # the elementary character on U_lam, as the exponent t of its value eps(t)
+        return (world.u_digits(fd.U_lam_ids) @ np.array(fd.lam_coords, dtype=np.int64)) % p
 
     def zeta_oracle():
-        _, u_classes = world.u_group_classes
+        class_of, u_classes = world.u_group_classes
+        sizes = [m.size for m in u_classes]
         for ch in theory_u.chars:
-            lam = ch.provenance["lam"]
-            fd = form_data(world, lam)
-            lam_vec = np.array(world.unpack_u(lam), dtype=np.int64)
-            tvals = (world.u_digits(fd.U_lam_ids) @ lam_vec) % p
-            h_vals = [field.additive_character(p, int(t)) for t in tvals]
-            induced = induce_exact(world.nU, u_classes, fd.U_lam_ids, h_vals, field)
+            fd = form_data(world, ch.provenance["lam"])
+            induced = induce_exact(class_of, sizes, fd.U_lam_ids, eps_exponents(fd), eps, field)
             _compare_char_to_induced(ch, u_classes, induced, "radical supercharacter")
     report.run("radical-induction-oracle", zeta_oracle)
 
     def chi_u_oracle():
-        _, g_classes = world.g_classes
+        class_of, g_classes = world.g_classes
+        sizes = [m.size for m in g_classes]
         for ch in theory_ub_g.chars:
-            lam = ch.provenance["lam"]
-            theta_by_l = ch.provenance["theta_by_l"]
-            fd = form_data(world, lam)
-            lam_vec = np.array(world.unpack_u(lam), dtype=np.int64)
-            tv = (world.u_digits(fd.U_lam_ids) @ lam_vec) % p
-            h_ids, h_vals = [], []
-            for r in fd.L0_ids:
-                for upos, uid in enumerate(fd.U_lam_ids):
-                    h_ids.append(r * world.nU + int(uid))
-                    h_vals.append(theta_by_l[r] * field.additive_character(p, int(tv[upos])))
-            induced = induce_exact(world.g_size, g_classes, h_ids, h_vals, field)
+            fd = form_data(world, ch.provenance["lam"])
+            h = _product_on_h(world, fd.L0_ids, fd.U_lam_ids, ch.provenance["theta_by_l"],
+                              eps_exponents(fd), eps)
+            induced = induce_exact(class_of, sizes, *h, field)
             _compare_char_to_induced(ch, g_classes, induced, "Levi-averaged supercharacter")
     report.run("parabolic-induction-oracle", chi_u_oracle)
 
     def chi_g_oracle():
-        _, g_classes = world.g_classes
+        class_of, g_classes = world.g_classes
+        sizes = [m.size for m in g_classes]
         for ch in theory_gb_g.chars:
-            lam = ch.provenance["lam"]
-            theta_by_l = ch.provenance["theta_by_l"]
-            ld_ids = ch.provenance["ld_ids"]
-            orbit = orbit_of(world, "ustar", "Gb", lam)
+            orbit = orbit_of(world, "ustar", "Gb", ch.provenance["lam"])
             zeta_ids, zeta_vals = counts_to_values(
                 world, orbit_eps_counts(world, orbit.points))
-            h_ids, h_vals = [], []
-            for r in ld_ids:
-                base = r * world.nU
-                for uid in range(world.nU):
-                    h_ids.append(base + uid)
-                    h_vals.append(theta_by_l[r] * zeta_vals[int(zeta_ids[uid])])
-            induced = induce_exact(world.g_size, g_classes, h_ids, h_vals, field)
+            h = _product_on_h(world, ch.provenance["ld_ids"], np.arange(world.nU),
+                              ch.provenance["theta_by_l"], zeta_ids, zeta_vals)
+            induced = induce_exact(class_of, sizes, *h, field)
             _compare_char_to_induced(ch, g_classes, induced, "ambient-orbit supercharacter")
     report.run("ambient-induction-oracle", chi_g_oracle)
     return report

@@ -1,6 +1,7 @@
 """Character tables: classes, irreducibles, orbit sums, induction, inner products."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -124,13 +125,31 @@ def test_induction_degree_and_trivial():
     field = CycField(6)
     cls = conjugacy_classes(g)
     sub_ids = [0, 2, 4]
-    vals = [field.one] * 3
-    ind = induce_exact(g.n, cls.members, sub_ids, vals, field)
+    ind = induce_exact(cls.class_of, cls.sizes, sub_ids, [0, 0, 0], [field.one], field)
     idc = int(cls.class_of[g.ident])
     assert ind[idc].as_int() == 2          # index of the subgroup
     # inducing the trivial character of the whole group gives it back
-    full = induce_exact(g.n, cls.members, list(range(6)), [field.one] * 6, field)
+    full = induce_exact(cls.class_of, cls.sizes, list(range(6)), [0] * 6, [field.one], field)
     assert all(v == field.one for v in full)
+
+
+def test_induce_exact_is_the_textbook_sum(gl23):
+    # (1/|H|) sum over x in G of phi(x g x^-1), phi extended by zero off H;
+    # phi takes three distinct values on the Borel subgroup, one of them zero
+    field = CycField(lcm(3, gl23.exponent))
+    cls = conjugacy_classes(gl23)
+    borel = [i for i, m in enumerate(gl23.elements) if m[1][0] == 0]
+    values = [field.zero, field.one, field.additive_character(3, 1).scale(2)]
+    local = [i % 3 for i in range(len(borel))]
+    phi = {h: values[t] for h, t in zip(borel, local)}
+    ind = induce_exact(cls.class_of, cls.sizes, borel, local, values, field)
+    assert len(ind) == cls.k
+    for k, g in enumerate(cls.reps):
+        acc = field.zero
+        for x in range(gl23.n):
+            acc = acc + phi.get(int(gl23.mul[gl23.mul[x, g], gl23.inv[x]]), field.zero)
+        assert ind[k] == acc.scale(Fraction(1, len(borel)))
+    assert len(set(ind)) >= 3
 
 
 def test_frobenius_reciprocity(gl23):
@@ -145,7 +164,8 @@ def test_frobenius_reciprocity(gl23):
     theta = sub_tab.chars[random.randrange(len(sub_tab.chars))]
     psi = tab.chars[random.randrange(len(tab.chars))]
     theta_by_el = [theta[int(sub_tab.classes.class_of[t])] for t in range(sub.n)]
-    ind = induce_exact(gl23.n, cls.members, sub.parent_ids, theta_by_el, field)
+    ind = induce_exact(cls.class_of, cls.sizes, sub.parent_ids,
+                       sub_tab.classes.class_of, theta, field)
     lhs = inner_product_classes(cls, gl23.n, ind, psi)
     # <theta, Res psi> on the subgroup
     res = [psi[int(cls.class_of[sub.parent_ids[int(r)]])] for r in sub_tab.classes.reps]

@@ -151,6 +151,20 @@ def test_middle_block_group_order():
     assert len(enumerate_middle(specc, 3)) == 24
 
 
+@pytest.mark.parametrize("family, q, blocks", [
+    ("B", 3, (1, 3, 1)), ("C", 3, (1, 2, 1)), ("C", 5, (1, 2, 1)),
+    ("D", 3, (1, 2, 1)), ("D", 5, (1, 2, 1)), ("B", 3, (1, 1, 1, 1, 1)),
+    ("B", 5, (1, 1, 1, 1, 1)),
+])
+def test_middle_block_equals_the_isometry_filter(family, q, blocks):
+    # same list, same order as filtering GL(n0, q) by the ambient isometry test
+    from parasuper.groups import _embed_block, enumerate_middle
+    spec = build_spec(family, 2, q, blocks)
+    want = [m for m in enumerate_gl(len(spec.segments[0]), q)
+            if spec.is_isometry(_embed_block(spec, m, 0))]
+    assert enumerate_middle(spec, 3) == want
+
+
 def test_unipotent_enumeration(borel_d2, borel_b2):
     assert borel_d2.nU == 9
     assert borel_b2.nU == 81

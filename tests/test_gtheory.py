@@ -1,5 +1,9 @@
 """Ambient-orbit theory: rook placements, signatures, coarsenings, assembly."""
 
+import pytest
+
+from parasuper import gtheory
+from parasuper.errors import FalsificationError
 from parasuper.groups import build_spec, identity
 from parasuper.gtheory import (
     BasicPair, build_g_theory, classify_g_orbits, enumerate_basic_pairs,
@@ -177,3 +181,32 @@ def test_evaluation_identity_on_classes(borel_d2):
             r, u = divmod(kl.rep, w.nU)
             want = (theta_by_l[r] * zvals[int(zids[u])]).scale(scale)
             assert ch.value_at(kl.rep) == want
+
+
+def test_levi_invariance_check_reports_the_first_moved_pair(twoblock_c2, monkeypatch):
+    # twoblock_c2 has a pair whose scalar Levi subgroup is all of the
+    # non-abelian Levi subgroup; a theta changed on its last non-central
+    # element is moved by conjugation, and the check must name the first
+    # (rho, r) in row-major order over Levi elements rho and scalar Levi
+    # elements r
+    w = twoblock_c2
+    real = gtheory.lift_to_levi
+    planted = []
+
+    def perturbed(world, sub_ids, table, vals):
+        out = real(world, sub_ids, table, vals)
+        if len(sub_ids) == world.nL and not planted:
+            r = [int(r) for r in sub_ids if (world.conjL[:, r] != r).any()][-1]
+            out[r] = out[r] + world.field.one
+            planted.append((list(sub_ids), out))
+        return out
+
+    monkeypatch.setattr(gtheory, "lift_to_levi", perturbed)
+    with pytest.raises(FalsificationError) as err:
+        build_g_theory(w, check=False)
+    ld_ids, theta_by_l = planted[0]
+    want = next((rho, d) for rho in range(w.nL) for d in ld_ids
+                if theta_by_l[int(w.conjL[rho, d])] != theta_by_l[d])
+    assert "moved by Levi conjugation" in str(err.value)
+    ce = err.value.counterexample
+    assert (ce["rho"], ce["r"]) == want and ce["theta"] == 0

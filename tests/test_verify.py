@@ -1,7 +1,9 @@
 """Verification harness: suites on small configurations plus negative controls."""
 
 import numpy as np
+import pytest
 
+from parasuper.theory import SuperChar
 from parasuper.utheory import build_u_theory
 from parasuper.verify import (
     check_lemmas, check_oracles, check_refinement, check_supertheory,
@@ -146,3 +148,51 @@ def test_product_lemma_rechecks_memoized_forms():
     assert not check.passed
     assert check.counterexample["lam"] == fd.lam
     assert lam_of_product(fd, check.counterexample["x"], check.counterexample["y"])
+
+
+def _swap_provenance(theory, key, other_of):
+    """Copy of a theory whose first character that other_of finds a partner
+    for carries that partner's provenance value under key."""
+    import copy
+    bad = copy.copy(theory)
+    bad.chars = list(theory.chars)
+    for idx, ch in enumerate(theory.chars):
+        other = other_of(ch)
+        if other is not None:
+            prov = dict(ch.provenance, **{key: other.provenance[key]})
+            bad.chars[idx] = SuperChar(ch.label, ch.ids, ch.pool, prov)
+            return bad, ch.label
+    raise AssertionError("no character to swap")
+
+
+@pytest.mark.parametrize("which", ["U-on-U", "Ub-on-G", "Gb-on-G"])
+def test_oracles_catch_swapped_provenance(borel_c2, which):
+    # each oracle induces from what the provenance names, independently of
+    # the closed formula; naming another orbit's form (U-on-U) or another
+    # theta of the same form or pair must fail exactly the matching oracle
+    tU, tG, gG = theories(borel_c2)
+    oracle = {"U-on-U": "radical-induction-oracle",
+              "Ub-on-G": "parabolic-induction-oracle",
+              "Gb-on-G": "ambient-induction-oracle"}[which]
+
+    def partner(theory, same, key):
+        return lambda ch: next(
+            (o for o in theory.chars if same(o, ch)
+             and o.provenance[key] != ch.provenance[key]), None)
+
+    if which == "U-on-U":
+        tU, label = _swap_provenance(tU, "lam", partner(tU, lambda o, ch: True, "lam"))
+    elif which == "Ub-on-G":
+        same_form = lambda o, ch: o.provenance["lam"] == ch.provenance["lam"]
+        tG, label = _swap_provenance(tG, "theta_by_l", partner(tG, same_form, "theta_by_l"))
+    else:
+        same_pair = lambda o, ch: (o.provenance["roots"], o.provenance["phi"]) == (
+            ch.provenance["roots"], ch.provenance["phi"])
+        gG, label = _swap_provenance(gG, "theta_by_l", partner(gG, same_pair, "theta_by_l"))
+    report = check_oracles(borel_c2, tU, tG, gG)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == [oracle]
+    ce = failed[0].counterexample
+    assert ce["message"] == "closed formula disagrees with direct induction"
+    assert ce["char"] == label
+    assert ce["formula"] != ce["induction"] and "class_rep" in ce
