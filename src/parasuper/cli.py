@@ -138,9 +138,7 @@ def emit_table(theory, world, fmt, out_path, config):
     on_g = theory.group_size == world.g_size
 
     def rep_matrix(gid):
-        if on_g:
-            return [list(row) for row in world.g_matrix(gid)]
-        return [list(row) for row in world.U[gid]]
+        return (world.g_matrix(gid) if on_g else world.U[gid]).tolist()
 
     classes_payload = []
     for idx, kl in enumerate(theory.classes):

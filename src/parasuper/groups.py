@@ -8,14 +8,14 @@ bijection, generator sets for the ambient block groups, and an indexed
 "world" object holding the multiplication/conjugation tables that the orbit
 and character machinery runs on.
 
-Matrices are immutable tuples of tuples of ints mod p, indexed by array
-position; the configuration object translates between signed labels and
+Matrices are int64 numpy arrays with entries in [0, p), indexed by array
+position; every matrix operation takes one (N, N) matrix or an (n, N, N)
+stack alike.  The configuration object translates between signed labels and
 positions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,55 +33,6 @@ DEFAULT_GUARDS = {
     "chartab": 2000,      # largest group handed to the character-table code
     "tables": 4096,       # largest radical indexed with dense id tables
 }
-
-
-# ---------------------------------------------------------------------------
-# matrix helpers
-
-def identity(N):
-    return tuple(tuple(1 if i == j else 0 for j in range(N)) for i in range(N))
-
-
-def mat_mul(a, b, p):
-    N = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(N)) % p for cb in bt) for ra in a
-    )
-
-
-def mat_add(a, b, p):
-    return tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b, p):
-    return tuple(tuple((x - y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a, p):
-    return tuple(tuple((-x) % p for x in ra) for ra in a)
-
-
-def mat_scale(a, c, p):
-    return tuple(tuple((c * x) % p for x in ra) for ra in a)
-
-
-def mat_inv(a, p):
-    return linalg.mat_inv(a, p)
-
-
-def mat_order(a, p):
-    """Multiplicative order of an invertible matrix."""
-    N = len(a)
-    e = identity(N)
-    x = a
-    k = 1
-    while x != e:
-        x = mat_mul(x, a, p)
-        k += 1
-        if k > p ** (N * N):
-            raise RuntimeError("order loop did not terminate")
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +69,19 @@ class GroupSpec:
             self.labels = tuple(list(range(n, 0, -1)) + list(range(-1, -n - 1, -1)))
         self.pos = {lab: idx for idx, lab in enumerate(self.labels)}
         self.delta = smallest_nonsquare(p) if delta is None else delta
+        # label -1 sits at the mirrored position of label 1, so the dagger
+        # reverses both axes; sign_matrix[a, b] = s_a s_b
+        signs = np.array([self.sign(lab) for lab in self.labels], dtype=np.int64)
+        self.sign_matrix = signs[:, None] * signs[None, :]
 
-        # consecutive segments I_k, k = ell .. -ell
+        # consecutive segments I_k, k = ell .. -ell, and their position slices
         segments = {}
+        self.block_slice = {}
         cursor = 0
         for off, size in enumerate(blocks):
             k = self.ell - off
             segments[k] = tuple(self.labels[cursor:cursor + size])
+            self.block_slice[k] = slice(cursor, cursor + size)
             cursor += size
         self.segments = segments
         self.block_of = {}
@@ -137,10 +94,21 @@ class GroupSpec:
             (i, j) for i in self.labels for j in self.labels
             if self.block_of[i] > self.block_of[j]
         )
-        self.uc_index = {pos: t for t, pos in enumerate(self.uc_positions)}
         self.uc_dim = len(self.uc_positions)
         self.u_dim = len(self.roots_u)
         self.root_index = {(r.i, r.j): t for t, r in enumerate(self.roots_u)}
+        self.uc_rows, self.uc_cols = self.position_arrays(self.uc_positions)
+        self.uc_mask = np.zeros((self.N, self.N), dtype=bool)
+        self.uc_mask[self.uc_rows, self.uc_cols] = True
+        self.u_rows, self.u_cols = self.position_arrays([(r.i, r.j) for r in self.roots_u])
+        self.u_basis = np.array([self.root_matrix(r) for r in self.roots_u],
+                                dtype=np.int64).reshape(-1, self.N, self.N)
+
+    def position_arrays(self, pairs):
+        """Row and column position arrays of signed (i, j) pairs."""
+        idx = np.array([(self.pos[i], self.pos[j]) for (i, j) in pairs],
+                       dtype=np.int64).reshape(-1, 2)
+        return idx[:, 0], idx[:, 1]
 
     # -- involution ---------------------------------------------------------
 
@@ -150,20 +118,15 @@ class GroupSpec:
         return 1
 
     def dagger(self, X):
-        """The involutive antiautomorphism defining the classical group."""
-        p = self.p
-        out = []
-        for i in self.labels:
-            row = []
-            si = self.sign(i)
-            for j in self.labels:
-                v = X[self.pos[-j]][self.pos[-i]]
-                row.append((si * self.sign(j) * v) % p)
-            out.append(tuple(row))
-        return tuple(out)
+        """The involutive antiautomorphism defining the classical group:
+        X-dagger[a][b] = s_a s_b X[-b][-a]."""
+        flipped = np.swapaxes(np.asarray(X, dtype=np.int64)[..., ::-1, ::-1], -1, -2)
+        return self.sign_matrix * flipped % self.p
 
-    def is_isometry(self, g):
-        return mat_mul(self.dagger(g), g, self.p) == identity(self.N)
+    def is_isometry(self, X):
+        """X-dagger X == 1, elementwise over a stack."""
+        prod = self.dagger(X) @ np.asarray(X, dtype=np.int64) % self.p
+        return (prod == np.eye(self.N, dtype=np.int64)).all(axis=(-2, -1))
 
     # -- roots and bases ----------------------------------------------------
 
@@ -171,35 +134,32 @@ class GroupSpec:
         out = []
         for i in self.labels:
             for j in self.labels:
-                if i <= j:
-                    continue
-                if self.family == "B" and j > -i:
-                    out.append((i, j))
-                elif self.family == "C" and j >= -i:
-                    out.append((i, j))
-                elif self.family == "D" and j > -i:
+                if i > j and (j > -i or (self.family == "C" and j == -i)):
                     out.append((i, j))
         out.sort(key=lambda ij: (self.pos[ij[0]], self.pos[ij[1]]))
         return out
 
     def _init_roots(self):
+        p = self.p
+
+        def anti_fixed(m):
+            return np.array_equal(self.dagger(m), -m % p)
+
         roots = []
         for (i, j) in self._positive_root_pairs():
             mirror = (-j, -i)
             if mirror == (i, j):
                 eps = 0
-                m = self.E(i, j)
-                assert self.dagger(m) == mat_neg(m, self.p), "self-mirrored root not anti-fixed"
+                if not anti_fixed(self.E(i, j)):
+                    raise RuntimeError("self-mirrored root %r is not anti-fixed" % ((i, j),))
             else:
-                eps = None
-                for cand in (1, -1):
-                    m = mat_add(self.E(i, j), mat_scale(self.E(*mirror), cand % self.p, self.p), self.p)
-                    if self.dagger(m) == mat_neg(m, self.p):
-                        assert eps is None, "ambiguous sign for root %r" % ((i, j),)
-                        eps = cand
-                if eps is None:
-                    raise RuntimeError("no sign solves anti-invariance for root %r; "
-                                       "involution is inconsistent" % ((i, j),))
+                signs = [cand for cand in (1, -1)
+                         if anti_fixed((self.E(i, j) + cand * self.E(*mirror)) % p)]
+                if len(signs) != 1:
+                    raise RuntimeError("%s sign solves anti-invariance for root %r; "
+                                       "involution is inconsistent"
+                                       % ("no" if not signs else "more than one", (i, j)))
+                eps = signs[0]
             crossing = self.block_of[i] > self.block_of[j]
             roots.append(Root(i, j, mirror, self.block_of[i], self.block_of[j], eps, crossing))
         self.roots = tuple(roots)
@@ -207,54 +167,53 @@ class GroupSpec:
 
     def E(self, i, j):
         """Matrix unit at signed position (i, j)."""
-        ri, cj = self.pos[i], self.pos[j]
-        return tuple(
-            tuple(1 if (a == ri and b == cj) else 0 for b in range(self.N))
-            for a in range(self.N)
-        )
+        m = np.zeros((self.N, self.N), dtype=np.int64)
+        m[self.pos[i], self.pos[j]] = 1
+        return m
+
+    def units(self, positions):
+        """(len, N, N) stack of the matrix units at signed positions."""
+        rows, cols = self.position_arrays(positions)
+        out = np.zeros((len(rows), self.N, self.N), dtype=np.int64)
+        out[np.arange(len(rows)), rows, cols] = 1
+        return out
 
     def root_matrix(self, root):
         m = self.E(root.i, root.j)
         if root.eps:
-            m = mat_add(m, mat_scale(self.E(*root.mirror), root.eps % self.p, self.p), self.p)
+            m = (m + root.eps * self.E(*root.mirror)) % self.p
         return m
 
     # -- coordinates --------------------------------------------------------
 
     def u_coords(self, X, check=True):
-        """Coordinates of an ambient matrix of u in the root basis."""
-        vec = tuple(X[self.pos[r.i]][self.pos[r.j]] for r in self.roots_u)
-        if check:
-            if self.mat_of_u(vec) != X:
-                raise ValidationError("not-in-u", "matrix is not in the Lie algebra u")
+        """Coordinates of ambient matrices of u in the root basis."""
+        X = np.asarray(X, dtype=np.int64) % self.p
+        vec = X[..., self.u_rows, self.u_cols]
+        if check and not np.array_equal(self.mat_of_u(vec), X):
+            raise ValidationError("not-in-u", "matrix is not in the Lie algebra u")
         return vec
 
     def mat_of_u(self, coords):
-        p = self.p
-        out = [[0] * self.N for _ in range(self.N)]
-        for c, r in zip(coords, self.roots_u):
-            if c % p:
-                out[self.pos[r.i]][self.pos[r.j]] = c % p
-                if r.eps:
-                    out[self.pos[r.mirror[0]]][self.pos[r.mirror[1]]] = (c * r.eps) % p
-        return tuple(tuple(row) for row in out)
+        coords = np.asarray(coords, dtype=np.int64)
+        flat = coords @ self.u_basis.reshape(self.u_dim, -1) % self.p
+        return flat.reshape(coords.shape[:-1] + (self.N, self.N))
 
     def uc_coords(self, X, check=True):
-        vec = tuple(X[self.pos[i]][self.pos[j]] for (i, j) in self.uc_positions)
-        if check and self.mat_of_uc(vec) != X:
+        X = np.asarray(X, dtype=np.int64) % self.p
+        if check and X[..., ~self.uc_mask].any():
             raise ValidationError("not-in-uc", "matrix is not block strictly upper triangular")
-        return vec
+        return X[..., self.uc_rows, self.uc_cols]
 
     def mat_of_uc(self, coords):
-        out = [[0] * self.N for _ in range(self.N)]
-        for c, (i, j) in zip(coords, self.uc_positions):
-            out[self.pos[i]][self.pos[j]] = c % self.p
-        return tuple(tuple(row) for row in out)
+        coords = np.asarray(coords, dtype=np.int64)
+        out = np.zeros(coords.shape[:-1] + (self.N, self.N), dtype=np.int64)
+        out[..., self.uc_rows, self.uc_cols] = coords % self.p
+        return out
 
     def u_embed_matrix(self):
         """Columns express the root basis of u in Uc coordinates."""
-        cols = [self.uc_coords(self.root_matrix(r), check=False) for r in self.roots_u]
-        return [[cols[t][c] for t in range(self.u_dim)] for c in range(self.uc_dim)]
+        return self.uc_coords(self.u_basis).T
 
     def hc_positions(self):
         """Positions of the row-restricted ideal: block-crossing with row block >= 0."""
@@ -304,6 +263,10 @@ def build_spec(family, n, q, blocks, delta=None):
     if sum(blocks) != N:
         raise ValidationError("blocks-sum",
                               "block sizes sum to %d, expected N=%d" % (sum(blocks), N))
+    if ell == 0:
+        raise ValidationError("trivial-radical",
+                              "a single block %r leaves u = 0 and G = L; give at least "
+                              "one side block" % (blocks,))
     if delta is not None:
         delta = int(delta) % q
         if delta in {(i * i) % q for i in range(1, q)} or delta == 0:
@@ -314,24 +277,35 @@ def build_spec(family, n, q, blocks, delta=None):
 # ---------------------------------------------------------------------------
 # Springer map (Cayley transform)
 
-def springer_map(spec, g):
-    """Bijection Ub -> Uc, here the Cayley map f(1+x) = 2x (x+2)^(-1)."""
+def _neumann(X, c, p):
+    """sum_k (c X)^k = (1 - c X)^-1 over a stack of nilpotent N x N matrices,
+    where the series stops after N terms."""
+    step = c * X % p
+    term = step
+    total = np.eye(X.shape[-1], dtype=np.int64) + step
+    for _ in range(X.shape[-1] - 2):
+        term = term @ step % p
+        total += term
+    return total % p
+
+
+def cayley(spec, G):
+    """Bijection Ub -> Uc, the Cayley map f(1+x) = 2x (x+2)^-1 = x sum_k (-x/2)^k,
+    on a stack of block unipotent matrices."""
     p = spec.p
-    x = mat_sub(g, identity(spec.N), p)
-    if spec.mat_of_uc(spec.uc_coords(x, check=False)) != x:
+    X = (np.asarray(G, dtype=np.int64) - np.eye(spec.N, dtype=np.int64)) % p
+    if X[..., ~spec.uc_mask].any():
         raise ValidationError("not-unipotent", "argument is not block unipotent upper triangular")
-    two = mat_scale(identity(spec.N), 2, p)
-    return mat_mul(mat_scale(x, 2, p), mat_inv(mat_add(x, two, p), p), p)
+    return X @ _neumann(X, (p - 1) // 2, p) % p
 
 
-def springer_inv(spec, y):
-    """Inverse Cayley map: y in Uc maps to 1 + (2-y)^(-1) 2y in Ub."""
+def cayley_inv(spec, Y):
+    """Inverse Cayley map y -> 1 + (2-y)^-1 2y = 1 + y sum_k (y/2)^k on a stack of Uc."""
     p = spec.p
-    if spec.mat_of_uc(spec.uc_coords(y, check=False)) != y:
+    Y = np.asarray(Y, dtype=np.int64) % p
+    if Y[..., ~spec.uc_mask].any():
         raise ValidationError("not-in-uc", "argument is not in the nilpotent algebra")
-    two = mat_scale(identity(spec.N), 2, p)
-    x = mat_mul(mat_inv(mat_sub(two, y, p), p), mat_scale(y, 2, p), p)
-    return mat_add(identity(spec.N), x, p)
+    return (np.eye(spec.N, dtype=np.int64) + Y @ _neumann(Y, (p + 1) // 2, p)) % p
 
 
 # ---------------------------------------------------------------------------
@@ -344,32 +318,17 @@ def gl_order(n, q):
     return o
 
 
+def _all_matrices(n, q):
+    """All q^(n^2) n x n matrices over F_q as a stack, in lexicographic entry order."""
+    codes = np.arange(q ** (n * n), dtype=np.int64)
+    shifts = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    return ((codes[:, None] // shifts[None, :]) % q).reshape(-1, n, n)
+
+
 def enumerate_gl(n, q):
-    """All invertible n x n matrices over F_q, in lexicographic entry order."""
-    out = []
-    for entries in itertools.product(range(q), repeat=n * n):
-        m = tuple(tuple(entries[r * n:(r + 1) * n]) for r in range(n))
-        try:
-            linalg.mat_inv(m, q)
-        except ValueError:
-            continue
-        out.append(m)
-    return out
-
-
-def _embed_block(spec, mat, k):
-    """Ambient matrix with `mat` at block I_k and identity elsewhere."""
-    out = [[1 if i == j else 0 for j in range(spec.N)] for i in range(spec.N)]
-    labs = spec.segments[k]
-    for a, la in enumerate(labs):
-        for b, lb in enumerate(labs):
-            out[spec.pos[la]][spec.pos[lb]] = mat[a][b]
-    return tuple(tuple(r) for r in out)
-
-
-def _extract_block(spec, X, k):
-    labs = spec.segments[k]
-    return tuple(tuple(X[spec.pos[la]][spec.pos[lb]] for lb in labs) for la in labs)
+    """All invertible n x n matrices over F_q as a stack, in lexicographic entry order."""
+    mats = _all_matrices(n, q)
+    return mats[np.array([linalg.det(m, q) != 0 for m in mats.tolist()], dtype=bool)]
 
 
 def enumerate_middle(spec, guard_middle):
@@ -378,24 +337,23 @@ def enumerate_middle(spec, guard_middle):
     The middle labels are symmetric, so M-dagger[a][b] = s_a s_b M[-b][-a]."""
     n0 = len(spec.segments.get(0, ()))
     if n0 == 0:
-        return [()]
+        return np.zeros((1, 0, 0), dtype=np.int64)
     if n0 > guard_middle:
         raise ResourceGuardError("middle block size %d exceeds guard %d" % (n0, guard_middle))
     q = spec.p
-    codes = np.arange(q ** (n0 * n0), dtype=np.int64)
-    shifts = q ** np.arange(n0 * n0 - 1, -1, -1, dtype=np.int64)
-    mats = ((codes[:, None] // shifts[None, :]) % q).reshape(-1, n0, n0)
-    signs = np.array([spec.sign(lab) for lab in spec.segments[0]], dtype=np.int64)
-    dag = signs[:, None] * signs[None, :] * mats[:, ::-1, ::-1].transpose(0, 2, 1)
+    mats = _all_matrices(n0, q)
+    signs = spec.sign_matrix[spec.block_slice[0], spec.block_slice[0]]
+    dag = signs * mats[:, ::-1, ::-1].transpose(0, 2, 1)
     keep = ((dag @ mats) % q == np.eye(n0, dtype=np.int64)).all(axis=(1, 2))
-    return [tuple(map(tuple, m)) for m in mats[keep].tolist()]
+    return mats[keep]
 
 
 def enumerate_levi(spec, guard=None, guard_middle=None):
-    """The full Levi subgroup L, enumerated deterministically.
+    """The full Levi subgroup L as an (nL, N, N) stack, enumerated deterministically.
 
     Positive-side blocks range over GL(n_k, q); the mirrored block is forced
     by the isometry condition; the middle block is one batched isometry test.
+    The middle block varies fastest, then the sides from I_1 out to I_ell.
     """
     guard = DEFAULT_GUARDS["levi"] if guard is None else guard
     guard_middle = DEFAULT_GUARDS["middle"] if guard_middle is None else guard_middle
@@ -409,123 +367,95 @@ def enumerate_levi(spec, guard=None, guard_middle=None):
     if bound > guard:
         raise ResourceGuardError("Levi bound %d exceeds guard %d" % (bound, guard))
 
-    middles = enumerate_middle(spec, guard_middle)
-    side_lists = []
+    def embed(blocks, k):
+        out = np.zeros((len(blocks), spec.N, spec.N), dtype=np.int64)
+        out[:, spec.block_slice[k], spec.block_slice[k]] = blocks
+        return out
+
+    out = np.zeros((1, spec.N, spec.N), dtype=np.int64)
     for k in range(spec.ell, 0, -1):
-        side_lists.append(enumerate_gl(len(spec.segments[k]), q))
-    out = []
-    for sides in itertools.product(*side_lists):
-        base = [[0] * spec.N for _ in range(spec.N)]
-        for idx, k in enumerate(range(spec.ell, 0, -1)):
-            a_k = sides[idx]
-            labs = spec.segments[k]
-            for a, la in enumerate(labs):
-                for b, lb in enumerate(labs):
-                    base[spec.pos[la]][spec.pos[lb]] = a_k[a][b]
-            # mirrored block forced: A_{-k} = dagger(A_k^{-1}) restricted to I_{-k}
-            inv_emb = _embed_block(spec, linalg.mat_inv(a_k, q), k)
-            forced = _extract_block(spec, spec.dagger(inv_emb), -k)
-            labs_m = spec.segments[-k]
-            for a, la in enumerate(labs_m):
-                for b, lb in enumerate(labs_m):
-                    base[spec.pos[la]][spec.pos[lb]] = forced[a][b]
-        for mid in middles:
-            g = [row[:] for row in base]
-            if mid:
-                labs = spec.segments[0]
-                for a, la in enumerate(labs):
-                    for b, lb in enumerate(labs):
-                        g[spec.pos[la]][spec.pos[lb]] = mid[a][b]
-            gt = tuple(tuple(r) for r in g)
-            assert spec.is_isometry(gt), "constructed Levi element is not an isometry"
-            out.append(gt)
-    return out
+        a_k = enumerate_gl(len(spec.segments[k]), q)
+        inv = np.array([linalg.inverse(a, q) for a in a_k.tolist()], dtype=np.int64)
+        # mirrored block forced: A_{-k} = dagger(A_k^-1), which lives on I_{-k}
+        factor = embed(a_k, k) + spec.dagger(embed(inv, k))
+        out = (out[:, None] + factor[None]).reshape(-1, spec.N, spec.N)
+    out = (out[:, None] + embed(enumerate_middle(spec, guard_middle), 0)[None])
+    return _require_isometries(spec, out.reshape(-1, spec.N, spec.N), "Levi element")
+
+
+def _require_isometries(spec, stack, what):
+    bad = np.flatnonzero(~spec.is_isometry(stack))
+    if bad.size:
+        raise RuntimeError("%s %d is not an isometry" % (what, bad[0]))
+    return stack
 
 
 def subgroup_generators(spec, tag):
-    """Generating sets: 'Ub' and 'Hb' elementary, 'Lb' per-block GL, 'L' the full list."""
-    p = spec.p
-    one = identity(spec.N)
+    """Generator stacks: 'Ub' and 'Hb' elementary, 'Lb' per-block GL, 'Gb' both
+    of the ambient parabolic, 'L' the full list."""
+    one = np.eye(spec.N, dtype=np.int64)
     if tag == "Ub":
-        return [mat_add(one, spec.E(i, j), p) for (i, j) in spec.uc_positions]
+        return one + spec.units(spec.uc_positions)
     if tag == "Hb":
-        return [mat_add(one, spec.E(i, j), p) for (i, j) in spec.hc_positions()]
+        return one + spec.units(spec.hc_positions())
     if tag == "Lb":
         gens = []
-        g0 = primitive_root(p)
         for k in sorted(spec.segments, reverse=True):
             labs = spec.segments[k]
             if not labs:
                 continue
-            dil = [[1 if i == j else 0 for j in range(spec.N)] for i in range(spec.N)]
-            dil[spec.pos[labs[0]]][spec.pos[labs[0]]] = g0
-            gens.append(tuple(tuple(r) for r in dil))
-            for a in labs:
-                for b in labs:
-                    if a != b:
-                        gens.append(mat_add(one, spec.E(a, b), p))
-        return gens
+            dil = one.copy()
+            dil[spec.pos[labs[0]], spec.pos[labs[0]]] = primitive_root(spec.p)
+            gens.append(dil[None])
+            gens.append(one + spec.units([(a, b) for a in labs for b in labs if a != b]))
+        return np.concatenate(gens)
+    if tag == "Gb":
+        return np.concatenate([subgroup_generators(spec, "Lb"), subgroup_generators(spec, "Ub")])
     if tag == "L":
         return enumerate_levi(spec)
     raise ValidationError("tag", "unknown generator tag %r" % (tag,))
 
 
-def gb_generators(spec):
-    """Generators of the ambient parabolic: Levi block GL's plus the radical."""
-    return subgroup_generators(spec, "Lb") + subgroup_generators(spec, "Ub")
-
-
 # ---------------------------------------------------------------------------
-# action matrices (all linear maps given on coordinates)
+# action matrices (all linear maps given on coordinates); g may be one
+# matrix or a stack, giving one (d, d) matrix per element.  Row c of a
+# coordinate array below holds the image of basis element c.
 
-def _map_matrix_u(spec, fn):
-    cols = []
-    for r in spec.roots_u:
-        img = fn(spec.root_matrix(r))
-        cols.append(spec.u_coords(img))
-    d = spec.u_dim
-    return np.array([[cols[c][r] for c in range(d)] for r in range(d)], dtype=np.int64)
-
-
-def _map_matrix_uc(spec, fn):
-    cols = []
-    for (i, j) in spec.uc_positions:
-        img = fn(spec.E(i, j))
-        cols.append(spec.uc_coords(img, check=False))
-    d = spec.uc_dim
-    return np.array([[cols[c][r] for c in range(d)] for r in range(d)], dtype=np.int64)
+def _sandwich(a, mats, b, p):
+    """a M b for every matrix M of a stack, per element of the stacks a and b."""
+    a = np.asarray(a, dtype=np.int64)[..., None, :, :]
+    b = np.asarray(b, dtype=np.int64)[..., None, :, :]
+    return (a @ mats % p) @ b % p
 
 
 def u_action_matrix(spec, g):
     """Dot action x -> g x g-dagger on u, as a matrix on root coordinates."""
-    gd = spec.dagger(g)
-    return _map_matrix_u(spec, lambda m: mat_mul(mat_mul(g, m, spec.p), gd, spec.p))
+    imgs = _sandwich(g, spec.u_basis, spec.dagger(g), spec.p)
+    return np.swapaxes(spec.u_coords(imgs), -1, -2)
 
 
 def ustar_action_matrix(spec, g):
     """Dot action on forms: (g . lam)(x) = lam(g-dagger x g)."""
-    gd = spec.dagger(g)
-    m = _map_matrix_u(spec, lambda x: mat_mul(mat_mul(gd, x, spec.p), g, spec.p))
-    return m.T.copy()
+    return spec.u_coords(_sandwich(spec.dagger(g), spec.u_basis, g, spec.p))
 
 
 def ucstar_left_matrix(spec, a):
     """(a Lam)(x) = Lam(x a) on forms over Uc."""
-    m = _map_matrix_uc(spec, lambda x: mat_mul(x, a, spec.p))
-    return m.T.copy()
+    units = spec.units(spec.uc_positions)
+    return spec.uc_coords(units @ np.asarray(a)[..., None, :, :] % spec.p, check=False)
 
 
 def ucstar_right_matrix(spec, a):
     """(Lam a)(x) = Lam(a x) on forms over Uc."""
-    m = _map_matrix_uc(spec, lambda x: mat_mul(a, x, spec.p))
-    return m.T.copy()
+    units = spec.units(spec.uc_positions)
+    return spec.uc_coords(np.asarray(a)[..., None, :, :] @ units % spec.p, check=False)
 
 
 def ucstar_ad_matrix(spec, h):
-    """Coadjoint action of h on forms over Uc: Lam -> Lam o Ad_(h^-1)."""
-    hi = mat_inv(h, spec.p)
-    m = _map_matrix_uc(spec, lambda x: mat_mul(mat_mul(hi, x, spec.p), h, spec.p))
-    return m.T.copy()
+    """Coadjoint action of group elements h on forms over Uc: Lam -> Lam o Ad_(h^-1).
+    h is an isometry, so h^-1 = h-dagger."""
+    units = spec.units(spec.uc_positions)
+    return spec.uc_coords(_sandwich(spec.dagger(h), units, h, spec.p), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +464,13 @@ def ucstar_ad_matrix(spec, h):
 class Parabolic:
     """One fully enumerated configuration: L, U, index tables, value field.
 
-    Elements of G = L U are addressed as packed ids r * |U| + u; the id of a
-    radical element doubles as the packed coordinate vector of its Springer
-    image, so evaluating f costs nothing.
+    L and U are (nL, N, N) and (nU, N, N) int64 stacks.  Elements of G = L U
+    are addressed as packed ids r * |U| + u.  Radical element u is the Cayley
+    preimage of the point of u with packed coordinates u, so evaluating f
+    costs nothing and U is one batched inverse series.  A matrix of U is
+    found again by its entries at the root positions of u: packed base p they
+    form a key onto 0..nU-1 (unitriangular in the block gap), which the build
+    checks.  A matrix of L is found by its entries in the blocks I_k, k >= 0.
     """
 
     def __init__(self, spec, guards=None):
@@ -547,40 +481,42 @@ class Parabolic:
         p = spec.p
 
         self.L = enumerate_levi(spec, self.guards["levi"], self.guards["middle"])
-        self.Lindex = {m: i for i, m in enumerate(self.L)}
-        self.idL = self.Lindex[identity(spec.N)]
         self.nL = len(self.L)
+        self._l_rows, self._l_cols = spec.position_arrays(
+            [(i, j) for k in range(spec.ell + 1)
+             for i in spec.segments[k] for j in spec.segments[k]])
+        if p ** len(self._l_rows) > np.iinfo(np.int64).max:
+            raise ResourceGuardError("Levi keys of %d entries overflow int64" % len(self._l_rows))
+        self._l_powers = p ** np.arange(len(self._l_rows), dtype=np.int64)
+        keys = self.L[:, self._l_rows, self._l_cols] @ self._l_powers
+        self._l_order = np.argsort(keys, kind="stable")
+        self._l_keys = keys[self._l_order]
+        self.idL = int(self.l_ids(np.eye(spec.N, dtype=np.int64)))
 
         self.u_size = p ** spec.u_dim
         if self.u_size > self.guards["space"]:
             raise ResourceGuardError("|u| = %d exceeds space guard" % self.u_size)
         self.u_powers = np.array([p ** t for t in range(spec.u_dim)], dtype=np.int64)
-        self.U = [springer_inv(spec, spec.mat_of_u(self.unpack_u(k))) for k in range(self.u_size)]
-        for g in self.U:
-            if not spec.is_isometry(g):
-                raise RuntimeError("Springer preimage of a u-point is not in the group")
-        self.Uindex = {m: i for i, m in enumerate(self.U)}
         self.nU = self.u_size
+        self.U = _require_isometries(
+            spec, cayley_inv(spec, spec.mat_of_u(self.u_digits(np.arange(self.nU)))),
+            "Cayley preimage of u-point")
+        self._u_of_key = np.full(self.nU, -1, dtype=np.int64)
+        self._u_of_key[self.U[:, spec.u_rows, spec.u_cols] @ self.u_powers] = np.arange(self.nU)
+        if (self._u_of_key < 0).any():
+            raise RuntimeError("root-entry keys of the radical are not a bijection onto "
+                               "0..%d" % (self.nU - 1))
 
-        orders = sorted({mat_order(g, p) for g in self.L})
-        exp_l = 1
-        for o in orders:
-            exp_l = lcm(exp_l, o)
-        self.exponent_L = exp_l
-        self.field = CycField(lcm(p, exp_l))
+        self.exponent_L = _exponent(self.L, p)
+        self.field = CycField(lcm(p, self.exponent_L))
 
     # -- u-coordinate packing ------------------------------------------------
 
     def unpack_u(self, k):
-        p = self.spec.p
-        return tuple((k // p ** t) % p for t in range(self.spec.u_dim))
+        return tuple(self.u_digits([k])[0].tolist())
 
     def pack_u(self, coords):
-        p = self.spec.p
-        k = 0
-        for t, c in enumerate(coords):
-            k += (c % p) * p ** t
-        return k
+        return int(self.pack_u_array(coords))
 
     def u_digits(self, pts):
         """Coordinate matrix (len(pts) x u_dim) of packed u points."""
@@ -590,55 +526,40 @@ class Parabolic:
     def pack_u_array(self, digits):
         return (np.asarray(digits, dtype=np.int64) % self.spec.p) @ self.u_powers
 
+    # -- matrix -> id lookups ------------------------------------------------
+
+    def u_ids(self, mats):
+        """Radical ids of a matrix or stack; raises on a matrix outside U."""
+        spec = self.spec
+        mats = np.asarray(mats, dtype=np.int64) % spec.p
+        ids = self._u_of_key[mats[..., spec.u_rows, spec.u_cols] @ self.u_powers]
+        return _checked(self.U, ids, mats, "U")
+
+    def l_ids(self, mats):
+        """Levi ids of a matrix or stack; raises on a matrix outside L."""
+        mats = np.asarray(mats, dtype=np.int64) % self.spec.p
+        keys = mats[..., self._l_rows, self._l_cols] @ self._l_powers
+        at = np.searchsorted(self._l_keys, keys).clip(max=self.nL - 1)
+        return _checked(self.L, self._l_order[at], mats, "L")
+
     # -- index tables --------------------------------------------------------
 
     @cached_property
     def mulL(self):
         t = np.empty((self.nL, self.nL), dtype=np.int32)
-        for a, ga in enumerate(self.L):
-            for b, gb in enumerate(self.L):
-                t[a, b] = self.Lindex[mat_mul(ga, gb, self.spec.p)]
+        for a in range(self.nL):
+            t[a] = self.l_ids(self.L[a] @ self.L)
         return t
 
     @cached_property
     def invL(self):
-        t = np.empty(self.nL, dtype=np.int32)
-        for a in range(self.nL):
-            t[a] = int(np.where(self.mulL[a] == self.idL)[0][0])
-        return t
+        """Isometries invert by the dagger."""
+        return self.l_ids(self.spec.dagger(self.L)).astype(np.int32)
 
     @cached_property
     def conjL(self):
         """conjL[a, b] = index of L[a] L[b] L[a]^-1."""
-        m, inv = self.mulL, self.invL
-        return np.array(
-            [[m[m[a, b], inv[a]] for b in range(self.nL)] for a in range(self.nL)],
-            dtype=np.int32)
-
-    @cached_property
-    def _U_array(self):
-        return np.array(self.U, dtype=np.int64)
-
-    def _keys_to_u_ids(self, keys):
-        lookup = self._u_key_lookup
-        out = np.array([lookup[int(k)] for k in keys.ravel()], dtype=np.int32)
-        return out.reshape(keys.shape)
-
-    @cached_property
-    def _u_key_lookup(self):
-        p = self.spec.p
-        N = self.spec.N
-        pw = p ** np.arange(N * N - 1, -1, -1, dtype=np.int64)
-        keys = self._U_array.reshape(self.nU, -1) @ pw
-        return {int(k): i for i, k in enumerate(keys)}
-
-    def _mat_batch_ids(self, mats):
-        """Map an array (m, N, N) of matrices to U ids; raises if any is missing."""
-        p = self.spec.p
-        N = self.spec.N
-        pw = p ** np.arange(N * N - 1, -1, -1, dtype=np.int64)
-        keys = mats.reshape(mats.shape[0], -1) @ pw
-        return self._keys_to_u_ids(keys)
+        return self.mulL[self.mulL, self.invL[:, None]]
 
     @cached_property
     def mulU(self):
@@ -646,32 +567,25 @@ class Parabolic:
             raise ResourceGuardError(
                 "radical of size %d exceeds the id-table guard %d"
                 % (self.nU, self.guards["tables"]))
-        p = self.spec.p
-        arr = self._U_array
         t = np.empty((self.nU, self.nU), dtype=np.int32)
         for a in range(self.nU):
-            prod = np.matmul(arr[a], arr) % p
-            t[a] = self._mat_batch_ids(prod)
+            t[a] = self.u_ids(self.U[a] @ self.U)
         return t
 
     @cached_property
     def invU(self):
-        t = np.empty(self.nU, dtype=np.int32)
-        for a in range(self.nU):
-            t[a] = int(np.where(self.mulU[a] == 0)[0][0])
-        return t
+        """f(g^-1) = -f(g), and an id is the packed coordinates of f."""
+        digits = self.u_digits(np.arange(self.nU))
+        return self.pack_u_array(-digits).astype(np.int32)
 
     @cached_property
     def conjUbyL(self):
         """conjUbyL[r, u] = index of L[r] U[u] L[r]^-1."""
         p = self.spec.p
-        arr = self._U_array
+        linv = self.spec.dagger(self.L)
         t = np.empty((self.nL, self.nU), dtype=np.int32)
-        for r, h in enumerate(self.L):
-            hn = np.array(h, dtype=np.int64)
-            hi = np.array(mat_inv(h, p), dtype=np.int64)
-            prod = np.matmul(np.matmul(hn, arr), hi) % p
-            t[r] = self._mat_batch_ids(prod)
+        for r in range(self.nL):
+            t[r] = self.u_ids((self.L[r] @ self.U % p) @ linv[r])
         return t
 
     # -- the group G as packed pair ids --------------------------------------
@@ -692,23 +606,7 @@ class Parabolic:
 
     def g_matrix(self, gid):
         r, u = divmod(int(gid), self.nU)
-        return mat_mul(self.L[r], self.U[u], self.spec.p)
-
-    def locate(self, g):
-        """Split g in G as (r_idx, u_idx), or None if g is not in G."""
-        spec = self.spec
-        diag = [[0] * spec.N for _ in range(spec.N)]
-        for i in spec.labels:
-            for j in spec.labels:
-                if spec.block_of[i] == spec.block_of[j]:
-                    diag[spec.pos[i]][spec.pos[j]] = g[spec.pos[i]][spec.pos[j]]
-        r = tuple(tuple(row) for row in diag)
-        if r not in self.Lindex:
-            return None
-        u = mat_mul(mat_inv(r, spec.p), g, spec.p)
-        if u not in self.Uindex:
-            return None
-        return self.Lindex[r], self.Uindex[u]
+        return self.L[r] @ self.U[u] % self.spec.p
 
     def g_conj_perm(self, sr, su):
         """Permutation g -> s g s^-1 of packed G ids, s = (sr, su)."""
@@ -752,12 +650,34 @@ class Parabolic:
     @cached_property
     def ustar_levi_mats(self):
         """(nL, d, d) stack of the dot action of each Levi element on u*."""
-        return np.array([ustar_action_matrix(self.spec, h) for h in self.L], dtype=np.int64)
+        return ustar_action_matrix(self.spec, self.L)
 
     @cached_property
     def ucstar_levi_mats(self):
         """(nL, d, d) stack of the coadjoint action of each Levi element on Uc*."""
-        return np.array([ucstar_ad_matrix(self.spec, h) for h in self.L], dtype=np.int64)
+        return ucstar_ad_matrix(self.spec, self.L)
+
+
+def _checked(stack, ids, mats, name):
+    """ids, after checking that stack[ids] reproduces the looked-up matrices."""
+    if not np.array_equal(stack[ids], mats):
+        raise ValidationError("not-in-group", "matrix is not an element of %s" % name)
+    return ids
+
+
+def _exponent(stack, p):
+    """Least common multiple of the orders of a stack of invertible matrices,
+    by one batched power loop that drops each element once it reaches 1."""
+    one = np.eye(stack.shape[-1], dtype=np.int64)
+    exp, k, power = 1, 1, stack
+    while len(stack):
+        done = (power == one).all(axis=(1, 2))
+        if done.any():
+            exp = lcm(exp, k)
+        stack = stack[~done]
+        power = power[~done] @ stack % p
+        k += 1
+    return exp
 
 
 def table_generators(mul, ident):

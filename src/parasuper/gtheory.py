@@ -112,18 +112,10 @@ class PairSignature:
 
 def signature_of_matrix(spec, X):
     """Block-submatrix ranks of an ambient matrix, the rank half of the invariant."""
-    entries = []
-    for k in range(spec.ell, -spec.ell - 1, -1):
-        for m in range(k - 1, -spec.ell - 1, -1):
-            rows = spec.segments[k]
-            cols = spec.segments[m]
-            if rows and cols:
-                sub = [[X[spec.pos[i]][spec.pos[j]] for j in cols] for i in rows]
-                r = linalg.rank(sub, spec.p)
-            else:
-                r = 0
-            entries.append((k, m, r))
-    return tuple(entries)
+    sl = spec.block_slice
+    return tuple((k, m, linalg.rank(X[sl[k], sl[m]].tolist(), spec.p))
+                 for k in range(spec.ell, -spec.ell - 1, -1)
+                 for m in range(k - 1, -spec.ell - 1, -1))
 
 
 def union_rank_signature(spec, X):
@@ -133,16 +125,12 @@ def union_rank_signature(spec, X):
     only across rook representatives), and for rook matrices they determine
     the per-block ranks by inclusion-exclusion.
     """
+    sl = spec.block_slice
     entries = []
     for k in range(spec.ell, -spec.ell - 1, -1):
         for m in range(k - 1, -spec.ell - 1, -1):
-            labs = [lab for t in range(k, m - 1, -1) for lab in spec.segments[t]]
-            if labs:
-                sub = [[X[spec.pos[i]][spec.pos[j]] for j in labs] for i in labs]
-                r = linalg.rank(sub, spec.p)
-            else:
-                r = 0
-            entries.append((k, m, r))
+            union = slice(sl[k].start, sl[m].stop)
+            entries.append((k, m, linalg.rank(X[union, union].tolist(), spec.p)))
     return tuple(entries)
 
 
@@ -249,8 +237,8 @@ def classify_g_orbits(world, space):
     if space == "u":
         # union-block ranks are constant along every orbit, point by point
         for idx, orb in enumerate(orbits):
-            sigs = {union_rank_signature(spec, spec.mat_of_u(world.unpack_u(int(pt))))
-                    for pt in orb.points}
+            sigs = {union_rank_signature(spec, X)
+                    for X in spec.mat_of_u(world.u_digits(orb.points))}
             if len(sigs) != 1:
                 raise FalsificationError(
                     "union-block ranks are not constant on an orbit",
@@ -334,6 +322,7 @@ def merged_by_levi(spec, h):
     singleton segment, which keeps the coarsening symmetric about zero.
     """
     ell = spec.ell
+    h = np.asarray(h).tolist()
     scalar = {}
     for k in range(ell, -ell - 1, -1):
         labs = spec.segments[k]
@@ -415,24 +404,15 @@ def subspace_points(world, flags):
 def scalar_levi_subgroup(world, merged):
     """Levi elements scalar across every multi-block merged segment."""
     spec = world.spec
-    out = []
-    for hid, h in enumerate(world.L):
-        ok = True
-        for seg in merged.segments:
-            if len(seg) < 2:
-                continue
-            labs = [lab for k in seg for lab in spec.segments[k]]
-            if not labs:
-                continue
-            c = h[spec.pos[labs[0]]][spec.pos[labs[0]]]
-            for a in labs:
-                for b in labs:
-                    want = c if a == b else 0
-                    if h[spec.pos[a]][spec.pos[b]] != want:
-                        ok = False
-        if ok:
-            out.append(hid)
-    return out
+    ok = np.ones(world.nL, dtype=bool)
+    for seg in merged.segments:
+        idx = [spec.pos[lab] for k in seg for lab in spec.segments[k]]
+        if len(seg) < 2 or not idx:
+            continue
+        block = world.L[:, idx][:, :, idx]
+        scalar = block[:, :1, :1] * np.eye(len(idx), dtype=np.int64)
+        ok &= (block == scalar).all(axis=(1, 2))
+    return np.flatnonzero(ok).tolist()
 
 
 # ---------------------------------------------------------------------------

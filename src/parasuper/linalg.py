@@ -172,7 +172,7 @@ def det(a, m):
     return out % m
 
 
-def mat_inv(a, m):
+def inverse(a, m):
     """Inverse of a square matrix over F_m; raises ValueError if singular."""
     n = len(a)
     aug = [list(a[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]

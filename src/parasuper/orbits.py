@@ -223,25 +223,22 @@ def smallest_bimodule(world, h):
     Returns (basis of the subspace of Uc, basis of its intersection with u in
     root coordinates).  The subspace contains h x h^-1 - x for all x in Uc and
     is closed under multiplication by Uc on both sides, which is equivalent to
-    invariance under the two-sided unipotent group action.
+    invariance under the two-sided unipotent group action.  h is a Levi
+    element, an isometry, so h^-1 = h-dagger.
     """
-    from . import groups as G
     from .utheory import action_twosided_ucstar
     spec = world.spec
     p = spec.p
-    hi = G.mat_inv(h, p)
-    units = [spec.E(i, j) for (i, j) in spec.uc_positions]
-    defects = [spec.uc_coords(G.mat_sub(G.mat_mul(G.mat_mul(h, em, p), hi, p), em, p),
-                              check=False) for em in units]
+    units = spec.units(spec.uc_positions)
+    defects = spec.uc_coords(h @ units % p @ spec.dagger(h) - units, check=False)
     # the transposed generators are x -> (1+E)x and x -> x(1+E) on Uc itself;
     # a subspace closed under those is closed under x -> Ex and x -> xE
     mats = [m.T for m in action_twosided_ucstar(world).gen_mats]
     basis_rows, pivots = linalg.invariant_span(defects, mats, p)
 
     # intersection with u, expressed in root coordinates
-    emb = spec.u_embed_matrix()                     # uc_dim rows x u_dim cols
     R = np.array(self_reduce_matrix(basis_rows, pivots, spec.uc_dim, p), dtype=np.int64)
-    cond = (R @ np.array(emb, dtype=np.int64)) % p  # maps u coords to quotient residues
+    cond = (R @ spec.u_embed_matrix()) % p         # maps u coords to quotient residues
     kern = linalg.right_kernel([tuple(r) for r in cond.tolist()], p, spec.u_dim)
     ured, _ = linalg.rref(kern, p) if kern else ([], [])
     return list(basis_rows), list(ured)

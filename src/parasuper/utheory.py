@@ -20,8 +20,8 @@ from . import linalg
 from .chartab import TableGroup, irr_characters, s_orbit_sums
 from .errors import FalsificationError, ValidationError
 from .groups import (
-    gb_generators, subgroup_generators, u_action_matrix,
-    ucstar_left_matrix, ucstar_right_matrix, ustar_action_matrix,
+    subgroup_generators, u_action_matrix, ucstar_left_matrix, ucstar_right_matrix,
+    ustar_action_matrix,
 )
 from .orbits import (
     LinearAction, enumerate_subspace, levi_stabilizer, partition_orbits,
@@ -49,8 +49,7 @@ def _memo(world, key, fn):
 def action_on_u(world, tag):
     """Dot action x -> g x g-dagger on u for the group named by tag."""
     def build():
-        gens = gb_generators(world.spec) if tag == "Gb" else subgroup_generators(world.spec, tag)
-        mats = [u_action_matrix(world.spec, g) for g in gens]
+        mats = list(u_action_matrix(world.spec, subgroup_generators(world.spec, tag)))
         return LinearAction("u:" + tag, world.spec.p, world.spec.u_dim, mats)
     return _memo(world, ("action_u", tag), build)
 
@@ -58,8 +57,7 @@ def action_on_u(world, tag):
 def action_on_ustar(world, tag):
     """Dot action on forms: (g . lam)(x) = lam(g-dagger x g)."""
     def build():
-        gens = gb_generators(world.spec) if tag == "Gb" else subgroup_generators(world.spec, tag)
-        mats = [ustar_action_matrix(world.spec, g) for g in gens]
+        mats = list(ustar_action_matrix(world.spec, subgroup_generators(world.spec, tag)))
         return LinearAction("ustar:" + tag, world.spec.p, world.spec.u_dim, mats)
     return _memo(world, ("action_ustar", tag), build)
 
@@ -68,8 +66,8 @@ def action_twosided_ucstar(world, tag="Ub"):
     """Left and right translation action of the radical group on forms of Uc."""
     def build():
         gens = subgroup_generators(world.spec, tag)
-        mats = [ucstar_left_matrix(world.spec, g) for g in gens]
-        mats += [ucstar_right_matrix(world.spec, g) for g in gens]
+        mats = list(ucstar_left_matrix(world.spec, gens))
+        mats += list(ucstar_right_matrix(world.spec, gens))
         return LinearAction("ucstar:%s-%s" % (tag, tag), world.spec.p,
                             world.spec.uc_dim, mats)
     return _memo(world, ("action_ucstar2", tag), build)
@@ -77,8 +75,7 @@ def action_twosided_ucstar(world, tag="Ub"):
 
 def action_left_ucstar(world, tag):
     def build():
-        gens = subgroup_generators(world.spec, tag)
-        mats = [ucstar_left_matrix(world.spec, g) for g in gens]
+        mats = list(ucstar_left_matrix(world.spec, subgroup_generators(world.spec, tag)))
         return LinearAction("ucstar-left:" + tag, world.spec.p, world.spec.uc_dim, mats)
     return _memo(world, ("action_ucstar_left", tag), build)
 
@@ -126,42 +123,24 @@ class FormData:
         inv2 = (p + 1) // 2
         lam_vec = np.array(self.lam_coords, dtype=np.int64)
 
-        def lam_of_u_mat(m):
-            return int(lam_vec @ np.array(spec.u_coords(m), dtype=np.int64)) % p
-
-        # unique extension with Lambda-dagger = -Lambda
-        Lam = []
-        for (i, j) in spec.uc_positions:
-            e = spec.E(i, j)
-            m = tuple(tuple((inv2 * (a - b)) % p for a, b in zip(ra, rb))
-                      for ra, rb in zip(e, spec.dagger(e)))
-            Lam.append(lam_of_u_mat(m))
-        self.Lam_coords = tuple(Lam)
-        Lam_vec = np.array(Lam, dtype=np.int64)
-
-        def Lam_of_mat(m):
-            return int(Lam_vec @ np.array(spec.uc_coords(m, check=False), dtype=np.int64)) % p
+        # unique extension with Lambda-dagger = -Lambda: Lambda(E) = lam((E - E-dagger)/2)
+        units = spec.units(spec.uc_positions)
+        Lam = spec.u_coords(inv2 * (units - spec.dagger(units))) @ lam_vec % p
+        self.Lam_coords = tuple(Lam.tolist())
 
         # restriction back to u must be lam, and the extension anti-self-dual
-        for t, r in enumerate(spec.roots_u):
-            assert Lam_of_mat(spec.root_matrix(r)) == self.lam_coords[t] % p, \
-                "extension does not restrict to the original form"
-        for (i, j) in spec.uc_positions:
-            e = spec.E(i, j)
-            assert (Lam_of_mat(spec.dagger(e)) + Lam_of_mat(e)) % p == 0, \
-                "extension is not anti-self-dual"
+        assert np.array_equal(spec.uc_coords(spec.u_basis) @ Lam % p, lam_vec % p), \
+            "extension does not restrict to the original form"
+        dual = spec.uc_coords(spec.dagger(units)) + spec.uc_coords(units)
+        assert not (dual @ Lam % p).any(), "extension is not anti-self-dual"
 
         # R = {x : Lambda(x Hc) = 0}, Lc = {x : Lambda(Hc-dagger x) = 0}; with
         # Lambda as a matrix LamM, zero outside Uc, Lambda(E(i,j) h) is
         # (LamM h^T)[i, j] and Lambda(h-dagger E(i,j)) is (h-dagger^T LamM)[i, j]
-        ri, rj = np.array([[spec.pos[i], spec.pos[j]] for (i, j) in spec.uc_positions],
-                          dtype=np.int64).reshape(-1, 2).T
-        LamM = np.zeros((spec.N, spec.N), dtype=np.int64)
-        LamM[ri, rj] = Lam
-        hc = np.array([spec.E(a, b) for (a, b) in spec.hc_positions()],
-                      dtype=np.int64).reshape(-1, spec.N, spec.N)
-        hc_dag = np.array([spec.dagger(h) for h in hc.tolist()],
-                          dtype=np.int64).reshape(hc.shape)
+        ri, rj = spec.uc_rows, spec.uc_cols
+        LamM = spec.mat_of_uc(Lam)
+        hc = spec.units(spec.hc_positions())
+        hc_dag = spec.dagger(hc)
         rows_r = (LamM @ hc.transpose(0, 2, 1))[:, ri, rj] % p
         rows_l = (hc_dag.transpose(0, 2, 1) @ LamM)[:, ri, rj] % p
         self.R_basis = linalg.right_kernel(rows_r.tolist(), p, spec.uc_dim)
@@ -171,7 +150,7 @@ class FormData:
         # u_lam inside u, via both defining conditions; they must agree
         # (products of u with the ideal leave u, so the extension evaluates
         # them).  Lambda is linear: the u rows are the Uc rows times the embedding
-        emb = np.array(spec.u_embed_matrix(), dtype=np.int64).reshape(spec.uc_dim, spec.u_dim)
+        emb = spec.u_embed_matrix()
         k_r = linalg.right_kernel((rows_r @ emb % p).tolist(), p, spec.u_dim)
         k_l = linalg.right_kernel((rows_l @ emb % p).tolist(), p, spec.u_dim)
         red_r = linalg.rref(k_r, p)[0] if k_r else []

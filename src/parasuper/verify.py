@@ -17,9 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import linalg
 from .algebra import lcm
 from .errors import FalsificationError, ValidationError
-from .groups import mat_inv, mat_mul, subgroup_generators, gb_generators
+from .groups import cayley, subgroup_generators
 from .orbits import levi_stabilizer, orbit_closure
 from .theory import SuperChar, SuperClass, intern_values
 from .utheory import (
@@ -250,51 +251,54 @@ def check_lemmas(world):
     p = spec.p
 
     def nilpotent_stability():
-        gens = gb_generators(spec)
+        # a E(i,j) b for all generators b and positions, one generator a at a
+        # time; the first failure in (a, b, position) order is reported
+        gens = subgroup_generators(spec, "Gb")
+        units = spec.units(spec.uc_positions)
         for a in gens:
-            for b in gens:
-                for (i, j) in spec.uc_positions:
-                    m = mat_mul(mat_mul(a, spec.E(i, j), p), b, p)
-                    if spec.mat_of_uc(spec.uc_coords(m, check=False)) != m:
-                        raise FalsificationError(
-                            "the nilpotent algebra is not stable under two-sided "
-                            "multiplication", {"position": [i, j]})
+            prods = (a @ units % p)[None] @ gens[:, None] % p
+            bad = np.argwhere(prods[..., ~spec.uc_mask].any(axis=-1))
+            if bad.size:
+                i, j = spec.uc_positions[bad[0, 1]]
+                raise FalsificationError(
+                    "the nilpotent algebra is not stable under two-sided "
+                    "multiplication", {"position": [i, j]})
     report.run("two-sided-stability", nilpotent_stability)
 
     def springer_equivariance():
-        from .groups import springer_map
+        # f(v u v^-1) = v f(u) v^-1 on all of U for each sample v; the
+        # counterexample is the first u in U order failing for some v
         gens = subgroup_generators(spec, "Ub")
-        samples = list(gens)
-        for a, b in zip(gens, gens[1:]):
-            samples.append(mat_mul(a, b, p))
-        for u in world.U:
-            fu = springer_map(spec, u)
-            for v in samples:
-                lhs = springer_map(spec, mat_mul(mat_mul(v, u, p), mat_inv(v, p), p))
-                rhs = mat_mul(mat_mul(v, fu, p), mat_inv(v, p), p)
-                if lhs != rhs:
-                    raise FalsificationError(
-                        "Springer map is not conjugation equivariant",
-                        {"u": world.Uindex[u]})
+        samples = np.concatenate([gens, gens[:-1] @ gens[1:] % p])
+        fu = cayley(spec, world.U)
+        bad = np.zeros(world.nU, dtype=bool)
+        for v in samples:
+            vi = np.array(linalg.inverse(v.tolist(), p), dtype=np.int64)
+            lhs = cayley(spec, (v @ world.U % p) @ vi % p)
+            bad |= (lhs != (v @ fu % p) @ vi % p).any(axis=(1, 2))
+        if bad.any():
+            raise FalsificationError("Springer map is not conjugation equivariant",
+                                     {"u": int(np.flatnonzero(bad)[0])})
     report.run("springer-equivariance", springer_equivariance)
 
     reps = [orb.rep for orb in ustar_orbit_partition(world, "Ub")]
-    emb = np.array(spec.u_embed_matrix(), dtype=np.int64)      # (uc_dim, u_dim)
+    emb = spec.u_embed_matrix()                                # (uc_dim, u_dim)
     uc_powers = np.array([p ** t for t in range(spec.uc_dim)], dtype=np.int64)
 
     def product_vanishing():
         # the extension of each form vanishes on products from Uc_Lambda
         for lam in reps:
             fd = form_data(world, lam)
-            Lam = np.array(fd.Lam_coords, dtype=np.int64)
-            for va in fd.UcLam_basis:
-                ma = spec.mat_of_uc(va)
-                for vb in fd.UcLam_basis:
-                    prod = spec.uc_coords(mat_mul(ma, spec.mat_of_uc(vb), p), check=False)
-                    if int(Lam @ np.array(prod, dtype=np.int64)) % p:
-                        raise FalsificationError(
-                            "extension does not vanish on a product of annihilator elements",
-                            {"lam": lam, "x": list(va), "y": list(vb)})
+            if not len(fd.UcLam_basis):
+                continue
+            mats = spec.mat_of_uc(fd.UcLam_basis)
+            prods = spec.uc_coords(mats[:, None] @ mats[None] % p, check=False)
+            bad = np.argwhere(prods @ np.array(fd.Lam_coords, dtype=np.int64) % p)
+            if bad.size:
+                a, b = bad[0]
+                raise FalsificationError(
+                    "extension does not vanish on a product of annihilator elements",
+                    {"lam": lam, "x": list(fd.UcLam_basis[a]), "y": list(fd.UcLam_basis[b])})
     report.run("annihilator-products-vanish", product_vanishing)
 
     def projection_of_left_orbit():

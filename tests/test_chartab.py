@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from parasuper.algebra import CycField, lcm
@@ -11,7 +12,7 @@ from parasuper.chartab import (
     s_orbit_sums,
 )
 from parasuper.errors import ValidationError
-from parasuper.groups import enumerate_gl, mat_mul
+from parasuper.groups import enumerate_gl
 from parasuper.verify import induce_exact
 
 
@@ -21,8 +22,10 @@ def cyclic(n):
 
 @pytest.fixture(scope="module")
 def gl23():
-    mats = enumerate_gl(2, 3)
-    return TableGroup.from_elements(mats, lambda a, b: mat_mul(a, b, 3))
+    def key(m):
+        return tuple(map(tuple, m.tolist()))
+    mats = [key(m) for m in enumerate_gl(2, 3)]
+    return TableGroup.from_elements(mats, lambda a, b: key(np.array(a) @ np.array(b) % 3))
 
 
 def test_conjugacy_classes_abelian():

@@ -46,6 +46,15 @@ def test_nonprime_q_is_usage_error(capsys):
     assert "q-not-odd-prime" in err
 
 
+def test_trivial_radical_is_usage_error(capsys):
+    # a single block leaves u = 0: rejected up front with exit 2, not a crash
+    code, out, err = run_cli(
+        ["verify", "--family", "C", "--n", "1", "--q", "3", "--blocks", "2",
+         "--suite", "all"], capsys)
+    assert code == 2 and out == ""
+    assert "trivial-radical" in err
+
+
 def test_unknown_flag_exits_2(capsys):
     code, _, _ = run_cli(["spec", "--bogus"], capsys)
     assert code == 2

@@ -1,27 +1,35 @@
-"""Group construction: validation, involution, roots, enumerations, Springer map."""
+"""Group construction: validation, involution, roots, enumerations, Cayley map."""
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from parasuper import groups, linalg
 from parasuper.errors import ValidationError
 from parasuper.groups import (
-    Parabolic, build_spec, enumerate_gl, enumerate_levi, gb_generators,
-    identity, mat_add, mat_mul, mat_neg, springer_inv, springer_map,
+    Parabolic, build_spec, cayley, cayley_inv, enumerate_gl, enumerate_levi,
     subgroup_generators,
 )
 
+CONFTEST_WORLDS = ["borel_d2", "borel_c2", "borel_b2", "twoblock_c2"]
+
+
+def key(m):
+    return tuple(map(tuple, np.asarray(m).tolist()))
+
 
 def mulclose(gens, p, maxsize=None):
-    els = set(gens)
-    frontier = list(els)
+    els = {key(g) for g in gens}
+    frontier = list(gens)
     while frontier:
         new = []
         for a in gens:
             for b in frontier:
-                c = mat_mul(a, b, p)
-                if c not in els:
-                    els.add(c)
+                c = a @ b % p
+                if key(c) not in els:
+                    els.add(key(c))
                     new.append(c)
                     if maxsize and len(els) > maxsize:
                         raise AssertionError("closure exceeded %d" % maxsize)
@@ -47,6 +55,8 @@ def test_build_spec_examples():
     ("B", 2, 9, (1, 1, 1, 1, 1), "q-not-odd-prime"),
     ("A", 2, 3, (1, 1, 1, 1, 1), "family"),
     ("C", 2, 3, (1, 1, 0, 1, 1, 0), "blocks-asymmetric"),
+    ("C", 1, 3, (2,), "trivial-radical"),          # one block: u = 0 and G = L
+    ("B", 1, 3, (3,), "trivial-radical"),
 ])
 def test_build_spec_rejects(family, n, q, blocks, code):
     with pytest.raises(ValidationError) as err:
@@ -68,29 +78,30 @@ def test_delta_validation():
 ])
 def test_dagger_is_involutive_antiautomorphism(family, blocks):
     spec = build_spec(family, 2, 3, blocks)
-    random.seed(1)
+    rng = np.random.default_rng(1)
     for _ in range(25):
-        a = tuple(tuple(random.randrange(3) for _ in range(spec.N)) for _ in range(spec.N))
-        b = tuple(tuple(random.randrange(3) for _ in range(spec.N)) for _ in range(spec.N))
-        assert spec.dagger(spec.dagger(a)) == a
-        assert spec.dagger(mat_mul(a, b, 3)) == mat_mul(spec.dagger(b), spec.dagger(a), 3)
+        a = rng.integers(0, 3, (spec.N, spec.N))
+        b = rng.integers(0, 3, (spec.N, spec.N))
+        assert np.array_equal(spec.dagger(spec.dagger(a)), a)
+        assert np.array_equal(spec.dagger(a @ b % 3), spec.dagger(b) @ spec.dagger(a) % 3)
     # exhaustive on matrix units
     for i in spec.labels:
         for j in spec.labels:
             e = spec.E(i, j)
-            assert spec.dagger(spec.dagger(e)) == e
-    assert spec.dagger(identity(spec.N)) == identity(spec.N)
+            assert np.array_equal(spec.dagger(spec.dagger(e)), e)
+    one = np.eye(spec.N, dtype=np.int64)
+    assert np.array_equal(spec.dagger(one), one)
 
 
 def test_dagger_on_units():
     spec = build_spec("B", 2, 3, (1, 1, 1, 1, 1))
-    assert spec.dagger(spec.E(2, 1)) == spec.E(-1, -2)
+    assert np.array_equal(spec.dagger(spec.E(2, 1)), spec.E(-1, -2))
     specc = build_spec("C", 2, 3, (1, 1, 0, 1, 1))
     got = specc.dagger(specc.E(2, 1))
-    assert got in (specc.E(-1, -2), mat_neg(specc.E(-1, -2), 3))
+    assert any(np.array_equal(got, m) for m in (specc.E(-1, -2), -specc.E(-1, -2) % 3))
     # sign computed from the symplectic structure
-    assert got == specc.E(-1, -2)
-    assert specc.dagger(specc.E(2, -1)) == mat_neg(specc.E(1, -2), 3)
+    assert np.array_equal(got, specc.E(-1, -2))
+    assert np.array_equal(specc.dagger(specc.E(2, -1)), -specc.E(1, -2) % 3)
 
 
 # -- roots ---------------------------------------------------------------------
@@ -115,7 +126,7 @@ def test_root_basis_is_anti_fixed_and_independent(borel_b2):
     rows = []
     for r in spec.roots_u:
         m = spec.root_matrix(r)
-        assert spec.dagger(m) == mat_neg(m, spec.p)
+        assert np.array_equal(spec.dagger(m), -m % spec.p)
         rows.append(spec.uc_coords(m, check=False))
     assert linalg.rank(rows, spec.p) == spec.u_dim
 
@@ -133,12 +144,12 @@ def test_levi_orders(borel_b2, borel_c2, twoblock_c2):
 def test_levi_is_a_group_of_isometries(borel_b2):
     spec = borel_b2.spec
     L = borel_b2.L
-    els = set(L)
+    els = {key(g) for g in L}
     for g in L:
         assert spec.is_isometry(g)
     for a in L[:4]:
         for b in L:
-            assert mat_mul(a, b, spec.p) in els
+            assert key(a @ b % spec.p) in els
 
 
 def test_middle_block_group_order():
@@ -158,11 +169,29 @@ def test_middle_block_group_order():
 ])
 def test_middle_block_equals_the_isometry_filter(family, q, blocks):
     # same list, same order as filtering GL(n0, q) by the ambient isometry test
-    from parasuper.groups import _embed_block, enumerate_middle
+    from parasuper.groups import enumerate_middle
     spec = build_spec(family, 2, q, blocks)
+    mid = spec.block_slice[0]
+
+    def embedded(m):
+        g = np.eye(spec.N, dtype=np.int64)
+        g[mid, mid] = m
+        return g
+
     want = [m for m in enumerate_gl(len(spec.segments[0]), q)
-            if spec.is_isometry(_embed_block(spec, m, 0))]
-    assert enumerate_middle(spec, 3) == want
+            if spec.is_isometry(embedded(m))]
+    assert np.array_equal(enumerate_middle(spec, 3), np.array(want))
+
+
+def test_levi_build_rejects_a_non_isometry(monkeypatch):
+    # negative control for the batched isometry check of the Levi stack
+    spec = build_spec("B", 2, 3, (1, 3, 1))
+    good = groups.enumerate_middle(spec, 3)
+    bad = good.copy()
+    bad[5] = np.diag([1, 1, 2])
+    monkeypatch.setattr(groups, "enumerate_middle", lambda spec, guard: bad)
+    with pytest.raises(RuntimeError, match="not an isometry"):
+        Parabolic(spec)
 
 
 def test_unipotent_enumeration(borel_d2, borel_b2):
@@ -178,44 +207,110 @@ def test_gl_enumeration_order():
     assert len(enumerate_gl(1, 5)) == 4
 
 
-# -- Springer map ---------------------------------------------------------------
+# -- Cayley map -------------------------------------------------------------------
 
-def test_springer_basics(borel_d2):
+def inverse(m, p):
+    return np.array(linalg.inverse(m.tolist(), p), dtype=np.int64)
+
+
+def cayley_by_definition(spec, g):
+    """f(1+x) = 2x (x+2)^-1, one matrix inverse per element."""
+    p, one = spec.p, np.eye(spec.N, dtype=np.int64)
+    x = (g - one) % p
+    return 2 * x @ inverse((x + 2 * one) % p, p) % p
+
+
+def cayley_inv_by_definition(spec, y):
+    """y -> 1 + (2-y)^-1 2y, one matrix inverse per element."""
+    p, one = spec.p, np.eye(spec.N, dtype=np.int64)
+    return (one + inverse((2 * one - y) % p, p) @ (2 * y) % p) % p
+
+
+def test_cayley_basics(borel_d2):
     spec = borel_d2.spec
-    e = identity(spec.N)
-    zero = tuple(tuple(0 for _ in range(spec.N)) for _ in range(spec.N))
-    assert springer_map(spec, e) == zero
-    assert springer_inv(spec, zero) == e
+    e = np.eye(spec.N, dtype=np.int64)
+    zero = np.zeros((spec.N, spec.N), dtype=np.int64)
+    assert np.array_equal(cayley(spec, e), zero)
+    assert np.array_equal(cayley_inv(spec, zero), e)
     # f(1+x) = x whenever x^2 = 0
     x = spec.root_matrix(spec.roots_u[0])
-    if mat_mul(x, x, spec.p) == zero:
-        assert springer_map(spec, mat_add(e, x, spec.p)) == x
+    if not (x @ x % spec.p).any():
+        assert np.array_equal(cayley(spec, e + x), x)
 
 
-def test_springer_round_trip_exhaustive(borel_d2):
+def test_cayley_round_trip_exhaustive(borel_d2):
     spec = borel_d2.spec
     for g in borel_d2.U:
-        assert springer_inv(spec, springer_map(spec, g)) == g
+        assert np.array_equal(cayley_inv(spec, cayley(spec, g)), g)
 
 
-def test_springer_rejects_non_unipotent(borel_d2):
+def test_cayley_rejects_non_unipotent(borel_d2):
     spec = borel_d2.spec
-    with pytest.raises(ValidationError):
-        springer_map(spec, mat_neg(identity(spec.N), spec.p))
+    with pytest.raises(ValidationError) as err:
+        cayley(spec, -np.eye(spec.N, dtype=np.int64) % spec.p)
+    assert err.value.code == "not-unipotent"
 
 
-def test_springer_equivariance_sampled(borel_c2):
+def test_cayley_equivariance_sampled(borel_c2):
     spec = borel_c2.spec
-    gens = subgroup_generators(spec, "Ub")
+    gens = list(subgroup_generators(spec, "Ub"))
     random.seed(5)
-    vs = gens + [mat_mul(random.choice(gens), random.choice(gens), spec.p) for _ in range(4)]
-    from parasuper.groups import mat_inv
+    vs = gens + [random.choice(gens) @ random.choice(gens) % spec.p for _ in range(4)]
     for g in borel_c2.U[:20]:
-        fg = springer_map(spec, g)
+        fg = cayley(spec, g)
         for v in vs:
-            vi = mat_inv(v, spec.p)
-            assert (springer_map(spec, mat_mul(mat_mul(v, g, spec.p), vi, spec.p))
-                    == mat_mul(mat_mul(v, fg, spec.p), vi, spec.p))
+            vi = inverse(v, spec.p)
+            assert np.array_equal(cayley(spec, v @ g @ vi % spec.p), v @ fg @ vi % spec.p)
+
+
+@pytest.mark.parametrize("name", CONFTEST_WORLDS)
+def test_cayley_matches_the_defining_formulas(name, request):
+    w = request.getfixturevalue(name)
+    spec = w.spec
+    fU = cayley(spec, w.U)
+    ys = spec.mat_of_u(w.u_digits(np.arange(w.nU)))
+    for g, f, y in zip(w.U, fU, ys):
+        assert np.array_equal(f, cayley_by_definition(spec, g))
+        assert np.array_equal(g, cayley_inv_by_definition(spec, y))
+    # an id is the packed coordinates of its Cayley image, and ids invert by negation
+    assert np.array_equal(w.pack_u_array(spec.u_coords(fU)), np.arange(w.nU))
+    assert (w.mulU[np.arange(w.nU), w.invU] == 0).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from("BCD"), q=st.sampled_from([3, 5]), data=st.data())
+def test_cayley_on_random_u_points(family, q, data):
+    blocks = (1, 1, 1, 1, 1) if family == "B" else (1, 1, 0, 1, 1)
+    spec = build_spec(family, 2, q, blocks)
+    coords = data.draw(st.lists(st.integers(0, q - 1), min_size=spec.u_dim,
+                                max_size=spec.u_dim))
+    y = spec.mat_of_u(coords)
+    g = cayley_inv(spec, y)
+    assert np.array_equal(g, cayley_inv_by_definition(spec, y))
+    assert spec.is_isometry(g)
+    assert np.array_equal(cayley(spec, g), y)
+    assert np.array_equal(cayley_by_definition(spec, g), y)
+
+
+def test_radical_lookup_rejects_a_matrix_outside_u(borel_b2):
+    w = borel_b2
+    h = next(h for h in range(w.nL) if h != w.idL)
+    with pytest.raises(ValidationError):
+        w.u_ids(w.L[h])
+    with pytest.raises(ValidationError):
+        w.l_ids(w.U[1])
+    assert w.u_ids(w.U[::-1]).tolist() == list(range(w.nU))[::-1]
+
+
+@pytest.mark.parametrize("family, blocks", [
+    ("C", (1, 1, 1, 0, 1, 1, 1)), ("B", (1, 1, 1, 1, 1, 1, 1)),
+])
+def test_root_entry_key_is_a_permutation_at_rank_three(family, blocks):
+    w = Parabolic(build_spec(family, 3, 3, blocks))
+    spec = w.spec
+    keys = w.U[:, spec.u_rows, spec.u_cols] @ w.u_powers
+    assert np.array_equal(np.sort(keys), np.arange(w.nU))
+    assert w.nU == 3 ** 9
 
 
 # -- generators -----------------------------------------------------------------
@@ -227,7 +322,8 @@ def test_generator_closures(borel_d2, borel_c2):
     hb = mulclose(subgroup_generators(spec, "Hb"), spec.p, maxsize=1000)
     hdim = len(spec.hc_positions())
     assert len(hb) == spec.p ** hdim
-    assert set(subgroup_generators(spec, "Hb")) <= set(subgroup_generators(spec, "Ub"))
+    assert ({key(g) for g in subgroup_generators(spec, "Hb")}
+            <= {key(g) for g in subgroup_generators(spec, "Ub")})
 
     specc = borel_c2.spec
     ubc = mulclose(subgroup_generators(specc, "Ub"), specc.p, maxsize=2000)
@@ -242,11 +338,11 @@ def test_lb_generators_generate_blockwise_gl():
 
 def test_nilpotent_algebra_two_sided_stability(borel_c2):
     spec = borel_c2.spec
-    for a in gb_generators(spec)[:6]:
-        for b in gb_generators(spec)[:6]:
+    for a in subgroup_generators(spec, "Gb")[:6]:
+        for b in subgroup_generators(spec, "Gb")[:6]:
             for (i, j) in spec.uc_positions:
-                m = mat_mul(mat_mul(a, spec.E(i, j), spec.p), b, spec.p)
-                assert spec.mat_of_uc(spec.uc_coords(m, check=False)) == m
+                m = a @ spec.E(i, j) @ b % spec.p
+                assert np.array_equal(spec.mat_of_uc(spec.uc_coords(m, check=False)), m)
 
 
 # -- pair group tables ------------------------------------------------------------
@@ -255,12 +351,16 @@ def test_pair_group_structure(borel_d2):
     w = borel_d2
     assert w.g_size == w.nL * w.nU
     g = w.g_matrix(w.g_ident)
-    assert g == identity(w.spec.N)
-    # locate splits products correctly
+    assert np.array_equal(g, np.eye(w.spec.N, dtype=np.int64))
+    # the lookups split products correctly: the Levi part is the block diagonal
+    diag = np.zeros((w.spec.N, w.spec.N), dtype=bool)
+    for k in w.spec.segments:
+        diag[w.spec.block_slice[k], w.spec.block_slice[k]] = True
     for rid in range(w.nL):
         for uid in range(0, w.nU, 2):
-            gm = mat_mul(w.L[rid], w.U[uid], w.spec.p)
-            assert w.locate(gm) == (rid, uid)
+            gm = w.g_matrix(rid * w.nU + uid)
+            assert w.l_ids(gm * diag) == rid
+            assert w.u_ids(w.spec.dagger(w.L[rid]) @ gm) == uid
 
 
 def test_g_classes_partition(borel_d2):

@@ -1,10 +1,11 @@
 """Ambient-orbit theory: rook placements, signatures, coarsenings, assembly."""
 
+import numpy as np
 import pytest
 
 from parasuper import gtheory
 from parasuper.errors import FalsificationError
-from parasuper.groups import build_spec, identity
+from parasuper.groups import build_spec
 from parasuper.gtheory import (
     BasicPair, build_g_theory, classify_g_orbits, enumerate_basic_pairs,
     is_rook_placement, merged_by_levi, merged_by_roots, pair_point_u,
@@ -85,7 +86,7 @@ def test_scalar_levi_paper_examples(borel_b2):
     ids = scalar_levi_subgroup(w, merged_by_roots(spec, ((2, 1),)))
     assert len(ids) == 2 * (spec.p - 1)
     for hid in ids:
-        h = w.L[hid]
+        h = w.L[hid].tolist()
         a = h[spec.pos[2]][spec.pos[2]]
         inv = pow(a, spec.p - 2, spec.p)
         assert h[spec.pos[1]][spec.pos[1]] == a
@@ -95,9 +96,9 @@ def test_scalar_levi_paper_examples(borel_b2):
     # D = {(2,-1)}: +-identity only
     ids = scalar_levi_subgroup(w, merged_by_roots(spec, ((2, -1),)))
     assert len(ids) == 2
-    mats = {w.L[h] for h in ids}
-    minus = tuple(tuple((-x) % spec.p for x in row) for row in identity(spec.N))
-    assert mats == {identity(spec.N), minus}
+    mats = {tuple(map(tuple, w.L[h].tolist())) for h in ids}
+    one = np.eye(spec.N, dtype=np.int64)
+    assert mats == {tuple(map(tuple, m.tolist())) for m in (one, -one % spec.p)}
     # D = empty: no multi-block segments, the whole Levi subgroup survives
     ids = scalar_levi_subgroup(w, merged_by_roots(spec, ()))
     assert ids == list(range(w.nL))
@@ -106,7 +107,7 @@ def test_scalar_levi_paper_examples(borel_b2):
 def test_merged_by_levi(borel_c2):
     w = borel_c2
     spec = w.spec
-    md = merged_by_levi(spec, identity(spec.N))
+    md = merged_by_levi(spec, np.eye(spec.N, dtype=np.int64))
     assert len(md.segments) == 1               # everything is the same scalar
     for hid, h in enumerate(w.L):
         md = merged_by_levi(spec, h)

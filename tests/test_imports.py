@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and the
+modules that check their invariants with raises hold no `assert`, which
+`python -O` would strip."""
 
 import ast
 import pathlib
@@ -31,6 +33,23 @@ def unused_imports(source):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ASSERT_FREE = ["__init__", "errors", "groups", "linalg", "theory", "verify"]
+
+
+def assert_lines(source):
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("module", ASSERT_FREE)
+def test_no_assert(module):
+    assert assert_lines((SRC / (module + ".py")).read_text()) == []
+
+
+def test_assert_is_reported():
+    source = "def f(x):\n    if x:\n        assert x > 1, 'no'\n    return x\n"
+    assert assert_lines(source) == [3]
 
 
 def test_unused_import_is_reported():

@@ -34,7 +34,7 @@ def test_solve_and_inverse():
     for _ in range(40):
         a = [[random.randrange(p) for _ in range(3)] for _ in range(3)]
         try:
-            inv = linalg.mat_inv(a, p)
+            inv = linalg.inverse(a, p)
         except ValueError:
             assert linalg.det(a, p) == 0
             continue

@@ -64,6 +64,38 @@ def test_lemma_suite_b2(borel_b2):
     assert check_lemmas(borel_b2).passed
 
 
+def test_springer_lemma_reports_the_first_non_equivariant_element(borel_c2, monkeypatch):
+    # negative control: f plus a fixed non-central element z of u off the
+    # identity; the reference is a plain loop over U in id order
+    from parasuper import groups, linalg, verify
+    from parasuper.groups import subgroup_generators
+    w, spec, p = borel_c2, borel_c2.spec, borel_c2.spec.p
+    one = np.eye(spec.N, dtype=np.int64)
+    z = spec.u_basis[0]
+
+    def broken(spec, G):
+        moved = (np.asarray(G) != one).any(axis=(-2, -1))[..., None, None]
+        return (groups.cayley(spec, G) + moved * z) % p
+
+    gens = subgroup_generators(spec, "Ub")
+    samples = list(gens) + [a @ b % p for a, b in zip(gens, gens[1:])]
+    assert any(not np.array_equal(v @ z % p, z @ v % p) for v in samples)
+
+    def fails(g):
+        for v in samples:
+            vi = np.array(linalg.inverse(v.tolist(), p), dtype=np.int64)
+            if not np.array_equal(broken(spec, v @ g @ vi % p), v @ broken(spec, g) @ vi % p):
+                return True
+        return False
+
+    want = next(u for u in range(w.nU) if fails(w.U[u]))
+    monkeypatch.setattr(verify, "cayley", broken)
+    check = next(c for c in check_lemmas(w).checks if c.name == "springer-equivariance")
+    assert not check.passed
+    assert check.counterexample == {"u": want,
+                                    "message": "Springer map is not conjugation equivariant"}
+
+
 def test_refinement_class_counts(borel_c2):
     _, tG, gG = theories(borel_c2)
     assert len(gG.classes) <= len(tG.classes)
@@ -127,7 +159,7 @@ def test_product_lemma_rechecks_memoized_forms():
     # the theories are built first (as under --suite all), so the form data
     # is memoized before the lemma runs; a planted pair of Uc_Lambda vectors
     # whose product the extension does not kill must still be reported
-    from parasuper.groups import Parabolic, build_spec, mat_mul
+    from parasuper.groups import Parabolic, build_spec
     from parasuper.utheory import form_data, ustar_orbit_partition
     w = Parabolic(build_spec("D", 2, 3, (1, 1, 0, 1, 1)))
     theories(w)
@@ -135,8 +167,8 @@ def test_product_lemma_rechecks_memoized_forms():
     units = [tuple(int(a == b) for b in range(spec.uc_dim)) for a in range(spec.uc_dim)]
 
     def lam_of_product(fd, x, y):
-        prod = mat_mul(spec.mat_of_uc(x), spec.mat_of_uc(y), p)
-        return int(np.array(fd.Lam_coords) @ np.array(spec.uc_coords(prod, check=False))) % p
+        prod = spec.mat_of_uc(x) @ spec.mat_of_uc(y) % p
+        return int(np.array(fd.Lam_coords) @ spec.uc_coords(prod, check=False)) % p
 
     planted = next((fd, x, y) for orb in ustar_orbit_partition(w, "Ub")
                    for fd in [form_data(w, orb.rep)]
