@@ -561,12 +561,17 @@ class Parabolic:
         """conjL[a, b] = index of L[a] L[b] L[a]^-1."""
         return self.mulL[self.mulL, self.invL[:, None]]
 
-    @cached_property
-    def mulU(self):
+    def require_tables(self):
+        """Raise the `tables` guard if the radical is too large for the dense
+        nU x nU product table; callers that will need it check up front."""
         if self.nU > self.guards["tables"]:
             raise ResourceGuardError(
                 "radical of size %d exceeds the id-table guard %d"
                 % (self.nU, self.guards["tables"]))
+
+    @cached_property
+    def mulU(self):
+        self.require_tables()
         t = np.empty((self.nU, self.nU), dtype=np.int32)
         for a in range(self.nU):
             t[a] = self.u_ids(self.U[a] @ self.U)

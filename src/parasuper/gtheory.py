@@ -507,6 +507,7 @@ def chi_alpha_g(world, ctx, theta_by_l):
 
 def build_g_theory(world, check=True):
     """Assemble the ambient-orbit supercharacter theory on G."""
+    world.require_tables()
     pool = ValuePool(world.field)
     ltable = l_table(world)
     sig_classes = signature_classes(world)

@@ -6,13 +6,14 @@ out the subgroup the elementary character lives on, and averaging over the
 Levi subgroup produces the supercharacters of the parabolic group.  The
 superclasses come from Levi elements paired with radical orbits on a
 quotient of u.  Everything is exact; every structural identity the
-construction relies on is asserted at build time and failures abort with a
-counterexample.
+construction relies on is checked at build time, and a failure raises a
+FalsificationError with the form as its counterexample.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .groups import (
     ustar_action_matrix,
 )
 from .orbits import (
-    LinearAction, enumerate_subspace, levi_stabilizer, partition_orbits,
+    LinearAction, _bfs, enumerate_subspace, levi_stabilizer, partition_orbits,
     quotient_orbits, smallest_bimodule,
 )
 from .theory import (
@@ -129,10 +130,11 @@ class FormData:
         self.Lam_coords = tuple(Lam.tolist())
 
         # restriction back to u must be lam, and the extension anti-self-dual
-        assert np.array_equal(spec.uc_coords(spec.u_basis) @ Lam % p, lam_vec % p), \
-            "extension does not restrict to the original form"
+        if not np.array_equal(spec.uc_coords(spec.u_basis) @ Lam % p, lam_vec % p):
+            self._fail("extension does not restrict to the original form")
         dual = spec.uc_coords(spec.dagger(units)) + spec.uc_coords(units)
-        assert not (dual @ Lam % p).any(), "extension is not anti-self-dual"
+        if (dual @ Lam % p).any():
+            self._fail("extension is not anti-self-dual")
 
         # R = {x : Lambda(x Hc) = 0}, Lc = {x : Lambda(Hc-dagger x) = 0}; with
         # Lambda as a matrix LamM, zero outside Uc, Lambda(E(i,j) h) is
@@ -155,19 +157,36 @@ class FormData:
         k_l = linalg.right_kernel((rows_l @ emb % p).tolist(), p, spec.u_dim)
         red_r = linalg.rref(k_r, p)[0] if k_r else []
         red_l = linalg.rref(k_l, p)[0] if k_l else []
-        assert red_r == red_l, "the two annihilator conditions cut out different subalgebras of u"
+        if red_r != red_l:
+            self._fail("the two annihilator conditions cut out different subalgebras of u")
         self.u_lam_basis = list(red_r)
 
-        # subgroup U_lam = points of u_lam under the Springer bijection
+        # U_lam = points of u_lam under the Springer bijection, checked on the
+        # Cayley images T of the basis: if every x t (x in U_lam, t in T) lies
+        # in U_lam and right multiplication by T reaches all of U_lam from 1,
+        # every element is a word in T, so U_lam = <T> is a subgroup.  at[i, k]
+        # is the position in U_lam_ids of U_lam_ids[i] T[k]; position 0 is the
+        # identity, id 0
         pts = enumerate_subspace(self.u_lam_basis, p, spec.u_dim)
         self.U_lam_ids = np.unique(world.pack_u_array(pts))
-        sub = world.mulU[np.ix_(self.U_lam_ids, self.U_lam_ids)]
-        assert np.isin(sub, self.U_lam_ids).all(), "U_lam is not closed under products"
+        gen_ids = world.pack_u_array(
+            np.array(self.u_lam_basis, dtype=np.int64).reshape(-1, spec.u_dim))
+        U_lam = world.U[self.U_lam_ids]
+        prods = np.empty((self.U_lam_ids.size, gen_ids.size), dtype=np.int64)
+        for k, t in enumerate(world.U[gen_ids]):
+            prods[:, k] = world.u_ids(U_lam @ t % p)
+        at = np.searchsorted(self.U_lam_ids, prods).clip(max=self.U_lam_ids.size - 1)
+        if (self.U_lam_ids[at] != prods).any():
+            self._fail("U_lam is not closed under products")
+        reached = _bfs([0], lambda pos: list(at[pos].T))
+        if reached.size != self.U_lam_ids.size:
+            self._fail("the Cayley images of a basis of u_lam do not generate U_lam")
 
         # orbits
         self.orbit_ub = orbit_of(world, "ustar", "Ub", self.lam)
         self.orbit_hb = orbit_of(world, "ustar", "Hb", self.lam)
-        assert np.isin(self.orbit_hb.points, self.orbit_ub.points).all()
+        if not np.isin(self.orbit_hb.points, self.orbit_ub.points).all():
+            self._fail("the Hb orbit of the form leaves its Ub orbit")
 
         uc_powers = np.array([p ** t for t in range(spec.uc_dim)], dtype=np.int64)
         self.Lam_packed = int((np.array(Lam, dtype=np.int64) % p) @ uc_powers)
@@ -179,21 +198,29 @@ class FormData:
         span = np.array(span, dtype=np.int64).reshape(-1, spec.uc_dim) @ uc_powers
         self.L0_ids = levi_stabilizer(world, span, "ucstar", "pointwise")
         self.S_ids = levi_stabilizer(world, self.orbit_ub.points, "ustar", "setwise")
-        assert set(self.L0_ids) <= set(self.S_ids), \
-            "pointwise stabilizer must sit inside the setwise stabilizer"
+        if not set(self.L0_ids) <= set(self.S_ids):
+            self._fail("pointwise stabilizer must sit inside the setwise stabilizer")
 
         # L0 normalizes U_lam
-        for hid in self.L0_ids:
-            img = np.sort(world.conjUbyL[hid, self.U_lam_ids])
-            assert np.array_equal(img, self.U_lam_ids), "stabilizer does not normalize U_lam"
+        img = np.sort(world.conjUbyL[np.ix_(self.L0_ids, self.U_lam_ids)], axis=1)
+        if (img != self.U_lam_ids).any():
+            self._fail("stabilizer does not normalize U_lam")
 
-        # the elementary character is multiplicative on U_lam
-        tvals = (world.u_digits(self.U_lam_ids) @ lam_vec) % p
-        prod_pos = np.searchsorted(self.U_lam_ids, sub)
-        if not np.array_equal(tvals[prod_pos] % p, (tvals[:, None] + tvals[None, :]) % p):
-            raise FalsificationError(
-                "form composed with the Springer map is not multiplicative on U_lam",
-                {"lam": self.lam})
+        # the elementary character is multiplicative on U_lam: psi(1) = 1 and
+        # psi(x t) = psi(x) psi(t) for t in T, which extends along words in T
+        tvals = eps_exponents(world, self.lam_coords, self.U_lam_ids)
+        gen_vals = tvals[np.searchsorted(self.U_lam_ids, gen_ids)]
+        if tvals[0] or not np.array_equal(tvals[at], (tvals[:, None] + gen_vals) % p):
+            self._fail("form composed with the Springer map is not multiplicative on U_lam")
+
+    def _fail(self, message):
+        raise FalsificationError(message, {"lam": self.lam})
+
+
+def eps_exponents(world, lam_coords, ids):
+    """The elementary character u -> eps(lam(f(u))) on radical ids, as the
+    exponent t of its value eps(t); the id of u packs the coordinates of f(u)."""
+    return (world.u_digits(ids) @ np.asarray(lam_coords, dtype=np.int64)) % world.spec.p
 
 
 def form_data(world, lam_packed):
@@ -284,13 +311,18 @@ def chi_alpha_u(world, fd, theta_vals_by_l):
     uniq, inverse = unique_rows(codes)
     uniq, inverse = uniq[::-1], len(uniq) - 1 - inverse
 
-    prods = {c: tvals[c // nz] * zer_vals[c % nz] for c in np.unique(uniq).tolist()}
-    final_vals = []
-    for row in uniq:
-        acc = world.field.zero
-        for code, count in zip(*np.unique(row, return_counts=True)):
-            acc = acc + prods[int(code)].scale(int(count))
-        final_vals.append(acc.scale(scale))
+    # a row's value is the sum of the (theta, zeta) products its codes name:
+    # one gather-and-sum of their integer coefficient rows over a common
+    # denominator, which is folded into the scale
+    used, pos = np.unique(uniq, return_inverse=True)
+    prods = [tvals[c // nz] * zer_vals[c % nz] for c in used.tolist()]
+    den = lcm(*(Fraction(c).denominator for v in prods for c in v.coeffs))
+    num = [[int(c * den) for c in v.coeffs] for v in prods]
+    bound = max(abs(c) for row in num for c in row) * world.nL
+    num = np.array(num, dtype=np.int64 if bound < 2 ** 62 else object)
+    sums = num[pos.reshape(uniq.shape)].sum(axis=1)
+    scale = scale / den
+    final_vals = [world.field.from_coeffs([c * scale for c in row]) for row in sums.tolist()]
     return inverse, final_vals
 
 

@@ -24,8 +24,8 @@ from .groups import cayley, subgroup_generators
 from .orbits import levi_stabilizer, orbit_closure
 from .theory import SuperChar, SuperClass, intern_values
 from .utheory import (
-    _memo, action_left_ucstar, action_twosided_ucstar, build_u_theory,
-    counts_to_values, form_data, orbit_eps_counts, orbit_of, ustar_orbit_partition,
+    _memo, action_left_ucstar, action_twosided_ucstar, build_u_theory, counts_to_values,
+    eps_exponents, form_data, orbit_eps_counts, orbit_of, ustar_orbit_partition,
 )
 from .gtheory import build_g_theory, classify_g_orbits
 
@@ -418,16 +418,13 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
     p = world.spec.p
     eps = [field.additive_character(p, t) for t in range(p)]
 
-    def eps_exponents(fd):
-        # the elementary character on U_lam, as the exponent t of its value eps(t)
-        return (world.u_digits(fd.U_lam_ids) @ np.array(fd.lam_coords, dtype=np.int64)) % p
-
     def zeta_oracle():
         class_of, u_classes = world.u_group_classes
         sizes = [m.size for m in u_classes]
         for ch in theory_u.chars:
             fd = form_data(world, ch.provenance["lam"])
-            induced = induce_exact(class_of, sizes, fd.U_lam_ids, eps_exponents(fd), eps, field)
+            induced = induce_exact(class_of, sizes, fd.U_lam_ids,
+                                   eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps, field)
             _compare_char_to_induced(ch, u_classes, induced, "radical supercharacter")
     report.run("radical-induction-oracle", zeta_oracle)
 
@@ -437,7 +434,7 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
         for ch in theory_ub_g.chars:
             fd = form_data(world, ch.provenance["lam"])
             h = _product_on_h(world, fd.L0_ids, fd.U_lam_ids, ch.provenance["theta_by_l"],
-                              eps_exponents(fd), eps)
+                              eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps)
             induced = induce_exact(class_of, sizes, *h, field)
             _compare_char_to_induced(ch, g_classes, induced, "Levi-averaged supercharacter")
     report.run("parabolic-induction-oracle", chi_u_oracle)
@@ -588,6 +585,7 @@ def run_suites(world, suite="all", corrupt=None):
     need_theories = bool({"utheory", "gtheory", "oracles", "refinement"} & set(wants))
     tU = tG = gG = None
     if need_theories:
+        world.require_tables()
         tU, tG, gG = theories(world)
         if corrupt == "character":
             tG = corrupt_character(tG)

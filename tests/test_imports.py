@@ -35,7 +35,7 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-ASSERT_FREE = ["__init__", "errors", "groups", "linalg", "theory", "verify"]
+ASSERT_FREE = ["__init__", "errors", "groups", "linalg", "theory", "utheory", "verify"]
 
 
 def assert_lines(source):

@@ -2,13 +2,17 @@
 
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from parasuper import linalg, utheory
 from parasuper.chartab import irr_characters, s_orbit_sums
+from parasuper.errors import FalsificationError
+from parasuper.groups import Parabolic, build_spec
 from parasuper.utheory import (
-    action_on_ustar, build_u_theory, chi_alpha_u, form_data, l_table, orbit_eps_counts,
-    counts_to_values, ustar_orbit_partition, u_orbit_partition,
+    FormData, action_on_ustar, build_u_theory, chi_alpha_u, form_data, l_table,
+    orbit_eps_counts, counts_to_values, ustar_orbit_partition, u_orbit_partition,
 )
 
 
@@ -24,18 +28,94 @@ def test_zero_form_data(borel_c2):
 
 def test_form_extension_is_deterministic(borel_c2):
     a = form_data(borel_c2, 5)
-    b = __import__("parasuper.utheory", fromlist=["FormData"]).FormData(borel_c2, 5)
+    b = FormData(borel_c2, 5)
     assert a.Lam_coords == b.Lam_coords
     assert np.array_equal(a.orbit_ub.points, b.orbit_ub.points)
 
 
 def test_form_data_full_sweep(borel_c2):
-    # the constructor asserts: restriction, anti-self-duality, both
-    # annihilator descriptions of u_lam, and multiplicativity
+    # the constructor checks restriction, anti-self-duality, both annihilator
+    # descriptions of u_lam, that U_lam is the subgroup its generators
+    # generate, and multiplicativity
     for orb in ustar_orbit_partition(borel_c2, "Ub"):
         fd = form_data(borel_c2, orb.rep)
         assert fd.orbit_hb.size <= fd.orbit_ub.size
         assert set(fd.L0_ids) <= set(fd.S_ids)
+
+
+@pytest.fixture(scope="module")
+def mid3_b2():
+    from conftest import world_for
+    return world_for("B", 2, 3, (1, 3, 1))
+
+
+@pytest.mark.parametrize("name", ["borel_b2", "borel_c2", "borel_d2", "twoblock_c2", "mid3_b2"])
+def test_generator_checks_agree_with_all_pairs(name, request):
+    # FormData checks U_lam on the Cayley images of a basis of u_lam; the
+    # reference finds U_lam by a span test on every point of u and checks
+    # closure and multiplicativity over all |U_lam|^2 products in mulU
+    w = request.getfixturevalue(name)
+    p = w.spec.p
+    digits = w.u_digits(np.arange(w.nU))
+    for orb in ustar_orbit_partition(w, "Ub"):
+        fd = form_data(w, orb.rep)
+        red, pivots = linalg.rref(fd.u_lam_basis, p) if fd.u_lam_basis else ([], [])
+        ref = np.flatnonzero([linalg.in_span(red, pivots, x, p) for x in digits.tolist()])
+        assert np.array_equal(fd.U_lam_ids, ref)
+        prods = w.mulU[np.ix_(ref, ref)]
+        assert np.isin(prods, ref).all()
+        psi = digits[ref] @ np.array(fd.lam_coords) % p
+        at = np.searchsorted(ref, prods)
+        assert np.array_equal(psi[at], (psi[:, None] + psi[None, :]) % p)
+
+
+def test_ub_on_g_never_builds_the_radical_table():
+    d3 = Parabolic(build_spec("D", 3, 3, (1, 1, 1, 0, 1, 1, 1)), {"tables": 0})
+    theory = build_u_theory(d3, "G")
+    assert theory.meta["axioms"] == "pass"
+    assert "mulU" not in vars(d3)
+
+
+def first_form_with(w, pred):
+    return next(orb.rep for orb in ustar_orbit_partition(w, "Ub")
+                if pred(form_data(w, orb.rep)))
+
+
+def test_closure_check_fires(borel_c2, monkeypatch):
+    # a one-dimensional u_lam whose generator's Cayley image, squared, leaves
+    # the span
+    lam = first_form_with(borel_c2, lambda fd: fd.lam != 0)
+    bad = SimpleNamespace(**{**vars(linalg), "rref": lambda rows, m: ([(1, 0, 0, 1)], [0])})
+    monkeypatch.setattr(utheory, "linalg", bad)
+    with pytest.raises(FalsificationError, match="not closed under products") as err:
+        FormData(borel_c2, lam)
+    assert err.value.counterexample == {"lam": lam}
+
+
+def test_generation_check_fires(borel_c2, monkeypatch):
+    # all of U is closed under products, but the Cayley images of a basis of
+    # a smaller u_lam generate only U_lam
+    lam = first_form_with(borel_c2, lambda fd: fd.U_lam_ids.size < borel_c2.nU)
+    everything = borel_c2.u_digits(np.arange(borel_c2.nU))
+    monkeypatch.setattr(utheory, "enumerate_subspace", lambda basis, p, dim: everything)
+    with pytest.raises(FalsificationError, match="do not generate U_lam") as err:
+        FormData(borel_c2, lam)
+    assert err.value.counterexample == {"lam": lam}
+
+
+def test_multiplicativity_check_fires(borel_c2, monkeypatch):
+    # lam changed at one element of U_lam other than the identity
+    lam = first_form_with(borel_c2, lambda fd: fd.U_lam_ids.size > 1)
+    real = utheory.eps_exponents
+
+    def changed(world, lam_coords, ids):
+        vals = real(world, lam_coords, ids).copy()
+        vals[-1] = (vals[-1] + 1) % world.spec.p
+        return vals
+    monkeypatch.setattr(utheory, "eps_exponents", changed)
+    with pytest.raises(FalsificationError, match="not multiplicative on U_lam") as err:
+        FormData(borel_c2, lam)
+    assert err.value.counterexample == {"lam": lam}
 
 
 def chi_alpha_u_by_counting(w, fd, theta_by_l):

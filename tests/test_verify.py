@@ -133,6 +133,26 @@ def test_table_guard_blocks_oversized_radical():
         small.mulU
 
 
+def test_table_guard_fires_before_any_theory_is_built(monkeypatch):
+    # B3 q=3 Borel: |U| = 19683 is over the default guard, and the guard must
+    # fire before the Ub-on-G build, which no longer needs the product table
+    from parasuper import gtheory, verify
+    from parasuper.errors import ResourceGuardError
+    from parasuper.groups import Parabolic, build_spec
+    w = Parabolic(build_spec("B", 3, 3, (1, 1, 1, 1, 1, 1, 1)))
+    assert w.nU == 19683
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a theory was built before the tables guard")
+    monkeypatch.setattr(verify, "build_u_theory", unreachable)
+    monkeypatch.setattr(gtheory, "signature_classes", unreachable)
+    with pytest.raises(ResourceGuardError, match="id-table guard"):
+        run_suites(w, "all")
+    with pytest.raises(ResourceGuardError, match="id-table guard"):
+        gtheory.build_g_theory(w)
+    assert "mulU" not in vars(w)
+
+
 def test_gram_matches_elementwise_inner_product(borel_d2):
     from fractions import Fraction
     from parasuper.verify import class_values_matrix, integer_gram
