@@ -8,12 +8,23 @@ equality, so all downstream checks (orthogonality, constancy) are exact.
 
 Rationals are fractions.Fraction, normalized to plain int when integral so
 that hashing and comparison stay cheap.
+
+`Cyc` is the boundary form, for values that are interned, printed or
+reported.  Bulk arithmetic (character tables, inner products, induction)
+runs on integer coefficient rows over one common denominator: `rows` and
+`from_rows` convert, `mul_rows` multiplies and `integer_gram` is the one
+inner product.  Each picks int64 when an explicit bound shows that no
+intermediate can overflow, and exact Python integers (object dtype)
+otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import lcm
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -73,7 +84,8 @@ def _poly_divmod_int(num, den):
         if c:
             for i, d in enumerate(den):
                 num[k + i] -= c * d
-    assert all(c == 0 for c in num[len(den) - 1:]) or all(c == 0 for c in num), num
+    if any(num[len(den) - 1:]):
+        raise RuntimeError("polynomial division left a high remainder: %r" % (num,))
     return out, num[: len(den) - 1]
 
 
@@ -89,7 +101,9 @@ def cyclotomic_poly(M):
         if M % d == 0:
             phi_d = cyclotomic_poly(d)
             poly, rem = _poly_divmod_int(poly, phi_d)
-            assert not any(rem), "cyclotomic division must be exact"
+            if any(rem):
+                raise RuntimeError("x^%d - 1 is not divisible by the %d-th cyclotomic "
+                                   "polynomial" % (M, d))
     _CYCLO_CACHE[M] = tuple(poly)
     return _CYCLO_CACHE[M]
 
@@ -132,6 +146,47 @@ class CycField:
 
     def __repr__(self):
         return "CycField(%d)" % self.M
+
+    @cached_property
+    def pow_rows(self):
+        """int64 array whose row k is zeta^k in the power basis."""
+        return np.array(self._pow, dtype=np.int64)
+
+    @cached_property
+    def conj_tensor(self):
+        """int64 (dim, dim, dim): [c, d] is zeta^c * conj(zeta^d) = zeta^(c - d)."""
+        c = np.arange(self.dim)
+        return self.pow_rows[(c[:, None] - c[None, :]) % self.M]
+
+    @cached_property
+    def mul_tensor(self):
+        """int64 (dim, dim, dim): [c, d] is zeta^c * zeta^d = zeta^(c + d)."""
+        c = np.arange(self.dim)
+        return self.pow_rows[c[:, None] + c[None, :]]
+
+    def rows(self, values):
+        """Values as integer coefficient rows over one common denominator:
+        (num, den) with values[i] == num[i] / den, num of shape (len, dim)."""
+        den = lcm(1, *(c.denominator for v in values for c in v.coeffs))
+        num = [[int(c * den) for c in v.coeffs] for v in values]
+        big = max((abs(c) for row in num for c in row), default=0)
+        return np.array(num, dtype=int_dtype(big)).reshape(len(values), self.dim), den
+
+    def from_rows(self, num, den=1):
+        """Inverse of rows: one canonical value per row of num / den."""
+        if den == 1:
+            return [Cyc(self, tuple(int(c) for c in row)) for row in num]
+        return [self.from_coeffs([Fraction(int(c), den) for c in row]) for row in num]
+
+    def mul_rows(self, A, B):
+        """Row-wise products of two (n, dim) integer coefficient arrays, exact."""
+        A, B = np.asarray(A), np.asarray(B)
+        red = self.mul_tensor
+        amax, bmax = absmax(A), absmax(B)
+        dtype = int_dtype(max(amax, bmax, amax * bmax * absmax(red) * self.dim ** 2))
+        outer = A.astype(dtype)[:, :, None] * B.astype(dtype)[:, None, :]
+        d2 = self.dim * self.dim
+        return outer.reshape(len(A), d2) @ red.reshape(d2, self.dim).astype(dtype)
 
     def zeta_pow(self, k):
         """zeta_M^k as a canonical field element."""
@@ -288,5 +343,45 @@ class Cyc:
         return "Cyc(M=%d, %s)" % (self.field.M, list(self.coeffs))
 
 
-def lcm(a, b):
-    return a * b // gcd(a, b)
+def absmax(a):
+    """Largest absolute entry of an integer array as a Python int (0 if empty)."""
+    a = np.asarray(a)
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def int_dtype(bound):
+    """int64 when `bound` caps every intermediate below 2**62, else object."""
+    return np.int64 if bound < 2 ** 62 else object
+
+
+def integer_gram(field, A, B, weights):
+    """G[a, b, :] = power-basis coefficients of sum_K w_K A[a, K] conj(B[b, K]).
+
+    A (na, k, dim) and B (nb, k, dim) are integer coefficient arrays and
+    `weights` k integers.  The result is exact: int64 when the bound
+    sum|w| max|A| max|B| max|red| dim^2 shows no overflow, object dtype
+    otherwise.  Rows over denominators dA and dB give the weighted
+    inner products G / (dA dB).
+    """
+    red = field.conj_tensor
+    dim = field.dim
+    A, B = np.asarray(A), np.asarray(B)
+    w = np.asarray(weights)
+    amax, bmax, wsum = absmax(A), absmax(B), sum(abs(int(x)) for x in w.tolist())
+    dtype = int_dtype(max(amax, bmax, wsum, wsum * amax * bmax * absmax(red) * dim * dim))
+    na, k, nb = A.shape[0], A.shape[1], B.shape[0]
+    A2 = A.astype(dtype).reshape(na, k * dim)
+    # Bc[b, K, c, e] = w_K * (coefficient e of zeta^c conj(B[b, K])); then
+    # G[a, b, e] = sum over (K, c) of A[a, K, c] Bc[b, K, c, e], one matrix
+    # product per chunk of b (einsum: numpy's integer matmul has no BLAS and
+    # runs about 2x slower)
+    Bw = B.astype(dtype) * w.astype(dtype)[None, :, None]
+    red = red.astype(dtype)
+    out = np.zeros((na, nb, dim), dtype=dtype)
+    chunk = max(1, 2 ** 19 // max(1, k * dim * dim))
+    for start in range(0, nb, chunk):
+        stop = min(nb, start + chunk)
+        Bc = np.tensordot(Bw[start:stop], red, axes=([2], [1]))
+        Bt = Bc.transpose(1, 2, 0, 3).reshape(k * dim, (stop - start) * dim)
+        out[:, start:stop] = np.einsum("ij,jk->ik", A2, Bt).reshape(na, stop - start, dim)
+    return out

@@ -6,20 +6,21 @@ the homomorphism construction for abelian groups and from Dixon-Burnside
 for the rest: the commuting class-sum matrices are simultaneously
 diagonalized over a finite field F_ell with ell = 1 mod exponent, and the
 eigenvalue data is lifted to exact cyclotomic values via root-of-unity
-multiplicities.  Both paths end in tables whose orthogonality relations are
-asserted exactly before anything downstream may use them.
+multiplicities.  Irreducible values are sums of roots of unity, so a table
+is one int64 array of power-basis coefficients (chars, classes, dim).  Both
+paths end in tables whose orthogonality relations are checked exactly, as
+two integer Gram matrices, before anything downstream may use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .algebra import is_odd_prime, lcm, primitive_root
-from .errors import ValidationError
+from .algebra import integer_gram, is_odd_prime, lcm, primitive_root
+from .errors import FalsificationError, ValidationError
 from .groups import table_generators
 from .orbits import partition_by_perms
 
@@ -49,7 +50,7 @@ class TableGroup:
 
     @classmethod
     def from_elements(cls, elements, mul_fn):
-        """Build from raw elements and a multiplication function; asserts closure."""
+        """Build from raw elements and a multiplication function; checks closure."""
         index = {}
         for i, e in enumerate(elements):
             if e in index:
@@ -66,7 +67,7 @@ class TableGroup:
         return cls(elements, table)
 
     def subgroup(self, ids):
-        """Sub-table on the given element ids; asserts closure."""
+        """Sub-table on the given element ids; checks closure."""
         ids = sorted(int(i) for i in ids)
         back = {g: t for t, g in enumerate(ids)}
         n = len(ids)
@@ -136,8 +137,10 @@ def conjugacy_classes(group):
     reps = [int(m[0]) for m in members]
     sizes = [int(m.size) for m in members]
     inverse_class = [int(class_of[group.inv[r]]) for r in reps]
-    for s in sizes:
-        assert group.n % s == 0, "class size must divide the group order"
+    for c, s in enumerate(sizes):
+        if group.n % s:
+            raise FalsificationError("class size does not divide the group order",
+                                     {"class_rep": reps[c], "size": s, "order": group.n})
     return Classes(class_of, members, reps, sizes, inverse_class)
 
 
@@ -145,22 +148,13 @@ def conjugacy_classes(group):
 class CharTable:
     group: TableGroup
     classes: Classes
-    chars: list               # list of tuples of Cyc, one value per class
+    chars: np.ndarray         # int64 (chars, classes, dim) power-basis coefficients
     field: object
 
     @property
     def degrees(self):
         idc = int(self.classes.class_of[self.group.ident])
-        return [c[idc].as_int() for c in self.chars]
-
-
-def inner_product_classes(classes, group_order, vals1, vals2):
-    """(1/|G|) sum over G of v1 * conj(v2), via class sums; exact."""
-    field = vals1[0].field
-    acc = field.zero
-    for c in range(classes.k):
-        acc = acc + (vals1[c] * vals2[c].conjugate()).scale(classes.sizes[c])
-    return acc.scale(Fraction(1, group_order))
+        return [int(d) for d in self.chars[:, idc, 0]]
 
 
 def irr_characters(group, field, guard=2000):
@@ -178,32 +172,38 @@ def irr_characters(group, field, guard=2000):
     else:
         chars = _dixon_characters(group, classes, field)
     table = CharTable(group, classes, chars, field)
-    _assert_orthogonality(table)
+    check_orthogonality(table)
     return table
 
 
-def _assert_orthogonality(table):
-    classes, chars = table.classes, table.chars
-    n = table.group.n
-    field = table.field
-    k = classes.k
-    assert len(chars) == k, "character count %d differs from class count %d" % (len(chars), k)
-    for i in range(k):
-        for j in range(i, k):
-            ip = inner_product_classes(classes, n, chars[i], chars[j])
-            want = field.one if i == j else field.zero
-            assert ip == want, "row orthogonality fails at (%d, %d): %r" % (i, j, ip)
-    for ci in range(k):
-        for cj in range(ci, k):
-            acc = field.zero
-            for ch in chars:
-                acc = acc + ch[ci] * ch[cj].conjugate()
-            if ci == cj:
-                want = field.from_fraction(Fraction(n, classes.sizes[ci]))
-            else:
-                want = field.zero
-            assert acc == want, "column orthogonality fails at (%d, %d)" % (ci, cj)
-    assert sum(d * d for d in table.degrees) == n, "degree squares must sum to |G|"
+def check_orthogonality(table):
+    """Both orthogonality relations, exactly: for irreducibles i, j and
+    classes a, b, sum_K |K| chi_i(K) conj(chi_j(K)) = |G| [i = j] and
+    sum_chi chi(K_a) conj(chi(K_b)) = |G| / |K_a| [a = b].  At the identity
+    class the second says that the degree squares sum to |G|.  A failure
+    names the first failing pair (i <= j, or a <= b)."""
+    X = table.chars
+    sizes = table.classes.sizes
+    n, k, field = table.group.n, table.classes.k, table.field
+    if len(X) != k:
+        raise FalsificationError("character count differs from class count",
+                                 {"chars": len(X), "classes": k})
+    diag = np.arange(k)
+    want = np.zeros((k, k, field.dim), dtype=np.int64)
+    want[diag, diag, 0] = n
+    _first_mismatch(field, integer_gram(field, X, X, sizes), want, "rows")
+    want[diag, diag, 0] = [n // s for s in sizes]
+    Xt = X.transpose(1, 0, 2)
+    _first_mismatch(field, integer_gram(field, Xt, Xt, [1] * len(X)), want, "columns")
+
+
+def _first_mismatch(field, gram, want, what):
+    bad = np.argwhere(np.triu((gram != want).any(axis=2)))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise FalsificationError(
+            "%s orthogonality fails" % what[:-1],
+            {what: [i, j], "sum": field.from_rows(gram[i, j][None])[0].serialize()})
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,9 @@ def _abelian_characters(group, classes, field):
         for chi in chars_exp:
             a0 = chi[xt]
             # x^t lies in the subgroup; its character exponent is divisible by t
-            assert a0 % t == 0, "character extension is not solvable"
+            if a0 % t:
+                raise FalsificationError("character extension is not solvable",
+                                         {"element": x, "order_mod_subgroup": t})
             b0 = a0 // t
             for j in range(t):
                 b = (b0 + j * (e // t)) % e
@@ -245,14 +247,20 @@ def _abelian_characters(group, classes, field):
             for h in covered:
                 newly.add(int(group.mul[powx, h]))
         covered |= newly
-    assert len(covered) == group.n, "generator chain did not cover the group"
-    assert len(chars_exp) == group.n, "abelian group must have |G| linear characters"
-    out = []
-    for chi in chars_exp:
-        vals = tuple(field.root_of_unity(e, chi[r]) for r in classes.reps)
-        out.append(vals)
-    out.sort(key=lambda vals: tuple(v.coeffs for v in vals))
-    return out
+    if len(covered) != group.n:
+        raise RuntimeError("generator chain covered %d of %d elements" % (len(covered), group.n))
+    if len(chars_exp) != group.n:
+        raise FalsificationError("abelian group does not have |G| linear characters",
+                                 {"characters": len(chars_exp), "order": group.n})
+    exps = np.array([[chi[r] for r in classes.reps] for chi in chars_exp], dtype=np.int64)
+    return _sorted_rows(field.pow_rows[(field.M // e) * exps])
+
+
+def _sorted_rows(X, lead=None):
+    """Rows of a table in ascending lexicographic order of their coefficients,
+    led by the coefficients at class `lead` when one is given."""
+    keys = [row.tolist() if lead is None else (row[lead].tolist(), row.tolist()) for row in X]
+    return X[sorted(range(len(X)), key=keys.__getitem__)]
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +364,17 @@ def _dixon_characters(group, classes, field):
         spaces = new_spaces
         if all(len(b) == 1 for b in spaces):
             break
-    assert all(len(b) == 1 for b in spaces) and len(spaces) == k, \
-        "class-sum matrices did not split into %d common eigenlines" % k
+    if len(spaces) != k or any(len(b) != 1 for b in spaces):
+        raise FalsificationError("class-sum matrices do not split into common eigenlines",
+                                 {"eigenspace_dims": [len(b) for b in spaces], "classes": k})
 
     ident_class = int(classes.class_of[group.ident])
     chars = []
     for basis in spaces:
         v = list(basis[0])
         if v[ident_class] % ell == 0:
-            raise AssertionError("eigenvector vanishes on the identity class")
+            raise FalsificationError("eigenvector vanishes on the identity class",
+                                     {"eigenvector": v, "ell": ell})
         f = pow(v[ident_class], ell - 2, ell)
         omega = [x * f % ell for x in v]
         # 1/deg^2 = (1/n) sum_i omega_i omega_{i*} / |C_i|
@@ -374,12 +384,12 @@ def _dixon_characters(group, classes, field):
                  * pow(classes.sizes[i], ell - 2, ell)) % ell
         deg_sq = n * pow(s, ell - 2, ell) % ell
         deg = _int_sqrt_exact(deg_sq)
-        assert deg * deg == deg_sq, "degree lift failed: %d is not a perfect square" % deg_sq
+        if deg * deg != deg_sq:
+            raise FalsificationError("degree lift is not a perfect square",
+                                     {"degree_squared": deg_sq, "ell": ell})
         chi_mod = [deg * omega[i] * pow(classes.sizes[i], ell - 2, ell) % ell for i in range(k)]
-        vals = _lift_character(group, classes, chi_mod, deg, e, z, ell, field)
-        chars.append(tuple(vals))
-    chars.sort(key=lambda vals: (vals[ident_class].coeffs, tuple(v.coeffs for v in vals)))
-    return chars
+        chars.append(_lift_character(group, classes, chi_mod, deg, e, z, ell, field))
+    return _sorted_rows(np.array(chars, dtype=np.int64), ident_class)
 
 
 def _restrict(A, basis, ell):
@@ -387,7 +397,8 @@ def _restrict(A, basis, ell):
     for v in basis:
         img = [sum(A[i][j] * v[j] for j in range(len(v))) % ell for i in range(len(v))]
         coords = linalg.express(basis, img, ell)
-        assert coords is not None, "subspace is not invariant"
+        if coords is None:
+            raise RuntimeError("eigenspace is not invariant under a class-sum matrix")
         imgs.append(coords)
     m = len(basis)
     return [[imgs[c][r] % ell for c in range(m)] for r in range(m)]
@@ -412,8 +423,9 @@ def _int_sqrt_exact(x):
 
 
 def _lift_character(group, classes, chi_mod, deg, e, z, ell, field):
-    """Lift per-class values mod ell to exact sums of roots of unity."""
-    vals = []
+    """Lift per-class values mod ell to exact sums of roots of unity: the
+    value at a class of order o is sum_j m_j zeta_o^j, as a coefficient row."""
+    rows = []
     for c, rep in enumerate(classes.reps):
         o = group.order_of(rep)
         zo = pow(z, e // o, ell)
@@ -424,20 +436,19 @@ def _lift_character(group, classes, chi_mod, deg, e, z, ell, field):
             powers.append(chi_mod[int(classes.class_of[x])])
             x = int(group.mul[x, rep])
         inv_o = pow(o, ell - 2, ell)
-        acc = field.zero
-        total = 0
+        mult = []
         for j in range(o):
             m_j = 0
             for t in range(o):
                 m_j = (m_j + powers[t] * pow(zo, (-j * t) % o, ell)) % ell
-            m_j = m_j * inv_o % ell
-            assert m_j <= deg, "multiplicity %d exceeds the degree %d" % (m_j, deg)
-            total += m_j
-            if m_j:
-                acc = acc + field.root_of_unity(o, j).scale(m_j)
-        assert total == deg, "eigenvalue multiplicities %d must sum to the degree %d" % (total, deg)
-        vals.append(acc)
-    return vals
+            mult.append(m_j * inv_o % ell)
+        if sum(mult) != deg:
+            raise FalsificationError(
+                "eigenvalue multiplicities do not sum to the degree",
+                {"class_rep": int(rep), "multiplicities": mult, "degree": deg})
+        rows.append(np.array(mult, dtype=np.int64)
+                    @ field.pow_rows[(field.M // o) * np.arange(o)])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -451,44 +462,37 @@ def s_orbit_sums(parent, sub_ids, table, s_ids):
     subgroup whose CharTable is `table`, and `s_ids` the parent ids of the
     acting overgroup.  Also verifies the permutation-count identity: the
     number of orbit sums equals the number of orbits on conjugacy classes.
+    Returns one tuple of Cyc (a value per class of `table`) per orbit.
     """
-    back = {g: t for t, g in enumerate(sub_ids)}
-    sset = set(int(s) for s in s_ids)
-    for g in sub_ids:
-        if int(g) not in sset:
-            raise ValidationError("not-normal", "subgroup is not inside the acting group")
-    k = table.classes.k
-    irr_index = {tuple(ch): i for i, ch in enumerate(table.chars)}
+    sub_ids = np.asarray(sub_ids, dtype=np.int64)
+    back = np.full(parent.n, -1, dtype=np.int64)
+    back[sub_ids] = np.arange(sub_ids.size)
+    if not np.isin(sub_ids, np.asarray(s_ids, dtype=np.int64)).all():
+        raise ValidationError("not-normal", "subgroup is not inside the acting group")
+    X = table.chars
+    irr_index = {row.tobytes(): i for i, row in enumerate(X)}
+    reps = sub_ids[table.classes.reps]
 
     irr_perms = []
     class_perms = []
     for s in s_ids:
-        si = int(parent.inv[s])
-        perm_cls = []
-        for rep in table.classes.reps:
-            moved = int(parent.mul[parent.mul[si, sub_ids[rep]], s])
-            if moved not in back:
-                raise ValidationError("not-normal",
-                                      "conjugation leaves the subgroup; it is not normal")
-            perm_cls.append(int(table.classes.class_of[back[moved]]))
+        moved = back[parent.mul[parent.mul[parent.inv[s], reps], s]]
+        if (moved < 0).any():
+            raise ValidationError("not-normal",
+                                  "conjugation leaves the subgroup; it is not normal")
+        perm_cls = table.classes.class_of[moved]
         class_perms.append(perm_cls)
-        perm_irr = []
-        for ch in table.chars:
-            moved_vals = tuple(ch[perm_cls[c]] for c in range(k))
-            perm_irr.append(irr_index[moved_vals])
-        irr_perms.append(perm_irr)
+        perm_irr = [irr_index.get(row.tobytes(), -1) for row in X[:, perm_cls]]
+        if -1 in perm_irr:
+            raise FalsificationError("conjugation does not permute the irreducibles",
+                                     {"s": int(s), "char": perm_irr.index(-1)})
+        irr_perms.append(np.array(perm_irr, dtype=np.int64))
 
-    irr_orbits = partition_by_perms(len(table.chars), [np.array(pm) for pm in irr_perms])[1]
-    class_orbits = partition_by_perms(k, [np.array(pm) for pm in class_perms])[1]
-    assert len(irr_orbits) == len(class_orbits), \
-        "orbit counts on irreducibles (%d) and classes (%d) disagree" % (
-            len(irr_orbits), len(class_orbits))
-
-    sums = []
-    for orb in irr_orbits:
-        vals = table.chars[orb[0]]
-        for i in orb[1:]:
-            vals = tuple(a + b for a, b in zip(vals, table.chars[i]))
-        sums.append(vals)
-    sums.sort(key=lambda vals: tuple(v.coeffs for v in vals))
-    return sums
+    irr_orbits = partition_by_perms(len(X), irr_perms)[1]
+    class_orbits = partition_by_perms(table.classes.k, class_perms)[1]
+    if len(irr_orbits) != len(class_orbits):
+        raise FalsificationError(
+            "orbit counts on irreducibles and on classes disagree",
+            {"irreducible_orbits": len(irr_orbits), "class_orbits": len(class_orbits)})
+    sums = _sorted_rows(np.array([X[orb].sum(axis=0) for orb in irr_orbits]))
+    return [tuple(table.field.from_rows(row)) for row in sums]

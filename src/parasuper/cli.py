@@ -134,7 +134,8 @@ def cmd_orbits(args):
 
 def emit_table(theory, world, fmt, out_path, config):
     """Serialize an assembled theory; deterministic, non-empty by construction."""
-    assert theory.classes and theory.chars, "a supercharacter theory cannot be empty"
+    if not (theory.classes and theory.chars):
+        raise RuntimeError("a supercharacter theory cannot be empty")
     on_g = theory.group_size == world.g_size
 
     def rep_matrix(gid):

@@ -160,7 +160,9 @@ def pair_signature(world, pair):
             if support:
                 sub = [[form[a][b] for b in support] for a in support]
                 dt = linalg.det(sub, spec.p)
-                assert dt, "rook form is degenerate on its support"
+                if not dt:
+                    raise FalsificationError("rook form is degenerate on its support",
+                                             {"pair": pair.label(), "block": k})
                 dk = 1 if dt in squares else -1
         d.append(dk)
     return PairSignature(ranks, tuple(d))
@@ -379,7 +381,9 @@ def merged_by_levi(spec, h):
 
     md = MergedDecomposition("levi", tuple(segs))
     mirror = tuple(tuple(sorted((-t for t in seg), reverse=True)) for seg in reversed(md.segments))
-    assert mirror == md.segments, "Levi coarsening must be symmetric about zero"
+    if mirror != md.segments:
+        raise FalsificationError("Levi coarsening is not symmetric about zero",
+                                 {"segments": [list(seg) for seg in md.segments]})
     return md
 
 
@@ -532,7 +536,7 @@ def build_g_theory(world, check=True):
         table = irr_characters(sub, world.field, world.guards["chartab"])
 
         for tidx, ch in enumerate(table.chars):
-            theta_by_l = lift_to_levi(world, ctx["ld_ids"], table, ch)
+            theta_by_l = lift_to_levi(world, ctx["ld_ids"], table, world.field.from_rows(ch))
             tids, _ = intern_values(theta_by_l)
             moved = np.argwhere(tids[conj_ids] != tids[ld_arr])
             if moved.size:

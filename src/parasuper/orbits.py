@@ -115,7 +115,8 @@ def partition_orbits(action, guard=10 ** 7):
     _, classes = partition_by_perms(action.size, action.full_perms(guard))
     orbits = [Orbit(m) for m in classes]
     total = sum(o.size for o in orbits)
-    assert total == action.size, "orbit sizes %d do not cover the space %d" % (total, action.size)
+    if total != action.size:
+        raise RuntimeError("orbit sizes %d do not cover the space %d" % (total, action.size))
     return orbits
 
 

@@ -4,7 +4,8 @@ A theory is a list of characters and a partition of the group.  Character
 values are interned: each character stores a compact id array over the
 group's packed element ids plus a shared pool of exact cyclotomic values,
 so equality, constancy, and table emission are integer-array operations
-and every exact value is stored once.
+and every exact value is stored once.  For arithmetic the pool hands out
+its values as one integer numerator matrix over a common denominator.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ class ValuePool:
         self.field = cfield
         self.values = [cfield.zero]
         self.index = {cfield.zero: 0}
+        self._rows = None
+
+    def numerators(self):
+        """All values as one integer matrix over a common denominator:
+        (num, den) with values[i] == num[i] / den and num of shape
+        (len, dim); rebuilt whenever the pool has grown since the last call."""
+        if self._rows is None or len(self._rows[0]) != len(self.values):
+            self._rows = self.field.rows(self.values)
+        return self._rows
 
     def id_of(self, value):
         got = self.index.get(value)

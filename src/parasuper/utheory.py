@@ -13,11 +13,11 @@ FalsificationError with the form as its counterexample.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from . import linalg
+from .algebra import absmax, int_dtype
 from .chartab import TableGroup, irr_characters, s_orbit_sums
 from .errors import FalsificationError, ValidationError
 from .groups import (
@@ -249,16 +249,10 @@ def counts_to_values(world, counts, scale=None):
     p = world.spec.p
     field = world.field
     cols, inverse = unique_rows(counts.T)
-    values = []
-    for col in cols:
-        acc = field.zero
-        for t in range(p):
-            c = int(col[t])
-            if c:
-                acc = acc + field.additive_character(p, t).scale(c)
-        if scale is not None:
-            acc = acc.scale(scale)
-        values.append(acc)
+    eps, _ = field.rows([field.additive_character(p, t) for t in range(p)])
+    values = field.from_rows(cols @ eps)
+    if scale is not None:
+        values = [v.scale(scale) for v in values]
     return inverse, values
 
 
@@ -314,14 +308,14 @@ def chi_alpha_u(world, fd, theta_vals_by_l):
     # a row's value is the sum of the (theta, zeta) products its codes name:
     # one gather-and-sum of their integer coefficient rows over a common
     # denominator, which is folded into the scale
+    field = world.field
     used, pos = np.unique(uniq, return_inverse=True)
-    prods = [tvals[c // nz] * zer_vals[c % nz] for c in used.tolist()]
-    den = lcm(*(Fraction(c).denominator for v in prods for c in v.coeffs))
-    num = [[int(c * den) for c in v.coeffs] for v in prods]
-    bound = max(abs(c) for row in num for c in row) * world.nL
-    num = np.array(num, dtype=np.int64 if bound < 2 ** 62 else object)
+    t_rows, t_den = field.rows(tvals)
+    z_rows, z_den = field.rows(zer_vals)
+    num = field.mul_rows(t_rows[used // nz], z_rows[used % nz])
+    num = num.astype(int_dtype(absmax(num) * world.nL))
     sums = num[pos.reshape(uniq.shape)].sum(axis=1)
-    scale = scale / den
+    scale = scale / (t_den * z_den)
     final_vals = [world.field.from_coeffs([c * scale for c in row]) for row in sums.tolist()]
     return inverse, final_vals
 

@@ -2,11 +2,11 @@
 and the coarseness relation between the two theories.
 
 Every check is exact; a failure carries a machine-readable counterexample
-that reproduces deterministically.  The expensive pairwise orthogonality
-sweep runs on integer coefficient matrices at superclass level (scaled
-cyclotomic coordinates contracted with the reduction tensor), which is
-mathematically identical to the elementwise inner product and overflow-safe
-by explicit bound checking.
+that reproduces deterministically.  Checks compute on integer coefficient
+rows over common denominators: class values are gathered from each value
+pool's numerator matrix, every inner product is `integer_gram`, and
+induction sums integer rows.  `Cyc` values are built only for
+counterexamples.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from . import linalg
-from .algebra import lcm
+from .algebra import absmax, int_dtype, integer_gram
 from .errors import FalsificationError, ValidationError
 from .groups import cayley, subgroup_generators
 from .orbits import levi_stabilizer, orbit_closure
@@ -99,59 +100,14 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 # supercharacter axioms
 
-def class_values_matrix(chars, classes, field):
-    """Integer coefficient matrices of per-class values, with denominators."""
-    Vs, dens = [], []
-    for ch in chars:
-        vals = [ch.value_at(kl.rep) for kl in classes]
-        den = 1
-        for v in vals:
-            for c in v.coeffs:
-                den = lcm(den, Fraction(c).denominator)
-        V = [[int(Fraction(c) * den) for c in v.coeffs] for v in vals]
-        Vs.append(V)
-        dens.append(den)
-    return Vs, dens
-
-
-def integer_gram(field, VA, VB, weights):
-    """G[a, b, :] = reduced integer coefficients of sum_K w_K A_a(K) conj(B_b(K)).
-
-    Dividing entry (a, b) by |G| * den_a * den_b gives the exact inner
-    product; in particular G[a, b] == 0 iff the characters are orthogonal.
-    """
-    dim, M = field.dim, field.M
-    A = np.array(VA, dtype=object)
-    B = np.array(VB, dtype=object)
-    w = np.array(weights, dtype=object)
-    # contraction tensor: zeta^c * conj(zeta^d) reduced to the power basis
-    red = np.empty((dim, dim, dim), dtype=object)
-    for c in range(dim):
-        for d in range(dim):
-            row = field._pow[(c - d) % M]
-            for e in range(dim):
-                red[c, d, e] = row[e]
-    bound = 0
-    if A.size and B.size:
-        amax = max(abs(int(x)) for x in A.ravel()) or 1
-        bmax = max(abs(int(x)) for x in B.ravel()) or 1
-        rmax = max(abs(int(x)) for x in red.ravel()) or 1
-        bound = int(sum(int(x) for x in w)) * amax * bmax * rmax * dim * dim
-    if bound < 2 ** 62:
-        A = A.astype(np.int64)
-        B = B.astype(np.int64)
-        w64 = np.array(weights, dtype=np.int64)
-        red64 = red.astype(np.int64)
-        Bw = B * w64[None, :, None]
-        out = np.zeros((A.shape[0], B.shape[0], dim), dtype=np.int64)
-        chunk = max(1, 2 ** 22 // max(1, B.shape[0] * dim * dim))
-        for s in range(0, A.shape[0], chunk):
-            Mab = np.einsum("akc,bkd->abcd", A[s:s + chunk], Bw)
-            out[s:s + chunk] = np.einsum("abcd,cde->abe", Mab, red64)
-        return out
-    Bw = B * w[None, :, None]
-    Mab = np.einsum("akc,bkd->abcd", A, Bw)
-    return np.einsum("abcd,cde->abe", Mab, red)
+def class_values_matrix(pool, chars, classes):
+    """Values of `chars` (interned in `pool`) at the class representatives,
+    gathered from the pool's numerator matrix: (V, den) with V of shape
+    (chars, classes, dim) and value = V / den."""
+    num, den = pool.numerators()
+    reps = np.array([kl.rep for kl in classes], dtype=np.int64)
+    ids = np.array([ch.ids[reps] for ch in chars], dtype=np.int64)
+    return num[ids.reshape(len(chars), reps.size)], den
 
 
 def check_supertheory(theory, world=None):
@@ -214,30 +170,26 @@ def check_supertheory(theory, world=None):
     report.run("integer-degrees", degree_check)
 
     def s1_check():
-        Vs, dens = class_values_matrix(theory.chars, theory.classes, field)
-        weights = [kl.size for kl in theory.classes]
-        gram = integer_gram(field, Vs, Vs, weights)
-        nc = len(theory.chars)
-        for a in range(nc):
-            for b in range(a + 1, nc):
-                if any(int(x) for x in gram[a, b]):
-                    num = field.from_coeffs(
-                        [Fraction(int(x), n * dens[a] * dens[b]) for x in gram[a, b]])
-                    raise FalsificationError(
-                        "two supercharacters are not orthogonal",
-                        {"chars": [theory.chars[a].label, theory.chars[b].label],
-                         "inner_product": num.serialize()})
-        for a in range(nc):
-            vec = [int(x) for x in gram[a, a]]
+        V, den = class_values_matrix(theory.pool, theory.chars, theory.classes)
+        gram = integer_gram(field, V, V, [kl.size for kl in theory.classes])
+        scale = n * den * den                 # gram / scale are the inner products
+        off = np.argwhere(np.triu((gram != 0).any(axis=2), 1))
+        if off.size:
+            a, b = off[0].tolist()
+            raise FalsificationError(
+                "two supercharacters are not orthogonal",
+                {"chars": [theory.chars[a].label, theory.chars[b].label],
+                 "inner_product": field.from_rows(gram[a, b][None], scale)[0].serialize()})
+        diag = np.arange(len(theory.chars))
+        for a, vec in enumerate(gram[diag, diag].tolist()):
             if any(vec[1:]):
                 raise FalsificationError("self inner product is not rational",
                                          {"char": theory.chars[a].label})
-            den = n * dens[a] * dens[a]
-            if vec[0] <= 0 or vec[0] % den:
+            if vec[0] <= 0 or vec[0] % scale:
                 raise FalsificationError(
                     "self inner product is not a positive integer",
                     {"char": theory.chars[a].label,
-                     "value": str(Fraction(vec[0], den))})
+                     "value": str(Fraction(vec[0], scale))})
     report.run("S1-orthogonality", s1_check)
     return report
 
@@ -363,60 +315,79 @@ def check_lemmas(world):
 # ---------------------------------------------------------------------------
 # induction oracles
 
-def induce_exact(class_of, sizes, h_ids, h_local, h_values, field):
-    """Frobenius induction from a subgroup H, as one value per class of G.
+def induce_exact(class_of, sizes, h_ids, h_local, h_rows, h_den):
+    """Frobenius induction from a subgroup H, as integer rows per class of G.
 
     `class_of` labels the elements of G by class, `sizes` gives the class
     sizes.  The function on H is interned: its value at h_ids[i] is
-    h_values[h_local[i]].  The value on a class K is |G| / (|K| |H|) times
-    its sum over H meet K, counted per (class, value id) pair over H only.
+    h_rows[h_local[i]] / h_den, with h_rows integer coefficient rows.  The
+    value on a class K is |G| / (|K| |H|) times its sum over H meet K,
+    counted per (class, value id) pair over H only.  Returns (rows, den):
+    the value on class K is rows[K] / den, where den = |H| h_den.
     """
-    nv = len(h_values)
-    codes, counts = np.unique(class_of[h_ids] * nv + h_local, return_counts=True)
-    sums = {}
-    for code, c in zip(codes.tolist(), counts.tolist()):
-        k, t = divmod(code, nv)
-        sums[k] = sums.get(k, field.zero) + h_values[t].scale(c)
-    return [sums.get(k, field.zero).scale(Fraction(len(class_of) // int(size), len(h_ids)))
-            for k, size in enumerate(sizes)]
+    h_rows = np.asarray(h_rows)
+    nv = len(h_rows)
+    codes, counts = np.unique(class_of[h_ids] * nv + np.asarray(h_local), return_counts=True)
+    k, t = np.divmod(codes, nv)
+    mult = (len(class_of) // np.asarray(sizes, dtype=np.int64))[k] * counts
+    dtype = int_dtype(absmax(h_rows) * len(class_of) * len(h_ids))
+    rows = np.zeros((len(sizes), h_rows.shape[1]), dtype=dtype)
+    np.add.at(rows, k, h_rows[t].astype(dtype) * mult.astype(dtype)[:, None])
+    return rows, len(h_ids) * h_den
 
 
-def _product_on_h(world, r_ids, u_ids, theta_by_l, z_ids, z_values):
+def _product_on_h(world, r_ids, u_ids, theta_by_l, z_ids, z_rows, z_den):
     """theta(r) * zeta(u) on H = {r u : r in r_ids, u in u_ids} in induce_exact's
-    form, where zeta(u_ids[j]) = z_values[z_ids[j]]; one product per distinct pair."""
+    form, where zeta(u_ids[j]) = z_rows[z_ids[j]] / z_den; one product per
+    distinct pair."""
+    field = world.field
     tids, tvals = intern_values([theta_by_l[r] for r in r_ids])
-    nz = len(z_values)
+    t_rows, t_den = field.rows(tvals)
+    nz = len(z_rows)
     h_ids = (np.asarray(r_ids, dtype=np.int64)[:, None] * world.nU + u_ids[None, :]).ravel()
     used, h_local = np.unique((tids[:, None] * nz + z_ids[None, :]).ravel(),
                               return_inverse=True)
-    h_values = [tvals[c // nz] * z_values[c % nz] for c in used.tolist()]
-    return h_ids, h_local, h_values
+    h_rows = field.mul_rows(t_rows[used // nz], np.asarray(z_rows)[used % nz])
+    return h_ids, h_local, h_rows, t_den * z_den
 
 
-def _compare_char_to_induced(ch, classes, induced, what):
+def _scaled(rows, c):
+    return rows.astype(int_dtype(max(c, absmax(rows) * c))) * c
+
+
+def _compare_char_to_induced(ch, class_of, classes, induced, what):
     # value-for-value: the induced side is a class function by construction,
-    # so the formula side must be constant on every class and match there
-    for members, want in zip(classes, induced):
+    # so the formula side must be constant on every class and match there;
+    # values compare as cross-multiplied integer rows, and the first class
+    # failing either way is reported
+    rows, den = induced
+    num, pden = ch.pool.numerators()
+    at_reps = ch.ids[[int(m[0]) for m in classes]]
+    non_constant = np.zeros(len(classes), dtype=bool)
+    non_constant[class_of[ch.ids != at_reps[class_of]]] = True
+    differs = (_scaled(num[at_reps], den) != _scaled(rows, pden)).any(axis=1)
+    bad = np.flatnonzero(non_constant | differs)
+    if not bad.size:
+        return
+    members = classes[bad[0]]
+    if non_constant[bad[0]]:
         ids = ch.ids[members]
-        if (ids != ids[0]).any():
-            bad = members[np.where(ids != ids[0])[0][0]]
-            raise FalsificationError(
-                "closed formula is not constant on a conjugacy class",
-                {"char": ch.label, "what": what,
-                 "elements": [int(members[0]), int(bad)]})
-        got = ch.value_at(int(members[0]))
-        if got != want:
-            raise FalsificationError(
-                "closed formula disagrees with direct induction",
-                {"char": ch.label, "what": what, "class_rep": int(members[0]),
-                 "formula": got.serialize(), "induction": want.serialize()})
+        raise FalsificationError(
+            "closed formula is not constant on a conjugacy class",
+            {"char": ch.label, "what": what,
+             "elements": [int(members[0]), int(members[np.flatnonzero(ids != ids[0])[0]])]})
+    raise FalsificationError(
+        "closed formula disagrees with direct induction",
+        {"char": ch.label, "what": what, "class_rep": int(members[0]),
+         "formula": ch.pool.values[at_reps[bad[0]]].serialize(),
+         "induction": ch.pool.field.from_rows(rows[bad[0]][None], den)[0].serialize()})
 
 
 def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
     report = Report("oracles")
     field = world.field
     p = world.spec.p
-    eps = [field.additive_character(p, t) for t in range(p)]
+    eps = field.rows([field.additive_character(p, t) for t in range(p)])
 
     def zeta_oracle():
         class_of, u_classes = world.u_group_classes
@@ -424,8 +395,8 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
         for ch in theory_u.chars:
             fd = form_data(world, ch.provenance["lam"])
             induced = induce_exact(class_of, sizes, fd.U_lam_ids,
-                                   eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps, field)
-            _compare_char_to_induced(ch, u_classes, induced, "radical supercharacter")
+                                   eps_exponents(world, fd.lam_coords, fd.U_lam_ids), *eps)
+            _compare_char_to_induced(ch, class_of, u_classes, induced, "radical supercharacter")
     report.run("radical-induction-oracle", zeta_oracle)
 
     def chi_u_oracle():
@@ -434,9 +405,10 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
         for ch in theory_ub_g.chars:
             fd = form_data(world, ch.provenance["lam"])
             h = _product_on_h(world, fd.L0_ids, fd.U_lam_ids, ch.provenance["theta_by_l"],
-                              eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps)
-            induced = induce_exact(class_of, sizes, *h, field)
-            _compare_char_to_induced(ch, g_classes, induced, "Levi-averaged supercharacter")
+                              eps_exponents(world, fd.lam_coords, fd.U_lam_ids), *eps)
+            induced = induce_exact(class_of, sizes, *h)
+            _compare_char_to_induced(ch, class_of, g_classes, induced,
+                                     "Levi-averaged supercharacter")
     report.run("parabolic-induction-oracle", chi_u_oracle)
 
     def chi_g_oracle():
@@ -447,9 +419,10 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
             zeta_ids, zeta_vals = counts_to_values(
                 world, orbit_eps_counts(world, orbit.points))
             h = _product_on_h(world, ch.provenance["ld_ids"], np.arange(world.nU),
-                              ch.provenance["theta_by_l"], zeta_ids, zeta_vals)
-            induced = induce_exact(class_of, sizes, *h, field)
-            _compare_char_to_induced(ch, g_classes, induced, "ambient-orbit supercharacter")
+                              ch.provenance["theta_by_l"], zeta_ids, *field.rows(zeta_vals))
+            induced = induce_exact(class_of, sizes, *h)
+            _compare_char_to_induced(ch, class_of, g_classes, induced,
+                                     "ambient-orbit supercharacter")
     report.run("ambient-induction-oracle", chi_g_oracle)
     return report
 
@@ -493,29 +466,34 @@ def check_refinement(theory_ub_g, theory_gb_g, world):
                     raise FalsificationError(
                         "coarse character not constant on a fine class",
                         {"char": ch.label, "class": kl.label})
-        VU, dU = class_values_matrix(theory_ub_g.chars, classes, field)
-        VG, dG = class_values_matrix(theory_gb_g.chars, classes, field)
+        VU, dU = class_values_matrix(theory_ub_g.pool, theory_ub_g.chars, classes)
+        VG, dG = class_values_matrix(theory_gb_g.pool, theory_gb_g.chars, classes)
         weights = [kl.size for kl in classes]
         cross = integer_gram(field, VG, VU, weights)      # (nG, nU, dim)
         self_u = integer_gram(field, VU, VU, weights)
         self_g = integer_gram(field, VG, VG, weights)
+        # Bessel equality: ||chi||^2 == sum |<chi, basis_i>|^2 / ||basis_i||^2,
+        # which holds iff chi lies in the exact span of the orthogonal basis.
+        # With s_i = self_u[i, i][0] and S = lcm(s_i) it reads, in integers,
+        # sum_i |cross_ai|^2 (S / s_i) = self_g[a, a][0] S.  The sum is one
+        # more integer_gram, over the fine characters, of cross divided by
+        # the gcd g of its entries, which keeps it in int64
+        diag_u, diag_g = np.arange(len(VU)), np.arange(len(VG))
+        s_i = [int(x) for x in self_u[diag_u, diag_u, 0].tolist()]
+        S = lcm(1, *(abs(x) for x in s_i if x))
+        g = int(np.gcd.reduce(cross.ravel())) if cross.size else 0
+        g = g or 1
+        bessel = integer_gram(field, cross // g, cross // g,
+                              [S // x if x else 0 for x in s_i])[diag_g, diag_g]
         for a, ch in enumerate(theory_gb_g.chars):
-            # Bessel equality: ||chi||^2 == sum |<chi, basis_i>|^2 / ||basis_i||^2,
-            # which holds iff chi lies in the exact span of the orthogonal basis
-            total = field.zero
-            for i in range(len(theory_ub_g.chars)):
-                z = field.from_coeffs([Fraction(int(x), n * dG[a] * dU[i])
-                                       for x in cross[a, i]])
-                if z.is_zero():
-                    continue
-                norm_i = Fraction(int(self_u[i, i][0]), n * dU[i] * dU[i])
-                total = total + (z * z.conjugate()).scale(1 / norm_i)
-            own = Fraction(int(self_g[a, a][0]), n * dG[a] * dG[a])
-            if total != field.from_fraction(own):
+            got = [g * g * int(x) for x in bessel[a].tolist()]
+            own = int(self_g[a, a][0])
+            if got != [own * S] + [0] * (field.dim - 1):
                 raise FalsificationError(
                     "coarse character is outside the span of the fine characters",
-                    {"char": ch.label, "projection_norm": total.serialize(),
-                     "norm": str(own)})
+                    {"char": ch.label,
+                     "projection_norm": field.from_rows([got], S * n * dG * dG)[0].serialize(),
+                     "norm": str(Fraction(own, n * dG * dG))})
     report.run("characters-in-span", span_check)
     return report
 

@@ -3,13 +3,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parasuper.algebra import (
-    Cyc, CycField, cyclotomic_poly, fp_inv, is_odd_prime, primitive_root,
+    Cyc, CycField, cyclotomic_poly, fp_inv, integer_gram, is_odd_prime, primitive_root,
     smallest_nonsquare,
 )
 from parasuper.errors import ValidationError
+
+FIELDS = {M: CycField(M) for M in (12, 20, 42)}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -176,3 +180,85 @@ def test_embedded_roots_of_unity():
     assert prod == F.one
     with pytest.raises(ValidationError):
         F.root_of_unity(3, 1)
+
+
+def cyc_values(F, lo=-9, hi=9, dens=(1, 2, 3)):
+    return st.builds(
+        lambda cs: F.from_coeffs(cs),
+        st.lists(st.builds(Fraction, st.integers(lo, hi), st.sampled_from(dens)),
+                 min_size=F.dim, max_size=F.dim))
+
+
+@st.composite
+def field_triples(draw):
+    F = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    return F, draw(cyc_values(F)), draw(cyc_values(F)), draw(cyc_values(F))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_triples())
+def test_field_axioms_hypothesis(triple):
+    F, a, b, c = triple
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    # conjugation is an involutive field automorphism
+    assert a.conjugate().conjugate() == a
+    assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    assert F.one.conjugate() == F.one
+
+
+@st.composite
+def gram_inputs(draw, big=False):
+    """(field, A, B, weights); with big=True the first entry of A and of B
+    exceeds 2**64 and every weight is positive, so no int64 can hold a sum."""
+    F = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    k = draw(st.integers(1, 4))
+    bound = 2 ** 70 if big else 50
+    entries = st.integers(-bound, bound)
+
+    def stack(n):
+        out = draw(st.lists(st.lists(st.lists(entries, min_size=F.dim, max_size=F.dim),
+                                     min_size=k, max_size=k), min_size=n, max_size=n))
+        if big:
+            out[0][0][0] = draw(st.integers(2 ** 64, 2 ** 70))
+        return out
+    A = stack(draw(st.integers(1, 3)))
+    B = stack(draw(st.integers(1, 3)))
+    weights = draw(st.lists(st.integers(int(big), 40), min_size=k, max_size=k))
+    return F, A, B, weights
+
+
+def textbook_gram(F, A, B, weights):
+    """sum_K w_K a(K) conj(b(K)), one Cyc product at a time."""
+    out = {}
+    for a, rows_a in enumerate(A):
+        for b, rows_b in enumerate(B):
+            acc = F.zero
+            for w, x, y in zip(weights, rows_a, rows_b):
+                acc = acc + (F.from_coeffs(x) * F.from_coeffs(y).conjugate()).scale(w)
+            out[a, b] = acc
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(gram_inputs())
+def test_integer_gram_is_the_textbook_sum(inputs):
+    F, A, B, weights = inputs
+    gram = integer_gram(F, np.array(A), np.array(B), weights)
+    assert gram.dtype == np.int64
+    for (a, b), want in textbook_gram(F, A, B, weights).items():
+        assert F.from_rows(gram[a, b][None])[0] == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(gram_inputs(big=True))
+def test_integer_gram_object_fallback(inputs):
+    # entries above 2**64 cannot be held in int64; the bound must send the
+    # sum to exact Python integers, with the same result as the textbook sum
+    F, A, B, weights = inputs
+    gram = integer_gram(F, np.array(A, dtype=object), np.array(B, dtype=object), weights)
+    assert gram.dtype == object
+    for (a, b), want in textbook_gram(F, A, B, weights).items():
+        assert F.from_rows(gram[a, b][None])[0] == want

@@ -1,6 +1,9 @@
 """Character tables: classes, irreducibles, orbit sums, induction, inner products."""
 
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,16 +11,40 @@ import pytest
 
 from parasuper.algebra import CycField, lcm
 from parasuper.chartab import (
-    TableGroup, conjugacy_classes, inner_product_classes, irr_characters,
-    s_orbit_sums,
+    TableGroup, check_orthogonality, conjugacy_classes, irr_characters, s_orbit_sums,
 )
-from parasuper.errors import ValidationError
+from parasuper.errors import FalsificationError, ValidationError
 from parasuper.groups import enumerate_gl
-from parasuper.verify import induce_exact
+from parasuper.verify import induce_exact, integer_gram
 
 
 def cyclic(n):
     return TableGroup(list(range(n)), [[(i + j) % n for j in range(n)] for i in range(n)])
+
+
+def symmetric3():
+    import itertools
+    perms = list(itertools.permutations(range(3)))
+    return TableGroup.from_elements(perms, lambda a, b: tuple(a[b[i]] for i in range(3)))
+
+
+def cyc_chars(tab):
+    """The table's integer rows as tuples of Cyc, one value per class."""
+    return [tuple(tab.field.from_rows(ch)) for ch in tab.chars]
+
+
+def inner_product_classes(classes, group_order, vals1, vals2):
+    """(1/|G|) sum over G of v1 * conj(v2), via class sums and integer_gram."""
+    field = vals1[0].field
+    (a, da), (b, db) = field.rows(vals1), field.rows(vals2)
+    gram = integer_gram(field, a[None], b[None], classes.sizes)
+    return field.from_rows(gram[0, 0][None], group_order * da * db)[0]
+
+
+def induce(field, *args):
+    """induce_exact on Cyc values in, Cyc values per class out."""
+    *head, h_values = args
+    return field.from_rows(*induce_exact(*head, *field.rows(h_values)))
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +71,7 @@ def test_conjugacy_classes_gl23(gl23):
 def test_irr_cyclic_2():
     g = cyclic(2)
     tab = irr_characters(g, CycField(2))
-    vals = sorted(tuple(v.coeffs[0] for v in ch) for ch in tab.chars)
+    vals = sorted(tuple(v.coeffs[0] for v in ch) for ch in cyc_chars(tab))
     assert vals == [(1, -1), (1, 1)]
 
 
@@ -64,12 +91,53 @@ def test_irr_gl23_degrees(gl23):
 
 
 def test_irr_symmetric_group_s3():
-    import itertools
-    perms = list(itertools.permutations(range(3)))
-    g = TableGroup.from_elements(
-        perms, lambda a, b: tuple(a[b[i]] for i in range(3)))
-    tab = irr_characters(g, CycField(lcm(2, 3)))
+    tab = irr_characters(symmetric3(), CycField(lcm(2, 3)))
     assert sorted(tab.degrees) == [1, 1, 2]
+
+
+@pytest.mark.parametrize("which", ["s3", "gl23"])
+def test_orthogonality_check_fires(which, gl23):
+    # negative control: one value of one irreducible changed in the integer
+    # table; the check names a row pair through the changed character, and
+    # that pair's inner product, summed as Cyc class by class, is wrong
+    group = symmetric3() if which == "s3" else gl23
+    tab = irr_characters(group, CycField(lcm(3, group.exponent)))
+    check_orthogonality(tab)
+    row, cls = (1, 2) if which == "s3" else (5, 3)
+    tab.chars[row, cls, 1] += 1
+    with pytest.raises(FalsificationError, match="row orthogonality fails") as err:
+        check_orthogonality(tab)
+    i, j = err.value.counterexample["rows"]
+    assert row in (i, j) and i <= j
+    vals = cyc_chars(tab)
+    acc = tab.field.zero
+    for c, size in enumerate(tab.classes.sizes):
+        acc = acc + (vals[i][c] * vals[j][c].conjugate()).scale(size)
+    assert acc != tab.field.from_int(group.n if i == j else 0)
+    assert acc.serialize() == err.value.counterexample["sum"]
+
+
+def test_orthogonality_check_survives_optimize():
+    # the S3 negative control again, in an interpreter that strips asserts
+    code = "\n".join([
+        "import itertools",
+        "from parasuper.algebra import CycField",
+        "from parasuper.chartab import TableGroup, check_orthogonality, irr_characters",
+        "from parasuper.errors import FalsificationError",
+        "perms = list(itertools.permutations(range(3)))",
+        "s3 = TableGroup.from_elements(perms, lambda a, b: tuple(a[b[i]] for i in range(3)))",
+        "tab = irr_characters(s3, CycField(6))",
+        "tab.chars[1, 2, 1] += 1",
+        "try:",
+        "    check_orthogonality(tab)",
+        "except FalsificationError as exc:",
+        "    print(__debug__, exc, exc.counterexample['rows'])",
+    ])
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("False row orthogonality fails [")
 
 
 def test_guard():
@@ -85,7 +153,7 @@ def test_s_orbit_sums_trivial_action():
     sums = s_orbit_sums(g, list(range(4)), tab, list(range(4)))
     assert len(sums) == 4
     assert sorted(tuple(v.coeffs for v in s) for s in sums) == \
-        sorted(tuple(v.coeffs for v in ch) for ch in tab.chars)
+        sorted(tuple(v.coeffs for v in ch) for ch in cyc_chars(tab))
 
 
 def test_s_orbit_sums_swap():
@@ -111,11 +179,9 @@ def test_s_orbit_sums_swap():
 
 
 def test_s_orbit_sums_requires_normal():
-    import itertools
-    perms = list(itertools.permutations(range(3)))
-    s3 = TableGroup.from_elements(perms, lambda a, b: tuple(a[b[i]] for i in range(3)))
+    s3 = symmetric3()
     # subgroup generated by a transposition is not normal
-    swap = perms.index((1, 0, 2))
+    swap = s3.elements.index((1, 0, 2))
     sub_ids = sorted({s3.ident, swap})
     c2 = s3.subgroup(sub_ids)
     tab = irr_characters(c2, CycField(6))
@@ -128,11 +194,11 @@ def test_induction_degree_and_trivial():
     field = CycField(6)
     cls = conjugacy_classes(g)
     sub_ids = [0, 2, 4]
-    ind = induce_exact(cls.class_of, cls.sizes, sub_ids, [0, 0, 0], [field.one], field)
+    ind = induce(field, cls.class_of, cls.sizes, sub_ids, [0, 0, 0], [field.one])
     idc = int(cls.class_of[g.ident])
     assert ind[idc].as_int() == 2          # index of the subgroup
     # inducing the trivial character of the whole group gives it back
-    full = induce_exact(cls.class_of, cls.sizes, list(range(6)), [0] * 6, [field.one], field)
+    full = induce(field, cls.class_of, cls.sizes, list(range(6)), [0] * 6, [field.one])
     assert all(v == field.one for v in full)
 
 
@@ -145,7 +211,7 @@ def test_induce_exact_is_the_textbook_sum(gl23):
     values = [field.zero, field.one, field.additive_character(3, 1).scale(2)]
     local = [i % 3 for i in range(len(borel))]
     phi = {h: values[t] for h, t in zip(borel, local)}
-    ind = induce_exact(cls.class_of, cls.sizes, borel, local, values, field)
+    ind = induce(field, cls.class_of, cls.sizes, borel, local, values)
     assert len(ind) == cls.k
     for k, g in enumerate(cls.reps):
         acc = field.zero
@@ -164,11 +230,11 @@ def test_frobenius_reciprocity(gl23):
     sub = gl23.subgroup(diag)
     sub_tab = irr_characters(sub, field)
     random.seed(4)
-    theta = sub_tab.chars[random.randrange(len(sub_tab.chars))]
-    psi = tab.chars[random.randrange(len(tab.chars))]
+    theta = cyc_chars(sub_tab)[random.randrange(len(sub_tab.chars))]
+    psi = cyc_chars(tab)[random.randrange(len(tab.chars))]
     theta_by_el = [theta[int(sub_tab.classes.class_of[t])] for t in range(sub.n)]
-    ind = induce_exact(cls.class_of, cls.sizes, sub.parent_ids,
-                       sub_tab.classes.class_of, theta, field)
+    ind = induce(field, cls.class_of, cls.sizes, sub.parent_ids,
+                 sub_tab.classes.class_of, theta)
     lhs = inner_product_classes(cls, gl23.n, ind, psi)
     # <theta, Res psi> on the subgroup
     res = [psi[int(cls.class_of[sub.parent_ids[int(r)]])] for r in sub_tab.classes.reps]

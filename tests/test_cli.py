@@ -1,6 +1,8 @@
 """CLI behavior: subcommands, exit codes, determinism, table round trips."""
 
+import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -149,6 +151,20 @@ def test_determinism_across_processes(tmp_path):
     r2 = subprocess.run(cmd, capture_output=True, cwd=".", env=env)
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+def test_verify_under_optimize_matches_golden(tmp_path):
+    # python -O strips asserts: every check must still run, and the report
+    # must hash to the golden digest of the same command
+    argv = ["verify", "--family", "D", "--n", "2", "--q", "3", "--blocks", "1,1",
+            "--suite", "all"]
+    root = pathlib.Path(__file__).resolve().parent.parent
+    want = json.loads((root / "tests" / "golden" / "digests.json").read_text())[" ".join(argv)]
+    out = tmp_path / "report.json"
+    r = subprocess.run([sys.executable, "-O", "-m", "parasuper.cli"] + argv + ["--out", str(out)],
+                       capture_output=True, env={"PYTHONPATH": str(root / "src")})
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
 def test_out_flag(tmp_path, capsys):

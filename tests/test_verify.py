@@ -47,6 +47,22 @@ def test_corrupt_character_fails_s2(borel_d2):
     assert ch.value_at(e1) != ch.value_at(e2)
 
 
+def test_pool_numerators_follow_the_pool():
+    # a value interned after the matrix was built (as corrupt_character
+    # does) must be in the next matrix, over a denominator that covers it
+    from fractions import Fraction
+    from parasuper.algebra import CycField
+    from parasuper.theory import ValuePool
+    field = CycField(12)
+    pool = ValuePool(field)
+    pool.id_of(field.from_fraction(Fraction(1, 2)))
+    assert field.from_rows(*pool.numerators()) == pool.values
+    pool.id_of(field.zeta_pow(5).scale(Fraction(2, 3)))
+    num, den = pool.numerators()
+    assert len(num) == 3 and den == 6
+    assert field.from_rows(num, den) == pool.values
+
+
 def test_corrupt_class_detected(borel_d2):
     theory = build_u_theory(borel_d2, "G")
     bad = corrupt_class(theory)
@@ -58,6 +74,42 @@ def test_oracles_and_refinement_c2(borel_c2):
     tU, tG, gG = theories(borel_c2)
     assert check_oracles(borel_c2, tU, tG, gG).passed
     assert check_refinement(tG, gG, borel_c2).passed
+
+
+def test_span_check_reports_the_missing_direction(borel_c2):
+    # negative control: with one fine character dropped, a coarse character
+    # above it leaves the span; the counterexample names the first such
+    # character, with the Bessel sum over the remaining fine characters as
+    # the textbook computes it, one Cyc inner product at a time
+    import copy
+    from fractions import Fraction
+    tU, tG, gG = theories(borel_c2)
+    fine = copy.copy(tG)
+    fine.chars = tG.chars[:-1]
+    report = check_refinement(fine, gG, borel_c2)
+    failed = {c.name: c.counterexample for c in report.checks if not c.passed}
+    assert list(failed) == ["characters-in-span"]
+    ce = failed["characters-in-span"]
+    field = borel_c2.field
+
+    def inner(x, y):
+        acc = field.zero
+        for kl in tG.classes:
+            acc = acc + (x.value_at(kl.rep) * y.value_at(kl.rep).conjugate()).scale(kl.size)
+        return acc.scale(Fraction(1, tG.group_size))
+
+    for chi in gG.chars:
+        total = field.zero
+        for psi in fine.chars:
+            z = inner(chi, psi)
+            total = total + (z * z.conjugate()).scale(1 / inner(psi, psi).as_fraction())
+        if chi.label != ce["char"]:
+            assert total == inner(chi, chi)
+            continue
+        assert total != inner(chi, chi)
+        assert ce["projection_norm"] == total.serialize()
+        assert ce["norm"] == str(inner(chi, chi).as_fraction())
+        break
 
 
 def test_lemma_suite_b2(borel_b2):
@@ -158,9 +210,9 @@ def test_gram_matches_elementwise_inner_product(borel_d2):
     from parasuper.verify import class_values_matrix, integer_gram
     theory = build_u_theory(borel_d2, "G")
     field = theory.pool.field
-    Vs, dens = class_values_matrix(theory.chars, theory.classes, field)
+    V, den = class_values_matrix(theory.pool, theory.chars, theory.classes)
     weights = [kl.size for kl in theory.classes]
-    gram = integer_gram(field, Vs, Vs, weights)
+    gram = integer_gram(field, V, V, weights)
     n = theory.group_size
     for a in (0, 1, len(theory.chars) - 1):
         for b in (0, len(theory.chars) - 1):
@@ -171,7 +223,7 @@ def test_gram_matches_elementwise_inner_product(borel_d2):
                 acc = acc + (va * vb.conjugate()).scale(kl.size)
             direct = acc.scale(Fraction(1, n))
             via_gram = field.from_coeffs(
-                [Fraction(int(x), n * dens[a] * dens[b]) for x in gram[a, b]])
+                [Fraction(int(x), n * den * den) for x in gram[a, b]])
             assert direct == via_gram
 
 
