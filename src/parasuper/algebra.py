@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -173,10 +173,26 @@ class CycField:
         return np.array(num, dtype=int_dtype(big)).reshape(len(values), self.dim), den
 
     def from_rows(self, num, den=1):
-        """Inverse of rows: one canonical value per row of num / den."""
+        """Inverse of rows: one canonical value per row of num / den, for a
+        positive rational den.  Each entry is reduced by one vectorised gcd,
+        and a Fraction is built only where the reduced denominator is not 1."""
+        num, den = np.asarray(num), Fraction(den)
+        if den.denominator != 1:
+            m = den.denominator
+            num = num.astype(int_dtype(max(absmax(num) * m, m))) * m
+        den = den.numerator
         if den == 1:
-            return [Cyc(self, tuple(int(c) for c in row)) for row in num]
-        return [self.from_coeffs([Fraction(int(c), den) for c in row]) for row in num]
+            return [Cyc(self, tuple(row)) for row in num.tolist()]
+        if num.dtype == object or den >= 2 ** 62:
+            num = num.astype(object)
+            g = _object_gcd(num, den)
+        else:
+            g = np.gcd(num, den)
+        out = []
+        for nrow, drow in zip((num // g).tolist(), (den // g).tolist()):
+            out.append(Cyc(self, tuple(a if b == 1 else Fraction(a, b)
+                                       for a, b in zip(nrow, drow))))
+        return out
 
     def mul_rows(self, A, B):
         """Row-wise products of two (n, dim) integer coefficient arrays, exact."""
@@ -341,6 +357,9 @@ class Cyc:
 
     def __repr__(self):
         return "Cyc(M=%d, %s)" % (self.field.M, list(self.coeffs))
+
+
+_object_gcd = np.frompyfunc(gcd, 2, 1)
 
 
 def absmax(a):

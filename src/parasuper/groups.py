@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .algebra import CycField, is_odd_prime, lcm, primitive_root, smallest_nonsquare
 from .errors import ResourceGuardError, ValidationError
-from .orbits import partition_by_perms
+from .orbits import _bfs, partition_by_perms
 
 DEFAULT_GUARDS = {
     "levi": 10 ** 6,      # upper bound on |L|
@@ -686,29 +686,15 @@ def _exponent(stack, p):
 
 
 def table_generators(mul, ident):
-    """Greedy generating set of a multiplication-table group."""
+    """Greedy generating set of a multiplication-table group: each generator
+    is the least element outside the subgroup the previous ones generate,
+    found as the closure of that subgroup under right multiplication."""
     n = mul.shape[0]
     gens = []
-    closure = {int(ident)}
-    for x in range(n):
-        if x in closure:
-            continue
-        gens.append(x)
-        frontier = list(closure | {x})
-        closure.add(x)
-        while frontier:
-            nxt = []
-            for a in list(closure):
-                for b in frontier:
-                    c = int(mul[a, b])
-                    if c not in closure:
-                        closure.add(c)
-                        nxt.append(c)
-                    c = int(mul[b, a])
-                    if c not in closure:
-                        closure.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        if len(closure) == n:
-            break
+    members = np.array([ident], dtype=np.int64)
+    while members.size < n:
+        outside = np.ones(n, dtype=bool)
+        outside[members] = False
+        gens.append(int(np.argmax(outside)))
+        members = _bfs(np.append(members, gens[-1]), lambda pts: [mul[pts, g] for g in gens])
     return gens

@@ -499,14 +499,17 @@ def superclass_g(world, ctx, cl_parent_ids, h_parent):
 
 def chi_alpha_g(world, ctx, theta_by_l):
     """Values of one ambient-orbit supercharacter, as local (ids, values)."""
-    scale = Fraction(world.nL, len(ctx["ld_ids"]))
     tids, tvals = intern_values(theta_by_l)
     zeta_ids, zeta_vals = ctx["zeta_ids"], ctx["zeta_vals"]
     nz = len(zeta_vals)
     codes = (tids[:, None] * nz + zeta_ids[None, :]).ravel()
     uniq, inverse = np.unique(codes, return_inverse=True)
-    values = [tvals[int(c) // nz] * zeta_vals[int(c) % nz] * scale for c in uniq]
-    return inverse.astype(np.int64), values
+    field = world.field
+    t_rows, t_den = field.rows(tvals)
+    z_rows, z_den = field.rows(zeta_vals)
+    num = field.mul_rows(t_rows[uniq // nz], z_rows[uniq % nz])
+    den = Fraction(t_den * z_den * len(ctx["ld_ids"]), world.nL)
+    return inverse.astype(np.int64), field.from_rows(num, den)
 
 
 def build_g_theory(world, check=True):

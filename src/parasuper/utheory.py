@@ -282,32 +282,48 @@ def radical_supercharacter(world, lam):
     return ids_local, values, orb, hb
 
 
+def levi_conj_orbits(world):
+    """Orbits of L acting on G = LU by conjugation, memoized per world:
+    (reps, orbit) with reps the least packed id of each orbit, ascending,
+    and orbit[g] the index in reps of the orbit of g."""
+    def build():
+        # rho (r u) rho^-1 = (rho r rho^-1)(rho u rho^-1); running the
+        # minimum over every rho gives each element its orbit's least id
+        least = np.arange(world.g_size, dtype=np.int64)
+        for rho in range(world.nL):
+            conj = world.conjL[rho].astype(np.int64)[:, None] * world.nU + world.conjUbyL[rho]
+            np.minimum(least, conj.ravel(), out=least)
+        reps = np.flatnonzero(least == np.arange(world.g_size))
+        return reps, np.searchsorted(reps, least)
+    return _memo(world, "levi_conj_orbits", build)
+
+
 def chi_alpha_u(world, fd, theta_vals_by_l):
     """Supercharacter of the parabolic for one (theta, form) pair.
 
     theta_vals_by_l: list of Cyc, one per Levi element id, zero outside the
-    pointwise stabilizer.  Evaluates the closed Levi-averaged formula on all
-    of G at once: row g of codes holds the (theta, zeta) value-pair code at
-    rho g rho^-1 for each rho.  Local ids number the sorted rows in descending
-    order (the ascending order of their pair counts), with theta ids in order
-    of first appearance; this order is printed output (see sort_canonical).
+    pointwise stabilizer.  Evaluates the closed Levi-averaged formula, which
+    is constant on the orbits of L conjugating G, at one element per orbit:
+    row k of codes holds the (theta, zeta) value-pair code at rho g rho^-1
+    for each rho, g the k-th orbit representative.  Local ids number the
+    sorted rows in descending order (the ascending order of their pair
+    counts), with theta ids in order of first appearance; this order is
+    printed output (see sort_canonical).
     """
-    scale = Fraction(fd.orbit_hb.size, fd.orbit_ub.size * len(fd.L0_ids))
-
     zer_ids, zer_vals = counts_to_values(world, orbit_eps_counts(world, fd.orbit_ub.points))
     tids, tvals = intern_values(theta_vals_by_l)
     nz = len(zer_vals)
     dtype = np.min_scalar_type(len(tvals) * nz)
-    t_codes = (tids[world.conjL.T] * nz).astype(dtype)            # [r, rho]
-    z_codes = zer_ids[world.conjUbyL.T].astype(dtype)             # [u, rho]
-    codes = (t_codes[:, None, :] + z_codes[None, :, :]).reshape(-1, world.nL)
+    reps, orbit = levi_conj_orbits(world)
+    r, u = np.divmod(reps, world.nU)
+    codes = (tids[world.conjL[:, r].T] * nz + zer_ids[world.conjUbyL[:, u].T]).astype(dtype)
     codes.sort(axis=1)
     uniq, inverse = unique_rows(codes)
     uniq, inverse = uniq[::-1], len(uniq) - 1 - inverse
 
     # a row's value is the sum of the (theta, zeta) products its codes name:
     # one gather-and-sum of their integer coefficient rows over a common
-    # denominator, which is folded into the scale
+    # denominator, times the orbit-size ratio over |L0|
     field = world.field
     used, pos = np.unique(uniq, return_inverse=True)
     t_rows, t_den = field.rows(tvals)
@@ -315,20 +331,17 @@ def chi_alpha_u(world, fd, theta_vals_by_l):
     num = field.mul_rows(t_rows[used // nz], z_rows[used % nz])
     num = num.astype(int_dtype(absmax(num) * world.nL))
     sums = num[pos.reshape(uniq.shape)].sum(axis=1)
-    scale = scale / (t_den * z_den)
-    final_vals = [world.field.from_coeffs([c * scale for c in row]) for row in sums.tolist()]
-    return inverse, final_vals
+    den = Fraction(t_den * z_den * fd.orbit_ub.size * len(fd.L0_ids), fd.orbit_hb.size)
+    return inverse[orbit], field.from_rows(sums, den)
 
 
 def superclass_u(world, h_idx, coset_points):
-    """Levi-averaged class from one Levi element and a lifted orbit coset."""
-    base_u = np.asarray(coset_points, dtype=np.int64)
-    members = []
-    for rho in range(world.nL):
-        r_new = int(world.conjL[rho, h_idx])
-        u_new = world.conjUbyL[rho][base_u]
-        members.append(r_new * world.nU + u_new)
-    return np.unique(np.concatenate(members))
+    """Levi-averaged class from one Levi element and a lifted orbit coset:
+    the union of the L-conjugation orbits of G that the coset meets."""
+    reps, orbit = levi_conj_orbits(world)
+    hit = np.zeros(reps.size, dtype=bool)
+    hit[orbit[int(h_idx) * world.nU + np.asarray(coset_points, dtype=np.int64)]] = True
+    return np.flatnonzero(hit[orbit])
 
 
 # ---------------------------------------------------------------------------

@@ -262,3 +262,42 @@ def test_integer_gram_object_fallback(inputs):
     assert gram.dtype == object
     for (a, b), want in textbook_gram(F, A, B, weights).items():
         assert F.from_rows(gram[a, b][None])[0] == want
+
+
+@st.composite
+def from_rows_inputs(draw, big=False):
+    """(field, rows, den): small int64 rows, or object rows with one entry
+    above 2**63; den an integer or a rational with a denominator to fold in."""
+    F = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    bound = 2 ** 70 if big else 10 ** 6
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=F.dim, max_size=F.dim),
+                         min_size=1, max_size=4))
+    if big:
+        rows[0][0] = draw(st.integers(2 ** 63, 2 ** 70)) * draw(st.sampled_from([1, -1]))
+    den = draw(st.integers(1, 2 ** 70 if big else 10 ** 4))
+    if draw(st.booleans()):
+        den = Fraction(den, draw(st.integers(1, 50)))
+    return F, rows, den
+
+
+def _assert_from_rows_reference(F, got, rows, den):
+    assert got == [F.from_coeffs([Fraction(c) / den for c in row]) for row in rows]
+    # canonical form: integral coefficients are plain ints, the rest
+    # Fractions in lowest terms, so hashes and printed values agree
+    for v in got:
+        for c in v.coeffs:
+            assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
+@settings(max_examples=60, deadline=None)
+@given(from_rows_inputs())
+def test_from_rows_reduces_like_fractions(inputs):
+    F, rows, den = inputs
+    _assert_from_rows_reference(F, F.from_rows(np.array(rows, dtype=np.int64), den), rows, den)
+
+
+@settings(max_examples=30, deadline=None)
+@given(from_rows_inputs(big=True))
+def test_from_rows_object_rows(inputs):
+    F, rows, den = inputs
+    _assert_from_rows_reference(F, F.from_rows(np.array(rows, dtype=object), den), rows, den)

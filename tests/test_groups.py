@@ -330,6 +330,25 @@ def test_generator_closures(borel_d2, borel_c2):
     assert len(ubc) == specc.p ** specc.uc_dim
 
 
+@pytest.mark.parametrize("name", CONFTEST_WORLDS)
+def test_table_generators_are_the_greedy_choice(name, request):
+    # reference: the least element outside the two-sided product closure of
+    # the identity and the generators so far, closed by plain set loops
+    w = request.getfixturevalue(name)
+    for mul, ident, gens in ((w.mulL, w.idL, w.L_generator_ids),
+                             (w.mulU, 0, w.U_generator_ids)):
+        n, want, closure = mul.shape[0], [], {int(ident)}
+        while len(closure) < n:
+            want.append(min(set(range(n)) - closure))
+            closure.add(want[-1])
+            while True:
+                new = {int(mul[a, b]) for a in closure for b in closure} - closure
+                if not new:
+                    break
+                closure |= new
+        assert gens == want
+
+
 def test_lb_generators_generate_blockwise_gl():
     spec = build_spec("C", 2, 3, (2, 0, 2))
     lb = mulclose(subgroup_generators(spec, "Lb"), spec.p, maxsize=3000)

@@ -12,7 +12,8 @@ from parasuper.errors import FalsificationError
 from parasuper.groups import Parabolic, build_spec
 from parasuper.utheory import (
     FormData, action_on_ustar, build_u_theory, chi_alpha_u, form_data, l_table,
-    orbit_eps_counts, counts_to_values, ustar_orbit_partition, u_orbit_partition,
+    levi_conj_orbits, orbit_eps_counts, counts_to_values, superclass_u,
+    ustar_orbit_partition, u_orbit_partition,
 )
 
 
@@ -145,6 +146,41 @@ def chi_alpha_u_by_counting(w, fd, theta_by_l):
                 acc = acc + (tvals[t] * zer_vals[z]).scale(c)
         values.append(acc.scale(scale))
     return [position[vec] for vec in vectors], values
+
+
+def _levi_conjugate(w, rho, g):
+    """Packed ids of rho g rho^-1 for an array g of packed G ids."""
+    r, u = np.divmod(np.asarray(g, dtype=np.int64), w.nU)
+    return w.conjL[rho, r].astype(np.int64) * w.nU + w.conjUbyL[rho, u]
+
+
+@pytest.mark.parametrize("name", ["borel_d2", "mid3_b2"])
+def test_levi_conj_orbits(name, request):
+    w = request.getfixturevalue(name)
+    reps, orbit = levi_conj_orbits(w)
+    g = np.arange(w.g_size)
+    # constant on orbits, and each representative is its orbit's least id
+    for rho in range(w.nL):
+        assert np.array_equal(orbit[_levi_conjugate(w, rho, g)], orbit)
+    assert np.array_equal(orbit[reps], np.arange(reps.size))
+    assert (reps[orbit] <= g).all() and (np.diff(reps) > 0).all()
+    # Burnside: the number of orbits is the mean number of fixed points
+    fixed = sum(int((w.conjL[rho] == np.arange(w.nL)).sum())
+                * int((w.conjUbyL[rho] == np.arange(w.nU)).sum()) for rho in range(w.nL))
+    assert fixed % w.nL == 0 and reps.size == fixed // w.nL
+
+
+@pytest.mark.parametrize("name", ["borel_d2", "mid3_b2"])
+def test_superclass_u_is_the_union_of_levi_conjugates(name, request):
+    # reference: the union over every rho of rho (h coset) rho^-1
+    w = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    for h_idx in rng.choice(w.nL, size=min(w.nL, 6), replace=False):
+        for size in (1, 3, w.nU // 2):
+            coset = rng.choice(w.nU, size=size, replace=False)
+            want = np.unique(np.concatenate(
+                [_levi_conjugate(w, rho, h_idx * w.nU + coset) for rho in range(w.nL)]))
+            assert np.array_equal(superclass_u(w, h_idx, coset), want)
 
 
 @pytest.mark.parametrize("name", ["borel_d2", "twoblock_c2"])

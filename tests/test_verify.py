@@ -300,3 +300,37 @@ def test_oracles_catch_swapped_provenance(borel_c2, which):
     assert ce["message"] == "closed formula disagrees with direct induction"
     assert ce["char"] == label
     assert ce["formula"] != ce["induction"] and "class_rep" in ce
+
+
+def test_normality_lemma_reports_the_first_corrupted_conjugate(borel_c2):
+    # negative control: one conjL entry of a copy sends an element of some
+    # form's L0 outside it, conjugated by an element of S outside L0; the
+    # reference is the plain (lam, s, x) loop
+    import copy
+    from parasuper.utheory import form_data, ustar_orbit_partition
+    w = borel_c2
+    reps = [orb.rep for orb in ustar_orbit_partition(w, "Ub")]
+    fd = next(fd for fd in (form_data(w, lam) for lam in reps)
+              if len(fd.L0_ids) < w.nL and set(fd.S_ids) - set(fd.L0_ids))
+    s = next(s for s in fd.S_ids if s not in fd.L0_ids)
+    x = fd.L0_ids[-1]
+    bad = copy.copy(w)
+    bad._memo = {}
+    bad.conjL = w.conjL.copy()
+    bad.conjL[s, x] = next(y for y in range(w.nL) if y not in fd.L0_ids)
+
+    def first_failure():
+        for lam in reps:
+            f = form_data(w, lam)
+            for s in f.S_ids:
+                for x in f.L0_ids:
+                    if int(bad.conjL[s, x]) not in f.L0_ids:
+                        return {"lam": lam, "s": s, "x": x}
+
+    want = first_failure()
+    assert want is not None
+    check = next(c for c in check_lemmas(bad).checks if c.name == "pointwise-normal-in-setwise")
+    assert not check.passed
+    assert check.counterexample == dict(
+        want, message="pointwise stabilizer is not normal in the setwise one")
+    assert check_lemmas(w).passed
