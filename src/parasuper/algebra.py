@@ -10,10 +10,13 @@ Rationals are fractions.Fraction, normalized to plain int when integral so
 that hashing and comparison stay cheap.
 
 `Cyc` is the boundary form, for values that are interned, printed or
-reported.  Bulk arithmetic (character tables, inner products, induction)
-runs on integer coefficient rows over one common denominator: `rows` and
-`from_rows` convert, `mul_rows` multiplies and `integer_gram` is the one
-inner product.  Each picks int64 when an explicit bound shows that no
+reported.  Class functions (character tables, orbit sums, the Levi-averaged
+products) are integer coefficient rows from the start, and bulk arithmetic
+(products, inner products, induction) runs on such rows over one common
+denominator: `mul_rows` multiplies and `integer_gram` is the one inner
+product.  `from_rows` makes the `Cyc` values that enter a value pool or a
+report; `rows` turns a pool's values back into one numerator matrix, its
+only use.  Each picks int64 when an explicit bound shows that no
 intermediate can overflow, and exact Python integers (object dtype)
 otherwise.
 """
@@ -214,9 +217,13 @@ class CycField:
             raise ValidationError("cyc-embed", "order %d does not divide M=%d" % (order, self.M))
         return self.zeta_pow((self.M // order) * (k % order))
 
-    def additive_character(self, p, t):
-        """Value eps(t) = zeta_p^t of the fixed nontrivial character of (F_p, +)."""
-        return self.root_of_unity(p, int(t) % p)
+    def eps_rows(self, p):
+        """The values eps(0), ..., eps(p - 1) of the fixed nontrivial character
+        of (F_p, +), eps(t) = zeta_p^t, as integer coefficient rows (p must
+        divide M)."""
+        if self.M % p:
+            raise ValidationError("cyc-embed", "order %d does not divide M=%d" % (p, self.M))
+        return self.pow_rows[(self.M // p) * np.arange(p)]
 
     def from_coeffs(self, coeffs):
         coeffs = tuple(_num(Fraction(c)) for c in coeffs)

@@ -108,12 +108,6 @@ class TableGroup:
         ar = np.arange(self.n, dtype=np.int32)
         return self.mul[self.mul[s, ar], self.inv[s]].astype(np.int64)
 
-    def power(self, a, k):
-        x = self.ident
-        for _ in range(k):
-            x = int(self.mul[x, a])
-        return x
-
 
 @dataclass
 class Classes:
@@ -462,7 +456,8 @@ def s_orbit_sums(parent, sub_ids, table, s_ids):
     subgroup whose CharTable is `table`, and `s_ids` the parent ids of the
     acting overgroup.  Also verifies the permutation-count identity: the
     number of orbit sums equals the number of orbits on conjugacy classes.
-    Returns one tuple of Cyc (a value per class of `table`) per orbit.
+    Returns one int64 coefficient row per class of `table` for each orbit,
+    as an array (orbits, classes, dim) in ascending lexicographic order.
     """
     sub_ids = np.asarray(sub_ids, dtype=np.int64)
     back = np.full(parent.n, -1, dtype=np.int64)
@@ -494,5 +489,4 @@ def s_orbit_sums(parent, sub_ids, table, s_ids):
         raise FalsificationError(
             "orbit counts on irreducibles and on classes disagree",
             {"irreducible_orbits": len(irr_orbits), "class_orbits": len(class_orbits)})
-    sums = _sorted_rows(np.array([X[orb].sum(axis=0) for orb in irr_orbits]))
-    return [tuple(table.field.from_rows(row)) for row in sums]
+    return _sorted_rows(np.array([X[orb].sum(axis=0) for orb in irr_orbits]))

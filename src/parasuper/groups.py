@@ -478,6 +478,7 @@ class Parabolic:
         self.guards = dict(DEFAULT_GUARDS)
         if guards:
             self.guards.update(guards)
+        self._memo = {}
         p = spec.p
 
         self.L = enumerate_levi(spec, self.guards["levi"], self.guards["middle"])
@@ -509,6 +510,13 @@ class Parabolic:
 
         self.exponent_L = _exponent(self.L, p)
         self.field = CycField(lcm(p, self.exponent_L))
+
+    def memo(self, key, build):
+        """The value cached under `key` for this world, from `build()` on
+        first use; orbit, form and theory data are memoized here."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- u-coordinate packing ------------------------------------------------
 

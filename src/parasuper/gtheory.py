@@ -20,12 +20,10 @@ from . import linalg
 from .chartab import irr_characters
 from .errors import FalsificationError, ValidationError
 from .theory import (
-    SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes,
-    intern_values, sort_canonical,
+    SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes, sort_canonical,
 )
 from .utheory import (
-    _memo, counts_to_values, form_data, intern_ids, l_table, lift_to_levi,
-    orbit_eps_counts, orbit_of, u_orbit_partition, ustar_orbit_partition,
+    form_data, intern_ids, l_table, lift_to_levi, orbit_of, orbit_partition, orbit_sum,
 )
 from .orbits import enumerate_subspace, levi_stabilizer
 
@@ -179,7 +177,7 @@ def signature_classes(world):
         for sig in sorted(groups, key=lambda s: (s.ranks, s.d)):
             out.append((sig, groups[sig]))
         return out
-    return _memo(world, "signature_classes", build)
+    return world.memo("signature_classes", build)
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +190,13 @@ def classify_g_orbits(world, space):
     """
     if space == "u":
         point_of = pair_point_u
-        orbits = u_orbit_partition(world, "Gb")
     elif space == "ustar":
         point_of = pair_point_ustar
-        orbits = ustar_orbit_partition(world, "Gb")
     else:
         raise ValidationError("space", "space must be 'u' or 'ustar'")
 
     spec = world.spec
-    orbit_of = {}
-    for idx, orb in enumerate(orbits):
-        for pt in orb.points:
-            orbit_of[int(pt)] = idx
+    orbits, orbit_label = orbit_partition(world, space, "Gb")
 
     pairs = enumerate_basic_pairs(spec)
     sig_by_orbit = {}
@@ -211,7 +204,7 @@ def classify_g_orbits(world, space):
     for pair in pairs:
         pt = point_of(world, pair)
         sig = pair_signature(world, pair)
-        oid = orbit_of[pt]
+        oid = int(orbit_label[pt])
         if oid in sig_by_orbit and sig_by_orbit[oid] != sig:
             raise FalsificationError(
                 "two basic pairs with different signatures share an orbit in %s" % space,
@@ -422,14 +415,6 @@ def scalar_levi_subgroup(world, merged):
 # ---------------------------------------------------------------------------
 # theory assembly
 
-def g_orbit_of_form(world, pair):
-    return orbit_of(world, "ustar", "Gb", pair_point_ustar(world, pair))
-
-
-def g_orbit_of_point(world, pair):
-    return orbit_of(world, "u", "Gb", pair_point_u(world, pair))
-
-
 def pair_context(world, sig, pair):
     """All data attached to one signature representative pair."""
     spec = world.spec
@@ -444,7 +429,7 @@ def pair_context(world, sig, pair):
         if f and lam_coords[t]:
             raise FalsificationError("form does not vanish on the merged radical piece",
                                      {"pair": pair.label(), "root_index": t})
-    orbit_form = g_orbit_of_form(world, pair)
+    orbit_form = orbit_of(world, "ustar", "Gb", lam)
     digs = world.u_digits(orbit_form.points)
     for t, f in enumerate(cross):
         if f and digs[:, t].any():
@@ -468,7 +453,7 @@ def pair_context(world, sig, pair):
             "scalar Levi subgroup is not inside the two-sided form stabilizer",
             {"pair": pair.label()})
 
-    zeta_ids, zeta_vals = counts_to_values(world, orbit_eps_counts(world, orbit_form.points))
+    zeta_ids, zeta_rows = orbit_sum(world, orbit_form.points)
 
     # the orbit sum is constant on cosets of the merged radical subgroup
     ud_ids = subspace_points(world, cross)
@@ -478,11 +463,11 @@ def pair_context(world, sig, pair):
             "orbit character is not constant on merged-radical cosets",
             {"pair": pair.label()})
 
-    orbit_point = g_orbit_of_point(world, pair)
+    orbit_point = orbit_of(world, "u", "Gb", pair_point_u(world, pair))
     return {
         "pair": pair, "sig": sig, "merged": merged, "ld_ids": ld_ids,
         "lam": lam, "orbit_form": orbit_form, "orbit_point": orbit_point,
-        "zeta_ids": zeta_ids, "zeta_vals": zeta_vals,
+        "zeta_ids": zeta_ids, "zeta_rows": zeta_rows,
     }
 
 
@@ -497,19 +482,17 @@ def superclass_g(world, ctx, cl_parent_ids, h_parent):
     return (cl[:, None] * world.nU + ku[None, :]).ravel()
 
 
-def chi_alpha_g(world, ctx, theta_by_l):
-    """Values of one ambient-orbit supercharacter, as local (ids, values)."""
-    tids, tvals = intern_values(theta_by_l)
-    zeta_ids, zeta_vals = ctx["zeta_ids"], ctx["zeta_vals"]
-    nz = len(zeta_vals)
+def chi_alpha_g(world, ctx, theta):
+    """Values of one ambient-orbit supercharacter, as local (ids, values);
+    theta is (ids, rows) from lift_to_levi."""
+    tids, t_rows = theta
+    zeta_ids, z_rows = ctx["zeta_ids"], ctx["zeta_rows"]
+    nz = len(z_rows)
     codes = (tids[:, None] * nz + zeta_ids[None, :]).ravel()
     uniq, inverse = np.unique(codes, return_inverse=True)
-    field = world.field
-    t_rows, t_den = field.rows(tvals)
-    z_rows, z_den = field.rows(zeta_vals)
-    num = field.mul_rows(t_rows[uniq // nz], z_rows[uniq % nz])
-    den = Fraction(t_den * z_den * len(ctx["ld_ids"]), world.nL)
-    return inverse.astype(np.int64), field.from_rows(num, den)
+    num = world.field.mul_rows(t_rows[uniq // nz], z_rows[uniq % nz])
+    den = Fraction(len(ctx["ld_ids"]), world.nL)
+    return inverse.astype(np.int64), world.field.from_rows(num, den)
 
 
 def build_g_theory(world, check=True):
@@ -539,8 +522,8 @@ def build_g_theory(world, check=True):
         table = irr_characters(sub, world.field, world.guards["chartab"])
 
         for tidx, ch in enumerate(table.chars):
-            theta_by_l = lift_to_levi(world, ctx["ld_ids"], table, world.field.from_rows(ch))
-            tids, _ = intern_values(theta_by_l)
+            theta = lift_to_levi(world, ctx["ld_ids"], table, ch)
+            tids = theta[0]
             moved = np.argwhere(tids[conj_ids] != tids[ld_arr])
             if moved.size:
                 rho, k = moved[0].tolist()
@@ -549,13 +532,13 @@ def build_g_theory(world, check=True):
                     "Levi conjugation",
                     {"pair": pair.label(), "theta": tidx,
                      "rho": rho, "r": int(ld_arr[k])})
-            ids_local, values = chi_alpha_g(world, ctx, theta_by_l)
+            ids_local, values = chi_alpha_g(world, ctx, theta)
             ids = intern_ids(pool, ids_local, values)
             chars.append(SuperChar(
                 "chi[D=%s,theta=%d]" % (pair.label() or "0", tidx),
                 ids.astype(np.int32), pool,
                 {"roots": list(pair.roots), "phi": list(pair.phi), "theta": tidx,
-                 "lam": ctx["lam"], "theta_by_l": theta_by_l,
+                 "lam": ctx["lam"], "theta_by_l": theta,
                  "ld_ids": list(ctx["ld_ids"])}))
 
         for cls_idx, members in enumerate(table.classes.members):

@@ -4,8 +4,10 @@ A theory is a list of characters and a partition of the group.  Character
 values are interned: each character stores a compact id array over the
 group's packed element ids plus a shared pool of exact cyclotomic values,
 so equality, constancy, and table emission are integer-array operations
-and every exact value is stored once.  For arithmetic the pool hands out
-its values as one integer numerator matrix over a common denominator.
+and every exact value is stored once.  The builders compute on integer
+coefficient rows and make a `Cyc` only to intern it here; for arithmetic
+the pool hands its values back as one integer numerator matrix over a
+common denominator, the one place `CycField.rows` is called.
 """
 
 from __future__ import annotations
@@ -42,13 +44,6 @@ class ValuePool:
 
     def __len__(self):
         return len(self.values)
-
-
-def intern_values(values):
-    """Ids of hashable values in order of first appearance: (ids, distinct)."""
-    index = {}
-    ids = np.array([index.setdefault(v, len(index)) for v in values], dtype=np.int64)
-    return ids, list(index)
 
 
 @dataclass

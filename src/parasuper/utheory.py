@@ -29,19 +29,8 @@ from .orbits import (
     quotient_orbits, smallest_bimodule,
 )
 from .theory import (
-    SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes,
-    intern_values, sort_canonical,
+    SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes, sort_canonical,
 )
-
-
-def _memo(world, key, fn):
-    cache = getattr(world, "_memo", None)
-    if cache is None:
-        cache = {}
-        world._memo = cache
-    if key not in cache:
-        cache[key] = fn()
-    return cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +41,7 @@ def action_on_u(world, tag):
     def build():
         mats = list(u_action_matrix(world.spec, subgroup_generators(world.spec, tag)))
         return LinearAction("u:" + tag, world.spec.p, world.spec.u_dim, mats)
-    return _memo(world, ("action_u", tag), build)
+    return world.memo(("action_u", tag), build)
 
 
 def action_on_ustar(world, tag):
@@ -60,7 +49,7 @@ def action_on_ustar(world, tag):
     def build():
         mats = list(ustar_action_matrix(world.spec, subgroup_generators(world.spec, tag)))
         return LinearAction("ustar:" + tag, world.spec.p, world.spec.u_dim, mats)
-    return _memo(world, ("action_ustar", tag), build)
+    return world.memo(("action_ustar", tag), build)
 
 
 def action_twosided_ucstar(world, tag="Ub"):
@@ -71,17 +60,17 @@ def action_twosided_ucstar(world, tag="Ub"):
         mats += list(ucstar_right_matrix(world.spec, gens))
         return LinearAction("ucstar:%s-%s" % (tag, tag), world.spec.p,
                             world.spec.uc_dim, mats)
-    return _memo(world, ("action_ucstar2", tag), build)
+    return world.memo(("action_ucstar2", tag), build)
 
 
 def action_left_ucstar(world, tag):
     def build():
         mats = list(ucstar_left_matrix(world.spec, subgroup_generators(world.spec, tag)))
         return LinearAction("ucstar-left:" + tag, world.spec.p, world.spec.uc_dim, mats)
-    return _memo(world, ("action_ucstar_left", tag), build)
+    return world.memo(("action_ucstar_left", tag), build)
 
 
-def _orbit_partition(world, space, tag):
+def orbit_partition(world, space, tag):
     """Orbits of u or u* under one group, with the orbit index of each point."""
     def build():
         action = action_on_u(world, tag) if space == "u" else action_on_ustar(world, tag)
@@ -90,20 +79,20 @@ def _orbit_partition(world, space, tag):
         for idx, orb in enumerate(orbits):
             label[orb.points] = idx
         return orbits, label
-    return _memo(world, ("orbits", space, tag), build)
+    return world.memo(("orbits", space, tag), build)
 
 
 def ustar_orbit_partition(world, tag="Ub"):
-    return _orbit_partition(world, "ustar", tag)[0]
+    return orbit_partition(world, "ustar", tag)[0]
 
 
 def u_orbit_partition(world, tag="Ub"):
-    return _orbit_partition(world, "u", tag)[0]
+    return orbit_partition(world, "u", tag)[0]
 
 
 def orbit_of(world, space, tag, point):
     """The orbit of one point of u or u*, looked up in the memoized partition."""
-    orbits, label = _orbit_partition(world, space, tag)
+    orbits, label = orbit_partition(world, space, tag)
     return orbits[label[int(point)]]
 
 
@@ -225,8 +214,7 @@ def eps_exponents(world, lam_coords, ids):
 
 def form_data(world, lam_packed):
     """Memoized FormData per form representative."""
-    return _memo(world, ("form_data", int(lam_packed)),
-                 lambda: FormData(world, lam_packed))
+    return world.memo(("form_data", int(lam_packed)), lambda: FormData(world, lam_packed))
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +232,18 @@ def orbit_eps_counts(world, orbit_points):
     return counts
 
 
-def counts_to_values(world, counts, scale=None):
-    """Intern one exact value per distinct count column; returns (ids, values)."""
-    p = world.spec.p
-    field = world.field
+def counts_to_values(world, counts):
+    """One integer coefficient row per distinct count column: (ids, rows),
+    with column u of counts worth rows[ids[u]] = sum_t counts[t, u] eps(t)."""
     cols, inverse = unique_rows(counts.T)
-    eps, _ = field.rows([field.additive_character(p, t) for t in range(p)])
-    values = field.from_rows(cols @ eps)
-    if scale is not None:
-        values = [v.scale(scale) for v in values]
-    return inverse, values
+    return inverse, cols @ world.field.eps_rows(world.spec.p)
+
+
+def orbit_sum(world, points):
+    """zeta, the sum of the elementary characters of the forms in one orbit,
+    memoized per orbit: (ids, rows) as from counts_to_values."""
+    return world.memo(("orbit_sum", points.tobytes()),
+                      lambda: counts_to_values(world, orbit_eps_counts(world, points)))
 
 
 def unique_rows(a):
@@ -268,6 +258,14 @@ def unique_rows(a):
     return ordered[starts], inverse
 
 
+def intern_rows(a):
+    """Distinct rows of a 2-d integer array in order of first appearance, and
+    the index of each row among them: (ids, distinct) with a == distinct[ids]."""
+    uniq, inverse = unique_rows(a)
+    order = np.argsort(np.unique(inverse, return_index=True)[1])
+    return np.argsort(order)[inverse], uniq[order]
+
+
 def radical_supercharacter(world, lam):
     """The supercharacter of the radical attached to one form: the smaller
     orbit size over the larger times the orbit sum of character values.
@@ -277,9 +275,8 @@ def radical_supercharacter(world, lam):
     """
     orb = orbit_of(world, "ustar", "Ub", lam)
     hb = orbit_of(world, "ustar", "Hb", lam)
-    counts = orbit_eps_counts(world, orb.points)
-    ids_local, values = counts_to_values(world, counts, Fraction(hb.size, orb.size))
-    return ids_local, values, orb, hb
+    ids_local, rows = orbit_sum(world, orb.points)
+    return ids_local, world.field.from_rows(rows, Fraction(orb.size, hb.size)), orb, hb
 
 
 def levi_conj_orbits(world):
@@ -295,43 +292,42 @@ def levi_conj_orbits(world):
             np.minimum(least, conj.ravel(), out=least)
         reps = np.flatnonzero(least == np.arange(world.g_size))
         return reps, np.searchsorted(reps, least)
-    return _memo(world, "levi_conj_orbits", build)
+    return world.memo("levi_conj_orbits", build)
 
 
-def chi_alpha_u(world, fd, theta_vals_by_l):
+def chi_alpha_u(world, fd, theta):
     """Supercharacter of the parabolic for one (theta, form) pair.
 
-    theta_vals_by_l: list of Cyc, one per Levi element id, zero outside the
-    pointwise stabilizer.  Evaluates the closed Levi-averaged formula, which
-    is constant on the orbits of L conjugating G, at one element per orbit:
+    theta: (ids, rows) from lift_to_levi, a value id per Levi element id and
+    the distinct integer coefficient rows, zero outside the pointwise
+    stabilizer.  Evaluates the closed Levi-averaged formula, which is
+    constant on the orbits of L conjugating G, at one element per orbit:
     row k of codes holds the (theta, zeta) value-pair code at rho g rho^-1
     for each rho, g the k-th orbit representative.  Local ids number the
     sorted rows in descending order (the ascending order of their pair
-    counts), with theta ids in order of first appearance; this order is
+    counts); with theta ids in order of first appearance, this order is
     printed output (see sort_canonical).
     """
-    zer_ids, zer_vals = counts_to_values(world, orbit_eps_counts(world, fd.orbit_ub.points))
-    tids, tvals = intern_values(theta_vals_by_l)
-    nz = len(zer_vals)
-    dtype = np.min_scalar_type(len(tvals) * nz)
+    tids, t_rows = theta
+    z_ids, z_rows = orbit_sum(world, fd.orbit_ub.points)
+    nz = len(z_rows)
+    dtype = np.min_scalar_type(len(t_rows) * nz)
     reps, orbit = levi_conj_orbits(world)
     r, u = np.divmod(reps, world.nU)
-    codes = (tids[world.conjL[:, r].T] * nz + zer_ids[world.conjUbyL[:, u].T]).astype(dtype)
+    codes = (tids[world.conjL[:, r].T] * nz + z_ids[world.conjUbyL[:, u].T]).astype(dtype)
     codes.sort(axis=1)
     uniq, inverse = unique_rows(codes)
     uniq, inverse = uniq[::-1], len(uniq) - 1 - inverse
 
     # a row's value is the sum of the (theta, zeta) products its codes name:
-    # one gather-and-sum of their integer coefficient rows over a common
-    # denominator, times the orbit-size ratio over |L0|
+    # one gather-and-sum of their integer coefficient rows, times the
+    # orbit-size ratio over |L0|
     field = world.field
     used, pos = np.unique(uniq, return_inverse=True)
-    t_rows, t_den = field.rows(tvals)
-    z_rows, z_den = field.rows(zer_vals)
     num = field.mul_rows(t_rows[used // nz], z_rows[used % nz])
     num = num.astype(int_dtype(absmax(num) * world.nL))
     sums = num[pos.reshape(uniq.shape)].sum(axis=1)
-    den = Fraction(t_den * z_den * fd.orbit_ub.size * len(fd.L0_ids), fd.orbit_hb.size)
+    den = Fraction(fd.orbit_ub.size * len(fd.L0_ids), fd.orbit_hb.size)
     return inverse[orbit], field.from_rows(sums, den)
 
 
@@ -382,12 +378,12 @@ def build_u_theory(world, target="G", check=True):
             table = irr_characters(sub, world.field, world.guards["chartab"])
             sums = s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids)
             for sidx, vals in enumerate(sums):
-                theta_by_l = lift_to_levi(world, fd.L0_ids, table, vals)
-                ids_local, values = chi_alpha_u(world, fd, theta_by_l)
+                theta = lift_to_levi(world, fd.L0_ids, table, vals)
+                ids_local, values = chi_alpha_u(world, fd, theta)
                 ids = intern_ids(pool, ids_local, values)
                 chars.append(SuperChar(
                     "chi[lam=%d,theta=%d]" % (orb.rep, sidx), ids.astype(np.int32), pool,
-                    {"lam": orb.rep, "theta": sidx, "theta_by_l": theta_by_l}))
+                    {"lam": orb.rep, "theta": sidx, "theta_by_l": theta}))
         chars = dedup_chars(chars)
 
         classes = []
@@ -417,14 +413,14 @@ def build_u_theory(world, target="G", check=True):
 
 
 def lift_to_levi(world, sub_ids, table, vals):
-    """A class function of the Levi subgroup on `sub_ids` (one value per class
-    of its `table`) as a list over all Levi element ids, zero outside it."""
-    out = [world.field.zero] * world.nL
-    for t, r in enumerate(sub_ids):
-        out[r] = vals[int(table.classes.class_of[t])]
-    return out
+    """A class function of the Levi subgroup on `sub_ids` (one integer
+    coefficient row per class of its `table`) over all Levi element ids,
+    zero outside it: (ids, rows) from intern_rows, so value ids follow first
+    appearance in Levi id order, which is printed output (see chi_alpha_u)."""
+    full = np.zeros((world.nL, vals.shape[1]), dtype=vals.dtype)
+    full[sub_ids] = vals[table.classes.class_of]
+    return intern_rows(full)
 
 
 def l_table(world):
-    return _memo(world, "l_table",
-                 lambda: TableGroup(list(range(world.nL)), world.mulL))
+    return world.memo("l_table", lambda: TableGroup(list(range(world.nL)), world.mulL))

@@ -23,10 +23,10 @@ from .algebra import absmax, int_dtype, integer_gram
 from .errors import FalsificationError, ValidationError
 from .groups import cayley, subgroup_generators
 from .orbits import levi_stabilizer, orbit_closure
-from .theory import SuperChar, SuperClass, intern_values
+from .theory import SuperChar, SuperClass
 from .utheory import (
-    _memo, action_left_ucstar, action_twosided_ucstar, build_u_theory, counts_to_values,
-    eps_exponents, form_data, orbit_eps_counts, orbit_of, ustar_orbit_partition,
+    action_left_ucstar, action_twosided_ucstar, build_u_theory, eps_exponents, form_data,
+    orbit_of, orbit_sum, ustar_orbit_partition,
 )
 from .gtheory import build_g_theory, classify_g_orbits
 
@@ -335,19 +335,17 @@ def induce_exact(class_of, sizes, h_ids, h_local, h_rows, h_den):
     return rows, len(h_ids) * h_den
 
 
-def _product_on_h(world, r_ids, u_ids, theta_by_l, z_ids, z_rows, z_den):
+def _product_on_h(world, r_ids, u_ids, theta, z_ids, z_rows):
     """theta(r) * zeta(u) on H = {r u : r in r_ids, u in u_ids} in induce_exact's
-    form, where zeta(u_ids[j]) = z_rows[z_ids[j]] / z_den; one product per
-    distinct pair."""
-    field = world.field
-    tids, tvals = intern_values([theta_by_l[r] for r in r_ids])
-    t_rows, t_den = field.rows(tvals)
+    form, where theta is (ids, rows) from lift_to_levi and zeta(u_ids[j]) is
+    the integer row z_rows[z_ids[j]]; one product per distinct pair."""
+    t_ids, t_rows = theta
+    r_ids = np.asarray(r_ids, dtype=np.int64)
     nz = len(z_rows)
-    h_ids = (np.asarray(r_ids, dtype=np.int64)[:, None] * world.nU + u_ids[None, :]).ravel()
-    used, h_local = np.unique((tids[:, None] * nz + z_ids[None, :]).ravel(),
+    h_ids = (r_ids[:, None] * world.nU + u_ids[None, :]).ravel()
+    used, h_local = np.unique((t_ids[r_ids][:, None] * nz + z_ids[None, :]).ravel(),
                               return_inverse=True)
-    h_rows = field.mul_rows(t_rows[used // nz], np.asarray(z_rows)[used % nz])
-    return h_ids, h_local, h_rows, t_den * z_den
+    return h_ids, h_local, world.field.mul_rows(t_rows[used // nz], z_rows[used % nz]), 1
 
 
 def _scaled(rows, c):
@@ -384,9 +382,7 @@ def _compare_char_to_induced(ch, class_of, classes, induced, what):
 
 def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
     report = Report("oracles")
-    field = world.field
-    p = world.spec.p
-    eps = field.rows([field.additive_character(p, t) for t in range(p)])
+    eps = world.field.eps_rows(world.spec.p)
 
     def zeta_oracle():
         class_of, u_classes = world.u_group_classes
@@ -394,7 +390,7 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
         for ch in theory_u.chars:
             fd = form_data(world, ch.provenance["lam"])
             induced = induce_exact(class_of, sizes, fd.U_lam_ids,
-                                   eps_exponents(world, fd.lam_coords, fd.U_lam_ids), *eps)
+                                   eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps, 1)
             _compare_char_to_induced(ch, class_of, u_classes, induced, "radical supercharacter")
     report.run("radical-induction-oracle", zeta_oracle)
 
@@ -404,7 +400,7 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
         for ch in theory_ub_g.chars:
             fd = form_data(world, ch.provenance["lam"])
             h = _product_on_h(world, fd.L0_ids, fd.U_lam_ids, ch.provenance["theta_by_l"],
-                              eps_exponents(world, fd.lam_coords, fd.U_lam_ids), *eps)
+                              eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps)
             induced = induce_exact(class_of, sizes, *h)
             _compare_char_to_induced(ch, class_of, g_classes, induced,
                                      "Levi-averaged supercharacter")
@@ -415,10 +411,8 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
         sizes = [m.size for m in g_classes]
         for ch in theory_gb_g.chars:
             orbit = orbit_of(world, "ustar", "Gb", ch.provenance["lam"])
-            zeta_ids, zeta_vals = counts_to_values(
-                world, orbit_eps_counts(world, orbit.points))
             h = _product_on_h(world, ch.provenance["ld_ids"], np.arange(world.nU),
-                              ch.provenance["theta_by_l"], zeta_ids, *field.rows(zeta_vals))
+                              ch.provenance["theta_by_l"], *orbit_sum(world, orbit.points))
             induced = induce_exact(class_of, sizes, *h)
             _compare_char_to_induced(ch, class_of, g_classes, induced,
                                      "ambient-orbit supercharacter")
@@ -546,9 +540,9 @@ def corrupt_class(theory):
 # suite runner
 
 def theories(world):
-    tU = _memo(world, ("theory", "U"), lambda: build_u_theory(world, "U", check=False))
-    tG = _memo(world, ("theory", "G"), lambda: build_u_theory(world, "G", check=False))
-    gG = _memo(world, ("theory", "Gb"), lambda: build_g_theory(world, check=False))
+    tU = world.memo(("theory", "U"), lambda: build_u_theory(world, "U", check=False))
+    tG = world.memo(("theory", "G"), lambda: build_u_theory(world, "G", check=False))
+    gG = world.memo(("theory", "Gb"), lambda: build_g_theory(world, check=False))
     return tU, tG, gG
 
 

@@ -17,6 +17,12 @@ def world_for(family, n, q, blocks):
     return _WORLDS[key]
 
 
+def levi_values(world, theta):
+    """A Levi class function given as (ids, rows), as one Cyc per Levi id."""
+    ids, rows = theta
+    return world.field.from_rows(rows[ids])
+
+
 @pytest.fixture(scope="session")
 def borel_d2():
     return world_for("D", 2, 3, (1, 1, 0, 1, 1))

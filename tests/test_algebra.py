@@ -69,19 +69,21 @@ def test_additive_inverse_and_unity_roots():
 
 
 def test_additive_character_properties():
-    for p in (3, 5):
-        F = CycField(p)
-        assert F.additive_character(p, 0) == F.one
-        assert F.additive_character(p, 1) != F.one
+    for p, M in ((3, 3), (5, 5), (3, 6)):
+        F = CycField(M)
+        eps = F.from_rows(F.eps_rows(p))
+        assert eps[0] == F.one
+        assert eps[1] != F.one
         total = F.zero
         for t in range(p):
-            total = total + F.additive_character(p, t)
+            total = total + eps[t]
         assert total.is_zero()
         for s in range(p):
             for t in range(p):
-                assert (F.additive_character(p, s) * F.additive_character(p, t)
-                        == F.additive_character(p, s + t))
-        assert F.additive_character(p, 1) * F.additive_character(p, p - 1) == F.one
+                assert eps[s] * eps[t] == eps[(s + t) % p]
+        assert eps[1] * eps[p - 1] == F.one
+    with pytest.raises(ValidationError):
+        CycField(4).eps_rows(3)
 
 
 def test_conjugation():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import levi_values
 
 from parasuper import gtheory
 from parasuper.errors import FalsificationError
@@ -12,6 +13,7 @@ from parasuper.gtheory import (
     pair_signature, scalar_levi_subgroup, signature_classes,
     radical_factorization_check,
 )
+from parasuper.utheory import intern_rows
 
 
 def test_rook_condition(borel_d2):
@@ -142,7 +144,7 @@ def test_g_supercharacter_degree(borel_d2):
     for ch in theory.chars:
         lam = ch.provenance["lam"]
         ld = ch.provenance["ld_ids"]
-        theta_one = ch.provenance["theta_by_l"][w.idL]
+        theta_one = levi_values(w, ch.provenance["theta_by_l"])[w.idL]
         orb = orbit_closure(lam, action_on_ustar(w, "Gb"))
         want = (w.nL // len(ld)) * theta_one.as_int() * orb.size
         assert ch.degree(theory.ident_id) == want
@@ -174,9 +176,10 @@ def test_evaluation_identity_on_classes(borel_d2):
     for ch in theory.chars:
         lam = ch.provenance["lam"]
         ld = set(ch.provenance["ld_ids"])
-        theta_by_l = ch.provenance["theta_by_l"]
+        theta_by_l = levi_values(w, ch.provenance["theta_by_l"])
         orb = orbit_closure(lam, action_on_ustar(w, "Gb"))
-        zids, zvals = counts_to_values(w, orbit_eps_counts(w, orb.points))
+        zids, zrows = counts_to_values(w, orbit_eps_counts(w, orb.points))
+        zvals = w.field.from_rows(zrows)
         scale = w.nL // len(ld)
         for kl in theory.classes:
             r, u = divmod(kl.rep, w.nU)
@@ -195,12 +198,14 @@ def test_levi_invariance_check_reports_the_first_moved_pair(twoblock_c2, monkeyp
     planted = []
 
     def perturbed(world, sub_ids, table, vals):
-        out = real(world, sub_ids, table, vals)
+        ids, rows = real(world, sub_ids, table, vals)
         if len(sub_ids) == world.nL and not planted:
             r = [int(r) for r in sub_ids if (world.conjL[:, r] != r).any()][-1]
-            out[r] = out[r] + world.field.one
-            planted.append((list(sub_ids), out))
-        return out
+            dense = rows[ids]
+            dense[r, 0] += 1
+            planted.append((list(sub_ids), world.field.from_rows(dense)))
+            ids, rows = intern_rows(dense)
+        return ids, rows
 
     monkeypatch.setattr(gtheory, "lift_to_levi", perturbed)
     with pytest.raises(FalsificationError) as err:

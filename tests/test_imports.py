@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used in that module, and no
-module holds an `assert`, which `python -O` would strip: invariants are
-checked with raises."""
+"""Every name a module of the package imports is used in that module, no
+module holds an `assert`, which `python -O` would strip (invariants are
+checked with raises), and only the value pool turns `Cyc` values into
+integer coefficient rows."""
 
 import ast
 import pathlib
@@ -42,6 +43,28 @@ def assert_lines(source):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert(path):
     assert assert_lines(path.read_text()) == []
+
+
+def rows_calls(source):
+    """Lines of every call of a method named `rows`, as in `field.rows(values)`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "rows"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "theory.py"],
+                         ids=lambda p: p.name)
+def test_cyc_rows_only_in_the_value_pool(path):
+    # class functions stay integer coefficient rows from the character tables
+    # to the value pools; `CycField.rows` converts values back into rows, and
+    # only `ValuePool.numerators` in theory.py may call it
+    assert rows_calls(path.read_text()) == []
+
+
+def test_rows_call_is_reported():
+    source = ("def f(field, vals):\n    num, den = field.rows(vals)\n"
+              "    rows = field.from_rows(num, den)\n    return rows\n")
+    assert rows_calls(source) == [2]
 
 
 def test_assert_is_reported():

@@ -6,13 +6,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import levi_values
+
 from parasuper import linalg, utheory
 from parasuper.chartab import irr_characters, s_orbit_sums
 from parasuper.errors import FalsificationError
 from parasuper.groups import Parabolic, build_spec
 from parasuper.utheory import (
     FormData, action_on_ustar, build_u_theory, chi_alpha_u, form_data, l_table,
-    levi_conj_orbits, orbit_eps_counts, counts_to_values, superclass_u,
+    levi_conj_orbits, lift_to_levi, orbit_eps_counts, counts_to_values, superclass_u,
     ustar_orbit_partition, u_orbit_partition,
 )
 
@@ -123,7 +125,8 @@ def chi_alpha_u_by_counting(w, fd, theta_by_l):
     # plain reference: count the (theta, zeta) value pairs that Levi
     # conjugation takes each element of G to, and number the distinct count
     # vectors in ascending order
-    zer_ids, zer_vals = counts_to_values(w, orbit_eps_counts(w, fd.orbit_ub.points))
+    zer_ids, zer_rows = counts_to_values(w, orbit_eps_counts(w, fd.orbit_ub.points))
+    zer_vals = w.field.from_rows(zer_rows)
     tvals = list(dict.fromkeys(theta_by_l))
     tid = [tvals.index(v) for v in theta_by_l]
     pairs = [(t, z) for t in range(len(tvals)) for z in range(len(zer_vals))]
@@ -183,21 +186,46 @@ def test_superclass_u_is_the_union_of_levi_conjugates(name, request):
             assert np.array_equal(superclass_u(w, h_idx, coset), want)
 
 
-@pytest.mark.parametrize("name", ["borel_d2", "twoblock_c2"])
-def test_chi_alpha_u_matches_pair_counting(name, request):
-    w = request.getfixturevalue(name)
+def theta_sums(w):
+    """(fd, table, rows, theta_by_l) for every form and every orbit sum theta
+    of its pointwise stabilizer's irreducibles; theta_by_l is theta as one
+    Cyc per Levi element id, zero outside the stabilizer."""
     ltable = l_table(w)
     for orb in ustar_orbit_partition(w, "Ub"):
         fd = form_data(w, orb.rep)
         table = irr_characters(ltable.subgroup(fd.L0_ids), w.field)
         pos_of = {g: t for t, g in enumerate(fd.L0_ids)}
-        for vals in s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids):
-            theta_by_l = [vals[int(table.classes.class_of[pos_of[r]])] if r in pos_of
-                          else w.field.zero for r in range(w.nL)]
-            ids, values = chi_alpha_u(w, fd, theta_by_l)
-            want_ids, want_values = chi_alpha_u_by_counting(w, fd, theta_by_l)
-            assert ids.tolist() == want_ids
-            assert values == want_values
+        for rows in s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids):
+            vals = w.field.from_rows(rows)
+            yield fd, table, rows, [vals[int(table.classes.class_of[pos_of[r]])]
+                                    if r in pos_of else w.field.zero for r in range(w.nL)]
+
+
+def test_lift_to_levi_numbers_values_by_first_appearance(borel_c2):
+    # chi_alpha_u's local ids, and with them the printed character order,
+    # depend on how theta's values are numbered: in order of first
+    # appearance over the Levi ids, as dict.fromkeys numbers them
+    w = borel_c2
+    shared = 0
+    for fd, table, rows, theta_by_l in theta_sums(w):
+        shared += len(np.unique(rows, axis=0)) < len(rows)
+        ids, distinct = lift_to_levi(w, fd.L0_ids, table, rows)
+        first = {v: k for k, v in enumerate(dict.fromkeys(theta_by_l))}
+        assert ids.tolist() == [first[v] for v in theta_by_l]
+        assert w.field.from_rows(distinct) == list(first)
+    assert shared        # some theta takes one value on two classes of L0
+
+
+@pytest.mark.parametrize("name", ["borel_d2", "twoblock_c2"])
+def test_chi_alpha_u_matches_pair_counting(name, request):
+    w = request.getfixturevalue(name)
+    for fd, table, rows, theta_by_l in theta_sums(w):
+        theta = lift_to_levi(w, fd.L0_ids, table, rows)
+        assert levi_values(w, theta) == theta_by_l
+        ids, values = chi_alpha_u(w, fd, theta)
+        want_ids, want_values = chi_alpha_u_by_counting(w, fd, theta_by_l)
+        assert ids.tolist() == want_ids
+        assert values == want_values
 
 
 def test_radical_supercharacter_values(borel_c2):
@@ -236,7 +264,7 @@ def test_chi_alpha_degree_formula(borel_b2):
     for ch in theory.chars:
         lam = ch.provenance["lam"]
         fd = form_data(w, lam)
-        theta_one = ch.provenance["theta_by_l"][w.idL]
+        theta_one = levi_values(w, ch.provenance["theta_by_l"])[w.idL]
         want = Fraction(fd.orbit_hb.size * w.nL, len(fd.L0_ids)) * theta_one.as_fraction()
         assert ch.value_at(theory.ident_id).as_fraction() == want
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import levi_values
 
 from parasuper.theory import SuperChar
 from parasuper.utheory import build_u_theory
@@ -280,9 +281,10 @@ def test_oracles_catch_swapped_provenance(borel_c2, which):
               "Gb-on-G": "ambient-induction-oracle"}[which]
 
     def partner(theory, same, key):
+        value = (lambda v: v) if key == "lam" else (lambda v: levi_values(borel_c2, v))
         return lambda ch: next(
             (o for o in theory.chars if same(o, ch)
-             and o.provenance[key] != ch.provenance[key]), None)
+             and value(o.provenance[key]) != value(ch.provenance[key])), None)
 
     if which == "U-on-U":
         tU, label = _swap_provenance(tU, "lam", partner(tU, lambda o, ch: True, "lam"))
@@ -334,3 +336,21 @@ def test_normality_lemma_reports_the_first_corrupted_conjugate(borel_c2):
     assert check.counterexample == dict(
         want, message="pointwise stabilizer is not normal in the setwise one")
     assert check_lemmas(w).passed
+
+
+def test_each_orbit_sum_is_computed_once(monkeypatch):
+    # radical_supercharacter, chi_alpha_u, pair_context and the ambient
+    # oracle all read one memoized orbit sum per orbit of forms
+    from parasuper import utheory
+    from parasuper.groups import Parabolic, build_spec
+    w = Parabolic(build_spec("C", 2, 3, (1, 1, 0, 1, 1)))
+    real = utheory.orbit_eps_counts
+    seen = []
+
+    def counted(world, points):
+        seen.append(points.tobytes())
+        return real(world, points)
+
+    monkeypatch.setattr(utheory, "orbit_eps_counts", counted)
+    assert all(report.passed for report in run_suites(w, "all"))
+    assert seen and len(seen) == len(set(seen))
