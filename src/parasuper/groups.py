@@ -5,8 +5,8 @@ block decomposition), the signed-index matrix algebra with its dagger
 involution, positive roots and the basis of the nilpotent Lie algebra u,
 the Levi subgroup L, the unipotent radical U via the Springer (Cayley)
 bijection, generator sets for the ambient block groups, and an indexed
-"world" object holding the multiplication/conjugation tables that the orbit
-and character machinery runs on.
+"world" object holding the Levi tables and radical products on demand that
+the orbit and character machinery runs on.
 
 Matrices are int64 numpy arrays with entries in [0, p), indexed by array
 position; every matrix operation takes one (N, N) matrix or an (n, N, N)
@@ -23,15 +23,14 @@ import numpy as np
 
 from . import linalg
 from .algebra import CycField, is_odd_prime, lcm, primitive_root, smallest_nonsquare
-from .errors import ResourceGuardError, ValidationError
-from .orbits import _bfs, partition_by_perms
+from .errors import FalsificationError, ResourceGuardError, ValidationError
+from .orbits import _bfs, enumerate_subspace, partition_by_perms
 
 DEFAULT_GUARDS = {
     "levi": 10 ** 6,      # upper bound on |L|
     "space": 10 ** 7,     # upper bound on enumerated coordinate spaces
     "middle": 3,          # largest middle block enumerated by brute force
     "chartab": 2000,      # largest group handed to the character-table code
-    "tables": 4096,       # largest radical indexed with dense id tables
 }
 
 
@@ -569,21 +568,34 @@ class Parabolic:
         """conjL[a, b] = index of L[a] L[b] L[a]^-1."""
         return self.mulL[self.mulL, self.invL[:, None]]
 
-    def require_tables(self):
-        """Raise the `tables` guard if the radical is too large for the dense
-        nU x nU product table; callers that will need it check up front."""
-        if self.nU > self.guards["tables"]:
-            raise ResourceGuardError(
-                "radical of size %d exceeds the id-table guard %d"
-                % (self.nU, self.guards["tables"]))
+    def mulU(self, a, b):
+        """Ids of U[a] U[b], elementwise over broadcast radical id arrays."""
+        return self.u_ids(self.U[np.asarray(a)] @ self.U[np.asarray(b)] % self.spec.p)
+
+    def generated(self, basis, name, where=None):
+        """Sorted radical ids of the Cayley image of the span of `basis` (rows
+        of root coordinates) and at, at[i, k] the position among them of
+        member i times T[k], T the Cayley images of the rows.  Right
+        multiplication by T must keep the set and reach all of it from 1, so
+        the set is <T>; else FalsificationError names the subgroup."""
+        where = {"subgroup": name, **(where or {})}
+        basis = np.asarray(basis, dtype=np.int64).reshape(-1, self.spec.u_dim)
+        members = np.unique(self.pack_u_array(
+            enumerate_subspace(list(basis), self.spec.p, self.spec.u_dim)))
+        prods = np.array([self.mulU(members, g) for g in self.pack_u_array(basis)],
+                         dtype=np.int64).reshape(len(basis), members.size).T
+        at = np.searchsorted(members, prods).clip(max=members.size - 1)
+        if (members[at] != prods).any():
+            raise FalsificationError("%s is not closed under products" % name, where)
+        if _bfs([0], lambda pos: list(at[pos].T)).size != members.size:
+            raise FalsificationError("the Cayley images of a basis do not generate " + name, where)
+        return members, at
 
     @cached_property
-    def mulU(self):
-        self.require_tables()
-        t = np.empty((self.nU, self.nU), dtype=np.int32)
-        for a in range(self.nU):
-            t[a] = self.u_ids(self.U[a] @ self.U)
-        return t
+    def U_times_basis(self):
+        """(nU, u_dim) ids of U[u] times the Cayley image of root-basis vector t;
+        building it checks that these images generate U."""
+        return self.generated(np.eye(self.spec.u_dim), "U")[1]
 
     @cached_property
     def invU(self):
@@ -621,41 +633,30 @@ class Parabolic:
         r, u = divmod(int(gid), self.nU)
         return self.L[r] @ self.U[u] % self.spec.p
 
-    def g_conj_perm(self, sr, su):
-        """Permutation g -> s g s^-1 of packed G ids, s = (sr, su)."""
-        mulL, invL, mulU, cU = self.mulL, self.invL, self.mulU, self.conjUbyL
-        rr, uu = self.g_pairs()
-        si = int(invL[sr])
-        w = int(self.invU[cU[sr, su]])
-        t1 = cU[invL[rr], su]
-        t2 = mulU[t1, uu]
-        a = mulL[sr][rr]
-        b = mulU[cU[sr, t2], w]
-        r_new = mulL[a, si]
-        return r_new.astype(np.int64) * self.nU + b
-
     @cached_property
     def L_generator_ids(self):
         return table_generators(self.mulL, self.idL)
 
     @cached_property
-    def U_generator_ids(self):
-        return table_generators(self.mulU, 0)
-
-    @cached_property
     def g_classes(self):
-        """Conjugacy classes of G: (class_of array, list of member arrays)."""
-        perms = [self.g_conj_perm(s, 0) for s in self.L_generator_ids]
-        perms += [self.g_conj_perm(self.idL, v) for v in self.U_generator_ids]
+        """Conjugacy classes of G: (class_of array, list of member arrays).
+        A Levi generator s maps r u to (s r s^-1)(s u s^-1), a radical one v
+        to r (r^-1 v r) u v^-1: one batched product per distinct r^-1 v r."""
+        self.U_times_basis                # checks that the v generate U
+        perms = [(self.conjL[s][:, None].astype(np.int64) * self.nU + self.conjUbyL[s]).ravel()
+                 for s in self.L_generator_ids]
+        ar = np.arange(self.nU)
+        for v in self.u_powers:
+            w = self.conjUbyL[self.invL, v]               # r^-1 v r for each r
+            right = {x: self.mulU(self.mulU(x, ar), self.invU[v]) for x in np.unique(w)}
+            perms.append(np.concatenate([r * self.nU + right[x] for r, x in enumerate(w)]))
         return partition_by_perms(self.g_size, perms)
 
     @cached_property
     def u_group_classes(self):
         """Conjugacy classes of the radical U."""
-        perms = []
-        ar = np.arange(self.nU, dtype=np.int32)
-        for v in self.U_generator_ids:
-            perms.append(self.mulU[self.mulU[v, ar], self.invU[v]].astype(np.int64))
+        self.U_times_basis                # checks that the v generate U
+        perms = [self.mulU(self.mulU(v, np.arange(self.nU)), self.invU[v]) for v in self.u_powers]
         return partition_by_perms(self.nU, perms)
 
     # -- Levi action matrices -------------------------------------------------

@@ -25,7 +25,7 @@ from .theory import (
 from .utheory import (
     form_data, intern_ids, l_table, lift_to_levi, orbit_of, orbit_partition, orbit_sum,
 )
-from .orbits import enumerate_subspace, levi_stabilizer
+from .orbits import _bfs, enumerate_subspace, levi_stabilizer
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +455,11 @@ def pair_context(world, sig, pair):
 
     zeta_ids, zeta_rows = orbit_sum(world, orbit_form.points)
 
-    # the orbit sum is constant on cosets of the merged radical subgroup
-    ud_ids = subspace_points(world, cross)
-    gathered = zeta_ids[world.mulU[:, ud_ids]]
-    if not (gathered == zeta_ids[:, None]).all():
+    # the orbit sum is constant on cosets of the merged radical subgroup U_D,
+    # so under right multiplication by the Cayley images of its root basis
+    cols = np.flatnonzero(cross)
+    world.generated(np.eye(spec.u_dim)[cols], "U_D", {"pair": pair.label()})
+    if (zeta_ids[world.U_times_basis[:, cols]] != zeta_ids[:, None]).any():
         raise FalsificationError(
             "orbit character is not constant on merged-radical cosets",
             {"pair": pair.label()})
@@ -475,9 +476,12 @@ def superclass_g(world, ctx, cl_parent_ids, h_parent):
     """Members of one coarse class: Levi class times orbit preimage times
     the radical of the element-induced coarsening."""
     k_d_ids = ctx["orbit_point"].points      # radical ids; the Springer map is the identity on ids
+    # K_D U_h is K_D closed under right multiplication by generators of U_h
     merged_h = merged_by_levi(world.spec, world.L[h_parent])
-    uh_ids = subspace_points(world, crossing_flags(world.spec, merged_h))
-    ku = np.unique(world.mulU[np.ix_(k_d_ids, uh_ids)])
+    cols = np.flatnonzero(crossing_flags(world.spec, merged_h))
+    world.memo(("U_h", tuple(cols)), lambda: world.generated(
+        np.eye(world.spec.u_dim)[cols], "U_h", {"h": h_parent}))
+    ku = _bfs(k_d_ids, lambda pts: [world.U_times_basis[pts, t] for t in cols])
     cl = np.asarray(cl_parent_ids, dtype=np.int64)
     return (cl[:, None] * world.nU + ku[None, :]).ravel()
 
@@ -497,7 +501,6 @@ def chi_alpha_g(world, ctx, theta):
 
 def build_g_theory(world, check=True):
     """Assemble the ambient-orbit supercharacter theory on G."""
-    world.require_tables()
     pool = ValuePool(world.field)
     ltable = l_table(world)
     sig_classes = signature_classes(world)

@@ -71,29 +71,42 @@ class Orbit:
         return int(self.points.size)
 
 
-def _bfs(seeds, images):
+_SLICE = 1 << 16       # frontier points imaged at once
+
+
+def _bfs(seeds, images, budget=None):
     """Sorted closure of the seed points; images(pts) lists the generator
     images of a point array.  Each layer's new points are found by binary
-    search in the sorted members, so no visited array spans the space."""
+    search in the sorted members, so no visited array spans the space, and
+    the frontier is imaged in slices.  A closure that would pass `budget`
+    points raises ResourceGuardError instead."""
     members = np.unique(np.asarray(seeds, dtype=np.int64))
     frontier = members
     while frontier.size:
-        imgs = images(frontier)
-        if not imgs:
-            break
-        cand = np.unique(np.concatenate(imgs))
-        at = np.searchsorted(members, cand).clip(max=members.size - 1)
-        frontier = cand[members[at] != cand]
+        found = []
+        for lo in range(0, frontier.size, _SLICE):
+            imgs = images(frontier[lo:lo + _SLICE])
+            if not imgs:
+                return members
+            cand = np.unique(np.concatenate(imgs))
+            at = np.searchsorted(members, cand).clip(max=members.size - 1)
+            found.append(cand[members[at] != cand])
+            if budget is not None and members.size + sum(f.size for f in found) > budget:
+                found = [np.unique(np.concatenate(found))]
+                if members.size + found[0].size > budget:
+                    raise ResourceGuardError("orbit closure passed %d points, over the space "
+                                             "guard %d" % (members.size + found[0].size, budget))
+        frontier = found[0] if len(found) == 1 else np.unique(np.concatenate(found))
         members = np.sort(np.concatenate([members, frontier]), kind="stable")
     return members
 
 
-def orbit_closure(seed, action):
-    """BFS closure of one point under the action's generators."""
+def orbit_closure(seed, action, budget=None):
+    """BFS closure of one point under the action's generators (see _bfs)."""
     seed = int(seed)
     if not 0 <= seed < action.size:
         raise ValidationError("seed", "seed %d outside space of size %d" % (seed, action.size))
-    return Orbit(_bfs([seed], action.images))
+    return Orbit(_bfs([seed], action.images, budget))
 
 
 def partition_by_perms(n, perms):

@@ -25,7 +25,7 @@ from .groups import (
     ustar_action_matrix,
 )
 from .orbits import (
-    LinearAction, _bfs, enumerate_subspace, levi_stabilizer, partition_orbits,
+    LinearAction, levi_stabilizer, partition_orbits,
     quotient_orbits, smallest_bimodule,
 )
 from .theory import (
@@ -150,26 +150,9 @@ class FormData:
             self._fail("the two annihilator conditions cut out different subalgebras of u")
         self.u_lam_basis = list(red_r)
 
-        # U_lam = points of u_lam under the Springer bijection, checked on the
-        # Cayley images T of the basis: if every x t (x in U_lam, t in T) lies
-        # in U_lam and right multiplication by T reaches all of U_lam from 1,
-        # every element is a word in T, so U_lam = <T> is a subgroup.  at[i, k]
-        # is the position in U_lam_ids of U_lam_ids[i] T[k]; position 0 is the
-        # identity, id 0
-        pts = enumerate_subspace(self.u_lam_basis, p, spec.u_dim)
-        self.U_lam_ids = np.unique(world.pack_u_array(pts))
-        gen_ids = world.pack_u_array(
-            np.array(self.u_lam_basis, dtype=np.int64).reshape(-1, spec.u_dim))
-        U_lam = world.U[self.U_lam_ids]
-        prods = np.empty((self.U_lam_ids.size, gen_ids.size), dtype=np.int64)
-        for k, t in enumerate(world.U[gen_ids]):
-            prods[:, k] = world.u_ids(U_lam @ t % p)
-        at = np.searchsorted(self.U_lam_ids, prods).clip(max=self.U_lam_ids.size - 1)
-        if (self.U_lam_ids[at] != prods).any():
-            self._fail("U_lam is not closed under products")
-        reached = _bfs([0], lambda pos: list(at[pos].T))
-        if reached.size != self.U_lam_ids.size:
-            self._fail("the Cayley images of a basis of u_lam do not generate U_lam")
+        # U_lam, checked to be <T>, T the Cayley images of the basis of u_lam;
+        # at[i, k] locates U_lam_ids[i] T[k]
+        self.U_lam_ids, at = world.generated(self.u_lam_basis, "U_lam", {"lam": self.lam})
 
         # orbits
         self.orbit_ub = orbit_of(world, "ustar", "Ub", self.lam)
@@ -198,8 +181,7 @@ class FormData:
         # the elementary character is multiplicative on U_lam: psi(1) = 1 and
         # psi(x t) = psi(x) psi(t) for t in T, which extends along words in T
         tvals = eps_exponents(world, self.lam_coords, self.U_lam_ids)
-        gen_vals = tvals[np.searchsorted(self.U_lam_ids, gen_ids)]
-        if tvals[0] or not np.array_equal(tvals[at], (tvals[:, None] + gen_vals) % p):
+        if tvals[0] or not np.array_equal(tvals[at], (tvals[:, None] + tvals[at[0]]) % p):
             self._fail("form composed with the Springer map is not multiplicative on U_lam")
 
     def _fail(self, message):
@@ -222,13 +204,13 @@ def form_data(world, lam_packed):
 
 def orbit_eps_counts(world, orbit_points):
     """counts[t, u] = #(forms mu in the orbit with mu(f(U[u])) = t)."""
-    p = world.spec.p
-    digs = world.u_digits(orbit_points)                      # (n, d)
-    all_pts = world.u_digits(np.arange(world.nU))            # (nU, d)
-    tvals = (digs @ all_pts.T) % p                           # (n, nU)
+    p, block = world.spec.p, 256           # hold (block, nU) values, not (orbit, nU)
+    all_pts = world.u_digits(np.arange(world.nU)).T          # (d, nU)
     counts = np.zeros((p, world.nU), dtype=np.int64)
-    for t in range(p):
-        counts[t] = (tvals == t).sum(axis=0)
+    for lo in range(0, len(orbit_points), block):
+        tvals = world.u_digits(orbit_points[lo:lo + block]) @ all_pts % p
+        for t in range(p):
+            counts[t] += (tvals == t).sum(axis=0)
     return counts
 
 

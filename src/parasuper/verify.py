@@ -236,6 +236,7 @@ def check_lemmas(world):
     reps = [orb.rep for orb in ustar_orbit_partition(world, "Ub")]
     emb = spec.u_embed_matrix()                                # (uc_dim, u_dim)
     uc_powers = np.array([p ** t for t in range(spec.uc_dim)], dtype=np.int64)
+    budget = world.guards["space"]           # on the points of one orbit closure
 
     def product_vanishing():
         # the extension of each form vanishes on products from Uc_Lambda
@@ -256,7 +257,7 @@ def check_lemmas(world):
     def projection_of_left_orbit():
         for lam in reps:
             fd = form_data(world, lam)
-            left = orbit_closure(fd.Lam_packed, action_left_ucstar(world, "Hb"))
+            left = orbit_closure(fd.Lam_packed, action_left_ucstar(world, "Hb"), budget)
             digs = (left.points[:, None] // uc_powers[None, :]) % p
             proj = world.pack_u_array(digs @ emb)
             got = np.unique(proj)
@@ -289,7 +290,7 @@ def check_lemmas(world):
     def setwise_stabilizers_agree():
         for lam in reps:
             fd = form_data(world, lam)
-            two_sided = orbit_closure(fd.Lam_packed, action_twosided_ucstar(world))
+            two_sided = orbit_closure(fd.Lam_packed, action_twosided_ucstar(world), budget)
             s_two = levi_stabilizer(world, two_sided.points, "ucstar", "setwise")
             if s_two != fd.S_ids:
                 raise FalsificationError(
@@ -314,15 +315,15 @@ def check_lemmas(world):
 # ---------------------------------------------------------------------------
 # induction oracles
 
-def induce_exact(class_of, sizes, h_ids, h_local, h_rows, h_den):
+def induce_exact(class_of, sizes, h_ids, h_local, h_rows):
     """Frobenius induction from a subgroup H, as integer rows per class of G.
 
     `class_of` labels the elements of G by class, `sizes` gives the class
-    sizes.  The function on H is interned: its value at h_ids[i] is
-    h_rows[h_local[i]] / h_den, with h_rows integer coefficient rows.  The
-    value on a class K is |G| / (|K| |H|) times its sum over H meet K,
-    counted per (class, value id) pair over H only.  Returns (rows, den):
-    the value on class K is rows[K] / den, where den = |H| h_den.
+    sizes.  The function on H is interned: its value at h_ids[i] is the
+    integer coefficient row h_rows[h_local[i]].  The value on a class K is
+    |G| / (|K| |H|) times its sum over H meet K, counted per (class, value
+    id) pair over H only.  Returns (rows, den): the value on class K is
+    rows[K] / den, where den = |H|.
     """
     h_rows = np.asarray(h_rows)
     nv = len(h_rows)
@@ -332,7 +333,7 @@ def induce_exact(class_of, sizes, h_ids, h_local, h_rows, h_den):
     dtype = int_dtype(absmax(h_rows) * len(class_of) * len(h_ids))
     rows = np.zeros((len(sizes), h_rows.shape[1]), dtype=dtype)
     np.add.at(rows, k, h_rows[t].astype(dtype) * mult.astype(dtype)[:, None])
-    return rows, len(h_ids) * h_den
+    return rows, len(h_ids)
 
 
 def _product_on_h(world, r_ids, u_ids, theta, z_ids, z_rows):
@@ -345,7 +346,7 @@ def _product_on_h(world, r_ids, u_ids, theta, z_ids, z_rows):
     h_ids = (r_ids[:, None] * world.nU + u_ids[None, :]).ravel()
     used, h_local = np.unique((t_ids[r_ids][:, None] * nz + z_ids[None, :]).ravel(),
                               return_inverse=True)
-    return h_ids, h_local, world.field.mul_rows(t_rows[used // nz], z_rows[used % nz]), 1
+    return h_ids, h_local, world.field.mul_rows(t_rows[used // nz], z_rows[used % nz])
 
 
 def _scaled(rows, c):
@@ -390,7 +391,7 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
         for ch in theory_u.chars:
             fd = form_data(world, ch.provenance["lam"])
             induced = induce_exact(class_of, sizes, fd.U_lam_ids,
-                                   eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps, 1)
+                                   eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps)
             _compare_char_to_induced(ch, class_of, u_classes, induced, "radical supercharacter")
     report.run("radical-induction-oracle", zeta_oracle)
 
@@ -556,7 +557,6 @@ def run_suites(world, suite="all", corrupt=None):
     need_theories = bool({"utheory", "gtheory", "oracles", "refinement"} & set(wants))
     tU = tG = gG = None
     if need_theories:
-        world.require_tables()
         tU, tG, gG = theories(world)
         if corrupt == "character":
             tG = corrupt_character(tG)

@@ -42,9 +42,12 @@ def inner_product_classes(classes, group_order, vals1, vals2):
 
 
 def induce(field, *args):
-    """induce_exact on Cyc values in, Cyc values per class out."""
+    """induce_exact on Cyc values in, Cyc values per class out; the values'
+    common denominator from CycField.rows divides the induced rows."""
     *head, h_values = args
-    return field.from_rows(*induce_exact(*head, *field.rows(h_values)))
+    h_rows, h_den = field.rows(h_values)
+    rows, den = induce_exact(*head, h_rows)
+    return field.from_rows(rows, den * h_den)
 
 
 @pytest.fixture(scope="module")

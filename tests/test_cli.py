@@ -60,6 +60,10 @@ def test_trivial_radical_is_usage_error(capsys):
 def test_unknown_flag_exits_2(capsys):
     code, _, _ = run_cli(["spec", "--bogus"], capsys)
     assert code == 2
+    # radical products are taken on demand, so there is no product-table guard
+    code, _, _ = run_cli(["verify", "--family", "C", "--n", "2", "--q", "3", "--blocks", "1,1",
+                          "--guard-tables", "5"], capsys)
+    assert code == 2
 
 
 def test_orbits_subcommand(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parasuper import groups, linalg
-from parasuper.errors import ValidationError
+from parasuper.errors import FalsificationError, ValidationError
 from parasuper.groups import (
     Parabolic, build_spec, cayley, cayley_inv, enumerate_gl, enumerate_levi,
     subgroup_generators,
@@ -274,7 +274,8 @@ def test_cayley_matches_the_defining_formulas(name, request):
         assert np.array_equal(g, cayley_inv_by_definition(spec, y))
     # an id is the packed coordinates of its Cayley image, and ids invert by negation
     assert np.array_equal(w.pack_u_array(spec.u_coords(fU)), np.arange(w.nU))
-    assert (w.mulU[np.arange(w.nU), w.invU] == 0).all()
+    ar = np.arange(w.nU)
+    assert (w.mulU(ar[:, None], ar[None, :])[ar, w.invU] == 0).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -335,18 +336,47 @@ def test_table_generators_are_the_greedy_choice(name, request):
     # reference: the least element outside the two-sided product closure of
     # the identity and the generators so far, closed by plain set loops
     w = request.getfixturevalue(name)
-    for mul, ident, gens in ((w.mulL, w.idL, w.L_generator_ids),
-                             (w.mulU, 0, w.U_generator_ids)):
-        n, want, closure = mul.shape[0], [], {int(ident)}
-        while len(closure) < n:
-            want.append(min(set(range(n)) - closure))
-            closure.add(want[-1])
-            while True:
-                new = {int(mul[a, b]) for a in closure for b in closure} - closure
-                if not new:
-                    break
-                closure |= new
-        assert gens == want
+    mul, n, want, closure = w.mulL, w.nL, [], {int(w.idL)}
+    while len(closure) < n:
+        want.append(min(set(range(n)) - closure))
+        closure.add(want[-1])
+        while True:
+            new = {int(mul[a, b]) for a in closure for b in closure} - closure
+            if not new:
+                break
+            closure |= new
+    assert w.L_generator_ids == want
+
+
+@pytest.mark.parametrize("name", CONFTEST_WORLDS)
+def test_radical_products_on_demand(name, request):
+    w = request.getfixturevalue(name)
+    # reference ids: the packed Cayley coordinates of each matrix product
+    a = np.arange(w.nU)[::7]
+    prods = w.U[a][:, None] @ w.U[None] % w.spec.p
+    want = w.pack_u_array(w.spec.u_coords(cayley(w.spec, prods)))
+    assert np.array_equal(w.mulU(a[:, None], np.arange(w.nU)[None, :]), want)
+    # the Cayley images of the root basis generate U, and the checked
+    # right-multiplication table is their product with every element
+    assert np.array_equal(w.U_times_basis, w.mulU(np.arange(w.nU)[:, None], w.u_powers[None]))
+    members, at = w.generated(np.eye(w.spec.u_dim), "U")
+    assert np.array_equal(members, np.arange(w.nU)) and np.array_equal(at, w.U_times_basis)
+
+
+def test_dropping_a_basis_image_fails_the_generation_check(borel_c2, monkeypatch):
+    # the claimed subgroup stays all of U while the last basis row is dropped
+    w = borel_c2
+    eye = np.eye(w.spec.u_dim, dtype=np.int64)
+    points = w.u_digits(np.arange(w.nU))
+    monkeypatch.setattr(groups, "enumerate_subspace", lambda basis, p, dim: points)
+    with pytest.raises(FalsificationError, match="do not generate U$") as err:
+        w.generated(eye[:-1], "U")
+    assert err.value.counterexample == {"subgroup": "U"}
+    # a set that the generators lead out of fails the closure check
+    points = w.u_digits([0, 1])
+    with pytest.raises(FalsificationError, match="U is not closed") as err:
+        w.generated(eye, "U", {"note": 1})
+    assert err.value.counterexample == {"subgroup": "U", "note": 1}
 
 
 def test_lb_generators_generate_blockwise_gl():
@@ -389,3 +419,34 @@ def test_g_classes_partition(borel_d2):
     # conjugation-stable: identity class is a singleton
     sizes = sorted(len(c) for c in classes)
     assert sizes[0] == 1
+
+
+def conjugacy_classes_by_matrices(mats, p):
+    """Classes of the group whose elements are the stack `mats`, id = index,
+    by conjugating every element by every element: sorted member arrays,
+    ordered by their least member."""
+    n, N = mats.shape[0], mats.shape[-1]
+    digits = p ** np.arange(N * N, dtype=np.int64)
+    keys = mats.reshape(n, -1) @ digits
+    order = np.argsort(keys)
+    inv = np.array([linalg.inverse(m, p) for m in mats.tolist()], dtype=np.int64)
+    least = np.arange(n)
+    for x, xi in zip(mats, inv):
+        conj = (x @ mats % p @ xi % p).reshape(n, -1) @ digits
+        at = order[np.searchsorted(keys, conj, sorter=order)]
+        assert np.array_equal(keys[at], conj)
+        least = np.minimum(least, at)
+    return [np.flatnonzero(least == r) for r in np.unique(least)]
+
+
+@pytest.mark.parametrize("name", CONFTEST_WORLDS)
+def test_conjugacy_classes_match_brute_force(name, request):
+    w = request.getfixturevalue(name)
+    p = w.spec.p
+    for (label, classes), mats in (
+            (w.u_group_classes, w.U),
+            (w.g_classes, (w.L[:, None] @ w.U[None] % p).reshape(-1, w.spec.N, w.spec.N))):
+        want = conjugacy_classes_by_matrices(mats, p)
+        assert [c.tolist() for c in classes] == [c.tolist() for c in want]
+        for i, c in enumerate(want):
+            assert (label[c] == i).all()

@@ -216,3 +216,25 @@ def test_levi_invariance_check_reports_the_first_moved_pair(twoblock_c2, monkeyp
     assert "moved by Levi conjugation" in str(err.value)
     ce = err.value.counterexample
     assert (ce["rho"], ce["r"]) == want and ce["theta"] == 0
+
+
+def test_dropping_a_basis_image_of_u_d_fails_the_generation_check(borel_c2, monkeypatch):
+    # U_D of the first signature class with a proper merged radical, claimed
+    # in full while the first row of its root basis is dropped
+    from parasuper import groups
+    from parasuper.gtheory import crossing_flags, subspace_points
+    w = borel_c2
+    for _, pairs in signature_classes(w):
+        flags = crossing_flags(w.spec, merged_by_roots(w.spec, pairs[0].roots))
+        if 1 < sum(flags) < w.spec.u_dim:
+            break
+    basis = np.eye(w.spec.u_dim, dtype=np.int64)[np.flatnonzero(flags)]
+    where = {"pair": pairs[0].label()}
+    members, at = w.generated(basis, "U_D", where)
+    assert np.array_equal(members, subspace_points(w, flags))
+    assert at.shape == (members.size, len(basis))
+    points = w.u_digits(members)
+    monkeypatch.setattr(groups, "enumerate_subspace", lambda basis, p, dim: points)
+    with pytest.raises(FalsificationError, match="do not generate U_D") as err:
+        w.generated(basis[1:], "U_D", where)
+    assert err.value.counterexample == {"subgroup": "U_D", **where}

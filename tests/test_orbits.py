@@ -208,3 +208,21 @@ def test_enumerate_subspace():
     assert pts.shape == (3, 3)
     assert {tuple(r) for r in pts.tolist()} == {(0, 0, 0), (1, 0, 2), (2, 0, 1)}
     assert enumerate_subspace([], 3, 4).shape == (1, 4)
+
+
+def test_sliced_closure_is_the_whole_frontier_closure(borel_b2, monkeypatch):
+    # a two-sided closure of a few hundred points, imaged in slices of 7
+    # points, equals the closure imaged a whole layer at a time; a budget
+    # below its size stops it
+    from parasuper import orbits
+    from parasuper.errors import ResourceGuardError
+    act = action_twosided_ucstar(borel_b2)
+    whole = max((orbit_closure(form_data(borel_b2, orb.rep).Lam_packed, act)
+                 for orb in partition_orbits(action_on_ustar(borel_b2, "Ub"))),
+                key=lambda orb: orb.size)
+    seed = whole.rep
+    monkeypatch.setattr(orbits, "_SLICE", 7)
+    assert whole.size > 100
+    assert np.array_equal(orbit_closure(seed, act, whole.size).points, whole.points)
+    with pytest.raises(ResourceGuardError, match="over the space guard"):
+        orbit_closure(seed, act, whole.size - 1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import levi_values
 
-from parasuper import linalg, utheory
+from parasuper import groups, linalg, utheory
 from parasuper.chartab import irr_characters, s_orbit_sums
 from parasuper.errors import FalsificationError
 from parasuper.groups import Parabolic, build_spec
@@ -56,7 +56,7 @@ def mid3_b2():
 def test_generator_checks_agree_with_all_pairs(name, request):
     # FormData checks U_lam on the Cayley images of a basis of u_lam; the
     # reference finds U_lam by a span test on every point of u and checks
-    # closure and multiplicativity over all |U_lam|^2 products in mulU
+    # closure and multiplicativity over all |U_lam|^2 products
     w = request.getfixturevalue(name)
     p = w.spec.p
     digits = w.u_digits(np.arange(w.nU))
@@ -65,18 +65,27 @@ def test_generator_checks_agree_with_all_pairs(name, request):
         red, pivots = linalg.rref(fd.u_lam_basis, p) if fd.u_lam_basis else ([], [])
         ref = np.flatnonzero([linalg.in_span(red, pivots, x, p) for x in digits.tolist()])
         assert np.array_equal(fd.U_lam_ids, ref)
-        prods = w.mulU[np.ix_(ref, ref)]
+        prods = w.mulU(ref[:, None], ref[None, :])
         assert np.isin(prods, ref).all()
         psi = digits[ref] @ np.array(fd.lam_coords) % p
         at = np.searchsorted(ref, prods)
         assert np.array_equal(psi[at], (psi[:, None] + psi[None, :]) % p)
 
 
-def test_ub_on_g_never_builds_the_radical_table():
-    d3 = Parabolic(build_spec("D", 3, 3, (1, 1, 1, 0, 1, 1, 1)), {"tables": 0})
+def test_ub_on_g_never_builds_the_radical_table(monkeypatch):
+    # radical products are taken on demand, never more than |U| at once
+    d3 = Parabolic(build_spec("D", 3, 3, (1, 1, 1, 0, 1, 1, 1)))
+    batches = []
+    real = Parabolic.mulU
+
+    def counted(self, a, b):
+        out = real(self, a, b)
+        batches.append(np.size(out))
+        return out
+    monkeypatch.setattr(Parabolic, "mulU", counted)
     theory = build_u_theory(d3, "G")
     assert theory.meta["axioms"] == "pass"
-    assert "mulU" not in vars(d3)
+    assert batches and max(batches) <= d3.nU
 
 
 def first_form_with(w, pred):
@@ -92,7 +101,7 @@ def test_closure_check_fires(borel_c2, monkeypatch):
     monkeypatch.setattr(utheory, "linalg", bad)
     with pytest.raises(FalsificationError, match="not closed under products") as err:
         FormData(borel_c2, lam)
-    assert err.value.counterexample == {"lam": lam}
+    assert err.value.counterexample == {"subgroup": "U_lam", "lam": lam}
 
 
 def test_generation_check_fires(borel_c2, monkeypatch):
@@ -100,10 +109,10 @@ def test_generation_check_fires(borel_c2, monkeypatch):
     # a smaller u_lam generate only U_lam
     lam = first_form_with(borel_c2, lambda fd: fd.U_lam_ids.size < borel_c2.nU)
     everything = borel_c2.u_digits(np.arange(borel_c2.nU))
-    monkeypatch.setattr(utheory, "enumerate_subspace", lambda basis, p, dim: everything)
+    monkeypatch.setattr(groups, "enumerate_subspace", lambda basis, p, dim: everything)
     with pytest.raises(FalsificationError, match="do not generate U_lam") as err:
         FormData(borel_c2, lam)
-    assert err.value.counterexample == {"lam": lam}
+    assert err.value.counterexample == {"subgroup": "U_lam", "lam": lam}
 
 
 def test_multiplicativity_check_fires(borel_c2, monkeypatch):

@@ -177,33 +177,14 @@ def test_rank_three_configuration():
         assert all(r.passed for r in reports), suite
 
 
-def test_table_guard_blocks_oversized_radical():
+def test_closure_guard_stops_the_lemma_suite():
+    # B2 q=3 Borel: |u| = 81 fits a space guard of 100, but the lemma
+    # suite's closures on forms over Uc pass it
     from parasuper.errors import ResourceGuardError
     from parasuper.groups import Parabolic, build_spec
-    spec = build_spec("D", 3, 3, (1, 1, 1, 0, 1, 1, 1))
-    small = Parabolic(spec, {"tables": 10})
-    with np.testing.assert_raises(ResourceGuardError):
-        small.mulU
-
-
-def test_table_guard_fires_before_any_theory_is_built(monkeypatch):
-    # B3 q=3 Borel: |U| = 19683 is over the default guard, and the guard must
-    # fire before the Ub-on-G build, which no longer needs the product table
-    from parasuper import gtheory, verify
-    from parasuper.errors import ResourceGuardError
-    from parasuper.groups import Parabolic, build_spec
-    w = Parabolic(build_spec("B", 3, 3, (1, 1, 1, 1, 1, 1, 1)))
-    assert w.nU == 19683
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a theory was built before the tables guard")
-    monkeypatch.setattr(verify, "build_u_theory", unreachable)
-    monkeypatch.setattr(gtheory, "signature_classes", unreachable)
-    with pytest.raises(ResourceGuardError, match="id-table guard"):
-        run_suites(w, "all")
-    with pytest.raises(ResourceGuardError, match="id-table guard"):
-        gtheory.build_g_theory(w)
-    assert "mulU" not in vars(w)
+    w = Parabolic(build_spec("B", 2, 3, (1, 1, 1, 1, 1)), {"space": 100})
+    with pytest.raises(ResourceGuardError, match="orbit closure passed"):
+        run_suites(w, "lemmas")
 
 
 def test_gram_matches_elementwise_inner_product(borel_d2):
