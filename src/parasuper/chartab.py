@@ -125,8 +125,6 @@ class Classes:
 def conjugacy_classes(group):
     """Partition of a TableGroup into conjugacy classes."""
     perms = [group.conj_perm(s) for s in group.generators()]
-    if not perms:
-        perms = [np.arange(group.n, dtype=np.int64)]
     class_of, members = partition_by_perms(group.n, perms)
     reps = [int(m[0]) for m in members]
     sizes = [int(m.size) for m in members]

@@ -57,9 +57,14 @@ def parse_blocks(family, n, text):
 def gather_guards(args):
     guards = dict(DEFAULT_GUARDS)
     for key in guards:
-        env = os.environ.get(GUARD_ENV_PREFIX + key.upper())
+        name = GUARD_ENV_PREFIX + key.upper()
+        env = os.environ.get(name)
         if env is not None:
-            guards[key] = int(env)
+            try:
+                guards[key] = int(env)
+            except ValueError:
+                raise ValidationError("guard", "%s must be an integer, not %r"
+                                      % (name, env)) from None
         flag = getattr(args, "guard_" + key, None)
         if flag is not None:
             guards[key] = int(flag)

@@ -623,12 +623,6 @@ class Parabolic:
     def g_ident(self):
         return self.idL * self.nU + 0
 
-    def g_pairs(self):
-        """(r ids, u ids) of every element of G in packed order."""
-        r = np.repeat(np.arange(self.nL, dtype=np.int32), self.nU)
-        u = np.tile(np.arange(self.nU, dtype=np.int32), self.nL)
-        return r, u
-
     def g_matrix(self, gid):
         r, u = divmod(int(gid), self.nU)
         return self.L[r] @ self.U[u] % self.spec.p
@@ -637,14 +631,19 @@ class Parabolic:
     def L_generator_ids(self):
         return table_generators(self.mulL, self.idL)
 
+    def levi_conj_perms(self):
+        """The permutations of G's packed ids by conjugation with each Levi
+        generator s: r u maps to (s r s^-1)(s u s^-1)."""
+        return [(self.conjL[s][:, None].astype(np.int64) * self.nU + self.conjUbyL[s]).ravel()
+                for s in self.L_generator_ids]
+
     @cached_property
     def g_classes(self):
         """Conjugacy classes of G: (class_of array, list of member arrays).
         A Levi generator s maps r u to (s r s^-1)(s u s^-1), a radical one v
         to r (r^-1 v r) u v^-1: one batched product per distinct r^-1 v r."""
         self.U_times_basis                # checks that the v generate U
-        perms = [(self.conjL[s][:, None].astype(np.int64) * self.nU + self.conjUbyL[s]).ravel()
-                 for s in self.L_generator_ids]
+        perms = self.levi_conj_perms()
         ar = np.arange(self.nU)
         for v in self.u_powers:
             w = self.conjUbyL[self.invL, v]               # r^-1 v r for each r

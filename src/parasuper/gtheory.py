@@ -196,7 +196,7 @@ def classify_g_orbits(world, space):
         raise ValidationError("space", "space must be 'u' or 'ustar'")
 
     spec = world.spec
-    orbits, orbit_label = orbit_partition(world, space, "Gb")
+    orbit_label, orbits = orbit_partition(world, space, "Gb")
 
     pairs = enumerate_basic_pairs(spec)
     sig_by_orbit = {}
@@ -258,55 +258,28 @@ class MergedDecomposition:
         return out
 
 
-def _close_segments(ell, merged_sets):
-    """Fixpoint closure: interval, then mirror symmetry."""
-    comps = {k: {k} for k in range(ell, -ell - 1, -1)}
-
-    def merge(a, b):
-        if comps[a] is comps[b]:
-            return False
-        union = comps[a] | comps[b]
-        for k in union:
-            comps[k] = union
-        return True
-
-    for group in merged_sets:
-        group = sorted(group)
-        for a, b in zip(group, group[1:]):
-            merge(a, b)
-    changed = True
-    while changed:
-        changed = False
-        # interval closure: a segment contains everything between its ends
-        for k in list(comps):
-            lo, hi = min(comps[k]), max(comps[k])
-            for t in range(lo, hi + 1):
-                if merge(k, t):
-                    changed = True
-        # mirror closure: the negation of a segment must lie in one segment
-        for k in list(comps):
-            mirror = sorted(-t for t in comps[k])
-            for a, b in zip(mirror, mirror[1:]):
-                if merge(a, b):
-                    changed = True
-    seen = set()
-    segs = []
-    for k in range(ell, -ell - 1, -1):
-        if k in seen:
-            continue
-        comp = sorted(comps[k], reverse=True)
-        seen.update(comp)
-        segs.append(tuple(comp))
-    return tuple(segs)
+def _close_segments(ell, spans):
+    """Finest coarsening of the blocks ell..-ell into intervals, symmetric
+    about zero, with each span (lo, hi) of blocks inside one interval.  Key k
+    joins blocks k and k + 1; its mirror image is key -k - 1, and a union of
+    joined runs is already closed under both intervals and mirroring."""
+    joined = set()
+    for lo, hi in spans:
+        for k in range(lo, hi):
+            joined.update((k, -k - 1))
+    segs = [[ell]]
+    for k in range(ell - 1, -ell - 1, -1):
+        if k in joined:
+            segs[-1].append(k)
+        else:
+            segs.append([k])
+    return tuple(tuple(seg) for seg in segs)
 
 
 def merged_by_roots(spec, roots):
     """Finest symmetric interval coarsening joining each root's block pair."""
-    merged = []
-    for (i, j) in roots:
-        k, m = spec.block_of[i], spec.block_of[j]
-        merged.append(range(m, k + 1))
-    return MergedDecomposition("roots", _close_segments(spec.ell, merged))
+    spans = [(spec.block_of[j], spec.block_of[i]) for (i, j) in roots]
+    return MergedDecomposition("roots", _close_segments(spec.ell, spans))
 
 
 def merged_by_levi(spec, h):

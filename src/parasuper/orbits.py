@@ -1,9 +1,9 @@
 """Orbit machinery for the linear actions used throughout.
 
 Every action here is by invertible linear maps on a finite coordinate space
-F_p^dim; points are packed little-endian base-p integers.  Every orbit comes
-out of a single breadth-first search routine over sorted int64 point
-arrays, and the ambient groups acting are never enumerated.
+F_p^dim; points are packed little-endian base-p integers.  Every full
+orbit partition in the package comes from `partition_by_perms`, and the
+ambient groups acting are never enumerated.
 
 Spaces that are enumerated anyway (u and u* under Ub, Hb and Gb) are
 partitioned once per world and an orbit is looked up there by label; only
@@ -59,11 +59,10 @@ class LinearAction:
 @dataclass
 class Orbit:
     """A generator-closed point set with a deterministic representative."""
-    points: np.ndarray                  # sorted packed points
+    points: np.ndarray                  # sorted, distinct packed points (int64)
     rep: int = field(init=False)
 
     def __post_init__(self):
-        self.points = np.unique(np.asarray(self.points, dtype=np.int64))
         self.rep = int(self.points[0])
 
     @property
@@ -110,27 +109,31 @@ def orbit_closure(seed, action, budget=None):
 
 
 def partition_by_perms(n, perms):
-    """Orbit partition of {0..n-1} under a list of permutations (int64 arrays):
-    (label array, sorted member arrays ordered by smallest member)."""
-    label = np.full(n, -1, dtype=np.int64)
-    classes = []
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        members = _bfs([start], lambda pts: [pm[pts] for pm in perms])
-        label[members] = len(classes)
-        classes.append(members)
-    return label, classes
+    """Orbit partition of {0..n-1} under a list of permutations of it (int
+    arrays, each a bijection): (label array, sorted member arrays ordered by
+    least member).  Each pass gives every point the least label among itself
+    and its images and preimages, then replaces each label by its own label;
+    labels stay points of the same orbit, so at the fixpoint every point is
+    labelled by its orbit's least member."""
+    least = np.arange(n, dtype=np.int64)
+    while True:
+        new = least.copy()
+        for pm in perms:
+            np.minimum(new, new[pm], out=new)           # images
+            new[pm] = np.minimum(new[pm], new)           # preimages
+        new = new[new]
+        if np.array_equal(new, least):
+            break
+        least = new
+    label = np.searchsorted(np.flatnonzero(least == np.arange(n)), least)
+    order = np.argsort(label, kind="stable")
+    return label, np.split(order, np.cumsum(np.bincount(label))[:-1]) if n else []
 
 
 def partition_orbits(action, guard=10 ** 7):
-    """Disjoint orbits covering the whole space; sizes sum to p^dim."""
-    _, classes = partition_by_perms(action.size, action.full_perms(guard))
-    orbits = [Orbit(m) for m in classes]
-    total = sum(o.size for o in orbits)
-    if total != action.size:
-        raise RuntimeError("orbit sizes %d do not cover the space %d" % (total, action.size))
-    return orbits
+    """(orbit index of each point, disjoint orbits covering the space)."""
+    label, classes = partition_by_perms(action.size, action.full_perms(guard))
+    return label, [Orbit(m) for m in classes]
 
 
 def levi_stabilizer(world, points, space, mode):
@@ -228,7 +231,7 @@ def quotient_orbits(base_action, sub_basis, guard=10 ** 7):
     """Orbit partition of the quotient by an invariant subspace."""
     qs = QuotientSpace(base_action.dim, sub_basis, base_action.p)
     qact = qs.action(base_action.label + "/sub", base_action)
-    return qs, partition_orbits(qact, guard)
+    return qs, partition_orbits(qact, guard)[1]
 
 
 def smallest_bimodule(world, h):

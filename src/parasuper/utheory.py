@@ -25,7 +25,7 @@ from .groups import (
     ustar_action_matrix,
 )
 from .orbits import (
-    LinearAction, levi_stabilizer, partition_orbits,
+    LinearAction, levi_stabilizer, partition_by_perms, partition_orbits,
     quotient_orbits, smallest_bimodule,
 )
 from .theory import (
@@ -71,28 +71,23 @@ def action_left_ucstar(world, tag):
 
 
 def orbit_partition(world, space, tag):
-    """Orbits of u or u* under one group, with the orbit index of each point."""
-    def build():
-        action = action_on_u(world, tag) if space == "u" else action_on_ustar(world, tag)
-        orbits = partition_orbits(action, world.guards["space"])
-        label = np.empty(action.size, dtype=np.int64)
-        for idx, orb in enumerate(orbits):
-            label[orb.points] = idx
-        return orbits, label
-    return world.memo(("orbits", space, tag), build)
+    """Orbits of u or u* under one group: (orbit index of each point, orbits)."""
+    action = action_on_u(world, tag) if space == "u" else action_on_ustar(world, tag)
+    return world.memo(("orbits", space, tag),
+                      lambda: partition_orbits(action, world.guards["space"]))
 
 
 def ustar_orbit_partition(world, tag="Ub"):
-    return orbit_partition(world, "ustar", tag)[0]
+    return orbit_partition(world, "ustar", tag)[1]
 
 
 def u_orbit_partition(world, tag="Ub"):
-    return orbit_partition(world, "u", tag)[0]
+    return orbit_partition(world, "u", tag)[1]
 
 
 def orbit_of(world, space, tag, point):
     """The orbit of one point of u or u*, looked up in the memoized partition."""
-    orbits, label = orbit_partition(world, space, tag)
+    label, orbits = orbit_partition(world, space, tag)
     return orbits[label[int(point)]]
 
 
@@ -266,14 +261,8 @@ def levi_conj_orbits(world):
     (reps, orbit) with reps the least packed id of each orbit, ascending,
     and orbit[g] the index in reps of the orbit of g."""
     def build():
-        # rho (r u) rho^-1 = (rho r rho^-1)(rho u rho^-1); running the
-        # minimum over every rho gives each element its orbit's least id
-        least = np.arange(world.g_size, dtype=np.int64)
-        for rho in range(world.nL):
-            conj = world.conjL[rho].astype(np.int64)[:, None] * world.nU + world.conjUbyL[rho]
-            np.minimum(least, conj.ravel(), out=least)
-        reps = np.flatnonzero(least == np.arange(world.g_size))
-        return reps, np.searchsorted(reps, least)
+        orbit, members = partition_by_perms(world.g_size, world.levi_conj_perms())
+        return np.array([m[0] for m in members]), orbit
     return world.memo("levi_conj_orbits", build)
 
 

@@ -98,6 +98,31 @@ def _jsonable(obj):
 
 
 # ---------------------------------------------------------------------------
+# constancy on classes
+
+class ClassScan:
+    """Member arrays of classes laid end to end, to test a function (an id
+    per element) for constancy on every class at once.  Classes may overlap
+    or miss elements, as in a corrupted partition."""
+
+    def __init__(self, members):
+        sizes = np.array([m.size for m in members])
+        self.flat = np.concatenate(members)
+        self.start = np.cumsum(sizes) - sizes
+        self.owner = np.repeat(np.arange(len(members)), sizes)
+        self.head = self.flat[self.start[self.owner]]    # first member of the class
+
+    def first_non_constant(self, ids):
+        """(class, its first member, first member with another id) for the
+        first class on which `ids` is not constant, or None."""
+        bad = ids[self.flat] != ids[self.head]
+        if bad.any():
+            pos = int(np.argmax(bad))
+            return int(self.owner[pos]), int(self.head[pos]), int(self.flat[pos])
+        return None
+
+
+# ---------------------------------------------------------------------------
 # supercharacter axioms
 
 def class_values_matrix(pool, chars, classes):
@@ -141,17 +166,17 @@ def check_supertheory(theory, world=None):
     report.run("S3-identity-class", s3_check)
 
     def s2_check():
+        scan = ClassScan([kl.members for kl in theory.classes])
         for ch in theory.chars:
-            for kl in theory.classes:
-                ids = ch.ids[kl.members]
-                if ids.size and (ids != ids[0]).any():
-                    bad = kl.members[np.where(ids != ids[0])[0][0]]
-                    raise FalsificationError(
-                        "character is not constant on a class",
-                        {"char": ch.label, "class": kl.label,
-                         "elements": [int(kl.members[0]), int(bad)],
-                         "values": [ch.value_at(kl.members[0]).serialize(),
-                                    ch.value_at(bad).serialize()]})
+            hit = scan.first_non_constant(ch.ids)
+            if hit is not None:
+                k, first, bad = hit
+                raise FalsificationError(
+                    "character is not constant on a class",
+                    {"char": ch.label, "class": theory.classes[k].label,
+                     "elements": [first, bad],
+                     "values": [ch.value_at(first).serialize(),
+                                ch.value_at(bad).serialize()]})
     report.run("S2-constancy", s2_check)
 
     def count_check():
@@ -353,32 +378,27 @@ def _scaled(rows, c):
     return rows.astype(int_dtype(max(c, absmax(rows) * c))) * c
 
 
-def _compare_char_to_induced(ch, class_of, classes, induced, what):
+def _compare_char_to_induced(ch, scan, induced, what):
     # value-for-value: the induced side is a class function by construction,
-    # so the formula side must be constant on every class and match there;
-    # values compare as cross-multiplied integer rows, and the first class
-    # failing either way is reported
+    # so the formula side must be constant on every class (of `scan`, a
+    # partition) and match there; values compare as cross-multiplied integer
+    # rows, and the first class failing either way is reported
     rows, den = induced
     num, pden = ch.pool.numerators()
-    at_reps = ch.ids[[int(m[0]) for m in classes]]
-    non_constant = np.zeros(len(classes), dtype=bool)
-    non_constant[class_of[ch.ids != at_reps[class_of]]] = True
-    differs = (_scaled(num[at_reps], den) != _scaled(rows, pden)).any(axis=1)
-    bad = np.flatnonzero(non_constant | differs)
-    if not bad.size:
-        return
-    members = classes[bad[0]]
-    if non_constant[bad[0]]:
-        ids = ch.ids[members]
+    reps = scan.flat[scan.start]
+    differs = (_scaled(num[ch.ids[reps]], den) != _scaled(rows, pden)).any(axis=1)
+    first = int(np.argmax(differs)) if differs.any() else len(reps)
+    hit = scan.first_non_constant(ch.ids)
+    if hit is not None and hit[0] <= first:
         raise FalsificationError(
             "closed formula is not constant on a conjugacy class",
-            {"char": ch.label, "what": what,
-             "elements": [int(members[0]), int(members[np.flatnonzero(ids != ids[0])[0]])]})
-    raise FalsificationError(
-        "closed formula disagrees with direct induction",
-        {"char": ch.label, "what": what, "class_rep": int(members[0]),
-         "formula": ch.pool.values[at_reps[bad[0]]].serialize(),
-         "induction": ch.pool.field.from_rows(rows[bad[0]][None], den)[0].serialize()})
+            {"char": ch.label, "what": what, "elements": list(hit[1:])})
+    if first < len(reps):
+        raise FalsificationError(
+            "closed formula disagrees with direct induction",
+            {"char": ch.label, "what": what, "class_rep": int(reps[first]),
+             "formula": ch.pool.values[ch.ids[reps[first]]].serialize(),
+             "induction": ch.pool.field.from_rows(rows[first][None], den)[0].serialize()})
 
 
 def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
@@ -388,34 +408,37 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
     def zeta_oracle():
         class_of, u_classes = world.u_group_classes
         sizes = [m.size for m in u_classes]
+        scan = ClassScan(u_classes)
         for ch in theory_u.chars:
             fd = form_data(world, ch.provenance["lam"])
             induced = induce_exact(class_of, sizes, fd.U_lam_ids,
                                    eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps)
-            _compare_char_to_induced(ch, class_of, u_classes, induced, "radical supercharacter")
+            _compare_char_to_induced(ch, scan, induced, "radical supercharacter")
     report.run("radical-induction-oracle", zeta_oracle)
 
     def chi_u_oracle():
         class_of, g_classes = world.g_classes
         sizes = [m.size for m in g_classes]
+        scan = ClassScan(g_classes)
         for ch in theory_ub_g.chars:
             fd = form_data(world, ch.provenance["lam"])
             h = _product_on_h(world, fd.L0_ids, fd.U_lam_ids, ch.provenance["theta_by_l"],
                               eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps)
             induced = induce_exact(class_of, sizes, *h)
-            _compare_char_to_induced(ch, class_of, g_classes, induced,
+            _compare_char_to_induced(ch, scan, induced,
                                      "Levi-averaged supercharacter")
     report.run("parabolic-induction-oracle", chi_u_oracle)
 
     def chi_g_oracle():
         class_of, g_classes = world.g_classes
         sizes = [m.size for m in g_classes]
+        scan = ClassScan(g_classes)
         for ch in theory_gb_g.chars:
             orbit = orbit_of(world, "ustar", "Gb", ch.provenance["lam"])
             h = _product_on_h(world, ch.provenance["ld_ids"], np.arange(world.nU),
                               ch.provenance["theta_by_l"], *orbit_sum(world, orbit.points))
             induced = induce_exact(class_of, sizes, *h)
-            _compare_char_to_induced(ch, class_of, g_classes, induced,
+            _compare_char_to_induced(ch, scan, induced,
                                      "ambient-orbit supercharacter")
     report.run("ambient-induction-oracle", chi_g_oracle)
     return report
@@ -453,13 +476,13 @@ def check_refinement(theory_ub_g, theory_gb_g, world):
         classes = theory_ub_g.classes
         n = theory_ub_g.group_size
         # coarse characters are constant on fine classes once refinement holds
+        scan = ClassScan([kl.members for kl in classes])
         for ch in theory_gb_g.chars:
-            for kl in classes:
-                ids = ch.ids[kl.members]
-                if ids.size and (ids != ids[0]).any():
-                    raise FalsificationError(
-                        "coarse character not constant on a fine class",
-                        {"char": ch.label, "class": kl.label})
+            hit = scan.first_non_constant(ch.ids)
+            if hit is not None:
+                raise FalsificationError(
+                    "coarse character not constant on a fine class",
+                    {"char": ch.label, "class": classes[hit[0]].label})
         VU, dU = class_values_matrix(theory_ub_g.pool, theory_ub_g.chars, classes)
         VG, dG = class_values_matrix(theory_gb_g.pool, theory_gb_g.chars, classes)
         weights = [kl.size for kl in classes]

@@ -1,8 +1,11 @@
 """Ambient-orbit theory: rook placements, signatures, coarsenings, assembly."""
 
+import itertools
+
 import numpy as np
 import pytest
 from conftest import levi_values
+from hypothesis import given, settings, strategies as st
 
 from parasuper import gtheory
 from parasuper.errors import FalsificationError
@@ -69,6 +72,31 @@ def test_classification_passes(borel_d2, borel_c2, twoblock_c2):
         out_s = classify_g_orbits(w, "ustar")
         assert out_u["orbits"] == out_u["signatures"]
         assert out_s["orbits"] == out_s["signatures"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda ell: st.tuples(st.just(ell), st.lists(
+    st.tuples(st.integers(-ell, ell), st.integers(-ell, ell)), max_size=4))))
+def test_close_segments_is_the_finest_symmetric_interval_coarsening(case):
+    # reference by definition: among all cuts of ell..-ell into intervals,
+    # the one with the most segments that is symmetric about zero and keeps
+    # each span (lo..hi, empty when lo > hi) inside one segment
+    ell, spans = case
+    blocks = list(range(ell, -ell - 1, -1))
+    best = None
+    for cuts in itertools.product([False, True], repeat=2 * ell):
+        segs = [[ell]]
+        for k, cut in zip(blocks[1:], cuts):
+            if cut:
+                segs.append([k])
+            else:
+                segs[-1].append(k)
+        seg_of = {k: t for t, seg in enumerate(segs) for k in seg}
+        symmetric = all(len({seg_of[-k] for k in seg}) == 1 for seg in segs)
+        kept = all(len({seg_of[k] for k in range(lo, hi + 1)}) <= 1 for lo, hi in spans)
+        if symmetric and kept and (best is None or len(segs) > len(best)):
+            best = segs
+    assert gtheory._close_segments(ell, spans) == tuple(tuple(seg) for seg in best)
 
 
 def test_merged_decomposition_paper_examples(borel_b2):

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from parasuper import linalg
 from parasuper.groups import ucstar_ad_matrix, ustar_action_matrix
 from parasuper.orbits import (
     LinearAction, QuotientSpace, enumerate_subspace, levi_stabilizer,
-    orbit_closure, partition_orbits, quotient_orbits, smallest_bimodule,
+    orbit_closure, partition_by_perms, partition_orbits, quotient_orbits, smallest_bimodule,
 )
 from parasuper.utheory import (
     action_on_u, action_on_ustar, action_twosided_ucstar, form_data,
@@ -24,7 +24,7 @@ def test_orbit_of_zero_is_fixed(borel_d2):
 def test_orbit_sizes_are_p_powers(borel_c2):
     p = borel_c2.spec.p
     for act in (action_on_ustar(borel_c2, "Ub"), action_on_ustar(borel_c2, "Hb")):
-        for orb in partition_orbits(act):
+        for orb in partition_orbits(act)[1]:
             size = orb.size
             while size % p == 0:
                 size //= p
@@ -41,7 +41,7 @@ def test_sub_orbit_containment(borel_c2):
 
 
 def test_partition_covers_disjointly(borel_d2):
-    orbits = partition_orbits(action_on_u(borel_d2, "Ub"))
+    orbits = partition_orbits(action_on_u(borel_d2, "Ub"))[1]
     total = np.concatenate([o.points for o in orbits])
     assert np.array_equal(np.sort(total), np.arange(borel_d2.u_size))
     # each orbit is generator-closed
@@ -54,7 +54,7 @@ def test_partition_covers_disjointly(borel_d2):
 
 def test_one_point_space():
     act = LinearAction("trivial", 3, 0, [])
-    orbits = partition_orbits(act)
+    orbits = partition_orbits(act)[1]
     assert len(orbits) == 1 and orbits[0].size == 1
 
 
@@ -83,14 +83,53 @@ def naive_closure(seed, act):
 @settings(max_examples=60, deadline=None)
 @given(small_actions())
 def test_partition_is_the_set_of_single_seed_closures(act):
-    orbits = partition_orbits(act)
+    orbits = partition_orbits(act)[1]
     total = np.concatenate([o.points for o in orbits])
     assert np.array_equal(np.sort(total), np.arange(act.size))
     assert [o.rep for o in orbits] == sorted(o.rep for o in orbits)
-    closures = {naive_closure(x, act) for x in range(act.size)}
-    assert {tuple(o.points.tolist()) for o in orbits} == closures
+    closures = [naive_closure(x, act) for x in range(act.size)]
+    assert {tuple(o.points.tolist()) for o in orbits} == set(closures)
     for x in range(act.size):
-        assert tuple(orbit_closure(x, act).points.tolist()) == naive_closure(x, act)
+        assert tuple(orbit_closure(x, act).points.tolist()) == closures[x]
+
+
+def set_closure_partition(n, perms):
+    """Orbit labels and sorted orbits of {0..n-1} under lists of images, by
+    plain set closure from each point not yet labelled, in ascending order."""
+    label, orbits = [-1] * n, []
+    for x in range(n):
+        if label[x] >= 0:
+            continue
+        seen, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for pm in perms:
+                if pm[y] not in seen:
+                    seen.add(pm[y])
+                    todo.append(pm[y])
+        for y in seen:
+            label[y] = len(orbits)
+        orbits.append(sorted(seen))
+    return label, orbits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 60).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), max_size=3))))
+@example((0, []))
+@example((1, []))
+@example((1, [[0]]))
+@example((7, []))
+@example((6, [[1, 2, 0, 4, 5, 3], [0, 1, 2, 3, 4, 5]]))
+def test_partition_by_perms_is_the_set_closure(case):
+    # arbitrary permutations, not only linear actions: the labels and the
+    # member lists match a plain set closure, order included
+    n, perms = case
+    label, orbits = partition_by_perms(n, [np.array(pm, dtype=np.int64) for pm in perms])
+    want_label, want_orbits = set_closure_partition(n, perms)
+    assert label.tolist() == want_label
+    assert [o.tolist() for o in orbits] == want_orbits
+    assert all(o.dtype == np.int64 for o in orbits)
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,7 +223,7 @@ def test_quotient_orbits_edge_cases(borel_d2):
     act = action_on_u(borel_d2, "Ub")
     # quotient by zero subspace = plain partition
     qs, orbits0 = quotient_orbits(act, [])
-    plain = partition_orbits(act)
+    plain = partition_orbits(act)[1]
     assert sorted(o.size for o in orbits0) == sorted(o.size for o in plain)
     # quotient by the full space has a single point
     full = [tuple(1 if i == j else 0 for i in range(act.dim)) for j in range(act.dim)]
@@ -218,7 +257,7 @@ def test_sliced_closure_is_the_whole_frontier_closure(borel_b2, monkeypatch):
     from parasuper.errors import ResourceGuardError
     act = action_twosided_ucstar(borel_b2)
     whole = max((orbit_closure(form_data(borel_b2, orb.rep).Lam_packed, act)
-                 for orb in partition_orbits(action_on_ustar(borel_b2, "Ub"))),
+                 for orb in partition_orbits(action_on_ustar(borel_b2, "Ub"))[1]),
                 key=lambda orb: orb.size)
     seed = whole.rep
     monkeypatch.setattr(orbits, "_SLICE", 7)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from conftest import levi_values
 
-from parasuper.theory import SuperChar
+from parasuper.errors import FalsificationError
+from parasuper.theory import SuperChar, SuperClass
 from parasuper.utheory import build_u_theory
 from parasuper.verify import (
-    check_lemmas, check_oracles, check_refinement, check_supertheory,
-    corrupt_character, corrupt_class, run_suites, theories,
+    ClassScan, _compare_char_to_induced, check_lemmas, check_oracles, check_refinement,
+    check_supertheory, corrupt_character, corrupt_class, run_suites, theories,
 )
 
 
@@ -69,6 +70,132 @@ def test_corrupt_class_detected(borel_d2):
     bad = corrupt_class(theory)
     report = check_supertheory(bad)
     assert not report.passed
+
+
+def _spread(theory):
+    """Copy of a theory whose first character is changed at the last member
+    of every class with two or more elements, so many classes fail S2."""
+    import copy
+    bad = copy.copy(theory)
+    bad.chars = list(theory.chars)
+    ch = theory.chars[0]
+    ids = ch.ids.copy()
+    for kl in theory.classes:
+        if kl.size >= 2:
+            ids[kl.members[-1]] = theory.pool.id_of(
+                ch.value_at(kl.members[-1]) + theory.pool.field.one)
+    bad.chars[0] = SuperChar(ch.label + "*", ids, theory.pool, dict(ch.provenance))
+    return bad
+
+
+def _reclassed(theory, members_of):
+    import copy
+    bad = copy.copy(theory)
+    bad.classes = [SuperClass(kl.label + "*", members_of(k))
+                   for k, kl in enumerate(theory.classes)]
+    return bad
+
+
+def _rotated(theory):
+    """Each class hands its last member to the next class (cyclically)."""
+    cls = theory.classes
+    return _reclassed(theory, lambda k: np.append(
+        cls[k].members[:-1] if cls[k].size >= 2 else cls[k].members,
+        [cls[k - 1].members[-1]] if cls[k - 1].size >= 2 else []).astype(np.int64))
+
+
+def _overlapping(theory):
+    """Each class also holds the first member of the next class."""
+    cls = theory.classes
+    return _reclassed(theory, lambda k: np.append(
+        cls[k].members, cls[(k + 1) % len(cls)].members[0]))
+
+
+def _s2_by_loops(theory):
+    # the per-(character, class) loop S2-constancy ran before ClassScan
+    for ch in theory.chars:
+        for kl in theory.classes:
+            ids = ch.ids[kl.members]
+            if ids.size and (ids != ids[0]).any():
+                bad = kl.members[np.where(ids != ids[0])[0][0]]
+                return {"char": ch.label, "class": kl.label,
+                        "elements": [int(kl.members[0]), int(bad)],
+                        "values": [ch.value_at(kl.members[0]).serialize(),
+                                   ch.value_at(bad).serialize()],
+                        "message": "character is not constant on a class"}
+    return None
+
+
+def _span_constancy_by_loops(fine, coarse):
+    # the loop the constancy pass of characters-in-span ran before ClassScan
+    for ch in coarse.chars:
+        for kl in fine.classes:
+            ids = ch.ids[kl.members]
+            if ids.size and (ids != ids[0]).any():
+                return {"char": ch.label, "class": kl.label,
+                        "message": "coarse character not constant on a fine class"}
+    return None
+
+
+CORRUPTIONS = {"character": corrupt_character, "class": corrupt_class,
+               "spread": _spread, "rotated": _rotated, "overlapping": _overlapping}
+
+
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+@pytest.mark.parametrize("name", ["borel_d2", "borel_c2"])
+def test_constancy_scan_reports_what_the_loops_report(name, corruption, request):
+    # S2-constancy and the constancy pass of characters-in-span report the
+    # first (character, class, element) in loop order, also on corrupted,
+    # overlapping and incomplete partitions
+    w = request.getfixturevalue(name)
+    gG = theories(w)[2]
+    bad = CORRUPTIONS[corruption](build_u_theory(w, "G", check=False))   # a private pool
+    s2 = next(c for c in check_supertheory(bad).checks if c.name == "S2-constancy")
+    want = _s2_by_loops(bad)
+    assert want is not None and not s2.passed
+    assert s2.counterexample == want
+    span = next(c for c in check_refinement(bad, gG, w).checks
+                if c.name == "characters-in-span")
+    want = _span_constancy_by_loops(bad, gG)
+    if want is None:
+        assert span.counterexample.get("message") != "coarse character not constant on a fine class"
+    else:
+        assert span.counterexample == want
+
+
+def _induction_comparison_by_loops(ch, clean, classes, what):
+    # the per-class loop the oracles' comparison amounts to, against a
+    # clean character standing in for the induced one
+    for members in classes:
+        ids = ch.ids[members]
+        if (ids != ids[0]).any():
+            return {"char": ch.label, "what": what,
+                    "elements": [int(members[0]), int(members[np.flatnonzero(ids != ids[0])[0]])],
+                    "message": "closed formula is not constant on a conjugacy class"}
+        if ch.value_at(members[0]) != clean.value_at(members[0]):
+            return {"char": ch.label, "what": what, "class_rep": int(members[0]),
+                    "formula": ch.value_at(members[0]).serialize(),
+                    "induction": clean.value_at(members[0]).serialize(),
+                    "message": "closed formula disagrees with direct induction"}
+    return None
+
+
+@pytest.mark.parametrize("corruption", ["character", "spread"])
+@pytest.mark.parametrize("name", ["borel_d2", "borel_c2"])
+def test_induction_comparison_reports_what_the_loop_reports(name, corruption, request):
+    w = request.getfixturevalue(name)
+    tG = build_u_theory(w, "G", check=False)                             # a private pool
+    bad = CORRUPTIONS[corruption](tG)
+    _, g_classes = w.g_classes
+    num, den = tG.pool.numerators()
+    clean = tG.chars[0]
+    induced = (num[clean.ids[[int(m[0]) for m in g_classes]]], den)
+    want = _induction_comparison_by_loops(bad.chars[0], clean, g_classes, "test")
+    assert want is not None
+    with pytest.raises(FalsificationError) as exc:
+        _compare_char_to_induced(bad.chars[0], ClassScan(g_classes), induced, "test")
+    assert dict(exc.value.counterexample, message=str(exc.value)) == want
+    _compare_char_to_induced(clean, ClassScan(g_classes), induced, "test")
 
 
 def test_oracles_and_refinement_c2(borel_c2):
