@@ -2,8 +2,9 @@
 
 Groups here are indexed multiplication tables (the Levi factor and its
 subgroups, never the parabolic itself).  Irreducible characters come from
-the homomorphism construction for abelian groups and from Dixon-Burnside
-for the rest: the commuting class-sum matrices are simultaneously
+the homomorphism construction for abelian groups and from Dixon-Schneider
+for the rest (J. Dixon, Numer. Math. 10, 1967; G. Schneider, J. Symbolic
+Comput. 9, 1990): the commuting class-sum matrices are simultaneously
 diagonalized over a finite field F_ell with ell = 1 mod exponent, and the
 eigenvalue data is lifted to exact cyclotomic values via root-of-unity
 multiplicities.  Irreducible values are sums of roots of unity, so a table
@@ -15,6 +16,8 @@ two integer Gram matrices, before anything downstream may use them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
@@ -32,21 +35,15 @@ class TableGroup:
         self.elements = list(elements)
         self.n = len(self.elements)
         self.mul = np.asarray(mul, dtype=np.int32)
-        ident = None
-        for a in range(self.n):
-            if all(int(self.mul[a, b]) == b for b in range(self.n)):
-                ident = a
-                break
-        if ident is None:
+        left_ones = np.flatnonzero((self.mul == np.arange(self.n)).all(axis=1))
+        if not left_ones.size:
             raise ValidationError("not-a-group", "multiplication table has no identity")
-        self.ident = ident
-        inv = np.full(self.n, -1, dtype=np.int32)
-        for a in range(self.n):
-            hits = np.where(self.mul[a] == ident)[0]
-            if hits.size != 1:
-                raise ValidationError("not-a-group", "element %d has no unique inverse" % a)
-            inv[a] = hits[0]
-        self.inv = inv
+        self.ident = int(left_ones[0])
+        hits = self.mul == self.ident
+        bad = np.flatnonzero(np.count_nonzero(hits, axis=1) != 1)
+        if bad.size:
+            raise ValidationError("not-a-group", "element %d has no unique inverse" % bad[0])
+        self.inv = hits.argmax(axis=1).astype(np.int32)
 
     @classmethod
     def from_elements(cls, elements, mul_fn):
@@ -68,34 +65,32 @@ class TableGroup:
 
     def subgroup(self, ids):
         """Sub-table on the given element ids; checks closure."""
-        ids = sorted(int(i) for i in ids)
-        back = {g: t for t, g in enumerate(ids)}
-        n = len(ids)
-        table = np.empty((n, n), dtype=np.int32)
-        for a in range(n):
-            for b in range(n):
-                prod = int(self.mul[ids[a], ids[b]])
-                if prod not in back:
-                    raise ValidationError("not-a-group", "subset is not closed under products")
-                table[a, b] = back[prod]
+        ids = np.sort(np.asarray(ids, dtype=np.int64))
+        back = np.full(self.n, -1, dtype=np.int32)
+        back[ids] = np.arange(ids.size)
+        table = back[self.mul[np.ix_(ids, ids)]]
+        if (table < 0).any():
+            raise ValidationError("not-a-group", "subset is not closed under products")
         sub = TableGroup([self.elements[i] for i in ids], table)
-        sub.parent_ids = ids
+        sub.parent_ids = ids.tolist()
         return sub
 
-    def order_of(self, a):
-        x = int(a)
-        k = 1
-        while x != self.ident:
-            x = int(self.mul[x, a])
-            k += 1
-        return k
+    @cached_property
+    def orders(self):
+        """The order of every element, from one power step for all at once."""
+        ar = np.arange(self.n)
+        order = np.zeros(self.n, dtype=np.int64)
+        x = ar
+        for k in range(1, self.n + 1):
+            order[(x == self.ident) & (order == 0)] = k
+            if order.all():
+                return order
+            x = self.mul[x, ar]
+        raise ValidationError("not-a-group", "an element has no finite order")
 
-    @property
+    @cached_property
     def exponent(self):
-        e = 1
-        for a in range(self.n):
-            e = lcm(e, self.order_of(a))
-        return e
+        return lcm(*np.unique(self.orders).tolist())
 
     def is_abelian(self):
         return bool(np.array_equal(self.mul, self.mul.T))
@@ -256,7 +251,7 @@ def _sorted_rows(X, lead=None):
 
 
 # ---------------------------------------------------------------------------
-# Dixon-Burnside for nonabelian groups
+# Dixon-Schneider for nonabelian groups
 
 def _next_prime_1_mod(e, floor):
     ell = max(floor, e + 1)
@@ -268,179 +263,139 @@ def _next_prime_1_mod(e, floor):
 
 
 def _class_matrices(group, classes):
-    """A_j[i, k] = #{(x, y) in C_i x C_j : x y = rep_k}."""
+    """A[j][i, k] = #{(x, y) in C_i x C_j : x y = rep_k}, as one int64 array
+    (j, i, k): every x with every class rep z meets y = x^-1 z once."""
     k = classes.k
-    mats = [np.zeros((k, k), dtype=np.int64) for _ in range(k)]
-    for kk, z in enumerate(classes.reps):
-        for i in range(k):
-            for x in classes.members[i]:
-                j = int(classes.class_of[group.mul[group.inv[x], z]])
-                mats[j][i, kk] += 1
+    x = np.arange(group.n)
+    j = classes.class_of[group.mul[group.inv[x][:, None], np.asarray(classes.reps)]]
+    mats = np.zeros((k, k, k), dtype=np.int64)
+    np.add.at(mats, (j, classes.class_of[x][:, None], np.arange(k)), 1)
     return mats
 
 
 def _charpoly_roots(B, ell):
-    """Eigenvalues in F_ell of a square matrix over F_ell (all roots lie there)."""
+    """Eigenvalues in F_ell of a square matrix over F_ell, ascending: the
+    zeros of det(t I - B) = t^m + c_1 t^(m-1) + ... + c_m over all of F_ell,
+    found by one Horner pass.  The coefficients come from the
+    Faddeev-LeVerrier recursion M_k = B M_(k-1) + c_(k-1) I,
+    c_k = -tr(B M_k) / k, which divides only by k <= m < ell.  Entries are
+    reduced below ell, so each product of two m x m matrices stays below
+    m ell^2 < 2^63 (checked in _dixon_characters, with m <= |G|)."""
+    B = np.asarray(B, dtype=np.int64)
     m = len(B)
-    # characteristic polynomial by interpolation on m+1 points
-    xs = list(range(m + 1))
-    ys = []
-    for x in xs:
-        M = [[(B[i][j] - (x if i == j else 0)) % ell for j in range(m)] for i in range(m)]
-        ys.append(linalg.det(M, ell))
-    coeffs = _interpolate(xs, ys, ell)
-    roots = [t for t in range(ell) if _poly_eval(coeffs, t, ell) == 0]
-    return roots
+    eye = np.eye(m, dtype=np.int64)
+    coeffs = [1]
+    BM = np.zeros_like(B)
+    for k in range(1, m + 1):
+        BM = B @ ((BM + coeffs[-1] * eye) % ell) % ell
+        coeffs.append(-int(np.trace(BM)) * pow(k, ell - 2, ell) % ell)
+    t = np.arange(ell, dtype=np.int64)
+    acc = np.zeros(ell, dtype=np.int64)
+    for c in coeffs:
+        acc = (acc * t + c) % ell
+    return np.flatnonzero(acc == 0).tolist()
 
 
-def _interpolate(xs, ys, ell):
-    n = len(xs)
-    coeffs = [0] * n
-    for i in range(n):
-        # Lagrange basis polynomial for xs[i]
-        num = [1]
-        den = 1
-        for j in range(n):
-            if j == i:
+def _common_eigenlines(mats, ell):
+    """Split F_ell^k into the common eigenlines of the class matrices.
+
+    Each eigenspace is an rref basis (rows, pivot columns).  For an invariant
+    space the coordinates of A v are the image read at the pivot columns, so
+    the restriction of A is one gather, and a nonzero residue of that
+    expansion shows a space that A does not map into itself.  Returns one
+    spanning vector per line, in order of the class matrices' eigenvalues."""
+    k = len(mats)
+    spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
+    for A in mats:
+        new_spaces = []
+        for V, piv in spaces:
+            if len(V) == 1:
+                new_spaces.append((V, piv))
                 continue
-            num = _poly_mul(num, [(-xs[j]) % ell, 1], ell)
-            den = den * (xs[i] - xs[j]) % ell
-        f = ys[i] * pow(den, ell - 2, ell) % ell
-        for t, c in enumerate(num):
-            coeffs[t] = (coeffs[t] + f * c) % ell
-    return coeffs
-
-
-def _poly_mul(a, b, ell):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % ell
-    return out
-
-
-def _poly_eval(coeffs, x, ell):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % ell
-    return acc
+            W = V @ A.T % ell                  # row c is A v_c
+            coords = W[:, piv]
+            if ((coords @ V - W) % ell).any():
+                raise RuntimeError("eigenspace is not invariant under a class-sum matrix")
+            B = coords.T
+            eye = np.eye(len(B), dtype=np.int64)
+            for t in _charpoly_roots(B, ell):
+                kern = linalg.right_kernel(((B - t * eye) % ell).tolist(), ell, len(B))
+                if kern:
+                    rows, pivots = linalg.rref((np.array(kern) @ V % ell).tolist(), ell)
+                    new_spaces.append((np.array(rows, dtype=np.int64), pivots))
+        spaces = new_spaces
+        if all(len(V) == 1 for V, _ in spaces):
+            break
+    if len(spaces) != k or any(len(V) != 1 for V, _ in spaces):
+        raise FalsificationError("class-sum matrices do not split into common eigenlines",
+                                 {"eigenspace_dims": [len(V) for V, _ in spaces], "classes": k})
+    return np.concatenate([V for V, _ in spaces])
 
 
 def _dixon_characters(group, classes, field):
     n = group.n
-    k = classes.k
     e = group.exponent
     ell = _next_prime_1_mod(e, 2 * n)
     g0 = primitive_root(ell)
     z = pow(g0, (ell - 1) // e, ell)          # fixed element of order e in F_ell
+    if n * ell * ell >= 2 ** 63:
+        # every int64 product sum below is over at most |G| terms under ell^2
+        raise ValidationError("chartab-guard",
+                              "group of order %d needs F_%d, too large for int64" % (n, ell))
 
-    mats = _class_matrices(group, classes)
-    # simultaneously split F_ell^k into common eigenlines of the class matrices
-    spaces = [[tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]]
-    for A in mats:
-        Alist = A.tolist()
-        new_spaces = []
-        for basis in spaces:
-            if len(basis) == 1:
-                new_spaces.append(basis)
-                continue
-            B = _restrict(Alist, basis, ell)
-            roots = _charpoly_roots(B, ell)
-            for t in roots:
-                shifted = [[(B[i][j] - (t if i == j else 0)) % ell
-                            for j in range(len(B))] for i in range(len(B))]
-                kern = linalg.right_kernel(shifted, ell, len(B))
-                if kern:
-                    sub = [_comb(basis, coeff, ell) for coeff in kern]
-                    new_spaces.append(sub)
-        spaces = new_spaces
-        if all(len(b) == 1 for b in spaces):
-            break
-    if len(spaces) != k or any(len(b) != 1 for b in spaces):
-        raise FalsificationError("class-sum matrices do not split into common eigenlines",
-                                 {"eigenspace_dims": [len(b) for b in spaces], "classes": k})
-
+    V = _common_eigenlines(_class_matrices(group, classes), ell)
     ident_class = int(classes.class_of[group.ident])
-    chars = []
-    for basis in spaces:
-        v = list(basis[0])
-        if v[ident_class] % ell == 0:
-            raise FalsificationError("eigenvector vanishes on the identity class",
-                                     {"eigenvector": v, "ell": ell})
-        f = pow(v[ident_class], ell - 2, ell)
-        omega = [x * f % ell for x in v]
-        # 1/deg^2 = (1/n) sum_i omega_i omega_{i*} / |C_i|
-        s = 0
-        for i in range(k):
-            s = (s + omega[i] * omega[classes.inverse_class[i]]
-                 * pow(classes.sizes[i], ell - 2, ell)) % ell
-        deg_sq = n * pow(s, ell - 2, ell) % ell
-        deg = _int_sqrt_exact(deg_sq)
-        if deg * deg != deg_sq:
-            raise FalsificationError("degree lift is not a perfect square",
-                                     {"degree_squared": deg_sq, "ell": ell})
-        chi_mod = [deg * omega[i] * pow(classes.sizes[i], ell - 2, ell) % ell for i in range(k)]
-        chars.append(_lift_character(group, classes, chi_mod, deg, e, z, ell, field))
-    return _sorted_rows(np.array(chars, dtype=np.int64), ident_class)
+    vanish = np.flatnonzero(V[:, ident_class] == 0)
+    if vanish.size:
+        raise FalsificationError("eigenvector vanishes on the identity class",
+                                 {"eigenvector": V[vanish[0]].tolist(), "ell": ell})
+
+    def inv_mod(a):
+        return np.array([pow(int(x), ell - 2, ell) for x in a], dtype=np.int64)
+
+    # one row per character: omega = v / v[1], and 1/deg^2 = (1/n) sum_i
+    # omega_i omega_{i*} / |C_i|, then chi_i = deg omega_i / |C_i|
+    omega = V * inv_mod(V[:, ident_class])[:, None] % ell
+    inv_sizes = inv_mod(classes.sizes)
+    s = (omega * omega[:, classes.inverse_class] % ell * inv_sizes).sum(axis=1) % ell
+    deg_sq = n * inv_mod(s) % ell
+    deg = np.array([isqrt(int(d)) for d in deg_sq], dtype=np.int64)
+    bad = np.flatnonzero(deg * deg != deg_sq)
+    if bad.size:
+        raise FalsificationError("degree lift is not a perfect square",
+                                 {"degree_squared": int(deg_sq[bad[0]]), "ell": ell})
+    chi_mod = deg[:, None] * omega % ell * inv_sizes % ell
+    return _sorted_rows(_lift_characters(group, classes, chi_mod, deg, e, z, ell, field),
+                        ident_class)
 
 
-def _restrict(A, basis, ell):
-    imgs = []
-    for v in basis:
-        img = [sum(A[i][j] * v[j] for j in range(len(v))) % ell for i in range(len(v))]
-        coords = linalg.express(basis, img, ell)
-        if coords is None:
-            raise RuntimeError("eigenspace is not invariant under a class-sum matrix")
-        imgs.append(coords)
-    m = len(basis)
-    return [[imgs[c][r] % ell for c in range(m)] for r in range(m)]
-
-
-def _comb(basis, coeff, ell):
-    dim = len(basis[0])
-    out = [0] * dim
-    for c, v in zip(coeff, basis):
-        if c:
-            out = [(a + c * b) % ell for a, b in zip(out, v)]
-    return tuple(out)
-
-
-def _int_sqrt_exact(x):
-    r = int(x ** 0.5)
-    while r * r > x:
-        r -= 1
-    while (r + 1) * (r + 1) <= x:
-        r += 1
-    return r
-
-
-def _lift_character(group, classes, chi_mod, deg, e, z, ell, field):
-    """Lift per-class values mod ell to exact sums of roots of unity: the
-    value at a class of order o is sum_j m_j zeta_o^j, as a coefficient row."""
-    rows = []
-    for c, rep in enumerate(classes.reps):
-        o = group.order_of(rep)
+def _lift_characters(group, classes, chi_mod, deg, e, z, ell, field):
+    """Lift per-class values mod ell to exact sums of roots of unity, all
+    characters at once: at a class whose rep g has order o the value is
+    sum_j m_j zeta_o^j, where m_j = (1/o) sum_t chi(g^t) zo^(-j t) and zo
+    is the element of order o in F_ell matching zeta_o.  Returns the table
+    as an int64 array (chars, classes, dim)."""
+    reps = np.asarray(classes.reps)
+    orders = group.orders[reps]
+    powers = [np.full(reps.size, group.ident)]         # row t: rep^t
+    for _ in range(int(orders.max()) - 1):
+        powers.append(group.mul[powers[-1], reps])
+    powers = np.array(powers)
+    table = np.empty(chi_mod.shape + (field.dim,), dtype=np.int64)
+    for c, o in enumerate(orders.tolist()):
         zo = pow(z, e // o, ell)
-        # chi(rep^t) mod ell along the cyclic group generated by rep
-        powers = []
-        x = group.ident
-        for t in range(o):
-            powers.append(chi_mod[int(classes.class_of[x])])
-            x = int(group.mul[x, rep])
-        inv_o = pow(o, ell - 2, ell)
-        mult = []
-        for j in range(o):
-            m_j = 0
-            for t in range(o):
-                m_j = (m_j + powers[t] * pow(zo, (-j * t) % o, ell)) % ell
-            mult.append(m_j * inv_o % ell)
-        if sum(mult) != deg:
+        jt = np.arange(o)
+        zo_pows = np.array([pow(zo, x, ell) for x in range(o)], dtype=np.int64)
+        chi_pows = chi_mod[:, classes.class_of[powers[:o, c]]]       # chi(g^t)
+        mult = chi_pows @ zo_pows[-np.outer(jt, jt) % o] % ell * pow(o, ell - 2, ell) % ell
+        bad = np.flatnonzero(mult.sum(axis=1) != deg)
+        if bad.size:
             raise FalsificationError(
                 "eigenvalue multiplicities do not sum to the degree",
-                {"class_rep": int(rep), "multiplicities": mult, "degree": deg})
-        rows.append(np.array(mult, dtype=np.int64)
-                    @ field.pow_rows[(field.M // o) * np.arange(o)])
-    return rows
+                {"class_rep": int(reps[c]), "multiplicities": mult[bad[0]].tolist(),
+                 "degree": int(deg[bad[0]])})
+        table[:, c] = mult @ field.pow_rows[(field.M // o) * jt]
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .chartab import irr_characters
 from .errors import FalsificationError, ValidationError
 from .theory import (
     SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes, sort_canonical,
 )
 from .utheory import (
-    form_data, intern_ids, l_table, lift_to_levi, orbit_of, orbit_partition, orbit_sum,
+    form_data, intern_ids, lift_to_levi, orbit_of, orbit_partition, orbit_sum, subgroup_table,
 )
 from .orbits import _bfs, enumerate_subspace, levi_stabilizer
 
@@ -475,7 +474,6 @@ def chi_alpha_g(world, ctx, theta):
 def build_g_theory(world, check=True):
     """Assemble the ambient-orbit supercharacter theory on G."""
     pool = ValuePool(world.field)
-    ltable = l_table(world)
     sig_classes = signature_classes(world)
 
     contexts = []
@@ -486,7 +484,6 @@ def build_g_theory(world, check=True):
     classes = []
     for ctx in contexts:
         pair = ctx["pair"]
-        sub = ltable.subgroup(ctx["ld_ids"])
         # the closed character formula needs the scalar Levi subgroup normal
         # and its characters fixed by conjugation from the whole Levi subgroup
         ld_arr = np.array(ctx["ld_ids"], dtype=np.int64)
@@ -495,7 +492,7 @@ def build_g_theory(world, check=True):
             raise FalsificationError(
                 "scalar Levi subgroup is not normal in the Levi subgroup",
                 {"pair": pair.label()})
-        table = irr_characters(sub, world.field, world.guards["chartab"])
+        table = subgroup_table(world, ctx["ld_ids"])
 
         for tidx, ch in enumerate(table.chars):
             theta = lift_to_levi(world, ctx["ld_ids"], table, ch)

@@ -106,25 +106,6 @@ def right_kernel(rows, m, ncols=None):
     return basis
 
 
-def solve(rows, rhs, m):
-    """One solution x of A x = b, or None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, m)
-    x = [0] * ncols
-    for row, p in zip(red, pivots):
-        if p == ncols:
-            return None
-        x[p] = row[ncols]
-    return tuple(x)
-
-
-def express(basis_rows, v, m):
-    """Coordinates of v in the given (independent) basis rows, or None."""
-    cols = [[basis_rows[i][c] for i in range(len(basis_rows))] for c in range(len(v))]
-    return solve(cols, list(v), m)
-
-
 def intersect(basis_a, basis_b, m):
     """Basis of the intersection of two row-span subspaces."""
     if not basis_a or not basis_b:

@@ -266,26 +266,44 @@ def levi_conj_orbits(world):
     return world.memo("levi_conj_orbits", build)
 
 
-def chi_alpha_u(world, fd, theta):
+def levi_parts_of_conjugates(world):
+    """rho r rho^-1 for each L-conjugation orbit representative r u of G
+    (rows) and each Levi element rho (columns), memoized per world in the
+    smallest unsigned dtype that holds a Levi id."""
+    def build():
+        r = levi_conj_orbits(world)[0] // world.nU
+        return world.conjL[:, r].T.astype(np.min_scalar_type(world.nL - 1))
+    return world.memo("levi_parts_of_conjugates", build)
+
+
+def zeta_at_conjugates(world, fd):
+    """zeta of one form at rho u rho^-1, laid out as levi_parts_of_conjugates
+    for the radical parts u: (value ids, distinct rows).  All theta of the
+    form share it."""
+    z_ids, z_rows = orbit_sum(world, fd.orbit_ub.points)
+    u = levi_conj_orbits(world)[0] % world.nU
+    return z_ids[world.conjUbyL[:, u].T], z_rows
+
+
+def chi_alpha_u(world, fd, theta, zeta):
     """Supercharacter of the parabolic for one (theta, form) pair.
 
     theta: (ids, rows) from lift_to_levi, a value id per Levi element id and
     the distinct integer coefficient rows, zero outside the pointwise
-    stabilizer.  Evaluates the closed Levi-averaged formula, which is
-    constant on the orbits of L conjugating G, at one element per orbit:
-    row k of codes holds the (theta, zeta) value-pair code at rho g rho^-1
-    for each rho, g the k-th orbit representative.  Local ids number the
-    sorted rows in descending order (the ascending order of their pair
-    counts); with theta ids in order of first appearance, this order is
-    printed output (see sort_canonical).
+    stabilizer; zeta: zeta_at_conjugates(world, fd).  Evaluates the closed
+    Levi-averaged formula, which is constant on the orbits of L conjugating
+    G, at one element per orbit: row k of codes holds the (theta, zeta)
+    value-pair code at rho g rho^-1 for each rho, g the k-th orbit
+    representative.  Local ids number the sorted rows in descending order
+    (the ascending order of their pair counts); with theta ids in order of
+    first appearance, this order is printed output (see sort_canonical).
     """
     tids, t_rows = theta
-    z_ids, z_rows = orbit_sum(world, fd.orbit_ub.points)
+    z_at, z_rows = zeta
     nz = len(z_rows)
     dtype = np.min_scalar_type(len(t_rows) * nz)
-    reps, orbit = levi_conj_orbits(world)
-    r, u = np.divmod(reps, world.nU)
-    codes = (tids[world.conjL[:, r].T] * nz + z_ids[world.conjUbyL[:, u].T]).astype(dtype)
+    _, orbit = levi_conj_orbits(world)
+    codes = (tids[levi_parts_of_conjugates(world)] * nz + z_at).astype(dtype)
     codes.sort(axis=1)
     uniq, inverse = unique_rows(codes)
     uniq, inverse = uniq[::-1], len(uniq) - 1 - inverse
@@ -345,16 +363,17 @@ def build_u_theory(world, target="G", check=True):
         chars = []
         for orb in star_orbits:
             fd = form_data(world, orb.rep)
-            sub = ltable.subgroup(fd.L0_ids)
-            table = irr_characters(sub, world.field, world.guards["chartab"])
+            table = subgroup_table(world, fd.L0_ids)
             sums = s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids)
+            zeta = zeta_at_conjugates(world, fd)
             for sidx, vals in enumerate(sums):
                 theta = lift_to_levi(world, fd.L0_ids, table, vals)
-                ids_local, values = chi_alpha_u(world, fd, theta)
+                ids_local, values = chi_alpha_u(world, fd, theta, zeta)
                 ids = intern_ids(pool, ids_local, values)
                 chars.append(SuperChar(
                     "chi[lam=%d,theta=%d]" % (orb.rep, sidx), ids.astype(np.int32), pool,
                     {"lam": orb.rep, "theta": sidx, "theta_by_l": theta}))
+            del zeta            # not held through the next form's orbit sum
         chars = dedup_chars(chars)
 
         classes = []
@@ -395,3 +414,12 @@ def lift_to_levi(world, sub_ids, table, vals):
 
 def l_table(world):
     return world.memo("l_table", lambda: TableGroup(list(range(world.nL)), world.mulL))
+
+
+def subgroup_table(world, ids):
+    """The character table of the Levi subgroup on `ids`, memoized per world
+    and per subgroup: forms and scalar Levi subgroups that share a subgroup
+    share one table."""
+    ids = tuple(sorted(int(i) for i in ids))
+    return world.memo(("subgroup_table", ids), lambda: irr_characters(
+        l_table(world).subgroup(ids), world.field, world.guards["chartab"]))

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from parasuper import chartab, linalg
 from parasuper.algebra import CycField, lcm
 from parasuper.chartab import (
     TableGroup, check_orthogonality, conjugacy_classes, irr_characters, s_orbit_sums,
@@ -141,6 +143,48 @@ def test_orthogonality_check_survives_optimize():
                          env={"PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("False row orthogonality fails [")
+
+
+def square_matrices(ell):
+    entries = st.integers(0, ell - 1)
+    return st.integers(1, 6).flatmap(lambda m: st.lists(
+        st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([7, 13, 97]).flatmap(
+    lambda ell: st.tuples(st.just(ell), square_matrices(ell))))
+@example((7, [[0]]))
+@example((7, [[0, 1], [0, 0]]))                   # nilpotent: the one root 0
+@example((7, [[0, 6], [1, 0]]))                   # t^2 + 1, no root mod 7
+@example((13, [[1, 0, 0], [0, 1, 0], [0, 0, 5]]))
+@example((97, np.diag([96, 3, 3, 0, 50, 3]).tolist()))   # repeated and zero roots
+def test_charpoly_roots_are_the_zeros_of_the_determinant(case):
+    ell, B = case
+    m = len(B)
+    want = [t for t in range(ell)
+            if linalg.det([[(B[i][j] - (t if i == j else 0)) % ell for j in range(m)]
+                           for i in range(m)], ell) == 0]
+    assert chartab._charpoly_roots(np.array(B, dtype=np.int64), ell) == want
+
+
+def test_non_invariant_eigenspace_is_an_error(monkeypatch):
+    # negative control: S3's classes are {1}, the transpositions and the
+    # 3-cycles.  The identity class matrix is I; replace the second by
+    # diag(1, 1, 2), whose eigenspaces are <e0, e1> and <e2>, and the third by
+    # one that maps e0 to e2, so <e0, e1> is not mapped into itself
+    real = chartab._class_matrices
+
+    def broken(group, classes):
+        mats = real(group, classes)
+        mats[1] = np.diag([1, 1, 2])
+        mats[2] = 0
+        mats[2][2, 0] = 1
+        return mats
+
+    monkeypatch.setattr(chartab, "_class_matrices", broken)
+    with pytest.raises(RuntimeError, match="eigenspace is not invariant under a class-sum matrix"):
+        irr_characters(symmetric3(), CycField(6))
 
 
 def test_guard():

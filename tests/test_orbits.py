@@ -68,12 +68,13 @@ def small_actions(draw):
     return LinearAction("random", p, dim, draw(st.lists(mats, min_size=1, max_size=3)))
 
 
-def naive_closure(seed, act):
+def naive_closure(seed, images):
+    """Plain set closure of one point under the generators' image lists."""
     seen, todo = {seed}, [seed]
     while todo:
         x = todo.pop()
-        for m in act.gen_mats:
-            y = int(act.apply(m, [x])[0])
+        for img in images:
+            y = img[x]
             if y not in seen:
                 seen.add(y)
                 todo.append(y)
@@ -87,7 +88,8 @@ def test_partition_is_the_set_of_single_seed_closures(act):
     total = np.concatenate([o.points for o in orbits])
     assert np.array_equal(np.sort(total), np.arange(act.size))
     assert [o.rep for o in orbits] == sorted(o.rep for o in orbits)
-    closures = [naive_closure(x, act) for x in range(act.size)]
+    images = [act.apply(m, np.arange(act.size)).tolist() for m in act.gen_mats]
+    closures = [naive_closure(x, images) for x in range(act.size)]
     assert {tuple(o.points.tolist()) for o in orbits} == set(closures)
     for x in range(act.size):
         assert tuple(orbit_closure(x, act).points.tolist()) == closures[x]

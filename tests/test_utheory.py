@@ -14,8 +14,8 @@ from parasuper.errors import FalsificationError
 from parasuper.groups import Parabolic, build_spec
 from parasuper.utheory import (
     FormData, action_on_ustar, build_u_theory, chi_alpha_u, form_data, l_table,
-    levi_conj_orbits, lift_to_levi, orbit_eps_counts, counts_to_values, superclass_u,
-    ustar_orbit_partition, u_orbit_partition,
+    levi_conj_orbits, lift_to_levi, orbit_eps_counts, counts_to_values, subgroup_table,
+    superclass_u, ustar_orbit_partition, u_orbit_partition, zeta_at_conjugates,
 )
 
 
@@ -231,7 +231,7 @@ def test_chi_alpha_u_matches_pair_counting(name, request):
     for fd, table, rows, theta_by_l in theta_sums(w):
         theta = lift_to_levi(w, fd.L0_ids, table, rows)
         assert levi_values(w, theta) == theta_by_l
-        ids, values = chi_alpha_u(w, fd, theta)
+        ids, values = chi_alpha_u(w, fd, theta, zeta_at_conjugates(w, fd))
         want_ids, want_values = chi_alpha_u_by_counting(w, fd, theta_by_l)
         assert ids.tolist() == want_ids
         assert values == want_values
@@ -304,3 +304,41 @@ def test_falsification_on_corrupted_theory(borel_d2):
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
     assert failing and failing[0].counterexample
+
+
+def test_subgroup_table_is_one_table_per_subgroup(mid3_b2):
+    # the pointwise stabilizers of the forms repeat; each distinct subgroup
+    # gets one table, whatever the order of its ids
+    w = mid3_b2
+    stabs = {tuple(form_data(w, orb.rep).L0_ids) for orb in ustar_orbit_partition(w, "Ub")}
+    assert len(stabs) > 1
+    tables = {}
+    for ids in stabs:
+        tab = subgroup_table(w, ids)
+        assert subgroup_table(w, list(reversed(ids))) is tab
+        assert subgroup_table(w, np.random.default_rng(3).permutation(ids)) is tab
+        assert tab.group.parent_ids == sorted(ids)
+        fresh = irr_characters(l_table(w).subgroup(ids), w.field)
+        assert np.array_equal(tab.chars, fresh.chars)
+        tables[ids] = tab
+    assert len({id(tab) for tab in tables.values()}) == len(stabs)
+
+
+def test_theories_compute_one_table_per_distinct_subgroup(monkeypatch):
+    # both G theories of B2 q=3 blocks 1,3 take their Levi subgroup tables
+    # from subgroup_table: one irr_characters call per distinct subgroup,
+    # fewer than the forms and scalar Levi subgroups that ask for one
+    from parasuper.gtheory import build_g_theory, signature_classes
+    w = Parabolic(build_spec("B", 2, 3, (1, 3, 1)))
+    calls = []
+
+    def counted(group, *args):
+        calls.append(group.parent_ids)
+        return irr_characters(group, *args)
+
+    monkeypatch.setattr(utheory, "irr_characters", counted)
+    build_u_theory(w, "G", check=False)
+    build_g_theory(w, check=False)
+    assert len(calls) == len({tuple(ids) for ids in calls})      # no subgroup twice
+    asked = len(ustar_orbit_partition(w, "Ub")) + len(signature_classes(w))
+    assert len(calls) < asked
