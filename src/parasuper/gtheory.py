@@ -22,9 +22,10 @@ from .theory import (
     SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes, sort_canonical,
 )
 from .utheory import (
-    form_data, intern_ids, lift_to_levi, orbit_of, orbit_partition, orbit_sum, subgroup_table,
+    action_on_ustar, form_data, intern_ids, lift_to_levi, orbit_of, orbit_partition, orbit_sum,
+    subgroup_table,
 )
-from .orbits import _bfs, enumerate_subspace, levi_stabilizer
+from .orbits import _bfs, enumerate_subspace, levi_images
 
 
 # ---------------------------------------------------------------------------
@@ -284,72 +285,26 @@ def merged_by_roots(spec, roots):
 def merged_by_levi(spec, h):
     """Coarsening along maximal runs of blocks where h is one scalar matrix.
 
-    An empty block is transparent: it joins a run only when the same scalar
-    value continues on both sides of it, otherwise it stays a (labelless)
-    singleton segment, which keeps the coarsening symmetric about zero.
+    Consecutive non-empty blocks with the same scalar join, together with the
+    empty blocks between them; an empty block elsewhere stays a singleton.
+    The joins must already be symmetric about zero.
     """
-    ell = spec.ell
-    h = np.asarray(h).tolist()
+    h = np.asarray(h)
     scalar = {}
-    for k in range(ell, -ell - 1, -1):
-        labs = spec.segments[k]
-        if not labs:
-            scalar[k] = "any"
-            continue
-        diag0 = h[spec.pos[labs[0]]][spec.pos[labs[0]]]
-        ok = True
-        for a in labs:
-            for b in labs:
-                want = diag0 if a == b else 0
-                if h[spec.pos[a]][spec.pos[b]] != want:
-                    ok = False
-        scalar[k] = diag0 if ok else None
-
-    segs = []
-    run = []
-    val = None
-    pending = []
-
-    def close_run():
-        nonlocal run, val
-        if run:
-            segs.append(tuple(run))
-        run, val = [], None
-
-    def flush_pending():
-        nonlocal pending
-        for pb in pending:
-            segs.append((pb,))
-        pending = []
-
-    for t in range(ell, -ell - 1, -1):
-        s = scalar[t]
-        if s is None:
-            close_run()
-            flush_pending()
-            segs.append((t,))
-        elif s == "any":
-            pending.append(t)
-        elif val is None:
-            flush_pending()
-            run, val = [t], s
-        elif s == val:
-            run.extend(pending)
-            pending = []
-            run.append(t)
-        else:
-            close_run()
-            flush_pending()
-            run, val = [t], s
-    close_run()
-    flush_pending()
-
-    md = MergedDecomposition("levi", tuple(segs))
-    mirror = tuple(tuple(sorted((-t for t in seg), reverse=True)) for seg in reversed(md.segments))
-    if mirror != md.segments:
+    for k in range(spec.ell, -spec.ell - 1, -1):
+        idx = [spec.pos[lab] for lab in spec.segments[k]]
+        if idx:
+            block = h[np.ix_(idx, idx)]
+            one = (block == block[0, 0] * np.eye(len(idx), dtype=np.int64)).all()
+            scalar[k] = int(block[0, 0]) if one else None
+    keys = list(scalar)
+    spans = [(b, a) for a, b in zip(keys, keys[1:])
+             if scalar[a] is not None and scalar[a] == scalar[b]]
+    joined = {k for lo, hi in spans for k in range(lo, hi)}
+    if joined != {-k - 1 for k in joined}:
         raise FalsificationError("Levi coarsening is not symmetric about zero",
-                                 {"segments": [list(seg) for seg in md.segments]})
-    return md
+                                 {"spans": [list(span) for span in spans]})
+    return MergedDecomposition("levi", _close_segments(spec.ell, spans))
 
 
 def crossing_flags(spec, merged):
@@ -411,8 +366,12 @@ def pair_context(world, sig, pair):
 
     ld_ids = scalar_levi_subgroup(world, merged)
 
-    # pointwise stabilizer of the orbit must be exactly the scalar subgroup
-    stab = levi_stabilizer(world, orbit_form.points, "ustar", "pointwise")
+    # pointwise stabilizer of the orbit must be exactly the scalar subgroup;
+    # it is read on the orbit's span, the smallest invariant subspace
+    # holding the form
+    span, _ = linalg.invariant_span([lam_coords], action_on_ustar(world, "Gb").gen_mats, spec.p)
+    span = world.pack_u_array(np.array(span, dtype=np.int64).reshape(-1, spec.u_dim))
+    stab = np.flatnonzero((levi_images(world, "ustar", span) == span).all(axis=1)).tolist()
     if stab != sorted(ld_ids):
         raise FalsificationError(
             "scalar Levi subgroup differs from the orbit's pointwise stabilizer",

@@ -8,6 +8,9 @@ ambient groups acting are never enumerated.
 Spaces that are enumerated anyway (u and u* under Ub, Hb and Gb) are
 partitioned once per world and an orbit is looked up there by label; only
 the spaces of forms on Uc, too large to enumerate, are closed from a seed.
+Levi stabilizers are read off `levi_images`, the images of a few points
+under every Levi element at once, and the preimages of the orbits on a
+quotient of u are partitioned on u itself (`quotient_orbits`).
 """
 
 from __future__ import annotations
@@ -136,29 +139,18 @@ def partition_orbits(action, guard=10 ** 7):
     return label, [Orbit(m) for m in classes]
 
 
-def levi_stabilizer(world, points, space, mode):
-    """Ids of the Levi elements fixing a sorted point set, as a set
-    ("setwise") or point by point ("pointwise").
+def levi_images(world, space, points):
+    """(nL, k) packed images of k points under every Levi element, in one
+    batched product.  `space` names the action: "ustar" is the dot action on
+    forms over u, "ucstar" the coadjoint action on forms over Uc.
 
-    `space` names the action: "ustar" is the dot action on forms over u,
-    "ucstar" the coadjoint action on forms over Uc.  Both stabilizers are
-    subgroups, the pointwise one inside the setwise one.
+    A Levi element fixes a subspace pointwise iff its row equals the
+    subspace's basis points; it fixes an orbit of a group that L normalizes
+    setwise iff it maps one point of the orbit into it.
     """
-    if mode not in ("setwise", "pointwise"):
-        raise ValidationError("mode", "mode must be setwise or pointwise")
-    if space not in ("ustar", "ucstar"):
-        raise ValidationError("space", "space must be 'ustar' or 'ucstar'")
-    mats = world.ustar_levi_mats if space == "ustar" else world.ucstar_levi_mats
+    mats = getattr(world, space + "_levi_mats")
     act = LinearAction(space, world.spec.p, mats.shape[1], [])
-    digits = act.unpack(points)
-    out = []
-    for hid, m in enumerate(mats):
-        img = act.pack(digits @ m.T)
-        if mode == "setwise":
-            img.sort()
-        if np.array_equal(img, points):
-            out.append(hid)
-    return out
+    return act.pack(np.einsum("lij,kj->lki", mats, act.unpack(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,62 +168,30 @@ def enumerate_subspace(basis, p, dim=None):
     return (coeffs @ np.asarray(basis, dtype=np.int64)) % p
 
 
-class QuotientSpace:
-    """Coordinates on V / W for a subspace W given by basis rows."""
-
-    def __init__(self, dim, sub_basis, p):
-        self.p = p
-        self.dim = dim
-        red, pivots = linalg.rref(sub_basis, p) if sub_basis else ([], [])
-        self.sub_rref = red
-        self.sub_pivots = pivots
-        self.free = [c for c in range(dim) if c not in set(pivots)]
-        self.qdim = len(self.free)
-        self.reduce_mat = np.array(self_reduce_matrix(red, pivots, dim, p), dtype=np.int64)
-        self.proj = self.reduce_mat[self.free, :] % p      # (qdim, dim)
-        lift = np.zeros((dim, self.qdim), dtype=np.int64)
-        for t, c in enumerate(self.free):
-            lift[c, t] = 1
-        self.lift_mat = lift
-
-    def project_mats(self, mats):
-        """Induced action matrices on the quotient (requires invariance)."""
-        out = []
-        for m in mats:
-            out.append((self.proj @ (np.asarray(m, dtype=np.int64) @ self.lift_mat)) % self.p)
-        return out
-
-    def invariant_under(self, mats):
-        if not self.sub_rref:
-            return True
-        basis = np.asarray(self.sub_rref, dtype=np.int64)
-        for m in mats:
-            img = (basis @ np.asarray(m, dtype=np.int64).T) % self.p
-            for v in img:
-                if any(linalg.reduce_vec(self.sub_rref, self.sub_pivots, v.tolist(), self.p)):
-                    return False
-        return True
-
-    def action(self, label, base_action):
-        if not self.invariant_under(base_action.gen_mats):
-            raise ValidationError("not-invariant",
-                                  "subspace is not invariant under the action %r" % base_action.label)
-        return LinearAction(label, self.p, self.qdim, self.project_mats(base_action.gen_mats))
-
-    def coset_points(self, quotient_pts, base_action):
-        """All packed ambient points lying over the given quotient points."""
-        sub_pts = enumerate_subspace(self.sub_rref, self.p, self.dim)   # (s, dim)
-        qdigits = LinearAction("q", self.p, self.qdim, []).unpack(quotient_pts)  # (m, qdim)
-        lifts = (qdigits @ self.lift_mat.T) % self.p               # (m, dim)
-        total = (lifts[:, None, :] + sub_pts[None, :, :]) % self.p
-        return base_action.pack(total.reshape(-1, self.dim))
-
-
-def quotient_orbits(base_action, sub_basis, guard=10 ** 7):
-    """Orbit partition of the quotient by an invariant subspace."""
-    qs = QuotientSpace(base_action.dim, sub_basis, base_action.p)
-    qact = qs.action(base_action.label + "/sub", base_action)
-    return qs, partition_orbits(qact, guard)[1]
+def quotient_orbits(action, perms, sub_basis):
+    """The preimages in the action's space of the orbits on its quotient by
+    an invariant subspace W (rows of `sub_basis`), as (omega, members) in
+    ascending omega.  `perms` are the action's generator permutations
+    (`full_perms`); with the translations by a basis of W added, one
+    partition gives each preimage directly.  omega labels a preimage by its
+    least point of the quotient: the coordinates of a point reduced modulo
+    the rref basis of W, packed on the non-pivot columns.
+    """
+    p = action.p
+    red, pivots = linalg.rref(sub_basis, p)
+    if linalg.invariant_span(red, action.gen_mats, p)[0] != red:
+        raise ValidationError("not-invariant",
+                              "subspace is not invariant under the action %r" % action.label)
+    digits = action.unpack(np.arange(action.size))
+    basis = np.array(red, dtype=np.int64).reshape(-1, action.dim)
+    shifts = [action.pack(digits + b) for b in basis]
+    label, members = partition_by_perms(action.size, list(perms) + shifts)
+    free = [c for c in range(action.dim) if c not in pivots]
+    reduced = (digits - digits[:, pivots] @ basis) % p
+    point = reduced[:, free] @ action.powers()[:len(free)]
+    omega = np.full(len(members), action.size, dtype=np.int64)
+    np.minimum.at(omega, label, point)
+    return [(int(omega[c]), members[c]) for c in np.argsort(omega, kind="stable")]
 
 
 def smallest_bimodule(world, h):

@@ -25,8 +25,8 @@ from .groups import (
     ustar_action_matrix,
 )
 from .orbits import (
-    LinearAction, levi_stabilizer, partition_by_perms, partition_orbits,
-    quotient_orbits, smallest_bimodule,
+    LinearAction, levi_images, partition_by_perms, partition_orbits, quotient_orbits,
+    smallest_bimodule,
 )
 from .theory import (
     SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes, sort_canonical,
@@ -158,13 +158,17 @@ class FormData:
         uc_powers = np.array([p ** t for t in range(spec.uc_dim)], dtype=np.int64)
         self.Lam_packed = int((np.array(Lam, dtype=np.int64) % p) @ uc_powers)
 
-        # Levi stabilizers: pointwise on the two-sided orbit, computed on the
+        # Levi stabilizers: pointwise on the two-sided orbit, read on the
         # orbit's span (the smallest invariant subspace holding Lam), and
-        # setwise on the dot orbit
+        # setwise on the dot orbit, by membership of the image of lam (L
+        # normalizes Ub, so it permutes the dot orbits)
         span, _ = linalg.invariant_span([Lam], action_twosided_ucstar(world).gen_mats, p)
         span = np.array(span, dtype=np.int64).reshape(-1, spec.uc_dim) @ uc_powers
-        self.L0_ids = levi_stabilizer(world, span, "ucstar", "pointwise")
-        self.S_ids = levi_stabilizer(world, self.orbit_ub.points, "ustar", "setwise")
+        self.L0_ids = np.flatnonzero(
+            (levi_images(world, "ucstar", span) == span).all(axis=1)).tolist()
+        label = orbit_partition(world, "ustar", "Ub")[0]
+        self.S_ids = np.flatnonzero(
+            label[levi_images(world, "ustar", [self.lam])[:, 0]] == label[self.lam]).tolist()
         if not set(self.L0_ids) <= set(self.S_ids):
             self._fail("pointwise stabilizer must sit inside the setwise stabilizer")
 
@@ -378,15 +382,14 @@ def build_u_theory(world, target="G", check=True):
 
         classes = []
         act_u = action_on_u(world, "Ub")
+        perms = world.memo(("perms", "u", "Ub"), lambda: act_u.full_perms(world.guards["space"]))
         for h_idx in range(world.nL):
             _, u_h_basis = smallest_bimodule(world, world.L[h_idx])
-            qs, qorbits = quotient_orbits(act_u, u_h_basis, world.guards["space"])
-            for orb in qorbits:
-                coset = qs.coset_points(orb.points, act_u)
+            for omega, coset in quotient_orbits(act_u, perms, u_h_basis):
                 members = superclass_u(world, h_idx, coset)
                 classes.append(SuperClass(
-                    "K[h=%d,omega=%d]" % (h_idx, orb.rep), members,
-                    {"h": h_idx, "omega": orb.rep}))
+                    "K[h=%d,omega=%d]" % (h_idx, omega), members,
+                    {"h": h_idx, "omega": omega}))
         classes = dedup_classes(classes)
         theory = SuperTheory("Ub-on-G", world.g_size, world.g_ident, chars, classes, pool,
                              {"config": world.spec.config_label(), "target": "G"})

@@ -22,7 +22,7 @@ from . import linalg
 from .algebra import absmax, int_dtype, integer_gram
 from .errors import FalsificationError, ValidationError
 from .groups import cayley, subgroup_generators
-from .orbits import levi_stabilizer, orbit_closure
+from .orbits import levi_images, orbit_closure
 from .theory import SuperChar, SuperClass
 from .utheory import (
     action_left_ucstar, action_twosided_ucstar, build_u_theory, eps_exponents, form_data,
@@ -240,6 +240,16 @@ def check_lemmas(world):
                 raise FalsificationError(
                     "the nilpotent algebra is not stable under two-sided "
                     "multiplication", {"position": [i, j]})
+        # every Levi element l normalizes it, l E l^-1 in uc (isometries
+        # invert by the dagger): so L permutes the orbits of Ub, which the
+        # stabilizers by membership rest on; first failure in (l, position)
+        conj = world.L[:, None] @ units % p @ spec.dagger(world.L)[:, None] % p
+        bad = np.argwhere(conj[..., ~spec.uc_mask].any(axis=-1))
+        if bad.size:
+            i, j = spec.uc_positions[bad[0, 1]]
+            raise FalsificationError(
+                "a Levi element does not normalize the nilpotent algebra",
+                {"levi": int(bad[0, 0]), "position": [i, j]})
     report.run("two-sided-stability", nilpotent_stability)
 
     def springer_equivariance():
@@ -316,7 +326,9 @@ def check_lemmas(world):
         for lam in reps:
             fd = form_data(world, lam)
             two_sided = orbit_closure(fd.Lam_packed, action_twosided_ucstar(world), budget)
-            s_two = levi_stabilizer(world, two_sided.points, "ucstar", "setwise")
+            img = levi_images(world, "ucstar", [fd.Lam_packed])[:, 0]
+            at = np.searchsorted(two_sided.points, img).clip(max=two_sided.size - 1)
+            s_two = np.flatnonzero(two_sided.points[at] == img).tolist()
             if s_two != fd.S_ids:
                 raise FalsificationError(
                     "setwise stabilizers computed two ways disagree",

@@ -3,7 +3,8 @@ sha256 stored in tests/golden/digests.json.
 
 The digests pin the exact bytes of the orbit partitions (their order too),
 both theories' tables and the full verification report on two small
-configurations, so a refactor that changes any output is caught here.
+configurations, and the verification report of B2 q=3 blocks 1,3 (|L| = 96),
+so a refactor that changes any output is caught here.
 Regenerate the file with `PYTHONPATH=src python tests/test_golden.py` only
 when an output is meant to change.
 """
@@ -36,6 +37,9 @@ def golden_commands():
             out.append(("utheory",) + cfg + ("--target", target))
         out.append(("gtheory",) + cfg)
         out.append(("verify",) + cfg + ("--suite", "all"))
+    # the large-Levi configuration (|L| = 96): per-form Levi scans
+    out.append(("verify", "--family", "B", "--n", "2", "--q", "3", "--blocks", "1,3",
+                "--suite", "all"))
     return out
 
 

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import levi_values
+from conftest import levi_values, world_for
 from hypothesis import given, settings, strategies as st
 
 from parasuper import gtheory
@@ -145,6 +145,103 @@ def test_merged_by_levi(borel_c2):
                        for seg in reversed(md.segments))
         assert mirror == md.segments
         radical_factorization_check(w, hid)
+
+
+def merged_by_levi_by_runs(spec, h):
+    """Reference for merged_by_levi, as a run/pending scan over the blocks.
+    Coarsening along maximal runs of blocks where h is one scalar matrix.
+
+    An empty block is transparent: it joins a run only when the same scalar
+    value continues on both sides of it, otherwise it stays a (labelless)
+    singleton segment, which keeps the coarsening symmetric about zero.
+    """
+    ell = spec.ell
+    h = np.asarray(h).tolist()
+    scalar = {}
+    for k in range(ell, -ell - 1, -1):
+        labs = spec.segments[k]
+        if not labs:
+            scalar[k] = "any"
+            continue
+        diag0 = h[spec.pos[labs[0]]][spec.pos[labs[0]]]
+        ok = True
+        for a in labs:
+            for b in labs:
+                want = diag0 if a == b else 0
+                if h[spec.pos[a]][spec.pos[b]] != want:
+                    ok = False
+        scalar[k] = diag0 if ok else None
+
+    segs = []
+    run = []
+    val = None
+    pending = []
+
+    def close_run():
+        nonlocal run, val
+        if run:
+            segs.append(tuple(run))
+        run, val = [], None
+
+    def flush_pending():
+        nonlocal pending
+        for pb in pending:
+            segs.append((pb,))
+        pending = []
+
+    for t in range(ell, -ell - 1, -1):
+        s = scalar[t]
+        if s is None:
+            close_run()
+            flush_pending()
+            segs.append((t,))
+        elif s == "any":
+            pending.append(t)
+        elif val is None:
+            flush_pending()
+            run, val = [t], s
+        elif s == val:
+            run.extend(pending)
+            pending = []
+            run.append(t)
+        else:
+            close_run()
+            flush_pending()
+            run, val = [t], s
+    close_run()
+    flush_pending()
+
+    md = gtheory.MergedDecomposition("levi", tuple(segs))
+    mirror = tuple(tuple(sorted((-t for t in seg), reverse=True)) for seg in reversed(md.segments))
+    if mirror != md.segments:
+        raise FalsificationError("Levi coarsening is not symmetric about zero",
+                                 {"segments": [list(seg) for seg in md.segments]})
+    return md
+
+
+@pytest.mark.parametrize("config", [
+    ("B", 2, 3, (1, 1, 1, 1, 1)), ("B", 2, 3, (1, 3, 1)), ("B", 2, 3, (2, 1, 2)),
+    ("C", 2, 3, (1, 1, 0, 1, 1)), ("C", 2, 3, (2, 0, 2)), ("C", 2, 5, (1, 1, 0, 1, 1)),
+    ("D", 2, 3, (1, 1, 0, 1, 1)), ("D", 3, 3, (1, 1, 1, 0, 1, 1, 1)),
+    ("D", 3, 3, (1, 2, 0, 2, 1)), ("C", 3, 3, (1, 2, 0, 2, 1)),
+], ids=lambda c: "%s%d-q%d-%s" % (c[0], c[1], c[2], ",".join(map(str, c[3]))))
+def test_merged_by_levi_matches_the_run_scan(config):
+    w = world_for(*config)
+    for h in w.L:
+        assert merged_by_levi(w.spec, h) == merged_by_levi_by_runs(w.spec, h)
+
+
+def test_merged_by_levi_rejects_an_asymmetric_coarsening(borel_c2):
+    # diag(1, 1, 2, 1) is no isometry: blocks 2 and 1 share a scalar while
+    # their mirrors -2 and -1 do not
+    spec = borel_c2.spec
+    h = np.diag([1, 1, 2, 1])
+    with pytest.raises(FalsificationError, match="not symmetric about zero") as err:
+        merged_by_levi_by_runs(spec, h)
+    assert err.value.counterexample == {"segments": [[2, 1], [0], [-1], [-2]]}
+    with pytest.raises(FalsificationError, match="not symmetric about zero") as err:
+        merged_by_levi(spec, h)
+    assert err.value.counterexample == {"spans": [[1, 2]]}
 
 
 def test_signature_class_count_matches_orbits(borel_c2):

@@ -1,14 +1,16 @@
-"""Orbit machinery: closures, partitions, stabilizers, bimodules, quotients."""
+"""Orbit machinery: closures, partitions, Levi images, bimodules, quotients."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import world_for
 from parasuper import linalg
+from parasuper.errors import ValidationError
 from parasuper.groups import ucstar_ad_matrix, ustar_action_matrix
 from parasuper.orbits import (
-    LinearAction, QuotientSpace, enumerate_subspace, levi_stabilizer,
-    orbit_closure, partition_by_perms, partition_orbits, quotient_orbits, smallest_bimodule,
+    LinearAction, enumerate_subspace, levi_images, orbit_closure, partition_by_perms,
+    partition_orbits, quotient_orbits, smallest_bimodule,
 )
 from parasuper.utheory import (
     action_on_u, action_on_ustar, action_twosided_ucstar, form_data,
@@ -144,6 +146,17 @@ def test_invariant_span_is_the_span_of_the_orbits(act, data):
     assert linalg.invariant_span(act.unpack(seeds), act.gen_mats, act.p) == want
 
 
+def pointwise(w, space, points):
+    """Levi ids whose images of the points are the points themselves."""
+    return np.flatnonzero((levi_images(w, space, points) == points).all(axis=1)).tolist()
+
+
+def setwise(w, space, points):
+    """Levi ids mapping the sorted point set onto itself."""
+    return np.flatnonzero((np.sort(levi_images(w, space, points), axis=1)
+                           == points).all(axis=1)).tolist()
+
+
 @pytest.mark.parametrize("name", ["borel_b2", "borel_c2", "borel_d2"])
 def test_pointwise_stabilizer_of_the_span_is_that_of_the_orbit(name, request):
     # FormData reads L0 off the span of the two-sided orbit; the enumerated
@@ -152,14 +165,14 @@ def test_pointwise_stabilizer_of_the_span_is_that_of_the_orbit(name, request):
     for lam in range(w.u_size):
         fd = form_data(w, lam)
         orbit = orbit_closure(fd.Lam_packed, action_twosided_ucstar(w))
-        assert fd.L0_ids == levi_stabilizer(w, orbit.points, "ucstar", "pointwise")
+        assert fd.L0_ids == pointwise(w, "ucstar", orbit.points)
 
 
 def test_stabilizers_on_zero_orbit(borel_b2):
     w = borel_b2
     for space in ("ustar", "ucstar"):
-        for mode in ("setwise", "pointwise"):
-            assert levi_stabilizer(w, np.array([0]), space, mode) == list(range(w.nL))
+        img = levi_images(w, space, np.array([0]))
+        assert img.shape == (w.nL, 1) and not img.any()
     fd = form_data(w, 0)
     assert fd.L0_ids == list(range(w.nL))
     assert fd.S_ids == list(range(w.nL))
@@ -169,19 +182,23 @@ def test_stabilizers_on_zero_orbit(borel_b2):
 @pytest.mark.parametrize("space", ["ustar", "ucstar"])
 def test_stabilizers_by_direct_filter(borel_b2, space, mode):
     # dual vectors of the first two crossing roots (on u*) and their extended
-    # forms' two-sided orbits (on Uc*): compare the generic stabilizer routine
-    # against a handwritten filter over all of L; on the second form the
-    # setwise and pointwise stabilizers differ
+    # forms' two-sided orbits (on Uc*): compare the stabilizers read off the
+    # Levi images against a handwritten filter over all of L; on the second
+    # form the setwise and pointwise stabilizers differ.  The setwise one is
+    # also the membership test of the seed's image, and FormData's S and L0
+    # are these stabilizers of the dot orbit and the two-sided orbit
     w = borel_b2
     spec = w.spec
     for t in (0, 1):
         lam = w.pack_u([int(s == t) for s in range(spec.u_dim)])
+        fd = form_data(w, lam)
         if space == "ustar":
+            seed = lam
             points = orbit_closure(lam, action_on_ustar(w, "Ub")).points
             act, mat_of = action_on_ustar(w, "Ub"), ustar_action_matrix
         else:
-            points = orbit_closure(form_data(w, lam).Lam_packed,
-                                   action_twosided_ucstar(w)).points
+            seed = fd.Lam_packed
+            points = orbit_closure(seed, action_twosided_ucstar(w)).points
             act, mat_of = LinearAction("uc", spec.p, spec.uc_dim, []), ucstar_ad_matrix
         by_hand = []
         for hid, h in enumerate(w.L):
@@ -189,9 +206,16 @@ def test_stabilizers_by_direct_filter(borel_b2, space, mode):
             if (set(img) == set(points.tolist()) if mode == "setwise"
                     else img == points.tolist()):
                 by_hand.append(hid)
-        got = levi_stabilizer(w, points, space, mode)
+        got = (setwise if mode == "setwise" else pointwise)(w, space, points)
         assert got == by_hand
-        assert set(levi_stabilizer(w, points, space, "pointwise")) <= set(got)
+        assert set(pointwise(w, space, points)) <= set(got)
+        if mode == "setwise":
+            member = np.isin(levi_images(w, space, [seed])[:, 0], points)
+            assert np.flatnonzero(member).tolist() == by_hand
+            if space == "ustar":
+                assert fd.S_ids == by_hand
+        elif space == "ucstar":
+            assert fd.L0_ids == by_hand
 
 
 def test_smallest_bimodule_identity(borel_b2):
@@ -221,27 +245,81 @@ def test_smallest_bimodule_defining_property(borel_b2):
             assert linalg.in_span(redu, pivu, vec, spec.p) or not any(vec)
 
 
+def ub_perms(w):
+    return action_on_u(w, "Ub").full_perms()
+
+
 def test_quotient_orbits_edge_cases(borel_d2):
     act = action_on_u(borel_d2, "Ub")
-    # quotient by zero subspace = plain partition
-    qs, orbits0 = quotient_orbits(act, [])
+    # quotient by zero subspace = plain partition, labelled by least points
     plain = partition_orbits(act)[1]
-    assert sorted(o.size for o in orbits0) == sorted(o.size for o in plain)
+    got = quotient_orbits(act, ub_perms(borel_d2), [])
+    assert [(omega, m.tolist()) for omega, m in got] == [(o.rep, o.points.tolist()) for o in plain]
     # quotient by the full space has a single point
     full = [tuple(1 if i == j else 0 for i in range(act.dim)) for j in range(act.dim)]
-    qs, orbits1 = quotient_orbits(act, full)
-    assert len(orbits1) == 1 and orbits1[0].size == 1
+    (omega, members), = quotient_orbits(act, ub_perms(borel_d2), full)
+    assert omega == 0 and members.tolist() == list(range(act.size))
 
 
-def test_quotient_coset_points(borel_b2):
+def test_quotient_cosets_cover_u(borel_b2):
     w = borel_b2
     act = action_on_u(w, "Ub")
-    from parasuper.orbits import smallest_bimodule as sb
-    h = w.L[1]
-    _, u_h = sb(w, h)
-    qs, orbits = quotient_orbits(act, u_h)
-    total = sum(qs.coset_points(o.points, act).size for o in orbits)
-    assert total == w.u_size
+    for h in w.L:
+        _, u_h = smallest_bimodule(w, h)
+        got = quotient_orbits(act, ub_perms(w), u_h)
+        omegas = [omega for omega, _ in got]
+        assert omegas == sorted(set(omegas))
+        assert np.array_equal(np.sort(np.concatenate([m for _, m in got])), np.arange(w.u_size))
+
+
+def test_quotient_orbits_reject_a_subspace_that_is_not_invariant(borel_d2):
+    # a lone root vector of u moved by the radical into another root
+    act = action_on_u(borel_d2, "Ub")
+    for t in range(act.dim):
+        vec = [tuple(int(c == t) for c in range(act.dim))]
+        if linalg.invariant_span(vec, act.gen_mats, act.p)[0] != vec:
+            break
+    with pytest.raises(ValidationError, match="not invariant"):
+        quotient_orbits(act, ub_perms(borel_d2), vec)
+
+
+def brute_force_quotient(act, sub_basis):
+    """(omega, sorted preimage) of each orbit on u / W, ascending omega, by
+    plain set closure of the reduced coordinate vectors under the generators."""
+    p = act.p
+    red, piv = linalg.rref(sub_basis, p) if sub_basis else ([], [])
+    free = [c for c in range(act.dim) if c not in piv]
+
+    def reduce(v):
+        return tuple(linalg.reduce_vec(red, piv, v, p))
+
+    reduced = [reduce(v) for v in act.unpack(np.arange(act.size)).tolist()]
+    mats = [m.tolist() for m in act.gen_mats]
+    todo, out = set(reduced), []
+    while todo:
+        seen, stack = set(), [min(todo)]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(reduce([sum(a * b for a, b in zip(row, v)) for row in m])
+                             for m in mats)
+        todo -= seen
+        omega = min(sum(v[c] * p ** t for t, c in enumerate(free)) for v in seen)
+        out.append((omega, [x for x, v in enumerate(reduced) if v in seen]))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("config", [("B", 2, 3, (1, 3, 1)), ("C", 2, 3, (1, 1, 0, 1, 1))],
+                         ids=["B2-1,3", "C2-borel"])
+def test_quotient_orbits_are_the_set_closures_of_reduced_vectors(config):
+    # every h: the (omega, coset) sequence superclasses are built from
+    w = world_for(*config)
+    act = action_on_u(w, "Ub")
+    for h in w.L:
+        _, u_h = smallest_bimodule(w, h)
+        got = [(omega, m.tolist()) for omega, m in quotient_orbits(act, ub_perms(w), u_h)]
+        assert got == brute_force_quotient(act, u_h)
 
 
 def test_enumerate_subspace():

@@ -446,6 +446,50 @@ def test_normality_lemma_reports_the_first_corrupted_conjugate(borel_c2):
     assert check_lemmas(w).passed
 
 
+def test_two_sided_stability_reports_a_levi_element_off_the_block_diagonal(borel_c2):
+    # negative control: in a copy, one Levi element gets a nonzero entry in
+    # the bottom-left block, so it no longer normalizes the nilpotent algebra
+    # and the Levi stabilizers by membership lose their footing
+    import copy
+    w = borel_c2
+    spec = w.spec
+    assert check_lemmas(w).passed
+    k = w.nL - 1
+    bad = copy.copy(w)
+    bad._memo = {}
+    bad.L = w.L.copy()
+    bad.L[k, spec.pos[-2], spec.pos[2]] = 1
+    check = next(c for c in check_lemmas(bad).checks if c.name == "two-sided-stability")
+    assert not check.passed
+    assert check.counterexample["levi"] == k
+    assert check.counterexample["message"] == (
+        "a Levi element does not normalize the nilpotent algebra")
+    i, j = check.counterexample["position"]
+    e = spec.E(i, j)
+    assert ((bad.L[k] @ e @ spec.dagger(bad.L[k]) % spec.p)[~spec.uc_mask]).any()
+
+
+def test_setwise_lemma_reports_a_corrupted_stabilizer(borel_c2):
+    # negative control: one form's S, in a copy, loses its last element; the
+    # two-sided orbit's stabilizer by membership disagrees for that form only
+    import copy
+    from parasuper.utheory import form_data, ustar_orbit_partition
+    w = borel_c2
+    assert check_lemmas(w).passed
+    lam = next(orb.rep for orb in reversed(ustar_orbit_partition(w, "Ub"))
+               if len(form_data(w, orb.rep).S_ids) > 1)
+    bad = copy.copy(w)
+    bad._memo = {}
+    fd = form_data(bad, lam)
+    full = fd.S_ids
+    fd.S_ids = full[:-1]
+    check = next(c for c in check_lemmas(bad).checks if c.name == "setwise-stabilizers-agree")
+    assert not check.passed
+    assert check.counterexample == {
+        "lam": lam, "via_dot_orbit": full[:-1], "via_two_sided": full,
+        "message": "setwise stabilizers computed two ways disagree"}
+
+
 def test_each_orbit_sum_is_computed_once(monkeypatch):
     # radical_supercharacter, chi_alpha_u, pair_context and the ambient
     # oracle all read one memoized orbit sum per orbit of forms
