@@ -129,7 +129,7 @@ def cmd_orbits(args):
         "space": args.space,
         "group": args.group,
         "orbits": [{"rep": int(o.rep),
-                    "coords": list(world.unpack_u(o.rep)),
+                    "coords": world.u_digits(o.rep).tolist(),
                     "size": o.size} for o in orbits],
         "count": len(orbits),
     }
@@ -184,26 +184,15 @@ def emit_table(theory, world, fmt, out_path, config):
     emit(buf.getvalue(), out_path)
 
 
-def cmd_utheory(args):
-    world = make_world(args)
-    theory = build_u_theory(world, args.target)
-    emit_table(theory, world, args.format, args.out, config_payload(args))
-    return 0
-
-
-def cmd_gtheory(args):
-    world = make_world(args)
-    theory = build_g_theory(world)
-    emit_table(theory, world, args.format, args.out, config_payload(args))
-    return 0
-
-
 def cmd_table(args):
+    """Build one theory (`utheory`, `gtheory` or `table`), check the
+    supercharacter axioms on it, and emit it."""
     world = make_world(args)
-    if args.theory == "ub":
-        theory = build_u_theory(world, "G")
-    else:
-        theory = build_g_theory(world)
+    theory = build_g_theory(world) if args.theory == "gb" else build_u_theory(world, args.target)
+    report = verify_mod.check_supertheory(theory, world)
+    if not report.passed:
+        raise FalsificationError("assembled theory fails the axiom check",
+                                 report.first_failure())
     emit_table(theory, world, args.format, args.out, config_payload(args))
     return 0
 
@@ -261,18 +250,18 @@ def build_parser():
     add_config_flags(s)
     s.add_argument("--target", choices=["U", "G"], default="G")
     s.add_argument("--format", choices=["json", "csv"], default="json")
-    s.set_defaults(fn=cmd_utheory)
+    s.set_defaults(fn=cmd_table, theory="ub")
 
     s = subs.add_parser("gtheory", help="ambient-orbit supercharacter table")
     add_config_flags(s)
     s.add_argument("--format", choices=["json", "csv"], default="json")
-    s.set_defaults(fn=cmd_gtheory)
+    s.set_defaults(fn=cmd_table, theory="gb")
 
     s = subs.add_parser("table", help="emit a supercharacter table")
     add_config_flags(s)
     s.add_argument("--theory", choices=["ub", "gb"], required=True)
     s.add_argument("--format", choices=["json", "csv"], default="json")
-    s.set_defaults(fn=cmd_table)
+    s.set_defaults(fn=cmd_table, target="G")
 
     s = subs.add_parser("verify", help="run verification suites")
     add_config_flags(s)

@@ -4,9 +4,10 @@ Builds a validated group configuration (family B/C/D, rank, prime, symmetric
 block decomposition), the signed-index matrix algebra with its dagger
 involution, positive roots and the basis of the nilpotent Lie algebra u,
 the Levi subgroup L, the unipotent radical U via the Springer (Cayley)
-bijection, generator sets for the ambient block groups, and an indexed
-"world" object holding the Levi tables and radical products on demand that
-the orbit and character machinery runs on.
+bijection, generator sets for the ambient block groups, the matrices of
+their actions on u, u* and forms over Uc, and an indexed "world" object
+holding the Levi tables, radical products on demand and one memoized
+action per space and group that the orbit and character machinery runs on.
 
 Matrices are int64 numpy arrays with entries in [0, p), indexed by array
 position; every matrix operation takes one (N, N) matrix or an (n, N, N)
@@ -24,7 +25,7 @@ import numpy as np
 from . import linalg
 from .algebra import CycField, is_odd_prime, lcm, primitive_root, smallest_nonsquare
 from .errors import FalsificationError, ResourceGuardError, ValidationError
-from .orbits import _bfs, enumerate_subspace, partition_by_perms
+from .orbits import LinearAction, _bfs, enumerate_subspace, pack, partition_by_perms, unpack
 
 DEFAULT_GUARDS = {
     "levi": 10 ** 6,      # upper bound on |L|
@@ -391,7 +392,7 @@ def _require_isometries(spec, stack, what):
 
 def subgroup_generators(spec, tag):
     """Generator stacks: 'Ub' and 'Hb' elementary, 'Lb' per-block GL, 'Gb' both
-    of the ambient parabolic, 'L' the full list."""
+    of the ambient parabolic."""
     one = np.eye(spec.N, dtype=np.int64)
     if tag == "Ub":
         return one + spec.units(spec.uc_positions)
@@ -410,8 +411,6 @@ def subgroup_generators(spec, tag):
         return np.concatenate(gens)
     if tag == "Gb":
         return np.concatenate([subgroup_generators(spec, "Lb"), subgroup_generators(spec, "Ub")])
-    if tag == "L":
-        return enumerate_levi(spec)
     raise ValidationError("tag", "unknown generator tag %r" % (tag,))
 
 
@@ -427,15 +426,25 @@ def _sandwich(a, mats, b, p):
     return (a @ mats % p) @ b % p
 
 
+def _on_u(spec, imgs):
+    """Root coordinates of the images of the root basis under each element;
+    an element whose image leaves u falsifies that the group acts on u."""
+    vec = spec.u_coords(imgs, check=False)
+    off = (spec.mat_of_u(vec) != imgs).any(axis=(-3, -2, -1))
+    if off.any():
+        raise FalsificationError("a group element does not act on u",
+                                 {"element": int(np.argmax(off))})
+    return vec
+
+
 def u_action_matrix(spec, g):
     """Dot action x -> g x g-dagger on u, as a matrix on root coordinates."""
-    imgs = _sandwich(g, spec.u_basis, spec.dagger(g), spec.p)
-    return np.swapaxes(spec.u_coords(imgs), -1, -2)
+    return np.swapaxes(_on_u(spec, _sandwich(g, spec.u_basis, spec.dagger(g), spec.p)), -1, -2)
 
 
 def ustar_action_matrix(spec, g):
     """Dot action on forms: (g . lam)(x) = lam(g-dagger x g)."""
-    return spec.u_coords(_sandwich(spec.dagger(g), spec.u_basis, g, spec.p))
+    return _on_u(spec, _sandwich(spec.dagger(g), spec.u_basis, g, spec.p))
 
 
 def ucstar_left_matrix(spec, a):
@@ -455,6 +464,20 @@ def ucstar_ad_matrix(spec, h):
     h is an isometry, so h^-1 = h-dagger."""
     units = spec.units(spec.uc_positions)
     return spec.uc_coords(_sandwich(spec.dagger(h), units, h, spec.p), check=False)
+
+
+def _ucstar_twosided_matrix(spec, a):
+    return np.concatenate([ucstar_left_matrix(spec, a), ucstar_right_matrix(spec, a)])
+
+
+# the coordinate spaces a group acts on, by the maps giving its matrices
+ACTIONS = {
+    "u": u_action_matrix,
+    "ustar": ustar_action_matrix,
+    "ucstar": ucstar_ad_matrix,
+    "ucstar-left": ucstar_left_matrix,
+    "ucstar-twosided": _ucstar_twosided_matrix,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +510,7 @@ class Parabolic:
              for i in spec.segments[k] for j in spec.segments[k]])
         if p ** len(self._l_rows) > np.iinfo(np.int64).max:
             raise ResourceGuardError("Levi keys of %d entries overflow int64" % len(self._l_rows))
-        self._l_powers = p ** np.arange(len(self._l_rows), dtype=np.int64)
-        keys = self.L[:, self._l_rows, self._l_cols] @ self._l_powers
+        keys = pack(self.L[:, self._l_rows, self._l_cols], p)
         self._l_order = np.argsort(keys, kind="stable")
         self._l_keys = keys[self._l_order]
         self.idL = int(self.l_ids(np.eye(spec.N, dtype=np.int64)))
@@ -496,13 +518,12 @@ class Parabolic:
         self.u_size = p ** spec.u_dim
         if self.u_size > self.guards["space"]:
             raise ResourceGuardError("|u| = %d exceeds space guard" % self.u_size)
-        self.u_powers = np.array([p ** t for t in range(spec.u_dim)], dtype=np.int64)
         self.nU = self.u_size
         self.U = _require_isometries(
             spec, cayley_inv(spec, spec.mat_of_u(self.u_digits(np.arange(self.nU)))),
             "Cayley preimage of u-point")
         self._u_of_key = np.full(self.nU, -1, dtype=np.int64)
-        self._u_of_key[self.U[:, spec.u_rows, spec.u_cols] @ self.u_powers] = np.arange(self.nU)
+        self._u_of_key[pack(self.U[:, spec.u_rows, spec.u_cols], p)] = np.arange(self.nU)
         if (self._u_of_key < 0).any():
             raise RuntimeError("root-entry keys of the radical are not a bijection onto "
                                "0..%d" % (self.nU - 1))
@@ -517,21 +538,25 @@ class Parabolic:
             self._memo[key] = build()
         return self._memo[key]
 
+    def action(self, space, tag):
+        """The action on `space` (a key of ACTIONS) of the group generated by
+        `subgroup_generators(spec, tag)`, or of every Levi element for tag
+        "L", memoized per world."""
+        def build():
+            gens = self.L if tag == "L" else subgroup_generators(self.spec, tag)
+            mats = ACTIONS[space](self.spec, gens)
+            return LinearAction("%s:%s" % (space, tag), self.spec.p, mats.shape[-1], mats)
+        return self.memo(("action", space, tag), build)
+
     # -- u-coordinate packing ------------------------------------------------
 
-    def unpack_u(self, k):
-        return tuple(self.u_digits([k])[0].tolist())
+    def u_digits(self, pts):
+        """Root coordinates of packed u points: shape + (u_dim,)."""
+        return unpack(pts, self.spec.p, self.spec.u_dim)
 
     def pack_u(self, coords):
-        return int(self.pack_u_array(coords))
-
-    def u_digits(self, pts):
-        """Coordinate matrix (len(pts) x u_dim) of packed u points."""
-        pts = np.asarray(pts, dtype=np.int64)
-        return (pts[:, None] // self.u_powers[None, :]) % self.spec.p
-
-    def pack_u_array(self, digits):
-        return (np.asarray(digits, dtype=np.int64) % self.spec.p) @ self.u_powers
+        """Packed u points of root coordinate rows."""
+        return pack(coords, self.spec.p)
 
     # -- matrix -> id lookups ------------------------------------------------
 
@@ -539,13 +564,13 @@ class Parabolic:
         """Radical ids of a matrix or stack; raises on a matrix outside U."""
         spec = self.spec
         mats = np.asarray(mats, dtype=np.int64) % spec.p
-        ids = self._u_of_key[mats[..., spec.u_rows, spec.u_cols] @ self.u_powers]
+        ids = self._u_of_key[pack(mats[..., spec.u_rows, spec.u_cols], spec.p)]
         return _checked(self.U, ids, mats, "U")
 
     def l_ids(self, mats):
         """Levi ids of a matrix or stack; raises on a matrix outside L."""
         mats = np.asarray(mats, dtype=np.int64) % self.spec.p
-        keys = mats[..., self._l_rows, self._l_cols] @ self._l_powers
+        keys = pack(mats[..., self._l_rows, self._l_cols], self.spec.p)
         at = np.searchsorted(self._l_keys, keys).clip(max=self.nL - 1)
         return _checked(self.L, self._l_order[at], mats, "L")
 
@@ -580,9 +605,9 @@ class Parabolic:
         the set is <T>; else FalsificationError names the subgroup."""
         where = {"subgroup": name, **(where or {})}
         basis = np.asarray(basis, dtype=np.int64).reshape(-1, self.spec.u_dim)
-        members = np.unique(self.pack_u_array(
+        members = np.unique(self.pack_u(
             enumerate_subspace(list(basis), self.spec.p, self.spec.u_dim)))
-        prods = np.array([self.mulU(members, g) for g in self.pack_u_array(basis)],
+        prods = np.array([self.mulU(members, g) for g in self.pack_u(basis)],
                          dtype=np.int64).reshape(len(basis), members.size).T
         at = np.searchsorted(members, prods).clip(max=members.size - 1)
         if (members[at] != prods).any():
@@ -600,8 +625,7 @@ class Parabolic:
     @cached_property
     def invU(self):
         """f(g^-1) = -f(g), and an id is the packed coordinates of f."""
-        digits = self.u_digits(np.arange(self.nU))
-        return self.pack_u_array(-digits).astype(np.int32)
+        return self.pack_u(-self.u_digits(np.arange(self.nU))).astype(np.int32)
 
     @cached_property
     def conjUbyL(self):
@@ -645,7 +669,7 @@ class Parabolic:
         self.U_times_basis                # checks that the v generate U
         perms = self.levi_conj_perms()
         ar = np.arange(self.nU)
-        for v in self.u_powers:
+        for v in self.pack_u(np.eye(self.spec.u_dim)):
             w = self.conjUbyL[self.invL, v]               # r^-1 v r for each r
             right = {x: self.mulU(self.mulU(x, ar), self.invU[v]) for x in np.unique(w)}
             perms.append(np.concatenate([r * self.nU + right[x] for r, x in enumerate(w)]))
@@ -655,20 +679,9 @@ class Parabolic:
     def u_group_classes(self):
         """Conjugacy classes of the radical U."""
         self.U_times_basis                # checks that the v generate U
-        perms = [self.mulU(self.mulU(v, np.arange(self.nU)), self.invU[v]) for v in self.u_powers]
+        perms = [self.mulU(self.mulU(v, np.arange(self.nU)), self.invU[v])
+                 for v in self.pack_u(np.eye(self.spec.u_dim))]
         return partition_by_perms(self.nU, perms)
-
-    # -- Levi action matrices -------------------------------------------------
-
-    @cached_property
-    def ustar_levi_mats(self):
-        """(nL, d, d) stack of the dot action of each Levi element on u*."""
-        return ustar_action_matrix(self.spec, self.L)
-
-    @cached_property
-    def ucstar_levi_mats(self):
-        """(nL, d, d) stack of the coadjoint action of each Levi element on Uc*."""
-        return ucstar_ad_matrix(self.spec, self.L)
 
 
 def _checked(stack, ids, mats, name):

@@ -22,8 +22,7 @@ from .theory import (
     SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes, sort_canonical,
 )
 from .utheory import (
-    action_on_ustar, form_data, intern_ids, lift_to_levi, orbit_of, orbit_partition, orbit_sum,
-    subgroup_table,
+    form_data, intern_ids, lift_to_levi, orbit_of, orbit_partition, orbit_sum, subgroup_table,
 )
 from .orbits import _bfs, enumerate_subspace, levi_images
 
@@ -90,16 +89,12 @@ def enumerate_basic_pairs(spec):
 
 
 def pair_point_u(world, pair):
-    """Packed coordinates of the u element attached to a basic pair."""
+    """Packed coordinates of the u element attached to a basic pair, and of
+    its dual form: the same coordinates in the dual basis."""
     coords = [0] * world.spec.u_dim
     for (i, j), w in zip(pair.roots, pair.phi):
         coords[world.spec.root_index[(i, j)]] = w
-    return world.pack_u(coords)
-
-
-def pair_point_ustar(world, pair):
-    """Packed coordinates of the dual form attached to a basic pair."""
-    return pair_point_u(world, pair)   # same coordinates in the dual basis
+    return int(world.pack_u(coords))
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,7 @@ def pair_signature(world, pair):
     orthogonal families carry alternating forms there, so d_k is always 1.
     """
     spec = world.spec
-    X = spec.mat_of_u(world.unpack_u(pair_point_u(world, pair)))
+    X = spec.mat_of_u(world.u_digits(pair_point_u(world, pair)))
     ranks = signature_of_matrix(spec, X)
     d = []
     squares = {(i * i) % spec.p for i in range(1, spec.p)}
@@ -188,11 +183,7 @@ def classify_g_orbits(world, space):
 
     Returns a dict of check results; raises FalsificationError on mismatch.
     """
-    if space == "u":
-        point_of = pair_point_u
-    elif space == "ustar":
-        point_of = pair_point_ustar
-    else:
+    if space not in ("u", "ustar"):
         raise ValidationError("space", "space must be 'u' or 'ustar'")
 
     spec = world.spec
@@ -202,7 +193,7 @@ def classify_g_orbits(world, space):
     sig_by_orbit = {}
     orbit_by_sig = {}
     for pair in pairs:
-        pt = point_of(world, pair)
+        pt = pair_point_u(world, pair)
         sig = pair_signature(world, pair)
         oid = int(orbit_label[pt])
         if oid in sig_by_orbit and sig_by_orbit[oid] != sig:
@@ -321,7 +312,7 @@ def subspace_points(world, flags):
             vec = [0] * world.spec.u_dim
             vec[t] = 1
             basis.append(tuple(vec))
-    return np.unique(world.pack_u_array(
+    return np.unique(world.pack_u(
         enumerate_subspace(basis, world.spec.p, world.spec.u_dim)))
 
 
@@ -347,8 +338,8 @@ def pair_context(world, sig, pair):
     spec = world.spec
     merged = merged_by_roots(spec, pair.roots)
     cross = crossing_flags(spec, merged)
-    lam = pair_point_ustar(world, pair)
-    lam_coords = world.unpack_u(lam)
+    lam = pair_point_u(world, pair)
+    lam_coords = world.u_digits(lam)
 
     # the pair's element lies inside the merged Levi part, its form kills the
     # merged radical part, and so does the whole orbit of the form
@@ -369,8 +360,8 @@ def pair_context(world, sig, pair):
     # pointwise stabilizer of the orbit must be exactly the scalar subgroup;
     # it is read on the orbit's span, the smallest invariant subspace
     # holding the form
-    span, _ = linalg.invariant_span([lam_coords], action_on_ustar(world, "Gb").gen_mats, spec.p)
-    span = world.pack_u_array(np.array(span, dtype=np.int64).reshape(-1, spec.u_dim))
+    span, _ = linalg.invariant_span([lam_coords], world.action("ustar", "Gb").gen_mats, spec.p)
+    span = world.pack_u(np.array(span, dtype=np.int64).reshape(-1, spec.u_dim))
     stab = np.flatnonzero((levi_images(world, "ustar", span) == span).all(axis=1)).tolist()
     if stab != sorted(ld_ids):
         raise FalsificationError(
@@ -430,7 +421,7 @@ def chi_alpha_g(world, ctx, theta):
     return inverse.astype(np.int64), world.field.from_rows(num, den)
 
 
-def build_g_theory(world, check=True):
+def build_g_theory(world):
     """Assemble the ambient-orbit supercharacter theory on G."""
     pool = ValuePool(world.field)
     sig_classes = signature_classes(world)
@@ -487,13 +478,6 @@ def build_g_theory(world, check=True):
     theory = SuperTheory("Gb-on-G", world.g_size, world.g_ident, chars, classes, pool,
                          {"config": world.spec.config_label(), "target": "G"})
     sort_canonical(theory)
-    if check:
-        from .verify import check_supertheory
-        report = check_supertheory(theory, world)
-        if not report.passed:
-            raise FalsificationError("assembled theory fails the axiom check",
-                                     report.first_failure())
-        theory.meta["axioms"] = "pass"
     return theory
 
 

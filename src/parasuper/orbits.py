@@ -1,9 +1,12 @@
 """Orbit machinery for the linear actions used throughout.
 
 Every action here is by invertible linear maps on a finite coordinate space
-F_p^dim; points are packed little-endian base-p integers.  Every full
-orbit partition in the package comes from `partition_by_perms`, and the
-ambient groups acting are never enumerated.
+F_p^dim, given by one (k, dim, dim) stack of generator matrices;
+`Parabolic.action` builds and memoizes each action the package uses.  A
+point is packed as the little-endian base-p integer of its coordinates, and
+`unpack`/`pack` are the one codec for points, radical ids and matrix keys.
+Every full orbit partition in the package comes from `partition_by_perms`,
+and the ambient groups acting are never enumerated.
 
 Spaces that are enumerated anyway (u and u* under Ub, Hb and Gb) are
 partitioned once per world and an orbit is looked up there by label; only
@@ -23,27 +26,37 @@ from . import linalg
 from .errors import ResourceGuardError, ValidationError
 
 
+def unpack(points, p, dim):
+    """Little-endian base-p digits of packed points: shape + (dim,)."""
+    points = np.asarray(points, dtype=np.int64)
+    return points[..., None] // p ** np.arange(dim, dtype=np.int64) % p
+
+
+def pack(digits, p):
+    """Packed points of little-endian base-p digit rows (the last axis),
+    each digit taken mod p."""
+    digits = np.asarray(digits, dtype=np.int64) % p
+    return digits @ p ** np.arange(digits.shape[-1], dtype=np.int64)
+
+
 @dataclass
 class LinearAction:
     """A named generator action on F_p^dim; matrices act on column coords."""
     label: str
     p: int
     dim: int
-    gen_mats: list                      # numpy (dim, dim) int64 matrices
+    gen_mats: np.ndarray                # (k, dim, dim) int64 stack
+    _perms: list = field(default=None, init=False, repr=False)
 
     @property
     def size(self):
         return self.p ** self.dim
 
-    def powers(self):
-        return np.array([self.p ** t for t in range(self.dim)], dtype=np.int64)
-
     def unpack(self, pts):
-        pts = np.atleast_1d(np.asarray(pts, dtype=np.int64))
-        return (pts[:, None] // self.powers()[None, :]) % self.p
+        return unpack(pts, self.p, self.dim)
 
     def pack(self, digits):
-        return (np.asarray(digits, dtype=np.int64) % self.p) @ self.powers()
+        return pack(digits, self.p)
 
     def apply(self, mat, pts):
         return self.pack(self.unpack(pts) @ np.asarray(mat).T)
@@ -51,12 +64,15 @@ class LinearAction:
     def images(self, pts):
         """The images of the points under each generator."""
         digits = self.unpack(pts)
-        return [self.pack(digits @ np.asarray(m).T) for m in self.gen_mats]
+        return [self.pack(digits @ m.T) for m in self.gen_mats]
 
-    def full_perms(self, guard=10 ** 7):
-        if self.size > guard:
-            raise ResourceGuardError("space of size %d exceeds guard %d" % (self.size, guard))
-        return self.images(np.arange(self.size))
+    def full_perms(self, guard):
+        """The generators as permutations of the whole space, computed once."""
+        if self._perms is None:
+            if self.size > guard:
+                raise ResourceGuardError("space of size %d exceeds guard %d" % (self.size, guard))
+            self._perms = self.images(np.arange(self.size))
+        return self._perms
 
 
 @dataclass
@@ -133,7 +149,7 @@ def partition_by_perms(n, perms):
     return label, np.split(order, np.cumsum(np.bincount(label))[:-1]) if n else []
 
 
-def partition_orbits(action, guard=10 ** 7):
+def partition_orbits(action, guard):
     """(orbit index of each point, disjoint orbits covering the space)."""
     label, classes = partition_by_perms(action.size, action.full_perms(guard))
     return label, [Orbit(m) for m in classes]
@@ -148,9 +164,8 @@ def levi_images(world, space, points):
     subspace's basis points; it fixes an orbit of a group that L normalizes
     setwise iff it maps one point of the orbit into it.
     """
-    mats = getattr(world, space + "_levi_mats")
-    act = LinearAction(space, world.spec.p, mats.shape[1], [])
-    return act.pack(np.einsum("lij,kj->lki", mats, act.unpack(points)))
+    act = world.action(space, "L")
+    return act.pack(np.einsum("lij,kj->lki", act.gen_mats, act.unpack(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +175,7 @@ def enumerate_subspace(basis, p, dim=None):
     """All points of a row-span subspace, as a (p^k, dim) digit array."""
     if not basis:
         return np.zeros((1, dim if dim is not None else 0), dtype=np.int64)
-    k = len(basis)
-    dim = len(basis[0])
-    count = p ** k
-    powers = np.array([p ** t for t in range(k)], dtype=np.int64)
-    coeffs = (np.arange(count, dtype=np.int64)[:, None] // powers[None, :]) % p
+    coeffs = unpack(np.arange(p ** len(basis)), p, len(basis))
     return (coeffs @ np.asarray(basis, dtype=np.int64)) % p
 
 
@@ -188,7 +199,7 @@ def quotient_orbits(action, perms, sub_basis):
     label, members = partition_by_perms(action.size, list(perms) + shifts)
     free = [c for c in range(action.dim) if c not in pivots]
     reduced = (digits - digits[:, pivots] @ basis) % p
-    point = reduced[:, free] @ action.powers()[:len(free)]
+    point = pack(reduced[:, free], p)
     omega = np.full(len(members), action.size, dtype=np.int64)
     np.minimum.at(omega, label, point)
     return [(int(omega[c]), members[c]) for c in np.argsort(omega, kind="stable")]
@@ -203,14 +214,13 @@ def smallest_bimodule(world, h):
     invariance under the two-sided unipotent group action.  h is a Levi
     element, an isometry, so h^-1 = h-dagger.
     """
-    from .utheory import action_twosided_ucstar
     spec = world.spec
     p = spec.p
     units = spec.units(spec.uc_positions)
     defects = spec.uc_coords(h @ units % p @ spec.dagger(h) - units, check=False)
     # the transposed generators are x -> (1+E)x and x -> x(1+E) on Uc itself;
     # a subspace closed under those is closed under x -> Ex and x -> xE
-    mats = [m.T for m in action_twosided_ucstar(world).gen_mats]
+    mats = world.action("ucstar-twosided", "Ub").gen_mats.transpose(0, 2, 1)
     basis_rows, pivots = linalg.invariant_span(defects, mats, p)
 
     # intersection with u, expressed in root coordinates

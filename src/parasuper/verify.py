@@ -11,6 +11,7 @@ counterexamples.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
@@ -25,8 +26,7 @@ from .groups import cayley, subgroup_generators
 from .orbits import levi_images, orbit_closure
 from .theory import SuperChar, SuperClass
 from .utheory import (
-    action_left_ucstar, action_twosided_ucstar, build_u_theory, eps_exponents, form_data,
-    orbit_of, orbit_sum, ustar_orbit_partition,
+    build_u_theory, eps_exponents, form_data, orbit_of, orbit_sum, ustar_orbit_partition,
 )
 from .gtheory import build_g_theory, classify_g_orbits
 
@@ -270,7 +270,6 @@ def check_lemmas(world):
 
     reps = [orb.rep for orb in ustar_orbit_partition(world, "Ub")]
     emb = spec.u_embed_matrix()                                # (uc_dim, u_dim)
-    uc_powers = np.array([p ** t for t in range(spec.uc_dim)], dtype=np.int64)
     budget = world.guards["space"]           # on the points of one orbit closure
 
     def product_vanishing():
@@ -290,11 +289,11 @@ def check_lemmas(world):
     report.run("annihilator-products-vanish", product_vanishing)
 
     def projection_of_left_orbit():
+        act = world.action("ucstar-left", "Hb")
         for lam in reps:
             fd = form_data(world, lam)
-            left = orbit_closure(fd.Lam_packed, action_left_ucstar(world, "Hb"), budget)
-            digs = (left.points[:, None] // uc_powers[None, :]) % p
-            proj = world.pack_u_array(digs @ emb)
+            left = orbit_closure(fd.Lam_packed, act, budget)
+            proj = world.pack_u(act.unpack(left.points) @ emb)
             got = np.unique(proj)
             if not np.array_equal(got, fd.orbit_hb.points):
                 raise FalsificationError(
@@ -310,7 +309,7 @@ def check_lemmas(world):
             if fd.u_lam_basis:
                 basis = np.array(fd.u_lam_basis, dtype=np.int64)
                 vals = (all_digs @ basis.T) % p
-                lam_vals = (np.array(world.unpack_u(lam), dtype=np.int64) @ basis.T) % p
+                lam_vals = (world.u_digits(lam) @ basis.T) % p
                 mask = (vals == lam_vals[None, :]).all(axis=1)
             else:
                 mask = np.ones(world.nU, dtype=bool)
@@ -323,9 +322,10 @@ def check_lemmas(world):
     report.run("fiber-equals-orbit", fiber_equals_orbit)
 
     def setwise_stabilizers_agree():
+        act = world.action("ucstar-twosided", "Ub")
         for lam in reps:
             fd = form_data(world, lam)
-            two_sided = orbit_closure(fd.Lam_packed, action_twosided_ucstar(world), budget)
+            two_sided = orbit_closure(fd.Lam_packed, act, budget)
             img = levi_images(world, "ucstar", [fd.Lam_packed])[:, 0]
             at = np.searchsorted(two_sided.points, img).clip(max=two_sided.size - 1)
             s_two = np.flatnonzero(two_sided.points[at] == img).tolist()
@@ -532,7 +532,6 @@ def check_refinement(theory_ub_g, theory_gb_g, world):
 
 def corrupt_character(theory):
     """Copy the theory with one character value flipped on one element."""
-    import copy
     bad = copy.copy(theory)
     bad.chars = list(theory.chars)
     target = None
@@ -553,7 +552,6 @@ def corrupt_character(theory):
 
 def corrupt_class(theory):
     """Copy the theory with one element moved between two classes."""
-    import copy
     bad = copy.copy(theory)
     bad.classes = list(theory.classes)
     src = None
@@ -576,9 +574,9 @@ def corrupt_class(theory):
 # suite runner
 
 def theories(world):
-    tU = world.memo(("theory", "U"), lambda: build_u_theory(world, "U", check=False))
-    tG = world.memo(("theory", "G"), lambda: build_u_theory(world, "G", check=False))
-    gG = world.memo(("theory", "Gb"), lambda: build_g_theory(world, check=False))
+    tU = world.memo(("theory", "U"), lambda: build_u_theory(world, "U"))
+    tG = world.memo(("theory", "G"), lambda: build_u_theory(world, "G"))
+    gG = world.memo(("theory", "Gb"), lambda: build_g_theory(world))
     return tU, tG, gG
 
 

@@ -127,6 +127,23 @@ def test_gtheory_and_table_alias(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [["utheory"], ["utheory", "--target", "U"], ["gtheory"],
+                                  ["table", "--theory", "ub"]])
+def test_a_theory_failing_the_axioms_is_not_emitted(argv, monkeypatch, capsys):
+    # every table command checks the theory it is given before emitting it:
+    # a corrupted build exits 1 with the first failing axiom and no table
+    from parasuper import cli
+    from parasuper.verify import corrupt_character
+    for name in ("build_u_theory", "build_g_theory"):
+        monkeypatch.setattr(cli, name, lambda *args, real=getattr(cli, name):
+                            corrupt_character(real(*args)))
+    code, out, err = run_cli(
+        argv + ["--family", "D", "--n", "2", "--q", "3", "--blocks", "1,1"], capsys)
+    assert code == 1 and out == ""
+    assert "falsified: assembled theory fails the axiom check" in err
+    assert "'check': 'S2-constancy'" in err
+
+
 def test_verify_exit_codes(capsys):
     base = ["verify", "--family", "D", "--n", "2", "--q", "3", "--blocks", "1,1"]
     code, out, _ = run_cli(base + ["--suite", "utheory"], capsys)

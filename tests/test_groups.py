@@ -273,9 +273,24 @@ def test_cayley_matches_the_defining_formulas(name, request):
         assert np.array_equal(f, cayley_by_definition(spec, g))
         assert np.array_equal(g, cayley_inv_by_definition(spec, y))
     # an id is the packed coordinates of its Cayley image, and ids invert by negation
-    assert np.array_equal(w.pack_u_array(spec.u_coords(fU)), np.arange(w.nU))
+    assert np.array_equal(w.pack_u(spec.u_coords(fU)), np.arange(w.nU))
     ar = np.arange(w.nU)
     assert (w.mulU(ar[:, None], ar[None, :])[ar, w.invU] == 0).all()
+
+
+@pytest.mark.parametrize("name", CONFTEST_WORLDS)
+def test_u_codec_is_the_little_endian_base_p_expansion(name, request):
+    # reference: each digit of each point of u written out by hand; packing
+    # takes the digits mod p and inverts the expansion
+    w = request.getfixturevalue(name)
+    p, d = w.spec.p, w.spec.u_dim
+    points = np.arange(w.nU)
+    want = np.array([[x // p ** t % p for t in range(d)] for x in points.tolist()])
+    assert np.array_equal(w.u_digits(points), want)
+    assert np.array_equal(w.u_digits(points[-1]), want[-1])
+    assert np.array_equal(w.pack_u(want), points)
+    assert np.array_equal(w.pack_u(want + p), points)
+    assert np.array_equal(w.pack_u(want[::-1]), points[::-1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -309,7 +324,7 @@ def test_radical_lookup_rejects_a_matrix_outside_u(borel_b2):
 def test_root_entry_key_is_a_permutation_at_rank_three(family, blocks):
     w = Parabolic(build_spec(family, 3, 3, blocks))
     spec = w.spec
-    keys = w.U[:, spec.u_rows, spec.u_cols] @ w.u_powers
+    keys = w.pack_u(w.U[:, spec.u_rows, spec.u_cols])
     assert np.array_equal(np.sort(keys), np.arange(w.nU))
     assert w.nU == 3 ** 9
 
@@ -354,11 +369,12 @@ def test_radical_products_on_demand(name, request):
     # reference ids: the packed Cayley coordinates of each matrix product
     a = np.arange(w.nU)[::7]
     prods = w.U[a][:, None] @ w.U[None] % w.spec.p
-    want = w.pack_u_array(w.spec.u_coords(cayley(w.spec, prods)))
+    want = w.pack_u(w.spec.u_coords(cayley(w.spec, prods)))
     assert np.array_equal(w.mulU(a[:, None], np.arange(w.nU)[None, :]), want)
     # the Cayley images of the root basis generate U, and the checked
     # right-multiplication table is their product with every element
-    assert np.array_equal(w.U_times_basis, w.mulU(np.arange(w.nU)[:, None], w.u_powers[None]))
+    basis_ids = w.pack_u(np.eye(w.spec.u_dim))
+    assert np.array_equal(w.U_times_basis, w.mulU(np.arange(w.nU)[:, None], basis_ids[None]))
     members, at = w.generated(np.eye(w.spec.u_dim), "U")
     assert np.array_equal(members, np.arange(w.nU)) and np.array_equal(at, w.U_times_basis)
 

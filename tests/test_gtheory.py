@@ -17,6 +17,7 @@ from parasuper.gtheory import (
     radical_factorization_check,
 )
 from parasuper.utheory import intern_rows
+from parasuper.verify import check_supertheory
 
 
 def test_rook_condition(borel_d2):
@@ -255,7 +256,7 @@ def test_build_g_theory(borel_d2, borel_b2):
     for w in (borel_d2, borel_b2):
         theory = build_g_theory(w)
         assert len(theory.chars) == len(theory.classes)
-        assert theory.meta["axioms"] == "pass"
+        assert check_supertheory(theory, w).passed
         assert any(kl.size == 1 and kl.rep == theory.ident_id for kl in theory.classes)
         total = sum(kl.size for kl in theory.classes)
         assert total == w.g_size
@@ -265,12 +266,11 @@ def test_g_supercharacter_degree(borel_d2):
     w = borel_d2
     theory = build_g_theory(w)
     from parasuper.orbits import orbit_closure
-    from parasuper.utheory import action_on_ustar
     for ch in theory.chars:
         lam = ch.provenance["lam"]
         ld = ch.provenance["ld_ids"]
         theta_one = levi_values(w, ch.provenance["theta_by_l"])[w.idL]
-        orb = orbit_closure(lam, action_on_ustar(w, "Gb"))
+        orb = orbit_closure(lam, w.action("ustar", "Gb"))
         want = (w.nL // len(ld)) * theta_one.as_int() * orb.size
         assert ch.degree(theory.ident_id) == want
 
@@ -296,13 +296,13 @@ def test_evaluation_identity_on_classes(borel_d2):
     # Levi part times the orbit sum at its radical part
     w = borel_d2
     theory = build_g_theory(w)
-    from parasuper.utheory import counts_to_values, orbit_eps_counts, action_on_ustar
+    from parasuper.utheory import counts_to_values, orbit_eps_counts
     from parasuper.orbits import orbit_closure
     for ch in theory.chars:
         lam = ch.provenance["lam"]
         ld = set(ch.provenance["ld_ids"])
         theta_by_l = levi_values(w, ch.provenance["theta_by_l"])
-        orb = orbit_closure(lam, action_on_ustar(w, "Gb"))
+        orb = orbit_closure(lam, w.action("ustar", "Gb"))
         zids, zrows = counts_to_values(w, orbit_eps_counts(w, orb.points))
         zvals = w.field.from_rows(zrows)
         scale = w.nL // len(ld)
@@ -334,7 +334,7 @@ def test_levi_invariance_check_reports_the_first_moved_pair(twoblock_c2, monkeyp
 
     monkeypatch.setattr(gtheory, "lift_to_levi", perturbed)
     with pytest.raises(FalsificationError) as err:
-        build_g_theory(w, check=False)
+        build_g_theory(w)
     ld_ids, theta_by_l = planted[0]
     want = next((rho, d) for rho in range(w.nL) for d in ld_ids
                 if theta_by_l[int(w.conjL[rho, d])] != theta_by_l[d])

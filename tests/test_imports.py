@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, no
-module holds an `assert`, which `python -O` would strip (invariants are
-checked with raises), and only the value pool turns `Cyc` values into
-integer coefficient rows."""
+function imports a module of the package (the import graph is the one the
+module headers show), no module holds an `assert`, which `python -O` would
+strip (invariants are checked with raises), and only the value pool turns
+`Cyc` values into integer coefficient rows."""
 
 import ast
 import pathlib
@@ -34,6 +35,29 @@ def unused_imports(source):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def local_package_imports(source):
+    """Lines of the imports of package modules made inside a function."""
+    lines = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if not node.level else ["parasuper"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "parasuper" for name in names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_imports_a_package_module(path):
+    assert local_package_imports(path.read_text()) == []
 
 
 def assert_lines(source):
@@ -70,6 +94,13 @@ def test_rows_call_is_reported():
 def test_assert_is_reported():
     source = "def f(x):\n    if x:\n        assert x > 1, 'no'\n    return x\n"
     assert assert_lines(source) == [3]
+
+
+def test_local_package_import_is_reported():
+    source = ("from . import linalg\n\n\ndef f(x):\n    import copy\n"
+              "    from .verify import check\n    def g():\n        import parasuper.orbits\n"
+              "    return check(copy.copy(x), linalg, g)\n")
+    assert local_package_imports(source) == [6, 8]
 
 
 def test_unused_import_is_reported():

@@ -7,26 +7,26 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import world_for
 from parasuper import linalg
 from parasuper.errors import ValidationError
-from parasuper.groups import ucstar_ad_matrix, ustar_action_matrix
+from parasuper.groups import DEFAULT_GUARDS, ucstar_ad_matrix, ustar_action_matrix
 from parasuper.orbits import (
     LinearAction, enumerate_subspace, levi_images, orbit_closure, partition_by_perms,
     partition_orbits, quotient_orbits, smallest_bimodule,
 )
-from parasuper.utheory import (
-    action_on_u, action_on_ustar, action_twosided_ucstar, form_data,
-)
+from parasuper.utheory import form_data
+
+SPACE = DEFAULT_GUARDS["space"]
 
 
 def test_orbit_of_zero_is_fixed(borel_d2):
-    act = action_on_ustar(borel_d2, "Ub")
+    act = borel_d2.action("ustar", "Ub")
     orb = orbit_closure(0, act)
     assert orb.size == 1 and orb.rep == 0
 
 
 def test_orbit_sizes_are_p_powers(borel_c2):
     p = borel_c2.spec.p
-    for act in (action_on_ustar(borel_c2, "Ub"), action_on_ustar(borel_c2, "Hb")):
-        for orb in partition_orbits(act)[1]:
+    for act in (borel_c2.action("ustar", "Ub"), borel_c2.action("ustar", "Hb")):
+        for orb in partition_orbits(act, SPACE)[1]:
             size = orb.size
             while size % p == 0:
                 size //= p
@@ -34,8 +34,8 @@ def test_orbit_sizes_are_p_powers(borel_c2):
 
 
 def test_sub_orbit_containment(borel_c2):
-    ub = action_on_ustar(borel_c2, "Ub")
-    hb = action_on_ustar(borel_c2, "Hb")
+    ub = borel_c2.action("ustar", "Ub")
+    hb = borel_c2.action("ustar", "Hb")
     for lam in range(borel_c2.u_size):
         o_h = orbit_closure(lam, hb)
         o_u = orbit_closure(lam, ub)
@@ -43,11 +43,11 @@ def test_sub_orbit_containment(borel_c2):
 
 
 def test_partition_covers_disjointly(borel_d2):
-    orbits = partition_orbits(action_on_u(borel_d2, "Ub"))[1]
+    orbits = partition_orbits(borel_d2.action("u", "Ub"), SPACE)[1]
     total = np.concatenate([o.points for o in orbits])
     assert np.array_equal(np.sort(total), np.arange(borel_d2.u_size))
     # each orbit is generator-closed
-    act = action_on_u(borel_d2, "Ub")
+    act = borel_d2.action("u", "Ub")
     for o in orbits:
         for m in act.gen_mats:
             img = np.sort(act.apply(m, o.points))
@@ -55,8 +55,8 @@ def test_partition_covers_disjointly(borel_d2):
 
 
 def test_one_point_space():
-    act = LinearAction("trivial", 3, 0, [])
-    orbits = partition_orbits(act)[1]
+    act = LinearAction("trivial", 3, 0, np.zeros((0, 0, 0), dtype=np.int64))
+    orbits = partition_orbits(act, SPACE)[1]
     assert len(orbits) == 1 and orbits[0].size == 1
 
 
@@ -67,7 +67,7 @@ def small_actions(draw):
     entries = st.lists(st.integers(0, p - 1), min_size=dim * dim, max_size=dim * dim)
     mats = entries.map(lambda e: np.array(e, dtype=np.int64).reshape(dim, dim)).filter(
         lambda m: linalg.det(m.tolist(), p) != 0)
-    return LinearAction("random", p, dim, draw(st.lists(mats, min_size=1, max_size=3)))
+    return LinearAction("random", p, dim, np.array(draw(st.lists(mats, min_size=1, max_size=3))))
 
 
 def naive_closure(seed, images):
@@ -86,7 +86,7 @@ def naive_closure(seed, images):
 @settings(max_examples=60, deadline=None)
 @given(small_actions())
 def test_partition_is_the_set_of_single_seed_closures(act):
-    orbits = partition_orbits(act)[1]
+    orbits = partition_orbits(act, SPACE)[1]
     total = np.concatenate([o.points for o in orbits])
     assert np.array_equal(np.sort(total), np.arange(act.size))
     assert [o.rep for o in orbits] == sorted(o.rep for o in orbits)
@@ -157,6 +157,20 @@ def setwise(w, space, points):
                            == points).all(axis=1)).tolist()
 
 
+@pytest.mark.parametrize("name", ["borel_b2", "borel_c2"])
+def test_each_action_is_built_once_per_world(name, request):
+    # the Levi stacks that levi_images reads are the builders' matrices of L
+    w = request.getfixturevalue(name)
+    for space in ("u", "ustar", "ucstar-left", "ucstar-twosided"):
+        for tag in ("Ub", "Hb", "Gb"):
+            assert w.action(space, tag) is w.action(space, tag)
+    for space, builder in (("ustar", ustar_action_matrix), ("ucstar", ucstar_ad_matrix)):
+        act = w.action(space, "L")
+        assert act is w.action(space, "L")
+        assert act.gen_mats.dtype == np.int64
+        assert np.array_equal(act.gen_mats, builder(w.spec, w.L))
+
+
 @pytest.mark.parametrize("name", ["borel_b2", "borel_c2", "borel_d2"])
 def test_pointwise_stabilizer_of_the_span_is_that_of_the_orbit(name, request):
     # FormData reads L0 off the span of the two-sided orbit; the enumerated
@@ -164,7 +178,7 @@ def test_pointwise_stabilizer_of_the_span_is_that_of_the_orbit(name, request):
     w = request.getfixturevalue(name)
     for lam in range(w.u_size):
         fd = form_data(w, lam)
-        orbit = orbit_closure(fd.Lam_packed, action_twosided_ucstar(w))
+        orbit = orbit_closure(fd.Lam_packed, w.action("ucstar-twosided", "Ub"))
         assert fd.L0_ids == pointwise(w, "ucstar", orbit.points)
 
 
@@ -194,12 +208,12 @@ def test_stabilizers_by_direct_filter(borel_b2, space, mode):
         fd = form_data(w, lam)
         if space == "ustar":
             seed = lam
-            points = orbit_closure(lam, action_on_ustar(w, "Ub")).points
-            act, mat_of = action_on_ustar(w, "Ub"), ustar_action_matrix
+            points = orbit_closure(lam, w.action("ustar", "Ub")).points
+            act, mat_of = w.action("ustar", "Ub"), ustar_action_matrix
         else:
             seed = fd.Lam_packed
-            points = orbit_closure(seed, action_twosided_ucstar(w)).points
-            act, mat_of = LinearAction("uc", spec.p, spec.uc_dim, []), ucstar_ad_matrix
+            act, mat_of = w.action("ucstar-twosided", "Ub"), ucstar_ad_matrix
+            points = orbit_closure(seed, act).points
         by_hand = []
         for hid, h in enumerate(w.L):
             img = [int(x) for x in act.apply(mat_of(spec, h), points)]
@@ -246,13 +260,13 @@ def test_smallest_bimodule_defining_property(borel_b2):
 
 
 def ub_perms(w):
-    return action_on_u(w, "Ub").full_perms()
+    return w.action("u", "Ub").full_perms(SPACE)
 
 
 def test_quotient_orbits_edge_cases(borel_d2):
-    act = action_on_u(borel_d2, "Ub")
+    act = borel_d2.action("u", "Ub")
     # quotient by zero subspace = plain partition, labelled by least points
-    plain = partition_orbits(act)[1]
+    plain = partition_orbits(act, SPACE)[1]
     got = quotient_orbits(act, ub_perms(borel_d2), [])
     assert [(omega, m.tolist()) for omega, m in got] == [(o.rep, o.points.tolist()) for o in plain]
     # quotient by the full space has a single point
@@ -263,7 +277,7 @@ def test_quotient_orbits_edge_cases(borel_d2):
 
 def test_quotient_cosets_cover_u(borel_b2):
     w = borel_b2
-    act = action_on_u(w, "Ub")
+    act = w.action("u", "Ub")
     for h in w.L:
         _, u_h = smallest_bimodule(w, h)
         got = quotient_orbits(act, ub_perms(w), u_h)
@@ -274,7 +288,7 @@ def test_quotient_cosets_cover_u(borel_b2):
 
 def test_quotient_orbits_reject_a_subspace_that_is_not_invariant(borel_d2):
     # a lone root vector of u moved by the radical into another root
-    act = action_on_u(borel_d2, "Ub")
+    act = borel_d2.action("u", "Ub")
     for t in range(act.dim):
         vec = [tuple(int(c == t) for c in range(act.dim))]
         if linalg.invariant_span(vec, act.gen_mats, act.p)[0] != vec:
@@ -315,7 +329,7 @@ def brute_force_quotient(act, sub_basis):
 def test_quotient_orbits_are_the_set_closures_of_reduced_vectors(config):
     # every h: the (omega, coset) sequence superclasses are built from
     w = world_for(*config)
-    act = action_on_u(w, "Ub")
+    act = w.action("u", "Ub")
     for h in w.L:
         _, u_h = smallest_bimodule(w, h)
         got = [(omega, m.tolist()) for omega, m in quotient_orbits(act, ub_perms(w), u_h)]
@@ -335,9 +349,9 @@ def test_sliced_closure_is_the_whole_frontier_closure(borel_b2, monkeypatch):
     # below its size stops it
     from parasuper import orbits
     from parasuper.errors import ResourceGuardError
-    act = action_twosided_ucstar(borel_b2)
+    act = borel_b2.action("ucstar-twosided", "Ub")
     whole = max((orbit_closure(form_data(borel_b2, orb.rep).Lam_packed, act)
-                 for orb in partition_orbits(action_on_ustar(borel_b2, "Ub"))[1]),
+                 for orb in partition_orbits(borel_b2.action("ustar", "Ub"), SPACE)[1]),
                 key=lambda orb: orb.size)
     seed = whole.rep
     monkeypatch.setattr(orbits, "_SLICE", 7)

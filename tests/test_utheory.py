@@ -13,10 +13,11 @@ from parasuper.chartab import irr_characters, s_orbit_sums
 from parasuper.errors import FalsificationError
 from parasuper.groups import Parabolic, build_spec
 from parasuper.utheory import (
-    FormData, action_on_ustar, build_u_theory, chi_alpha_u, form_data, l_table,
+    FormData, build_u_theory, chi_alpha_u, form_data, l_table,
     levi_conj_orbits, lift_to_levi, orbit_eps_counts, counts_to_values, subgroup_table,
     superclass_u, ustar_orbit_partition, u_orbit_partition, zeta_at_conjugates,
 )
+from parasuper.verify import check_supertheory
 
 
 def test_zero_form_data(borel_c2):
@@ -84,7 +85,7 @@ def test_ub_on_g_never_builds_the_radical_table(monkeypatch):
         return out
     monkeypatch.setattr(Parabolic, "mulU", counted)
     theory = build_u_theory(d3, "G")
-    assert theory.meta["axioms"] == "pass"
+    assert check_supertheory(theory, d3).passed
     assert batches and max(batches) <= d3.nU
 
 
@@ -262,7 +263,7 @@ def test_u_theory_counts_match(borel_d2, borel_c2):
 def test_g_theory_assembles(borel_d2):
     theory = build_u_theory(borel_d2, "G")
     assert len(theory.chars) == len(theory.classes)
-    assert theory.meta["axioms"] == "pass"
+    assert check_supertheory(theory, borel_d2).passed
     # the identity class is present
     assert any(kl.size == 1 and kl.rep == theory.ident_id for kl in theory.classes)
 
@@ -297,7 +298,7 @@ def test_superclass_single_point(borel_d2):
 
 
 def test_falsification_on_corrupted_theory(borel_d2):
-    from parasuper.verify import check_supertheory, corrupt_character
+    from parasuper.verify import corrupt_character
     theory = build_u_theory(borel_d2, "G")
     bad = corrupt_character(theory)
     report = check_supertheory(bad)
@@ -337,8 +338,8 @@ def test_theories_compute_one_table_per_distinct_subgroup(monkeypatch):
         return irr_characters(group, *args)
 
     monkeypatch.setattr(utheory, "irr_characters", counted)
-    build_u_theory(w, "G", check=False)
-    build_g_theory(w, check=False)
+    build_u_theory(w, "G")
+    build_g_theory(w)
     assert len(calls) == len({tuple(ids) for ids in calls})      # no subgroup twice
     asked = len(ustar_orbit_partition(w, "Ub")) + len(signature_classes(w))
     assert len(calls) < asked

@@ -5,6 +5,7 @@ import pytest
 from conftest import levi_values
 
 from parasuper.errors import FalsificationError
+from parasuper.groups import Parabolic
 from parasuper.theory import SuperChar, SuperClass
 from parasuper.utheory import build_u_theory
 from parasuper.verify import (
@@ -149,7 +150,7 @@ def test_constancy_scan_reports_what_the_loops_report(name, corruption, request)
     # overlapping and incomplete partitions
     w = request.getfixturevalue(name)
     gG = theories(w)[2]
-    bad = CORRUPTIONS[corruption](build_u_theory(w, "G", check=False))   # a private pool
+    bad = CORRUPTIONS[corruption](build_u_theory(w, "G"))   # a private pool
     s2 = next(c for c in check_supertheory(bad).checks if c.name == "S2-constancy")
     want = _s2_by_loops(bad)
     assert want is not None and not s2.passed
@@ -184,7 +185,7 @@ def _induction_comparison_by_loops(ch, clean, classes, what):
 @pytest.mark.parametrize("name", ["borel_d2", "borel_c2"])
 def test_induction_comparison_reports_what_the_loop_reports(name, corruption, request):
     w = request.getfixturevalue(name)
-    tG = build_u_theory(w, "G", check=False)                             # a private pool
+    tG = build_u_theory(w, "G")                             # a private pool
     bad = CORRUPTIONS[corruption](tG)
     _, g_classes = w.g_classes
     num, den = tG.pool.numerators()
@@ -446,20 +447,26 @@ def test_normality_lemma_reports_the_first_corrupted_conjugate(borel_c2):
     assert check_lemmas(w).passed
 
 
-def test_two_sided_stability_reports_a_levi_element_off_the_block_diagonal(borel_c2):
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+def test_two_sided_stability_reports_a_levi_element_off_the_block_diagonal(borel_c2, warm):
     # negative control: in a copy, one Levi element gets a nonzero entry in
     # the bottom-left block, so it no longer normalizes the nilpotent algebra
-    # and the Levi stabilizers by membership lose their footing
+    # and the Levi stabilizers by membership lose their footing.  The warm
+    # copy is made after the lemmas passed on the world; the cold one of a
+    # new world, before anything is cached.  Either way the lemmas that read
+    # Levi stabilizers report that the element does not act on u
     import copy
-    w = borel_c2
+    w = borel_c2 if warm else Parabolic(borel_c2.spec)
     spec = w.spec
-    assert check_lemmas(w).passed
+    if warm:
+        assert check_lemmas(w).passed
     k = w.nL - 1
     bad = copy.copy(w)
     bad._memo = {}
     bad.L = w.L.copy()
     bad.L[k, spec.pos[-2], spec.pos[2]] = 1
-    check = next(c for c in check_lemmas(bad).checks if c.name == "two-sided-stability")
+    checks = {c.name: c for c in check_lemmas(bad).checks}
+    check = checks.pop("two-sided-stability")
     assert not check.passed
     assert check.counterexample["levi"] == k
     assert check.counterexample["message"] == (
@@ -467,6 +474,9 @@ def test_two_sided_stability_reports_a_levi_element_off_the_block_diagonal(borel
     i, j = check.counterexample["position"]
     e = spec.E(i, j)
     assert ((bad.L[k] @ e @ spec.dagger(bad.L[k]) % spec.p)[~spec.uc_mask]).any()
+    assert checks.pop("springer-equivariance").passed
+    assert checks and all(c.counterexample == {
+        "element": k, "message": "a group element does not act on u"} for c in checks.values())
 
 
 def test_setwise_lemma_reports_a_corrupted_stabilizer(borel_c2):
@@ -506,3 +516,22 @@ def test_each_orbit_sum_is_computed_once(monkeypatch):
     monkeypatch.setattr(utheory, "orbit_eps_counts", counted)
     assert all(report.passed for report in run_suites(w, "all"))
     assert seen and len(seen) == len(set(seen))
+
+
+def test_each_action_permutes_its_space_once(monkeypatch):
+    # the Ub permutations of u serve both its orbit partition and the
+    # quotient orbits of the superclasses; no action computes them twice
+    from parasuper.groups import build_spec
+    from parasuper.orbits import LinearAction
+    w = Parabolic(build_spec("C", 2, 3, (1, 1, 0, 1, 1)))
+    real = LinearAction.images
+    whole = []
+
+    def counted(self, pts):
+        if np.size(pts) == self.size:
+            whole.append(self.label)
+        return real(self, pts)
+
+    monkeypatch.setattr(LinearAction, "images", counted)
+    assert all(r.passed for r in run_suites(w, "all"))
+    assert "u:Ub" in whole and len(whole) == len(set(whole))
