@@ -43,14 +43,6 @@ def is_odd_prime(q):
     return True
 
 
-def fp_inv(a, p):
-    """Multiplicative inverse in F_p."""
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse mod %d" % p)
-    return pow(a, p - 2, p)
-
-
 def smallest_nonsquare(p):
     squares = {(i * i) % p for i in range(1, p)}
     for t in range(2, p):

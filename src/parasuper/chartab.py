@@ -319,10 +319,9 @@ def _common_eigenlines(mats, ell):
             B = coords.T
             eye = np.eye(len(B), dtype=np.int64)
             for t in _charpoly_roots(B, ell):
-                kern = linalg.right_kernel(((B - t * eye) % ell).tolist(), ell, len(B))
-                if kern:
-                    rows, pivots = linalg.rref((np.array(kern) @ V % ell).tolist(), ell)
-                    new_spaces.append((np.array(rows, dtype=np.int64), pivots))
+                kern = linalg.right_kernel(B - t * eye, ell, len(B))
+                if len(kern):
+                    new_spaces.append(linalg.rref(kern @ V % ell, ell))
         spaces = new_spaces
         if all(len(V) == 1 for V, _ in spaces):
             break

@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import traceback
 
@@ -22,9 +21,6 @@ from .groups import DEFAULT_GUARDS, Parabolic, build_spec
 from .utheory import build_u_theory, u_orbit_partition, ustar_orbit_partition
 from .gtheory import build_g_theory
 from . import verify as verify_mod
-
-GUARD_ENV_PREFIX = "PARASUPER_GUARD_"
-
 
 def parse_blocks(family, n, text):
     """Half-list block sizes (outer to middle) to the full symmetric tuple.
@@ -57,17 +53,9 @@ def parse_blocks(family, n, text):
 def gather_guards(args):
     guards = dict(DEFAULT_GUARDS)
     for key in guards:
-        name = GUARD_ENV_PREFIX + key.upper()
-        env = os.environ.get(name)
-        if env is not None:
-            try:
-                guards[key] = int(env)
-            except ValueError:
-                raise ValidationError("guard", "%s must be an integer, not %r"
-                                      % (name, env)) from None
         flag = getattr(args, "guard_" + key, None)
         if flag is not None:
-            guards[key] = int(flag)
+            guards[key] = flag
     return guards
 
 
@@ -189,7 +177,7 @@ def cmd_table(args):
     supercharacter axioms on it, and emit it."""
     world = make_world(args)
     theory = build_g_theory(world) if args.theory == "gb" else build_u_theory(world, args.target)
-    report = verify_mod.check_supertheory(theory, world)
+    report = verify_mod.check_supertheory(theory)
     if not report.passed:
         raise FalsificationError("assembled theory fails the axiom check",
                                  report.first_failure())

@@ -328,7 +328,7 @@ def _all_matrices(n, q):
 def enumerate_gl(n, q):
     """All invertible n x n matrices over F_q as a stack, in lexicographic entry order."""
     mats = _all_matrices(n, q)
-    return mats[np.array([linalg.det(m, q) != 0 for m in mats.tolist()], dtype=bool)]
+    return mats[linalg.rank(mats, q) == n]
 
 
 def enumerate_middle(spec, guard_middle):
@@ -375,7 +375,7 @@ def enumerate_levi(spec, guard=None, guard_middle=None):
     out = np.zeros((1, spec.N, spec.N), dtype=np.int64)
     for k in range(spec.ell, 0, -1):
         a_k = enumerate_gl(len(spec.segments[k]), q)
-        inv = np.array([linalg.inverse(a, q) for a in a_k.tolist()], dtype=np.int64)
+        inv = np.stack([linalg.inverse(a, q) for a in a_k])
         # mirrored block forced: A_{-k} = dagger(A_k^-1), which lives on I_{-k}
         factor = embed(a_k, k) + spec.dagger(embed(inv, k))
         out = (out[:, None] + factor[None]).reshape(-1, spec.N, spec.N)
@@ -604,9 +604,8 @@ class Parabolic:
         multiplication by T must keep the set and reach all of it from 1, so
         the set is <T>; else FalsificationError names the subgroup."""
         where = {"subgroup": name, **(where or {})}
-        basis = np.asarray(basis, dtype=np.int64).reshape(-1, self.spec.u_dim)
-        members = np.unique(self.pack_u(
-            enumerate_subspace(list(basis), self.spec.p, self.spec.u_dim)))
+        basis = np.asarray(basis, dtype=np.int64)
+        members = np.unique(self.pack_u(enumerate_subspace(basis, self.spec.p)))
         prods = np.array([self.mulU(members, g) for g in self.pack_u(basis)],
                          dtype=np.int64).reshape(len(basis), members.size).T
         at = np.searchsorted(members, prods).clip(max=members.size - 1)

@@ -24,7 +24,7 @@ from .theory import (
 from .utheory import (
     form_data, intern_ids, lift_to_levi, orbit_of, orbit_partition, orbit_sum, subgroup_table,
 )
-from .orbits import _bfs, enumerate_subspace, levi_images
+from .orbits import _bfs, levi_images
 
 
 # ---------------------------------------------------------------------------
@@ -106,25 +106,23 @@ class PairSignature:
 def signature_of_matrix(spec, X):
     """Block-submatrix ranks of an ambient matrix, the rank half of the invariant."""
     sl = spec.block_slice
-    return tuple((k, m, linalg.rank(X[sl[k], sl[m]].tolist(), spec.p))
+    return tuple((k, m, int(linalg.rank(X[sl[k], sl[m]], spec.p)))
                  for k in range(spec.ell, -spec.ell - 1, -1)
                  for m in range(k - 1, -spec.ell - 1, -1))
 
 
-def union_rank_signature(spec, X):
-    """Ranks of the square submatrices over contiguous block unions.
+def union_ranks(spec, X):
+    """Ranks of the square submatrices over contiguous block unions, for a
+    stack of matrices: shape (..., unions), one `rank` call per union.
 
     These are constant along whole orbits (single-block ranks are constant
     only across rook representatives), and for rook matrices they determine
     the per-block ranks by inclusion-exclusion.
     """
     sl = spec.block_slice
-    entries = []
-    for k in range(spec.ell, -spec.ell - 1, -1):
-        for m in range(k - 1, -spec.ell - 1, -1):
-            union = slice(sl[k].start, sl[m].stop)
-            entries.append((k, m, linalg.rank(X[union, union].tolist(), spec.p)))
-    return tuple(entries)
+    unions = [slice(sl[k].start, sl[m].stop) for k in range(spec.ell, -spec.ell - 1, -1)
+              for m in range(k - 1, -spec.ell - 1, -1)]
+    return np.stack([linalg.rank(X[..., s, s], spec.p) for s in unions], axis=-1)
 
 
 def pair_signature(world, pair):
@@ -148,11 +146,10 @@ def pair_signature(world, pair):
         dk = 1
         if spec.family == "C":
             labs = spec.segments[k]
-            form = [[X[spec.pos[a]][spec.pos[-b]] for b in labs] for a in labs]
-            support = [t for t in range(len(labs)) if any(form[t])]
-            if support:
-                sub = [[form[a][b] for b in support] for a in support]
-                dt = linalg.det(sub, spec.p)
+            form = X[np.ix_([spec.pos[a] for a in labs], [spec.pos[-b] for b in labs])]
+            support = np.flatnonzero(form.any(axis=1))
+            if support.size:
+                dt = linalg.det(form[np.ix_(support, support)], spec.p)
                 if not dt:
                     raise FalsificationError("rook form is degenerate on its support",
                                              {"pair": pair.label(), "block": k})
@@ -221,14 +218,16 @@ def classify_g_orbits(world, space):
             {"space": space, "signatures": len(orbit_by_sig), "orbits": len(orbits)})
 
     if space == "u":
-        # union-block ranks are constant along every orbit, point by point
-        for idx, orb in enumerate(orbits):
-            sigs = {union_rank_signature(spec, X)
-                    for X in spec.mat_of_u(world.u_digits(orb.points))}
-            if len(sigs) != 1:
-                raise FalsificationError(
-                    "union-block ranks are not constant on an orbit",
-                    {"space": space, "orbit": idx, "rep": orb.rep})
+        # union-block ranks are constant along every orbit: every point's
+        # ranks against its orbit representative's, the lowest orbit reported
+        ranks = union_ranks(spec, spec.mat_of_u(world.u_digits(np.arange(world.nU))))
+        reps = np.array([orb.rep for orb in orbits], dtype=np.int64)
+        bad = (ranks != ranks[reps[orbit_label]]).any(axis=1)
+        if bad.any():
+            idx = int(orbit_label[bad].min())
+            raise FalsificationError(
+                "union-block ranks are not constant on an orbit",
+                {"space": space, "orbit": idx, "rep": orbits[idx].rep})
     return {"space": space, "orbits": len(orbits), "signatures": len(orbit_by_sig)}
 
 
@@ -304,18 +303,6 @@ def crossing_flags(spec, merged):
     return [seg_of[r.block_row] != seg_of[r.block_col] for r in spec.roots_u]
 
 
-def subspace_points(world, flags):
-    """Packed points of the coordinate subspace supported on flagged roots."""
-    basis = []
-    for t, f in enumerate(flags):
-        if f:
-            vec = [0] * world.spec.u_dim
-            vec[t] = 1
-            basis.append(tuple(vec))
-    return np.unique(world.pack_u(
-        enumerate_subspace(basis, world.spec.p, world.spec.u_dim)))
-
-
 def scalar_levi_subgroup(world, merged):
     """Levi elements scalar across every multi-block merged segment."""
     spec = world.spec
@@ -360,8 +347,8 @@ def pair_context(world, sig, pair):
     # pointwise stabilizer of the orbit must be exactly the scalar subgroup;
     # it is read on the orbit's span, the smallest invariant subspace
     # holding the form
-    span, _ = linalg.invariant_span([lam_coords], world.action("ustar", "Gb").gen_mats, spec.p)
-    span = world.pack_u(np.array(span, dtype=np.int64).reshape(-1, spec.u_dim))
+    span = world.pack_u(linalg.invariant_span(
+        lam_coords, world.action("ustar", "Gb").gen_mats, spec.p)[0])
     stab = np.flatnonzero((levi_images(world, "ustar", span) == span).all(axis=1)).tolist()
     if stab != sorted(ld_ids):
         raise FalsificationError(
@@ -479,15 +466,3 @@ def build_g_theory(world):
                          {"config": world.spec.config_label(), "target": "G"})
     sort_canonical(theory)
     return theory
-
-
-def radical_factorization_check(world, h_parent):
-    """|U| must factor as |V_h| * |U_h| for the Levi-induced coarsening."""
-    merged = merged_by_levi(world.spec, world.L[h_parent])
-    cross = crossing_flags(world.spec, merged)
-    uh = subspace_points(world, cross)
-    vh = subspace_points(world, [not f for f in cross])
-    if uh.size * vh.size != world.nU:
-        raise FalsificationError("radical does not factor through the coarsening",
-                                 {"h": h_parent, "uh": int(uh.size), "vh": int(vh.size)})
-    return int(vh.size), int(uh.size)

@@ -171,32 +171,29 @@ def levi_images(world, space, points):
 # ---------------------------------------------------------------------------
 # subspaces and quotients
 
-def enumerate_subspace(basis, p, dim=None):
-    """All points of a row-span subspace, as a (p^k, dim) digit array."""
-    if not basis:
-        return np.zeros((1, dim if dim is not None else 0), dtype=np.int64)
-    coeffs = unpack(np.arange(p ** len(basis)), p, len(basis))
-    return (coeffs @ np.asarray(basis, dtype=np.int64)) % p
+def enumerate_subspace(basis, p):
+    """All points of the row span of a (k, dim) basis, as a (p^k, dim) digit array."""
+    basis = np.asarray(basis, dtype=np.int64)
+    return unpack(np.arange(p ** len(basis)), p, len(basis)) @ basis % p
 
 
-def quotient_orbits(action, perms, sub_basis):
+def quotient_orbits(action, sub_basis, guard):
     """The preimages in the action's space of the orbits on its quotient by
     an invariant subspace W (rows of `sub_basis`), as (omega, members) in
-    ascending omega.  `perms` are the action's generator permutations
-    (`full_perms`); with the translations by a basis of W added, one
-    partition gives each preimage directly.  omega labels a preimage by its
-    least point of the quotient: the coordinates of a point reduced modulo
-    the rref basis of W, packed on the non-pivot columns.
+    ascending omega.  With the translations by a basis of W added to the
+    action's generator permutations (`full_perms`, under the space guard),
+    one partition gives each preimage directly.  omega labels a preimage by
+    its least point of the quotient: the coordinates of a point reduced
+    modulo the rref basis of W, packed on the non-pivot columns.
     """
     p = action.p
-    red, pivots = linalg.rref(sub_basis, p)
-    if linalg.invariant_span(red, action.gen_mats, p)[0] != red:
+    basis, pivots = linalg.rref(sub_basis, p, action.dim)
+    if not np.array_equal(linalg.invariant_span(basis, action.gen_mats, p)[0], basis):
         raise ValidationError("not-invariant",
                               "subspace is not invariant under the action %r" % action.label)
     digits = action.unpack(np.arange(action.size))
-    basis = np.array(red, dtype=np.int64).reshape(-1, action.dim)
     shifts = [action.pack(digits + b) for b in basis]
-    label, members = partition_by_perms(action.size, list(perms) + shifts)
+    label, members = partition_by_perms(action.size, action.full_perms(guard) + shifts)
     free = [c for c in range(action.dim) if c not in pivots]
     reduced = (digits - digits[:, pivots] @ basis) % p
     point = pack(reduced[:, free], p)
@@ -208,11 +205,11 @@ def quotient_orbits(action, perms, sub_basis):
 def smallest_bimodule(world, h):
     """Smallest two-sidedly invariant subspace moving h's conjugation defect.
 
-    Returns (basis of the subspace of Uc, basis of its intersection with u in
-    root coordinates).  The subspace contains h x h^-1 - x for all x in Uc and
-    is closed under multiplication by Uc on both sides, which is equivalent to
-    invariance under the two-sided unipotent group action.  h is a Levi
-    element, an isometry, so h^-1 = h-dagger.
+    Returns the rref bases of the subspace of Uc and of its intersection
+    with u in root coordinates.  The subspace contains h x h^-1 - x for all
+    x in Uc and is closed under multiplication by Uc on both sides, which is
+    equivalent to invariance under the two-sided unipotent group action.  h
+    is a Levi element, an isometry, so h^-1 = h-dagger.
     """
     spec = world.spec
     p = spec.p
@@ -221,25 +218,12 @@ def smallest_bimodule(world, h):
     # the transposed generators are x -> (1+E)x and x -> x(1+E) on Uc itself;
     # a subspace closed under those is closed under x -> Ex and x -> xE
     mats = world.action("ucstar-twosided", "Ub").gen_mats.transpose(0, 2, 1)
-    basis_rows, pivots = linalg.invariant_span(defects, mats, p)
+    basis, pivots = linalg.invariant_span(defects, mats, p)
 
-    # intersection with u, expressed in root coordinates
-    R = np.array(self_reduce_matrix(basis_rows, pivots, spec.uc_dim, p), dtype=np.int64)
-    cond = (R @ spec.u_embed_matrix()) % p         # maps u coords to quotient residues
-    kern = linalg.right_kernel([tuple(r) for r in cond.tolist()], p, spec.u_dim)
-    ured, _ = linalg.rref(kern, p) if kern else ([], [])
-    return list(basis_rows), list(ured)
-
-
-def self_reduce_matrix(rref_rows, pivots, dim, p):
-    """Matrix of v -> v reduced modulo the rref span (0 iff v in span).
-
-    In rref, pivot columns vanish in every other row, so the reduction is the
-    single linear map that clears each pivot coordinate and subtracts the
-    matching multiples elsewhere.
-    """
-    R = [[1 if c == d else 0 for d in range(dim)] for c in range(dim)]
-    for row, piv in zip(rref_rows, pivots):
-        for c in range(dim):
-            R[c][piv] = 0 if c == piv else (-row[c]) % p
-    return R
+    # the intersection with u is the kernel of v -> v - v[pivots] @ basis
+    # (v reduced modulo the span; in rref a pivot column is 0 outside its row)
+    # on the u coordinates
+    reduce = np.eye(spec.uc_dim, dtype=np.int64)
+    reduce[:, pivots] -= basis.T
+    kern = linalg.right_kernel(reduce @ spec.u_embed_matrix() % p, p, spec.u_dim)
+    return basis, linalg.rref(kern, p, spec.u_dim)[0]

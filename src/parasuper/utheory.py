@@ -72,7 +72,7 @@ class FormData:
         # unique extension with Lambda-dagger = -Lambda: Lambda(E) = lam((E - E-dagger)/2)
         units = spec.units(spec.uc_positions)
         Lam = spec.u_coords(inv2 * (units - spec.dagger(units))) @ self.lam_coords % p
-        self.Lam_coords = tuple(Lam.tolist())
+        self.Lam_coords = Lam
 
         # restriction back to u must be lam, and the extension anti-self-dual
         if not np.array_equal(spec.uc_coords(spec.u_basis) @ Lam % p, self.lam_coords):
@@ -83,28 +83,26 @@ class FormData:
 
         # R = {x : Lambda(x Hc) = 0}, Lc = {x : Lambda(Hc-dagger x) = 0}; with
         # Lambda as a matrix LamM, zero outside Uc, Lambda(E(i,j) h) is
-        # (LamM h^T)[i, j] and Lambda(h-dagger E(i,j)) is (h-dagger^T LamM)[i, j]
+        # (LamM h^T)[i, j] and Lambda(h-dagger E(i,j)) is (h-dagger^T LamM)[i, j];
+        # Uc_Lambda = R meet Lc is cut out by both sets of conditions at once
         ri, rj = spec.uc_rows, spec.uc_cols
         LamM = spec.mat_of_uc(Lam)
         hc = spec.units(spec.hc_positions())
         hc_dag = spec.dagger(hc)
         rows_r = (LamM @ hc.transpose(0, 2, 1))[:, ri, rj] % p
         rows_l = (hc_dag.transpose(0, 2, 1) @ LamM)[:, ri, rj] % p
-        self.R_basis = linalg.right_kernel(rows_r.tolist(), p, spec.uc_dim)
-        self.L_basis = linalg.right_kernel(rows_l.tolist(), p, spec.uc_dim)
-        self.UcLam_basis = linalg.intersect(self.R_basis, self.L_basis, p)
+        self.UcLam_basis = linalg.rref(linalg.right_kernel(
+            np.concatenate([rows_r, rows_l]), p, spec.uc_dim), p, spec.uc_dim)[0]
 
         # u_lam inside u, via both defining conditions; they must agree
         # (products of u with the ideal leave u, so the extension evaluates
         # them).  Lambda is linear: the u rows are the Uc rows times the embedding
         emb = spec.u_embed_matrix()
-        k_r = linalg.right_kernel((rows_r @ emb % p).tolist(), p, spec.u_dim)
-        k_l = linalg.right_kernel((rows_l @ emb % p).tolist(), p, spec.u_dim)
-        red_r = linalg.rref(k_r, p)[0] if k_r else []
-        red_l = linalg.rref(k_l, p)[0] if k_l else []
-        if red_r != red_l:
+        red_r, red_l = (linalg.rref(linalg.right_kernel(rows @ emb % p, p, spec.u_dim),
+                                    p, spec.u_dim)[0] for rows in (rows_r, rows_l))
+        if not np.array_equal(red_r, red_l):
             self._fail("the two annihilator conditions cut out different subalgebras of u")
-        self.u_lam_basis = list(red_r)
+        self.u_lam_basis = red_r
 
         # U_lam, checked to be <T>, T the Cayley images of the basis of u_lam;
         # at[i, k] locates U_lam_ids[i] T[k]
@@ -122,8 +120,8 @@ class FormData:
         # orbit's span (the smallest invariant subspace holding Lam), and
         # setwise on the dot orbit, by membership of the image of lam (L
         # normalizes Ub, so it permutes the dot orbits)
-        span, _ = linalg.invariant_span([Lam], world.action("ucstar-twosided", "Ub").gen_mats, p)
-        span = pack(np.array(span, dtype=np.int64).reshape(-1, spec.uc_dim), p)
+        span = pack(linalg.invariant_span(
+            Lam, world.action("ucstar-twosided", "Ub").gen_mats, p)[0], p)
         self.L0_ids = np.flatnonzero(
             (levi_images(world, "ucstar", span) == span).all(axis=1)).tolist()
         label = orbit_partition(world, "ustar", "Ub")[0]
@@ -342,10 +340,9 @@ def build_u_theory(world, target="G"):
 
         classes = []
         act_u = world.action("u", "Ub")
-        perms = act_u.full_perms(world.guards["space"])
         for h_idx in range(world.nL):
             _, u_h_basis = smallest_bimodule(world, world.L[h_idx])
-            for omega, coset in quotient_orbits(act_u, perms, u_h_basis):
+            for omega, coset in quotient_orbits(act_u, u_h_basis, world.guards["space"]):
                 members = superclass_u(world, h_idx, coset)
                 classes.append(SuperClass(
                     "K[h=%d,omega=%d]" % (h_idx, omega), members,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parasuper.algebra import (
-    Cyc, CycField, cyclotomic_poly, fp_inv, integer_gram, is_odd_prime, primitive_root,
+    Cyc, CycField, cyclotomic_poly, integer_gram, is_odd_prime, primitive_root,
     smallest_nonsquare,
 )
 from parasuper.errors import ValidationError
@@ -21,8 +21,6 @@ def test_field_axioms_by_exhaustion(p):
     els = range(p)
     for a in els:
         assert (a + 0) % p == a and (a * 1) % p == a
-        if a:
-            assert a * fp_inv(a, p) % p == 1
         for b in els:
             assert (a + b) % p == (b + a) % p
             assert (a * b) % p == (b * a) % p

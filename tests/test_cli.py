@@ -66,16 +66,6 @@ def test_unknown_flag_exits_2(capsys):
     assert code == 2
 
 
-def test_malformed_guard_variable_is_usage_error(monkeypatch, capsys):
-    # a guard given by environment variable is parsed like its flag: a
-    # value that is not an integer is a usage error, not an internal one
-    monkeypatch.setenv("PARASUPER_GUARD_SPACE", "abc")
-    code, out, err = run_cli(
-        ["spec", "--family", "C", "--n", "2", "--q", "3", "--blocks", "1,1"], capsys)
-    assert code == 2 and out == ""
-    assert "PARASUPER_GUARD_SPACE" in err and "Traceback" not in err
-
-
 def test_orbits_subcommand(capsys):
     code, out, _ = run_cli(
         ["orbits", "--family", "D", "--n", "2", "--q", "3", "--blocks", "1,1",

@@ -1,20 +1,20 @@
 """Ambient-orbit theory: rook placements, signatures, coarsenings, assembly."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import levi_values, world_for
 from hypothesis import given, settings, strategies as st
 
-from parasuper import gtheory
+from parasuper import gtheory, linalg
 from parasuper.errors import FalsificationError
 from parasuper.groups import build_spec
 from parasuper.gtheory import (
     BasicPair, build_g_theory, classify_g_orbits, enumerate_basic_pairs,
     is_rook_placement, merged_by_levi, merged_by_roots, pair_point_u,
     pair_signature, scalar_levi_subgroup, signature_classes,
-    radical_factorization_check,
 )
 from parasuper.utheory import intern_rows
 from parasuper.verify import check_supertheory
@@ -73,6 +73,29 @@ def test_classification_passes(borel_d2, borel_c2, twoblock_c2):
         out_s = classify_g_orbits(w, "ustar")
         assert out_u["orbits"] == out_u["signatures"]
         assert out_s["orbits"] == out_s["signatures"]
+
+
+def test_union_rank_check_fires(borel_c2, monkeypatch):
+    # the ranks of one non-representative point in each of the two last
+    # orbits of u with more than one point are raised; the lower orbit is
+    # the one reported
+    from parasuper.utheory import orbit_partition
+    w = borel_c2
+    orbits = orbit_partition(w, "u", "Gb")[1]
+    moved = [k for k, orb in enumerate(orbits) if orb.size > 1][-2:]
+    points = [int(orbits[k].points[-1]) for k in moved]
+    real = linalg.rank
+
+    def raised(mats, p):
+        out = real(mats, p)
+        if out.shape == (w.nU,):                # a union over every point of u
+            out[points] += 1
+        return out
+    monkeypatch.setattr(gtheory, "linalg", SimpleNamespace(**{**vars(linalg), "rank": raised}))
+    with pytest.raises(FalsificationError, match="not constant on an orbit") as err:
+        classify_g_orbits(w, "u")
+    k = moved[0]
+    assert err.value.counterexample == {"space": "u", "orbit": k, "rep": orbits[k].rep}
 
 
 @settings(max_examples=100, deadline=None)
@@ -145,7 +168,6 @@ def test_merged_by_levi(borel_c2):
         mirror = tuple(tuple(sorted((-t for t in seg), reverse=True))
                        for seg in reversed(md.segments))
         assert mirror == md.segments
-        radical_factorization_check(w, hid)
 
 
 def merged_by_levi_by_runs(spec, h):
@@ -256,7 +278,7 @@ def test_build_g_theory(borel_d2, borel_b2):
     for w in (borel_d2, borel_b2):
         theory = build_g_theory(w)
         assert len(theory.chars) == len(theory.classes)
-        assert check_supertheory(theory, w).passed
+        assert check_supertheory(theory).passed
         assert any(kl.size == 1 and kl.rep == theory.ident_id for kl in theory.classes)
         total = sum(kl.size for kl in theory.classes)
         assert total == w.g_size
@@ -343,11 +365,18 @@ def test_levi_invariance_check_reports_the_first_moved_pair(twoblock_c2, monkeyp
     assert (ce["rho"], ce["r"]) == want and ce["theta"] == 0
 
 
+def subspace_points(world, flags):
+    """Packed points of the coordinate subspace supported on flagged roots:
+    the points of u whose unflagged coordinates vanish."""
+    ids = np.arange(world.nU)
+    return ids[~world.u_digits(ids)[:, ~np.asarray(flags)].any(axis=1)]
+
+
 def test_dropping_a_basis_image_of_u_d_fails_the_generation_check(borel_c2, monkeypatch):
     # U_D of the first signature class with a proper merged radical, claimed
     # in full while the first row of its root basis is dropped
     from parasuper import groups
-    from parasuper.gtheory import crossing_flags, subspace_points
+    from parasuper.gtheory import crossing_flags
     w = borel_c2
     for _, pairs in signature_classes(w):
         flags = crossing_flags(w.spec, merged_by_roots(w.spec, pairs[0].roots))
@@ -359,7 +388,7 @@ def test_dropping_a_basis_image_of_u_d_fails_the_generation_check(borel_c2, monk
     assert np.array_equal(members, subspace_points(w, flags))
     assert at.shape == (members.size, len(basis))
     points = w.u_digits(members)
-    monkeypatch.setattr(groups, "enumerate_subspace", lambda basis, p, dim: points)
+    monkeypatch.setattr(groups, "enumerate_subspace", lambda basis, p: points)
     with pytest.raises(FalsificationError, match="do not generate U_D") as err:
         w.generated(basis[1:], "U_D", where)
     assert err.value.counterexample == {"subgroup": "U_D", **where}

@@ -1,71 +1,121 @@
-"""Exact linear algebra over small prime fields."""
+"""Exact linear algebra over small prime fields, against brute-force row spaces."""
 
 import itertools
 import random
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from parasuper import linalg
 
 
+def row_space(rows, p):
+    """Every vector of the row span, by enumerating all coefficient vectors."""
+    rows = np.asarray(rows, dtype=np.int64)
+    coeffs = np.array(list(itertools.product(range(p), repeat=len(rows))),
+                      dtype=np.int64).reshape(p ** len(rows), len(rows))
+    return {tuple(v) for v in (coeffs @ rows % p).tolist()}
+
+
+def all_vectors(n, p):
+    return np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64).reshape(-1, n)
+
+
+@st.composite
+def matrices(draw):
+    """(p, an r x c matrix over F_p) with p in {3, 5}, r <= 5 and 1 <= c <= 5."""
+    p = draw(st.sampled_from([3, 5]))
+    r, c = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.integers(0, p - 1), min_size=r * c, max_size=r * c))
+    return p, np.array(cells, dtype=np.int64).reshape(r, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_rref_is_the_canonical_basis_of_the_row_space(pa, data):
+    p, a = pa
+    n = a.shape[1]
+    red, piv = linalg.rref(a, p, n)
+    assert red.dtype == np.int64 and red.shape == (len(piv), n)
+    assert row_space(red, p) == row_space(a, p)
+    assert len(row_space(red, p)) == p ** len(piv)
+    assert piv == sorted(piv) and np.array_equal(red[:, piv], np.eye(len(piv)))
+    assert all(not red[i, :c].any() for i, c in enumerate(piv))
+    # another generating set: equal arrays exactly when the spans are equal
+    k = data.draw(st.integers(0, 5))
+    cells = data.draw(st.lists(st.integers(0, p - 1), min_size=k * len(a), max_size=k * len(a)))
+    b = np.array(cells, dtype=np.int64).reshape(k, len(a)) @ a % p
+    same = row_space(b, p) == row_space(a, p)
+    assert np.array_equal(linalg.rref(b, p, n)[0], red) == same
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_right_kernel_is_the_full_solution_set(pa):
+    p, a = pa
+    n = a.shape[1]
+    kern = linalg.right_kernel(a, p, n)
+    rank = len(linalg.rref(a, p, n)[1])
+    assert kern.dtype == np.int64 and kern.shape == (n - rank, n)
+    xs = all_vectors(n, p)
+    solutions = {tuple(x) for x in xs[~(xs @ a.T % p).any(axis=1)].tolist()}
+    assert row_space(kern, p) == solutions
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(1, 4), st.integers(0, 5), st.integers(0, 5),
+       st.data())
+def test_rank_of_a_stack_counts_each_row_space(p, s, r, c, data):
+    cells = data.draw(st.lists(st.integers(0, p - 1), min_size=s * r * c, max_size=s * r * c))
+    mats = np.array(cells, dtype=np.int64).reshape(s, r, c)
+    got = linalg.rank(mats, p)
+    assert got.shape == (s,)
+    for m, k in zip(mats, got):
+        assert p ** int(k) == len(row_space(m, p))
+    assert np.array_equal(linalg.rank(mats.reshape(1, s, r, c), p), got[None])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(1, 5), st.data())
+def test_inverse_times_the_matrix_is_the_identity(p, n, data):
+    cells = data.draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+    a = np.array(cells, dtype=np.int64).reshape(n, n)
+    if len(row_space(a, p)) < p ** n:
+        with pytest.raises(ValueError, match="singular"):
+            linalg.inverse(a, p)
+        assert linalg.det(a, p) == 0
+    else:
+        inv = linalg.inverse(a, p)
+        assert inv.dtype == np.int64
+        assert np.array_equal(inv @ a % p, np.eye(n))
+
+
 def test_rref_and_rank():
-    rows = [(1, 2, 0), (2, 4, 0), (0, 1, 1)]
+    rows = np.array([(1, 2, 0), (2, 4, 0), (0, 1, 1)])
     red, piv = linalg.rref(rows, 3)
-    assert piv == [0, 1]
+    assert piv == [0, 1] and red.tolist() == [[1, 0, 1], [0, 1, 1]]
     assert linalg.rank(rows, 3) == 2
+    empty, piv = linalg.rref(np.zeros((0, 4), dtype=np.int64), 3)
+    assert empty.shape == (0, 4) and piv == []
+    assert linalg.right_kernel(empty, 3, 4).tolist() == np.eye(4, dtype=int).tolist()
 
 
-def test_right_kernel_exhaustive():
-    p = 3
-    rows = [(1, 1, 1), (0, 1, 2)]
-    kern = linalg.right_kernel(rows, p, 3)
-    sols = {tuple(v) for v in itertools.product(range(p), repeat=3)
-            if all(sum(r[i] * v[i] for i in range(3)) % p == 0 for r in rows)}
-    spanned = set()
-    for coeffs in itertools.product(range(p), repeat=len(kern)):
-        vec = [0, 0, 0]
-        for c, b in zip(coeffs, kern):
-            vec = [(x + c * y) % p for x, y in zip(vec, b)]
-        spanned.add(tuple(vec))
-    assert spanned == sols
-
-
-def test_solve_and_inverse():
-    random.seed(3)
-    p = 5
-    for _ in range(40):
-        a = [[random.randrange(p) for _ in range(3)] for _ in range(3)]
-        try:
-            inv = linalg.inverse(a, p)
-        except ValueError:
-            assert linalg.det(a, p) == 0
-            continue
-        prod = [[sum(a[i][k] * inv[k][j] for k in range(3)) % p for j in range(3)]
-                for i in range(3)]
-        assert prod == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+def test_invariant_span_returns_an_rref_array():
+    # the shift x -> (x_2, x_3, 0) closes e_3 into the whole space
+    shift = np.array([[[0, 1, 0], [0, 0, 1], [0, 0, 0]]])
+    rows, piv = linalg.invariant_span(np.array([0, 0, 1]), shift, 5)
+    assert np.array_equal(rows, np.eye(3)) and piv == [0, 1, 2]
+    rows, piv = linalg.invariant_span(np.array([1, 0, 0]), shift, 5)
+    assert rows.tolist() == [[1, 0, 0]] and piv == [0]
+    rows, piv = linalg.invariant_span(np.zeros(3, dtype=np.int64), shift, 5)
+    assert rows.shape == (0, 3) and piv == []
 
 
 def test_det_multiplicative():
     random.seed(11)
     p = 7
     for _ in range(30):
-        a = [[random.randrange(p) for _ in range(3)] for _ in range(3)]
-        b = [[random.randrange(p) for _ in range(3)] for _ in range(3)]
-        ab = [[sum(a[i][k] * b[k][j] for k in range(3)) % p for j in range(3)]
-              for i in range(3)]
-        assert linalg.det(ab, p) == linalg.det(a, p) * linalg.det(b, p) % p
-
-
-def test_intersect():
-    p = 3
-    a = [(1, 0, 0), (0, 1, 0)]
-    b = [(0, 1, 0), (0, 0, 1)]
-    inter = linalg.intersect(a, b, p)
-    assert inter == [(0, 1, 0)]
-    assert linalg.intersect(a, [], p) == []
-
-
-def test_in_span_and_reduce():
-    p = 5
-    red, piv = linalg.rref([(1, 2, 3), (0, 1, 4)], p)
-    assert linalg.in_span(red, piv, (1, 3, 2), p)
-    assert not linalg.in_span(red, piv, (0, 0, 1), p)
-
+        a = np.array([[random.randrange(p) for _ in range(3)] for _ in range(3)])
+        b = np.array([[random.randrange(p) for _ in range(3)] for _ in range(3)])
+        assert linalg.det(a @ b, p) == linalg.det(a, p) * linalg.det(b, p) % p

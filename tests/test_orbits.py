@@ -66,7 +66,7 @@ def small_actions(draw):
     dim = draw(st.integers(1, 3))
     entries = st.lists(st.integers(0, p - 1), min_size=dim * dim, max_size=dim * dim)
     mats = entries.map(lambda e: np.array(e, dtype=np.int64).reshape(dim, dim)).filter(
-        lambda m: linalg.det(m.tolist(), p) != 0)
+        lambda m: linalg.det(m, p) != 0)
     return LinearAction("random", p, dim, np.array(draw(st.lists(mats, min_size=1, max_size=3))))
 
 
@@ -141,9 +141,10 @@ def test_partition_by_perms_is_the_set_closure(case):
 def test_invariant_span_is_the_span_of_the_orbits(act, data):
     seeds = data.draw(st.lists(st.integers(0, act.size - 1), max_size=3))
     orbit_points = [orbit_closure(x, act).points for x in seeds]
-    digits = act.unpack(np.concatenate(orbit_points)) if seeds else []
-    want = linalg.rref([list(v) for v in digits], act.p)
-    assert linalg.invariant_span(act.unpack(seeds), act.gen_mats, act.p) == want
+    digits = act.unpack(np.concatenate([np.zeros(0, dtype=np.int64)] + orbit_points))
+    want, want_piv = linalg.rref(digits, act.p, act.dim)
+    got, piv = linalg.invariant_span(act.unpack(seeds).reshape(-1, act.dim), act.gen_mats, act.p)
+    assert np.array_equal(got, want) and piv == want_piv
 
 
 def pointwise(w, space, points):
@@ -233,8 +234,9 @@ def test_stabilizers_by_direct_filter(borel_b2, space, mode):
 
 
 def test_smallest_bimodule_identity(borel_b2):
-    uc_h, u_h = smallest_bimodule(borel_b2, np.eye(borel_b2.spec.N, dtype=np.int64))
-    assert uc_h == [] and u_h == []
+    spec = borel_b2.spec
+    uc_h, u_h = smallest_bimodule(borel_b2, np.eye(spec.N, dtype=np.int64))
+    assert uc_h.shape == (0, spec.uc_dim) and u_h.shape == (0, spec.u_dim)
 
 
 def test_smallest_bimodule_defining_property(borel_b2):
@@ -242,36 +244,27 @@ def test_smallest_bimodule_defining_property(borel_b2):
     spec = w.spec
     for h in w.L:
         uc_h, u_h = smallest_bimodule(w, h)
-        red, piv = linalg.rref(uc_h, spec.p) if uc_h else ([], [])
-        hi = np.array(linalg.inverse(h.tolist(), spec.p), dtype=np.int64)
-        # conjugation defect of every basis element lies inside
-        for (i, j) in spec.uc_positions:
-            e = spec.E(i, j)
-            d = (h @ e @ hi - e) % spec.p
-            vec = spec.uc_coords(d, check=False).tolist()
-            assert linalg.in_span(red, piv, vec, spec.p) or not any(vec)
-        # u_h is the u-part: adjoint action is trivial on the quotient
-        redu, pivu = linalg.rref(u_h, spec.p) if u_h else ([], [])
-        for r in spec.roots_u:
-            e = spec.root_matrix(r)
-            d = (h @ e @ hi - e) % spec.p
-            vec = spec.u_coords(d).tolist()
-            assert linalg.in_span(redu, pivu, vec, spec.p) or not any(vec)
-
-
-def ub_perms(w):
-    return w.action("u", "Ub").full_perms(SPACE)
+        hi = linalg.inverse(h, spec.p)
+        # both bases are in rref, and the conjugation defect of every basis
+        # element lies inside: adding it to the basis keeps the rank
+        for basis, units, coords in [
+                (uc_h, spec.units(spec.uc_positions), lambda d: spec.uc_coords(d, check=False)),
+                (u_h, spec.u_basis, spec.u_coords)]:
+            assert np.array_equal(linalg.rref(basis, spec.p, basis.shape[1])[0], basis)
+            defects = coords((h @ units % spec.p @ hi - units) % spec.p)
+            stacked = np.concatenate([np.broadcast_to(basis, (len(defects),) + basis.shape),
+                                      defects[:, None]], axis=1)
+            assert (linalg.rank(stacked, spec.p) == len(basis)).all()
 
 
 def test_quotient_orbits_edge_cases(borel_d2):
     act = borel_d2.action("u", "Ub")
     # quotient by zero subspace = plain partition, labelled by least points
     plain = partition_orbits(act, SPACE)[1]
-    got = quotient_orbits(act, ub_perms(borel_d2), [])
+    got = quotient_orbits(act, [], SPACE)
     assert [(omega, m.tolist()) for omega, m in got] == [(o.rep, o.points.tolist()) for o in plain]
     # quotient by the full space has a single point
-    full = [tuple(1 if i == j else 0 for i in range(act.dim)) for j in range(act.dim)]
-    (omega, members), = quotient_orbits(act, ub_perms(borel_d2), full)
+    (omega, members), = quotient_orbits(act, np.eye(act.dim, dtype=np.int64), SPACE)
     assert omega == 0 and members.tolist() == list(range(act.size))
 
 
@@ -280,7 +273,7 @@ def test_quotient_cosets_cover_u(borel_b2):
     act = w.action("u", "Ub")
     for h in w.L:
         _, u_h = smallest_bimodule(w, h)
-        got = quotient_orbits(act, ub_perms(w), u_h)
+        got = quotient_orbits(act, u_h, SPACE)
         omegas = [omega for omega, _ in got]
         assert omegas == sorted(set(omegas))
         assert np.array_equal(np.sort(np.concatenate([m for _, m in got])), np.arange(w.u_size))
@@ -289,23 +282,25 @@ def test_quotient_cosets_cover_u(borel_b2):
 def test_quotient_orbits_reject_a_subspace_that_is_not_invariant(borel_d2):
     # a lone root vector of u moved by the radical into another root
     act = borel_d2.action("u", "Ub")
-    for t in range(act.dim):
-        vec = [tuple(int(c == t) for c in range(act.dim))]
-        if linalg.invariant_span(vec, act.gen_mats, act.p)[0] != vec:
+    for vec in np.eye(act.dim, dtype=np.int64)[:, None]:
+        if len(linalg.invariant_span(vec, act.gen_mats, act.p)[0]) > 1:
             break
     with pytest.raises(ValidationError, match="not invariant"):
-        quotient_orbits(act, ub_perms(borel_d2), vec)
+        quotient_orbits(act, vec, SPACE)
 
 
 def brute_force_quotient(act, sub_basis):
     """(omega, sorted preimage) of each orbit on u / W, ascending omega, by
     plain set closure of the reduced coordinate vectors under the generators."""
     p = act.p
-    red, piv = linalg.rref(sub_basis, p) if sub_basis else ([], [])
+    red, piv = linalg.rref(sub_basis, p, act.dim)
     free = [c for c in range(act.dim) if c not in piv]
 
     def reduce(v):
-        return tuple(linalg.reduce_vec(red, piv, v, p))
+        v = [x % p for x in v]
+        for row, c in zip(red.tolist(), piv):
+            v = [(a - v[c] * b) % p for a, b in zip(v, row)]
+        return tuple(v)
 
     reduced = [reduce(v) for v in act.unpack(np.arange(act.size)).tolist()]
     mats = [m.tolist() for m in act.gen_mats]
@@ -332,15 +327,15 @@ def test_quotient_orbits_are_the_set_closures_of_reduced_vectors(config):
     act = w.action("u", "Ub")
     for h in w.L:
         _, u_h = smallest_bimodule(w, h)
-        got = [(omega, m.tolist()) for omega, m in quotient_orbits(act, ub_perms(w), u_h)]
+        got = [(omega, m.tolist()) for omega, m in quotient_orbits(act, u_h, SPACE)]
         assert got == brute_force_quotient(act, u_h)
 
 
 def test_enumerate_subspace():
-    pts = enumerate_subspace([(1, 0, 2)], 3, 3)
+    pts = enumerate_subspace([(1, 0, 2)], 3)
     assert pts.shape == (3, 3)
     assert {tuple(r) for r in pts.tolist()} == {(0, 0, 0), (1, 0, 2), (2, 0, 1)}
-    assert enumerate_subspace([], 3, 4).shape == (1, 4)
+    assert enumerate_subspace(np.zeros((0, 4), dtype=np.int64), 3).tolist() == [[0, 0, 0, 0]]
 
 
 def test_sliced_closure_is_the_whole_frontier_closure(borel_b2, monkeypatch):

@@ -12,6 +12,7 @@ from parasuper import groups, linalg, utheory
 from parasuper.chartab import irr_characters, s_orbit_sums
 from parasuper.errors import FalsificationError
 from parasuper.groups import Parabolic, build_spec
+from parasuper.orbits import enumerate_subspace, pack, unpack
 from parasuper.utheory import (
     FormData, build_u_theory, chi_alpha_u, form_data, l_table,
     levi_conj_orbits, lift_to_levi, orbit_eps_counts, counts_to_values, subgroup_table,
@@ -22,18 +23,19 @@ from parasuper.verify import check_supertheory
 
 def test_zero_form_data(borel_c2):
     fd = form_data(borel_c2, 0)
-    assert all(c == 0 for c in fd.Lam_coords)
+    spec = borel_c2.spec
+    assert not fd.Lam_coords.any()
     assert fd.orbit_ub.size == 1
-    assert len(fd.u_lam_basis) == borel_c2.spec.u_dim      # u_0 = u
-    assert fd.U_lam_ids.size == borel_c2.nU                # U_0 = U
-    assert len(fd.R_basis) == borel_c2.spec.uc_dim         # R_0 = Uc
+    assert np.array_equal(fd.u_lam_basis, np.eye(spec.u_dim))      # u_0 = u
+    assert fd.U_lam_ids.size == borel_c2.nU                        # U_0 = U
+    assert np.array_equal(fd.UcLam_basis, np.eye(spec.uc_dim))     # Uc_0 = Uc
     assert fd.L0_ids == list(range(borel_c2.nL))
 
 
 def test_form_extension_is_deterministic(borel_c2):
     a = form_data(borel_c2, 5)
     b = FormData(borel_c2, 5)
-    assert a.Lam_coords == b.Lam_coords
+    assert np.array_equal(a.Lam_coords, b.Lam_coords)
     assert np.array_equal(a.orbit_ub.points, b.orbit_ub.points)
 
 
@@ -63,8 +65,9 @@ def test_generator_checks_agree_with_all_pairs(name, request):
     digits = w.u_digits(np.arange(w.nU))
     for orb in ustar_orbit_partition(w, "Ub"):
         fd = form_data(w, orb.rep)
-        red, pivots = linalg.rref(fd.u_lam_basis, p) if fd.u_lam_basis else ([], [])
-        ref = np.flatnonzero([linalg.in_span(red, pivots, x, p) for x in digits.tolist()])
+        k = len(fd.u_lam_basis)
+        basis = np.broadcast_to(fd.u_lam_basis, (w.nU, k, w.spec.u_dim))
+        ref = np.flatnonzero(linalg.rank(np.concatenate([basis, digits[:, None]], axis=1), p) == k)
         assert np.array_equal(fd.U_lam_ids, ref)
         prods = w.mulU(ref[:, None], ref[None, :])
         assert np.isin(prods, ref).all()
@@ -85,7 +88,7 @@ def test_ub_on_g_never_builds_the_radical_table(monkeypatch):
         return out
     monkeypatch.setattr(Parabolic, "mulU", counted)
     theory = build_u_theory(d3, "G")
-    assert check_supertheory(theory, d3).passed
+    assert check_supertheory(theory).passed
     assert batches and max(batches) <= d3.nU
 
 
@@ -98,7 +101,8 @@ def test_closure_check_fires(borel_c2, monkeypatch):
     # a one-dimensional u_lam whose generator's Cayley image, squared, leaves
     # the span
     lam = first_form_with(borel_c2, lambda fd: fd.lam != 0)
-    bad = SimpleNamespace(**{**vars(linalg), "rref": lambda rows, m: ([(1, 0, 0, 1)], [0])})
+    bad = SimpleNamespace(**{**vars(linalg),
+                             "rref": lambda rows, p, ncols=None: (np.array([[1, 0, 0, 1]]), [0])})
     monkeypatch.setattr(utheory, "linalg", bad)
     with pytest.raises(FalsificationError, match="not closed under products") as err:
         FormData(borel_c2, lam)
@@ -110,7 +114,7 @@ def test_generation_check_fires(borel_c2, monkeypatch):
     # a smaller u_lam generate only U_lam
     lam = first_form_with(borel_c2, lambda fd: fd.U_lam_ids.size < borel_c2.nU)
     everything = borel_c2.u_digits(np.arange(borel_c2.nU))
-    monkeypatch.setattr(groups, "enumerate_subspace", lambda basis, p, dim: everything)
+    monkeypatch.setattr(groups, "enumerate_subspace", lambda basis, p: everything)
     with pytest.raises(FalsificationError, match="do not generate U_lam") as err:
         FormData(borel_c2, lam)
     assert err.value.counterexample == {"subgroup": "U_lam", "lam": lam}
@@ -263,7 +267,7 @@ def test_u_theory_counts_match(borel_d2, borel_c2):
 def test_g_theory_assembles(borel_d2):
     theory = build_u_theory(borel_d2, "G")
     assert len(theory.chars) == len(theory.classes)
-    assert check_supertheory(theory, borel_d2).passed
+    assert check_supertheory(theory).passed
     # the identity class is present
     assert any(kl.size == 1 and kl.rep == theory.ident_id for kl in theory.classes)
 
@@ -343,3 +347,23 @@ def test_theories_compute_one_table_per_distinct_subgroup(monkeypatch):
     assert len(calls) == len({tuple(ids) for ids in calls})      # no subgroup twice
     asked = len(ustar_orbit_partition(w, "Ub")) + len(signature_classes(w))
     assert len(calls) < asked
+
+
+@pytest.mark.parametrize("name", ["borel_c2", "borel_d2"])
+def test_uc_lambda_is_the_intersection_of_both_annihilators(name, request):
+    # Uc_Lambda = {x in Uc : Lambda(x h) = Lambda(h-dagger x) = 0 for h in Hc},
+    # by scanning every x of Uc, Lambda(M) the pairing of M with the matrix
+    # of Lambda (zero outside Uc)
+    w = request.getfixturevalue(name)
+    spec, p = w.spec, w.spec.p
+    xs = spec.mat_of_uc(unpack(np.arange(p ** spec.uc_dim), p, spec.uc_dim))
+    hc = spec.units(spec.hc_positions())
+    for orb in ustar_orbit_partition(w, "Ub"):
+        fd = form_data(w, orb.rep)
+        lam_m = spec.mat_of_uc(fd.Lam_coords)
+        right = (xs[:, None] @ hc * lam_m).sum(axis=(2, 3)) % p
+        left = (spec.dagger(hc) @ xs[:, None] * lam_m).sum(axis=(2, 3)) % p
+        want = np.flatnonzero(~(right.any(axis=1) | left.any(axis=1)))
+        got = np.unique(pack(enumerate_subspace(fd.UcLam_basis, p), p))
+        assert np.array_equal(got, want)
+        assert np.array_equal(linalg.rref(fd.UcLam_basis, p, spec.uc_dim)[0], fd.UcLam_basis)

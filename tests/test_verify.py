@@ -346,17 +346,17 @@ def test_product_lemma_rechecks_memoized_forms():
     w = Parabolic(build_spec("D", 2, 3, (1, 1, 0, 1, 1)))
     theories(w)
     spec, p = w.spec, w.spec.p
-    units = [tuple(int(a == b) for b in range(spec.uc_dim)) for a in range(spec.uc_dim)]
+    units = np.eye(spec.uc_dim, dtype=np.int64)
 
     def lam_of_product(fd, x, y):
         prod = spec.mat_of_uc(x) @ spec.mat_of_uc(y) % p
-        return int(np.array(fd.Lam_coords) @ spec.uc_coords(prod, check=False)) % p
+        return int(fd.Lam_coords @ spec.uc_coords(prod, check=False)) % p
 
     planted = next((fd, x, y) for orb in ustar_orbit_partition(w, "Ub")
                    for fd in [form_data(w, orb.rep)]
                    for x in units for y in units if lam_of_product(fd, x, y))
     fd, x, y = planted
-    fd.UcLam_basis = list(fd.UcLam_basis) + [x, y]
+    fd.UcLam_basis = np.concatenate([fd.UcLam_basis, [x, y]])
     lemmas = run_suites(w, "all")[0]
     check = next(c for c in lemmas.checks if c.name == "annihilator-products-vanish")
     assert not check.passed
