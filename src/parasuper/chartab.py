@@ -197,50 +197,34 @@ def _first_mismatch(field, gram, want, what):
 # abelian groups: extend characters along a chain of cyclic extensions
 
 def _abelian_characters(group, classes, field):
+    """Extend characters along a chain H < H<x> < ... of cyclic extensions:
+    exps[c, i] is the exponent of zeta_e at elems[i] of character c of H.
+    With x^t the first power of x in H, a character of H extends to H<x>
+    in t ways, sending x to b + j e/t with t b its exponent at x^t."""
     e = group.exponent
-    chars_exp = [{group.ident: 0}]                 # element id -> exponent of zeta_e
-    covered = {group.ident}
-    for x in range(group.n):
-        if x in covered:
-            continue
-        # order of x modulo the subgroup covered so far
-        t = 1
-        xt = x
-        while xt not in covered:
-            xt = int(group.mul[xt, x])
-            t += 1
-        new_chars = []
-        for chi in chars_exp:
-            a0 = chi[xt]
-            # x^t lies in the subgroup; its character exponent is divisible by t
-            if a0 % t:
-                raise FalsificationError("character extension is not solvable",
-                                         {"element": x, "order_mod_subgroup": t})
-            b0 = a0 // t
-            for j in range(t):
-                b = (b0 + j * (e // t)) % e
-                ext = dict(chi)
-                powx = group.ident
-                for a in range(1, t):
-                    powx = int(group.mul[powx, x])
-                    for h, v in chi.items():
-                        ext[int(group.mul[powx, h])] = (a * b + v) % e
-                new_chars.append(ext)
-        chars_exp = new_chars
-        newly = set()
-        powx = group.ident
-        for a in range(1, t):
-            powx = int(group.mul[powx, x])
-            for h in covered:
-                newly.add(int(group.mul[powx, h]))
-        covered |= newly
-    if len(covered) != group.n:
-        raise RuntimeError("generator chain covered %d of %d elements" % (len(covered), group.n))
-    if len(chars_exp) != group.n:
+    elems = np.array([group.ident])
+    exps = np.zeros((1, 1), dtype=np.int64)
+    at = np.full(group.n, -1)
+    at[group.ident] = 0
+    while (at < 0).any():
+        x = int(np.argmax(at < 0))
+        powers = [group.ident, x]
+        while at[group.mul[powers[-1], x]] < 0:
+            powers.append(int(group.mul[powers[-1], x]))
+        t = len(powers)
+        a0 = exps[:, at[group.mul[powers[-1], x]]]
+        if (a0 % t).any():
+            raise FalsificationError("character extension is not solvable",
+                                     {"element": x, "order_mod_subgroup": t})
+        b = (a0[:, None] // t + np.arange(t) * (e // t)) % e       # (chars, t)
+        exps = (np.arange(t)[:, None] * b[:, :, None, None] + exps[:, None, None]) % e
+        exps = exps.reshape(b.size, -1)
+        elems = group.mul[np.array(powers)[:, None], elems].ravel()
+        at[elems] = np.arange(elems.size)
+    if len(exps) != group.n:
         raise FalsificationError("abelian group does not have |G| linear characters",
-                                 {"characters": len(chars_exp), "order": group.n})
-    exps = np.array([[chi[r] for r in classes.reps] for chi in chars_exp], dtype=np.int64)
-    return _sorted_rows(field.pow_rows[(field.M // e) * exps])
+                                 {"characters": len(exps), "order": group.n})
+    return _sorted_rows(field.pow_rows[(field.M // e) * exps[:, at[classes.reps]]])
 
 
 def _sorted_rows(X, lead=None):

@@ -18,7 +18,7 @@ import traceback
 
 from .errors import FalsificationError, ResourceGuardError, ValidationError
 from .groups import DEFAULT_GUARDS, Parabolic, build_spec
-from .utheory import build_u_theory, u_orbit_partition, ustar_orbit_partition
+from .utheory import build_u_theory, orbit_partition
 from .gtheory import build_g_theory
 from . import verify as verify_mod
 
@@ -110,14 +110,13 @@ def cmd_spec(args):
 
 def cmd_orbits(args):
     world = make_world(args)
-    partition = u_orbit_partition if args.space == "u" else ustar_orbit_partition
-    orbits = partition(world, args.group)
+    orbits = orbit_partition(world, args.space, args.group)[1]
     payload = {
         "config": config_payload(args),
         "space": args.space,
         "group": args.group,
-        "orbits": [{"rep": int(o.rep),
-                    "coords": world.u_digits(o.rep).tolist(),
+        "orbits": [{"rep": int(o[0]),
+                    "coords": world.u_digits(o[0]).tolist(),
                     "size": o.size} for o in orbits],
         "count": len(orbits),
     }

@@ -30,7 +30,6 @@ from .orbits import LinearAction, _bfs, enumerate_subspace, pack, partition_by_p
 DEFAULT_GUARDS = {
     "levi": 10 ** 6,      # upper bound on |L|
     "space": 10 ** 7,     # upper bound on enumerated coordinate spaces
-    "middle": 3,          # largest middle block enumerated by brute force
     "chartab": 2000,      # largest group handed to the character-table code
 }
 
@@ -331,15 +330,13 @@ def enumerate_gl(n, q):
     return mats[linalg.rank(mats, q) == n]
 
 
-def enumerate_middle(spec, guard_middle):
+def enumerate_middle(spec):
     """Elements M of the middle block with M-dagger M = 1 (so M is invertible),
     in lexicographic entry order, tested as one batch of all q^(n0^2) matrices.
     The middle labels are symmetric, so M-dagger[a][b] = s_a s_b M[-b][-a]."""
     n0 = len(spec.segments.get(0, ()))
     if n0 == 0:
         return np.zeros((1, 0, 0), dtype=np.int64)
-    if n0 > guard_middle:
-        raise ResourceGuardError("middle block size %d exceeds guard %d" % (n0, guard_middle))
     q = spec.p
     mats = _all_matrices(n0, q)
     signs = spec.sign_matrix[spec.block_slice[0], spec.block_slice[0]]
@@ -348,15 +345,15 @@ def enumerate_middle(spec, guard_middle):
     return mats[keep]
 
 
-def enumerate_levi(spec, guard=None, guard_middle=None):
+def enumerate_levi(spec, guard=None):
     """The full Levi subgroup L as an (nL, N, N) stack, enumerated deterministically.
 
     Positive-side blocks range over GL(n_k, q); the mirrored block is forced
-    by the isometry condition; the middle block is one batched isometry test.
+    by the isometry condition; the middle block is one batched isometry test
+    of q^(n0^2) <= 1.79 |GL(n0, q)| matrices, which the guard on |L| bounds.
     The middle block varies fastest, then the sides from I_1 out to I_ell.
     """
     guard = DEFAULT_GUARDS["levi"] if guard is None else guard
-    guard_middle = DEFAULT_GUARDS["middle"] if guard_middle is None else guard_middle
     q = spec.p
     bound = 1
     for k in range(1, spec.ell + 1):
@@ -379,7 +376,7 @@ def enumerate_levi(spec, guard=None, guard_middle=None):
         # mirrored block forced: A_{-k} = dagger(A_k^-1), which lives on I_{-k}
         factor = embed(a_k, k) + spec.dagger(embed(inv, k))
         out = (out[:, None] + factor[None]).reshape(-1, spec.N, spec.N)
-    out = (out[:, None] + embed(enumerate_middle(spec, guard_middle), 0)[None])
+    out = (out[:, None] + embed(enumerate_middle(spec), 0)[None])
     return _require_isometries(spec, out.reshape(-1, spec.N, spec.N), "Levi element")
 
 
@@ -483,6 +480,16 @@ ACTIONS = {
 # ---------------------------------------------------------------------------
 # the assembled world
 
+class world_table(cached_property):
+    """A table of a world computed once, stored in the world's memo under
+    its own name, so that a world whose memo is cleared builds it afresh."""
+
+    def __get__(self, world, owner=None):
+        if world is None:
+            return self
+        return world.memo(self.attrname, lambda: self.func(world))
+
+
 class Parabolic:
     """One fully enumerated configuration: L, U, index tables, value field.
 
@@ -503,7 +510,7 @@ class Parabolic:
         self._memo = {}
         p = spec.p
 
-        self.L = enumerate_levi(spec, self.guards["levi"], self.guards["middle"])
+        self.L = enumerate_levi(spec, self.guards["levi"])
         self.nL = len(self.L)
         self._l_rows, self._l_cols = spec.position_arrays(
             [(i, j) for k in range(spec.ell + 1)
@@ -533,7 +540,8 @@ class Parabolic:
 
     def memo(self, key, build):
         """The value cached under `key` for this world, from `build()` on
-        first use; orbit, form and theory data are memoized here."""
+        first use; the index tables, actions, orbit, form and theory data
+        are all memoized here."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -576,19 +584,19 @@ class Parabolic:
 
     # -- index tables --------------------------------------------------------
 
-    @cached_property
+    @world_table
     def mulL(self):
         t = np.empty((self.nL, self.nL), dtype=np.int32)
         for a in range(self.nL):
             t[a] = self.l_ids(self.L[a] @ self.L)
         return t
 
-    @cached_property
+    @world_table
     def invL(self):
         """Isometries invert by the dagger."""
         return self.l_ids(self.spec.dagger(self.L)).astype(np.int32)
 
-    @cached_property
+    @world_table
     def conjL(self):
         """conjL[a, b] = index of L[a] L[b] L[a]^-1."""
         return self.mulL[self.mulL, self.invL[:, None]]
@@ -615,18 +623,18 @@ class Parabolic:
             raise FalsificationError("the Cayley images of a basis do not generate " + name, where)
         return members, at
 
-    @cached_property
+    @world_table
     def U_times_basis(self):
         """(nU, u_dim) ids of U[u] times the Cayley image of root-basis vector t;
         building it checks that these images generate U."""
         return self.generated(np.eye(self.spec.u_dim), "U")[1]
 
-    @cached_property
+    @world_table
     def invU(self):
         """f(g^-1) = -f(g), and an id is the packed coordinates of f."""
         return self.pack_u(-self.u_digits(np.arange(self.nU))).astype(np.int32)
 
-    @cached_property
+    @world_table
     def conjUbyL(self):
         """conjUbyL[r, u] = index of L[r] U[u] L[r]^-1."""
         p = self.spec.p
@@ -650,7 +658,7 @@ class Parabolic:
         r, u = divmod(int(gid), self.nU)
         return self.L[r] @ self.U[u] % self.spec.p
 
-    @cached_property
+    @world_table
     def L_generator_ids(self):
         return table_generators(self.mulL, self.idL)
 
@@ -660,7 +668,7 @@ class Parabolic:
         return [(self.conjL[s][:, None].astype(np.int64) * self.nU + self.conjUbyL[s]).ravel()
                 for s in self.L_generator_ids]
 
-    @cached_property
+    @world_table
     def g_classes(self):
         """Conjugacy classes of G: (class_of array, list of member arrays).
         A Levi generator s maps r u to (s r s^-1)(s u s^-1), a radical one v
@@ -674,7 +682,7 @@ class Parabolic:
             perms.append(np.concatenate([r * self.nU + right[x] for r, x in enumerate(w)]))
         return partition_by_perms(self.g_size, perms)
 
-    @cached_property
+    @world_table
     def u_group_classes(self):
         """Conjugacy classes of the radical U."""
         self.U_times_basis                # checks that the v generate U

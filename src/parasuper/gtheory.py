@@ -211,23 +211,19 @@ def classify_g_orbits(world, space):
         raise FalsificationError(
             "an orbit in %s contains no basic-pair representative" % space,
             {"space": space, "orbits": missing,
-             "reps": [int(orbits[i].rep) for i in missing]})
-    if len(orbit_by_sig) != len(orbits):
-        raise FalsificationError(
-            "signature count differs from orbit count in %s" % space,
-            {"space": space, "signatures": len(orbit_by_sig), "orbits": len(orbits)})
+             "reps": [int(orbits[i][0]) for i in missing]})
 
     if space == "u":
         # union-block ranks are constant along every orbit: every point's
         # ranks against its orbit representative's, the lowest orbit reported
         ranks = union_ranks(spec, spec.mat_of_u(world.u_digits(np.arange(world.nU))))
-        reps = np.array([orb.rep for orb in orbits], dtype=np.int64)
+        reps = np.array([orb[0] for orb in orbits], dtype=np.int64)
         bad = (ranks != ranks[reps[orbit_label]]).any(axis=1)
         if bad.any():
             idx = int(orbit_label[bad].min())
             raise FalsificationError(
                 "union-block ranks are not constant on an orbit",
-                {"space": space, "orbit": idx, "rep": orbits[idx].rep})
+                {"space": space, "orbit": idx, "rep": int(orbits[idx][0])})
     return {"space": space, "orbits": len(orbits), "signatures": len(orbit_by_sig)}
 
 
@@ -335,7 +331,7 @@ def pair_context(world, sig, pair):
             raise FalsificationError("form does not vanish on the merged radical piece",
                                      {"pair": pair.label(), "root_index": t})
     orbit_form = orbit_of(world, "ustar", "Gb", lam)
-    digs = world.u_digits(orbit_form.points)
+    digs = world.u_digits(orbit_form)
     for t, f in enumerate(cross):
         if f and digs[:, t].any():
             raise FalsificationError(
@@ -362,7 +358,7 @@ def pair_context(world, sig, pair):
             "scalar Levi subgroup is not inside the two-sided form stabilizer",
             {"pair": pair.label()})
 
-    zeta_ids, zeta_rows = orbit_sum(world, orbit_form.points)
+    zeta_ids, zeta_rows = orbit_sum(world, orbit_form)
 
     # the orbit sum is constant on cosets of the merged radical subgroup U_D,
     # so under right multiplication by the Cayley images of its root basis
@@ -384,7 +380,7 @@ def pair_context(world, sig, pair):
 def superclass_g(world, ctx, cl_parent_ids, h_parent):
     """Members of one coarse class: Levi class times orbit preimage times
     the radical of the element-induced coarsening."""
-    k_d_ids = ctx["orbit_point"].points      # radical ids; the Springer map is the identity on ids
+    k_d_ids = ctx["orbit_point"]             # radical ids; the Springer map is the identity on ids
     # K_D U_h is K_D closed under right multiplication by generators of U_h
     merged_h = merged_by_levi(world.spec, world.L[h_parent])
     cols = np.flatnonzero(crossing_flags(world.spec, merged_h))

@@ -75,20 +75,6 @@ class LinearAction:
         return self._perms
 
 
-@dataclass
-class Orbit:
-    """A generator-closed point set with a deterministic representative."""
-    points: np.ndarray                  # sorted, distinct packed points (int64)
-    rep: int = field(init=False)
-
-    def __post_init__(self):
-        self.rep = int(self.points[0])
-
-    @property
-    def size(self):
-        return int(self.points.size)
-
-
 _SLICE = 1 << 16       # frontier points imaged at once
 
 
@@ -120,11 +106,12 @@ def _bfs(seeds, images, budget=None):
 
 
 def orbit_closure(seed, action, budget=None):
-    """BFS closure of one point under the action's generators (see _bfs)."""
+    """The orbit of one point under the action's generators, as its sorted
+    packed points (see _bfs)."""
     seed = int(seed)
     if not 0 <= seed < action.size:
         raise ValidationError("seed", "seed %d outside space of size %d" % (seed, action.size))
-    return Orbit(_bfs([seed], action.images, budget))
+    return _bfs([seed], action.images, budget)
 
 
 def partition_by_perms(n, perms):
@@ -150,9 +137,8 @@ def partition_by_perms(n, perms):
 
 
 def partition_orbits(action, guard):
-    """(orbit index of each point, disjoint orbits covering the space)."""
-    label, classes = partition_by_perms(action.size, action.full_perms(guard))
-    return label, [Orbit(m) for m in classes]
+    """The orbit partition of the action's whole space (partition_by_perms)."""
+    return partition_by_perms(action.size, action.full_perms(guard))
 
 
 def levi_images(world, space, points):

@@ -34,17 +34,10 @@ from .theory import (
 # orbits
 
 def orbit_partition(world, space, tag):
-    """Orbits of u or u* under one group: (orbit index of each point, orbits)."""
+    """Orbits of u or u* under one group: (orbit index of each point, sorted
+    orbits ordered by least point)."""
     return world.memo(("orbits", space, tag), lambda: partition_orbits(
         world.action(space, tag), world.guards["space"]))
-
-
-def ustar_orbit_partition(world, tag="Ub"):
-    return orbit_partition(world, "ustar", tag)[1]
-
-
-def u_orbit_partition(world, tag="Ub"):
-    return orbit_partition(world, "u", tag)[1]
 
 
 def orbit_of(world, space, tag, point):
@@ -111,7 +104,7 @@ class FormData:
         # orbits
         self.orbit_ub = orbit_of(world, "ustar", "Ub", self.lam)
         self.orbit_hb = orbit_of(world, "ustar", "Hb", self.lam)
-        if not np.isin(self.orbit_hb.points, self.orbit_ub.points).all():
+        if not np.isin(self.orbit_hb, self.orbit_ub).all():
             self._fail("the Hb orbit of the form leaves its Ub orbit")
 
         self.Lam_packed = int(pack(Lam, p))
@@ -214,7 +207,7 @@ def radical_supercharacter(world, lam):
     """
     orb = orbit_of(world, "ustar", "Ub", lam)
     hb = orbit_of(world, "ustar", "Hb", lam)
-    ids_local, rows = orbit_sum(world, orb.points)
+    ids_local, rows = orbit_sum(world, orb)
     return ids_local, world.field.from_rows(rows, Fraction(orb.size, hb.size)), orb, hb
 
 
@@ -242,7 +235,7 @@ def zeta_at_conjugates(world, fd):
     """zeta of one form at rho u rho^-1, laid out as levi_parts_of_conjugates
     for the radical parts u: (value ids, distinct rows).  All theta of the
     form share it."""
-    z_ids, z_rows = orbit_sum(world, fd.orbit_ub.points)
+    z_ids, z_rows = orbit_sum(world, fd.orbit_ub)
     u = levi_conj_orbits(world)[0] % world.nU
     return z_ids[world.conjUbyL[:, u].T], z_rows
 
@@ -304,27 +297,28 @@ def build_u_theory(world, target="G"):
     if target not in ("U", "G"):
         raise ValidationError("target", "target must be 'U' or 'G'")
     pool = ValuePool(world.field)
-    star_orbits = ustar_orbit_partition(world, "Ub")
+    lams = [int(orb[0]) for orb in orbit_partition(world, "ustar", "Ub")[1]]
 
     if target == "U":
         chars = []
-        for orb in star_orbits:
-            ids_local, values, _, hb = radical_supercharacter(world, orb.rep)
+        for lam in lams:
+            ids_local, values, orb, hb = radical_supercharacter(world, lam)
             ids = intern_ids(pool, ids_local, values)
-            chars.append(SuperChar("zeta[lam=%d]" % orb.rep, ids.astype(np.int32), pool,
-                                   {"lam": orb.rep, "orbit_size": orb.size,
+            chars.append(SuperChar("zeta[lam=%d]" % lam, ids.astype(np.int32), pool,
+                                   {"lam": lam, "orbit_size": orb.size,
                                     "sub_orbit_size": hb.size}))
         classes = []
-        for orb in u_orbit_partition(world, "Ub"):
-            classes.append(SuperClass("K[x=%d]" % orb.rep, orb.points, {"x": orb.rep}))
+        for orb in orbit_partition(world, "u", "Ub")[1]:
+            x = int(orb[0])
+            classes.append(SuperClass("K[x=%d]" % x, orb, {"x": x}))
         theory = SuperTheory("U-on-U", world.nU, 0, dedup_chars(chars),
                              dedup_classes(classes), pool,
                              {"config": world.spec.config_label(), "target": "U"})
     else:
         ltable = l_table(world)
         chars = []
-        for orb in star_orbits:
-            fd = form_data(world, orb.rep)
+        for lam in lams:
+            fd = form_data(world, lam)
             table = subgroup_table(world, fd.L0_ids)
             sums = s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids)
             zeta = zeta_at_conjugates(world, fd)
@@ -333,8 +327,8 @@ def build_u_theory(world, target="G"):
                 ids_local, values = chi_alpha_u(world, fd, theta, zeta)
                 ids = intern_ids(pool, ids_local, values)
                 chars.append(SuperChar(
-                    "chi[lam=%d,theta=%d]" % (orb.rep, sidx), ids.astype(np.int32), pool,
-                    {"lam": orb.rep, "theta": sidx, "theta_by_l": theta}))
+                    "chi[lam=%d,theta=%d]" % (lam, sidx), ids.astype(np.int32), pool,
+                    {"lam": lam, "theta": sidx, "theta_by_l": theta}))
             del zeta            # not held through the next form's orbit sum
         chars = dedup_chars(chars)
 

@@ -26,7 +26,7 @@ from .groups import cayley, subgroup_generators
 from .orbits import levi_images, orbit_closure
 from .theory import SuperChar, SuperClass
 from .utheory import (
-    build_u_theory, eps_exponents, form_data, orbit_of, orbit_sum, ustar_orbit_partition,
+    build_u_theory, eps_exponents, form_data, orbit_of, orbit_partition, orbit_sum,
 )
 from .gtheory import build_g_theory, classify_g_orbits
 
@@ -268,7 +268,7 @@ def check_lemmas(world):
                                      {"u": int(np.flatnonzero(bad)[0])})
     report.run("springer-equivariance", springer_equivariance)
 
-    reps = [orb.rep for orb in ustar_orbit_partition(world, "Ub")]
+    reps = [int(orb[0]) for orb in orbit_partition(world, "ustar", "Ub")[1]]
     emb = spec.u_embed_matrix()                                # (uc_dim, u_dim)
     budget = world.guards["space"]           # on the points of one orbit closure
 
@@ -291,13 +291,13 @@ def check_lemmas(world):
         for lam in reps:
             fd = form_data(world, lam)
             left = orbit_closure(fd.Lam_packed, act, budget)
-            proj = world.pack_u(act.unpack(left.points) @ emb)
+            proj = world.pack_u(act.unpack(left) @ emb)
             got = np.unique(proj)
-            if not np.array_equal(got, fd.orbit_hb.points):
+            if not np.array_equal(got, fd.orbit_hb):
                 raise FalsificationError(
                     "restriction of the left orbit differs from the dot orbit",
                     {"lam": lam, "restricted": got.tolist()[:8],
-                     "dot_orbit": fd.orbit_hb.points.tolist()[:8]})
+                     "dot_orbit": fd.orbit_hb.tolist()[:8]})
     report.run("left-orbit-restriction", projection_of_left_orbit)
 
     def fiber_equals_orbit():
@@ -307,7 +307,7 @@ def check_lemmas(world):
             basis = fd.u_lam_basis
             mask = (all_digs @ basis.T % p == world.u_digits(lam) @ basis.T % p).all(axis=1)
             fiber = np.flatnonzero(mask)
-            if not np.array_equal(fiber, fd.orbit_hb.points):
+            if not np.array_equal(fiber, fd.orbit_hb):
                 raise FalsificationError(
                     "the agreement fiber differs from the dot orbit",
                     {"lam": lam, "fiber_size": int(fiber.size),
@@ -320,8 +320,8 @@ def check_lemmas(world):
             fd = form_data(world, lam)
             two_sided = orbit_closure(fd.Lam_packed, act, budget)
             img = levi_images(world, "ucstar", [fd.Lam_packed])[:, 0]
-            at = np.searchsorted(two_sided.points, img).clip(max=two_sided.size - 1)
-            s_two = np.flatnonzero(two_sided.points[at] == img).tolist()
+            at = np.searchsorted(two_sided, img).clip(max=two_sided.size - 1)
+            s_two = np.flatnonzero(two_sided[at] == img).tolist()
             if s_two != fd.S_ids:
                 raise FalsificationError(
                     "setwise stabilizers computed two ways disagree",
@@ -441,7 +441,7 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
         for ch in theory_gb_g.chars:
             orbit = orbit_of(world, "ustar", "Gb", ch.provenance["lam"])
             h = _product_on_h(world, ch.provenance["ld_ids"], np.arange(world.nU),
-                              ch.provenance["theta_by_l"], *orbit_sum(world, orbit.points))
+                              ch.provenance["theta_by_l"], *orbit_sum(world, orbit))
             induced = induce_exact(class_of, sizes, *h)
             _compare_char_to_induced(ch, scan, induced,
                                      "ambient-orbit supercharacter")

@@ -88,6 +88,19 @@ def test_irr_klein_four():
     assert tab.degrees == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("orders", [(6, 6), (2, 2, 2, 2), (12, 2), (4, 4)])
+def test_abelian_chain_matches_dixon(orders):
+    import itertools
+    els = list(itertools.product(*map(range, orders)))
+    g = TableGroup.from_elements(
+        els, lambda x, y: tuple((a + b) % o for a, b, o in zip(x, y, orders)))
+    field = CycField(lcm(3, g.exponent))
+    classes = conjugacy_classes(g)
+    chain = chartab._abelian_characters(g, classes, field)
+    assert chain.shape == (g.n, g.n, field.dim)
+    assert np.array_equal(chain, chartab._dixon_characters(g, classes, field))
+
+
 def test_irr_gl23_degrees(gl23):
     field = CycField(lcm(3, gl23.exponent))
     tab = irr_characters(gl23, field)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from parasuper.cli import main, parse_blocks
 from parasuper.errors import ValidationError
@@ -29,6 +30,31 @@ def test_parse_blocks():
         parse_blocks("C", 2, "5")
     with pytest.raises(ValidationError):
         parse_blocks("B", 2, "1,x")
+
+
+@st.composite
+def symmetric_blocks(draw):
+    """(family, n, full symmetric block tuple) with positive side blocks and
+    a middle of the family's parity (odd for B, even and possibly empty for
+    C and D), summing to N, rank n <= 4; the side blocks may be absent."""
+    family = draw(st.sampled_from("BCD"))
+    n = draw(st.integers(1, 4))
+    N = 2 * n + 1 if family == "B" else 2 * n
+    mid = draw(st.sampled_from(range(N % 2, N + 1, 2)))
+    side = (N - mid) // 2
+    cuts = sorted(draw(st.sets(st.integers(1, side - 1))) if side > 1 else [])
+    sides = tuple(b - a for a, b in zip([0] + cuts, cuts + [side]) if b > a)
+    return family, n, sides + (mid,) + sides[::-1]
+
+
+@given(symmetric_blocks())
+def test_parse_blocks_round_trip(case):
+    # the half-list names the side blocks from the outside in, then the
+    # middle unless it is empty
+    family, n, blocks = case
+    half = blocks[:len(blocks) // 2 + 1]
+    text = ",".join(str(b) for b in (half if half[-1] else half[:-1]))
+    assert parse_blocks(family, n, text) == blocks
 
 
 def test_spec_subcommand_b2(capsys):

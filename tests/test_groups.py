@@ -156,10 +156,10 @@ def test_middle_block_group_order():
     # odd orthogonal middle of size 3 has 48 elements
     from parasuper.groups import enumerate_middle
     spec = build_spec("B", 2, 3, (1, 3, 1))
-    assert len(enumerate_middle(spec, 3)) == 48
+    assert len(enumerate_middle(spec)) == 48
     # symplectic middle of size 2 is SL(2,3), order 24
     specc = build_spec("C", 2, 3, (1, 2, 1))
-    assert len(enumerate_middle(specc, 3)) == 24
+    assert len(enumerate_middle(specc)) == 24
 
 
 @pytest.mark.parametrize("family, q, blocks", [
@@ -180,16 +180,16 @@ def test_middle_block_equals_the_isometry_filter(family, q, blocks):
 
     want = [m for m in enumerate_gl(len(spec.segments[0]), q)
             if spec.is_isometry(embedded(m))]
-    assert np.array_equal(enumerate_middle(spec, 3), np.array(want))
+    assert np.array_equal(enumerate_middle(spec), np.array(want))
 
 
 def test_levi_build_rejects_a_non_isometry(monkeypatch):
     # negative control for the batched isometry check of the Levi stack
     spec = build_spec("B", 2, 3, (1, 3, 1))
-    good = groups.enumerate_middle(spec, 3)
+    good = groups.enumerate_middle(spec)
     bad = good.copy()
     bad[5] = np.diag([1, 1, 2])
-    monkeypatch.setattr(groups, "enumerate_middle", lambda spec, guard: bad)
+    monkeypatch.setattr(groups, "enumerate_middle", lambda spec: bad)
     with pytest.raises(RuntimeError, match="not an isometry"):
         Parabolic(spec)
 
@@ -466,3 +466,34 @@ def test_conjugacy_classes_match_brute_force(name, request):
         assert [c.tolist() for c in classes] == [c.tolist() for c in want]
         for i, c in enumerate(want):
             assert (label[c] == i).all()
+
+
+WORLD_TABLES = ["mulL", "invL", "conjL", "U_times_basis", "invU", "conjUbyL",
+                "L_generator_ids", "g_classes", "u_group_classes"]
+
+
+def test_a_cleared_memo_rebuilds_every_world_table(borel_c2):
+    # negative controls corrupt a copy of a world and clear its memo; the
+    # copy must then share no table with the world.  Every table of a warm
+    # world is rebuilt equal but new in a cleared copy, and read off the
+    # copy's own L: with L reversed, conjUbyL comes out with its rows reversed
+    import copy
+    w = borel_c2
+    assert sorted(name for name, attr in vars(Parabolic).items()
+                  if isinstance(attr, groups.world_table)) == sorted(WORLD_TABLES)
+    warm = {name: getattr(w, name) for name in WORLD_TABLES}
+    bad = copy.copy(w)
+    bad._memo = {}
+    def same(a, b):
+        if isinstance(a, (list, tuple)):
+            return len(a) == len(b) and all(map(same, a, b))
+        return np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+
+    for name in WORLD_TABLES:
+        table = getattr(bad, name)
+        assert table is not warm[name] and table is getattr(bad, name)
+        assert same(table, warm[name])
+    flipped = copy.copy(w)
+    flipped._memo = {}
+    flipped.L = w.L[::-1]
+    assert np.array_equal(flipped.conjUbyL, w.conjUbyL[::-1])

@@ -83,7 +83,7 @@ def test_union_rank_check_fires(borel_c2, monkeypatch):
     w = borel_c2
     orbits = orbit_partition(w, "u", "Gb")[1]
     moved = [k for k, orb in enumerate(orbits) if orb.size > 1][-2:]
-    points = [int(orbits[k].points[-1]) for k in moved]
+    points = [int(orbits[k][-1]) for k in moved]
     real = linalg.rank
 
     def raised(mats, p):
@@ -95,7 +95,66 @@ def test_union_rank_check_fires(borel_c2, monkeypatch):
     with pytest.raises(FalsificationError, match="not constant on an orbit") as err:
         classify_g_orbits(w, "u")
     k = moved[0]
-    assert err.value.counterexample == {"space": "u", "orbit": k, "rep": orbits[k].rep}
+    assert err.value.counterexample == {"space": "u", "orbit": k, "rep": int(orbits[k][0])}
+
+
+def _pair_orbits(w, space):
+    """The basic pairs of a world and the Gb orbit index of each one's point."""
+    from parasuper.utheory import orbit_partition
+    label = orbit_partition(w, space, "Gb")[0]
+    pairs = enumerate_basic_pairs(w.spec)
+    return pairs, [int(label[pair_point_u(w, pair)]) for pair in pairs]
+
+
+@pytest.mark.parametrize("space", ["u", "ustar"])
+def test_classification_rejects_equal_signatures_in_two_orbits(borel_c2, space, monkeypatch):
+    # the last pair is given the signature of the second: the two lie in
+    # different orbits, and the check names the last pair and both orbits
+    w = borel_c2
+    pairs, orbit = _pair_orbits(w, space)
+    assert orbit[1] != orbit[-1]
+    real = gtheory.pair_signature
+    monkeypatch.setattr(gtheory, "pair_signature", lambda world, pair: real(
+        world, pairs[1] if pair == pairs[-1] else pair))
+    with pytest.raises(FalsificationError, match="equal signatures lie in different") as err:
+        classify_g_orbits(w, space)
+    assert err.value.counterexample == {"space": space, "pair": pairs[-1].label(),
+                                        "orbit_a": orbit[1], "orbit_b": orbit[-1]}
+
+
+@pytest.mark.parametrize("space", ["u", "ustar"])
+def test_classification_rejects_two_signatures_in_one_orbit(borel_c2, space, monkeypatch):
+    # every pair gets its own signature, its position in the enumeration,
+    # and the third pair is enumerated once more at the end: its orbit then
+    # holds two signatures
+    w = borel_c2
+    pairs, orbit = _pair_orbits(w, space)
+    listed = pairs + [pairs[2]]
+    calls = itertools.count()
+    monkeypatch.setattr(gtheory, "enumerate_basic_pairs", lambda spec: listed)
+    monkeypatch.setattr(gtheory, "pair_signature", lambda world, pair: next(calls))
+    with pytest.raises(FalsificationError, match="different signatures share an orbit") as err:
+        classify_g_orbits(w, space)
+    assert err.value.counterexample == {"space": space, "orbit": orbit[2],
+                                        "pair": pairs[2].label(),
+                                        "sig_a": 2, "sig_b": len(pairs)}
+
+
+@pytest.mark.parametrize("space", ["u", "ustar"])
+def test_classification_rejects_an_orbit_without_a_pair(borel_c2, space, monkeypatch):
+    # the fourth and the last pair are left out of the enumeration; their
+    # orbits are reported in ascending order with their least points
+    from parasuper.utheory import orbit_partition
+    w = borel_c2
+    pairs, orbit = _pair_orbits(w, space)
+    kept = [pair for k, pair in enumerate(pairs) if k not in (3, len(pairs) - 1)]
+    monkeypatch.setattr(gtheory, "enumerate_basic_pairs", lambda spec: kept)
+    with pytest.raises(FalsificationError, match="contains no basic-pair representative") as err:
+        classify_g_orbits(w, space)
+    missing = sorted([orbit[3], orbit[-1]])
+    orbits = orbit_partition(w, space, "Gb")[1]
+    assert err.value.counterexample == {"space": space, "orbits": missing,
+                                        "reps": [int(orbits[k][0]) for k in missing]}
 
 
 @settings(max_examples=100, deadline=None)
@@ -270,8 +329,8 @@ def test_merged_by_levi_rejects_an_asymmetric_coarsening(borel_c2):
 def test_signature_class_count_matches_orbits(borel_c2):
     w = borel_c2
     sigs = signature_classes(w)
-    from parasuper.utheory import ustar_orbit_partition
-    assert len(sigs) == len(ustar_orbit_partition(w, "Gb"))
+    from parasuper.utheory import orbit_partition
+    assert len(sigs) == len(orbit_partition(w, "ustar", "Gb")[1])
 
 
 def test_build_g_theory(borel_d2, borel_b2):
@@ -325,7 +384,7 @@ def test_evaluation_identity_on_classes(borel_d2):
         ld = set(ch.provenance["ld_ids"])
         theta_by_l = levi_values(w, ch.provenance["theta_by_l"])
         orb = orbit_closure(lam, w.action("ustar", "Gb"))
-        zids, zrows = counts_to_values(w, orbit_eps_counts(w, orb.points))
+        zids, zrows = counts_to_values(w, orbit_eps_counts(w, orb))
         zvals = w.field.from_rows(zrows)
         scale = w.nL // len(ld)
         for kl in theory.classes:

@@ -15,8 +15,8 @@ from parasuper.groups import Parabolic, build_spec
 from parasuper.orbits import enumerate_subspace, pack, unpack
 from parasuper.utheory import (
     FormData, build_u_theory, chi_alpha_u, form_data, l_table,
-    levi_conj_orbits, lift_to_levi, orbit_eps_counts, counts_to_values, subgroup_table,
-    superclass_u, ustar_orbit_partition, u_orbit_partition, zeta_at_conjugates,
+    levi_conj_orbits, lift_to_levi, orbit_eps_counts, orbit_partition, counts_to_values,
+    subgroup_table, superclass_u, zeta_at_conjugates,
 )
 from parasuper.verify import check_supertheory
 
@@ -36,15 +36,15 @@ def test_form_extension_is_deterministic(borel_c2):
     a = form_data(borel_c2, 5)
     b = FormData(borel_c2, 5)
     assert np.array_equal(a.Lam_coords, b.Lam_coords)
-    assert np.array_equal(a.orbit_ub.points, b.orbit_ub.points)
+    assert np.array_equal(a.orbit_ub, b.orbit_ub)
 
 
 def test_form_data_full_sweep(borel_c2):
     # the constructor checks restriction, anti-self-duality, both annihilator
     # descriptions of u_lam, that U_lam is the subgroup its generators
     # generate, and multiplicativity
-    for orb in ustar_orbit_partition(borel_c2, "Ub"):
-        fd = form_data(borel_c2, orb.rep)
+    for orb in orbit_partition(borel_c2, "ustar", "Ub")[1]:
+        fd = form_data(borel_c2, int(orb[0]))
         assert fd.orbit_hb.size <= fd.orbit_ub.size
         assert set(fd.L0_ids) <= set(fd.S_ids)
 
@@ -63,8 +63,8 @@ def test_generator_checks_agree_with_all_pairs(name, request):
     w = request.getfixturevalue(name)
     p = w.spec.p
     digits = w.u_digits(np.arange(w.nU))
-    for orb in ustar_orbit_partition(w, "Ub"):
-        fd = form_data(w, orb.rep)
+    for orb in orbit_partition(w, "ustar", "Ub")[1]:
+        fd = form_data(w, int(orb[0]))
         k = len(fd.u_lam_basis)
         basis = np.broadcast_to(fd.u_lam_basis, (w.nU, k, w.spec.u_dim))
         ref = np.flatnonzero(linalg.rank(np.concatenate([basis, digits[:, None]], axis=1), p) == k)
@@ -93,8 +93,8 @@ def test_ub_on_g_never_builds_the_radical_table(monkeypatch):
 
 
 def first_form_with(w, pred):
-    return next(orb.rep for orb in ustar_orbit_partition(w, "Ub")
-                if pred(form_data(w, orb.rep)))
+    return next(int(orb[0]) for orb in orbit_partition(w, "ustar", "Ub")[1]
+                if pred(form_data(w, int(orb[0]))))
 
 
 def test_closure_check_fires(borel_c2, monkeypatch):
@@ -139,7 +139,7 @@ def chi_alpha_u_by_counting(w, fd, theta_by_l):
     # plain reference: count the (theta, zeta) value pairs that Levi
     # conjugation takes each element of G to, and number the distinct count
     # vectors in ascending order
-    zer_ids, zer_rows = counts_to_values(w, orbit_eps_counts(w, fd.orbit_ub.points))
+    zer_ids, zer_rows = counts_to_values(w, orbit_eps_counts(w, fd.orbit_ub))
     zer_vals = w.field.from_rows(zer_rows)
     tvals = list(dict.fromkeys(theta_by_l))
     tid = [tvals.index(v) for v in theta_by_l]
@@ -205,8 +205,8 @@ def theta_sums(w):
     of its pointwise stabilizer's irreducibles; theta_by_l is theta as one
     Cyc per Levi element id, zero outside the stabilizer."""
     ltable = l_table(w)
-    for orb in ustar_orbit_partition(w, "Ub"):
-        fd = form_data(w, orb.rep)
+    for orb in orbit_partition(w, "ustar", "Ub")[1]:
+        fd = form_data(w, int(orb[0]))
         table = irr_characters(ltable.subgroup(fd.L0_ids), w.field)
         pos_of = {g: t for t, g in enumerate(fd.L0_ids)}
         for rows in s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids):
@@ -257,8 +257,8 @@ def test_radical_supercharacter_values(borel_c2):
 def test_u_theory_counts_match(borel_d2, borel_c2):
     for w in (borel_d2, borel_c2):
         theory = build_u_theory(w, "U")
-        n_star = len(ustar_orbit_partition(w, "Ub"))
-        n_pts = len(u_orbit_partition(w, "Ub"))
+        n_star = len(orbit_partition(w, "ustar", "Ub")[1])
+        n_pts = len(orbit_partition(w, "u", "Ub")[1])
         assert len(theory.chars) == n_star
         assert len(theory.classes) == n_pts
         assert n_star == n_pts
@@ -315,7 +315,8 @@ def test_subgroup_table_is_one_table_per_subgroup(mid3_b2):
     # the pointwise stabilizers of the forms repeat; each distinct subgroup
     # gets one table, whatever the order of its ids
     w = mid3_b2
-    stabs = {tuple(form_data(w, orb.rep).L0_ids) for orb in ustar_orbit_partition(w, "Ub")}
+    stabs = {tuple(form_data(w, int(orb[0])).L0_ids)
+             for orb in orbit_partition(w, "ustar", "Ub")[1]}
     assert len(stabs) > 1
     tables = {}
     for ids in stabs:
@@ -345,7 +346,7 @@ def test_theories_compute_one_table_per_distinct_subgroup(monkeypatch):
     build_u_theory(w, "G")
     build_g_theory(w)
     assert len(calls) == len({tuple(ids) for ids in calls})      # no subgroup twice
-    asked = len(ustar_orbit_partition(w, "Ub")) + len(signature_classes(w))
+    asked = len(orbit_partition(w, "ustar", "Ub")[1]) + len(signature_classes(w))
     assert len(calls) < asked
 
 
@@ -358,8 +359,8 @@ def test_uc_lambda_is_the_intersection_of_both_annihilators(name, request):
     spec, p = w.spec, w.spec.p
     xs = spec.mat_of_uc(unpack(np.arange(p ** spec.uc_dim), p, spec.uc_dim))
     hc = spec.units(spec.hc_positions())
-    for orb in ustar_orbit_partition(w, "Ub"):
-        fd = form_data(w, orb.rep)
+    for orb in orbit_partition(w, "ustar", "Ub")[1]:
+        fd = form_data(w, int(orb[0]))
         lam_m = spec.mat_of_uc(fd.Lam_coords)
         right = (xs[:, None] @ hc * lam_m).sum(axis=(2, 3)) % p
         left = (spec.dagger(hc) @ xs[:, None] * lam_m).sum(axis=(2, 3)) % p

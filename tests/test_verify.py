@@ -342,7 +342,7 @@ def test_product_lemma_rechecks_memoized_forms():
     # is memoized before the lemma runs; a planted pair of Uc_Lambda vectors
     # whose product the extension does not kill must still be reported
     from parasuper.groups import Parabolic, build_spec
-    from parasuper.utheory import form_data, ustar_orbit_partition
+    from parasuper.utheory import form_data, orbit_partition
     w = Parabolic(build_spec("D", 2, 3, (1, 1, 0, 1, 1)))
     theories(w)
     spec, p = w.spec, w.spec.p
@@ -352,8 +352,8 @@ def test_product_lemma_rechecks_memoized_forms():
         prod = spec.mat_of_uc(x) @ spec.mat_of_uc(y) % p
         return int(fd.Lam_coords @ spec.uc_coords(prod, check=False)) % p
 
-    planted = next((fd, x, y) for orb in ustar_orbit_partition(w, "Ub")
-                   for fd in [form_data(w, orb.rep)]
+    planted = next((fd, x, y) for orb in orbit_partition(w, "ustar", "Ub")[1]
+                   for fd in [form_data(w, int(orb[0]))]
                    for x in units for y in units if lam_of_product(fd, x, y))
     fd, x, y = planted
     fd.UcLam_basis = np.concatenate([fd.UcLam_basis, [x, y]])
@@ -418,9 +418,9 @@ def test_normality_lemma_reports_the_first_corrupted_conjugate(borel_c2):
     # form's L0 outside it, conjugated by an element of S outside L0; the
     # reference is the plain (lam, s, x) loop
     import copy
-    from parasuper.utheory import form_data, ustar_orbit_partition
+    from parasuper.utheory import form_data, orbit_partition
     w = borel_c2
-    reps = [orb.rep for orb in ustar_orbit_partition(w, "Ub")]
+    reps = [int(orb[0]) for orb in orbit_partition(w, "ustar", "Ub")[1]]
     fd = next(fd for fd in (form_data(w, lam) for lam in reps)
               if len(fd.L0_ids) < w.nL and set(fd.S_ids) - set(fd.L0_ids))
     s = next(s for s in fd.S_ids if s not in fd.L0_ids)
@@ -483,11 +483,11 @@ def test_setwise_lemma_reports_a_corrupted_stabilizer(borel_c2):
     # negative control: one form's S, in a copy, loses its last element; the
     # two-sided orbit's stabilizer by membership disagrees for that form only
     import copy
-    from parasuper.utheory import form_data, ustar_orbit_partition
+    from parasuper.utheory import form_data, orbit_partition
     w = borel_c2
     assert check_lemmas(w).passed
-    lam = next(orb.rep for orb in reversed(ustar_orbit_partition(w, "Ub"))
-               if len(form_data(w, orb.rep).S_ids) > 1)
+    lam = next(int(orb[0]) for orb in reversed(orbit_partition(w, "ustar", "Ub")[1])
+               if len(form_data(w, int(orb[0])).S_ids) > 1)
     bad = copy.copy(w)
     bad._memo = {}
     fd = form_data(bad, lam)
