@@ -372,7 +372,7 @@ def enumerate_levi(spec, guard=None):
     out = np.zeros((1, spec.N, spec.N), dtype=np.int64)
     for k in range(spec.ell, 0, -1):
         a_k = enumerate_gl(len(spec.segments[k]), q)
-        inv = np.stack([linalg.inverse(a, q) for a in a_k])
+        inv = linalg.inverse(a_k, q)
         # mirrored block forced: A_{-k} = dagger(A_k^-1), which lives on I_{-k}
         factor = embed(a_k, k) + spec.dagger(embed(inv, k))
         out = (out[:, None] + factor[None]).reshape(-1, spec.N, spec.N)

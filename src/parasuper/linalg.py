@@ -130,11 +130,31 @@ def det(a, p):
     return out
 
 
-def inverse(a, p):
-    """Inverse of a square matrix over F_p; raises ValueError if singular."""
-    a = np.asarray(a, dtype=np.int64)
-    n = len(a)
-    red, pivots = rref(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular mod %d" % p)
-    return red[:n, n:]
+def inverse(mats, p):
+    """Inverse of every matrix of an (..., n, n) stack over F_p, as a stack
+    of the same shape; raises ValueError if any matrix is singular.
+
+    One Gauss-Jordan elimination of [A | I] runs over the whole stack: at
+    each column every matrix swaps its first row at or below the diagonal
+    with a nonzero entry there up to the diagonal, scales it to a leading 1
+    and clears the column in every other row.
+    """
+    a = np.array(mats, dtype=np.int64) % p
+    lead, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape(int(np.prod(lead)), n, n)
+    work = np.concatenate([a, np.broadcast_to(np.eye(n, dtype=np.int64), a.shape)], axis=2)
+    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
+    at = np.arange(len(a))
+    for col in range(n):
+        cand = work[:, col:, col] != 0
+        if not cand.any(axis=1).all():
+            raise ValueError("matrix is singular mod %d" % p)
+        piv = col + cand.argmax(axis=1)
+        row = work[at, piv]
+        work[at, piv] = work[:, col]
+        row = row * inv[row[:, col]][:, None] % p
+        f = work[:, :, col].copy()
+        f[:, col] = 0
+        work = (work - f[:, :, None] * row[:, None, :]) % p
+        work[:, col] = row
+    return work[:, :, n:].reshape(lead + (n, n))

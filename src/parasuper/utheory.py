@@ -6,10 +6,16 @@ out the subgroup the elementary character lives on, and averaging over the
 Levi subgroup produces the supercharacters of the parabolic group.  The
 superclasses come from Levi elements paired with radical orbits on a
 quotient of u.  The orbits are those of the world's actions
-(`Parabolic.action`).  Everything is exact; every structural identity the
-construction relies on is checked at build time, and a failure raises a
-FalsificationError with the form as its counterexample.  The assembled
-theory is returned unchecked: its caller runs the supercharacter axioms.
+(`Parabolic.action`).  The construction is L-equivariant (L normalizes Ub
+and the results are unions of L-conjugation orbits of G), so the G theory
+is built from the least form of each L-orbit of forms and the least
+element of each conjugacy class of L; the forms and Levi elements skipped
+would only repeat them, later in the order, so labels and value-pool order
+are those of the loop over all of them (see build_u_theory).  Everything
+is exact; every structural identity the construction relies on is checked
+at build time, and a failure raises a FalsificationError with the form as
+its counterexample.  The assembled theory is returned unchecked: its
+caller runs the supercharacter axioms.
 """
 
 from __future__ import annotations
@@ -292,14 +298,37 @@ def intern_ids(pool, local_ids, local_values):
     return mapping[local_ids]
 
 
+def levi_representatives(world):
+    """The forms and Levi elements the G theory is built from: the least form
+    of each L-orbit of Ub-orbits on u* (orbits are numbered by least point,
+    so the one of least orbit index), and the least element of each
+    conjugacy class of L, both ascending."""
+    label, orbits = orbit_partition(world, "ustar", "Ub")
+    lams = np.array([orb[0] for orb in orbits], dtype=np.int64)
+    least = label[levi_images(world, "ustar", lams)].min(axis=0)
+    hs = np.flatnonzero(world.conjL.min(axis=0) == np.arange(world.nL))
+    return lams[least == np.arange(lams.size)].tolist(), hs.tolist()
+
+
 def build_u_theory(world, target="G"):
-    """Assemble the radical-orbit supercharacter theory for U or for G."""
+    """Assemble the radical-orbit supercharacter theory for U or for G.
+
+    For G, characters are built for one form per L-orbit of forms and
+    classes for one Levi element per conjugacy class of L
+    (levi_representatives).  For l in L, the characters of l.lam are those
+    of lam transported by conjugation by l, and the classes of l h l^-1 are
+    those of h conjugated by l; both are unions of L-conjugation orbits of G
+    (L normalizes Ub), so the transport fixes them.  Every skipped form or
+    Levi element would only repeat what its least representative, met
+    earlier in the full ascending loop, already gave: dedup keeps the same
+    first labels and the pool interns the same values in the same order.
+    """
     if target not in ("U", "G"):
         raise ValidationError("target", "target must be 'U' or 'G'")
     pool = ValuePool(world.field)
-    lams = [int(orb[0]) for orb in orbit_partition(world, "ustar", "Ub")[1]]
 
     if target == "U":
+        lams = [int(orb[0]) for orb in orbit_partition(world, "ustar", "Ub")[1]]
         chars = []
         for lam in lams:
             ids_local, values, orb, hb = radical_supercharacter(world, lam)
@@ -316,8 +345,9 @@ def build_u_theory(world, target="G"):
                              {"config": world.spec.config_label(), "target": "U"})
     else:
         ltable = l_table(world)
+        forms, levi_reps = levi_representatives(world)
         chars = []
-        for lam in lams:
+        for lam in forms:
             fd = form_data(world, lam)
             table = subgroup_table(world, fd.L0_ids)
             sums = s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids)
@@ -334,7 +364,7 @@ def build_u_theory(world, target="G"):
 
         classes = []
         act_u = world.action("u", "Ub")
-        for h_idx in range(world.nL):
+        for h_idx in levi_reps:
             _, u_h_basis = smallest_bimodule(world, world.L[h_idx])
             for omega, coset in quotient_orbits(act_u, u_h_basis, world.guards["space"]):
                 members = superclass_u(world, h_idx, coset)

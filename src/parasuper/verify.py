@@ -259,8 +259,7 @@ def check_lemmas(world):
         samples = np.concatenate([gens, gens[:-1] @ gens[1:] % p])
         fu = cayley(spec, world.U)
         bad = np.zeros(world.nU, dtype=bool)
-        for v in samples:
-            vi = linalg.inverse(v, p)
+        for v, vi in zip(samples, linalg.inverse(samples, p)):
             lhs = cayley(spec, (v @ world.U % p) @ vi % p)
             bad |= (lhs != (v @ fu % p) @ vi % p).any(axis=(1, 2))
         if bad.any():

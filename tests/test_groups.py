@@ -445,7 +445,7 @@ def conjugacy_classes_by_matrices(mats, p):
     digits = p ** np.arange(N * N, dtype=np.int64)
     keys = mats.reshape(n, -1) @ digits
     order = np.argsort(keys)
-    inv = np.stack([linalg.inverse(m, p) for m in mats])
+    inv = linalg.inverse(mats, p)
     least = np.arange(n)
     for x, xi in zip(mats, inv):
         conj = (x @ mats % p @ xi % p).reshape(n, -1) @ digits

@@ -91,6 +91,34 @@ def test_inverse_times_the_matrix_is_the_identity(p, n, data):
         assert np.array_equal(inv @ a % p, np.eye(n))
 
 
+def inverse_by_rref(a, p):
+    """One matrix inverted by row-reducing [A | I], or None if singular."""
+    n = len(a)
+    red, pivots = linalg.rref(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
+    return red[:n, n:] if pivots[:n] == list(range(n)) else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(0, 5), st.integers(1, 4), st.booleans(),
+       st.data())
+def test_inverse_of_a_stack_is_the_inverse_of_each_matrix(p, s, n, singular, data):
+    cells = data.draw(st.lists(st.integers(0, p - 1), min_size=s * n * n, max_size=s * n * n))
+    mats = np.array(cells, dtype=np.int64).reshape(s, n, n)
+    if singular and s:
+        # one matrix gets a row that is a multiple of another, or zero
+        k, r = data.draw(st.integers(0, s - 1)), data.draw(st.integers(0, n - 1))
+        mats[k, r] = data.draw(st.integers(0, p - 1)) * mats[k, r - 1] % p if n > 1 else 0
+    want = [inverse_by_rref(m, p) for m in mats]
+    if any(w is None for w in want):
+        with pytest.raises(ValueError, match="singular mod %d" % p):
+            linalg.inverse(mats, p)
+        return
+    got = linalg.inverse(mats, p)
+    assert got.dtype == np.int64 and got.shape == (s, n, n)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(linalg.inverse(mats.reshape(1, s, n, n), p), got[None])
+
+
 def test_rref_and_rank():
     rows = np.array([(1, 2, 0), (2, 4, 0), (0, 1, 1)])
     red, piv = linalg.rref(rows, 3)

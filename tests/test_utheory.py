@@ -9,10 +9,15 @@ import pytest
 from conftest import levi_values
 
 from parasuper import groups, linalg, utheory
-from parasuper.chartab import irr_characters, s_orbit_sums
+from parasuper.chartab import conjugacy_classes, irr_characters, s_orbit_sums
 from parasuper.errors import FalsificationError
 from parasuper.groups import Parabolic, build_spec
-from parasuper.orbits import enumerate_subspace, pack, unpack
+from parasuper.orbits import (
+    enumerate_subspace, pack, quotient_orbits, smallest_bimodule, unpack,
+)
+from parasuper.theory import (
+    SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes, sort_canonical,
+)
 from parasuper.utheory import (
     FormData, build_u_theory, chi_alpha_u, form_data, l_table,
     levi_conj_orbits, lift_to_levi, orbit_eps_counts, orbit_partition, counts_to_values,
@@ -368,3 +373,86 @@ def test_uc_lambda_is_the_intersection_of_both_annihilators(name, request):
         got = np.unique(pack(enumerate_subspace(fd.UcLam_basis, p), p))
         assert np.array_equal(got, want)
         assert np.array_equal(linalg.rref(fd.UcLam_basis, p, spec.uc_dim)[0], fd.UcLam_basis)
+
+
+def u_theory_over_every_form(w):
+    # the G branch of build_u_theory before it kept one form per L-orbit and
+    # one Levi element per conjugacy class: every form and every Levi
+    # element, copies dropped by dedup
+    pool = ValuePool(w.field)
+    ltable = l_table(w)
+    chars = []
+    for orb in orbit_partition(w, "ustar", "Ub")[1]:
+        lam = int(orb[0])
+        fd = form_data(w, lam)
+        table = subgroup_table(w, fd.L0_ids)
+        zeta = zeta_at_conjugates(w, fd)
+        for sidx, vals in enumerate(s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids)):
+            theta = lift_to_levi(w, fd.L0_ids, table, vals)
+            ids = utheory.intern_ids(pool, *chi_alpha_u(w, fd, theta, zeta))
+            chars.append(SuperChar("chi[lam=%d,theta=%d]" % (lam, sidx), ids.astype(np.int32),
+                                   pool, {"lam": lam, "theta": sidx, "theta_by_l": theta}))
+    classes = []
+    act_u = w.action("u", "Ub")
+    for h_idx in range(w.nL):
+        _, u_h_basis = smallest_bimodule(w, w.L[h_idx])
+        for omega, coset in quotient_orbits(act_u, u_h_basis, w.guards["space"]):
+            classes.append(SuperClass("K[h=%d,omega=%d]" % (h_idx, omega),
+                                      superclass_u(w, h_idx, coset),
+                                      {"h": h_idx, "omega": omega}))
+    return sort_canonical(SuperTheory("Ub-on-G", w.g_size, w.g_ident, dedup_chars(chars),
+                                      dedup_classes(classes), pool, {}))
+
+
+@pytest.mark.parametrize("config", [
+    ("D", 2, 3, (1, 1, 0, 1, 1)), ("C", 2, 3, (2, 0, 2)), ("B", 2, 3, (1, 3, 1)),
+    ("C", 2, 5, (1, 1, 0, 1, 1)), ("D", 3, 3, (1, 1, 1, 0, 1, 1, 1))])
+def test_levi_representatives_build_the_theory_of_every_form(config):
+    from conftest import world_for
+    w = world_for(*config)
+    got, want = build_u_theory(w, "G"), u_theory_over_every_form(w)
+    assert got.pool.values == want.pool.values
+    assert [ch.label for ch in got.chars] == [ch.label for ch in want.chars]
+    for a, b in zip(got.chars, want.chars):
+        assert np.array_equal(a.ids, b.ids)
+        assert (a.provenance["lam"], a.provenance["theta"]) == (b.provenance["lam"],
+                                                                b.provenance["theta"])
+        for x, y in zip(a.provenance["theta_by_l"], b.provenance["theta_by_l"]):
+            assert np.array_equal(x, y)
+    assert [(kl.label, kl.provenance) for kl in got.classes] == \
+        [(kl.label, kl.provenance) for kl in want.classes]
+    for a, b in zip(got.classes, want.classes):
+        assert np.array_equal(a.members, b.members)
+
+
+def test_ub_on_g_builds_each_character_and_class_once(monkeypatch):
+    # one chi_alpha_u call per supercharacter and one quotient partition per
+    # conjugacy class of L, on B2 q=3 blocks 1,3 (|L| = 96, 27 forms)
+    w = Parabolic(build_spec("B", 2, 3, (1, 3, 1)))
+    counts = Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(utheory, name, wrapper)
+    counted("chi_alpha_u", utheory.chi_alpha_u)
+    counted("quotient_orbits", utheory.quotient_orbits)
+    theory = build_u_theory(w, "G")
+    assert counts["chi_alpha_u"] == len(theory.chars) == 44
+    assert counts["quotient_orbits"] == len(conjugacy_classes(l_table(w)).reps) == 20
+
+
+def test_a_missing_form_representative_fails_the_axioms(borel_c2, monkeypatch):
+    # negative control: the axioms catch a reduction that drops one L-orbit
+    # of forms
+    real = utheory.levi_representatives
+
+    def short(world):
+        forms, hs = real(world)
+        return forms[:-1], hs
+    monkeypatch.setattr(utheory, "levi_representatives", short)
+    report = check_supertheory(build_u_theory(borel_c2, "G"))
+    failing = [c for c in report.checks if not c.passed]
+    assert "count-equality" in [c.name for c in failing]
+    assert all(c.counterexample for c in failing)
