@@ -372,6 +372,13 @@ def int_dtype(bound):
     return np.int64 if bound < 2 ** 62 else object
 
 
+def _gram_dtype(field, A, B, w):
+    """The dtype of integer_gram(field, A, B, w), by its overflow bound."""
+    amax, bmax, wsum = absmax(A), absmax(B), sum(abs(int(x)) for x in w.tolist())
+    return int_dtype(max(amax, bmax, wsum,
+                         wsum * amax * bmax * absmax(field.conj_tensor) * field.dim ** 2))
+
+
 def integer_gram(field, A, B, weights):
     """G[a, b, :] = power-basis coefficients of sum_K w_K A[a, K] conj(B[b, K]).
 
@@ -385,8 +392,7 @@ def integer_gram(field, A, B, weights):
     dim = field.dim
     A, B = np.asarray(A), np.asarray(B)
     w = np.asarray(weights)
-    amax, bmax, wsum = absmax(A), absmax(B), sum(abs(int(x)) for x in w.tolist())
-    dtype = int_dtype(max(amax, bmax, wsum, wsum * amax * bmax * absmax(red) * dim * dim))
+    dtype = _gram_dtype(field, A, B, w)
     na, k, nb = A.shape[0], A.shape[1], B.shape[0]
     A2 = A.astype(dtype).reshape(na, k * dim)
     # Bc[b, K, c, e] = w_K * (coefficient e of zeta^c conj(B[b, K])); then
@@ -403,3 +409,15 @@ def integer_gram(field, A, B, weights):
         Bt = Bc.transpose(1, 2, 0, 3).reshape(k * dim, (stop - start) * dim)
         out[:, start:stop] = np.einsum("ij,jk->ik", A2, Bt).reshape(na, stop - start, dim)
     return out
+
+
+def integer_norms(field, A, weights):
+    """N[a] = integer_gram(field, A, A, weights)[a, a] for every a, in the same
+    dtype, without the off-diagonal entries: P[a, c, d] = sum_K w_K A[a, K, c]
+    A[a, K, d], then N[a, e] = sum over (c, d) of P[a, c, d] red[c, d, e]."""
+    A = np.asarray(A)
+    w = np.asarray(weights)
+    dtype = _gram_dtype(field, A, A, w)
+    A = A.astype(dtype)
+    P = np.einsum("akc,akd->acd", A, A * w.astype(dtype)[None, :, None])
+    return np.tensordot(P, field.conj_tensor.astype(dtype), axes=([1, 2], [0, 1]))

@@ -25,7 +25,7 @@ from . import linalg
 from .algebra import integer_gram, is_odd_prime, lcm, primitive_root
 from .errors import FalsificationError, ValidationError
 from .groups import table_generators
-from .orbits import partition_by_perms
+from .orbits import partition_by_perms, sorted_isin, sorted_unique
 
 
 class TableGroup:
@@ -90,7 +90,7 @@ class TableGroup:
 
     @cached_property
     def exponent(self):
-        return lcm(*np.unique(self.orders).tolist())
+        return lcm(*sorted_unique(self.orders).tolist())
 
     def is_abelian(self):
         return bool(np.array_equal(self.mul, self.mul.T))
@@ -398,7 +398,7 @@ def s_orbit_sums(parent, sub_ids, table, s_ids):
     sub_ids = np.asarray(sub_ids, dtype=np.int64)
     back = np.full(parent.n, -1, dtype=np.int64)
     back[sub_ids] = np.arange(sub_ids.size)
-    if not np.isin(sub_ids, np.asarray(s_ids, dtype=np.int64)).all():
+    if not sorted_isin(sub_ids, np.sort(np.asarray(s_ids, dtype=np.int64))).all():
         raise ValidationError("not-normal", "subgroup is not inside the acting group")
     X = table.chars
     irr_index = {row.tobytes(): i for i, row in enumerate(X)}

@@ -25,7 +25,8 @@ import numpy as np
 from . import linalg
 from .algebra import CycField, is_odd_prime, lcm, primitive_root, smallest_nonsquare
 from .errors import FalsificationError, ResourceGuardError, ValidationError
-from .orbits import LinearAction, _bfs, enumerate_subspace, pack, partition_by_perms, unpack
+from .orbits import (LinearAction, _bfs, enumerate_subspace, pack, partition_by_perms,
+                     sorted_unique, unpack)
 
 DEFAULT_GUARDS = {
     "levi": 10 ** 6,      # upper bound on |L|
@@ -389,10 +390,24 @@ def _require_isometries(spec, stack, what):
 
 def subgroup_generators(spec, tag):
     """Generator stacks: 'Ub' and 'Hb' elementary, 'Lb' per-block GL, 'Gb' both
-    of the ambient parabolic."""
+    of the ambient parabolic.
+
+    'Ub-simple' is the simple-root generators of Ub: 1 + E_ij with i and j in
+    consecutive non-empty blocks.  They generate Ub (Steinberg, *Lectures on
+    Chevalley Groups*): for i, j, k in blocks each above the next, the
+    commutator of 1 + a E_ij and 1 + b E_jk is 1 + ab E_ik, so every
+    1 + t E_ik is a product of them, and those generate Ub.  An orbit or
+    subspace that they map into itself is therefore Ub-invariant.  Hb has
+    no such tag: its positions have row blocks >= 0, and the consecutive-block
+    ones among them do not generate the rest."""
     one = np.eye(spec.N, dtype=np.int64)
     if tag == "Ub":
         return one + spec.units(spec.uc_positions)
+    if tag == "Ub-simple":
+        blocks = [spec.segments[k] for k in sorted(spec.segments, reverse=True)
+                  if spec.segments[k]]
+        return one + spec.units([(i, j) for upper, lower in zip(blocks, blocks[1:])
+                                 for i in upper for j in lower])
     if tag == "Hb":
         return one + spec.units(spec.hc_positions())
     if tag == "Lb":
@@ -610,16 +625,21 @@ class Parabolic:
         of root coordinates) and at, at[i, k] the position among them of
         member i times T[k], T the Cayley images of the rows.  Right
         multiplication by T must keep the set and reach all of it from 1, so
-        the set is <T>; else FalsificationError names the subgroup."""
+        the set is <T>; else FalsificationError names the subgroup.  Once the
+        set is closed, each column of at permutes it, and <T> is the whole set
+        iff those permutations have one orbit.  The products are taken at
+        most |U| per mulU call."""
         where = {"subgroup": name, **(where or {})}
         basis = np.asarray(basis, dtype=np.int64)
-        members = np.unique(self.pack_u(enumerate_subspace(basis, self.spec.p)))
-        prods = np.array([self.mulU(members, g) for g in self.pack_u(basis)],
-                         dtype=np.int64).reshape(len(basis), members.size).T
+        members = sorted_unique(self.pack_u(enumerate_subspace(basis, self.spec.p)))
+        gens = self.pack_u(basis)
+        step = max(1, self.nU // max(1, gens.size))
+        prods = np.concatenate([self.mulU(members[lo:lo + step, None], gens[None, :])
+                                for lo in range(0, members.size, step)])
         at = np.searchsorted(members, prods).clip(max=members.size - 1)
         if (members[at] != prods).any():
             raise FalsificationError("%s is not closed under products" % name, where)
-        if _bfs([0], lambda pos: list(at[pos].T)).size != members.size:
+        if partition_by_perms(members.size, list(at.T))[0].any():
             raise FalsificationError("the Cayley images of a basis do not generate " + name, where)
         return members, at
 
@@ -678,7 +698,7 @@ class Parabolic:
         ar = np.arange(self.nU)
         for v in self.pack_u(np.eye(self.spec.u_dim)):
             w = self.conjUbyL[self.invL, v]               # r^-1 v r for each r
-            right = {x: self.mulU(self.mulU(x, ar), self.invU[v]) for x in np.unique(w)}
+            right = {x: self.mulU(self.mulU(x, ar), self.invU[v]) for x in sorted_unique(w)}
             perms.append(np.concatenate([r * self.nU + right[x] for r, x in enumerate(w)]))
         return partition_by_perms(self.g_size, perms)
 
@@ -724,5 +744,6 @@ def table_generators(mul, ident):
         outside = np.ones(n, dtype=bool)
         outside[members] = False
         gens.append(int(np.argmax(outside)))
-        members = _bfs(np.append(members, gens[-1]), lambda pts: [mul[pts, g] for g in gens])
+        members = _bfs(np.append(members, gens[-1]), lambda pts: mul[np.ix_(pts, gens)],
+                       len(gens))
     return gens

@@ -24,7 +24,7 @@ from .theory import (
 from .utheory import (
     form_data, intern_ids, lift_to_levi, orbit_of, orbit_partition, orbit_sum, subgroup_table,
 )
-from .orbits import _bfs, levi_images
+from .orbits import _bfs, dense_unique, levi_images, sorted_isin
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +386,7 @@ def superclass_g(world, ctx, cl_parent_ids, h_parent):
     cols = np.flatnonzero(crossing_flags(world.spec, merged_h))
     world.memo(("U_h", tuple(cols)), lambda: world.generated(
         np.eye(world.spec.u_dim)[cols], "U_h", {"h": h_parent}))
-    ku = _bfs(k_d_ids, lambda pts: [world.U_times_basis[pts, t] for t in cols])
+    ku = _bfs(k_d_ids, lambda pts: world.U_times_basis[np.ix_(pts, cols)], len(cols))
     cl = np.asarray(cl_parent_ids, dtype=np.int64)
     return (cl[:, None] * world.nU + ku[None, :]).ravel()
 
@@ -398,7 +398,7 @@ def chi_alpha_g(world, ctx, theta):
     zeta_ids, z_rows = ctx["zeta_ids"], ctx["zeta_rows"]
     nz = len(z_rows)
     codes = (tids[:, None] * nz + zeta_ids[None, :]).ravel()
-    uniq, inverse = np.unique(codes, return_inverse=True)
+    uniq, inverse = dense_unique(codes, len(t_rows) * nz)
     num = world.field.mul_rows(t_rows[uniq // nz], z_rows[uniq % nz])
     den = Fraction(len(ctx["ld_ids"]), world.nL)
     return inverse.astype(np.int64), world.field.from_rows(num, den)
@@ -421,7 +421,7 @@ def build_g_theory(world):
         # and its characters fixed by conjugation from the whole Levi subgroup
         ld_arr = np.array(ctx["ld_ids"], dtype=np.int64)
         conj_ids = world.conjL[:, ld_arr]
-        if not np.isin(conj_ids, ld_arr).all():
+        if not sorted_isin(conj_ids, ld_arr).all():
             raise FalsificationError(
                 "scalar Levi subgroup is not normal in the Levi subgroup",
                 {"pair": pair.label()})

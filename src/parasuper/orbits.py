@@ -14,6 +14,16 @@ the spaces of forms on Uc, too large to enumerate, are closed from a seed.
 Levi stabilizers are read off `levi_images`, the images of a few points
 under every Levi element at once, and the preimages of the orbits on a
 quotient of u are partitioned on u itself (`quotient_orbits`).
+
+A closure only needs generators of the group acting: an orbit, or a
+subspace, that every generator maps into itself is mapped into itself by
+every product of generators, and in a finite group those products are the
+whole group (an inverse is a power).  So the two-sided closures run on the
+simple-root generators of Ub (`subgroup_generators(spec, "Ub-simple")`).
+
+Sets of packed points are sorted int64 arrays: `sorted_unique` and
+`sorted_isin` are one sort and one binary search, and `dense_unique` one
+presence table for codes below a known bound.
 """
 
 from __future__ import annotations
@@ -61,46 +71,87 @@ class LinearAction:
     def apply(self, mat, pts):
         return self.pack(self.unpack(pts) @ np.asarray(mat).T)
 
+    @property
+    def width(self):
+        """Entries of the product block per imaged point: k * dim."""
+        return self.gen_mats.shape[0] * self.dim
+
     def images(self, pts):
-        """The images of the points under each generator."""
-        digits = self.unpack(pts)
-        return [self.pack(digits @ m.T) for m in self.gen_mats]
+        """(k, n) images of n points under each of the k generators, from
+        one stacked product."""
+        return self.pack(self.unpack(pts) @ self.gen_mats.transpose(0, 2, 1))
 
     def full_perms(self, guard):
-        """The generators as permutations of the whole space, computed once."""
+        """The generators as permutations of the whole space, computed once,
+        in slices of at most _BLOCK product entries."""
         if self._perms is None:
             if self.size > guard:
                 raise ResourceGuardError("space of size %d exceeds guard %d" % (self.size, guard))
-            self._perms = self.images(np.arange(self.size))
+            step = _slice(self.width)
+            self._perms = list(np.concatenate(
+                [self.images(np.arange(lo, min(lo + step, self.size)))
+                 for lo in range(0, self.size, step)], axis=1))
         return self._perms
 
 
-_SLICE = 1 << 16       # frontier points imaged at once
+_BLOCK = 1 << 20       # entries of one (k, slice, dim) product block
 
 
-def _bfs(seeds, images, budget=None):
-    """Sorted closure of the seed points; images(pts) lists the generator
-    images of a point array.  Each layer's new points are found by binary
-    search in the sorted members, so no visited array spans the space, and
-    the frontier is imaged in slices.  A closure that would pass `budget`
+def _slice(width):
+    """Points imaged at once when each costs `width` block entries."""
+    return max(1, _BLOCK // max(1, width))
+
+
+def sorted_unique(a):
+    """np.unique(a) for an integer array: one sort and a neighbour comparison."""
+    a = np.sort(np.asarray(a).ravel())
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def sorted_isin(needles, sorted_haystack):
+    """np.isin(needles, sorted_haystack) for a sorted haystack: one binary search."""
+    needles = np.asarray(needles)
+    hay = np.asarray(sorted_haystack)
+    if not hay.size:
+        return np.zeros(needles.shape, dtype=bool)
+    return hay[np.searchsorted(hay, needles).clip(max=hay.size - 1)] == needles
+
+
+def dense_unique(codes, size):
+    """np.unique(codes, return_inverse=True) for integer codes in [0, size):
+    a presence table and its running count instead of a sort."""
+    codes = np.asarray(codes).ravel()
+    present = np.zeros(size, dtype=bool)
+    present[codes] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[codes]
+
+
+def _bfs(seeds, images, width, budget=None):
+    """Sorted closure of the seed points; images(pts) is one array of the
+    generator images of a point array, `width` entries of work per point.
+    Each layer's new points are found by binary search in the sorted
+    members, so no visited array spans the space, and the frontier is imaged
+    in slices of at most _BLOCK entries.  A closure that would pass `budget`
     points raises ResourceGuardError instead."""
-    members = np.unique(np.asarray(seeds, dtype=np.int64))
+    members = sorted_unique(np.asarray(seeds, dtype=np.int64))
     frontier = members
+    step = _slice(width)
     while frontier.size:
         found = []
-        for lo in range(0, frontier.size, _SLICE):
-            imgs = images(frontier[lo:lo + _SLICE])
-            if not imgs:
+        for lo in range(0, frontier.size, step):
+            imgs = images(frontier[lo:lo + step])
+            if not imgs.size:
                 return members
-            cand = np.unique(np.concatenate(imgs))
-            at = np.searchsorted(members, cand).clip(max=members.size - 1)
-            found.append(cand[members[at] != cand])
+            cand = sorted_unique(imgs)
+            found.append(cand[~sorted_isin(cand, members)])
             if budget is not None and members.size + sum(f.size for f in found) > budget:
-                found = [np.unique(np.concatenate(found))]
+                found = [sorted_unique(np.concatenate(found))]
                 if members.size + found[0].size > budget:
                     raise ResourceGuardError("orbit closure passed %d points, over the space "
                                              "guard %d" % (members.size + found[0].size, budget))
-        frontier = found[0] if len(found) == 1 else np.unique(np.concatenate(found))
+        frontier = found[0] if len(found) == 1 else sorted_unique(np.concatenate(found))
         members = np.sort(np.concatenate([members, frontier]), kind="stable")
     return members
 
@@ -111,7 +162,7 @@ def orbit_closure(seed, action, budget=None):
     seed = int(seed)
     if not 0 <= seed < action.size:
         raise ValidationError("seed", "seed %d outside space of size %d" % (seed, action.size))
-    return _bfs([seed], action.images, budget)
+    return _bfs([seed], action.images, action.width, budget)
 
 
 def partition_by_perms(n, perms):
@@ -203,7 +254,7 @@ def smallest_bimodule(world, h):
     defects = spec.uc_coords(h @ units % p @ spec.dagger(h) - units, check=False)
     # the transposed generators are x -> (1+E)x and x -> x(1+E) on Uc itself;
     # a subspace closed under those is closed under x -> Ex and x -> xE
-    mats = world.action("ucstar-twosided", "Ub").gen_mats.transpose(0, 2, 1)
+    mats = world.action("ucstar-twosided", "Ub-simple").gen_mats.transpose(0, 2, 1)
     basis, pivots = linalg.invariant_span(defects, mats, p)
 
     # the intersection with u is the kernel of v -> v - v[pivots] @ basis

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .orbits import sorted_unique
+
 
 class ValuePool:
     """Interning pool of exact values; id 0 is always the zero of the field."""
@@ -72,7 +74,7 @@ class SuperClass:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.members = np.unique(np.asarray(self.members, dtype=np.int64))
+        self.members = sorted_unique(np.asarray(self.members, dtype=np.int64))
 
     @property
     def rep(self):

@@ -30,6 +30,7 @@ from .chartab import TableGroup, irr_characters, s_orbit_sums
 from .errors import FalsificationError, ValidationError
 from .orbits import (
     levi_images, pack, partition_by_perms, partition_orbits, quotient_orbits, smallest_bimodule,
+    sorted_isin,
 )
 from .theory import (
     SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes, sort_canonical,
@@ -110,7 +111,7 @@ class FormData:
         # orbits
         self.orbit_ub = orbit_of(world, "ustar", "Ub", self.lam)
         self.orbit_hb = orbit_of(world, "ustar", "Hb", self.lam)
-        if not np.isin(self.orbit_hb, self.orbit_ub).all():
+        if not sorted_isin(self.orbit_hb, self.orbit_ub).all():
             self._fail("the Hb orbit of the form leaves its Ub orbit")
 
         self.Lam_packed = int(pack(Lam, p))
@@ -120,7 +121,7 @@ class FormData:
         # setwise on the dot orbit, by membership of the image of lam (L
         # normalizes Ub, so it permutes the dot orbits)
         span = pack(linalg.invariant_span(
-            Lam, world.action("ucstar-twosided", "Ub").gen_mats, p)[0], p)
+            Lam, world.action("ucstar-twosided", "Ub-simple").gen_mats, p)[0], p)
         self.L0_ids = np.flatnonzero(
             (levi_images(world, "ucstar", span) == span).all(axis=1)).tolist()
         label = orbit_partition(world, "ustar", "Ub")[0]

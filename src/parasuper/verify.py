@@ -20,10 +20,10 @@ from math import lcm
 import numpy as np
 
 from . import linalg
-from .algebra import absmax, int_dtype, integer_gram
+from .algebra import absmax, int_dtype, integer_gram, integer_norms
 from .errors import FalsificationError, ValidationError
 from .groups import cayley, subgroup_generators
-from .orbits import levi_images, orbit_closure
+from .orbits import dense_unique, levi_images, orbit_closure, sorted_isin, sorted_unique
 from .theory import SuperChar, SuperClass
 from .utheory import (
     build_u_theory, eps_exponents, form_data, orbit_of, orbit_partition, orbit_sum,
@@ -148,7 +148,7 @@ def check_supertheory(theory):
         over = np.where(seen > 1)[0]
         if over.size:
             labs = [kl.label for kl in theory.classes
-                    if np.isin(over[0], kl.members)]
+                    if sorted_isin(over[0], kl.members)]
             raise FalsificationError("element lies in two classes",
                                      {"element": int(over[0]), "classes": labs})
         missing = np.where(seen == 0)[0]
@@ -291,7 +291,7 @@ def check_lemmas(world):
             fd = form_data(world, lam)
             left = orbit_closure(fd.Lam_packed, act, budget)
             proj = world.pack_u(act.unpack(left) @ emb)
-            got = np.unique(proj)
+            got = sorted_unique(proj)
             if not np.array_equal(got, fd.orbit_hb):
                 raise FalsificationError(
                     "restriction of the left orbit differs from the dot orbit",
@@ -314,7 +314,7 @@ def check_lemmas(world):
     report.run("fiber-equals-orbit", fiber_equals_orbit)
 
     def setwise_stabilizers_agree():
-        act = world.action("ucstar-twosided", "Ub")
+        act = world.action("ucstar-twosided", "Ub-simple")
         for lam in reps:
             fd = form_data(world, lam)
             two_sided = orbit_closure(fd.Lam_packed, act, budget)
@@ -331,7 +331,7 @@ def check_lemmas(world):
         for lam in reps:
             # the first (s, x) in row-major order whose conjugate leaves L0
             fd = form_data(world, lam)
-            inside = np.isin(world.conjL[np.ix_(fd.S_ids, fd.L0_ids)], fd.L0_ids)
+            inside = sorted_isin(world.conjL[np.ix_(fd.S_ids, fd.L0_ids)], fd.L0_ids)
             if not inside.all():
                 i, j = np.argwhere(~inside)[0].tolist()
                 raise FalsificationError(
@@ -373,8 +373,7 @@ def _product_on_h(world, r_ids, u_ids, theta, z_ids, z_rows):
     r_ids = np.asarray(r_ids, dtype=np.int64)
     nz = len(z_rows)
     h_ids = (r_ids[:, None] * world.nU + u_ids[None, :]).ravel()
-    used, h_local = np.unique((t_ids[r_ids][:, None] * nz + z_ids[None, :]).ravel(),
-                              return_inverse=True)
+    used, h_local = dense_unique(t_ids[r_ids][:, None] * nz + z_ids[None, :], len(t_rows) * nz)
     return h_ids, h_local, world.field.mul_rows(t_rows[used // nz], z_rows[used % nz])
 
 
@@ -465,10 +464,10 @@ def check_refinement(theory_ub_g, theory_gb_g, world):
     def classes_refine():
         fine = theory_ub_g.class_of_element()
         for kl in theory_gb_g.classes:
-            fine_ids = np.unique(fine[kl.members])
+            fine_ids = sorted_unique(fine[kl.members])
             covered = np.concatenate(
                 [theory_ub_g.classes[int(i)].members for i in fine_ids])
-            if not np.array_equal(np.unique(covered), kl.members):
+            if not np.array_equal(sorted_unique(covered), kl.members):
                 raise FalsificationError(
                     "a coarse class is not a union of fine classes",
                     {"class": kl.label})
@@ -491,24 +490,22 @@ def check_refinement(theory_ub_g, theory_gb_g, world):
         VG, dG = class_values_matrix(theory_gb_g.pool, theory_gb_g.chars, classes)
         weights = [kl.size for kl in classes]
         cross = integer_gram(field, VG, VU, weights)      # (nG, nU, dim)
-        self_u = integer_gram(field, VU, VU, weights)
-        self_g = integer_gram(field, VG, VG, weights)
+        self_u = integer_norms(field, VU, weights)        # (nU, dim)
+        self_g = integer_norms(field, VG, weights)
         # Bessel equality: ||chi||^2 == sum |<chi, basis_i>|^2 / ||basis_i||^2,
         # which holds iff chi lies in the exact span of the orthogonal basis.
-        # With s_i = self_u[i, i][0] and S = lcm(s_i) it reads, in integers,
-        # sum_i |cross_ai|^2 (S / s_i) = self_g[a, a][0] S.  The sum is one
-        # more integer_gram, over the fine characters, of cross divided by
-        # the gcd g of its entries, which keeps it in int64
-        diag_u, diag_g = np.arange(len(VU)), np.arange(len(VG))
-        s_i = [int(x) for x in self_u[diag_u, diag_u, 0].tolist()]
+        # With s_i = self_u[i][0] and S = lcm(s_i) it reads, in integers,
+        # sum_i |cross_ai|^2 (S / s_i) = self_g[a][0] S.  The sum is the
+        # norm, over the fine characters, of cross divided by the gcd g of
+        # its entries, which keeps it in int64
+        s_i = [int(x) for x in self_u[:, 0].tolist()]
         S = lcm(1, *(abs(x) for x in s_i if x))
         g = int(np.gcd.reduce(cross.ravel())) if cross.size else 0
         g = g or 1
-        bessel = integer_gram(field, cross // g, cross // g,
-                              [S // x if x else 0 for x in s_i])[diag_g, diag_g]
+        bessel = integer_norms(field, cross // g, [S // x if x else 0 for x in s_i])
         for a, ch in enumerate(theory_gb_g.chars):
             got = [g * g * int(x) for x in bessel[a].tolist()]
-            own = int(self_g[a, a][0])
+            own = int(self_g[a][0])
             if got != [own * S] + [0] * (field.dim - 1):
                 raise FalsificationError(
                     "coarse character is outside the span of the fine characters",

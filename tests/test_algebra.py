@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parasuper.algebra import (
-    Cyc, CycField, cyclotomic_poly, integer_gram, is_odd_prime, primitive_root,
+    Cyc, CycField, cyclotomic_poly, integer_gram, integer_norms, is_odd_prime, primitive_root,
     smallest_nonsquare,
 )
 from parasuper.errors import ValidationError
@@ -262,6 +262,20 @@ def test_integer_gram_object_fallback(inputs):
     assert gram.dtype == object
     for (a, b), want in textbook_gram(F, A, B, weights).items():
         assert F.from_rows(gram[a, b][None])[0] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(gram_inputs(), gram_inputs(big=True)))
+def test_integer_norms_are_the_gram_diagonal(inputs):
+    # the same values and the same dtype as the full gram's diagonal, on the
+    # int64 path and on the object path (entries above 2**64)
+    F, A, _, weights = inputs
+    A = np.array(A)
+    gram = integer_gram(F, A, A, weights)
+    norms = integer_norms(F, A, weights)
+    diag = np.arange(len(A))
+    assert norms.dtype == gram.dtype and norms.shape == (len(A), F.dim)
+    assert (norms == gram[diag, diag]).all()
 
 
 @st.composite

@@ -1,11 +1,14 @@
 """Every name a module of the package imports is used in that module, no
 function imports a module of the package (the import graph is the one the
 module headers show), no module holds an `assert`, which `python -O` would
-strip (invariants are checked with raises), and only the value pool turns
-`Cyc` values into integer coefficient rows."""
+strip (invariants are checked with raises), only the value pool turns
+`Cyc` values into integer coefficient rows, and sets of integers go through
+the sorted helpers of `orbits`, never `np.isin` or a flag-free `np.unique`."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -107,3 +110,47 @@ def test_unused_import_is_reported():
     source = ("from __future__ import annotations\nimport os\n"
               "from a.b import c, d as e\nprint(e)\n")
     assert unused_imports(source) == [(2, "os"), (3, "c")]
+
+
+def set_calls(source):
+    """Lines of every `np.isin` call and every `np.unique` call without flags
+    (no argument beyond the array), which `orbits.sorted_isin` and
+    `orbits.sorted_unique` replace: the flag-free `np.unique` hashes before it
+    sorts, and its first call imports `numpy.ma`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+            flagless = len(node.args) < 2 and not node.keywords
+            if node.func.attr == "isin" or (node.func.attr == "unique" and flagless):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_set_calls(path):
+    assert set_calls(path.read_text()) == []
+
+
+def test_numpy_set_call_is_reported():
+    source = ("import numpy as np\n\n\ndef f(a, b):\n    u = np.unique(a)\n"
+              "    v, inv = np.unique(a, return_inverse=True)\n    w = np.unique(a, True)\n"
+              "    return u, v, np.isin(a, b)\n")
+    assert set_calls(source) == [5, 8]
+
+
+def test_verify_never_imports_numpy_ma():
+    # numpy.ma costs milliseconds to import, and only a flag-free np.unique
+    # (through np.ma.is_masked) ever imported it here
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from parasuper.cli import main",
+        "argv = 'verify --family C --n 2 --q 3 --blocks 1,1 --suite all'.split()",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = main(argv)",
+        "print(code, 'numpy.ma' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(SRC.parent)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "False"]

@@ -1,18 +1,21 @@
 """Orbit machinery: closures, partitions, Levi images, bimodules, quotients."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import world_for
-from parasuper import linalg
+from parasuper import groups, linalg
 from parasuper.errors import ValidationError
 from parasuper.groups import DEFAULT_GUARDS, ucstar_ad_matrix, ustar_action_matrix
 from parasuper.orbits import (
-    LinearAction, enumerate_subspace, levi_images, orbit_closure, partition_by_perms,
-    partition_orbits, quotient_orbits, smallest_bimodule,
+    LinearAction, _bfs, dense_unique, enumerate_subspace, levi_images, orbit_closure,
+    partition_by_perms, partition_orbits, quotient_orbits, smallest_bimodule, sorted_isin,
+    sorted_unique,
 )
-from parasuper.utheory import form_data
+from parasuper.utheory import form_data, orbit_partition
 
 SPACE = DEFAULT_GUARDS["space"]
 
@@ -349,8 +352,88 @@ def test_sliced_closure_is_the_whole_frontier_closure(borel_b2, monkeypatch):
                  for orb in partition_orbits(borel_b2.action("ustar", "Ub"), SPACE)[1]),
                 key=lambda orb: orb.size)
     seed = int(whole[0])
-    monkeypatch.setattr(orbits, "_SLICE", 7)
+    monkeypatch.setattr(orbits, "_BLOCK", 7 * act.width)
     assert whole.size > 100
     assert np.array_equal(orbit_closure(seed, act, whole.size), whole)
     with pytest.raises(ResourceGuardError, match="over the space guard"):
         orbit_closure(seed, act, whole.size - 1)
+
+
+int_arrays = st.lists(st.integers(-40, 40), max_size=30).map(
+    lambda v: np.array(v, dtype=np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_arrays, int_arrays)
+@example(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+@example(np.array([3, 3, -1]), np.zeros(0, dtype=np.int64))
+def test_sorted_set_helpers_are_numpy_unique_and_isin(a, b):
+    got = sorted_unique(a)
+    assert got.dtype == np.unique(a).dtype and np.array_equal(got, np.unique(a))
+    hay = np.unique(b)
+    for needles in (a, a[:, None], a[: a.size // 2 * 2].reshape(-1, 2)):
+        got = sorted_isin(needles, hay)
+        assert got.shape == needles.shape and np.array_equal(got, np.isin(needles, hay))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 30).flatmap(
+    lambda size: st.tuples(st.just(size), st.lists(st.integers(0, size - 1), max_size=40))))
+@example((1, []))
+def test_dense_unique_is_numpy_unique_with_inverse(args):
+    size, codes = args
+    codes = np.array(codes, dtype=np.int64)
+    uniq, inverse = dense_unique(codes, size)
+    want_uniq, want_inverse = np.unique(codes, return_inverse=True)
+    assert np.array_equal(uniq, want_uniq) and np.array_equal(inverse, want_inverse)
+    assert np.array_equal(uniq[inverse], codes)
+
+
+SIMPLE_ROOT_WORLDS = {
+    "C2q5-borel": (("C", 2, 5, (1, 1, 0, 1, 1)), 6, 12),
+    "B2-1,1,1": (("B", 2, 3, (1, 1, 1, 1, 1)), 8, 20),
+    "B2-1,3": (("B", 2, 3, (1, 3, 1)), 12, 14),
+    "C2-2": (("C", 2, 3, (2, 0, 2)), 8, 8),
+    "D2-1,1": (("D", 2, 3, (1, 1, 0, 1, 1)), 6, 12),
+    "D3-borel": (("D", 3, 3, (1, 1, 1, 0, 1, 1, 1)), 10, 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLE_ROOT_WORLDS))
+def test_simple_root_closures_are_the_ub_closures(name, monkeypatch):
+    # the simple-root generators are some of Ub's and generate it: the
+    # two-sided closure of every form representative under them is closed
+    # under the other Ub generators too (so it is the Ub closure, compared
+    # directly where that is cheap), and the invariant spans in both
+    # orientations and the smallest bimodule of every Levi element agree
+    config, n_simple, n_ub = SIMPLE_ROOT_WORLDS[name]
+    w = world_for(*config)
+    ub = w.action("ucstar-twosided", "Ub")
+    simple = w.action("ucstar-twosided", "Ub-simple")
+    assert (len(simple.gen_mats), len(ub.gen_mats)) == (n_simple, n_ub)
+    spec = w.spec
+    simple_keys = {g.tobytes() for g in groups.subgroup_generators(spec, "Ub-simple")}
+    others = [g for g in groups.subgroup_generators(spec, "Ub") if g.tobytes() not in simple_keys]
+    assert 2 * len(others) == n_ub - n_simple
+    rest = LinearAction("rest", spec.p, simple.dim,
+                        groups.ACTIONS["ucstar-twosided"](spec, np.array(others).reshape(
+                            -1, spec.N, spec.N)))
+    p = spec.p
+    for orb in orbit_partition(w, "ustar", "Ub")[1]:
+        fd = form_data(w, int(orb[0]))
+        closure = orbit_closure(fd.Lam_packed, simple)
+        assert np.array_equal(_bfs(closure, rest.images, rest.width), closure)
+        if closure.size < 10 ** 4:
+            assert np.array_equal(closure, orbit_closure(fd.Lam_packed, ub))
+        lam = simple.unpack(fd.Lam_packed)
+        for mats in (lambda a: a.gen_mats, lambda a: a.gen_mats.transpose(0, 2, 1)):
+            got, want = (linalg.invariant_span(lam, mats(a), p) for a in (simple, ub))
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    full = copy.copy(w)
+    full._memo = {}
+    real = groups.subgroup_generators
+    monkeypatch.setattr(groups, "subgroup_generators",
+                        lambda spec, tag: real(spec, "Ub" if tag == "Ub-simple" else tag))
+    for h in w.L:
+        for got, want in zip(smallest_bimodule(w, h), smallest_bimodule(full, h)):
+            assert np.array_equal(got, want)
