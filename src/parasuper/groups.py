@@ -26,7 +26,7 @@ from . import linalg
 from .algebra import CycField, is_odd_prime, lcm, primitive_root, smallest_nonsquare
 from .errors import FalsificationError, ResourceGuardError, ValidationError
 from .orbits import (LinearAction, _bfs, enumerate_subspace, pack, partition_by_perms,
-                     sorted_unique, unpack)
+                     read_only, sorted_unique, unpack)
 
 DEFAULT_GUARDS = {
     "levi": 10 ** 6,      # upper bound on |L|
@@ -555,8 +555,28 @@ class Parabolic:
 
     def memo(self, key, build):
         """The value cached under `key` for this world, from `build()` on
-        first use; the index tables, actions, orbit, form and theory data
-        are all memoized here."""
+        first use; a `build()` that raises stores nothing.  Every result
+        computed once per world is kept here, under these key families:
+
+        - the name of a `world_table` (mulL, invL, conjL, U_times_basis,
+          invU, conjUbyL, L_generator_ids, g_classes, u_group_classes),
+          and "levi_conj_orbits", "levi_parts_of_conjugates", "l_table",
+          "signature_classes": one value per world;
+        - ("action", space, tag): `action`;
+        - ("generated", shape, bytes) of the int64 basis: `generated`;
+        - ("orbits", space, tag): `utheory.orbit_partition`;
+        - ("form_data", lam): `utheory.form_data`, per packed form;
+        - ("orbit_sum", bytes of the orbit's points): `utheory.orbit_sum`;
+        - ("subgroup_table", sorted Levi ids): `utheory.subgroup_table`;
+        - ("quotient_orbits", action label, shape, bytes) of the rref basis
+          of u_h: the superclass cosets of `utheory.build_u_theory`;
+        - ("pair_signature", pair): `gtheory.pair_signature`;
+        - ("coset_closure", least point of K_D, U_h columns): the K_D U_h
+          of `gtheory.superclass_g`;
+        - ("theory", "U" | "G" | "Gb"): the theories of `verify.theories`.
+
+        Arrays shared between forms or classes (`generated`, the quotient
+        cosets, the coset closures) are read-only."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -628,20 +648,28 @@ class Parabolic:
         the set is <T>; else FalsificationError names the subgroup.  Once the
         set is closed, each column of at permutes it, and <T> is the whole set
         iff those permutations have one orbit.  The products are taken at
-        most |U| per mulU call."""
+        most |U| per mulU call.
+
+        Memoized per basis, read-only: forms with one annihilator subalgebra
+        share its subgroup.  A failure stores nothing, so every failing
+        caller reports its own `name` and `where`."""
         where = {"subgroup": name, **(where or {})}
         basis = np.asarray(basis, dtype=np.int64)
-        members = sorted_unique(self.pack_u(enumerate_subspace(basis, self.spec.p)))
-        gens = self.pack_u(basis)
-        step = max(1, self.nU // max(1, gens.size))
-        prods = np.concatenate([self.mulU(members[lo:lo + step, None], gens[None, :])
-                                for lo in range(0, members.size, step)])
-        at = np.searchsorted(members, prods).clip(max=members.size - 1)
-        if (members[at] != prods).any():
-            raise FalsificationError("%s is not closed under products" % name, where)
-        if partition_by_perms(members.size, list(at.T))[0].any():
-            raise FalsificationError("the Cayley images of a basis do not generate " + name, where)
-        return members, at
+
+        def build():
+            members = sorted_unique(self.pack_u(enumerate_subspace(basis, self.spec.p)))
+            gens = self.pack_u(basis)
+            step = max(1, self.nU // max(1, gens.size))
+            prods = np.concatenate([self.mulU(members[lo:lo + step, None], gens[None, :])
+                                    for lo in range(0, members.size, step)])
+            at = np.searchsorted(members, prods).clip(max=members.size - 1)
+            if (members[at] != prods).any():
+                raise FalsificationError("%s is not closed under products" % name, where)
+            if partition_by_perms(members.size, list(at.T))[0].any():
+                raise FalsificationError("the Cayley images of a basis do not generate " + name,
+                                         where)
+            return read_only(members, at)
+        return self.memo(("generated", basis.shape, basis.tobytes()), build)
 
     @world_table
     def U_times_basis(self):

@@ -24,7 +24,7 @@ from .theory import (
 from .utheory import (
     form_data, intern_ids, lift_to_levi, orbit_of, orbit_partition, orbit_sum, subgroup_table,
 )
-from .orbits import _bfs, dense_unique, levi_images, sorted_isin
+from .orbits import _bfs, dense_unique, levi_images, read_only, sorted_isin
 
 
 # ---------------------------------------------------------------------------
@@ -136,26 +136,30 @@ def pair_signature(world, pair):
     exactly when a delta weight is present; computing the square class from
     the matrix extends the invariant correctly to every special pair.  The
     orthogonal families carry alternating forms there, so d_k is always 1.
+    Memoized per pair: `signature_classes` and both `classify_g_orbits`
+    spaces ask for every pair.
     """
-    spec = world.spec
-    X = spec.mat_of_u(world.u_digits(pair_point_u(world, pair)))
-    ranks = signature_of_matrix(spec, X)
-    d = []
-    squares = {(i * i) % spec.p for i in range(1, spec.p)}
-    for k in range(spec.ell, 0, -1):
-        dk = 1
-        if spec.family == "C":
-            labs = spec.segments[k]
-            form = X[np.ix_([spec.pos[a] for a in labs], [spec.pos[-b] for b in labs])]
-            support = np.flatnonzero(form.any(axis=1))
-            if support.size:
-                dt = linalg.det(form[np.ix_(support, support)], spec.p)
-                if not dt:
-                    raise FalsificationError("rook form is degenerate on its support",
-                                             {"pair": pair.label(), "block": k})
-                dk = 1 if dt in squares else -1
-        d.append(dk)
-    return PairSignature(ranks, tuple(d))
+    def build():
+        spec = world.spec
+        X = spec.mat_of_u(world.u_digits(pair_point_u(world, pair)))
+        ranks = signature_of_matrix(spec, X)
+        d = []
+        squares = {(i * i) % spec.p for i in range(1, spec.p)}
+        for k in range(spec.ell, 0, -1):
+            dk = 1
+            if spec.family == "C":
+                labs = spec.segments[k]
+                form = X[np.ix_([spec.pos[a] for a in labs], [spec.pos[-b] for b in labs])]
+                support = np.flatnonzero(form.any(axis=1))
+                if support.size:
+                    dt = linalg.det(form[np.ix_(support, support)], spec.p)
+                    if not dt:
+                        raise FalsificationError("rook form is degenerate on its support",
+                                                 {"pair": pair.label(), "block": k})
+                    dk = 1 if dt in squares else -1
+            d.append(dk)
+        return PairSignature(ranks, tuple(d))
+    return world.memo(("pair_signature", pair), build)
 
 
 def signature_classes(world):
@@ -381,12 +385,13 @@ def superclass_g(world, ctx, cl_parent_ids, h_parent):
     """Members of one coarse class: Levi class times orbit preimage times
     the radical of the element-induced coarsening."""
     k_d_ids = ctx["orbit_point"]             # radical ids; the Springer map is the identity on ids
-    # K_D U_h is K_D closed under right multiplication by generators of U_h
+    # K_D U_h is K_D closed under right multiplication by generators of U_h,
+    # memoized per orbit (its least point) and U_h
     merged_h = merged_by_levi(world.spec, world.L[h_parent])
     cols = np.flatnonzero(crossing_flags(world.spec, merged_h))
-    world.memo(("U_h", tuple(cols)), lambda: world.generated(
-        np.eye(world.spec.u_dim)[cols], "U_h", {"h": h_parent}))
-    ku = _bfs(k_d_ids, lambda pts: world.U_times_basis[np.ix_(pts, cols)], len(cols))
+    world.generated(np.eye(world.spec.u_dim)[cols], "U_h", {"h": h_parent})
+    ku = world.memo(("coset_closure", int(k_d_ids[0]), tuple(cols.tolist())), lambda: read_only(
+        _bfs(k_d_ids, lambda pts: world.U_times_basis[np.ix_(pts, cols)], len(cols))))
     cl = np.asarray(cl_parent_ids, dtype=np.int64)
     return (cl[:, None] * world.nU + ku[None, :]).ravel()
 

@@ -75,26 +75,35 @@ def invariant_span(vecs, mats, p):
     """Smallest subspace that contains the vectors (rows) and is mapped into
     itself by every matrix (acting on column vectors), as rref (rows, pivots).
 
-    A vector that leaves the span so far joins it, reduced against the
-    earlier rows, and its images under all matrices are reduced in one array.
+    The rows found so far are kept reduced: each is 1 at its own pivot
+    column and 0 at the others, so a batch of candidates is reduced against
+    all of them by one product.  A candidate that leaves the span joins it
+    and its pivot is cleared from the earlier rows; the images of each row
+    under all matrices are the next batch.  A row only changes by multiples
+    of rows added after it, whose images are taken later, so by induction
+    from the last row the span is invariant.  The rows sorted by pivot are
+    the rref.
     """
     mats = np.asarray(mats, dtype=np.int64)
-    rows, pivots = [], []
-    cand = np.array(vecs, dtype=np.int64, ndmin=2) % p
+    n = mats.shape[-1]
+    rows = np.zeros((0, n), dtype=np.int64)
+    pivots = []
+    cand = np.asarray(vecs, dtype=np.int64).reshape(-1, n) % p
     done = 0
     while True:
-        for row, piv in zip(rows, pivots):
-            cand = (cand - cand[:, piv, None] * row) % p
+        cand = (cand - cand[:, pivots] @ rows) % p
         cand = cand[cand.any(axis=1)]
         if cand.size:
             piv = int(np.flatnonzero(cand[0])[0])
-            rows.append(cand[0] * pow(int(cand[0, piv]), p - 2, p) % p)
+            row = cand[0] * pow(int(cand[0, piv]), p - 2, p) % p
+            rows = np.concatenate([(rows - rows[:, piv, None] * row) % p, row[None]])
             pivots.append(piv)
         elif done < len(rows):
             cand = mats @ rows[done] % p
             done += 1
         else:
-            return rref(rows, p, mats.shape[-1])
+            order = np.argsort(pivots)
+            return rows[order], [pivots[k] for k in order]
 
 
 def right_kernel(rows, p, ncols):

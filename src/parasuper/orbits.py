@@ -119,6 +119,15 @@ def sorted_isin(needles, sorted_haystack):
     return hay[np.searchsorted(hay, needles).clip(max=hay.size - 1)] == needles
 
 
+def read_only(*arrays):
+    """The arrays, made read-only: a memoized array is shared by every
+    caller, so one that writes to it raises instead of changing it for the
+    others.  Returns the one array, or the tuple of several."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
 def dense_unique(codes, size):
     """np.unique(codes, return_inverse=True) for integer codes in [0, size):
     a presence table and its running count instead of a sort."""

@@ -29,8 +29,8 @@ from .algebra import absmax, int_dtype
 from .chartab import TableGroup, irr_characters, s_orbit_sums
 from .errors import FalsificationError, ValidationError
 from .orbits import (
-    levi_images, pack, partition_by_perms, partition_orbits, quotient_orbits, smallest_bimodule,
-    sorted_isin,
+    levi_images, pack, partition_by_perms, partition_orbits, quotient_orbits, read_only,
+    smallest_bimodule, sorted_isin,
 )
 from .theory import (
     SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes, sort_canonical,
@@ -366,8 +366,13 @@ def build_u_theory(world, target="G"):
         classes = []
         act_u = world.action("u", "Ub")
         for h_idx in levi_reps:
+            # the cosets depend on h only through u_h: one partition per u_h
             _, u_h_basis = smallest_bimodule(world, world.L[h_idx])
-            for omega, coset in quotient_orbits(act_u, u_h_basis, world.guards["space"]):
+            key = ("quotient_orbits", act_u.label, u_h_basis.shape, u_h_basis.tobytes())
+            cosets = world.memo(key, lambda: [
+                (omega, read_only(coset))
+                for omega, coset in quotient_orbits(act_u, u_h_basis, world.guards["space"])])
+            for omega, coset in cosets:
                 members = superclass_u(world, h_idx, coset)
                 classes.append(SuperClass(
                     "K[h=%d,omega=%d]" % (h_idx, omega), members,

@@ -1,3 +1,4 @@
+import copy
 import sys
 import pathlib
 
@@ -15,6 +16,14 @@ def world_for(family, n, q, blocks):
     if key not in _WORLDS:
         _WORLDS[key] = Parabolic(build_spec(family, n, q, blocks))
     return _WORLDS[key]
+
+
+def cleared(world):
+    """A copy of a world with an empty memo: it shares the enumerated groups
+    but recomputes every memoized table, subgroup and orbit."""
+    out = copy.copy(world)
+    out._memo = {}
+    return out
 
 
 def levi_values(world, theta):

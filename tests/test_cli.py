@@ -1,8 +1,10 @@
 """CLI behavior: subcommands, exit codes, determinism, table round trips."""
 
+import ast
 import hashlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -237,3 +239,39 @@ def test_internal_error_exits_3(monkeypatch, capsys):
         ["spec", "--family", "B", "--n", "2", "--q", "3", "--blocks", "1,1,1"], capsys)
     assert code == 3 and out == ""
     assert "Traceback" in err and "planted internal failure" in err
+
+
+PASSED = "verify: 32 checks, all passed, <s>"
+D2_FALSIFIED = "falsified: scalar Levi subgroup differs from the orbit's pointwise stabilizer"
+LEVI_GUARD = "resource guard: Levi bound 5952000 exceeds guard 1000000"
+RANK_TWO_CENSUS = [
+    # (family, blocks, q, exit code, first stderr line with the seconds masked)
+    ("B", "1,3", 3, 0, PASSED), ("B", "2,1", 3, 0, PASSED), ("B", "1,1,1", 3, 0, PASSED),
+    ("C", "2", 3, 0, PASSED), ("C", "1,1", 3, 0, PASSED), ("C", "1,2", 3, 0, PASSED),
+    ("D", "2", 3, 1, D2_FALSIFIED), ("D", "1,1", 3, 0, PASSED), ("D", "1,2", 3, 0, PASSED),
+    ("B", "1,3", 5, 2, LEVI_GUARD), ("B", "2,1", 5, 0, PASSED), ("B", "1,1,1", 5, 0, PASSED),
+    ("C", "2", 5, 0, PASSED), ("C", "1,1", 5, 0, PASSED), ("C", "1,2", 5, 0, PASSED),
+    ("D", "2", 5, 1, D2_FALSIFIED), ("D", "1,1", 5, 0, PASSED), ("D", "1,2", 5, 0, PASSED),
+]
+# D2 `2` falsifies at the basic pair 2:-1*1: the pointwise stabilizer of its
+# orbit is larger than the scalar Levi subgroup; (scalar subgroup, stabilizer
+# size, sha256 prefix of the printed stabilizer) per q
+D2_COUNTEREXAMPLE = {3: ([12, 31], 24, "fd5ea83a99623ea2"), 5: ([80, 383], 120, "bea8c868ca3669d3")}
+
+
+@pytest.mark.parametrize("family, blocks, q, code, first", RANK_TWO_CENSUS,
+                         ids=["%s2-%s-q%d" % case[:3] for case in RANK_TWO_CENSUS])
+def test_rank_two_verdict_census(family, blocks, q, code, first, capsys):
+    # every rank-2 block list with at least two non-empty blocks, at q=3 and
+    # q=5, keeps its verdict: passing, falsified or stopped by the Levi guard
+    got, _, err = run_cli(["verify", "--family", family, "--n", "2", "--q", str(q),
+                           "--blocks", blocks, "--suite", "all"], capsys)
+    lines = err.splitlines()
+    assert (got, re.sub(r"[0-9.]+s$", "<s>", lines[0])) == (code, first)
+    if code == 1:
+        scalar, size, want_digest = D2_COUNTEREXAMPLE[q]
+        assert lines[1].startswith("counterexample: ")
+        ce = ast.literal_eval(lines[1][len("counterexample: "):])
+        digest = hashlib.sha256(str(ce["stabilizer"]).encode()).hexdigest()[:16]
+        assert (ce["pair"], ce["scalar"], len(ce["stabilizer"]), digest) == \
+            ("2:-1*1", scalar, size, want_digest)

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import cleared
 from hypothesis import given, settings, strategies as st
 
 from parasuper import groups, linalg
@@ -380,8 +381,9 @@ def test_radical_products_on_demand(name, request):
 
 
 def test_dropping_a_basis_image_fails_the_generation_check(borel_c2, monkeypatch):
-    # the claimed subgroup stays all of U while the last basis row is dropped
-    w = borel_c2
+    # the claimed subgroup stays all of U while the last basis row is dropped;
+    # on a cleared copy, since the world's memo holds U already
+    w = cleared(borel_c2)
     eye = np.eye(w.spec.u_dim, dtype=np.int64)
     points = w.u_digits(np.arange(w.nU))
     monkeypatch.setattr(groups, "enumerate_subspace", lambda basis, p: points)
@@ -393,6 +395,27 @@ def test_dropping_a_basis_image_fails_the_generation_check(borel_c2, monkeypatch
     with pytest.raises(FalsificationError, match="U is not closed") as err:
         w.generated(eye, "U", {"note": 1})
     assert err.value.counterexample == {"subgroup": "U", "note": 1}
+
+
+def test_a_failed_generation_check_is_not_memoized(borel_c2, monkeypatch):
+    # each failing caller reports its own counterexample; once the check
+    # passes, the subgroup is stored once for every later caller and name
+    from parasuper.utheory import form_data, orbit_partition
+    lam = next(int(orb[0]) for orb in orbit_partition(borel_c2, "ustar", "Ub")[1]
+               if form_data(borel_c2, int(orb[0])).U_lam_ids.size < borel_c2.nU)
+    fd = form_data(borel_c2, lam)
+    w = cleared(borel_c2)
+    everything = w.u_digits(np.arange(w.nU))
+    with monkeypatch.context() as patched:
+        patched.setattr(groups, "enumerate_subspace", lambda basis, p: everything)
+        for where in ({"lam": lam}, {"lam": -1}, {"pair": "x"}):
+            with pytest.raises(FalsificationError, match="do not generate U_lam") as err:
+                w.generated(fd.u_lam_basis, "U_lam", where)
+            assert err.value.counterexample == {"subgroup": "U_lam", **where}
+    members, at = w.generated(fd.u_lam_basis, "U_lam", {"lam": lam})
+    assert np.array_equal(members, fd.U_lam_ids)
+    again = w.generated(fd.u_lam_basis.tolist(), "U_D", {"pair": "x"})
+    assert again[0] is members and again[1] is at
 
 
 def test_lb_generators_generate_blockwise_gl():

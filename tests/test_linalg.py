@@ -140,6 +140,67 @@ def test_invariant_span_returns_an_rref_array():
     assert rows.shape == (0, 3) and piv == []
 
 
+def invariant_span_by_rows(vecs, mats, p):
+    """Reference: the row-by-row invariant span, each candidate batch reduced
+    against one basis row at a time and the result put in rref at the end."""
+    mats = np.asarray(mats, dtype=np.int64)
+    rows, pivots = [], []
+    cand = np.array(vecs, dtype=np.int64, ndmin=2) % p
+    done = 0
+    while True:
+        for row, piv in zip(rows, pivots):
+            cand = (cand - cand[:, piv, None] * row) % p
+        cand = cand[cand.any(axis=1)]
+        if cand.size:
+            piv = int(np.flatnonzero(cand[0])[0])
+            rows.append(cand[0] * pow(int(cand[0, piv]), p - 2, p) % p)
+            pivots.append(piv)
+        elif done < len(rows):
+            cand = mats @ rows[done] % p
+            done += 1
+        else:
+            return linalg.rref(rows, p, mats.shape[-1])
+
+
+@st.composite
+def span_problems(draw):
+    """(p, seed rows, matrix stack) over F_3 or F_5: up to 3 seed rows of
+    width 1..5, zero rows included, and 0..3 matrices, singular or not."""
+    p = draw(st.sampled_from([3, 5]))
+    n = draw(st.integers(1, 5))
+    k, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    cells = st.integers(0, p - 1) | st.just(0)
+    vecs = draw(st.lists(cells, min_size=k * n, max_size=k * n))
+    mats = draw(st.lists(cells, min_size=m * n * n, max_size=m * n * n))
+    return (p, np.array(vecs, dtype=np.int64).reshape(k, n),
+            np.array(mats, dtype=np.int64).reshape(m, n, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_problems())
+def test_invariant_span_is_the_row_by_row_span(problem):
+    p, vecs, mats = problem
+    got, piv = linalg.invariant_span(vecs, mats, p)
+    want, want_piv = invariant_span_by_rows(vecs, mats, p)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want) and piv == want_piv
+    assert all(isinstance(c, int) for c in piv)
+
+
+@pytest.mark.parametrize("vecs, mats", [
+    (np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3, 3), dtype=np.int64)),
+    (np.array([[0, 2, 1]]), np.zeros((0, 3, 3), dtype=np.int64)),
+    (np.zeros((0, 3), dtype=np.int64), np.eye(3, dtype=np.int64)[None]),
+    (np.array([1, 1, 0]), np.array([[[1, 1, 0], [1, 1, 0], [0, 0, 0]]])),
+])
+def test_invariant_span_edge_cases_match_the_row_by_row_span(vecs, mats):
+    # zero vectors, an empty matrix stack, no vectors, a singular matrix
+    for p in (3, 5):
+        got, piv = linalg.invariant_span(vecs, mats, p)
+        want, want_piv = invariant_span_by_rows(vecs, mats, p)
+        assert np.array_equal(got, want) and got.shape == want.shape and piv == want_piv
+
+
 def test_det_multiplicative():
     random.seed(11)
     p = 7

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import levi_values
+from conftest import cleared, levi_values, world_for
 
 from parasuper import groups, linalg, utheory
 from parasuper.chartab import conjugacy_classes, irr_characters, s_orbit_sums
@@ -23,6 +23,7 @@ from parasuper.utheory import (
     levi_conj_orbits, lift_to_levi, orbit_eps_counts, orbit_partition, counts_to_values,
     subgroup_table, superclass_u, zeta_at_conjugates,
 )
+from parasuper.gtheory import build_g_theory
 from parasuper.verify import check_supertheory
 
 
@@ -116,12 +117,13 @@ def test_closure_check_fires(borel_c2, monkeypatch):
 
 def test_generation_check_fires(borel_c2, monkeypatch):
     # all of U is closed under products, but the Cayley images of a basis of
-    # a smaller u_lam generate only U_lam
+    # a smaller u_lam generate only U_lam; on a cleared copy, since the
+    # world's memo holds U_lam already
     lam = first_form_with(borel_c2, lambda fd: fd.U_lam_ids.size < borel_c2.nU)
     everything = borel_c2.u_digits(np.arange(borel_c2.nU))
     monkeypatch.setattr(groups, "enumerate_subspace", lambda basis, p: everything)
     with pytest.raises(FalsificationError, match="do not generate U_lam") as err:
-        FormData(borel_c2, lam)
+        FormData(cleared(borel_c2), lam)
     assert err.value.counterexample == {"subgroup": "U_lam", "lam": lam}
 
 
@@ -427,7 +429,8 @@ def test_levi_representatives_build_the_theory_of_every_form(config):
 
 def test_ub_on_g_builds_each_character_and_class_once(monkeypatch):
     # one chi_alpha_u call per supercharacter and one quotient partition per
-    # conjugacy class of L, on B2 q=3 blocks 1,3 (|L| = 96, 27 forms)
+    # distinct u_h of the conjugacy classes of L, on B2 q=3 blocks 1,3
+    # (|L| = 96, 27 forms, 20 classes of L)
     w = Parabolic(build_spec("B", 2, 3, (1, 3, 1)))
     counts = Counter()
 
@@ -440,7 +443,63 @@ def test_ub_on_g_builds_each_character_and_class_once(monkeypatch):
     counted("quotient_orbits", utheory.quotient_orbits)
     theory = build_u_theory(w, "G")
     assert counts["chi_alpha_u"] == len(theory.chars) == 44
-    assert counts["quotient_orbits"] == len(conjugacy_classes(l_table(w)).reps) == 20
+    reps = utheory.levi_representatives(w)[1]
+    assert len(reps) == len(conjugacy_classes(l_table(w)).reps) == 20
+    u_hs = {(b.shape, b.tobytes()) for b in (smallest_bimodule(w, w.L[h])[1] for h in reps)}
+    assert counts["quotient_orbits"] == len(u_hs) == 10
+
+
+def test_the_radical_subgroup_is_built_once_per_annihilator(monkeypatch):
+    # U_lam depends on lam only through u_lam: the 49 forms of C2 q=5 Borel
+    # have 2 distinct u_lam, and generated builds 2 subgroups for them
+    w = Parabolic(build_spec("C", 2, 5, (1, 1, 0, 1, 1)))
+    builds = []
+    real = groups.enumerate_subspace
+    monkeypatch.setattr(groups, "enumerate_subspace",
+                        lambda basis, p: builds.append(len(basis)) or real(basis, p))
+    forms = [form_data(w, int(orb[0])) for orb in orbit_partition(w, "ustar", "Ub")[1]]
+    assert len(forms) == 49
+    assert len({fd.u_lam_basis.tobytes() for fd in forms}) == len(builds) == 2
+    assert all(fd.U_lam_ids is form_data(w, 0).U_lam_ids
+               for fd in forms if len(fd.u_lam_basis) == w.spec.u_dim)
+
+
+@pytest.mark.parametrize("name", ["borel_d2", "borel_c2", "borel_b2", "twoblock_c2", "borel_d3"])
+def test_memoized_form_data_is_that_of_a_cleared_world(name, request):
+    # each form's data on the shared memo equals the data built alone on a
+    # world with an empty memo: every form of the conftest worlds, and the
+    # form representatives of D3 q=3 Borel, where distinct u_lam share a
+    # dimension (its 6 subgroups have dimensions 3, 4, 4, 5, 5 and 6)
+    if name == "borel_d3":
+        w = world_for("D", 3, 3, (1, 1, 1, 0, 1, 1, 1))
+        forms = [int(orb[0]) for orb in orbit_partition(w, "ustar", "Ub")[1]]
+    else:
+        w = request.getfixturevalue(name)
+        forms = range(w.nU)
+    for lam in forms:
+        warm, cold = vars(form_data(w, lam)), vars(FormData(cleared(w), lam))
+        assert warm.keys() == cold.keys()
+        for field in warm.keys() - {"world"}:
+            assert np.array_equal(warm[field], cold[field]), (lam, field)
+
+
+def test_memoized_subgroups_cosets_and_closures_are_read_only(borel_c2):
+    w = borel_c2
+    build_u_theory(w, "G")
+    build_g_theory(w)
+    arrays_of = {"generated": list, "quotient_orbits": lambda cosets: [c for _, c in cosets],
+                 "coset_closure": lambda closure: [closure]}
+    shared = {}
+    for key, value in w._memo.items():
+        if isinstance(key, tuple) and key[0] in arrays_of:
+            shared.setdefault(key[0], []).extend(arrays_of[key[0]](value))
+    assert shared.keys() == arrays_of.keys()
+    assert any(a is w.U_times_basis for a in shared["generated"])
+    for arrays in shared.values():
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[..., :1] = 0
 
 
 def test_a_missing_form_representative_fails_the_axioms(borel_c2, monkeypatch):
