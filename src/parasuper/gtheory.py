@@ -18,11 +18,9 @@ import numpy as np
 
 from . import linalg
 from .errors import FalsificationError, ValidationError
-from .theory import (
-    SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes, sort_canonical,
-)
+from .theory import SuperChar, SuperClass, SuperTheory, ValuePool
 from .utheory import (
-    form_data, intern_ids, lift_to_levi, orbit_of, orbit_partition, orbit_sum, subgroup_table,
+    form_data, lift_to_levi, orbit_of, orbit_partition, orbit_sum, subgroup_table,
 )
 from .orbits import _bfs, dense_unique, levi_images, read_only, sorted_isin
 
@@ -237,7 +235,6 @@ def classify_g_orbits(world, space):
 @dataclass(frozen=True)
 class MergedDecomposition:
     """A symmetric coarsening of the block decomposition, as index segments."""
-    kind: str
     segments: tuple     # tuple of tuples of block indices, descending
 
     def seg_of_block(self):
@@ -269,7 +266,7 @@ def _close_segments(ell, spans):
 def merged_by_roots(spec, roots):
     """Finest symmetric interval coarsening joining each root's block pair."""
     spans = [(spec.block_of[j], spec.block_of[i]) for (i, j) in roots]
-    return MergedDecomposition("roots", _close_segments(spec.ell, spans))
+    return MergedDecomposition(_close_segments(spec.ell, spans))
 
 
 def merged_by_levi(spec, h):
@@ -294,7 +291,7 @@ def merged_by_levi(spec, h):
     if joined != {-k - 1 for k in joined}:
         raise FalsificationError("Levi coarsening is not symmetric about zero",
                                  {"spans": [list(span) for span in spans]})
-    return MergedDecomposition("levi", _close_segments(spec.ell, spans))
+    return MergedDecomposition(_close_segments(spec.ell, spans))
 
 
 def crossing_flags(spec, merged):
@@ -320,7 +317,7 @@ def scalar_levi_subgroup(world, merged):
 # ---------------------------------------------------------------------------
 # theory assembly
 
-def pair_context(world, sig, pair):
+def pair_context(world, pair):
     """All data attached to one signature representative pair."""
     spec = world.spec
     merged = merged_by_roots(spec, pair.roots)
@@ -375,8 +372,7 @@ def pair_context(world, sig, pair):
 
     orbit_point = orbit_of(world, "u", "Gb", pair_point_u(world, pair))
     return {
-        "pair": pair, "sig": sig, "merged": merged, "ld_ids": ld_ids,
-        "lam": lam, "orbit_form": orbit_form, "orbit_point": orbit_point,
+        "pair": pair, "ld_ids": ld_ids, "lam": lam, "orbit_point": orbit_point,
         "zeta_ids": zeta_ids, "zeta_rows": zeta_rows,
     }
 
@@ -397,8 +393,8 @@ def superclass_g(world, ctx, cl_parent_ids, h_parent):
 
 
 def chi_alpha_g(world, ctx, theta):
-    """Values of one ambient-orbit supercharacter, as local (ids, values);
-    theta is (ids, rows) from lift_to_levi."""
+    """Values of one ambient-orbit supercharacter, as (local ids, integer
+    rows, den) for ValuePool.intern; theta is (ids, rows) from lift_to_levi."""
     tids, t_rows = theta
     zeta_ids, z_rows = ctx["zeta_ids"], ctx["zeta_rows"]
     nz = len(z_rows)
@@ -406,7 +402,7 @@ def chi_alpha_g(world, ctx, theta):
     uniq, inverse = dense_unique(codes, len(t_rows) * nz)
     num = world.field.mul_rows(t_rows[uniq // nz], z_rows[uniq % nz])
     den = Fraction(len(ctx["ld_ids"]), world.nL)
-    return inverse.astype(np.int64), world.field.from_rows(num, den)
+    return inverse.astype(np.int64), num, den
 
 
 def build_g_theory(world):
@@ -414,9 +410,7 @@ def build_g_theory(world):
     pool = ValuePool(world.field)
     sig_classes = signature_classes(world)
 
-    contexts = []
-    for sig, pairs in sig_classes:
-        contexts.append(pair_context(world, sig, pairs[0]))
+    contexts = [pair_context(world, pairs[0]) for _, pairs in sig_classes]
 
     chars = []
     classes = []
@@ -443,11 +437,9 @@ def build_g_theory(world):
                     "Levi conjugation",
                     {"pair": pair.label(), "theta": tidx,
                      "rho": rho, "r": int(ld_arr[k])})
-            ids_local, values = chi_alpha_g(world, ctx, theta)
-            ids = intern_ids(pool, ids_local, values)
             chars.append(SuperChar(
                 "chi[D=%s,theta=%d]" % (pair.label() or "0", tidx),
-                ids.astype(np.int32), pool,
+                pool.intern(*chi_alpha_g(world, ctx, theta)), pool,
                 {"roots": list(pair.roots), "phi": list(pair.phi), "theta": tidx,
                  "lam": ctx["lam"], "theta_by_l": theta,
                  "ld_ids": list(ctx["ld_ids"])}))
@@ -461,9 +453,5 @@ def build_g_theory(world):
                 "K[h=%d,D=%s]" % (h_parent, pair.label() or "0"), mem,
                 {"h": h_parent, "roots": list(pair.roots), "phi": list(pair.phi)}))
 
-    chars = dedup_chars(chars)
-    classes = dedup_classes(classes)
-    theory = SuperTheory("Gb-on-G", world.g_size, world.g_ident, chars, classes, pool,
-                         {"config": world.spec.config_label(), "target": "G"})
-    sort_canonical(theory)
-    return theory
+    return SuperTheory("Gb-on-G", world.g_size, world.g_ident, chars, classes, pool,
+                       {"config": world.spec.config_label(), "target": "G"})

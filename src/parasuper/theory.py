@@ -5,9 +5,12 @@ values are interned: each character stores a compact id array over the
 group's packed element ids plus a shared pool of exact cyclotomic values,
 so equality, constancy, and table emission are integer-array operations
 and every exact value is stored once.  The builders compute on integer
-coefficient rows and make a `Cyc` only to intern it here; for arithmetic
-the pool hands its values back as one integer numerator matrix over a
-common denominator, the one place `CycField.rows` is called.
+coefficient rows and hand them to `ValuePool.intern`, the one place where
+values become `Cyc`; for arithmetic the pool hands its values back as one
+integer numerator matrix over a common denominator, the one place
+`CycField.rows` is called.  A `SuperTheory` drops repeated characters and
+classes and puts the rest in canonical order when it is made, so every
+builder ends by constructing one.
 """
 
 from __future__ import annotations
@@ -43,6 +46,15 @@ class ValuePool:
             self.values.append(value)
             self.index[value] = got
         return got
+
+    def intern(self, local_ids, rows, den):
+        """Pool ids of a function given as local ids into integer coefficient
+        rows over a positive rational den: the value at element i is
+        rows[local_ids[i]] / den.  Values enter the pool in local-id order,
+        which is printed output (see sort_canonical)."""
+        mapping = np.array([self.id_of(v) for v in self.field.from_rows(rows, den)],
+                           dtype=np.int32)
+        return mapping[local_ids]
 
     def __len__(self):
         return len(self.values)
@@ -90,7 +102,8 @@ class SuperClass:
 
 @dataclass
 class SuperTheory:
-    """An assembled (characters, partition) pair over one finite group."""
+    """An assembled (characters, partition) pair over one finite group,
+    without repeats (first labels kept) and in canonical order."""
     kind: str                     # "U-on-U", "Ub-on-G", "Gb-on-G"
     group_size: int
     ident_id: int
@@ -98,6 +111,11 @@ class SuperTheory:
     classes: list
     pool: ValuePool
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.chars = dedup_chars(self.chars)
+        self.classes = dedup_classes(self.classes)
+        sort_canonical(self)
 
     def class_of_element(self):
         """Array mapping each element id to its class index; -1 if uncovered."""

@@ -32,9 +32,7 @@ from .orbits import (
     levi_images, pack, partition_by_perms, partition_orbits, quotient_orbits, read_only,
     smallest_bimodule, sorted_isin,
 )
-from .theory import (
-    SuperChar, SuperClass, SuperTheory, ValuePool, dedup_chars, dedup_classes, sort_canonical,
-)
+from .theory import SuperChar, SuperClass, SuperTheory, ValuePool
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +203,6 @@ def intern_rows(a):
     return np.argsort(order)[inverse], uniq[order]
 
 
-def radical_supercharacter(world, lam):
-    """The supercharacter of the radical attached to one form: the smaller
-    orbit size over the larger times the orbit sum of character values.
-
-    Returns local (ids, values); equals the character induced from the
-    elementary character of the associated subgroup (oracle-checked).
-    """
-    orb = orbit_of(world, "ustar", "Ub", lam)
-    hb = orbit_of(world, "ustar", "Hb", lam)
-    ids_local, rows = orbit_sum(world, orb)
-    return ids_local, world.field.from_rows(rows, Fraction(orb.size, hb.size)), orb, hb
-
-
 def levi_conj_orbits(world):
     """Orbits of L acting on G = LU by conjugation, memoized per world:
     (reps, orbit) with reps the least packed id of each orbit, ascending,
@@ -256,7 +241,8 @@ def chi_alpha_u(world, fd, theta, zeta):
     Levi-averaged formula, which is constant on the orbits of L conjugating
     G, at one element per orbit: row k of codes holds the (theta, zeta)
     value-pair code at rho g rho^-1 for each rho, g the k-th orbit
-    representative.  Local ids number the sorted rows in descending order
+    representative.  Returns (local ids, integer rows, den) for
+    ValuePool.intern.  Local ids number the sorted rows in descending order
     (the ascending order of their pair counts); with theta ids in order of
     first appearance, this order is printed output (see sort_canonical).
     """
@@ -279,7 +265,7 @@ def chi_alpha_u(world, fd, theta, zeta):
     num = num.astype(int_dtype(absmax(num) * world.nL))
     sums = num[pos.reshape(uniq.shape)].sum(axis=1)
     den = Fraction(fd.orbit_ub.size * len(fd.L0_ids), fd.orbit_hb.size)
-    return inverse[orbit], field.from_rows(sums, den)
+    return inverse[orbit], sums, den
 
 
 def superclass_u(world, h_idx, coset_points):
@@ -293,11 +279,6 @@ def superclass_u(world, h_idx, coset_points):
 
 # ---------------------------------------------------------------------------
 # assembly
-
-def intern_ids(pool, local_ids, local_values):
-    mapping = np.array([pool.id_of(v) for v in local_values], dtype=np.int32)
-    return mapping[local_ids]
-
 
 def levi_representatives(world):
     """The forms and Levi elements the G theory is built from: the least form
@@ -329,60 +310,57 @@ def build_u_theory(world, target="G"):
     pool = ValuePool(world.field)
 
     if target == "U":
-        lams = [int(orb[0]) for orb in orbit_partition(world, "ustar", "Ub")[1]]
+        # the supercharacter of the radical attached to a form: the smaller
+        # orbit size over the larger times the orbit sum, which equals the
+        # character induced from the elementary character of U_lam (oracle-checked)
         chars = []
-        for lam in lams:
-            ids_local, values, orb, hb = radical_supercharacter(world, lam)
-            ids = intern_ids(pool, ids_local, values)
-            chars.append(SuperChar("zeta[lam=%d]" % lam, ids.astype(np.int32), pool,
-                                   {"lam": lam, "orbit_size": orb.size,
-                                    "sub_orbit_size": hb.size}))
+        for orb in orbit_partition(world, "ustar", "Ub")[1]:
+            lam = int(orb[0])
+            hb = orbit_of(world, "ustar", "Hb", lam)
+            ids_local, rows = orbit_sum(world, orb)
+            chars.append(SuperChar("zeta[lam=%d]" % lam,
+                                   pool.intern(ids_local, rows, Fraction(orb.size, hb.size)),
+                                   pool, {"lam": lam, "orbit_size": orb.size,
+                                          "sub_orbit_size": hb.size}))
         classes = []
         for orb in orbit_partition(world, "u", "Ub")[1]:
             x = int(orb[0])
             classes.append(SuperClass("K[x=%d]" % x, orb, {"x": x}))
-        theory = SuperTheory("U-on-U", world.nU, 0, dedup_chars(chars),
-                             dedup_classes(classes), pool,
-                             {"config": world.spec.config_label(), "target": "U"})
-    else:
-        ltable = l_table(world)
-        forms, levi_reps = levi_representatives(world)
-        chars = []
-        for lam in forms:
-            fd = form_data(world, lam)
-            table = subgroup_table(world, fd.L0_ids)
-            sums = s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids)
-            zeta = zeta_at_conjugates(world, fd)
-            for sidx, vals in enumerate(sums):
-                theta = lift_to_levi(world, fd.L0_ids, table, vals)
-                ids_local, values = chi_alpha_u(world, fd, theta, zeta)
-                ids = intern_ids(pool, ids_local, values)
-                chars.append(SuperChar(
-                    "chi[lam=%d,theta=%d]" % (lam, sidx), ids.astype(np.int32), pool,
-                    {"lam": lam, "theta": sidx, "theta_by_l": theta}))
-            del zeta            # not held through the next form's orbit sum
-        chars = dedup_chars(chars)
+        return SuperTheory("U-on-U", world.nU, 0, chars, classes, pool,
+                           {"config": world.spec.config_label(), "target": "U"})
 
-        classes = []
-        act_u = world.action("u", "Ub")
-        for h_idx in levi_reps:
-            # the cosets depend on h only through u_h: one partition per u_h
-            _, u_h_basis = smallest_bimodule(world, world.L[h_idx])
-            key = ("quotient_orbits", act_u.label, u_h_basis.shape, u_h_basis.tobytes())
-            cosets = world.memo(key, lambda: [
-                (omega, read_only(coset))
-                for omega, coset in quotient_orbits(act_u, u_h_basis, world.guards["space"])])
-            for omega, coset in cosets:
-                members = superclass_u(world, h_idx, coset)
-                classes.append(SuperClass(
-                    "K[h=%d,omega=%d]" % (h_idx, omega), members,
-                    {"h": h_idx, "omega": omega}))
-        classes = dedup_classes(classes)
-        theory = SuperTheory("Ub-on-G", world.g_size, world.g_ident, chars, classes, pool,
-                             {"config": world.spec.config_label(), "target": "G"})
+    ltable = l_table(world)
+    forms, levi_reps = levi_representatives(world)
+    chars = []
+    for lam in forms:
+        fd = form_data(world, lam)
+        table = subgroup_table(world, fd.L0_ids)
+        sums = s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids)
+        zeta = zeta_at_conjugates(world, fd)
+        for sidx, vals in enumerate(sums):
+            theta = lift_to_levi(world, fd.L0_ids, table, vals)
+            chars.append(SuperChar(
+                "chi[lam=%d,theta=%d]" % (lam, sidx),
+                pool.intern(*chi_alpha_u(world, fd, theta, zeta)), pool,
+                {"lam": lam, "theta": sidx, "theta_by_l": theta}))
+        del zeta            # not held through the next form's orbit sum
 
-    sort_canonical(theory)
-    return theory
+    classes = []
+    act_u = world.action("u", "Ub")
+    for h_idx in levi_reps:
+        # the cosets depend on h only through u_h: one partition per u_h
+        _, u_h_basis = smallest_bimodule(world, world.L[h_idx])
+        key = ("quotient_orbits", act_u.label, u_h_basis.shape, u_h_basis.tobytes())
+        cosets = world.memo(key, lambda: [
+            (omega, read_only(coset))
+            for omega, coset in quotient_orbits(act_u, u_h_basis, world.guards["space"])])
+        for omega, coset in cosets:
+            members = superclass_u(world, h_idx, coset)
+            classes.append(SuperClass(
+                "K[h=%d,omega=%d]" % (h_idx, omega), members,
+                {"h": h_idx, "omega": omega}))
+    return SuperTheory("Ub-on-G", world.g_size, world.g_ident, chars, classes, pool,
+                       {"config": world.spec.config_label(), "target": "G"})
 
 
 def lift_to_levi(world, sub_ids, table, vals):

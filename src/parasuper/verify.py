@@ -408,42 +408,35 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
     report = Report("oracles")
     eps = world.field.eps_rows(world.spec.p)
 
-    def zeta_oracle():
-        class_of, u_classes = world.u_group_classes
-        sizes = [m.size for m in u_classes]
-        scan = ClassScan(u_classes)
-        for ch in theory_u.chars:
-            fd = form_data(world, ch.provenance["lam"])
-            induced = induce_exact(class_of, sizes, fd.U_lam_ids,
-                                   eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps)
-            _compare_char_to_induced(ch, scan, induced, "radical supercharacter")
-    report.run("radical-induction-oracle", zeta_oracle)
+    def oracle(classes, theory, what, h_of):
+        # each character against the induction of h_of(ch), a function on a
+        # subgroup H in induce_exact's form, class by class
+        class_of, members = classes
+        sizes = [m.size for m in members]
+        scan = ClassScan(members)
+        for ch in theory.chars:
+            _compare_char_to_induced(ch, scan, induce_exact(class_of, sizes, *h_of(ch)), what)
 
-    def chi_u_oracle():
-        class_of, g_classes = world.g_classes
-        sizes = [m.size for m in g_classes]
-        scan = ClassScan(g_classes)
-        for ch in theory_ub_g.chars:
-            fd = form_data(world, ch.provenance["lam"])
-            h = _product_on_h(world, fd.L0_ids, fd.U_lam_ids, ch.provenance["theta_by_l"],
-                              eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps)
-            induced = induce_exact(class_of, sizes, *h)
-            _compare_char_to_induced(ch, scan, induced,
-                                     "Levi-averaged supercharacter")
-    report.run("parabolic-induction-oracle", chi_u_oracle)
+    def radical_h(ch):
+        fd = form_data(world, ch.provenance["lam"])
+        return fd.U_lam_ids, eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps
 
-    def chi_g_oracle():
-        class_of, g_classes = world.g_classes
-        sizes = [m.size for m in g_classes]
-        scan = ClassScan(g_classes)
-        for ch in theory_gb_g.chars:
-            orbit = orbit_of(world, "ustar", "Gb", ch.provenance["lam"])
-            h = _product_on_h(world, ch.provenance["ld_ids"], np.arange(world.nU),
-                              ch.provenance["theta_by_l"], *orbit_sum(world, orbit))
-            induced = induce_exact(class_of, sizes, *h)
-            _compare_char_to_induced(ch, scan, induced,
-                                     "ambient-orbit supercharacter")
-    report.run("ambient-induction-oracle", chi_g_oracle)
+    def levi_h(ch):
+        fd = form_data(world, ch.provenance["lam"])
+        return _product_on_h(world, fd.L0_ids, fd.U_lam_ids, ch.provenance["theta_by_l"],
+                             eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps)
+
+    def ambient_h(ch):
+        orbit = orbit_of(world, "ustar", "Gb", ch.provenance["lam"])
+        return _product_on_h(world, ch.provenance["ld_ids"], np.arange(world.nU),
+                             ch.provenance["theta_by_l"], *orbit_sum(world, orbit))
+
+    report.run("radical-induction-oracle", lambda: oracle(
+        world.u_group_classes, theory_u, "radical supercharacter", radical_h))
+    report.run("parabolic-induction-oracle", lambda: oracle(
+        world.g_classes, theory_ub_g, "Levi-averaged supercharacter", levi_h))
+    report.run("ambient-induction-oracle", lambda: oracle(
+        world.g_classes, theory_gb_g, "ambient-orbit supercharacter", ambient_h))
     return report
 
 
@@ -576,6 +569,10 @@ def run_suites(world, suite="all", corrupt=None):
     reports = []
     wants = (suite,) if suite != "all" else (
         "lemmas", "utheory", "gtheory", "oracles", "refinement")
+    if corrupt and not {"utheory", "oracles", "refinement"} & set(wants):
+        # a negative control must be able to fail, and only these suites read tG
+        raise ValidationError("corrupt", "suite %r does not read the Ub-on-G theory that "
+                                         "--corrupt changes" % (suite,))
     need_theories = bool({"utheory", "gtheory", "oracles", "refinement"} & set(wants))
     tU = tG = gG = None
     if need_theories:

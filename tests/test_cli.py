@@ -179,6 +179,17 @@ def test_verify_exit_codes(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("suite, corrupt", [
+    ("lemmas", "character"), ("lemmas", "class"), ("gtheory", "character"), ("gtheory", "class")])
+def test_corrupt_on_a_suite_that_cannot_fail_is_usage_error(suite, corrupt, capsys):
+    # neither suite reads the Ub-on-G theory that --corrupt changes, so the
+    # negative control could only pass
+    code, out, err = run_cli(["verify", "--family", "D", "--n", "2", "--q", "3",
+                              "--blocks", "1,1", "--suite", suite, "--corrupt", corrupt], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error (corrupt): suite %r" % suite)
+
+
 def test_determinism_byte_identical(capsys):
     args = ["utheory", "--family", "C", "--n", "2", "--q", "3", "--blocks", "1,1"]
     _, out1, _ = run_cli(args, capsys)
@@ -242,36 +253,59 @@ def test_internal_error_exits_3(monkeypatch, capsys):
 
 
 PASSED = "verify: 32 checks, all passed, <s>"
-D2_FALSIFIED = "falsified: scalar Levi subgroup differs from the orbit's pointwise stabilizer"
-LEVI_GUARD = "resource guard: Levi bound 5952000 exceeds guard 1000000"
-RANK_TWO_CENSUS = [
-    # (family, blocks, q, exit code, first stderr line with the seconds masked)
-    ("B", "1,3", 3, 0, PASSED), ("B", "2,1", 3, 0, PASSED), ("B", "1,1,1", 3, 0, PASSED),
-    ("C", "2", 3, 0, PASSED), ("C", "1,1", 3, 0, PASSED), ("C", "1,2", 3, 0, PASSED),
-    ("D", "2", 3, 1, D2_FALSIFIED), ("D", "1,1", 3, 0, PASSED), ("D", "1,2", 3, 0, PASSED),
-    ("B", "1,3", 5, 2, LEVI_GUARD), ("B", "2,1", 5, 0, PASSED), ("B", "1,1,1", 5, 0, PASSED),
-    ("C", "2", 5, 0, PASSED), ("C", "1,1", 5, 0, PASSED), ("C", "1,2", 5, 0, PASSED),
-    ("D", "2", 5, 1, D2_FALSIFIED), ("D", "1,1", 5, 0, PASSED), ("D", "1,2", 5, 0, PASSED),
+FALSIFIED = "falsified: scalar Levi subgroup differs from the orbit's pointwise stabilizer"
+LEVI_GUARD = "resource guard: Levi bound %d exceeds guard 1000000"
+VERDICT_CENSUS = [
+    # (family, n, blocks, q, exit code, first stderr line with the seconds masked)
+    ("B", 2, "1,3", 3, 0, PASSED), ("B", 2, "2,1", 3, 0, PASSED), ("B", 2, "1,1,1", 3, 0, PASSED),
+    ("C", 2, "2", 3, 0, PASSED), ("C", 2, "1,1", 3, 0, PASSED), ("C", 2, "1,2", 3, 0, PASSED),
+    ("D", 2, "2", 3, 1, FALSIFIED), ("D", 2, "1,1", 3, 0, PASSED), ("D", 2, "1,2", 3, 0, PASSED),
+    ("B", 2, "1,3", 5, 2, LEVI_GUARD % 5952000), ("B", 2, "2,1", 5, 0, PASSED),
+    ("B", 2, "1,1,1", 5, 0, PASSED),
+    ("C", 2, "2", 5, 0, PASSED), ("C", 2, "1,1", 5, 0, PASSED), ("C", 2, "1,2", 5, 0, PASSED),
+    ("D", 2, "2", 5, 1, FALSIFIED), ("D", 2, "1,1", 5, 0, PASSED), ("D", 2, "1,2", 5, 0, PASSED),
+    ("D", 3, "1,1,1", 3, 0, PASSED), ("D", 3, "2,1", 3, 0, PASSED),
+    ("D", 3, "1,1,2", 3, 0, PASSED), ("D", 3, "2,2", 3, 0, PASSED),
+    ("D", 3, "1,2", 3, 1, FALSIFIED), ("D", 3, "1,4", 3, 2, LEVI_GUARD % 48522240),
+    ("C", 3, "1,4", 3, 2, LEVI_GUARD % 48522240), ("B", 3, "1,5", 3, 2, LEVI_GUARD % 951132948480),
 ]
-# D2 `2` falsifies at the basic pair 2:-1*1: the pointwise stabilizer of its
-# orbit is larger than the scalar Levi subgroup; (scalar subgroup, stabilizer
-# size, sha256 prefix of the printed stabilizer) per q
-D2_COUNTEREXAMPLE = {3: ([12, 31], 24, "fd5ea83a99623ea2"), 5: ([80, 383], 120, "bea8c868ca3669d3")}
+# each falsified case fails at the basic pair 2:-1*1: the pointwise
+# stabilizer of its orbit is larger than the scalar Levi subgroup; (scalar
+# subgroup, stabilizer size, sha256 prefix of the printed stabilizer) per (n, q)
+PAIR_COUNTEREXAMPLE = {(2, 3): ([12, 31], 24, "fd5ea83a99623ea2"),
+                       (2, 5): ([80, 383], 120, "bea8c868ca3669d3"),
+                       (3, 3): ([12, 31, 60, 79], 48, "2fcc1caa3dd186a6")}
 
 
-@pytest.mark.parametrize("family, blocks, q, code, first", RANK_TWO_CENSUS,
-                         ids=["%s2-%s-q%d" % case[:3] for case in RANK_TWO_CENSUS])
-def test_rank_two_verdict_census(family, blocks, q, code, first, capsys):
-    # every rank-2 block list with at least two non-empty blocks, at q=3 and
-    # q=5, keeps its verdict: passing, falsified or stopped by the Levi guard
-    got, _, err = run_cli(["verify", "--family", family, "--n", "2", "--q", str(q),
+def census(n):
+    cases = [case for case in VERDICT_CENSUS if case[1] == n]
+    return pytest.mark.parametrize("family, n, blocks, q, code, first", cases,
+                                   ids=["%s%d-%s-q%d" % case[:4] for case in cases])
+
+
+def check_verdict(family, n, blocks, q, code, first, capsys):
+    got, _, err = run_cli(["verify", "--family", family, "--n", str(n), "--q", str(q),
                            "--blocks", blocks, "--suite", "all"], capsys)
     lines = err.splitlines()
     assert (got, re.sub(r"[0-9.]+s$", "<s>", lines[0])) == (code, first)
     if code == 1:
-        scalar, size, want_digest = D2_COUNTEREXAMPLE[q]
+        scalar, size, want_digest = PAIR_COUNTEREXAMPLE[n, q]
         assert lines[1].startswith("counterexample: ")
         ce = ast.literal_eval(lines[1][len("counterexample: "):])
         digest = hashlib.sha256(str(ce["stabilizer"]).encode()).hexdigest()[:16]
         assert (ce["pair"], ce["scalar"], len(ce["stabilizer"]), digest) == \
             ("2:-1*1", scalar, size, want_digest)
+
+
+@census(2)
+def test_rank_two_verdict_census(family, n, blocks, q, code, first, capsys):
+    # every rank-2 block list with at least two non-empty blocks, at q=3 and
+    # q=5, keeps its verdict: passing, falsified or stopped by the Levi guard
+    check_verdict(family, n, blocks, q, code, first, capsys)
+
+
+@census(3)
+def test_rank_three_verdict_census(family, n, blocks, q, code, first, capsys):
+    # rank-3 block lists at q=3 keep their verdicts too; the Levi guard
+    # stops each of the three large Levi subgroups before any enumeration
+    check_verdict(family, n, blocks, q, code, first, capsys)

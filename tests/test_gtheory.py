@@ -293,7 +293,7 @@ def merged_by_levi_by_runs(spec, h):
     close_run()
     flush_pending()
 
-    md = gtheory.MergedDecomposition("levi", tuple(segs))
+    md = gtheory.MergedDecomposition(tuple(segs))
     mirror = tuple(tuple(sorted((-t for t in seg), reverse=True)) for seg in reversed(md.segments))
     if mirror != md.segments:
         raise FalsificationError("Levi coarsening is not symmetric about zero",

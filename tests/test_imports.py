@@ -2,7 +2,8 @@
 function imports a module of the package (the import graph is the one the
 module headers show), no module holds an `assert`, which `python -O` would
 strip (invariants are checked with raises), only the value pool turns
-`Cyc` values into integer coefficient rows, and sets of integers go through
+`Cyc` values into integer coefficient rows, the theory builders hand their
+rows to the pool instead of making `Cyc` values, and sets of integers go through
 the sorted helpers of `orbits`, never `np.isin` or a flag-free `np.unique`."""
 
 import ast
@@ -72,11 +73,11 @@ def test_no_assert(path):
     assert assert_lines(path.read_text()) == []
 
 
-def rows_calls(source):
-    """Lines of every call of a method named `rows`, as in `field.rows(values)`."""
+def method_calls(source, name):
+    """Lines of every call of a method called `name`, as in `field.rows(values)`."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "rows"]
+            and node.func.attr == name]
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "theory.py"],
@@ -85,13 +86,23 @@ def test_cyc_rows_only_in_the_value_pool(path):
     # class functions stay integer coefficient rows from the character tables
     # to the value pools; `CycField.rows` converts values back into rows, and
     # only `ValuePool.numerators` in theory.py may call it
-    assert rows_calls(path.read_text()) == []
+    assert method_calls(path.read_text(), "rows") == []
+
+
+@pytest.mark.parametrize("name", ["utheory.py", "gtheory.py"])
+def test_builders_make_no_cyc_values(name):
+    # the builders return integer rows over a denominator, and
+    # `ValuePool.intern` alone makes the `Cyc` values and numbers them
+    source = (SRC / name).read_text()
+    assert (method_calls(source, "from_rows"), method_calls(source, "id_of")) == ([], [])
 
 
 def test_rows_call_is_reported():
-    source = ("def f(field, vals):\n    num, den = field.rows(vals)\n"
-              "    rows = field.from_rows(num, den)\n    return rows\n")
-    assert rows_calls(source) == [2]
+    source = ("def f(field, vals, pool):\n    num, den = field.rows(vals)\n"
+              "    rows = field.from_rows(num, den)\n    return [pool.id_of(v) for v in rows]\n")
+    assert method_calls(source, "rows") == [2]
+    assert method_calls(source, "from_rows") == [3]
+    assert method_calls(source, "id_of") == [4]
 
 
 def test_assert_is_reported():

@@ -501,7 +501,7 @@ def test_setwise_lemma_reports_a_corrupted_stabilizer(borel_c2):
 
 
 def test_each_orbit_sum_is_computed_once(monkeypatch):
-    # radical_supercharacter, chi_alpha_u, pair_context and the ambient
+    # the U-on-U characters, chi_alpha_u, pair_context and the ambient
     # oracle all read one memoized orbit sum per orbit of forms
     from parasuper import utheory
     from parasuper.groups import Parabolic, build_spec
