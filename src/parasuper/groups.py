@@ -565,7 +565,10 @@ class Parabolic:
         - ("action", space, tag): `action`;
         - ("generated", shape, bytes) of the int64 basis: `generated`;
         - ("orbits", space, tag): `utheory.orbit_partition`;
-        - ("form_data", lam): `utheory.form_data`, per packed form;
+        - "form_maps": the linear maps of a form that `utheory.FormBatch`
+          reads, one matrix per world;
+        - ("form_data", lam): `utheory.form_data`, per packed form, filled
+          for many forms at once by `utheory.build_forms`;
         - ("orbit_sum", bytes of the orbit's points): `utheory.orbit_sum`;
         - ("subgroup_table", sorted Levi ids): `utheory.subgroup_table`;
         - ("quotient_orbits", action label, shape, bytes) of the rref basis
@@ -580,6 +583,10 @@ class Parabolic:
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
+
+    def memoized(self, key):
+        """Whether `memo` holds a value under `key`."""
+        return key in self._memo
 
     def action(self, space, tag):
         """The action on `space` (a key of ACTIONS) of the group generated by

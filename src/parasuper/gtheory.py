@@ -22,7 +22,7 @@ from .theory import SuperChar, SuperClass, SuperTheory, ValuePool
 from .utheory import (
     form_data, lift_to_levi, orbit_of, orbit_partition, orbit_sum, subgroup_table,
 )
-from .orbits import _bfs, dense_unique, levi_images, read_only, sorted_isin
+from .orbits import _bfs, dense_unique, levi_stabilizers, read_only, sorted_isin
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +346,7 @@ def pair_context(world, pair):
     # holding the form
     span = world.pack_u(linalg.invariant_span(
         lam_coords, world.action("ustar", "Gb").gen_mats, spec.p)[0])
-    stab = np.flatnonzero((levi_images(world, "ustar", span) == span).all(axis=1)).tolist()
+    stab = levi_stabilizers(world, "ustar", span, [span.size])[0]
     if stab != sorted(ld_ids):
         raise FalsificationError(
             "scalar Levi subgroup differs from the orbit's pointwise stabilizer",

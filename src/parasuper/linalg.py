@@ -42,20 +42,18 @@ def rref(rows, p, ncols=None):
     return np.array(work[:row_idx], dtype=np.int64).reshape(row_idx, n), pivots
 
 
-def rank(mats, p):
-    """Rank of every matrix of an (..., r, c) stack, as an array of shape (...).
-
-    One forward elimination runs over the whole stack: at each column every
-    matrix with a nonzero entry at or below its next pivot row swaps the
-    first such row up, scales it to a leading 1 and clears the column below.
-    """
-    a = np.array(mats, dtype=np.int64) % p
-    lead, (r, c) = a.shape[:-2], a.shape[-2:]
-    a = a.reshape(int(np.prod(lead)), r, c)
+def _eliminate(a, p, full):
+    """Row-reduce every matrix of an (F, r, c) stack in place; returns the
+    (F, c) mask of pivot columns.  At each column every matrix with a nonzero
+    entry at or below its next pivot row swaps the first such row up, scales
+    it to a leading 1 and clears the column below it, or with `full` in
+    every other row (Gauss-Jordan, which leaves the rref)."""
+    rows, cols = a.shape[1:]
     rk = np.zeros(len(a), dtype=np.int64)
+    pivots = np.zeros((len(a), cols), dtype=bool)
     inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
-    at = np.arange(r)
-    for col in range(c):
+    at = np.arange(rows)
+    for col in range(cols):
         cand = (a[:, :, col] != 0) & (at >= rk[:, None])
         m = np.flatnonzero(cand.any(axis=1))
         if not m.size:
@@ -65,10 +63,59 @@ def rank(mats, p):
         a[m, piv] = a[m, top]
         row = row * inv[row[:, col]][:, None] % p
         a[m, top] = row
-        f = a[m, :, col] * (at > top[:, None])
+        clear = at != top[:, None] if full else at > top[:, None]
+        f = a[m, :, col] * clear
         a[m] = (a[m] - f[:, :, None] * row[:, None, :]) % p
         rk[m] += 1
-    return rk.reshape(lead)
+        pivots[m, col] = True
+    return pivots
+
+
+def _stack(mats, p):
+    """mats mod p as a fresh (F, r, c) int64 stack, and its leading shape."""
+    a = np.array(mats, dtype=np.int64) % p
+    lead = a.shape[:-2]
+    return a.reshape((int(np.prod(lead)),) + a.shape[-2:]), lead
+
+
+def rank(mats, p):
+    """Rank of every matrix of an (..., r, c) stack, as an array of shape (...),
+    from one forward elimination of the whole stack (_eliminate)."""
+    a, lead = _stack(mats, p)
+    return _eliminate(a, p, full=False).sum(axis=1).reshape(lead)
+
+
+def rref_stack(mats, p):
+    """rref of every matrix of an (..., r, c) stack, from one Gauss-Jordan
+    elimination of the whole stack: (reduced, pivots), `reduced` of the
+    stack's shape with each matrix's rref rows on top and zero rows below,
+    `pivots` the (..., c) mask of its pivot columns.  Matrix by matrix this
+    is rref(mats[f], p): its rows are reduced[f, :rank] and its pivot
+    columns np.flatnonzero(pivots[f])."""
+    a, lead = _stack(mats, p)
+    pivots = _eliminate(a, p, full=True)
+    return a.reshape(lead + a.shape[1:]), pivots.reshape(lead + pivots.shape[1:])
+
+
+def right_kernel_stack(mats, p):
+    """right_kernel of every matrix of an (..., r, c) stack, as an
+    (..., c, c) stack: matrix f's first c - rank rows are
+    right_kernel(mats[f], p, c) and the rest are zero.
+
+    With R the rref and P the 0/1 matrix sending row i to the i-th pivot
+    column, row j of I - R^T P is e_j minus R[i, j] at each pivot column,
+    the kernel vector of free column j, and zero when j is a pivot column;
+    the rows are then taken free columns first, each group ascending.
+    """
+    red, lead = _stack(mats, p)
+    pivots = _eliminate(red, p, full=True)
+    rows, cols = red.shape[1:]
+    row_of = np.cumsum(pivots, axis=1) - 1                 # row of each pivot column
+    place = (pivots[:, None, :] & (row_of[:, None, :] == np.arange(rows)[:, None])).astype(np.int64)
+    kern = (np.eye(cols, dtype=np.int64) - red.transpose(0, 2, 1) @ place) % p
+    order = np.argsort(pivots, axis=1, kind="stable")
+    kern = np.take_along_axis(kern, order[:, :, None], axis=1)
+    return kern.reshape(lead + (cols, cols))
 
 
 def invariant_span(vecs, mats, p):

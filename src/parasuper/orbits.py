@@ -10,10 +10,12 @@ and the ambient groups acting are never enumerated.
 
 Spaces that are enumerated anyway (u and u* under Ub, Hb and Gb) are
 partitioned once per world and an orbit is looked up there by label; only
-the spaces of forms on Uc, too large to enumerate, are closed from a seed.
-Levi stabilizers are read off `levi_images`, the images of a few points
-under every Levi element at once, and the preimages of the orbits on a
-quotient of u are partitioned on u itself (`quotient_orbits`).
+the spaces of forms on Uc, too large to enumerate, are closed from a seed,
+the seeds of many forms at once (`orbit_closures`).  Levi stabilizers are
+read off `levi_images`, the images of a few points under every Levi element
+at once, for many point sets by `levi_stabilizers`, and the preimages of
+the orbits on a quotient of u are partitioned on u itself
+(`quotient_orbits`).
 
 A closure only needs generators of the group acting: an orbit, or a
 subspace, that every generator maps into itself is mapped into itself by
@@ -174,6 +176,40 @@ def orbit_closure(seed, action, budget=None):
     return _bfs([seed], action.images, action.width, budget)
 
 
+def orbit_closures(seeds, bounds, action, budget):
+    """The orbits of several points under the action's generators, one
+    sorted array each, in seed order; bounds[i] bounds the size of orbit i
+    (p^dim of an invariant subspace holding the seed).
+
+    Seeds are closed in groups, in order, each group while the sum of its
+    bounds stays within `budget`: one _bfs over the tagged keys
+    i * size + point, i the seed's place in its group, so the orbits of a
+    group share every layer's product and sort.  A seed whose bound alone
+    passes the budget is closed alone, under the budget, so the guard fires
+    exactly where a closure per seed (orbit_closure) fires; a seed closed
+    alone is closed untagged, as orbit_closure closes it.  A generator: a
+    caller that stops at a failure closes no later group.
+    """
+    size = action.size
+    room = np.iinfo(np.int64).max // size        # tags that keep a key in int64
+    lo = 0
+    while lo < len(seeds):
+        hi, total = lo + 1, bounds[lo]
+        while hi < len(seeds) and hi - lo < room and total + bounds[hi] <= budget:
+            total += bounds[hi]
+            hi += 1
+        tags = np.arange(hi - lo, dtype=np.int64) * size
+        # unpack reads only the low dim digits of a key, so the images of a
+        # tagged key are those of its point
+        images = action.images if hi - lo == 1 else (
+            lambda pts: action.images(pts) + (pts - pts % size))
+        members = _bfs(tags + np.asarray(seeds[lo:hi], dtype=np.int64), images,
+                       action.width, budget)
+        for tag, orbit in zip(tags, np.split(members, np.searchsorted(members, tags[1:]))):
+            yield orbit - tag
+        lo = hi
+
+
 def partition_by_perms(n, perms):
     """Orbit partition of {0..n-1} under a list of permutations of it (int
     arrays, each a bijection): (label array, sorted member arrays ordered by
@@ -212,6 +248,35 @@ def levi_images(world, space, points):
     """
     act = world.action(space, "L")
     return act.pack(np.einsum("lij,kj->lki", act.gen_mats, act.unpack(points)))
+
+
+def levi_stabilizers(world, space, points, sizes, key=None):
+    """For sets of points laid end to end in `points`, sizes[i] points in set
+    i, the Levi ids l with key(l x) == key(x) for every point x of the set
+    (key: an array indexed by point, or None for the point itself), one
+    ascending list per set.  With key None, a set spanning a subspace gives
+    its pointwise stabilizer; with key an orbit label and one point per set,
+    the setwise stabilizer of its orbit (see levi_images).  Whole sets are
+    imaged at once by levi_images, at most _BLOCK product entries per call
+    unless one set alone needs more."""
+    points = np.asarray(points, dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    step = _slice(world.nL * world.action(space, "L").dim)
+    out = []
+    lo = 0
+    while lo < len(sizes):
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + step, "right")) - 1)
+        pts = points[starts[lo]:starts[hi]]
+        imgs = levi_images(world, space, pts)
+        moved = imgs != pts if key is None else key[imgs] != key[pts]
+        # moved points of l up to each position; a set fixes l iff none in it
+        count = np.concatenate([np.zeros((world.nL, 1), dtype=np.int64),
+                                np.cumsum(moved, axis=1)], axis=1)
+        ends = starts[lo:hi + 1] - starts[lo]
+        fixed = count[:, ends[1:]] == count[:, ends[:-1]]
+        out += [np.flatnonzero(col).tolist() for col in fixed.T]
+        lo = hi
+    return out
 
 
 # ---------------------------------------------------------------------------

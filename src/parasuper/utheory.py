@@ -29,8 +29,8 @@ from .algebra import absmax, int_dtype
 from .chartab import TableGroup, irr_characters, s_orbit_sums
 from .errors import FalsificationError, ValidationError
 from .orbits import (
-    levi_images, pack, partition_by_perms, partition_orbits, quotient_orbits, read_only,
-    smallest_bimodule, sorted_isin,
+    _slice, levi_images, levi_stabilizers, pack, partition_by_perms, partition_orbits,
+    quotient_orbits, read_only, smallest_bimodule, sorted_isin,
 )
 from .theory import SuperChar, SuperClass, SuperTheory, ValuePool
 
@@ -54,53 +54,110 @@ def orbit_of(world, space, tag, point):
 # ---------------------------------------------------------------------------
 # form data
 
-class FormData:
-    """Everything attached to one form on u: the anti-self-dual extension,
-    annihilator subalgebras, orbits, and Levi stabilizers."""
-
-    def __init__(self, world, lam_packed):
+def form_maps(world):
+    """The linear maps of a form lam on u that FormBatch reads, side by side
+    as the columns of one (u_dim, ...) matrix, memoized per world: the
+    extension Lam, its restriction to u, its anti-self-duality defect, and
+    the annihilator condition rows on Uc and on u (see FormBatch)."""
+    def build():
         spec = world.spec
         p = spec.p
-        self.world = world
-        self.lam = int(lam_packed)
-        self.lam_coords = world.u_digits(self.lam)
-
         inv2 = (p + 1) // 2
-
         # unique extension with Lambda-dagger = -Lambda: Lambda(E) = lam((E - E-dagger)/2)
         units = spec.units(spec.uc_positions)
-        Lam = spec.u_coords(inv2 * (units - spec.dagger(units))) @ self.lam_coords % p
-        self.Lam_coords = Lam
-
-        # restriction back to u must be lam, and the extension anti-self-dual
-        if not np.array_equal(spec.uc_coords(spec.u_basis) @ Lam % p, self.lam_coords):
-            self._fail("extension does not restrict to the original form")
-        dual = spec.uc_coords(spec.dagger(units)) + spec.uc_coords(units)
-        if (dual @ Lam % p).any():
-            self._fail("extension is not anti-self-dual")
-
+        extend = spec.u_coords(inv2 * (units - spec.dagger(units)))          # (uc, u)
+        restrict = spec.uc_coords(spec.u_basis)                              # (u, uc)
+        dual = spec.uc_coords(spec.dagger(units)) + spec.uc_coords(units)    # (uc, uc)
         # R = {x : Lambda(x Hc) = 0}, Lc = {x : Lambda(Hc-dagger x) = 0}; with
         # Lambda as a matrix LamM, zero outside Uc, Lambda(E(i,j) h) is
-        # (LamM h^T)[i, j] and Lambda(h-dagger E(i,j)) is (h-dagger^T LamM)[i, j];
-        # Uc_Lambda = R meet Lc is cut out by both sets of conditions at once
+        # (LamM h^T)[i, j] and Lambda(h-dagger E(i,j)) is (h-dagger^T LamM)[i, j],
+        # linear in LamM, the sum of Lam[a] times the matrix unit of a
         ri, rj = spec.uc_rows, spec.uc_cols
-        LamM = spec.mat_of_uc(Lam)
         hc = spec.units(spec.hc_positions())
-        hc_dag = spec.dagger(hc)
-        rows_r = (LamM @ hc.transpose(0, 2, 1))[:, ri, rj] % p
-        rows_l = (hc_dag.transpose(0, 2, 1) @ LamM)[:, ri, rj] % p
-        self.UcLam_basis = linalg.rref(linalg.right_kernel(
-            np.concatenate([rows_r, rows_l]), p, spec.uc_dim), p, spec.uc_dim)[0]
-
-        # u_lam inside u, via both defining conditions; they must agree
-        # (products of u with the ideal leave u, so the extension evaluates
-        # them).  Lambda is linear: the u rows are the Uc rows times the embedding
+        rows_r = (units[:, None] @ hc.transpose(0, 2, 1))[..., ri, rj] % p     # (uc, k, uc)
+        rows_l = (spec.dagger(hc).transpose(0, 2, 1) @ units[:, None])[..., ri, rj] % p
+        # Lambda is linear: the u rows are the Uc rows times the embedding
         emb = spec.u_embed_matrix()
-        red_r, red_l = (linalg.rref(linalg.right_kernel(rows @ emb % p, p, spec.u_dim),
-                                    p, spec.u_dim)[0] for rows in (rows_r, rows_l))
-        if not np.array_equal(red_r, red_l):
-            self._fail("the two annihilator conditions cut out different subalgebras of u")
-        self.u_lam_basis = red_r
+        on_lam = [np.eye(spec.uc_dim, dtype=np.int64), restrict.T, dual.T,
+                  rows_r, rows_l, rows_r @ emb % p, rows_l @ emb % p]
+        return read_only(extend.T @ np.concatenate(
+            [m.reshape(spec.uc_dim, -1) for m in on_lam], axis=1) % p)
+    return world.memo("form_maps", build)
+
+
+class FormBatch:
+    """The stacked part of FormData for a list of forms.  One product with
+    form_maps gives every form's extension Lam, both extension checks and
+    its annihilator condition rows; one Gauss-Jordan elimination of each
+    stack of conditions gives the three kernels (Uc_Lambda, and u_lam by
+    either condition), and one levi_stabilizers call each gives L0 and S.
+    Only the smallest invariant subspace holding Lam is found form by form.
+    Every form is computed, and FormData raises its first failure in the
+    order of the checks: a failure here is kept, not raised."""
+
+    def __init__(self, world, lams):
+        spec = world.spec
+        p = spec.p
+        uc, u, k = spec.uc_dim, spec.u_dim, len(spec.hc_positions())
+        self.lams = [int(lam) for lam in lams]
+        n = len(self.lams)
+        self.lam_coords = world.u_digits(self.lams)
+        cuts = np.cumsum([uc, u, uc, k * uc, k * uc, k * u])
+        self.Lam, restricted, dual, r_uc, l_uc, r_u, l_u = np.split(
+            self.lam_coords @ form_maps(world) % p, cuts, axis=1)
+
+        # Uc_Lambda = R meet Lc, cut out by both sets of conditions at once;
+        # u_lam inside u, by either condition, and they must agree (products
+        # of u with the ideal leave u, so the extension evaluates them)
+        uc_lam, uc_piv = linalg.rref_stack(linalg.right_kernel_stack(
+            np.concatenate([r_uc.reshape(n, k, uc), l_uc.reshape(n, k, uc)], axis=1), p), p)
+        u_lam, u_piv = linalg.rref_stack(linalg.right_kernel_stack(
+            np.concatenate([r_u.reshape(n, k, u), l_u.reshape(n, k, u)]), p), p)
+        self.UcLam_bases = [b[:r] for b, r in zip(uc_lam, uc_piv.sum(axis=1).tolist())]
+        self.u_lam_bases = [b[:r] for b, r in zip(u_lam, u_piv[:n].sum(axis=1).tolist())]
+        self.failure = [None] * n
+        for message, bad in reversed([
+                ("extension does not restrict to the original form",
+                 (restricted != self.lam_coords).any(axis=1)),
+                ("extension is not anti-self-dual", dual.any(axis=1)),
+                ("the two annihilator conditions cut out different subalgebras of u",
+                 (u_lam[:n] != u_lam[n:]).any(axis=(1, 2)))]):
+            for i in np.flatnonzero(bad).tolist():
+                self.failure[i] = message
+
+        # Levi stabilizers: pointwise on the two-sided orbit, read on the
+        # orbit's span (the smallest invariant subspace holding Lam), and
+        # setwise on the dot orbit, by membership of the image of lam (L
+        # normalizes Ub, so it permutes the dot orbits).  A Levi element that
+        # does not act on u fails here for every form; FormData raises it
+        # where the stabilizers are read
+        gens = world.action("ucstar-twosided", "Ub-simple").gen_mats
+        spans = [pack(linalg.invariant_span(lam, gens, p)[0], p) for lam in self.Lam]
+        self.span_dims = [s.size for s in spans]
+        self.levi_failure = None
+        try:
+            self.L0 = levi_stabilizers(world, "ucstar", np.concatenate(spans), self.span_dims)
+            label = orbit_partition(world, "ustar", "Ub")[0]
+            self.S = levi_stabilizers(world, "ustar", self.lams, [1] * n, label)
+        except FalsificationError as exc:
+            self.levi_failure = exc
+
+
+class FormData:
+    """Everything attached to one form on u: the anti-self-dual extension,
+    annihilator subalgebras, orbits, and Levi stabilizers; form i of a
+    FormBatch, whose stacked results it reads and checks."""
+
+    def __init__(self, world, batch, i):
+        p = world.spec.p
+        self.world = world
+        self.lam = batch.lams[i]
+        if batch.failure[i]:
+            self._fail(batch.failure[i])
+        self.lam_coords = batch.lam_coords[i]
+        self.Lam_coords = batch.Lam[i]
+        self.UcLam_basis = batch.UcLam_bases[i]
+        self.u_lam_basis = batch.u_lam_bases[i]
 
         # U_lam, checked to be <T>, T the Cayley images of the basis of u_lam;
         # at[i, k] locates U_lam_ids[i] T[k]
@@ -112,19 +169,12 @@ class FormData:
         if not sorted_isin(self.orbit_hb, self.orbit_ub).all():
             self._fail("the Hb orbit of the form leaves its Ub orbit")
 
-        self.Lam_packed = int(pack(Lam, p))
-
-        # Levi stabilizers: pointwise on the two-sided orbit, read on the
-        # orbit's span (the smallest invariant subspace holding Lam), and
-        # setwise on the dot orbit, by membership of the image of lam (L
-        # normalizes Ub, so it permutes the dot orbits)
-        span = pack(linalg.invariant_span(
-            Lam, world.action("ucstar-twosided", "Ub-simple").gen_mats, p)[0], p)
-        self.L0_ids = np.flatnonzero(
-            (levi_images(world, "ucstar", span) == span).all(axis=1)).tolist()
-        label = orbit_partition(world, "ustar", "Ub")[0]
-        self.S_ids = np.flatnonzero(
-            label[levi_images(world, "ustar", [self.lam])[:, 0]] == label[self.lam]).tolist()
+        self.Lam_packed = int(pack(self.Lam_coords, p))
+        self.span_dim = batch.span_dims[i]      # of the span W_lam of the two-sided orbit
+        if batch.levi_failure is not None:
+            raise batch.levi_failure
+        self.L0_ids = batch.L0[i]
+        self.S_ids = batch.S[i]
         if not set(self.L0_ids) <= set(self.S_ids):
             self._fail("pointwise stabilizer must sit inside the setwise stabilizer")
 
@@ -149,9 +199,29 @@ def eps_exponents(world, lam_coords, ids):
     return (world.u_digits(ids) @ np.asarray(lam_coords, dtype=np.int64)) % world.spec.p
 
 
+def build_forms(world, lams):
+    """Memoize the FormData of every form of `lams` not built yet, from one
+    FormBatch per slice of forms whose product with form_maps holds at most
+    _BLOCK entries (one batch on small worlds).  A form that fails a check
+    stores nothing: form_data raises that failure, with its own message and
+    counterexample, when the form is asked for."""
+    todo = list(dict.fromkeys(lam for lam in map(int, lams)
+                              if not world.memoized(("form_data", lam))))
+    step = _slice(form_maps(world).shape[1])
+    for lo in range(0, len(todo), step):
+        batch = FormBatch(world, todo[lo:lo + step])
+        for i, lam in enumerate(batch.lams):
+            try:
+                world.memo(("form_data", lam), lambda i=i: FormData(world, batch, i))
+            except FalsificationError:
+                pass
+
+
 def form_data(world, lam_packed):
-    """Memoized FormData per form representative."""
-    return world.memo(("form_data", int(lam_packed)), lambda: FormData(world, lam_packed))
+    """Memoized FormData of one form; a form not built yet is built as a
+    batch of one."""
+    lam = int(lam_packed)
+    return world.memo(("form_data", lam), lambda: FormData(world, FormBatch(world, [lam]), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +401,7 @@ def build_u_theory(world, target="G"):
 
     ltable = l_table(world)
     forms, levi_reps = levi_representatives(world)
+    build_forms(world, forms)
     chars = []
     for lam in forms:
         fd = form_data(world, lam)

@@ -23,10 +23,10 @@ from . import linalg
 from .algebra import absmax, int_dtype, integer_gram, integer_norms
 from .errors import FalsificationError, ValidationError
 from .groups import cayley, subgroup_generators
-from .orbits import dense_unique, levi_images, orbit_closure, sorted_isin, sorted_unique
+from .orbits import dense_unique, levi_images, orbit_closures, sorted_isin, sorted_unique
 from .theory import SuperChar, SuperClass
 from .utheory import (
-    build_u_theory, eps_exponents, form_data, orbit_of, orbit_partition, orbit_sum,
+    build_forms, build_u_theory, eps_exponents, form_data, orbit_of, orbit_partition, orbit_sum,
 )
 from .gtheory import build_g_theory, classify_g_orbits
 
@@ -142,9 +142,8 @@ def check_supertheory(theory):
     n = theory.group_size
 
     def partition_check():
-        seen = np.zeros(n, dtype=np.int8)
-        for kl in theory.classes:
-            seen[kl.members] += 1
+        seen = np.bincount(np.concatenate([np.zeros(0, dtype=np.int64)]
+                                          + [kl.members for kl in theory.classes]), minlength=n)
         over = np.where(seen > 1)[0]
         if over.size:
             labs = [kl.label for kl in theory.classes
@@ -268,8 +267,26 @@ def check_lemmas(world):
     report.run("springer-equivariance", springer_equivariance)
 
     reps = [int(orb[0]) for orb in orbit_partition(world, "ustar", "Ub")[1]]
+    build_forms(world, reps)
     emb = spec.u_embed_matrix()                                # (uc_dim, u_dim)
-    budget = world.guards["space"]           # on the points of one orbit closure
+
+    def closed(act):
+        # (form data, orbit of its extension under act) per form, in order,
+        # closed in groups within the space guard (orbit_closures); W_lam
+        # holds both orbits, as Hb lies in Ub.  A form whose data fails
+        # raises after every earlier form is checked, as in a loop of
+        # form_data calls
+        fds = []
+        for lam in reps:
+            try:
+                fds.append(form_data(world, lam))
+            except FalsificationError:
+                break
+        yield from zip(fds, orbit_closures([fd.Lam_packed for fd in fds],
+                                           [p ** fd.span_dim for fd in fds],
+                                           act, world.guards["space"]))
+        if len(fds) < len(reps):
+            form_data(world, reps[len(fds)])
 
     def product_vanishing():
         # the extension of each form vanishes on products from Uc_Lambda
@@ -287,15 +304,13 @@ def check_lemmas(world):
 
     def projection_of_left_orbit():
         act = world.action("ucstar-left", "Hb")
-        for lam in reps:
-            fd = form_data(world, lam)
-            left = orbit_closure(fd.Lam_packed, act, budget)
+        for fd, left in closed(act):
             proj = world.pack_u(act.unpack(left) @ emb)
             got = sorted_unique(proj)
             if not np.array_equal(got, fd.orbit_hb):
                 raise FalsificationError(
                     "restriction of the left orbit differs from the dot orbit",
-                    {"lam": lam, "restricted": got.tolist()[:8],
+                    {"lam": fd.lam, "restricted": got.tolist()[:8],
                      "dot_orbit": fd.orbit_hb.tolist()[:8]})
     report.run("left-orbit-restriction", projection_of_left_orbit)
 
@@ -314,17 +329,14 @@ def check_lemmas(world):
     report.run("fiber-equals-orbit", fiber_equals_orbit)
 
     def setwise_stabilizers_agree():
-        act = world.action("ucstar-twosided", "Ub-simple")
-        for lam in reps:
-            fd = form_data(world, lam)
-            two_sided = orbit_closure(fd.Lam_packed, act, budget)
+        for fd, two_sided in closed(world.action("ucstar-twosided", "Ub-simple")):
             img = levi_images(world, "ucstar", [fd.Lam_packed])[:, 0]
             at = np.searchsorted(two_sided, img).clip(max=two_sided.size - 1)
             s_two = np.flatnonzero(two_sided[at] == img).tolist()
             if s_two != fd.S_ids:
                 raise FalsificationError(
                     "setwise stabilizers computed two ways disagree",
-                    {"lam": lam, "via_dot_orbit": fd.S_ids, "via_two_sided": s_two})
+                    {"lam": fd.lam, "via_dot_orbit": fd.S_ids, "via_two_sided": s_two})
     report.run("setwise-stabilizers-agree", setwise_stabilizers_agree)
 
     def pointwise_normal_in_setwise():
@@ -450,7 +462,7 @@ def check_classification(world):
     return report
 
 
-def check_refinement(theory_ub_g, theory_gb_g, world):
+def check_refinement(theory_ub_g, theory_gb_g):
     report = Report("refinement")
     field = theory_ub_g.pool.field
 
@@ -555,34 +567,42 @@ def corrupt_class(theory):
 # ---------------------------------------------------------------------------
 # suite runner
 
+# the theories each suite reads: "U" U-on-U, "G" Ub-on-G, "Gb" Gb-on-G
+SUITE_THEORIES = {"lemmas": (), "utheory": ("U", "G"), "gtheory": ("Gb",),
+                  "oracles": ("U", "G", "Gb"), "refinement": ("G", "Gb")}
+
+
+def theory_of(world, which):
+    """One of the three theories ("U", "G" or "Gb"), memoized per world."""
+    return world.memo(("theory", which), lambda: (
+        build_g_theory(world) if which == "Gb" else build_u_theory(world, which)))
+
+
 def theories(world):
-    tU = world.memo(("theory", "U"), lambda: build_u_theory(world, "U"))
-    tG = world.memo(("theory", "G"), lambda: build_u_theory(world, "G"))
-    gG = world.memo(("theory", "Gb"), lambda: build_g_theory(world))
-    return tU, tG, gG
+    return tuple(theory_of(world, which) for which in ("U", "G", "Gb"))
 
 
 def run_suites(world, suite="all", corrupt=None):
-    """Run the requested verification suites; returns a list of Reports."""
+    """Run the requested verification suites; returns a list of Reports.
+    Only the theories those suites read are built, in the order U, G, Gb."""
     if suite not in ("lemmas", "utheory", "gtheory", "oracles", "refinement", "all"):
         raise ValidationError("suite", "unknown suite %r" % (suite,))
     reports = []
     wants = (suite,) if suite != "all" else (
         "lemmas", "utheory", "gtheory", "oracles", "refinement")
-    if corrupt and not {"utheory", "oracles", "refinement"} & set(wants):
-        # a negative control must be able to fail, and only these suites read tG
+    reads = {which for want in wants for which in SUITE_THEORIES[want]}
+    if corrupt and "G" not in reads:
+        # a negative control must be able to fail
         raise ValidationError("corrupt", "suite %r does not read the Ub-on-G theory that "
                                          "--corrupt changes" % (suite,))
-    need_theories = bool({"utheory", "gtheory", "oracles", "refinement"} & set(wants))
-    tU = tG = gG = None
-    if need_theories:
-        tU, tG, gG = theories(world)
-        if corrupt == "character":
-            tG = corrupt_character(tG)
-        elif corrupt == "class":
-            tG = corrupt_class(tG)
-        elif corrupt:
-            raise ValidationError("corrupt", "unknown corruption %r" % (corrupt,))
+    built = {which: theory_of(world, which) for which in ("U", "G", "Gb") if which in reads}
+    if corrupt == "character":
+        built["G"] = corrupt_character(built["G"])
+    elif corrupt == "class":
+        built["G"] = corrupt_class(built["G"])
+    elif corrupt:
+        raise ValidationError("corrupt", "unknown corruption %r" % (corrupt,))
+    tU, tG, gG = (built.get(which) for which in ("U", "G", "Gb"))
     if "lemmas" in wants:
         reports.append(check_lemmas(world))
     if "utheory" in wants:
@@ -594,5 +614,5 @@ def run_suites(world, suite="all", corrupt=None):
     if "oracles" in wants:
         reports.append(check_oracles(world, tU, tG, gG))
     if "refinement" in wants:
-        reports.append(check_refinement(tG, gG, world))
+        reports.append(check_refinement(tG, gG))
     return reports

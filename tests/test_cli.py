@@ -309,3 +309,17 @@ def test_rank_three_verdict_census(family, n, blocks, q, code, first, capsys):
     # rank-3 block lists at q=3 keep their verdicts too; the Levi guard
     # stops each of the three large Levi subgroups before any enumeration
     check_verdict(family, n, blocks, q, code, first, capsys)
+
+
+@pytest.mark.parametrize("family, n, blocks, q", [
+    ("D", 2, "2", 3), ("D", 2, "2", 5), ("D", 3, "1,2", 3)])
+def test_utheory_suite_passes_where_only_the_ambient_theory_is_falsified(
+        family, n, blocks, q, capsys):
+    # `--suite all` is falsified on these worlds while building the Gb-on-G
+    # theory (see VERDICT_CENSUS); `--suite utheory` reads only the U-on-U
+    # and Ub-on-G theories, never builds Gb-on-G, and passes
+    code, out, err = run_cli(["verify", "--family", family, "--n", str(n), "--q", str(q),
+                              "--blocks", blocks, "--suite", "utheory"], capsys)
+    checks = [c for r in json.loads(out)["reports"] for c in r["checks"]]
+    assert (code, len(checks), all(c["passed"] for c in checks)) == (0, 12, True)
+    assert err.startswith("verify: 12 checks, all passed")

@@ -119,6 +119,46 @@ def test_inverse_of_a_stack_is_the_inverse_of_each_matrix(p, s, n, singular, dat
     assert np.array_equal(linalg.inverse(mats.reshape(1, s, n, n), p), got[None])
 
 
+@st.composite
+def stacks(draw):
+    """(p, an (s, r, c) stack over F_p) with p in {3, 5, 7}; the stack may be
+    empty, all zero, or made of full-rank matrices (a random matrix with
+    the identity in its first columns)."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    s, r, c = draw(st.integers(0, 4)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["random", "zero", "full-rank"]))
+    cells = draw(st.lists(st.integers(0, p - 1), min_size=s * r * c, max_size=s * r * c))
+    mats = np.array(cells, dtype=np.int64).reshape(s, r, c)
+    if kind == "zero":
+        mats[:] = 0
+    elif kind == "full-rank":
+        k = min(r, c)
+        mats[:, :k, :k] = np.eye(k, dtype=np.int64)
+        mats[:, k:, :] = 0
+    return p, mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks())
+def test_stack_elimination_is_rref_and_right_kernel_of_each_matrix(pm):
+    p, mats = pm
+    s, r, c = mats.shape
+    red, pivots = linalg.rref_stack(mats, p)
+    kern = linalg.right_kernel_stack(mats, p)
+    assert red.dtype == kern.dtype == np.int64
+    assert red.shape == (s, r, c) and pivots.shape == (s, c) and kern.shape == (s, c, c)
+    for m, got, piv, ker in zip(mats, red, pivots, kern):
+        want, want_piv = linalg.rref(m, p, c)
+        k = len(want_piv)
+        assert np.array_equal(got[:k], want) and not got[k:].any()
+        assert np.flatnonzero(piv).tolist() == want_piv
+        assert np.array_equal(ker[:c - k], linalg.right_kernel(m, p, c)) and not ker[c - k:].any()
+    assert np.array_equal(linalg.rank(mats, p), pivots.sum(axis=1))
+    lead = linalg.rref_stack(mats.reshape(1, s, r, c), p)
+    assert np.array_equal(lead[0], red[None]) and np.array_equal(lead[1], pivots[None])
+    assert np.array_equal(linalg.right_kernel_stack(mats.reshape(1, s, r, c), p), kern[None])
+
+
 def test_rref_and_rank():
     rows = np.array([(1, 2, 0), (2, 4, 0), (0, 1, 1)])
     red, piv = linalg.rref(rows, 3)

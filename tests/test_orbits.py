@@ -437,3 +437,57 @@ def test_simple_root_closures_are_the_ub_closures(name, monkeypatch):
     for h in w.L:
         for got, want in zip(smallest_bimodule(w, h), smallest_bimodule(full, h)):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("space, tag", [("ucstar-left", "Hb"), ("ucstar-twosided", "Ub-simple")])
+def test_tagged_closures_are_the_closures_one_by_one(space, tag, monkeypatch):
+    # the lemma suite's closures of every form's extension: one tagged BFS
+    # per group gives each form's orbit_closure.  Under a budget that the
+    # bounds pass, the forms split into consecutive groups, each within the
+    # budget unless it is one form, and each group is closed only when the
+    # caller reaches it
+    from parasuper import orbits
+    w = world_for("B", 2, 3, (1, 1, 1, 1, 1))
+    act = w.action(space, tag)
+    fds = [form_data(w, int(orb[0])) for orb in orbit_partition(w, "ustar", "Ub")[1]]
+    seeds = [fd.Lam_packed for fd in fds]
+    bounds = [w.spec.p ** fd.span_dim for fd in fds]
+    want = [orbit_closure(seed, act) for seed in seeds]
+    assert all(orb.size <= bound for orb, bound in zip(want, bounds))
+    groups_closed = []
+    real = orbits._bfs
+    monkeypatch.setattr(orbits, "_bfs", lambda seeds, *rest: (
+        groups_closed.append(len(seeds)), real(seeds, *rest))[1])
+    for budget in (SPACE, sum(bounds) - 1, max(bounds), max(bounds) - 1):
+        groups_closed.clear()
+        got = list(orbits.orbit_closures(seeds, bounds, act, budget))
+        assert len(got) == len(want) and all(np.array_equal(g, o) for g, o in zip(got, want))
+        assert sum(groups_closed) == len(seeds)
+        starts = np.cumsum([0] + groups_closed)
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            assert hi - lo == 1 or sum(bounds[lo:hi]) <= budget
+            assert hi == len(seeds) or sum(bounds[lo:hi + 1]) > budget     # groups are maximal
+        assert (len(groups_closed) == 1) == (budget >= sum(bounds))
+    groups_closed.clear()
+    lazy = orbits.orbit_closures(seeds, bounds, act, max(bounds))
+    next(lazy)
+    assert len(groups_closed) == 1 < len(seeds)
+
+
+def test_a_form_whose_bound_passes_the_guard_is_closed_alone_under_it():
+    # the guard fires exactly where a closure per form fires: on the first
+    # form whose orbit passes it, after the forms before it are closed
+    from parasuper.errors import ResourceGuardError
+    from parasuper.orbits import orbit_closures
+    w = world_for("B", 2, 3, (1, 1, 1, 1, 1))
+    act = w.action("ucstar-twosided", "Ub-simple")
+    fds = [form_data(w, int(orb[0])) for orb in orbit_partition(w, "ustar", "Ub")[1]]
+    sizes = [orbit_closure(fd.Lam_packed, act).size for fd in fds]
+    budget = max(sizes) - 1
+    first = sizes.index(max(sizes))
+    closures = orbit_closures([fd.Lam_packed for fd in fds],
+                              [w.spec.p ** fd.span_dim for fd in fds], act, budget)
+    for k in range(first):
+        assert next(closures).size == sizes[k]
+    with pytest.raises(ResourceGuardError, match="orbit closure passed"):
+        next(closures)

@@ -17,7 +17,7 @@ from parasuper.orbits import (
 )
 from parasuper.theory import SuperChar, SuperClass, SuperTheory, ValuePool
 from parasuper.utheory import (
-    FormData, build_u_theory, chi_alpha_u, form_data, l_table,
+    build_u_theory, chi_alpha_u, form_data, l_table,
     levi_conj_orbits, lift_to_levi, orbit_eps_counts, orbit_partition, counts_to_values,
     subgroup_table, superclass_u, zeta_at_conjugates,
 )
@@ -38,7 +38,7 @@ def test_zero_form_data(borel_c2):
 
 def test_form_extension_is_deterministic(borel_c2):
     a = form_data(borel_c2, 5)
-    b = FormData(borel_c2, 5)
+    b = form_data(cleared(borel_c2), 5)
     assert np.array_equal(a.Lam_coords, b.Lam_coords)
     assert np.array_equal(a.orbit_ub, b.orbit_ub)
 
@@ -105,11 +105,18 @@ def test_closure_check_fires(borel_c2, monkeypatch):
     # a one-dimensional u_lam whose generator's Cayley image, squared, leaves
     # the span
     lam = first_form_with(borel_c2, lambda fd: fd.lam != 0)
-    bad = SimpleNamespace(**{**vars(linalg),
-                             "rref": lambda rows, p, ncols=None: (np.array([[1, 0, 0, 1]]), [0])})
+
+    def planted(mats, p):
+        # every reduced kernel, of Uc_Lambda and of u_lam, becomes [1, 0, 0, 1, 0...]
+        red = np.zeros(np.shape(mats), dtype=np.int64)
+        red[..., 0, [0, 3]] = 1
+        pivots = np.zeros(red.shape[:-2] + red.shape[-1:], dtype=bool)
+        pivots[..., 0] = True
+        return red, pivots
+    bad = SimpleNamespace(**{**vars(linalg), "rref_stack": planted})
     monkeypatch.setattr(utheory, "linalg", bad)
     with pytest.raises(FalsificationError, match="not closed under products") as err:
-        FormData(borel_c2, lam)
+        form_data(cleared(borel_c2), lam)
     assert err.value.counterexample == {"subgroup": "U_lam", "lam": lam}
 
 
@@ -121,7 +128,7 @@ def test_generation_check_fires(borel_c2, monkeypatch):
     everything = borel_c2.u_digits(np.arange(borel_c2.nU))
     monkeypatch.setattr(groups, "enumerate_subspace", lambda basis, p: everything)
     with pytest.raises(FalsificationError, match="do not generate U_lam") as err:
-        FormData(cleared(borel_c2), lam)
+        form_data(cleared(borel_c2), lam)
     assert err.value.counterexample == {"subgroup": "U_lam", "lam": lam}
 
 
@@ -136,7 +143,7 @@ def test_multiplicativity_check_fires(borel_c2, monkeypatch):
         return vals
     monkeypatch.setattr(utheory, "eps_exponents", changed)
     with pytest.raises(FalsificationError, match="not multiplicative on U_lam") as err:
-        FormData(borel_c2, lam)
+        form_data(cleared(borel_c2), lam)
     assert err.value.counterexample == {"lam": lam}
 
 
@@ -474,7 +481,7 @@ def test_memoized_form_data_is_that_of_a_cleared_world(name, request):
         w = request.getfixturevalue(name)
         forms = range(w.nU)
     for lam in forms:
-        warm, cold = vars(form_data(w, lam)), vars(FormData(cleared(w), lam))
+        warm, cold = vars(form_data(w, lam)), vars(form_data(cleared(w), lam))
         assert warm.keys() == cold.keys()
         for field in warm.keys() - {"world"}:
             assert np.array_equal(warm[field], cold[field]), (lam, field)
@@ -512,3 +519,87 @@ def test_a_missing_form_representative_fails_the_axioms(borel_c2, monkeypatch):
     failing = [c for c in report.checks if not c.passed]
     assert "count-equality" in [c.name for c in failing]
     assert all(c.counterexample for c in failing)
+
+
+BATCH_WORLDS = {
+    "B2-borel": ("B", 2, 3, (1, 1, 1, 1, 1)),
+    "B2-1,3": ("B", 2, 3, (1, 3, 1)),
+    "C2q5-borel": ("C", 2, 5, (1, 1, 0, 1, 1)),
+    "D3-borel": ("D", 3, 3, (1, 1, 1, 0, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_WORLDS))
+def test_a_batch_gives_every_form_the_data_of_a_batch_of_one(name):
+    # one stacked pass over every form representative, on a world with an
+    # empty memo, against each form built alone on another
+    w = world_for(*BATCH_WORLDS[name])
+    forms = [int(orb[0]) for orb in orbit_partition(w, "ustar", "Ub")[1]]
+    batched = cleared(w)
+    utheory.build_forms(batched, forms)
+    for lam in forms:
+        assert batched.memoized(("form_data", lam))
+        many, one = vars(form_data(batched, lam)), vars(form_data(cleared(w), lam))
+        assert many.keys() == one.keys()
+        for field in many.keys() - {"world"}:
+            assert np.array_equal(many[field], one[field]), (lam, field)
+
+
+def _plant_extension_defects(world, monkeypatch, coord, columns):
+    # every form with a nonzero coordinate `coord` gets a nonzero entry in
+    # the given columns of form_maps
+    planted = utheory.form_maps(world).copy()
+    planted[coord, columns] += 1
+    monkeypatch.setattr(utheory, "form_maps", lambda w: planted)
+
+
+def _plant_multiplicativity_defect(world, monkeypatch, lam):
+    # the elementary character of the form lam changes at one element
+    real = utheory.eps_exponents
+    bad_coords = world.u_digits(lam)
+
+    def changed(w, lam_coords, ids):
+        vals = real(w, lam_coords, ids)
+        if np.array_equal(lam_coords, bad_coords):
+            vals = vals.copy()
+            vals[-1] = (vals[-1] + 1) % w.spec.p
+        return vals
+    monkeypatch.setattr(utheory, "eps_exponents", changed)
+
+
+@pytest.mark.parametrize("plant, message", [
+    ("anti-self-dual", "extension is not anti-self-dual"),
+    # a form failing two stacked checks reports the first in check order
+    ("both", "extension does not restrict to the original form"),
+    ("per-form", "form composed with the Springer map is not multiplicative on U_lam")])
+def test_a_form_failing_in_a_batch_raises_alone_and_the_others_are_kept(
+        borel_c2, monkeypatch, plant, message):
+    # negative control: one form of a batch fails a check, in the stacked
+    # part or in its own step.  The batch stores nothing for it and raises
+    # nothing; asking for it raises its failure, the message and
+    # counterexample of the same form built alone, every time; the other
+    # forms are memoized
+    forms = [int(orb[0]) for orb in orbit_partition(borel_c2, "ustar", "Ub")[1]]
+    digits = borel_c2.u_digits(forms)
+    coord = int(np.flatnonzero(digits.any(axis=0))[-1])
+    bad = next(lam for lam, d in zip(forms, digits) if d[coord] and form_data(
+        borel_c2, lam).U_lam_ids.size > 1)
+    batch = [lam for lam, d in zip(forms, digits) if not d[coord]] + [bad]
+    batch.insert(len(batch) // 2, batch.pop())
+    uc, u = borel_c2.spec.uc_dim, borel_c2.spec.u_dim
+    if plant == "anti-self-dual":
+        _plant_extension_defects(borel_c2, monkeypatch, coord, [uc + u])
+    elif plant == "both":
+        _plant_extension_defects(borel_c2, monkeypatch, coord, [uc, uc + u])
+    else:
+        _plant_multiplicativity_defect(borel_c2, monkeypatch, bad)
+    with pytest.raises(FalsificationError, match=message) as alone:
+        form_data(cleared(borel_c2), bad)
+    w = cleared(borel_c2)
+    utheory.build_forms(w, batch)
+    assert [lam for lam in batch if not w.memoized(("form_data", lam))] == [bad]
+    for _ in range(2):
+        with pytest.raises(FalsificationError, match=message) as err:
+            form_data(w, bad)
+        assert err.value.counterexample == alone.value.counterexample == {"lam": bad}
+    assert not w.memoized(("form_data", bad))

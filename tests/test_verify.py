@@ -155,7 +155,7 @@ def test_constancy_scan_reports_what_the_loops_report(name, corruption, request)
     want = _s2_by_loops(bad)
     assert want is not None and not s2.passed
     assert s2.counterexample == want
-    span = next(c for c in check_refinement(bad, gG, w).checks
+    span = next(c for c in check_refinement(bad, gG).checks
                 if c.name == "characters-in-span")
     want = _span_constancy_by_loops(bad, gG)
     if want is None:
@@ -202,7 +202,7 @@ def test_induction_comparison_reports_what_the_loop_reports(name, corruption, re
 def test_oracles_and_refinement_c2(borel_c2):
     tU, tG, gG = theories(borel_c2)
     assert check_oracles(borel_c2, tU, tG, gG).passed
-    assert check_refinement(tG, gG, borel_c2).passed
+    assert check_refinement(tG, gG).passed
 
 
 def test_span_check_reports_the_missing_direction(borel_c2):
@@ -215,7 +215,7 @@ def test_span_check_reports_the_missing_direction(borel_c2):
     tU, tG, gG = theories(borel_c2)
     fine = copy.copy(tG)
     fine.chars = tG.chars[:-1]
-    report = check_refinement(fine, gG, borel_c2)
+    report = check_refinement(fine, gG)
     failed = {c.name: c.counterexample for c in report.checks if not c.passed}
     assert list(failed) == ["characters-in-span"]
     ce = failed["characters-in-span"]
@@ -535,3 +535,34 @@ def test_each_action_permutes_its_space_once(monkeypatch):
     monkeypatch.setattr(LinearAction, "images", counted)
     assert all(r.passed for r in run_suites(w, "all"))
     assert "u:Ub" in whole and len(whole) == len(set(whole))
+
+
+@pytest.mark.parametrize("suite, built", [
+    ("lemmas", set()), ("utheory", {"U", "G"}), ("gtheory", {"Gb"}),
+    ("oracles", {"U", "G", "Gb"}), ("refinement", {"G", "Gb"}), ("all", {"U", "G", "Gb"})])
+def test_a_suite_builds_only_the_theories_it_reads(borel_d2, suite, built, monkeypatch):
+    # on a world with an empty memo; the theories are built in the order
+    # U-on-U, Ub-on-G, Gb-on-G, as under --suite all
+    from conftest import cleared
+    from parasuper import verify
+    order = []
+    for name in ("build_u_theory", "build_g_theory"):
+        monkeypatch.setattr(verify, name, lambda *args, real=getattr(verify, name): (
+            order.append(args[1:] or ("Gb",)), real(*args))[1])
+    w = cleared(borel_d2)
+    assert all(r.passed for r in run_suites(w, suite))
+    assert [which for (which,) in order] == [k for k in ("U", "G", "Gb") if k in built]
+    assert {k for k in ("U", "G", "Gb") if w.memoized(("theory", k))} == built
+
+
+def test_partition_counts_memberships_past_any_small_integer():
+    # negative control: 257 classes {0, i} over a group of 258 elements put
+    # the identity in 257 classes, which a one-byte counter would see as 1
+    from parasuper.algebra import CycField
+    from parasuper.theory import SuperTheory, ValuePool
+    classes = [SuperClass("K%d" % i, [0, i]) for i in range(1, 258)]
+    theory = SuperTheory("t", 258, 0, [], classes, ValuePool(CycField(3)))
+    check = next(c for c in check_supertheory(theory).checks if c.name == "partition")
+    assert not check.passed
+    assert check.counterexample == {"element": 0, "classes": [kl.label for kl in theory.classes],
+                                    "message": "element lies in two classes"}
