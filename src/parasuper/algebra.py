@@ -379,14 +379,16 @@ def _gram_dtype(field, A, B, w):
                          wsum * amax * bmax * absmax(field.conj_tensor) * field.dim ** 2))
 
 
-def integer_gram(field, A, B, weights):
+def integer_gram(field, A, B, weights, upper=False):
     """G[a, b, :] = power-basis coefficients of sum_K w_K A[a, K] conj(B[b, K]).
 
     A (na, k, dim) and B (nb, k, dim) are integer coefficient arrays and
     `weights` k integers.  The result is exact: int64 when the bound
     sum|w| max|A| max|B| max|red| dim^2 shows no overflow, object dtype
     otherwise.  Rows over denominators dA and dB give the weighted
-    inner products G / (dA dB).
+    inner products G / (dA dB).  With `upper`, only the entries with
+    a <= b are sure to be computed (the others may be left zero): all that
+    a Gram of one array with itself needs.
     """
     red = field.conj_tensor
     dim = field.dim
@@ -403,11 +405,16 @@ def integer_gram(field, A, B, weights):
     red = red.astype(dtype)
     out = np.zeros((na, nb, dim), dtype=dtype)
     chunk = max(1, 2 ** 19 // max(1, k * dim * dim))
+    if upper:
+        # chunk b finely: chunk [start, stop) needs only the rows a < stop
+        chunk = min(chunk, max(8, -(-nb // 8)))
     for start in range(0, nb, chunk):
         stop = min(nb, start + chunk)
+        rows = stop if upper else na
         Bc = np.tensordot(Bw[start:stop], red, axes=([2], [1]))
         Bt = Bc.transpose(1, 2, 0, 3).reshape(k * dim, (stop - start) * dim)
-        out[:, start:stop] = np.einsum("ij,jk->ik", A2, Bt).reshape(na, stop - start, dim)
+        out[:rows, start:stop] = np.einsum("ij,jk->ik", A2[:rows], Bt).reshape(
+            rows, stop - start, dim)
     return out
 
 

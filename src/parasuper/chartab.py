@@ -144,11 +144,15 @@ class CharTable:
         return [int(d) for d in self.chars[:, idc, 0]]
 
 
+def check_chartab_guard(n, guard):
+    """Exit 2 before a character table of a group of order n > guard."""
+    if n > guard:
+        raise ValidationError("chartab-guard", "group of order %d exceeds guard %d" % (n, guard))
+
+
 def irr_characters(group, field, guard=2000):
     """Complete irreducible character table with exact cyclotomic values."""
-    if group.n > guard:
-        raise ValidationError("chartab-guard",
-                              "group of order %d exceeds guard %d" % (group.n, guard))
+    check_chartab_guard(group.n, guard)
     e = group.exponent
     if field.M % e:
         raise ValidationError("cyc-embed",
@@ -178,10 +182,11 @@ def check_orthogonality(table):
     diag = np.arange(k)
     want = np.zeros((k, k, field.dim), dtype=np.int64)
     want[diag, diag, 0] = n
-    _first_mismatch(field, integer_gram(field, X, X, sizes), want, "rows")
+    _first_mismatch(field, integer_gram(field, X, X, sizes, upper=True), want, "rows")
     want[diag, diag, 0] = [n // s for s in sizes]
     Xt = X.transpose(1, 0, 2)
-    _first_mismatch(field, integer_gram(field, Xt, Xt, [1] * len(X)), want, "columns")
+    _first_mismatch(field, integer_gram(field, Xt, Xt, [1] * len(X), upper=True), want,
+                    "columns")
 
 
 def _first_mismatch(field, gram, want, what):

@@ -569,7 +569,10 @@ class Parabolic:
           reads, one matrix per world;
         - ("form_data", lam): `utheory.form_data`, per packed form, filled
           for many forms at once by `utheory.build_forms`;
-        - ("orbit_sum", bytes of the orbit's points): `utheory.orbit_sum`;
+        - ("orbit_counts", index of a Ub-orbit on u*): its distinct count
+          columns, `utheory.ub_orbit_counts`;
+        - ("orbit_sum", bytes of the points of a Ub- or Gb-orbit): zeta,
+          `utheory.orbit_sum`, summed from the Ub-orbits' count columns;
         - ("subgroup_table", sorted Levi ids): `utheory.subgroup_table`;
         - ("quotient_orbits", action label, shape, bytes) of the rref basis
           of u_h: the superclass cosets of `utheory.build_u_theory`;

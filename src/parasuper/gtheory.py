@@ -17,10 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
+from .chartab import check_chartab_guard
 from .errors import FalsificationError, ValidationError
 from .theory import SuperChar, SuperClass, SuperTheory, ValuePool
 from .utheory import (
-    form_data, lift_to_levi, orbit_of, orbit_partition, orbit_sum, subgroup_table,
+    build_forms, form_data, lift_to_levi, orbit_of, orbit_partition, orbit_sum, subgroup_table,
 )
 from .orbits import _bfs, dense_unique, levi_stabilizers, read_only, sorted_isin
 
@@ -410,7 +411,11 @@ def build_g_theory(world):
     pool = ValuePool(world.field)
     sig_classes = signature_classes(world)
 
+    build_forms(world, [pair_point_u(world, pairs[0]) for _, pairs in sig_classes])
     contexts = [pair_context(world, pairs[0]) for _, pairs in sig_classes]
+    # the empty pair's scalar Levi subgroup is all of L, whose character
+    # table is needed: stop at the guard before any |L| x |L| table
+    check_chartab_guard(world.nL, world.guards["chartab"])
 
     chars = []
     classes = []

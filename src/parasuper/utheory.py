@@ -11,7 +11,10 @@ and the results are unions of L-conjugation orbits of G), so the G theory
 is built from the least form of each L-orbit of forms and the least
 element of each conjugacy class of L; the forms and Levi elements skipped
 would only repeat them, later in the order, so labels and value-pool order
-are those of the loop over all of them (see build_u_theory).  Everything
+are those of the loop over all of them (see build_u_theory).  The orbit
+sum zeta of a form is counted once per Ub-orbit (orbit_sum), and its half
+of each character once per form (zeta_at_conjugates), so a theta of the
+stabilizer touches only zeta's distinct rows (chi_alpha_u).  Everything
 is exact; every structural identity the construction relies on is checked
 at build time, and a failure raises a FalsificationError with the form as
 its counterexample.  The assembled theory is returned unchecked: its
@@ -26,11 +29,11 @@ import numpy as np
 
 from . import linalg
 from .algebra import absmax, int_dtype
-from .chartab import TableGroup, irr_characters, s_orbit_sums
+from .chartab import TableGroup, check_chartab_guard, irr_characters, s_orbit_sums
 from .errors import FalsificationError, ValidationError
 from .orbits import (
     _slice, levi_images, levi_stabilizers, pack, partition_by_perms, partition_orbits,
-    quotient_orbits, read_only, smallest_bimodule, sorted_isin,
+    quotient_orbits, read_only, smallest_bimodule, sorted_isin, sorted_unique,
 )
 from .theory import SuperChar, SuperClass, SuperTheory, ValuePool
 
@@ -246,11 +249,34 @@ def counts_to_values(world, counts):
     return inverse, cols @ world.field.eps_rows(world.spec.p)
 
 
+def ub_orbit_counts(world, index):
+    """The distinct count columns of Ub-orbit `index` on u*, memoized per
+    orbit: (ids, cols) with orbit_eps_counts(orbit)[:, u] == cols[ids[u]]."""
+    def build():
+        orbit = orbit_partition(world, "ustar", "Ub")[1][index]
+        cols, ids = unique_rows(orbit_eps_counts(world, orbit).T)
+        return ids, cols
+    return world.memo(("orbit_counts", index), build)
+
+
 def orbit_sum(world, points):
-    """zeta, the sum of the elementary characters of the forms in one orbit,
-    memoized per orbit: (ids, rows) as from counts_to_values."""
-    return world.memo(("orbit_sum", points.tobytes()),
-                      lambda: counts_to_values(world, orbit_eps_counts(world, points)))
+    """zeta, the sum of the elementary characters of the forms in `points`,
+    a union of Ub-orbits on u* (one Ub- or Gb-orbit), memoized per set:
+    (ids, rows) as from counts_to_values.  Counts add over disjoint sets, so
+    a union's counts are the sum of its Ub-orbits' count columns, and
+    orbit_eps_counts runs once per Ub-orbit."""
+    def build():
+        label, orbits = orbit_partition(world, "ustar", "Ub")
+        parts = sorted_unique(label[points]).tolist()
+        if sum(orbits[i].size for i in parts) != points.size:
+            raise FalsificationError("a set of forms is not a union of Ub-orbits",
+                                     {"lam": int(points[0])})
+        if len(parts) == 1:
+            ids, cols = ub_orbit_counts(world, parts[0])
+            return ids, cols @ world.field.eps_rows(world.spec.p)
+        counts = sum(cols[ids] for ids, cols in (ub_orbit_counts(world, i) for i in parts))
+        return counts_to_values(world, counts.T)
+    return world.memo(("orbit_sum", points.tobytes()), build)
 
 
 def unique_rows(a):
@@ -294,12 +320,22 @@ def levi_parts_of_conjugates(world):
 
 
 def zeta_at_conjugates(world, fd):
-    """zeta of one form at rho u rho^-1, laid out as levi_parts_of_conjugates
-    for the radical parts u: (value ids, distinct rows).  All theta of the
-    form share it."""
+    """The theta-free half of chi_alpha_u for one form, shared by all its
+    theta: for each L-conjugation orbit representative g = r u of G, the
+    (Levi part, zeta id) pairs of rho g rho^-1 over every rho, each row
+    sorted by its codes (rho r rho^-1) nz + (zeta id of rho u rho^-1).
+    Returns (levi, zid, at, z_rows): the distinct sorted rows split into
+    their Levi parts and zeta ids, the index in them of each
+    representative's row, and zeta's distinct integer rows."""
     z_ids, z_rows = orbit_sum(world, fd.orbit_ub)
+    nz = len(z_rows)
     u = levi_conj_orbits(world)[0] % world.nU
-    return z_ids[world.conjUbyL[:, u].T], z_rows
+    codes = (levi_parts_of_conjugates(world).astype(np.min_scalar_type(world.nL * nz)) * nz
+             + z_ids[world.conjUbyL[:, u].T])
+    codes.sort(axis=1)
+    rows, at = unique_rows(codes)
+    levi, zid = np.divmod(rows, nz)
+    return levi, zid, at, z_rows
 
 
 def chi_alpha_u(world, fd, theta, zeta):
@@ -309,19 +345,19 @@ def chi_alpha_u(world, fd, theta, zeta):
     the distinct integer coefficient rows, zero outside the pointwise
     stabilizer; zeta: zeta_at_conjugates(world, fd).  Evaluates the closed
     Levi-averaged formula, which is constant on the orbits of L conjugating
-    G, at one element per orbit: row k of codes holds the (theta, zeta)
-    value-pair code at rho g rho^-1 for each rho, g the k-th orbit
-    representative.  Returns (local ids, integer rows, den) for
-    ValuePool.intern.  Local ids number the sorted rows in descending order
-    (the ascending order of their pair counts); with theta ids in order of
-    first appearance, this order is printed output (see sort_canonical).
+    G, at one element per orbit: the (theta, zeta) value-pair codes at
+    rho g rho^-1 over every rho, sorted, for g the orbit representative.
+    Representatives with one row of zeta's (Levi part, zeta id) pairs share
+    one row of codes, so only zeta's distinct rows are coded.  Returns
+    (local ids, integer rows, den) for ValuePool.intern.  Local ids number
+    the sorted code rows in descending order (the ascending order of their
+    pair counts); with theta ids in order of first appearance, this order is
+    printed output (see sort_canonical).
     """
     tids, t_rows = theta
-    z_at, z_rows = zeta
+    levi, zid, at, z_rows = zeta
     nz = len(z_rows)
-    dtype = np.min_scalar_type(len(t_rows) * nz)
-    _, orbit = levi_conj_orbits(world)
-    codes = (tids[levi_parts_of_conjugates(world)] * nz + z_at).astype(dtype)
+    codes = (tids[levi] * nz + zid).astype(np.min_scalar_type(len(t_rows) * nz))
     codes.sort(axis=1)
     uniq, inverse = unique_rows(codes)
     uniq, inverse = uniq[::-1], len(uniq) - 1 - inverse
@@ -335,7 +371,7 @@ def chi_alpha_u(world, fd, theta, zeta):
     num = num.astype(int_dtype(absmax(num) * world.nL))
     sums = num[pos.reshape(uniq.shape)].sum(axis=1)
     den = Fraction(fd.orbit_ub.size * len(fd.L0_ids), fd.orbit_hb.size)
-    return inverse[orbit], sums, den
+    return inverse[at][levi_conj_orbits(world)[1]], sums, den
 
 
 def superclass_u(world, h_idx, coset_points):
@@ -350,27 +386,32 @@ def superclass_u(world, h_idx, coset_points):
 # ---------------------------------------------------------------------------
 # assembly
 
-def levi_representatives(world):
-    """The forms and Levi elements the G theory is built from: the least form
-    of each L-orbit of Ub-orbits on u* (orbits are numbered by least point,
-    so the one of least orbit index), and the least element of each
-    conjugacy class of L, both ascending."""
+def levi_representative_forms(world):
+    """The forms the G theory's characters are built from: the least form of
+    each L-orbit of Ub-orbits on u* (orbits are numbered by least point, so
+    the one of least orbit index), ascending."""
     label, orbits = orbit_partition(world, "ustar", "Ub")
     lams = np.array([orb[0] for orb in orbits], dtype=np.int64)
     least = label[levi_images(world, "ustar", lams)].min(axis=0)
-    hs = np.flatnonzero(world.conjL.min(axis=0) == np.arange(world.nL))
-    return lams[least == np.arange(lams.size)].tolist(), hs.tolist()
+    return lams[least == np.arange(lams.size)].tolist()
+
+
+def levi_class_representatives(world):
+    """The Levi elements the G theory's classes are built from: the least
+    element of each conjugacy class of L, ascending."""
+    return np.flatnonzero(world.conjL.min(axis=0) == np.arange(world.nL)).tolist()
 
 
 def build_u_theory(world, target="G"):
     """Assemble the radical-orbit supercharacter theory for U or for G.
 
-    For G, characters are built for one form per L-orbit of forms and
-    classes for one Levi element per conjugacy class of L
-    (levi_representatives).  For l in L, the characters of l.lam are those
-    of lam transported by conjugation by l, and the classes of l h l^-1 are
-    those of h conjugated by l; both are unions of L-conjugation orbits of G
-    (L normalizes Ub), so the transport fixes them.  Every skipped form or
+    For G, characters are built for one form per L-orbit of forms
+    (levi_representative_forms) and classes for one Levi element per
+    conjugacy class of L (levi_class_representatives).  For l in L, the
+    characters of l.lam are those of lam transported by conjugation by l,
+    and the classes of l h l^-1 are those of h conjugated by l; both are
+    unions of L-conjugation orbits of G (L normalizes Ub), so the transport
+    fixes them.  Every skipped form or
     Levi element would only repeat what its least representative, met
     earlier in the full ascending loop, already gave: dedup keeps the same
     first labels and the pool interns the same values in the same order.
@@ -399,9 +440,13 @@ def build_u_theory(world, target="G"):
         return SuperTheory("U-on-U", world.nU, 0, chars, classes, pool,
                            {"config": world.spec.config_label(), "target": "U"})
 
-    ltable = l_table(world)
-    forms, levi_reps = levi_representatives(world)
+    forms = levi_representative_forms(world)
     build_forms(world, forms)
+    # the zero form comes first and its L0 is all of L, whose character
+    # table is needed: stop at the guard before any |L| x |L| table
+    form_data(world, forms[0])
+    check_chartab_guard(world.nL, world.guards["chartab"])
+    ltable = l_table(world)
     chars = []
     for lam in forms:
         fd = form_data(world, lam)
@@ -418,7 +463,7 @@ def build_u_theory(world, target="G"):
 
     classes = []
     act_u = world.action("u", "Ub")
-    for h_idx in levi_reps:
+    for h_idx in levi_class_representatives(world):
         # the cosets depend on h only through u_h: one partition per u_h
         _, u_h_basis = smallest_bimodule(world, world.L[h_idx])
         key = ("quotient_orbits", act_u.label, u_h_basis.shape, u_h_basis.tobytes())

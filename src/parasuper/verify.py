@@ -5,7 +5,10 @@ Every check is exact; a failure carries a machine-readable counterexample
 that reproduces deterministically.  Checks compute on integer coefficient
 rows over common denominators: class values are gathered from each value
 pool's numerator matrix, every inner product is `integer_gram`, and
-induction sums integer rows.  `Cyc` values are built only for
+induction sums integer rows.  The Levi and ambient oracles induce theta *
+zeta from a subgroup H = R V: the elements of H are counted by (r, class,
+zeta id) once per H (product_counts), and each theta is induced from those
+counts (induce_product).  `Cyc` values are built only for
 counterexamples.
 """
 
@@ -195,7 +198,7 @@ def check_supertheory(theory):
 
     def s1_check():
         V, den = class_values_matrix(theory.pool, theory.chars, theory.classes)
-        gram = integer_gram(field, V, V, [kl.size for kl in theory.classes])
+        gram = integer_gram(field, V, V, [kl.size for kl in theory.classes], upper=True)
         scale = n * den * den                 # gram / scale are the inner products
         off = np.argwhere(np.triu((gram != 0).any(axis=2), 1))
         if off.size:
@@ -356,37 +359,52 @@ def check_lemmas(world):
 # ---------------------------------------------------------------------------
 # induction oracles
 
-def induce_exact(class_of, sizes, h_ids, h_local, h_rows):
+def induce_exact(class_of, sizes, h_ids, h_local, h_rows, h_counts=None):
     """Frobenius induction from a subgroup H, as integer rows per class of G.
 
     `class_of` labels the elements of G by class, `sizes` gives the class
-    sizes.  The function on H is interned: its value at h_ids[i] is the
-    integer coefficient row h_rows[h_local[i]].  The value on a class K is
-    |G| / (|K| |H|) times its sum over H meet K, counted per (class, value
-    id) pair over H only.  Returns (rows, den): the value on class K is
-    rows[K] / den, where den = |H|.
+    sizes.  The function on H is interned: entry i stands for h_counts[i]
+    elements of H (one each by default), all in the class of h_ids[i] and
+    each worth the integer coefficient row h_rows[h_local[i]].  The value on
+    a class K is |G| / (|K| |H|) times its sum over H meet K.  Returns
+    (rows, den): the value on class K is rows[K] / den, where den = |H|.
     """
     h_rows = np.asarray(h_rows)
-    nv = len(h_rows)
-    codes, counts = np.unique(class_of[h_ids] * nv + np.asarray(h_local), return_counts=True)
-    k, t = np.divmod(codes, nv)
-    mult = (len(class_of) // np.asarray(sizes, dtype=np.int64))[k] * counts
-    dtype = int_dtype(absmax(h_rows) * len(class_of) * len(h_ids))
+    weights = np.ones(len(h_ids), dtype=np.int64) if h_counts is None else h_counts
+    order = int(weights.sum())
+    k = class_of[h_ids]
+    mult = (len(class_of) // np.asarray(sizes, dtype=np.int64))[k] * weights
+    dtype = int_dtype(absmax(h_rows) * len(class_of) * order)
     rows = np.zeros((len(sizes), h_rows.shape[1]), dtype=dtype)
-    np.add.at(rows, k, h_rows[t].astype(dtype) * mult.astype(dtype)[:, None])
-    return rows, len(h_ids)
+    np.add.at(rows, k, h_rows[np.asarray(h_local)].astype(dtype) * mult.astype(dtype)[:, None])
+    return rows, order
 
 
-def _product_on_h(world, r_ids, u_ids, theta, z_ids, z_rows):
-    """theta(r) * zeta(u) on H = {r u : r in r_ids, u in u_ids} in induce_exact's
-    form, where theta is (ids, rows) from lift_to_levi and zeta(u_ids[j]) is
-    the integer row z_rows[z_ids[j]]; one product per distinct pair."""
-    t_ids, t_rows = theta
+def product_counts(class_of, nU, r_ids, u_ids, z_ids, z_rows):
+    """The theta-free half of inducing theta(r) zeta(u) from H = {r u : r in
+    r_ids, u in u_ids}, where zeta(u_ids[j]) is the integer row
+    z_rows[z_ids[j]]: the elements of H counted by (r, class of r u in G,
+    zeta id), once per H.  Returns, per triple, its first element, r, zeta
+    id and count, then z_rows: the `counts` of induce_product."""
     r_ids = np.asarray(r_ids, dtype=np.int64)
+    nr, nz = r_ids.size, len(z_rows)
+    h_ids = (r_ids[:, None] * nU + u_ids[None, :]).ravel()
+    codes = ((class_of[h_ids].reshape(nr, -1) * nr + np.arange(nr)[:, None]) * nz
+             + z_ids[None, :]).ravel()
+    uniq, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    return h_ids[first], r_ids[uniq // nz % nr], uniq % nz, counts, z_rows
+
+
+def induce_product(world, class_of, sizes, counts, theta):
+    """induce_exact of theta(r) zeta(u) on H from its product_counts, one
+    product per distinct (theta id, zeta id) pair; theta is (ids, rows)
+    from lift_to_levi."""
+    h_ids, r, z, mult, z_rows = counts
+    t_ids, t_rows = theta
     nz = len(z_rows)
-    h_ids = (r_ids[:, None] * world.nU + u_ids[None, :]).ravel()
-    used, h_local = dense_unique(t_ids[r_ids][:, None] * nz + z_ids[None, :], len(t_rows) * nz)
-    return h_ids, h_local, world.field.mul_rows(t_rows[used // nz], z_rows[used % nz])
+    used, h_local = dense_unique(t_ids[r] * nz + z, len(t_rows) * nz)
+    return induce_exact(class_of, sizes, h_ids, h_local,
+                        world.field.mul_rows(t_rows[used // nz], z_rows[used % nz]), mult)
 
 
 def _scaled(rows, c):
@@ -420,35 +438,49 @@ def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
     report = Report("oracles")
     eps = world.field.eps_rows(world.spec.p)
 
-    def oracle(classes, theory, what, h_of):
-        # each character against the induction of h_of(ch), a function on a
-        # subgroup H in induce_exact's form, class by class
+    def oracle(classes, theory, what, induced):
+        # each character against induced(ch, class_of, sizes), the induction
+        # of a function on a subgroup H, class by class
         class_of, members = classes
         sizes = [m.size for m in members]
         scan = ClassScan(members)
         for ch in theory.chars:
-            _compare_char_to_induced(ch, scan, induce_exact(class_of, sizes, *h_of(ch)), what)
+            _compare_char_to_induced(ch, scan, induced(ch, class_of, sizes), what)
 
-    def radical_h(ch):
+    def radical(ch, class_of, sizes):
         fd = form_data(world, ch.provenance["lam"])
-        return fd.U_lam_ids, eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps
+        return induce_exact(class_of, sizes, fd.U_lam_ids,
+                            eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps)
+
+    def by_theta(h_of):
+        # theta * zeta on H = R V, h_of(ch) = (R, V, zeta ids on V, zeta
+        # rows): H is counted once per form or pair, each theta induced
+        # from its counts
+        counted = {}
+
+        def induced(ch, class_of, sizes):
+            lam = ch.provenance["lam"]
+            if lam not in counted:
+                counted[lam] = product_counts(class_of, world.nU, *h_of(ch))
+            return induce_product(world, class_of, sizes, counted[lam],
+                                  ch.provenance["theta_by_l"])
+        return induced
 
     def levi_h(ch):
         fd = form_data(world, ch.provenance["lam"])
-        return _product_on_h(world, fd.L0_ids, fd.U_lam_ids, ch.provenance["theta_by_l"],
-                             eps_exponents(world, fd.lam_coords, fd.U_lam_ids), eps)
+        return (fd.L0_ids, fd.U_lam_ids, eps_exponents(world, fd.lam_coords, fd.U_lam_ids),
+                eps)
 
     def ambient_h(ch):
-        orbit = orbit_of(world, "ustar", "Gb", ch.provenance["lam"])
-        return _product_on_h(world, ch.provenance["ld_ids"], np.arange(world.nU),
-                             ch.provenance["theta_by_l"], *orbit_sum(world, orbit))
+        z_ids, z_rows = orbit_sum(world, orbit_of(world, "ustar", "Gb", ch.provenance["lam"]))
+        return ch.provenance["ld_ids"], np.arange(world.nU), z_ids, z_rows
 
     report.run("radical-induction-oracle", lambda: oracle(
-        world.u_group_classes, theory_u, "radical supercharacter", radical_h))
+        world.u_group_classes, theory_u, "radical supercharacter", radical))
     report.run("parabolic-induction-oracle", lambda: oracle(
-        world.g_classes, theory_ub_g, "Levi-averaged supercharacter", levi_h))
+        world.g_classes, theory_ub_g, "Levi-averaged supercharacter", by_theta(levi_h)))
     report.run("ambient-induction-oracle", lambda: oracle(
-        world.g_classes, theory_gb_g, "ambient-orbit supercharacter", ambient_h))
+        world.g_classes, theory_gb_g, "ambient-orbit supercharacter", by_theta(ambient_h)))
     return report
 
 

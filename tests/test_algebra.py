@@ -264,6 +264,23 @@ def test_integer_gram_object_fallback(inputs):
         assert F.from_rows(gram[a, b][None])[0] == want
 
 
+@pytest.mark.parametrize("n", [1, 8, 9, 17, 70])
+def test_upper_gram_is_the_upper_triangle_of_the_full_gram(n):
+    # with upper=True the Gram of one array with itself is computed in
+    # column chunks on the rows a <= b only (several chunks from n = 9 on);
+    # every entry it leaves out is zero
+    F = FIELDS[sorted(FIELDS)[-1]]
+    rng = np.random.default_rng(n)
+    A = rng.integers(-9, 10, size=(n, 6, F.dim))
+    weights = rng.integers(1, 30, size=6)
+    full, upper = integer_gram(F, A, A, weights), integer_gram(F, A, A, weights, upper=True)
+    assert upper.dtype == full.dtype
+    a, b = np.triu_indices(n)
+    assert np.array_equal(upper[a, b], full[a, b])
+    a, b = np.tril_indices(n, -1)
+    assert ((upper[a, b] == full[a, b]) | (upper[a, b] == 0)).all()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(gram_inputs(), gram_inputs(big=True)))
 def test_integer_norms_are_the_gram_diagonal(inputs):

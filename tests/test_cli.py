@@ -311,6 +311,25 @@ def test_rank_three_verdict_census(family, n, blocks, q, code, first, capsys):
     check_verdict(family, n, blocks, q, code, first, capsys)
 
 
+def test_chartab_guard_stops_before_the_levi_tables(monkeypatch, capsys):
+    # both G theories need the character table of all of L (|L| = 96 on B2
+    # q=3 blocks 1,3): under a chartab guard of 50 they exit 2 before any
+    # |L| x |L| table is built, while the lemma suite and the U-on-U theory
+    # need no table and pass
+    import parasuper.cli as cli
+    worlds = []
+    real = cli.make_world
+    monkeypatch.setattr(cli, "make_world", lambda args: worlds.append(real(args)) or worlds[-1])
+    cfg = ["--family", "B", "--n", "2", "--q", "3", "--blocks", "1,3", "--guard-chartab", "50"]
+    for argv in (["verify"] + cfg + ["--suite", "all"], ["utheory"] + cfg + ["--target", "G"],
+                 ["gtheory"] + cfg):
+        assert run_cli(argv, capsys) == (
+            2, "", "error (chartab-guard): group of order 96 exceeds guard 50\n")
+        assert not any(worlds[-1].memoized(table) for table in ("mulL", "conjL"))
+    for argv in (["verify"] + cfg + ["--suite", "lemmas"], ["utheory"] + cfg + ["--target", "U"]):
+        assert run_cli(argv, capsys)[0] == 0
+
+
 @pytest.mark.parametrize("family, n, blocks, q", [
     ("D", 2, "2", 3), ("D", 2, "2", 5), ("D", 3, "1,2", 3)])
 def test_utheory_suite_passes_where_only_the_ambient_theory_is_falsified(

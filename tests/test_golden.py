@@ -3,8 +3,9 @@ sha256 stored in tests/golden/digests.json.
 
 The digests pin the exact bytes of the orbit partitions (their order too),
 both theories' tables and the full verification report on two small
-configurations, and the verification report of B2 q=3 blocks 1,3 (|L| = 96),
-so a refactor that changes any output is caught here.
+configurations, the verification report of B2 q=3 blocks 1,3 (|L| = 96),
+and both G-level tables of C2 Borel at q=5 and q=7 with the report of C2
+q=7 Borel, so a refactor that changes any output is caught here.
 Regenerate the file with `PYTHONPATH=src python tests/test_golden.py` only
 when an output is meant to change.
 """
@@ -39,6 +40,14 @@ def golden_commands():
         out.append(("verify",) + cfg + ("--suite", "all"))
     # the large-Levi configuration (|L| = 96): per-form Levi scans
     out.append(("verify", "--family", "B", "--n", "2", "--q", "3", "--blocks", "1,3",
+                "--suite", "all"))
+    # large radicals, small Levi: the ζ side of every supercharacter and the
+    # G-level induction oracles carry most of the work here
+    for q in ("5", "7"):
+        cfg = ("--family", "C", "--n", "2", "--q", q, "--blocks", "1,1")
+        out.append(("utheory",) + cfg + ("--target", "G"))
+        out.append(("gtheory",) + cfg)
+    out.append(("verify", "--family", "C", "--n", "2", "--q", "7", "--blocks", "1,1",
                 "--suite", "all"))
     return out
 

@@ -451,3 +451,51 @@ def test_dropping_a_basis_image_of_u_d_fails_the_generation_check(borel_c2, monk
     with pytest.raises(FalsificationError, match="do not generate U_D") as err:
         w.generated(basis[1:], "U_D", where)
     assert err.value.counterexample == {"subgroup": "U_D", **where}
+
+
+@pytest.mark.parametrize("config", [
+    ("C", 2, 3, (1, 1, 0, 1, 1)), ("C", 2, 3, (2, 0, 2)), ("D", 2, 3, (1, 1, 0, 1, 1)),
+    ("C", 2, 5, (1, 1, 0, 1, 1))])
+def test_each_gb_orbit_sum_adds_its_ub_orbit_counts(config):
+    # the zeta of a Gb-orbit on u*, summed from the count columns of its
+    # Ub-orbits, is the zeta counted directly over the whole orbit
+    from parasuper.utheory import (
+        counts_to_values, orbit_eps_counts, orbit_partition, orbit_sum,
+    )
+    w = cleared(world_for(*config))
+    label = orbit_partition(w, "ustar", "Ub")[0]
+    merged = 0
+    for orb in orbit_partition(w, "ustar", "Gb")[1]:
+        z_ids, z_rows = orbit_sum(w, orb)
+        want_ids, want_rows = counts_to_values(w, orbit_eps_counts(w, orb))
+        assert np.array_equal(z_ids, want_ids) and np.array_equal(z_rows, want_rows)
+        merged += np.unique(label[orb]).size > 1
+    assert merged            # some Gb-orbit is a union of several Ub-orbits
+
+
+def test_orbit_sum_refuses_a_set_that_splits_an_ub_orbit(borel_c2):
+    from parasuper.utheory import orbit_partition, orbit_sum
+    part = next(orb for orb in orbit_partition(borel_c2, "ustar", "Ub")[1] if orb.size > 1)
+    with pytest.raises(FalsificationError, match="not a union of Ub-orbits") as err:
+        orbit_sum(borel_c2, part[1:])
+    assert err.value.counterexample == {"lam": int(part[1])}
+
+
+@pytest.mark.parametrize("config, batches", [
+    (("C", 2, 5, (1, 1, 0, 1, 1)), [13, 3]), (("C", 2, 3, (2, 0, 2)), [5, 2])])
+def test_the_pair_forms_are_built_in_one_batch(config, batches, monkeypatch):
+    # after the Ub-on-G theory, the Gb-on-G build adds the forms of its
+    # representative pairs that are still missing as one FormBatch, not one
+    # batch of one per pair context
+    from parasuper import utheory
+    sizes = []
+    real = utheory.FormBatch.__init__
+
+    def counted(self, world, lams):
+        sizes.append(len(lams))
+        real(self, world, lams)
+    monkeypatch.setattr(utheory.FormBatch, "__init__", counted)
+    w = cleared(world_for(*config))
+    utheory.build_u_theory(w, "G")
+    build_g_theory(w)
+    assert sizes == batches

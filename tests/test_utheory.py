@@ -155,26 +155,25 @@ def chi_alpha_u_by_counting(w, fd, theta_by_l):
     zer_vals = w.field.from_rows(zer_rows)
     tvals = list(dict.fromkeys(theta_by_l))
     tid = [tvals.index(v) for v in theta_by_l]
-    pairs = [(t, z) for t in range(len(tvals)) for z in range(len(zer_vals))]
-    # theta and zeta ids at rho g rho^-1, over all rho
-    t_at = [[tid[rc] for rc in w.conjL[:, r].tolist()] for r in range(w.nL)]
-    z_at = [zer_ids[w.conjUbyL[:, u]].tolist() for u in range(w.nU)]
-    vectors = []
-    for r in range(w.nL):
-        for u in range(w.nU):
-            count = Counter(zip(t_at[r], z_at[u]))
-            vectors.append(tuple(map(count.__getitem__, pairs)))
-    distinct = sorted(set(vectors))
-    position = {vec: i for i, vec in enumerate(distinct)}
+    nz = len(zer_vals)
+    pairs = [(t, z) for t in range(len(tvals)) for z in range(nz)]
+    # theta and zeta ids at rho g rho^-1 for g = r u, over all rho, coded as
+    # the index of the pair (t, z) in `pairs`; one count vector per g
+    t_at = np.array(tid)[w.conjL.T]                      # (r, rho)
+    z_at = zer_ids[w.conjUbyL.T]                         # (u, rho)
+    codes = (t_at[:, None] * nz + z_at[None]).reshape(w.nL * w.nU, w.nL)
+    vectors = np.zeros((len(codes), len(pairs)), dtype=np.int64)
+    np.add.at(vectors, (np.arange(len(codes))[:, None], codes), 1)
+    distinct, position = np.unique(vectors, axis=0, return_inverse=True)
     scale = Fraction(fd.orbit_hb.size, fd.orbit_ub.size * len(fd.L0_ids))
     values = []
     for vec in distinct:
         acc = w.field.zero
-        for (t, z), c in zip(pairs, vec):
+        for (t, z), c in zip(pairs, vec.tolist()):
             if c:
                 acc = acc + (tvals[t] * zer_vals[z]).scale(c)
         values.append(acc.scale(scale))
-    return [position[vec] for vec in vectors], values
+    return position.ravel().tolist(), values
 
 
 def _levi_conjugate(w, rho, g):
@@ -242,8 +241,10 @@ def test_lift_to_levi_numbers_values_by_first_appearance(borel_c2):
     assert shared        # some theta takes one value on two classes of L0
 
 
-@pytest.mark.parametrize("name", ["borel_d2", "twoblock_c2"])
+@pytest.mark.parametrize("name", ["borel_d2", "twoblock_c2", "mid3_b2"])
 def test_chi_alpha_u_matches_pair_counting(name, request):
+    # mid3_b2's wide Levi subgroup (|L| = 96) gives long rows of
+    # (Levi part, zeta id) pairs, which zeta_at_conjugates shares by row
     w = request.getfixturevalue(name)
     for fd, table, rows, theta_by_l in theta_sums(w):
         theta = lift_to_levi(w, fd.L0_ids, table, rows)
@@ -447,7 +448,7 @@ def test_ub_on_g_builds_each_character_and_class_once(monkeypatch):
     counted("quotient_orbits", utheory.quotient_orbits)
     theory = build_u_theory(w, "G")
     assert counts["chi_alpha_u"] == len(theory.chars) == 44
-    reps = utheory.levi_representatives(w)[1]
+    reps = utheory.levi_class_representatives(w)
     assert len(reps) == len(conjugacy_classes(l_table(w)).reps) == 20
     u_hs = {(b.shape, b.tobytes()) for b in (smallest_bimodule(w, w.L[h])[1] for h in reps)}
     assert counts["quotient_orbits"] == len(u_hs) == 10
@@ -509,12 +510,8 @@ def test_memoized_subgroups_cosets_and_closures_are_read_only(borel_c2):
 def test_a_missing_form_representative_fails_the_axioms(borel_c2, monkeypatch):
     # negative control: the axioms catch a reduction that drops one L-orbit
     # of forms
-    real = utheory.levi_representatives
-
-    def short(world):
-        forms, hs = real(world)
-        return forms[:-1], hs
-    monkeypatch.setattr(utheory, "levi_representatives", short)
+    real = utheory.levi_representative_forms
+    monkeypatch.setattr(utheory, "levi_representative_forms", lambda world: real(world)[:-1])
     report = check_supertheory(build_u_theory(borel_c2, "G"))
     failing = [c for c in report.checks if not c.passed]
     assert "count-equality" in [c.name for c in failing]

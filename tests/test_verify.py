@@ -7,10 +7,11 @@ from conftest import levi_values
 from parasuper.errors import FalsificationError
 from parasuper.groups import Parabolic
 from parasuper.theory import SuperChar, SuperClass
-from parasuper.utheory import build_u_theory
+from parasuper.utheory import build_u_theory, eps_exponents, form_data, orbit_of, orbit_sum
 from parasuper.verify import (
     ClassScan, _compare_char_to_induced, check_lemmas, check_oracles, check_refinement,
-    check_supertheory, corrupt_character, corrupt_class, run_suites, theories,
+    check_supertheory, corrupt_character, corrupt_class, induce_product, product_counts,
+    run_suites, theories,
 )
 
 
@@ -203,6 +204,38 @@ def test_oracles_and_refinement_c2(borel_c2):
     tU, tG, gG = theories(borel_c2)
     assert check_oracles(borel_c2, tU, tG, gG).passed
     assert check_refinement(tG, gG).passed
+
+
+@pytest.mark.parametrize("name", ["borel_c2", "twoblock_c2"])
+def test_factored_induction_is_the_per_element_induction(name, request):
+    # reference: theta(r) zeta(u) at each element r u of H = R V on its own,
+    # added into its class of G with weight |G| / |K|, over den |H|; for
+    # every Levi-averaged (H = L0 U_lam) and ambient (H = L_D U) character
+    w = request.getfixturevalue(name)
+    tU, tG, gG = theories(w)
+    class_of, members = w.g_classes
+    sizes = np.array([m.size for m in members])
+    eps = w.field.eps_rows(w.spec.p)
+    cases = []
+    for ch in tG.chars:
+        fd = form_data(w, ch.provenance["lam"])
+        cases.append((ch, fd.L0_ids, fd.U_lam_ids,
+                      eps_exponents(w, fd.lam_coords, fd.U_lam_ids), eps))
+    for ch in gG.chars:
+        z_ids, z_rows = orbit_sum(w, orbit_of(w, "ustar", "Gb", ch.provenance["lam"]))
+        cases.append((ch, ch.provenance["ld_ids"], np.arange(w.nU), z_ids, z_rows))
+    for ch, r_ids, u_ids, z_ids, z_rows in cases:
+        theta = ch.provenance["theta_by_l"]
+        r = np.repeat(np.asarray(r_ids, dtype=np.int64), len(u_ids))
+        cls = class_of[r * w.nU + np.tile(u_ids, len(r_ids))]
+        vals = w.field.mul_rows(theta[1][theta[0][r]], z_rows[np.tile(z_ids, len(r_ids))])
+        want = np.zeros((len(sizes), w.field.dim), dtype=object)
+        np.add.at(want, cls, vals.astype(object) * (w.g_size // sizes[cls])[:, None])
+        rows, den = induce_product(
+            w, class_of, sizes, product_counts(class_of, w.nU, r_ids, u_ids, z_ids, z_rows),
+            theta)
+        assert den == len(r) and np.array_equal(rows, want), ch.label
+    assert len(cases) == len(tG.chars) + len(gG.chars) > 0
 
 
 def test_span_check_reports_the_missing_direction(borel_c2):
@@ -502,7 +535,8 @@ def test_setwise_lemma_reports_a_corrupted_stabilizer(borel_c2):
 
 def test_each_orbit_sum_is_computed_once(monkeypatch):
     # the U-on-U characters, chi_alpha_u, pair_context and the ambient
-    # oracle all read one memoized orbit sum per orbit of forms
+    # oracle all read one memoized orbit sum per orbit of forms, and the
+    # counts behind them are taken once per Ub-orbit
     from parasuper import utheory
     from parasuper.groups import Parabolic, build_spec
     w = Parabolic(build_spec("C", 2, 3, (1, 1, 0, 1, 1)))
@@ -516,6 +550,9 @@ def test_each_orbit_sum_is_computed_once(monkeypatch):
     monkeypatch.setattr(utheory, "orbit_eps_counts", counted)
     assert all(report.passed for report in run_suites(w, "all"))
     assert seen and len(seen) == len(set(seen))
+    # and only on single Ub-orbits: a Gb-orbit's zeta adds their counts
+    ub = {orb.tobytes() for orb in utheory.orbit_partition(w, "ustar", "Ub")[1]}
+    assert set(seen) <= ub
 
 
 def test_each_action_permutes_its_space_once(monkeypatch):
