@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .algebra import integer_gram, is_odd_prime, lcm, primitive_root
 from .errors import FalsificationError, ValidationError
-from .groups import table_generators
+from .groups import DEFAULT_GUARDS, table_generators
 from .orbits import partition_by_perms, sorted_isin, sorted_unique
 
 
@@ -150,7 +150,7 @@ def check_chartab_guard(n, guard):
         raise ValidationError("chartab-guard", "group of order %d exceeds guard %d" % (n, guard))
 
 
-def irr_characters(group, field, guard=2000):
+def irr_characters(group, field, guard=DEFAULT_GUARDS["chartab"]):
     """Complete irreducible character table with exact cyclotomic values."""
     check_chartab_guard(group.n, guard)
     e = group.exponent

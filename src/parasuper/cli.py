@@ -17,7 +17,7 @@ import sys
 import traceback
 
 from .errors import FalsificationError, ResourceGuardError, ValidationError
-from .groups import DEFAULT_GUARDS, Parabolic, build_spec
+from .groups import DEFAULT_GUARDS, Parabolic, build_spec, check_config, check_levi_bound
 from .utheory import build_u_theory, orbit_partition
 from .gtheory import build_g_theory
 from . import verify as verify_mod
@@ -60,9 +60,12 @@ def gather_guards(args):
 
 
 def make_world(args):
-    blocks = parse_blocks(args.family, args.n, args.blocks)
-    spec = build_spec(args.family, args.n, args.q, blocks, delta=args.delta)
-    return Parabolic(spec, gather_guards(args))
+    """The world of a configuration; the Levi guard needs only the validated
+    block sizes, so it fires before any array of the spec is built."""
+    config = (args.family, args.n, args.q, parse_blocks(args.family, args.n, args.blocks))
+    guards = gather_guards(args)
+    check_levi_bound(check_config(*config, args.delta)[0], args.q, guards["levi"])
+    return Parabolic(build_spec(*config, delta=args.delta), guards)
 
 
 def config_payload(args):
@@ -76,9 +79,13 @@ def config_payload(args):
 
 
 def emit(text, out_path):
+    """Write to `out_path`, or to stdout; an unwritable path is a usage error."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError("out", "cannot write %s: %s" % (out_path, exc.strerror))
     else:
         sys.stdout.write(text)
 

@@ -19,14 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 import numpy as np
 
 from . import linalg
 from .algebra import CycField, is_odd_prime, lcm, primitive_root, smallest_nonsquare
 from .errors import FalsificationError, ResourceGuardError, ValidationError
-from .orbits import (LinearAction, _bfs, enumerate_subspace, pack, partition_by_perms,
-                     read_only, sorted_unique, unpack)
+from .orbits import (LinearAction, _bfs, enumerate_subspace, levi_images, pack,
+                     partition_by_perms, read_only, sorted_unique, unpack)
 
 DEFAULT_GUARDS = {
     "levi": 10 ** 6,      # upper bound on |L|
@@ -234,8 +235,8 @@ def normalize_blocks(family, blocks):
     return blocks
 
 
-def build_spec(family, n, q, blocks, delta=None):
-    """Validate a configuration and derive all index data."""
+def check_config(family, n, q, blocks, delta):
+    """Validate a configuration, building no array: (full blocks, delta or None)."""
     if family not in ("B", "C", "D"):
         raise ValidationError("family", "family must be one of B, C, D, got %r" % (family,))
     if n < 1:
@@ -271,7 +272,12 @@ def build_spec(family, n, q, blocks, delta=None):
         delta = int(delta) % q
         if delta in {(i * i) % q for i in range(1, q)} or delta == 0:
             raise ValidationError("delta-not-nonsquare", "%r is a square mod %d" % (delta, q))
-    return GroupSpec(family, n, q, blocks, delta)
+    return blocks, delta
+
+
+def build_spec(family, n, q, blocks, delta=None):
+    """Validate a configuration and derive all index data."""
+    return GroupSpec(family, n, q, *check_config(family, n, q, blocks, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +352,15 @@ def enumerate_middle(spec):
     return mats[keep]
 
 
+def check_levi_bound(blocks, q, guard):
+    """Exit 2 before any Levi element is built if |L| may pass the guard: from
+    the full symmetric block sizes alone, |GL(n_k, q)| per side block k >= 1
+    times |GL(n_0, q)|, which holds the middle's isometry group."""
+    bound = prod(gl_order(size, q) for size in blocks[:(len(blocks) + 1) // 2])
+    if bound > guard:
+        raise ResourceGuardError("Levi bound %d exceeds guard %d" % (bound, guard))
+
+
 def enumerate_levi(spec, guard=None):
     """The full Levi subgroup L as an (nL, N, N) stack, enumerated deterministically.
 
@@ -354,16 +369,8 @@ def enumerate_levi(spec, guard=None):
     of q^(n0^2) <= 1.79 |GL(n0, q)| matrices, which the guard on |L| bounds.
     The middle block varies fastest, then the sides from I_1 out to I_ell.
     """
-    guard = DEFAULT_GUARDS["levi"] if guard is None else guard
     q = spec.p
-    bound = 1
-    for k in range(1, spec.ell + 1):
-        bound *= gl_order(len(spec.segments[k]), q)
-    n0 = len(spec.segments.get(0, ()))
-    if n0:
-        bound *= gl_order(n0, q)
-    if bound > guard:
-        raise ResourceGuardError("Levi bound %d exceeds guard %d" % (bound, guard))
+    check_levi_bound(spec.blocks, q, DEFAULT_GUARDS["levi"] if guard is None else guard)
 
     def embed(blocks, k):
         out = np.zeros((len(blocks), spec.N, spec.N), dtype=np.int64)
@@ -694,13 +701,10 @@ class Parabolic:
 
     @world_table
     def conjUbyL(self):
-        """conjUbyL[r, u] = index of L[r] U[u] L[r]^-1."""
-        p = self.spec.p
-        linv = self.spec.dagger(self.L)
-        t = np.empty((self.nL, self.nU), dtype=np.int32)
-        for r in range(self.nL):
-            t[r] = self.u_ids((self.L[r] @ self.U % p) @ linv[r])
-        return t
+        """conjUbyL[r, u] = index of L[r] U[u] L[r]^-1: an id packs the coordinates
+        of f(U[u]), and f(1+x) = x sum_k (-x/2)^k is a power series in x, so
+        f(l v l^-1) = l f(v) l-dagger, the image of u under l acting on u."""
+        return levi_images(self, "u", np.arange(self.nU)).astype(np.int32)
 
     # -- the group G as packed pair ids --------------------------------------
 

@@ -42,12 +42,12 @@ def rref(rows, p, ncols=None):
     return np.array(work[:row_idx], dtype=np.int64).reshape(row_idx, n), pivots
 
 
-def _eliminate(a, p, full):
-    """Row-reduce every matrix of an (F, r, c) stack in place; returns the
-    (F, c) mask of pivot columns.  At each column every matrix with a nonzero
-    entry at or below its next pivot row swaps the first such row up, scales
-    it to a leading 1 and clears the column below it, or with `full` in
-    every other row (Gauss-Jordan, which leaves the rref)."""
+def _eliminate(a, p):
+    """Row-reduce every matrix of an (F, r, c) stack in place to its rref;
+    returns the (F, c) mask of pivot columns.  At each column every matrix
+    with a nonzero entry at or below its next pivot row swaps the first such
+    row up, scales it to a leading 1 and clears the column in every other
+    row (Gauss-Jordan)."""
     rows, cols = a.shape[1:]
     rk = np.zeros(len(a), dtype=np.int64)
     pivots = np.zeros((len(a), cols), dtype=bool)
@@ -63,8 +63,7 @@ def _eliminate(a, p, full):
         a[m, piv] = a[m, top]
         row = row * inv[row[:, col]][:, None] % p
         a[m, top] = row
-        clear = at != top[:, None] if full else at > top[:, None]
-        f = a[m, :, col] * clear
+        f = a[m, :, col] * (at != top[:, None])
         a[m] = (a[m] - f[:, :, None] * row[:, None, :]) % p
         rk[m] += 1
         pivots[m, col] = True
@@ -80,9 +79,9 @@ def _stack(mats, p):
 
 def rank(mats, p):
     """Rank of every matrix of an (..., r, c) stack, as an array of shape (...),
-    from one forward elimination of the whole stack (_eliminate)."""
+    from one Gauss-Jordan elimination of the whole stack (_eliminate)."""
     a, lead = _stack(mats, p)
-    return _eliminate(a, p, full=False).sum(axis=1).reshape(lead)
+    return _eliminate(a, p).sum(axis=1).reshape(lead)
 
 
 def rref_stack(mats, p):
@@ -93,7 +92,7 @@ def rref_stack(mats, p):
     is rref(mats[f], p): its rows are reduced[f, :rank] and its pivot
     columns np.flatnonzero(pivots[f])."""
     a, lead = _stack(mats, p)
-    pivots = _eliminate(a, p, full=True)
+    pivots = _eliminate(a, p)
     return a.reshape(lead + a.shape[1:]), pivots.reshape(lead + pivots.shape[1:])
 
 
@@ -108,7 +107,7 @@ def right_kernel_stack(mats, p):
     the rows are then taken free columns first, each group ascending.
     """
     red, lead = _stack(mats, p)
-    pivots = _eliminate(red, p, full=True)
+    pivots = _eliminate(red, p)
     rows, cols = red.shape[1:]
     row_of = np.cumsum(pivots, axis=1) - 1                 # row of each pivot column
     place = (pivots[:, None, :] & (row_of[:, None, :] == np.arange(rows)[:, None])).astype(np.int64)
@@ -187,30 +186,13 @@ def det(a, p):
 
 
 def inverse(mats, p):
-    """Inverse of every matrix of an (..., n, n) stack over F_p, as a stack
-    of the same shape; raises ValueError if any matrix is singular.
-
-    One Gauss-Jordan elimination of [A | I] runs over the whole stack: at
-    each column every matrix swaps its first row at or below the diagonal
-    with a nonzero entry there up to the diagonal, scales it to a leading 1
-    and clears the column in every other row.
-    """
-    a = np.array(mats, dtype=np.int64) % p
-    lead, n = a.shape[:-2], a.shape[-1]
-    a = a.reshape(int(np.prod(lead)), n, n)
-    work = np.concatenate([a, np.broadcast_to(np.eye(n, dtype=np.int64), a.shape)], axis=2)
-    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
-    at = np.arange(len(a))
-    for col in range(n):
-        cand = work[:, col:, col] != 0
-        if not cand.any(axis=1).all():
-            raise ValueError("matrix is singular mod %d" % p)
-        piv = col + cand.argmax(axis=1)
-        row = work[at, piv]
-        work[at, piv] = work[:, col]
-        row = row * inv[row[:, col]][:, None] % p
-        f = work[:, :, col].copy()
-        f[:, col] = 0
-        work = (work - f[:, :, None] * row[:, None, :]) % p
-        work[:, col] = row
-    return work[:, :, n:].reshape(lead + (n, n))
+    """Inverse of every matrix of an (..., n, n) stack over F_p, from one
+    rref_stack of [A | I]: A is invertible iff its n columns are all pivots,
+    and then the rref is [I | A^-1]; else raises ValueError."""
+    a = np.asarray(mats, dtype=np.int64)
+    n = a.shape[-1]
+    red, pivots = rref_stack(np.concatenate(
+        [a, np.broadcast_to(np.eye(n, dtype=np.int64), a.shape)], axis=-1), p)
+    if not pivots[..., :n].all():
+        raise ValueError("matrix is singular mod %d" % p)
+    return red[..., n:]

@@ -238,8 +238,9 @@ def partition_orbits(action, guard):
 
 
 def levi_images(world, space, points):
-    """(nL, k) packed images of k points under every Levi element, in one
-    batched product.  `space` names the action: "ustar" is the dot action on
+    """(nL, k) packed images of k points under every Levi element, one
+    batched product per slice of points, at most _BLOCK product entries
+    each.  `space` names the action: "u" is the dot action on u, "ustar" on
     forms over u, "ucstar" the coadjoint action on forms over Uc.
 
     A Levi element fixes a subspace pointwise iff its row equals the
@@ -247,7 +248,11 @@ def levi_images(world, space, points):
     setwise iff it maps one point of the orbit into it.
     """
     act = world.action(space, "L")
-    return act.pack(np.einsum("lij,kj->lki", act.gen_mats, act.unpack(points)))
+    digits = act.unpack(points)
+    step = _slice(world.nL * act.dim)
+    # no points still make one slice, the (nL, 0) result
+    return np.concatenate([act.pack(np.einsum("lij,kj->lki", act.gen_mats, digits[lo:lo + step]))
+                           for lo in range(0, max(1, len(digits)), step)], axis=1)
 
 
 def levi_stabilizers(world, space, points, sizes, key=None):

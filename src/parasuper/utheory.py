@@ -398,8 +398,9 @@ def levi_representative_forms(world):
 
 def levi_class_representatives(world):
     """The Levi elements the G theory's classes are built from: the least
-    element of each conjugacy class of L, ascending."""
-    return np.flatnonzero(world.conjL.min(axis=0) == np.arange(world.nL)).tolist()
+    element of each conjugacy class of L, ascending, read off L's character
+    table (the zero form's L0 is all of L, so build_u_theory holds it)."""
+    return subgroup_table(world, range(world.nL)).classes.reps
 
 
 def build_u_theory(world, target="G"):

@@ -237,6 +237,32 @@ def test_out_flag(tmp_path, capsys):
     assert data["counts"]["supercharacters"] >= 1
 
 
+@pytest.mark.parametrize("argv", [["spec"], ["verify", "--suite", "lemmas"]])
+def test_an_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    # the output path is the user's: a missing directory exits 2 with the
+    # path named, not 3 with a traceback
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(argv + ["--family", "B", "--n", "2", "--q", "3", "--blocks", "1,1,1",
+                                     "--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error (out): cannot write %s: No such file or directory\n" % path
+
+
+def test_the_levi_guard_fires_before_the_spec_is_built(capsys):
+    # the Levi bound needs only the block sizes: at rank 60 the guard fires
+    # before the spec's (u_dim, N, N) root basis stack is built
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        got = run_cli(["spec", "--family", "C", "--n", "60", "--q", "3",
+                       "--blocks", ",".join(["1"] * 60)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (2, "", LEVI_GUARD % 2 ** 60 + "\n")
+    assert peak < 50 * 2 ** 20
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     # an exception that is not a falsification, usage error or guard gets
     # its own exit code and a traceback, never the falsification code 1
@@ -255,6 +281,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
 PASSED = "verify: 32 checks, all passed, <s>"
 FALSIFIED = "falsified: scalar Levi subgroup differs from the orbit's pointwise stabilizer"
 LEVI_GUARD = "resource guard: Levi bound %d exceeds guard 1000000"
+CHARTAB_GUARD = "error (chartab-guard): group of order %d exceeds guard 2000"
 VERDICT_CENSUS = [
     # (family, n, blocks, q, exit code, first stderr line with the seconds masked)
     ("B", 2, "1,3", 3, 0, PASSED), ("B", 2, "2,1", 3, 0, PASSED), ("B", 2, "1,1,1", 3, 0, PASSED),
@@ -268,6 +295,8 @@ VERDICT_CENSUS = [
     ("D", 3, "1,1,2", 3, 0, PASSED), ("D", 3, "2,2", 3, 0, PASSED),
     ("D", 3, "1,2", 3, 1, FALSIFIED), ("D", 3, "1,4", 3, 2, LEVI_GUARD % 48522240),
     ("C", 3, "1,4", 3, 2, LEVI_GUARD % 48522240), ("B", 3, "1,5", 3, 2, LEVI_GUARD % 951132948480),
+    ("C", 3, "3", 3, 2, CHARTAB_GUARD % 11232), ("D", 3, "3", 3, 2, CHARTAB_GUARD % 11232),
+    ("B", 3, "2,3", 3, 2, CHARTAB_GUARD % 2304),
 ]
 # each falsified case fails at the basic pair 2:-1*1: the pointwise
 # stabilizer of its orbit is larger than the scalar Levi subgroup; (scalar
@@ -307,7 +336,8 @@ def test_rank_two_verdict_census(family, n, blocks, q, code, first, capsys):
 @census(3)
 def test_rank_three_verdict_census(family, n, blocks, q, code, first, capsys):
     # rank-3 block lists at q=3 keep their verdicts too; the Levi guard
-    # stops each of the three large Levi subgroups before any enumeration
+    # stops each of the three largest Levi subgroups before any enumeration,
+    # and the chartab guard the three next largest before any |L| x |L| table
     check_verdict(family, n, blocks, q, code, first, capsys)
 
 

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import cleared
+from conftest import cleared, world_for
 from hypothesis import given, settings, strategies as st
 
 from parasuper import groups, linalg
@@ -520,3 +520,19 @@ def test_a_cleared_memo_rebuilds_every_world_table(borel_c2):
     flipped._memo = {}
     flipped.L = w.L[::-1]
     assert np.array_equal(flipped.conjUbyL, w.conjUbyL[::-1])
+
+
+@pytest.mark.parametrize("world", [
+    ("D", 2, 3, (1, 1, 0, 1, 1)), ("C", 2, 3, (1, 1, 0, 1, 1)), ("B", 2, 3, (1, 1, 1, 1, 1)),
+    ("C", 2, 3, (2, 0, 2)), ("B", 2, 3, (1, 3, 1)), ("D", 3, 3, (1, 1, 1, 0, 1, 1, 1))],
+    ids=lambda cfg: "%s%d-q%d-%s" % (cfg[0], cfg[1], cfg[2], "|".join(map(str, cfg[3]))))
+def test_conjugating_the_radical_is_the_levi_action_on_u(world):
+    # conjUbyL reads the conjugates off the dot action of L on u; the
+    # reference conjugates the matrices of U by each Levi element and looks
+    # the products up in U
+    w = world_for(*world)
+    p = w.spec.p
+    linv = linalg.inverse(w.L, p)
+    assert w.conjUbyL.dtype == np.int32
+    for r in range(w.nL):
+        assert np.array_equal(w.conjUbyL[r], w.u_ids((w.L[r] @ w.U % p) @ linv[r]))

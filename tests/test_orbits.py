@@ -186,6 +186,20 @@ def test_pointwise_stabilizer_of_the_span_is_that_of_the_orbit(name, request):
         assert fd.L0_ids == pointwise(w, "ucstar", orbit)
 
 
+@pytest.mark.parametrize("name", ["borel_b2", "borel_c2"])
+def test_levi_images_do_not_depend_on_the_slice(name, request, monkeypatch):
+    # levi_images images its points in slices of at most _BLOCK product
+    # entries; slices of a point or two give the same images as the default
+    w = request.getfixturevalue(name)
+    from parasuper import orbits
+    spaces = {"u": w.nU, "ustar": w.u_size, "ucstar": w.action("ucstar", "L").size}
+    want = {space: levi_images(w, space, np.arange(min(size, 200))) for space, size in spaces.items()}
+    monkeypatch.setattr(orbits, "_BLOCK", 64)
+    for space, size in spaces.items():
+        assert np.array_equal(levi_images(w, space, np.arange(min(size, 200))), want[space])
+        assert levi_images(w, space, np.zeros(0, dtype=np.int64)).shape == (w.nL, 0)
+
+
 def test_stabilizers_on_zero_orbit(borel_b2):
     w = borel_b2
     for space in ("ustar", "ucstar"):

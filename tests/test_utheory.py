@@ -454,6 +454,30 @@ def test_ub_on_g_builds_each_character_and_class_once(monkeypatch):
     assert counts["quotient_orbits"] == len(u_hs) == 10
 
 
+@pytest.mark.parametrize("config", [("B", 2, 3, (1, 3, 1)), ("C", 2, 5, (1, 1, 0, 1, 1))])
+def test_levi_class_representatives_are_the_least_of_each_class(config):
+    # read off L's character table; the reference takes the least conjugate
+    # of every Levi element from the |L| x |L| conjugation table
+    w = world_for(*config)
+    want = np.flatnonzero(w.conjL.min(axis=0) == np.arange(w.nL)).tolist()
+    assert utheory.levi_class_representatives(w) == want
+
+
+def test_levi_representative_forms_image_the_forms_in_slices():
+    # C3 q=3 blocks 3 has 11,232 Levi elements and 729 forms: all their
+    # images at once held an 812 MB int64 stack
+    import tracemalloc
+    w = Parabolic(build_spec("C", 3, 3, (3, 0, 3)))
+    tracemalloc.start()
+    try:
+        forms = utheory.levi_representative_forms(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forms) == 7 and forms[0] == 0
+    assert peak < 200 * 2 ** 20
+
+
 def test_the_radical_subgroup_is_built_once_per_annihilator(monkeypatch):
     # U_lam depends on lam only through u_lam: the 49 forms of C2 q=5 Borel
     # have 2 distinct u_lam, and generated builds 2 subgroups for them
