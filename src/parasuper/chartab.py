@@ -22,7 +22,7 @@ from math import isqrt
 import numpy as np
 
 from . import linalg
-from .algebra import integer_gram, is_odd_prime, lcm, primitive_root
+from .algebra import integer_gram, lcm, next_prime_1_mod, primitive_root
 from .errors import FalsificationError, ValidationError
 from .groups import DEFAULT_GUARDS, table_generators
 from .orbits import partition_by_perms, sorted_isin, sorted_unique
@@ -182,11 +182,10 @@ def check_orthogonality(table):
     diag = np.arange(k)
     want = np.zeros((k, k, field.dim), dtype=np.int64)
     want[diag, diag, 0] = n
-    _first_mismatch(field, integer_gram(field, X, X, sizes, upper=True), want, "rows")
+    _first_mismatch(field, integer_gram(field, X, X, sizes), want, "rows")
     want[diag, diag, 0] = [n // s for s in sizes]
     Xt = X.transpose(1, 0, 2)
-    _first_mismatch(field, integer_gram(field, Xt, Xt, [1] * len(X), upper=True), want,
-                    "columns")
+    _first_mismatch(field, integer_gram(field, Xt, Xt, [1] * len(X)), want, "columns")
 
 
 def _first_mismatch(field, gram, want, what):
@@ -241,15 +240,6 @@ def _sorted_rows(X, lead=None):
 
 # ---------------------------------------------------------------------------
 # Dixon-Schneider for nonabelian groups
-
-def _next_prime_1_mod(e, floor):
-    ell = max(floor, e + 1)
-    ell += (1 - ell) % e
-    while True:
-        if ell > floor and is_odd_prime(ell):
-            return ell
-        ell += e
-
 
 def _class_matrices(group, classes):
     """A[j][i, k] = #{(x, y) in C_i x C_j : x y = rep_k}, as one int64 array
@@ -307,6 +297,10 @@ def _common_eigenlines(mats, ell):
                 raise RuntimeError("eigenspace is not invariant under a class-sum matrix")
             B = coords.T
             eye = np.eye(len(B), dtype=np.int64)
+            if (B == B[0, 0] * eye).all():
+                # A acts on the space as a scalar: it is one eigenspace
+                new_spaces.append((V, piv))
+                continue
             for t in _charpoly_roots(B, ell):
                 kern = linalg.right_kernel(B - t * eye, ell, len(B))
                 if len(kern):
@@ -323,7 +317,7 @@ def _common_eigenlines(mats, ell):
 def _dixon_characters(group, classes, field):
     n = group.n
     e = group.exponent
-    ell = _next_prime_1_mod(e, 2 * n)
+    ell = next_prime_1_mod(e, 2 * n)
     g0 = primitive_root(ell)
     z = pow(g0, (ell - 1) // e, ell)          # fixed element of order e in F_ell
     if n * ell * ell >= 2 ** 63:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 import traceback
 
@@ -76,6 +78,24 @@ def config_payload(args):
         "blocks": args.blocks,
         "delta": args.delta,
     }
+
+
+def check_out(out_path):
+    """Refuse an `--out` path that cannot be written before any work: its
+    directory must exist and be writable, and it must not be a directory
+    or a read-only file.  The file itself is not created."""
+    if out_path is None:
+        return
+    parent = os.path.dirname(os.path.abspath(out_path))
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(out_path if os.path.exists(out_path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValidationError("out", "cannot write %s: %s" % (out_path, os.strerror(code)))
 
 
 def emit(text, out_path):
@@ -275,6 +295,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
+        check_out(args.out)
         return args.fn(args)
     except ValidationError as exc:
         print("error (%s): %s" % (exc.code, exc), file=sys.stderr)

@@ -3,6 +3,11 @@
 Vectors and matrices are int64 arrays; every result has entries in [0, p).
 A subspace is its rref basis, a (rank, n) array, with the list of its pivot
 columns.  Everything is exact arithmetic mod a prime p; no floats.
+
+The stacked routines (rank, rref_stack, right_kernel_stack, inverse) are
+for the world's small p: they tabulate all p - 1 inverses and take
+p <= STACK_P_MAX.  `rref` and `right_kernel` work one system on Python
+ints, for any p.
 """
 
 from __future__ import annotations
@@ -42,12 +47,19 @@ def rref(rows, p, ncols=None):
     return np.array(work[:row_idx], dtype=np.int64).reshape(row_idx, n), pivots
 
 
+STACK_P_MAX = 2 ** 16
+
+
 def _eliminate(a, p):
     """Row-reduce every matrix of an (F, r, c) stack in place to its rref;
     returns the (F, c) mask of pivot columns.  At each column every matrix
     with a nonzero entry at or below its next pivot row swaps the first such
     row up, scales it to a leading 1 and clears the column in every other
-    row (Gauss-Jordan)."""
+    row (Gauss-Jordan).  Raises ValueError for p > STACK_P_MAX, whose table
+    of inverses would be too large: such a system goes to `rref`."""
+    if p > STACK_P_MAX:
+        raise ValueError("stacked elimination tabulates the inverses mod p and takes "
+                         "p <= 2^16, not %d: use rref one system at a time" % p)
     rows, cols = a.shape[1:]
     rk = np.zeros(len(a), dtype=np.int64)
     pivots = np.zeros((len(a), cols), dtype=bool)

@@ -198,7 +198,7 @@ def check_supertheory(theory):
 
     def s1_check():
         V, den = class_values_matrix(theory.pool, theory.chars, theory.classes)
-        gram = integer_gram(field, V, V, [kl.size for kl in theory.classes], upper=True)
+        gram = integer_gram(field, V, V, [kl.size for kl in theory.classes])
         scale = n * den * den                 # gram / scale are the inner products
         off = np.argwhere(np.triu((gram != 0).any(axis=2), 1))
         if off.size:

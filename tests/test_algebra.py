@@ -2,14 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parasuper.algebra import (
-    Cyc, CycField, cyclotomic_poly, integer_gram, integer_norms, is_odd_prime, primitive_root,
-    smallest_nonsquare,
+    Cyc, CycField, absmax, cyclotomic_poly, gram_bound, int_dtype, integer_gram, integer_norms,
+    is_odd_prime, primitive_root, smallest_nonsquare,
 )
 from parasuper.errors import ValidationError
 
@@ -32,6 +33,29 @@ def test_field_axioms_by_exhaustion(p):
 
 def test_is_odd_prime():
     assert [q for q in range(2, 30) if is_odd_prime(q)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def by_trial_division(q):
+    return q > 2 and q % 2 == 1 and all(q % d for d in range(3, isqrt(q) + 1, 2))
+
+
+@pytest.mark.parametrize("start", [0, 2 ** 27, 2 ** 28 - 3000])
+def test_is_odd_prime_is_trial_division(start):
+    assert [q for q in range(start, start + 3000) if is_odd_prime(q)] == [
+        q for q in range(start, start + 3000) if by_trial_division(q)]
+
+
+@pytest.mark.parametrize("q, prime", [
+    (2047, False),                          # strong pseudoprime to base 2
+    (3215031751, False),                    # ... to the bases 2, 3, 5, 7
+    (3825123056546413051, False),           # ... to the prime bases up to 31
+    (318665857834031151167461, False),      # ... to the prime bases up to 37
+    (2 ** 61 - 1, True),
+    (2 ** 31 - 1, True),
+    (134217757, True),                      # the first prime = 1 mod 2 past 2^27
+])
+def test_is_odd_prime_on_strong_pseudoprimes(q, prime):
+    assert is_odd_prime(q) is prime
 
 
 def test_smallest_nonsquare():
@@ -264,21 +288,89 @@ def test_integer_gram_object_fallback(inputs):
         assert F.from_rows(gram[a, b][None])[0] == want
 
 
+def einsum_gram(F, A, B, weights):
+    """The Gram by expansion: conj(B[b, K]) times zeta^c, for every c, read
+    off the (dim, dim, dim) conjugation tensor, then one product over (K, c)
+    with A; int64 under the bound sum|w| max|A| max|B| max|red| dim^2."""
+    red, dim = F.conj_tensor, F.dim
+    A, B, w = np.asarray(A), np.asarray(B), np.asarray(weights)
+    amax, bmax, wsum = absmax(A), absmax(B), sum(abs(int(x)) for x in w.tolist())
+    dtype = int_dtype(max(amax, bmax, wsum, wsum * amax * bmax * absmax(red) * dim ** 2))
+    na, k, nb = A.shape[0], A.shape[1], B.shape[0]
+    Bc = np.tensordot(B.astype(dtype) * w.astype(dtype)[None, :, None], red.astype(dtype),
+                      axes=([2], [1]))
+    Bt = Bc.transpose(1, 2, 0, 3).reshape(k * dim, nb * dim)
+    return np.einsum("ij,jk->ik", A.astype(dtype).reshape(na, k * dim), Bt).reshape(na, nb, dim)
+
+
+GRAM_FIELDS = {M: CycField(M) for M in (2, 3, 4, 12, 20, 120)}
+
+# scale -> (entry bound, forced entry, k range, number of primes the bound
+# needs): the forced entry A[0, 0, 0] = B[0, 0, 0] with w_0 >= 1 puts the
+# bound at or above its square, every modulus is a prime in (2^27, 2^28),
+# and k above 128 takes more than one K-chunk
+GRAM_SCALES = {
+    "one-prime": (3, 3, (1, 6), (1, 1)),
+    "two-primes": (2 ** 14, 2 ** 14, (1, 6), (2, 2)),
+    "three-primes": (2 ** 28, 2 ** 28, (1, 6), (3, 9)),
+    "object": (2 ** 70, 2 ** 66, (1, 4), (5, 9)),
+    "long": (3, 3, (129, 300), (1, 2)),
+}
+
+
+@st.composite
+def scaled_gram_inputs(draw, scale):
+    """(field, A, B, weights) at one of GRAM_SCALES; the entries come from a
+    drawn seed, so a long k costs one draw."""
+    bound, forced, (kmin, kmax), _ = GRAM_SCALES[scale]
+    F = GRAM_FIELDS[draw(st.sampled_from(sorted(GRAM_FIELDS)))]
+    k, na, nb = draw(st.integers(kmin, kmax)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def stack(n):
+        out = np.array([rng.randint(-bound, bound) for _ in range(n * k * F.dim)],
+                       dtype=object).reshape(n, k, F.dim)
+        out[0, 0, 0] = forced
+        return out if bound > 2 ** 62 else out.astype(np.int64)
+    weights = [rng.randint(1, 40)] + [rng.randint(0, 40) for _ in range(k - 1)]
+    return F, stack(na), stack(nb), weights
+
+
+@pytest.mark.parametrize("scale", sorted(GRAM_SCALES))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_evaluated_gram_is_the_einsum_gram(scale, data):
+    # one prime, several, and exact Python integers: the same coefficients as
+    # the einsum Gram, which the bound caps, in the dtype the bound picks
+    F, A, B, weights = data.draw(scaled_gram_inputs(scale))
+    bound = gram_bound(F, A, B, weights)
+    lo, hi = GRAM_SCALES[scale][3]
+    assert lo <= len(F.moduli(bound)) <= hi
+    want = einsum_gram(F, A, B, weights)
+    assert absmax(want) <= bound
+    for X, Y in ((A, B), (A, A), (B, B)):
+        got = integer_gram(F, X, Y, weights)
+        assert got.dtype == int_dtype(gram_bound(F, X, Y, weights))
+        assert (got == einsum_gram(F, X, Y, weights)).all()
+    diag = np.arange(len(A))
+    assert (integer_norms(F, A, weights) == einsum_gram(F, A, A, weights)[diag, diag]).all()
+
+
 @pytest.mark.parametrize("n", [1, 8, 9, 17, 70])
-def test_upper_gram_is_the_upper_triangle_of_the_full_gram(n):
-    # with upper=True the Gram of one array with itself is computed in
-    # column chunks on the rows a <= b only (several chunks from n = 9 on);
-    # every entry it leaves out is zero
-    F = FIELDS[sorted(FIELDS)[-1]]
+def test_gram_of_one_array_is_hermitian(n):
+    # A with itself evaluates one embedding of each pair {j, -j} and
+    # transposes for the other: the same Gram as from a copy of A, and
+    # G[b, a] = conj(G[a, b]); for M = 2 the one embedding is its own pair
     rng = np.random.default_rng(n)
-    A = rng.integers(-9, 10, size=(n, 6, F.dim))
-    weights = rng.integers(1, 30, size=6)
-    full, upper = integer_gram(F, A, A, weights), integer_gram(F, A, A, weights, upper=True)
-    assert upper.dtype == full.dtype
-    a, b = np.triu_indices(n)
-    assert np.array_equal(upper[a, b], full[a, b])
-    a, b = np.tril_indices(n, -1)
-    assert ((upper[a, b] == full[a, b]) | (upper[a, b] == 0)).all()
+    for F in GRAM_FIELDS.values():
+        A = rng.integers(-9, 10, size=(n, 6, F.dim))
+        weights = rng.integers(1, 30, size=6)
+        gram = integer_gram(F, A, A, weights)
+        assert (gram == integer_gram(F, A, A.copy(), weights)).all()
+        values = F.from_rows(gram.reshape(-1, F.dim))
+        for a in range(n):
+            for b in range(n):
+                assert values[b * n + a] == values[a * n + b].conjugate()
 
 
 @settings(max_examples=40, deadline=None)

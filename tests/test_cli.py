@@ -11,6 +11,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from parasuper import cli
 from parasuper.cli import main, parse_blocks
 from parasuper.errors import ValidationError
 
@@ -237,15 +238,29 @@ def test_out_flag(tmp_path, capsys):
     assert data["counts"]["supercharacters"] >= 1
 
 
+def no_world(args):
+    raise RuntimeError("the world was built before --out was checked")
+
+
 @pytest.mark.parametrize("argv", [["spec"], ["verify", "--suite", "lemmas"]])
-def test_an_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+def test_an_unwritable_out_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
     # the output path is the user's: a missing directory exits 2 with the
-    # path named, not 3 with a traceback
+    # path named, not 3 with a traceback, and before the world is built
+    monkeypatch.setattr(cli, "make_world", no_world)
     path = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(argv + ["--family", "B", "--n", "2", "--q", "3", "--blocks", "1,1,1",
                                      "--out", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == "error (out): cannot write %s: No such file or directory\n" % path
+    assert not path.parent.exists()
+
+
+def test_a_directory_as_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "make_world", no_world)
+    code, out, err = run_cli(["verify", "--family", "B", "--n", "2", "--q", "3",
+                              "--blocks", "1,1,1", "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error (out): cannot write %s: Is a directory\n" % tmp_path
 
 
 def test_the_levi_guard_fires_before_the_spec_is_built(capsys):

@@ -5,7 +5,8 @@ The digests pin the exact bytes of the orbit partitions (their order too),
 both theories' tables and the full verification report on two small
 configurations, the verification report of B2 q=3 blocks 1,3 (|L| = 96),
 and both G-level tables of C2 Borel at q=5 and q=7 with the report of C2
-q=7 Borel, so a refactor that changes any output is caught here.
+q=7 Borel, and the report of C2 q=5 blocks 2 (field dimension 32), so a
+refactor that changes any output is caught here.
 Regenerate the file with `PYTHONPATH=src python tests/test_golden.py` only
 when an output is meant to change.
 """
@@ -48,6 +49,10 @@ def golden_commands():
         out.append(("utheory",) + cfg + ("--target", "G"))
         out.append(("gtheory",) + cfg)
     out.append(("verify", "--family", "C", "--n", "2", "--q", "7", "--blocks", "1,1",
+                "--suite", "all"))
+    # values of Q(zeta_5) carried in Q(zeta_120), dimension 32: the largest
+    # Grams of the set, on the U-on-U theory
+    out.append(("verify", "--family", "C", "--n", "2", "--q", "5", "--blocks", "2",
                 "--suite", "all"))
     return out
 

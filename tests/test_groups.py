@@ -58,6 +58,7 @@ def test_build_spec_examples():
     ("C", 2, 3, (1, 1, 0, 1, 1, 0), "blocks-asymmetric"),
     ("C", 1, 3, (2,), "trivial-radical"),          # one block: u = 0 and G = L
     ("B", 1, 3, (3,), "trivial-radical"),
+    ("C", 1, 65537, (1, 0, 1), "q-too-large"),     # past the stacked eliminations' 2^16
 ])
 def test_build_spec_rejects(family, n, q, blocks, code):
     with pytest.raises(ValidationError) as err:

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, no
 function imports a module of the package (the import graph is the one the
 module headers show), no module holds an `assert`, which `python -O` would
-strip (invariants are checked with raises), only the value pool turns
+strip (invariants are checked with raises), no module does float
+arithmetic beyond the wall-clock seconds of a check, only the value pool turns
 `Cyc` values into integer coefficient rows, the theory builders hand their
 rows to the pool instead of making `Cyc` values, and sets of integers go through
 the sorted helpers of `orbits`, never `np.isin` or a flag-free `np.unique`."""
@@ -71,6 +72,60 @@ def assert_lines(source):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert(path):
     assert assert_lines(path.read_text()) == []
+
+
+# the wall-clock `seconds` of a check result, the one float the package keeps
+FLOAT_ALLOWED = {"verify.py": {"CheckResult.seconds", "Report.add.seconds"}}
+
+
+def float_arithmetic(source, allowed=()):
+    """Lines of every true division `/`, use of the name `float`, float or
+    complex constant and `np.float*` attribute, except inside the allowed
+    fields: `Class.field` (an annotated class attribute) or `fn.arg` (a
+    parameter default), named by their qualified names."""
+    tree = ast.parse(source)
+    skip = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args.posonlyargs + child.args.args
+                for arg, default in zip(args[len(args) - len(child.args.defaults):],
+                                        child.args.defaults):
+                    if scope + child.name + "." + arg.arg in allowed:
+                        skip.update(map(id, ast.walk(default)))
+            if isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name) \
+                    and scope + child.target.id in allowed:
+                skip.update(map(id, ast.walk(child)))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, scope + child.name + "." if named else scope)
+    visit(tree, "")
+    lines = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                or isinstance(node, ast.Name) and node.id == "float"
+                or isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy") and node.attr.startswith("float")):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_float_arithmetic(path):
+    # every comparison is exact: values are integers, Fractions and
+    # cyclotomic coefficient rows, and only timings are floats
+    assert float_arithmetic(path.read_text(), FLOAT_ALLOWED.get(path.name, ())) == []
+
+
+def test_float_arithmetic_is_reported():
+    source = ("import numpy as np\n\n\nclass R:\n    seconds: float = 0.0\n"
+              "    other: float = 0.0\n\n    def add(self, seconds=0.0, x=1.5):\n"
+              "        return seconds / 2, np.float64(x), 1j, 7 // 2\n")
+    assert float_arithmetic(source) == [5, 6, 8, 9]
+    assert float_arithmetic(source, {"R.seconds", "R.add.seconds"}) == [6, 8, 9]
 
 
 def method_calls(source, name):

@@ -159,6 +159,23 @@ def test_stack_elimination_is_rref_and_right_kernel_of_each_matrix(pm):
     assert np.array_equal(linalg.right_kernel_stack(mats.reshape(1, s, r, c), p), kern[None])
 
 
+@pytest.mark.parametrize("routine", [linalg.rank, linalg.rref_stack, linalg.right_kernel_stack,
+                                     linalg.inverse])
+def test_stacked_routines_refuse_a_large_prime(routine):
+    # the stacked elimination tabulates all p - 1 inverses; past 2^16 it
+    # refuses before the table and points to rref, and the world's small
+    # primes still agree with rref matrix by matrix
+    mats = np.array([[[1, 2], [3, 4]], [[2, 0], [0, 1]]])
+    with pytest.raises(ValueError, match="rref"):
+        routine(mats, 65537)
+    for p in (3, 5, 7):
+        red, pivots = linalg.rref_stack(mats, p)
+        for m, got, piv in zip(mats, red, pivots):
+            want, want_piv = linalg.rref(m, p)
+            assert np.array_equal(got[:len(want)], want)
+            assert np.flatnonzero(piv).tolist() == want_piv
+
+
 def test_rref_and_rank():
     rows = np.array([(1, 2, 0), (2, 4, 0), (0, 1, 1)])
     red, piv = linalg.rref(rows, 3)
