@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -57,12 +57,12 @@ _SPRP_LIMIT = 3317044064679887385961981
 
 
 def is_odd_prime(q):
-    """Whether q is an odd prime, exactly: by the strong probable-prime test
-    to _SPRP_BASES below _SPRP_LIMIT, by trial division above it."""
+    """Whether q is an odd prime, exactly, by the strong probable-prime test
+    to _SPRP_BASES; an odd q >= _SPRP_LIMIT, past its proof, is a ValueError."""
     if q < 3 or q % 2 == 0:
         return False
     if q >= _SPRP_LIMIT:
-        return all(q % d for d in range(3, isqrt(q) + 1, 2))
+        raise ValueError("is_odd_prime is exact only below %d, got %d" % (_SPRP_LIMIT, q))
     if q in _SPRP_BASES:
         return True
     d, s = q - 1, 0

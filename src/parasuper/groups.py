@@ -241,12 +241,12 @@ def check_config(family, n, q, blocks, delta):
         raise ValidationError("family", "family must be one of B, C, D, got %r" % (family,))
     if n < 1:
         raise ValidationError("rank", "rank n must be >= 1, got %r" % (n,))
-    if not is_odd_prime(q):
-        raise ValidationError("q-not-odd-prime", "q must be an odd prime, got %r" % (q,))
     if q > linalg.STACK_P_MAX:
         # the stacked eliminations over F_q tabulate all q - 1 inverses
         raise ValidationError("q-too-large", "q must be at most %d, got %d"
                               % (linalg.STACK_P_MAX, q))
+    if not is_odd_prime(q):
+        raise ValidationError("q-not-odd-prime", "q must be an odd prime, got %r" % (q,))
     blocks = normalize_blocks(family, blocks)
     ell = (len(blocks) - 1) // 2
     mid = blocks[ell]

@@ -21,9 +21,10 @@ from .chartab import check_chartab_guard
 from .errors import FalsificationError, ValidationError
 from .theory import SuperChar, SuperClass, SuperTheory, ValuePool
 from .utheory import (
-    build_forms, form_data, lift_to_levi, orbit_of, orbit_partition, orbit_sum, subgroup_table,
+    build_forms, form_data, lift_to_levi, orbit_of, orbit_partition, orbit_sum, pair_products,
+    subgroup_table,
 )
-from .orbits import _bfs, dense_unique, levi_stabilizers, read_only, sorted_isin
+from .orbits import _bfs, levi_stabilizers, read_only, sorted_isin
 
 
 # ---------------------------------------------------------------------------
@@ -397,25 +398,21 @@ def chi_alpha_g(world, ctx, theta):
     """Values of one ambient-orbit supercharacter, as (local ids, integer
     rows, den) for ValuePool.intern; theta is (ids, rows) from lift_to_levi."""
     tids, t_rows = theta
-    zeta_ids, z_rows = ctx["zeta_ids"], ctx["zeta_rows"]
-    nz = len(z_rows)
-    codes = (tids[:, None] * nz + zeta_ids[None, :]).ravel()
-    uniq, inverse = dense_unique(codes, len(t_rows) * nz)
-    num = world.field.mul_rows(t_rows[uniq // nz], z_rows[uniq % nz])
-    den = Fraction(len(ctx["ld_ids"]), world.nL)
-    return inverse.astype(np.int64), num, den
+    z_rows = ctx["zeta_rows"]
+    codes = (tids[:, None] * len(z_rows) + ctx["zeta_ids"][None, :]).ravel()
+    pos, num = pair_products(world.field, codes, t_rows, z_rows)
+    return pos, num, Fraction(len(ctx["ld_ids"]), world.nL)
 
 
 def build_g_theory(world):
     """Assemble the ambient-orbit supercharacter theory on G."""
+    # the empty pair's scalar Levi subgroup is all of L, whose character
+    # table is needed
+    check_chartab_guard(world.nL, world.guards["chartab"])
     pool = ValuePool(world.field)
     sig_classes = signature_classes(world)
-
     build_forms(world, [pair_point_u(world, pairs[0]) for _, pairs in sig_classes])
     contexts = [pair_context(world, pairs[0]) for _, pairs in sig_classes]
-    # the empty pair's scalar Levi subgroup is all of L, whose character
-    # table is needed: stop at the guard before any |L| x |L| table
-    check_chartab_guard(world.nL, world.guards["chartab"])
 
     chars = []
     classes = []

@@ -186,8 +186,7 @@ def orbit_closures(seeds, bounds, action, budget):
     i * size + point, i the seed's place in its group, so the orbits of a
     group share every layer's product and sort.  A seed whose bound alone
     passes the budget is closed alone, under the budget, so the guard fires
-    exactly where a closure per seed (orbit_closure) fires; a seed closed
-    alone is closed untagged, as orbit_closure closes it.  A generator: a
+    exactly where a closure per seed (orbit_closure) fires.  A generator: a
     caller that stops at a failure closes no later group.
     """
     size = action.size
@@ -201,10 +200,8 @@ def orbit_closures(seeds, bounds, action, budget):
         tags = np.arange(hi - lo, dtype=np.int64) * size
         # unpack reads only the low dim digits of a key, so the images of a
         # tagged key are those of its point
-        images = action.images if hi - lo == 1 else (
-            lambda pts: action.images(pts) + (pts - pts % size))
-        members = _bfs(tags + np.asarray(seeds[lo:hi], dtype=np.int64), images,
-                       action.width, budget)
+        members = _bfs(tags + np.asarray(seeds[lo:hi], dtype=np.int64),
+                       lambda pts: action.images(pts) + (pts - pts % size), action.width, budget)
         for tag, orbit in zip(tags, np.split(members, np.searchsorted(members, tags[1:]))):
             yield orbit - tag
         lo = hi

@@ -32,8 +32,8 @@ from .algebra import absmax, int_dtype
 from .chartab import TableGroup, check_chartab_guard, irr_characters, s_orbit_sums
 from .errors import FalsificationError, ValidationError
 from .orbits import (
-    _slice, levi_images, levi_stabilizers, pack, partition_by_perms, partition_orbits,
-    quotient_orbits, read_only, smallest_bimodule, sorted_isin, sorted_unique,
+    _slice, dense_unique, levi_images, levi_stabilizers, pack, partition_by_perms,
+    partition_orbits, quotient_orbits, read_only, smallest_bimodule, sorted_isin, sorted_unique,
 )
 from .theory import SuperChar, SuperClass, SuperTheory, ValuePool
 
@@ -365,13 +365,19 @@ def chi_alpha_u(world, fd, theta, zeta):
     # a row's value is the sum of the (theta, zeta) products its codes name:
     # one gather-and-sum of their integer coefficient rows, times the
     # orbit-size ratio over |L0|
-    field = world.field
-    used, pos = np.unique(uniq, return_inverse=True)
-    num = field.mul_rows(t_rows[used // nz], z_rows[used % nz])
-    num = num.astype(int_dtype(absmax(num) * world.nL))
-    sums = num[pos.reshape(uniq.shape)].sum(axis=1)
+    pos, num = pair_products(world.field, uniq, t_rows, z_rows)
+    sums = num.astype(int_dtype(absmax(num) * world.nL))[pos].sum(axis=1)
     den = Fraction(fd.orbit_ub.size * len(fd.L0_ids), fd.orbit_hb.size)
     return inverse[at][levi_conj_orbits(world)[1]], sums, den
+
+
+def pair_products(field, codes, t_rows, z_rows):
+    """The products t_rows[i] * z_rows[j] named by the pair codes i * nz + j,
+    nz = len(z_rows): (pos, rows), one row per distinct code, ascending, and
+    pos, of the shape of codes, the index in rows of each code."""
+    nz = len(z_rows)
+    used, pos = dense_unique(codes, len(t_rows) * nz)
+    return pos.reshape(np.shape(codes)), field.mul_rows(t_rows[used // nz], z_rows[used % nz])
 
 
 def superclass_u(world, h_idx, coset_points):
@@ -441,12 +447,10 @@ def build_u_theory(world, target="G"):
         return SuperTheory("U-on-U", world.nU, 0, chars, classes, pool,
                            {"config": world.spec.config_label(), "target": "U"})
 
+    # the zero form's L0 is all of L, whose character table is needed
+    check_chartab_guard(world.nL, world.guards["chartab"])
     forms = levi_representative_forms(world)
     build_forms(world, forms)
-    # the zero form comes first and its L0 is all of L, whose character
-    # table is needed: stop at the guard before any |L| x |L| table
-    form_data(world, forms[0])
-    check_chartab_guard(world.nL, world.guards["chartab"])
     ltable = l_table(world)
     chars = []
     for lam in forms:

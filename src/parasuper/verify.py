@@ -26,10 +26,11 @@ from . import linalg
 from .algebra import absmax, int_dtype, integer_gram, integer_norms
 from .errors import FalsificationError, ValidationError
 from .groups import cayley, subgroup_generators
-from .orbits import dense_unique, levi_images, orbit_closures, sorted_isin, sorted_unique
+from .orbits import levi_images, orbit_closures, sorted_isin, sorted_unique
 from .theory import SuperChar, SuperClass
 from .utheory import (
     build_forms, build_u_theory, eps_exponents, form_data, orbit_of, orbit_partition, orbit_sum,
+    pair_products,
 )
 from .gtheory import build_g_theory, classify_g_orbits
 
@@ -401,10 +402,8 @@ def induce_product(world, class_of, sizes, counts, theta):
     from lift_to_levi."""
     h_ids, r, z, mult, z_rows = counts
     t_ids, t_rows = theta
-    nz = len(z_rows)
-    used, h_local = dense_unique(t_ids[r] * nz + z, len(t_rows) * nz)
-    return induce_exact(class_of, sizes, h_ids, h_local,
-                        world.field.mul_rows(t_rows[used // nz], z_rows[used % nz]), mult)
+    h_local, rows = pair_products(world.field, t_ids[r] * len(z_rows) + z, t_rows, z_rows)
+    return induce_exact(class_of, sizes, h_ids, h_local, rows, mult)
 
 
 def _scaled(rows, c):

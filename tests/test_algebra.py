@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parasuper.algebra import (
-    Cyc, CycField, absmax, cyclotomic_poly, gram_bound, int_dtype, integer_gram, integer_norms,
+    _SPRP_LIMIT, Cyc, CycField, absmax, cyclotomic_poly, gram_bound, int_dtype, integer_gram, integer_norms,
     is_odd_prime, primitive_root, smallest_nonsquare,
 )
 from parasuper.errors import ValidationError
@@ -56,6 +56,14 @@ def test_is_odd_prime_is_trial_division(start):
 ])
 def test_is_odd_prime_on_strong_pseudoprimes(q, prime):
     assert is_odd_prime(q) is prime
+
+
+def test_is_odd_prime_refuses_an_odd_q_past_the_proved_limit():
+    # the strong probable-prime test is exact only below _SPRP_LIMIT, and
+    # check_config turns every q past 2^16 away before asking
+    assert is_odd_prime(_SPRP_LIMIT + 1) is False
+    with pytest.raises(ValueError, match="exact only below"):
+        is_odd_prime(2 ** 89 - 1)
 
 
 def test_smallest_nonsquare():

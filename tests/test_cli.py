@@ -311,7 +311,7 @@ VERDICT_CENSUS = [
     ("D", 3, "1,2", 3, 1, FALSIFIED), ("D", 3, "1,4", 3, 2, LEVI_GUARD % 48522240),
     ("C", 3, "1,4", 3, 2, LEVI_GUARD % 48522240), ("B", 3, "1,5", 3, 2, LEVI_GUARD % 951132948480),
     ("C", 3, "3", 3, 2, CHARTAB_GUARD % 11232), ("D", 3, "3", 3, 2, CHARTAB_GUARD % 11232),
-    ("B", 3, "2,3", 3, 2, CHARTAB_GUARD % 2304),
+    ("B", 3, "2,3", 3, 2, CHARTAB_GUARD % 2304), ("B", 3, "3,1", 3, 2, CHARTAB_GUARD % 22464),
 ]
 # each falsified case fails at the basic pair 2:-1*1: the pointwise
 # stabilizer of its orbit is larger than the scalar Levi subgroup; (scalar
@@ -352,15 +352,15 @@ def test_rank_two_verdict_census(family, n, blocks, q, code, first, capsys):
 def test_rank_three_verdict_census(family, n, blocks, q, code, first, capsys):
     # rank-3 block lists at q=3 keep their verdicts too; the Levi guard
     # stops each of the three largest Levi subgroups before any enumeration,
-    # and the chartab guard the three next largest before any |L| x |L| table
+    # and the chartab guard the four next largest before any form data
     check_verdict(family, n, blocks, q, code, first, capsys)
 
 
 def test_chartab_guard_stops_before_the_levi_tables(monkeypatch, capsys):
     # both G theories need the character table of all of L (|L| = 96 on B2
     # q=3 blocks 1,3): under a chartab guard of 50 they exit 2 before any
-    # |L| x |L| table is built, while the lemma suite and the U-on-U theory
-    # need no table and pass
+    # form data or |L| x |L| table is built, while the lemma suite and the
+    # U-on-U theory need no table and pass
     import parasuper.cli as cli
     worlds = []
     real = cli.make_world
@@ -371,8 +371,18 @@ def test_chartab_guard_stops_before_the_levi_tables(monkeypatch, capsys):
         assert run_cli(argv, capsys) == (
             2, "", "error (chartab-guard): group of order 96 exceeds guard 50\n")
         assert not any(worlds[-1].memoized(table) for table in ("mulL", "conjL"))
+        assert not any(key[0] == "form_data" for key in worlds[-1]._memo
+                       if isinstance(key, tuple))
     for argv in (["verify"] + cfg + ["--suite", "lemmas"], ["utheory"] + cfg + ["--target", "U"]):
         assert run_cli(argv, capsys)[0] == 0
+
+
+def test_chartab_guard_comes_before_the_pair_contexts(capsys):
+    # D2 q=3 blocks 2 (|L| = 48) fails a check in its pair contexts (see
+    # VERDICT_CENSUS), which the guard now stops short of
+    assert run_cli(["gtheory", "--family", "D", "--n", "2", "--q", "3", "--blocks", "2",
+                    "--guard-chartab", "40"], capsys) == (
+        2, "", "error (chartab-guard): group of order 48 exceeds guard 40\n")
 
 
 @pytest.mark.parametrize("family, n, blocks, q", [

@@ -59,6 +59,7 @@ def test_build_spec_examples():
     ("C", 1, 3, (2,), "trivial-radical"),          # one block: u = 0 and G = L
     ("B", 1, 3, (3,), "trivial-radical"),
     ("C", 1, 65537, (1, 0, 1), "q-too-large"),     # past the stacked eliminations' 2^16
+    ("C", 1, 2 ** 89 - 1, (1, 0, 1), "q-too-large"),   # before any primality test
 ])
 def test_build_spec_rejects(family, n, q, blocks, code):
     with pytest.raises(ValidationError) as err:

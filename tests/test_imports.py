@@ -5,7 +5,8 @@ strip (invariants are checked with raises), no module does float
 arithmetic beyond the wall-clock seconds of a check, only the value pool turns
 `Cyc` values into integer coefficient rows, the theory builders hand their
 rows to the pool instead of making `Cyc` values, and sets of integers go through
-the sorted helpers of `orbits`, never `np.isin` or a flag-free `np.unique`."""
+the sorted helpers of `orbits`, never `np.isin` or a flag-free `np.unique`,
+and only `utheory.pair_products` multiplies coefficient rows."""
 
 import ast
 import pathlib
@@ -150,6 +151,27 @@ def test_builders_make_no_cyc_values(name):
     # `ValuePool.intern` alone makes the `Cyc` values and numbers them
     source = (SRC / name).read_text()
     assert (method_calls(source, "from_rows"), method_calls(source, "id_of")) == ([], [])
+
+
+def callers(source, name):
+    """The top-level statements of a module that call a method called
+    `name`, by the name they define (None for a statement defining none)."""
+    return [getattr(top, "name", None) for top in ast.parse(source).body
+            if method_calls(ast.get_source_segment(source, top), name)]
+
+
+def test_pair_products_alone_multiplies_rows():
+    # theta(r) zeta(u) is valued in one place: every builder and oracle
+    # hands its pair codes to `utheory.pair_products`
+    calls = {path.name: callers(path.read_text(), "mul_rows") for path in sorted(SRC.glob("*.py"))}
+    assert {name: fns for name, fns in calls.items() if fns} == {"utheory.py": ["pair_products"]}
+
+
+def test_callers_are_reported():
+    source = ("def f(field, a):\n    return field.mul_rows(a, a)\n\n\n"
+              "class C:\n    def g(self, field):\n        return [field.mul_rows(1, 2)]\n\n\n"
+              "def h(field):\n    return field.add(1)\n\n\nx = F.mul_rows(1, 2)\n")
+    assert callers(source, "mul_rows") == ["f", "C", None]
 
 
 def test_rows_call_is_reported():

@@ -9,6 +9,7 @@ import pytest
 from conftest import cleared, levi_values, world_for
 
 from parasuper import groups, linalg, utheory
+from parasuper.algebra import CycField
 from parasuper.chartab import conjugacy_classes, irr_characters, s_orbit_sums
 from parasuper.errors import FalsificationError
 from parasuper.groups import Parabolic, build_spec
@@ -19,7 +20,7 @@ from parasuper.theory import SuperChar, SuperClass, SuperTheory, ValuePool
 from parasuper.utheory import (
     build_u_theory, chi_alpha_u, form_data, l_table,
     levi_conj_orbits, lift_to_levi, orbit_eps_counts, orbit_partition, counts_to_values,
-    subgroup_table, superclass_u, zeta_at_conjugates,
+    pair_products, subgroup_table, superclass_u, zeta_at_conjugates,
 )
 from parasuper.gtheory import build_g_theory
 from parasuper.verify import check_supertheory
@@ -253,6 +254,25 @@ def test_chi_alpha_u_matches_pair_counting(name, request):
         want_ids, want_values = chi_alpha_u_by_counting(w, fd, theta_by_l)
         assert ids.tolist() == want_ids
         assert w.field.from_rows(rows, den) == want_values
+
+
+@pytest.mark.parametrize("M", [12, 20])
+@pytest.mark.parametrize("shape", [(40,), (6, 9)])
+def test_pair_products_is_the_product_of_each_codes_rows(M, shape):
+    # every code's row is the product of its own theta row and zeta row;
+    # codes repeat, some theta and zeta ids are never named, and the
+    # distinct codes are valued once each, in ascending order
+    field = CycField(M)
+    rng = np.random.default_rng(M + len(shape))
+    t_rows = rng.integers(-4, 5, (5, field.dim))
+    z_rows = rng.integers(-4, 5, (7, field.dim))
+    t_ids, z_ids = rng.integers(0, 3, shape), rng.integers(2, 6, shape)
+    codes = t_ids * len(z_rows) + z_ids
+    pos, rows = pair_products(field, codes, t_rows, z_rows)
+    assert pos.shape == codes.shape and len(rows) == len(np.unique(codes)) < codes.size
+    assert np.array_equal(np.unique(codes)[pos], codes)
+    for t, z, at in zip(t_ids.ravel(), z_ids.ravel(), pos.ravel()):
+        assert np.array_equal(rows[at], field.mul_rows(t_rows[[t]], z_rows[[z]])[0])
 
 
 def test_radical_supercharacter_values(borel_c2):
