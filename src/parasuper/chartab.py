@@ -1,7 +1,7 @@
 """Character theory of the small auxiliary groups.
 
-Groups here are indexed multiplication tables (the Levi factor and its
-subgroups, never the parabolic itself).  Irreducible characters come from
+Groups here are indexed multiplication tables (Levi subgroups, read off
+their products, never the parabolic itself).  Irreducible characters come from
 the homomorphism construction for abelian groups and from Dixon-Schneider
 for the rest (J. Dixon, Numer. Math. 10, 1967; G. Schneider, J. Symbolic
 Comput. 9, 1990): the commuting class-sum matrices are simultaneously
@@ -45,36 +45,6 @@ class TableGroup:
             raise ValidationError("not-a-group", "element %d has no unique inverse" % bad[0])
         self.inv = hits.argmax(axis=1).astype(np.int32)
 
-    @classmethod
-    def from_elements(cls, elements, mul_fn):
-        """Build from raw elements and a multiplication function; checks closure."""
-        index = {}
-        for i, e in enumerate(elements):
-            if e in index:
-                raise ValidationError("not-a-group", "duplicate element at %d" % i)
-            index[e] = i
-        n = len(elements)
-        table = np.empty((n, n), dtype=np.int32)
-        for a in range(n):
-            for b in range(n):
-                prod = mul_fn(elements[a], elements[b])
-                if prod not in index:
-                    raise ValidationError("not-a-group", "product leaves the element list")
-                table[a, b] = index[prod]
-        return cls(elements, table)
-
-    def subgroup(self, ids):
-        """Sub-table on the given element ids; checks closure."""
-        ids = np.sort(np.asarray(ids, dtype=np.int64))
-        back = np.full(self.n, -1, dtype=np.int32)
-        back[ids] = np.arange(ids.size)
-        table = back[self.mul[np.ix_(ids, ids)]]
-        if (table < 0).any():
-            raise ValidationError("not-a-group", "subset is not closed under products")
-        sub = TableGroup([self.elements[i] for i in ids], table)
-        sub.parent_ids = ids.tolist()
-        return sub
-
     @cached_property
     def orders(self):
         """The order of every element, from one power step for all at once."""
@@ -95,14 +65,6 @@ class TableGroup:
     def is_abelian(self):
         return bool(np.array_equal(self.mul, self.mul.T))
 
-    def generators(self):
-        return table_generators(self.mul, self.ident)
-
-    def conj_perm(self, s):
-        """Permutation x -> s x s^-1."""
-        ar = np.arange(self.n, dtype=np.int32)
-        return self.mul[self.mul[s, ar], self.inv[s]].astype(np.int64)
-
 
 @dataclass
 class Classes:
@@ -118,8 +80,10 @@ class Classes:
 
 
 def conjugacy_classes(group):
-    """Partition of a TableGroup into conjugacy classes."""
-    perms = [group.conj_perm(s) for s in group.generators()]
+    """Partition of a TableGroup into conjugacy classes, x -> s x s^-1 orbits."""
+    ar = np.arange(group.n)
+    gens = table_generators(ar, group.ident, lambda a, b: group.mul[a, b])
+    perms = [group.mul[group.mul[s, ar], group.inv[s]].astype(np.int64) for s in gens]
     class_of, members = partition_by_perms(group.n, perms)
     reps = [int(m[0]) for m in members]
     sizes = [int(m.size) for m in members]
@@ -383,34 +347,30 @@ def _lift_characters(group, classes, chi_mod, deg, e, z, ell, field):
 # ---------------------------------------------------------------------------
 # orbit sums
 
-def s_orbit_sums(parent, sub_ids, table, s_ids):
+def s_orbit_sums(sub_ids, table, s_ids, conj):
     """Sum the irreducibles of a normal subgroup over the orbits of a
     conjugation action, one multiplicity-one class function per orbit.
 
-    `parent` is the ambient TableGroup, `sub_ids` the parent ids of the
-    subgroup whose CharTable is `table`, and `s_ids` the parent ids of the
-    acting overgroup.  Also verifies the permutation-count identity: the
-    number of orbit sums equals the number of orbits on conjugacy classes.
-    Returns one int64 coefficient row per class of `table` for each orbit,
-    as an array (orbits, classes, dim) in ascending lexicographic order.
+    In an ambient group, `sub_ids` are the sorted ids of the subgroup whose
+    CharTable is `table`, `s_ids` those of the acting overgroup, and conj[i, c]
+    that of s^-1 r s, s = s_ids[i], r = sub_ids[table.classes.reps[c]].  Also
+    checks that there are as many orbit sums as orbits on classes.  Returns one
+    int64 coefficient row per class of `table` for each orbit, as an array
+    (orbits, classes, dim) in ascending lexicographic order.
     """
     sub_ids = np.asarray(sub_ids, dtype=np.int64)
-    back = np.full(parent.n, -1, dtype=np.int64)
-    back[sub_ids] = np.arange(sub_ids.size)
     if not sorted_isin(sub_ids, np.sort(np.asarray(s_ids, dtype=np.int64))).all():
         raise ValidationError("not-normal", "subgroup is not inside the acting group")
     X = table.chars
     irr_index = {row.tobytes(): i for i, row in enumerate(X)}
-    reps = sub_ids[table.classes.reps]
 
     irr_perms = []
     class_perms = []
-    for s in s_ids:
-        moved = back[parent.mul[parent.mul[parent.inv[s], reps], s]]
-        if (moved < 0).any():
+    for s, row in zip(s_ids, np.asarray(conj, dtype=np.int64)):
+        if not sorted_isin(row, sub_ids).all():
             raise ValidationError("not-normal",
                                   "conjugation leaves the subgroup; it is not normal")
-        perm_cls = table.classes.class_of[moved]
+        perm_cls = table.classes.class_of[np.searchsorted(sub_ids, row)]
         class_perms.append(perm_cls)
         perm_irr = [irr_index.get(row.tobytes(), -1) for row in X[:, perm_cls]]
         if -1 in perm_irr:

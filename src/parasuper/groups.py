@@ -6,8 +6,8 @@ involution, positive roots and the basis of the nilpotent Lie algebra u,
 the Levi subgroup L, the unipotent radical U via the Springer (Cayley)
 bijection, generator sets for the ambient block groups, the matrices of
 their actions on u, u* and forms over Uc, and an indexed "world" object
-holding the Levi tables, radical products on demand and one memoized
-action per space and group that the orbit and character machinery runs on.
+with Levi and radical products on demand and one memoized action per space
+and group that the orbit and character machinery runs on.
 
 Matrices are int64 numpy arrays with entries in [0, p), indexed by array
 position; every matrix operation takes one (N, N) matrix or an (n, N, N)
@@ -19,15 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 
 import numpy as np
 
 from . import linalg
 from .algebra import CycField, is_odd_prime, lcm, primitive_root, smallest_nonsquare
 from .errors import FalsificationError, ResourceGuardError, ValidationError
-from .orbits import (LinearAction, _bfs, enumerate_subspace, levi_images, pack,
-                     partition_by_perms, read_only, sorted_unique, unpack)
+from .orbits import (LinearAction, _bfs, _slice, enumerate_subspace, levi_images, pack,
+                     partition_by_perms, read_only, sorted_isin, sorted_unique, unpack)
 
 DEFAULT_GUARDS = {
     "levi": 10 ** 6,      # upper bound on |L|
@@ -321,13 +320,6 @@ def cayley_inv(spec, Y):
 # ---------------------------------------------------------------------------
 # enumerations
 
-def gl_order(n, q):
-    o = 1
-    for i in range(n):
-        o *= q ** n - q ** i
-    return o
-
-
 def _all_matrices(n, q):
     """All q^(n^2) n x n matrices over F_q as a stack, in lexicographic entry order."""
     codes = np.arange(q ** (n * n), dtype=np.int64)
@@ -359,8 +351,14 @@ def enumerate_middle(spec):
 def check_levi_bound(blocks, q, guard):
     """Exit 2 before any Levi element is built if |L| may pass the guard: from
     the full symmetric block sizes alone, |GL(n_k, q)| per side block k >= 1
-    times |GL(n_0, q)|, which holds the middle's isometry group."""
-    bound = prod(gl_order(size, q) for size in blocks[:(len(blocks) + 1) // 2])
+    times |GL(n_0, q)| >= |middle isometries|; past 2^12000 it is not printed."""
+    cap = max(guard, 1 << 12000)
+    bound = 1
+    for size in blocks[:(len(blocks) + 1) // 2]:
+        for i in range(size):
+            bound *= q ** size - q ** i
+            if bound > cap:
+                raise ResourceGuardError("Levi bound over 2**12000 exceeds guard %d" % guard)
     if bound > guard:
         raise ResourceGuardError("Levi bound %d exceeds guard %d" % (bound, guard))
 
@@ -543,6 +541,9 @@ class Parabolic:
              for i in spec.segments[k] for j in spec.segments[k]])
         if p ** len(self._l_rows) > np.iinfo(np.int64).max:
             raise ResourceGuardError("Levi keys of %d entries overflow int64" % len(self._l_rows))
+        # the blocks I_k x I_k, k >= 0, lead the diagonal and fix a Levi element
+        self._l_lead = np.ascontiguousarray(self.L[:, :spec.block_slice[0].stop,
+                                                   :spec.block_slice[0].stop])
         keys = pack(self.L[:, self._l_rows, self._l_cols], p)
         self._l_order = np.argsort(keys, kind="stable")
         self._l_keys = keys[self._l_order]
@@ -569,10 +570,11 @@ class Parabolic:
         first use; a `build()` that raises stores nothing.  Every result
         computed once per world is kept here, under these key families:
 
-        - the name of a `world_table` (mulL, invL, conjL, U_times_basis,
-          invU, conjUbyL, L_generator_ids, g_classes, u_group_classes),
-          and "levi_conj_orbits", "levi_parts_of_conjugates", "l_table",
-          "signature_classes": one value per world;
+        - the name of a `world_table` (invL, U_times_basis, invU, conjUbyL,
+          levi_generator_conjugates, g_classes, u_group_classes), and
+          "levi_conj_orbits", "levi_parts_of_conjugates", "signature_classes":
+          one value per world;
+        - ("levi_generators", bytes of Levi ids): `first_moved_by_conjugation`;
         - ("action", space, tag): `action`;
         - ("generated", shape, bytes) of the int64 basis: `generated`;
         - ("orbits", space, tag): `utheory.orbit_partition`;
@@ -631,31 +633,46 @@ class Parabolic:
         ids = self._u_of_key[pack(mats[..., spec.u_rows, spec.u_cols], spec.p)]
         return _checked(self.U, ids, mats, "U")
 
+    def _l_lookup(self, keys):
+        """Levi ids of packed keys of entries (_l_rows, _l_cols); raises on a key
+        outside L."""
+        at = np.searchsorted(self._l_keys, keys).clip(max=self.nL - 1)
+        return self._l_order[_checked(self._l_keys, at, keys, "L")]
+
     def l_ids(self, mats):
         """Levi ids of a matrix or stack; raises on a matrix outside L."""
         mats = np.asarray(mats, dtype=np.int64) % self.spec.p
-        keys = pack(mats[..., self._l_rows, self._l_cols], self.spec.p)
-        at = np.searchsorted(self._l_keys, keys).clip(max=self.nL - 1)
-        return _checked(self.L, self._l_order[at], mats, "L")
+        ids = self._l_lookup(pack(mats[..., self._l_rows, self._l_cols], self.spec.p))
+        return _checked(self.L, ids, mats, "L")
 
-    # -- index tables --------------------------------------------------------
+    # -- products and index tables ------------------------------------------
 
-    @world_table
-    def mulL(self):
-        t = np.empty((self.nL, self.nL), dtype=np.int32)
-        for a in range(self.nL):
-            t[a] = self.l_ids(self.L[a] @ self.L)
-        return t
+    def mulL(self, a, b, c=None):
+        """Ids of L[a] L[b] (L[c]), elementwise over broadcast Levi id arrays: the
+        products of their leading blocks (_l_lead), at most _BLOCK entries at once."""
+        factors = [f for f in (a, b, c) if f is not None]
+        flat = np.empty((len(factors),) + np.broadcast(*factors).shape, dtype=np.int64)
+        for row, f in zip(flat, factors):
+            row[...] = f
+        ids = flat.reshape(len(factors), -1)
+        keys = np.empty(ids.shape[1], dtype=np.int64)
+        step = _slice(self._l_lead[0].size)
+        for lo in range(0, keys.size, step):
+            lead = self._l_lead[ids[:, lo:lo + step]]
+            prod = lead[0] @ lead[1]
+            if c is not None:
+                prod = prod % self.spec.p @ lead[2]
+            keys[lo:lo + step] = pack(prod[:, self._l_rows, self._l_cols], self.spec.p)
+        return self._l_lookup(keys).reshape(flat.shape[1:])
+
+    def conjL(self, a, b):
+        """Ids of L[a] L[b] L[a]^-1, elementwise over broadcast Levi id arrays."""
+        return self.mulL(a, b, self.invL[a])
 
     @world_table
     def invL(self):
         """Isometries invert by the dagger."""
         return self.l_ids(self.spec.dagger(self.L)).astype(np.int32)
-
-    @world_table
-    def conjL(self):
-        """conjL[a, b] = index of L[a] L[b] L[a]^-1."""
-        return self.mulL[self.mulL, self.invL[:, None]]
 
     def mulU(self, a, b):
         """Ids of U[a] U[b], elementwise over broadcast radical id arrays."""
@@ -725,14 +742,16 @@ class Parabolic:
         return self.L[r] @ self.U[u] % self.spec.p
 
     @world_table
-    def L_generator_ids(self):
-        return table_generators(self.mulL, self.idL)
+    def levi_generator_conjugates(self):
+        """Greedy generators s of L and the ids of s x s^-1, a row per s, for all x."""
+        gens = np.array(table_generators(np.arange(self.nL), self.idL, self.mulL), dtype=np.int64)
+        return gens, self.conjL(gens[:, None], np.arange(self.nL)[None, :])
 
     def levi_conj_perms(self):
         """The permutations of G's packed ids by conjugation with each Levi
         generator s: r u maps to (s r s^-1)(s u s^-1)."""
-        return [(self.conjL[s][:, None].astype(np.int64) * self.nU + self.conjUbyL[s]).ravel()
-                for s in self.L_generator_ids]
+        gens, rows = self.levi_generator_conjugates
+        return [(row[:, None] * self.nU + self.conjUbyL[s]).ravel() for s, row in zip(gens, rows)]
 
     @world_table
     def g_classes(self):
@@ -779,17 +798,48 @@ def _exponent(stack, p):
     return exp
 
 
-def table_generators(mul, ident):
-    """Greedy generating set of a multiplication-table group: each generator
-    is the least element outside the subgroup the previous ones generate,
-    found as the closure of that subgroup under right multiplication."""
-    n = mul.shape[0]
+def table_generators(elements, ident, mul):
+    """Greedy generators of the sorted ids `elements`, mul(a, b) the ids of
+    products over broadcast id arrays: each is the least element outside the
+    group the previous ones generate (their closure under right
+    multiplication), until that group holds all of `elements`."""
     gens = []
     members = np.array([ident], dtype=np.int64)
-    while members.size < n:
-        outside = np.ones(n, dtype=bool)
-        outside[members] = False
-        gens.append(int(np.argmax(outside)))
-        members = _bfs(np.append(members, gens[-1]), lambda pts: mul[np.ix_(pts, gens)],
-                       len(gens))
-    return gens
+    while True:
+        outside = elements[~sorted_isin(elements, members)]
+        if not outside.size:
+            return gens
+        gens.append(int(outside[0]))
+        members = _bfs(np.append(members, gens[-1]),
+                       lambda pts: mul(pts[:, None], np.array(gens)[None, :]), len(gens))
+
+
+def first_moved_by_conjugation(world, acting, points, key=None):
+    """The first (s, x) in row-major order over the sorted Levi ids `acting`
+    and `points` whose conjugate s x s^-1 leaves `points` or, with `key` (an
+    array indexed by Levi id), changes key; or None.  Rows are all of
+    `acting` or its greedy generators (`table_generators`, memoized per set):
+    an s before the first generator that moves a point lies in the group the
+    earlier ones generate, which maps `points` onto itself and keeps `key`."""
+    acting = np.asarray(acting, dtype=np.int64)
+    points = np.asarray(points, dtype=np.int64)
+    code = np.zeros(world.nL, dtype=np.int64) if key is None else 2 * np.asarray(key, np.int64)
+    code[points] += 1
+    if acting.size == world.nL:
+        rows, conj = world.levi_generator_conjugates
+        conj = conj[:, points]
+    else:
+        # finding generators costs a product per closure layer.  Scan against
+        # generators on the forms of the normality lemma (2-core x86 host):
+        # 256 pairs 0.11-0.13 ms against 0.31-0.44 ms, 2,304 pairs 0.44 ms
+        # against 0.41 ms, 9,216 pairs 6.6 ms against 1.8 ms; on C3 q=3
+        # blocks 3, scanning its forms of 2,049-4,096 pairs costs 152 ms more
+        rows = acting
+        if acting.size * points.size > 1 << 11:
+            rows = world.memo(("levi_generators", acting.tobytes()), lambda: np.array(
+                table_generators(acting, world.idL, world.mulL), dtype=np.int64))
+        conj = world.conjL(rows[:, None], points[None, :])
+    hit = np.flatnonzero(code[conj] != code[points])
+    if not hit.size:
+        return None
+    return int(rows[hit[0] // points.size]), int(points[hit[0] % points.size])

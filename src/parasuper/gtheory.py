@@ -19,12 +19,13 @@ import numpy as np
 from . import linalg
 from .chartab import check_chartab_guard
 from .errors import FalsificationError, ValidationError
+from .groups import first_moved_by_conjugation
 from .theory import SuperChar, SuperClass, SuperTheory, ValuePool
 from .utheory import (
     build_forms, form_data, lift_to_levi, orbit_of, orbit_partition, orbit_sum, pair_products,
     subgroup_table,
 )
-from .orbits import _bfs, levi_stabilizers, read_only, sorted_isin
+from .orbits import _bfs, levi_stabilizers, read_only
 
 
 # ---------------------------------------------------------------------------
@@ -420,25 +421,22 @@ def build_g_theory(world):
         pair = ctx["pair"]
         # the closed character formula needs the scalar Levi subgroup normal
         # and its characters fixed by conjugation from the whole Levi subgroup
-        ld_arr = np.array(ctx["ld_ids"], dtype=np.int64)
-        conj_ids = world.conjL[:, ld_arr]
-        if not sorted_isin(conj_ids, ld_arr).all():
+        moved = first_moved_by_conjugation(world, np.arange(world.nL), ctx["ld_ids"])
+        if moved:
             raise FalsificationError(
                 "scalar Levi subgroup is not normal in the Levi subgroup",
-                {"pair": pair.label()})
+                {"pair": pair.label(), "rho": moved[0], "r": moved[1]})
         table = subgroup_table(world, ctx["ld_ids"])
 
         for tidx, ch in enumerate(table.chars):
             theta = lift_to_levi(world, ctx["ld_ids"], table, ch)
-            tids = theta[0]
-            moved = np.argwhere(tids[conj_ids] != tids[ld_arr])
-            if moved.size:
-                rho, k = moved[0].tolist()
+            moved = first_moved_by_conjugation(world, np.arange(world.nL), ctx["ld_ids"],
+                                               theta[0])
+            if moved:
                 raise FalsificationError(
                     "character of the scalar Levi subgroup is moved by "
                     "Levi conjugation",
-                    {"pair": pair.label(), "theta": tidx,
-                     "rho": rho, "r": int(ld_arr[k])})
+                    {"pair": pair.label(), "theta": tidx, "rho": moved[0], "r": moved[1]})
             chars.append(SuperChar(
                 "chi[D=%s,theta=%d]" % (pair.label() or "0", tidx),
                 pool.intern(*chi_alpha_g(world, ctx, theta)), pool,

@@ -314,8 +314,9 @@ def levi_parts_of_conjugates(world):
     (rows) and each Levi element rho (columns), memoized per world in the
     smallest unsigned dtype that holds a Levi id."""
     def build():
-        r = levi_conj_orbits(world)[0] // world.nU
-        return world.conjL[:, r].T.astype(np.min_scalar_type(world.nL - 1))
+        r, at = dense_unique(levi_conj_orbits(world)[0] // world.nU, world.nL)
+        conj = world.conjL(np.arange(world.nL), r[:, None])
+        return conj.astype(np.min_scalar_type(world.nL - 1))[at]
     return world.memo("levi_parts_of_conjugates", build)
 
 
@@ -451,12 +452,17 @@ def build_u_theory(world, target="G"):
     check_chartab_guard(world.nL, world.guards["chartab"])
     forms = levi_representative_forms(world)
     build_forms(world, forms)
-    ltable = l_table(world)
+    fds = [form_data(world, lam) for lam in forms]
+    tables = [subgroup_table(world, fd.L0_ids) for fd in fds]
+    # s^-1 r s for s in S and r a class representative of L0, every form in one product
+    s_inv = [world.invL[fd.S_ids] for fd in fds]
+    reps = [np.asarray(fd.L0_ids)[t.classes.reps] for fd, t in zip(fds, tables)]
+    conj = world.conjL(np.concatenate([np.repeat(s, r.size) for s, r in zip(s_inv, reps)]),
+                       np.concatenate([np.tile(r, s.size) for s, r in zip(s_inv, reps)]))
+    ends = np.cumsum([s.size * r.size for s, r in zip(s_inv, reps)])
     chars = []
-    for lam in forms:
-        fd = form_data(world, lam)
-        table = subgroup_table(world, fd.L0_ids)
-        sums = s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids)
+    for lam, fd, table, conj_fd in zip(forms, fds, tables, np.split(conj, ends[:-1])):
+        sums = s_orbit_sums(fd.L0_ids, table, fd.S_ids, conj_fd.reshape(len(fd.S_ids), -1))
         zeta = zeta_at_conjugates(world, fd)
         for sidx, vals in enumerate(sums):
             theta = lift_to_levi(world, fd.L0_ids, table, vals)
@@ -494,14 +500,17 @@ def lift_to_levi(world, sub_ids, table, vals):
     return intern_rows(full)
 
 
-def l_table(world):
-    return world.memo("l_table", lambda: TableGroup(list(range(world.nL)), world.mulL))
-
-
 def subgroup_table(world, ids):
-    """The character table of the Levi subgroup on `ids`, memoized per world
-    and per subgroup: forms and scalar Levi subgroups that share a subgroup
-    share one table."""
+    """The character table of the Levi subgroup on `ids` and their products
+    (`Parabolic.mulL`), memoized per world and subgroup, so that forms and scalar
+    Levi subgroups sharing it share one; L's own is built past the chartab guard."""
     ids = tuple(sorted(int(i) for i in ids))
-    return world.memo(("subgroup_table", ids), lambda: irr_characters(
-        l_table(world).subgroup(ids), world.field, world.guards["chartab"]))
+
+    def build():
+        arr = np.array(ids, dtype=np.int64)
+        prods = world.mulL(arr[:, None], arr[None, :])
+        if not sorted_isin(prods, arr).all():
+            raise ValidationError("not-a-group", "subset is not closed under products")
+        return irr_characters(TableGroup(ids, np.searchsorted(arr, prods)), world.field,
+                              world.guards["chartab"])
+    return world.memo(("subgroup_table", ids), build)

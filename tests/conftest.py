@@ -2,6 +2,7 @@ import copy
 import sys
 import pathlib
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
@@ -24,6 +25,25 @@ def cleared(world):
     out = copy.copy(world)
     out._memo = {}
     return out
+
+
+def levi_conjugates(world):
+    """Reference for Levi conjugation: the (nL, nL) ids of L[a] L[b] L[a]^-1,
+    from the matrices, each inverse by Gauss-Jordan elimination."""
+    from parasuper import linalg
+    p = world.spec.p
+    inv = linalg.inverse(world.L, p)
+    return world.l_ids(world.L[:, None] @ world.L[None] % p @ inv[:, None] % p)
+
+
+def levi_table(world, ids):
+    """Reference for a Levi subgroup's TableGroup: the products of its
+    matrices, numbered by position among the sorted ids."""
+    from parasuper.chartab import TableGroup
+    ids = sorted(int(i) for i in ids)
+    mats = world.L[ids]
+    prods = world.l_ids(mats[:, None] @ mats[None] % world.spec.p)
+    return TableGroup(ids, np.searchsorted(ids, prods))
 
 
 def levi_values(world, theta):

@@ -278,6 +278,21 @@ def test_the_levi_guard_fires_before_the_spec_is_built(capsys):
     assert peak < 50 * 2 ** 20
 
 
+@pytest.mark.parametrize("n", [200, 3000])
+def test_the_levi_guard_stops_a_bound_too_long_to_print(n, capsys):
+    # |GL(200, 3)| has over 19,000 digits, past the 4,300 that Python
+    # prints of an int, and the exact product for rank 3000 takes minutes:
+    # the bound stops once it passes both 2^12000 and the guard (10 s is a
+    # wide margin: both exit in well under a second, and rank 3000 ran on
+    # for more than a minute before)
+    import time
+    start = time.perf_counter()
+    got = run_cli(["spec", "--family", "C", "--n", str(n), "--q", "3", "--blocks", str(n)],
+                  capsys)
+    assert time.perf_counter() - start < 10
+    assert got == (2, "", "resource guard: Levi bound over 2**12000 exceeds guard 1000000\n")
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     # an exception that is not a falsification, usage error or guard gets
     # its own exit code and a traceback, never the falsification code 1
@@ -327,9 +342,9 @@ def census(n):
                                    ids=["%s%d-%s-q%d" % case[:4] for case in cases])
 
 
-def check_verdict(family, n, blocks, q, code, first, capsys):
+def check_verdict(family, n, blocks, q, code, first, capsys, suite="all"):
     got, _, err = run_cli(["verify", "--family", family, "--n", str(n), "--q", str(q),
-                           "--blocks", blocks, "--suite", "all"], capsys)
+                           "--blocks", blocks, "--suite", suite], capsys)
     lines = err.splitlines()
     assert (got, re.sub(r"[0-9.]+s$", "<s>", lines[0])) == (code, first)
     if code == 1:
@@ -356,11 +371,64 @@ def test_rank_three_verdict_census(family, n, blocks, q, code, first, capsys):
     check_verdict(family, n, blocks, q, code, first, capsys)
 
 
-def test_chartab_guard_stops_before_the_levi_tables(monkeypatch, capsys):
+def test_rank_three_lemmas_pass_past_the_chartab_guard(capsys):
+    # C3 q=3 blocks 3 (|L| = 11232) stops at the chartab guard under
+    # --suite all, but its lemma suite needs no character table and passes;
+    # the normality lemma tests the generators of each setwise stabilizer
+    # instead of every conjugate, and the run takes about 6 s and 200 MB
+    check_verdict("C", 3, "3", 3, 0, "verify: 7 checks, all passed, <s>", capsys, "lemmas")
+
+
+def levi_square_arrays(world):
+    """The memo keys under which a world holds an array with two axes of
+    length |L|, searched through containers and object attributes."""
+    import numpy as np
+    from parasuper.groups import Parabolic
+    found, seen = set(), set()
+
+    def walk(value, key):
+        if id(value) in seen or isinstance(value, Parabolic):
+            return
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            if list(value.shape).count(world.nL) >= 2:
+                found.add(key)
+            value = value.tolist() if value.dtype == object else []
+        elif isinstance(value, dict):
+            value = list(value.values())
+        elif hasattr(value, "__dict__"):
+            value = list(vars(value).values())
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item, key)
+    for key, value in world._memo.items():
+        walk(value, key)
+    return found
+
+
+@pytest.fixture
+def levi_products(monkeypatch):
+    """The sizes of the results of every mulL and conjL call."""
+    from parasuper.groups import Parabolic
+    sizes = [0]
+
+    def recorded(method):
+        def wrapper(self, *ids):
+            out = method(self, *ids)
+            sizes.append(out.size)
+            return out
+        return wrapper
+    for name in ("mulL", "conjL"):
+        monkeypatch.setattr(Parabolic, name, recorded(getattr(Parabolic, name)))
+    return sizes
+
+
+def test_chartab_guard_stops_before_the_levi_tables(monkeypatch, capsys, levi_products):
     # both G theories need the character table of all of L (|L| = 96 on B2
     # q=3 blocks 1,3): under a chartab guard of 50 they exit 2 before any
-    # form data or |L| x |L| table is built, while the lemma suite and the
-    # U-on-U theory need no table and pass
+    # form data or table of L is built, while the lemma suite and the U-on-U
+    # theory need no table and pass.  Levi products are taken on demand: no
+    # call asks for |L|^2 of them, and no world holds an |L| x |L| array
     import parasuper.cli as cli
     worlds = []
     real = cli.make_world
@@ -370,11 +438,24 @@ def test_chartab_guard_stops_before_the_levi_tables(monkeypatch, capsys):
                  ["gtheory"] + cfg):
         assert run_cli(argv, capsys) == (
             2, "", "error (chartab-guard): group of order 96 exceeds guard 50\n")
-        assert not any(worlds[-1].memoized(table) for table in ("mulL", "conjL"))
-        assert not any(key[0] == "form_data" for key in worlds[-1]._memo
+        assert not any(key[0] in ("form_data", "subgroup_table") for key in worlds[-1]._memo
                        if isinstance(key, tuple))
     for argv in (["verify"] + cfg + ["--suite", "lemmas"], ["utheory"] + cfg + ["--target", "U"]):
         assert run_cli(argv, capsys)[0] == 0
+    assert all(w.nL == 96 and not levi_square_arrays(w) for w in worlds)
+    assert 0 < max(levi_products) < 96 ** 2
+
+
+def test_only_the_table_of_l_is_an_l_by_l_array(capsys, monkeypatch):
+    # below the chartab guard, a full run holds L's own multiplication
+    # table, in its character table, and no other |L| x |L| array
+    import parasuper.cli as cli
+    worlds = []
+    real = cli.make_world
+    monkeypatch.setattr(cli, "make_world", lambda args: worlds.append(real(args)) or worlds[-1])
+    assert run_cli(["verify", "--family", "B", "--n", "2", "--q", "3", "--blocks", "1,3",
+                    "--suite", "all"], capsys)[0] == 0
+    assert levi_square_arrays(worlds[0]) == {("subgroup_table", tuple(range(96)))}
 
 
 def test_chartab_guard_comes_before_the_pair_contexts(capsys):

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import cleared, world_for
+from conftest import cleared, levi_conjugates, world_for
 from hypothesis import given, settings, strategies as st
 
 from parasuper import groups, linalg
@@ -354,7 +354,8 @@ def test_table_generators_are_the_greedy_choice(name, request):
     # reference: the least element outside the two-sided product closure of
     # the identity and the generators so far, closed by plain set loops
     w = request.getfixturevalue(name)
-    mul, n, want, closure = w.mulL, w.nL, [], {int(w.idL)}
+    mul = w.l_ids(w.L[:, None] @ w.L[None] % w.spec.p)
+    n, want, closure = w.nL, [], {int(w.idL)}
     while len(closure) < n:
         want.append(min(set(range(n)) - closure))
         closure.add(want[-1])
@@ -363,7 +364,7 @@ def test_table_generators_are_the_greedy_choice(name, request):
             if not new:
                 break
             closure |= new
-    assert w.L_generator_ids == want
+    assert w.levi_generator_conjugates[0].tolist() == want
 
 
 @pytest.mark.parametrize("name", CONFTEST_WORLDS)
@@ -493,8 +494,80 @@ def test_conjugacy_classes_match_brute_force(name, request):
             assert (label[c] == i).all()
 
 
-WORLD_TABLES = ["mulL", "invL", "conjL", "U_times_basis", "invU", "conjUbyL",
-                "L_generator_ids", "g_classes", "u_group_classes"]
+@pytest.mark.parametrize("name", CONFTEST_WORLDS)
+def test_levi_products_are_the_matrix_products(name, request, monkeypatch):
+    # mulL (of two and of three factors) and conjL over broadcast id arrays,
+    # in slices of 7 products
+    w = request.getfixturevalue(name)
+    p, rng = w.spec.p, np.random.default_rng(11)
+    a, b = rng.integers(w.nL, size=(40, 1)), rng.integers(w.nL, size=(1, 30))
+    monkeypatch.setattr(groups, "_slice", lambda width: 7)
+    assert np.array_equal(w.mulL(a, b), w.l_ids(w.L[a] @ w.L[b] % p))
+    assert np.array_equal(w.mulL(a, b, a), w.l_ids(w.L[a] @ w.L[b] % p @ w.L[a] % p))
+    assert np.array_equal(w.conjL(a, b), levi_conjugates(w)[a, b])
+    assert w.mulL(a[:, 0], w.invL[a[:, 0]]).tolist() == [w.idL] * len(a)
+    assert w.conjL(a[:0], b).shape == (0, 30)
+
+
+def first_moved_reference(conj, acting, points, key):
+    inside = set(points)
+    for s in acting:
+        for x in points:
+            if int(conj[s, x]) not in inside or key is not None and key[conj[s, x]] != key[x]:
+                return int(s), int(x)
+    return None
+
+
+@pytest.mark.parametrize("name", CONFTEST_WORLDS + ["mid3_b2"])
+def test_first_moved_by_conjugation_is_the_first_of_a_full_scan(name, request):
+    # acting sets: all of L, the setwise stabilizers of the forms, and the
+    # same with one element dropped (no longer a group, so the generators'
+    # closure leaves the set); points: normal and non-normal
+    # subgroups and arbitrary sets; keys: membership, the identity map and
+    # a key lumping Levi ids together.  Only a non-abelian L moves anything
+    from parasuper.utheory import form_data, orbit_partition
+    w = world_for("B", 2, 3, (1, 3, 1)) if name == "mid3_b2" else request.getfixturevalue(name)
+    rng = np.random.default_rng(3)
+    fds = [form_data(w, int(orb[0])) for orb in orbit_partition(w, "ustar", "Ub")[1]]
+    actings = [list(range(w.nL))] + [fd.S_ids for fd in fds[:6]]
+    actings += [acting[:1] + acting[2:] for acting in actings if len(acting) > 2][:3]
+    pointss = [fd.L0_ids for fd in fds[:6]] + [[int(w.idL), w.nL - 1]]
+    pointss += [sorted(rng.choice(w.nL, size=3, replace=False).tolist())]
+    keys = [None, np.arange(w.nL), np.arange(w.nL) % 3]
+    conj, moved = levi_conjugates(w), 0
+    for acting in actings:
+        for points in pointss:
+            for key in keys:
+                want = first_moved_reference(conj, acting, points, key)
+                assert groups.first_moved_by_conjugation(w, acting, points, key) == want
+                moved += want is not None
+    abelian = (conj == np.arange(w.nL)).all()
+    assert bool(moved) != abelian
+
+
+def test_first_moved_by_conjugation_on_large_scans_of_gl25():
+    # GL(2, 5), scans of more than 2^11 pairs, which test generators only.
+    # The first greedy generator of {1, z, ...}, z central of order 4,
+    # closes on z^2 outside the set: the set is no group, yet the first
+    # generator that moves a point names the first pair of the scan.  On the
+    # upper triangular subgroup a generator moves a point; with membership
+    # in all of L nothing moves
+    w = world_for("C", 2, 5, (2, 0, 2))
+    conj = levi_conjugates(w)
+    central = np.flatnonzero((conj == np.arange(w.nL)).all(axis=1)).tolist()
+    z = min(c for c in central if int(w.mulL([c], [c])[0]) != w.idL)
+    ids = np.arange(w.nL)
+    block = w.spec.block_slice[1]
+    upper = np.flatnonzero(w.L[:, block, block][:, 1, 0] == 0).tolist()
+    for acting in ([w.idL, z] + [s for s in range(z + 1, w.nL) if s not in central][:10],
+                   upper):
+        want = first_moved_reference(conj, acting, ids, ids)
+        assert want is not None and groups.first_moved_by_conjugation(w, acting, ids, ids) == want
+    assert len(upper) == 80 and groups.first_moved_by_conjugation(w, upper, ids) is None
+
+
+WORLD_TABLES = ["invL", "U_times_basis", "invU", "conjUbyL", "levi_generator_conjugates",
+                "g_classes", "u_group_classes"]
 
 
 def test_a_cleared_memo_rebuilds_every_world_table(borel_c2):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import cleared, levi_values, world_for
+from conftest import cleared, levi_conjugates, levi_values, world_for
 from hypothesis import given, settings, strategies as st
 
 from parasuper import gtheory, linalg
@@ -406,7 +406,7 @@ def test_levi_invariance_check_reports_the_first_moved_pair(twoblock_c2, monkeyp
     def perturbed(world, sub_ids, table, vals):
         ids, rows = real(world, sub_ids, table, vals)
         if len(sub_ids) == world.nL and not planted:
-            r = [int(r) for r in sub_ids if (world.conjL[:, r] != r).any()][-1]
+            r = [int(r) for r in sub_ids if (world.conjL(np.arange(world.nL), r) != r).any()][-1]
             dense = rows[ids]
             dense[r, 0] += 1
             planted.append((list(sub_ids), world.field.from_rows(dense)))
@@ -417,11 +417,39 @@ def test_levi_invariance_check_reports_the_first_moved_pair(twoblock_c2, monkeyp
     with pytest.raises(FalsificationError) as err:
         build_g_theory(w)
     ld_ids, theta_by_l = planted[0]
+    conj = levi_conjugates(w)
     want = next((rho, d) for rho in range(w.nL) for d in ld_ids
-                if theta_by_l[int(w.conjL[rho, d])] != theta_by_l[d])
+                if theta_by_l[int(conj[rho, d])] != theta_by_l[d])
     assert "moved by Levi conjugation" in str(err.value)
     ce = err.value.counterexample
     assert (ce["rho"], ce["r"]) == want and ce["theta"] == 0
+
+
+def test_normality_check_reports_the_first_conjugate_leaving_the_scalar_subgroup(
+        twoblock_c2, monkeypatch):
+    # negative control: the first pair context's scalar Levi subgroup is
+    # replaced by the identity and the last non-central Levi element, which
+    # is no subgroup normal in L; the check must name the first (rho, r) in
+    # row-major order over Levi elements rho and the planted ids r whose
+    # conjugate rho r rho^-1 leaves them
+    w = cleared(twoblock_c2)
+    conj = levi_conjugates(w)
+    r = [r for r in range(w.nL) if (conj[:, r] != r).any()][-1]
+    planted = sorted({int(w.idL), r})
+    real = gtheory.pair_context
+
+    def replaced(world, pair):
+        ctx = real(world, pair)
+        if not pair.roots:
+            ctx = dict(ctx, ld_ids=planted)
+        return ctx
+
+    monkeypatch.setattr(gtheory, "pair_context", replaced)
+    with pytest.raises(FalsificationError, match="not normal in the Levi subgroup") as err:
+        build_g_theory(w)
+    want = next((rho, x) for rho in range(w.nL) for x in planted
+                if int(conj[rho, x]) not in planted)
+    assert err.value.counterexample == {"pair": "", "rho": want[0], "r": want[1]}
 
 
 def subspace_points(world, flags):

@@ -6,7 +6,8 @@ arithmetic beyond the wall-clock seconds of a check, only the value pool turns
 `Cyc` values into integer coefficient rows, the theory builders hand their
 rows to the pool instead of making `Cyc` values, and sets of integers go through
 the sorted helpers of `orbits`, never `np.isin` or a flag-free `np.unique`,
-and only `utheory.pair_products` multiplies coefficient rows."""
+only `utheory.pair_products` multiplies coefficient rows, and Levi products
+are calls, never a table that is indexed."""
 
 import ast
 import pathlib
@@ -172,6 +173,26 @@ def test_callers_are_reported():
               "class C:\n    def g(self, field):\n        return [field.mul_rows(1, 2)]\n\n\n"
               "def h(field):\n    return field.add(1)\n\n\nx = F.mul_rows(1, 2)\n")
     assert callers(source, "mul_rows") == ["f", "C", None]
+
+
+def table_indexing(source, names=("mulL", "conjL")):
+    """Lines that index an attribute called one of `names`, as in `w.mulL[a, b]`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr in names]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_levi_products_are_never_a_table(path):
+    # `Parabolic.mulL` and `conjL` compute the products they are asked for;
+    # an |L| x |L| table of them is what they replace
+    assert table_indexing(path.read_text()) == []
+
+
+def test_levi_table_indexing_is_reported():
+    source = ("def f(w, a, b):\n    x = w.mulL(a, b)\n    y = w.conjL[a]\n"
+              "    return x, y, w.mulL[a, b], w.conjUbyL[a], conjL[b]\n")
+    assert table_indexing(source) == [3, 4]
 
 
 def test_rows_call_is_reported():

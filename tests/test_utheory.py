@@ -6,19 +6,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import cleared, levi_values, world_for
+from conftest import cleared, levi_conjugates, levi_table, levi_values, world_for
 
 from parasuper import groups, linalg, utheory
 from parasuper.algebra import CycField
 from parasuper.chartab import conjugacy_classes, irr_characters, s_orbit_sums
-from parasuper.errors import FalsificationError
+from parasuper.errors import FalsificationError, ValidationError
 from parasuper.groups import Parabolic, build_spec
 from parasuper.orbits import (
     enumerate_subspace, pack, quotient_orbits, smallest_bimodule, unpack,
 )
 from parasuper.theory import SuperChar, SuperClass, SuperTheory, ValuePool
 from parasuper.utheory import (
-    build_u_theory, chi_alpha_u, form_data, l_table,
+    build_u_theory, chi_alpha_u, form_data,
     levi_conj_orbits, lift_to_levi, orbit_eps_counts, orbit_partition, counts_to_values,
     pair_products, subgroup_table, superclass_u, zeta_at_conjugates,
 )
@@ -160,7 +160,7 @@ def chi_alpha_u_by_counting(w, fd, theta_by_l):
     pairs = [(t, z) for t in range(len(tvals)) for z in range(nz)]
     # theta and zeta ids at rho g rho^-1 for g = r u, over all rho, coded as
     # the index of the pair (t, z) in `pairs`; one count vector per g
-    t_at = np.array(tid)[w.conjL.T]                      # (r, rho)
+    t_at = np.array(tid)[levi_conjugates(w).T]           # (r, rho)
     z_at = zer_ids[w.conjUbyL.T]                         # (u, rho)
     codes = (t_at[:, None] * nz + z_at[None]).reshape(w.nL * w.nU, w.nL)
     vectors = np.zeros((len(codes), len(pairs)), dtype=np.int64)
@@ -180,7 +180,7 @@ def chi_alpha_u_by_counting(w, fd, theta_by_l):
 def _levi_conjugate(w, rho, g):
     """Packed ids of rho g rho^-1 for an array g of packed G ids."""
     r, u = np.divmod(np.asarray(g, dtype=np.int64), w.nU)
-    return w.conjL[rho, r].astype(np.int64) * w.nU + w.conjUbyL[rho, u]
+    return w.conjL(rho, r) * w.nU + w.conjUbyL[rho, u]
 
 
 @pytest.mark.parametrize("name", ["borel_d2", "mid3_b2"])
@@ -194,7 +194,8 @@ def test_levi_conj_orbits(name, request):
     assert np.array_equal(orbit[reps], np.arange(reps.size))
     assert (reps[orbit] <= g).all() and (np.diff(reps) > 0).all()
     # Burnside: the number of orbits is the mean number of fixed points
-    fixed = sum(int((w.conjL[rho] == np.arange(w.nL)).sum())
+    conj = levi_conjugates(w)
+    fixed = sum(int((conj[rho] == np.arange(w.nL)).sum())
                 * int((w.conjUbyL[rho] == np.arange(w.nU)).sum()) for rho in range(w.nL))
     assert fixed % w.nL == 0 and reps.size == fixed // w.nL
 
@@ -212,16 +213,24 @@ def test_superclass_u_is_the_union_of_levi_conjugates(name, request):
             assert np.array_equal(superclass_u(w, h_idx, coset), want)
 
 
+def stabilizer_orbit_sums(w, fd, conj):
+    """L0's character table and its orbit sums under S, s^-1 r s read off
+    the reference conjugation table `conj` (levi_conjugates)."""
+    table = subgroup_table(w, fd.L0_ids)
+    reps = np.asarray(fd.L0_ids)[table.classes.reps]
+    return table, s_orbit_sums(fd.L0_ids, table, fd.S_ids, conj[np.ix_(w.invL[fd.S_ids], reps)])
+
+
 def theta_sums(w):
     """(fd, table, rows, theta_by_l) for every form and every orbit sum theta
     of its pointwise stabilizer's irreducibles; theta_by_l is theta as one
     Cyc per Levi element id, zero outside the stabilizer."""
-    ltable = l_table(w)
+    conj = levi_conjugates(w)
     for orb in orbit_partition(w, "ustar", "Ub")[1]:
         fd = form_data(w, int(orb[0]))
-        table = irr_characters(ltable.subgroup(fd.L0_ids), w.field)
+        table, sums = stabilizer_orbit_sums(w, fd, conj)
         pos_of = {g: t for t, g in enumerate(fd.L0_ids)}
-        for rows in s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids):
+        for rows in sums:
             vals = w.field.from_rows(rows)
             yield fd, table, rows, [vals[int(table.classes.class_of[pos_of[r]])]
                                     if r in pos_of else w.field.zero for r in range(w.nL)]
@@ -356,11 +365,22 @@ def test_subgroup_table_is_one_table_per_subgroup(mid3_b2):
         tab = subgroup_table(w, ids)
         assert subgroup_table(w, list(reversed(ids))) is tab
         assert subgroup_table(w, np.random.default_rng(3).permutation(ids)) is tab
-        assert tab.group.parent_ids == sorted(ids)
-        fresh = irr_characters(l_table(w).subgroup(ids), w.field)
+        assert tab.group.elements == sorted(ids)
+        fresh = irr_characters(levi_table(w, ids), w.field)
+        assert np.array_equal(tab.group.mul, fresh.group.mul)
         assert np.array_equal(tab.chars, fresh.chars)
         tables[ids] = tab
     assert len({id(tab) for tab in tables.values()}) == len(stabs)
+
+
+def test_subgroup_table_refuses_a_set_that_is_no_subgroup(mid3_b2):
+    # the identity and an element whose square is neither: the products of
+    # the set leave it, and no table is built
+    w = mid3_b2
+    x = next(x for x in range(w.nL) if int(w.mulL([x], [x])[0]) not in (w.idL, x))
+    with pytest.raises(ValidationError, match="not closed under products"):
+        subgroup_table(w, [w.idL, x])
+    assert not w.memoized(("subgroup_table", tuple(sorted([w.idL, x]))))
 
 
 def test_theories_compute_one_table_per_distinct_subgroup(monkeypatch):
@@ -372,7 +392,7 @@ def test_theories_compute_one_table_per_distinct_subgroup(monkeypatch):
     calls = []
 
     def counted(group, *args):
-        calls.append(group.parent_ids)
+        calls.append(group.elements)
         return irr_characters(group, *args)
 
     monkeypatch.setattr(utheory, "irr_characters", counted)
@@ -408,14 +428,13 @@ def u_theory_over_every_form(w):
     # one Levi element per conjugacy class: every form and every Levi
     # element, copies dropped when the SuperTheory is made
     pool = ValuePool(w.field)
-    ltable = l_table(w)
-    chars = []
+    chars, conj = [], levi_conjugates(w)
     for orb in orbit_partition(w, "ustar", "Ub")[1]:
         lam = int(orb[0])
         fd = form_data(w, lam)
-        table = subgroup_table(w, fd.L0_ids)
+        table, sums = stabilizer_orbit_sums(w, fd, conj)
         zeta = zeta_at_conjugates(w, fd)
-        for sidx, vals in enumerate(s_orbit_sums(ltable, fd.L0_ids, table, fd.S_ids)):
+        for sidx, vals in enumerate(sums):
             theta = lift_to_levi(w, fd.L0_ids, table, vals)
             ids = pool.intern(*chi_alpha_u(w, fd, theta, zeta))
             chars.append(SuperChar("chi[lam=%d,theta=%d]" % (lam, sidx), ids,
@@ -469,7 +488,7 @@ def test_ub_on_g_builds_each_character_and_class_once(monkeypatch):
     theory = build_u_theory(w, "G")
     assert counts["chi_alpha_u"] == len(theory.chars) == 44
     reps = utheory.levi_class_representatives(w)
-    assert len(reps) == len(conjugacy_classes(l_table(w)).reps) == 20
+    assert len(reps) == len(conjugacy_classes(levi_table(w, range(w.nL))).reps) == 20
     u_hs = {(b.shape, b.tobytes()) for b in (smallest_bimodule(w, w.L[h])[1] for h in reps)}
     assert counts["quotient_orbits"] == len(u_hs) == 10
 
@@ -479,7 +498,7 @@ def test_levi_class_representatives_are_the_least_of_each_class(config):
     # read off L's character table; the reference takes the least conjugate
     # of every Levi element from the |L| x |L| conjugation table
     w = world_for(*config)
-    want = np.flatnonzero(w.conjL.min(axis=0) == np.arange(w.nL)).tolist()
+    want = np.flatnonzero(levi_conjugates(w).min(axis=0) == np.arange(w.nL)).tolist()
     assert utheory.levi_class_representatives(w) == want
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import levi_values
+from conftest import cleared, levi_conjugates, levi_values
 
 from parasuper.errors import FalsificationError
 from parasuper.groups import Parabolic
@@ -446,32 +446,34 @@ def test_oracles_catch_swapped_provenance(borel_c2, which):
     assert ce["formula"] != ce["induction"] and "class_rep" in ce
 
 
-def test_normality_lemma_reports_the_first_corrupted_conjugate(borel_c2):
-    # negative control: one conjL entry of a copy sends an element of some
-    # form's L0 outside it, conjugated by an element of S outside L0; the
-    # reference is the plain (lam, s, x) loop
+def test_normality_lemma_reports_the_first_corrupted_conjugate(twoblock_c2):
+    # negative control: in a copy of the world, one form's L0 becomes the
+    # identity and the last element y of L0 that some s in S moves by
+    # conjugation, a subset that is not normal in S; the reference is the
+    # plain (lam, s, x) loop over conjugates read off the matrices
     import copy
     from parasuper.utheory import form_data, orbit_partition
-    w = borel_c2
+    w = twoblock_c2
+    conj = levi_conjugates(w)
     reps = [int(orb[0]) for orb in orbit_partition(w, "ustar", "Ub")[1]]
-    fd = next(fd for fd in (form_data(w, lam) for lam in reps)
-              if len(fd.L0_ids) < w.nL and set(fd.S_ids) - set(fd.L0_ids))
-    s = next(s for s in fd.S_ids if s not in fd.L0_ids)
-    x = fd.L0_ids[-1]
-    bad = copy.copy(w)
-    bad._memo = {}
-    bad.conjL = w.conjL.copy()
-    bad.conjL[s, x] = next(y for y in range(w.nL) if y not in fd.L0_ids)
 
-    def first_failure():
+    def first_failure(l0_of):
         for lam in reps:
             f = form_data(w, lam)
             for s in f.S_ids:
-                for x in f.L0_ids:
-                    if int(bad.conjL[s, x]) not in f.L0_ids:
+                for x in l0_of(f):
+                    if int(conj[s, x]) not in l0_of(f):
                         return {"lam": lam, "s": s, "x": x}
 
-    want = first_failure()
+    fd = next(fd for fd in (form_data(w, lam) for lam in reps)
+              if (conj[np.ix_(fd.S_ids, fd.L0_ids)] != fd.L0_ids).any())
+    y = [y for y in fd.L0_ids if (conj[fd.S_ids, y] != y).any()][-1]
+    planted = sorted({int(w.idL), y})
+    bad = cleared(w)
+    bad_fd = copy.copy(fd)
+    bad_fd.L0_ids = planted
+    bad.memo(("form_data", fd.lam), lambda: bad_fd)
+    want = first_failure(lambda f: planted if f is fd else f.L0_ids)
     assert want is not None
     check = next(c for c in check_lemmas(bad).checks if c.name == "pointwise-normal-in-setwise")
     assert not check.passed
