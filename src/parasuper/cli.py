@@ -19,7 +19,7 @@ import sys
 import traceback
 
 from .errors import FalsificationError, ResourceGuardError, ValidationError
-from .groups import DEFAULT_GUARDS, Parabolic, build_spec, check_config, check_levi_bound
+from .groups import DEFAULT_GUARDS, GroupSpec, Parabolic, check_config, check_levi_bound
 from .utheory import build_u_theory, orbit_partition
 from .gtheory import build_g_theory
 from . import verify as verify_mod
@@ -64,10 +64,11 @@ def gather_guards(args):
 def make_world(args):
     """The world of a configuration; the Levi guard needs only the validated
     block sizes, so it fires before any array of the spec is built."""
-    config = (args.family, args.n, args.q, parse_blocks(args.family, args.n, args.blocks))
+    blocks, delta = check_config(args.family, args.n, args.q,
+                                 parse_blocks(args.family, args.n, args.blocks), args.delta)
     guards = gather_guards(args)
-    check_levi_bound(check_config(*config, args.delta)[0], args.q, guards["levi"])
-    return Parabolic(build_spec(*config, delta=args.delta), guards)
+    check_levi_bound(blocks, args.q, guards["levi"])
+    return Parabolic(GroupSpec(args.family, args.n, args.q, blocks, delta), guards)
 
 
 def config_payload(args):

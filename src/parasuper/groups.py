@@ -25,8 +25,8 @@ import numpy as np
 from . import linalg
 from .algebra import CycField, is_odd_prime, lcm, primitive_root, smallest_nonsquare
 from .errors import FalsificationError, ResourceGuardError, ValidationError
-from .orbits import (LinearAction, _bfs, _slice, enumerate_subspace, levi_images, pack,
-                     partition_by_perms, read_only, sorted_isin, sorted_unique, unpack)
+from .orbits import (LinearAction, _bfs, _slice, enumerate_subspace, pack, partition_by_perms,
+                     read_only, sorted_isin, sorted_unique, unpack)
 
 DEFAULT_GUARDS = {
     "levi": 10 ** 6,      # upper bound on |L|
@@ -140,28 +140,18 @@ class GroupSpec:
         return out
 
     def _init_roots(self):
-        p = self.p
-
-        def anti_fixed(m):
-            return np.array_equal(self.dagger(m), -m % p)
-
+        """The positive roots: E(i,j)-dagger = s_i s_j E(-j,-i), so E(i,j) +
+        eps E(-j,-i) is anti-fixed for eps = -s_i s_j, and a self-mirrored
+        E(i,j) for eps = 0; one batched check keeps that an invariant."""
         roots = []
         for (i, j) in self._positive_root_pairs():
             mirror = (-j, -i)
-            if mirror == (i, j):
-                eps = 0
-                if not anti_fixed(self.E(i, j)):
-                    raise RuntimeError("self-mirrored root %r is not anti-fixed" % ((i, j),))
-            else:
-                signs = [cand for cand in (1, -1)
-                         if anti_fixed((self.E(i, j) + cand * self.E(*mirror)) % p)]
-                if len(signs) != 1:
-                    raise RuntimeError("%s sign solves anti-invariance for root %r; "
-                                       "involution is inconsistent"
-                                       % ("no" if not signs else "more than one", (i, j)))
-                eps = signs[0]
+            eps = 0 if mirror == (i, j) else -self.sign(i) * self.sign(j)
             crossing = self.block_of[i] > self.block_of[j]
             roots.append(Root(i, j, mirror, self.block_of[i], self.block_of[j], eps, crossing))
+        mats = np.array([self.root_matrix(r) for r in roots]).reshape(-1, self.N, self.N)
+        if not np.array_equal(self.dagger(mats), -mats % self.p):
+            raise RuntimeError("a root matrix is not anti-fixed; the involution is inconsistent")
         self.roots = tuple(roots)
         self.roots_u = tuple(r for r in roots if r.crossing)
 
@@ -271,6 +261,10 @@ def check_config(family, n, q, blocks, delta):
         raise ValidationError("trivial-radical",
                               "a single block %r leaves u = 0 and G = L; give at least "
                               "one side block" % (blocks,))
+    if family == "D" and n == 1:
+        raise ValidationError("trivial-radical",
+                              "type D1 has no roots, so blocks %r leave u = 0 and G = L; "
+                              "take n >= 2" % (blocks,))
     if delta is not None:
         delta = int(delta) % q
         if delta in {(i * i) % q for i in range(1, q)} or delta == 0:
@@ -725,7 +719,7 @@ class Parabolic:
         """conjUbyL[r, u] = index of L[r] U[u] L[r]^-1: an id packs the coordinates
         of f(U[u]), and f(1+x) = x sum_k (-x/2)^k is a power series in x, so
         f(l v l^-1) = l f(v) l-dagger, the image of u under l acting on u."""
-        return levi_images(self, "u", np.arange(self.nU)).astype(np.int32)
+        return self.action("u", "L").images(np.arange(self.nU)).astype(np.int32)
 
     # -- the group G as packed pair ids --------------------------------------
 

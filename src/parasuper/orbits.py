@@ -11,10 +11,11 @@ and the ambient groups acting are never enumerated.
 Spaces that are enumerated anyway (u and u* under Ub, Hb and Gb) are
 partitioned once per world and an orbit is looked up there by label; only
 the spaces of forms on Uc, too large to enumerate, are closed from a seed,
-the seeds of many forms at once (`orbit_closures`).  Levi stabilizers are
-read off `levi_images`, the images of a few points under every Levi element
-at once, for many point sets by `levi_stabilizers`, and the preimages of
-the orbits on a quotient of u are partitioned on u itself
+the seeds of many forms at once (`orbit_closures`).  Every image of points
+is `LinearAction.images`, one stacked product per bounded slice; with the
+action of all of L (tag "L") it gives the images of points under every Levi
+element, read by `levi_stabilizers` for many point sets at once.  The
+preimages of the orbits on a quotient of u are partitioned on u itself
 (`quotient_orbits`).
 
 A closure only needs generators of the group acting: an orbit, or a
@@ -79,20 +80,21 @@ class LinearAction:
         return self.gen_mats.shape[0] * self.dim
 
     def images(self, pts):
-        """(k, n) images of n points under each of the k generators, from
-        one stacked product."""
+        """(k, n) images of n points under each of the k generators, the one
+        batched image product: a stacked product per slice of at most _BLOCK
+        entries, returned without a copy when one slice holds every point."""
+        step = _slice(self.width)
+        if len(pts) > step:
+            return np.concatenate([self.images(pts[lo:lo + step])
+                                   for lo in range(0, len(pts), step)], axis=1)
         return self.pack(self.unpack(pts) @ self.gen_mats.transpose(0, 2, 1))
 
     def full_perms(self, guard):
-        """The generators as permutations of the whole space, computed once,
-        in slices of at most _BLOCK product entries."""
+        """The generators as permutations of the whole space, computed once."""
         if self._perms is None:
             if self.size > guard:
                 raise ResourceGuardError("space of size %d exceeds guard %d" % (self.size, guard))
-            step = _slice(self.width)
-            self._perms = list(np.concatenate(
-                [self.images(np.arange(lo, min(lo + step, self.size)))
-                 for lo in range(0, self.size, step)], axis=1))
+            self._perms = list(self.images(np.arange(self.size)))
         return self._perms
 
 
@@ -234,42 +236,26 @@ def partition_orbits(action, guard):
     return partition_by_perms(action.size, action.full_perms(guard))
 
 
-def levi_images(world, space, points):
-    """(nL, k) packed images of k points under every Levi element, one
-    batched product per slice of points, at most _BLOCK product entries
-    each.  `space` names the action: "u" is the dot action on u, "ustar" on
-    forms over u, "ucstar" the coadjoint action on forms over Uc.
-
-    A Levi element fixes a subspace pointwise iff its row equals the
-    subspace's basis points; it fixes an orbit of a group that L normalizes
-    setwise iff it maps one point of the orbit into it.
-    """
-    act = world.action(space, "L")
-    digits = act.unpack(points)
-    step = _slice(world.nL * act.dim)
-    # no points still make one slice, the (nL, 0) result
-    return np.concatenate([act.pack(np.einsum("lij,kj->lki", act.gen_mats, digits[lo:lo + step]))
-                           for lo in range(0, max(1, len(digits)), step)], axis=1)
-
-
 def levi_stabilizers(world, space, points, sizes, key=None):
     """For sets of points laid end to end in `points`, sizes[i] points in set
     i, the Levi ids l with key(l x) == key(x) for every point x of the set
     (key: an array indexed by point, or None for the point itself), one
-    ascending list per set.  With key None, a set spanning a subspace gives
-    its pointwise stabilizer; with key an orbit label and one point per set,
-    the setwise stabilizer of its orbit (see levi_images).  Whole sets are
-    imaged at once by levi_images, at most _BLOCK product entries per call
-    unless one set alone needs more."""
+    ascending list per set, under world.action(space, "L") (space "u",
+    "ustar" or "ucstar").  With key None and a set of basis points, l fixes
+    their span pointwise iff its images are the basis points; with key an
+    orbit label and one point per set, l fixes the orbit setwise iff it maps
+    the point into it (L normalizes Ub, so it permutes Ub's orbits).  Whole
+    sets are imaged at once, at most _BLOCK entries unless one needs more."""
+    act = world.action(space, "L")
     points = np.asarray(points, dtype=np.int64)
     starts = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
-    step = _slice(world.nL * world.action(space, "L").dim)
+    step = _slice(act.width)
     out = []
     lo = 0
     while lo < len(sizes):
         hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + step, "right")) - 1)
         pts = points[starts[lo]:starts[hi]]
-        imgs = levi_images(world, space, pts)
+        imgs = act.images(pts)
         moved = imgs != pts if key is None else key[imgs] != key[pts]
         # moved points of l up to each position; a set fixes l iff none in it
         count = np.concatenate([np.zeros((world.nL, 1), dtype=np.int64),

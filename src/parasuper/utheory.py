@@ -32,8 +32,8 @@ from .algebra import absmax, int_dtype
 from .chartab import TableGroup, check_chartab_guard, irr_characters, s_orbit_sums
 from .errors import FalsificationError, ValidationError
 from .orbits import (
-    _slice, dense_unique, levi_images, levi_stabilizers, pack, partition_by_perms,
-    partition_orbits, quotient_orbits, read_only, smallest_bimodule, sorted_isin, sorted_unique,
+    _slice, dense_unique, levi_stabilizers, pack, partition_by_perms, partition_orbits,
+    quotient_orbits, read_only, smallest_bimodule, sorted_isin, sorted_unique,
 )
 from .theory import SuperChar, SuperClass, SuperTheory, ValuePool
 
@@ -399,7 +399,7 @@ def levi_representative_forms(world):
     the one of least orbit index), ascending."""
     label, orbits = orbit_partition(world, "ustar", "Ub")
     lams = np.array([orb[0] for orb in orbits], dtype=np.int64)
-    least = label[levi_images(world, "ustar", lams)].min(axis=0)
+    least = label[world.action("ustar", "L").images(lams)].min(axis=0)
     return lams[least == np.arange(lams.size)].tolist()
 
 

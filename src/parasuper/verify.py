@@ -26,7 +26,7 @@ from . import linalg
 from .algebra import absmax, int_dtype, integer_gram, integer_norms
 from .errors import FalsificationError, ValidationError
 from .groups import cayley, first_moved_by_conjugation, subgroup_generators
-from .orbits import levi_images, orbit_closures, sorted_isin, sorted_unique
+from .orbits import orbit_closures, sorted_isin, sorted_unique
 from .theory import SuperChar, SuperClass
 from .utheory import (
     build_forms, build_u_theory, eps_exponents, form_data, orbit_of, orbit_partition, orbit_sum,
@@ -334,7 +334,7 @@ def check_lemmas(world):
 
     def setwise_stabilizers_agree():
         for fd, two_sided in closed(world.action("ucstar-twosided", "Ub-simple")):
-            img = levi_images(world, "ucstar", [fd.Lam_packed])[:, 0]
+            img = world.action("ucstar", "L").images([fd.Lam_packed])[:, 0]
             at = np.searchsorted(two_sided, img).clip(max=two_sided.size - 1)
             s_two = np.flatnonzero(two_sided[at] == img).tolist()
             if s_two != fd.S_ids:
@@ -558,17 +558,19 @@ def check_refinement(theory_ub_g, theory_gb_g):
 # ---------------------------------------------------------------------------
 # negative controls
 
+def _first_class_of_two(theory):
+    """Index of the theory's first class with at least two elements."""
+    for idx, kl in enumerate(theory.classes):
+        if kl.size >= 2:
+            return idx
+    raise ValidationError("corrupt", "no class with two elements to corrupt")
+
+
 def corrupt_character(theory):
     """Copy the theory with one character value flipped on one element."""
     bad = copy.copy(theory)
     bad.chars = list(theory.chars)
-    target = None
-    for kl in theory.classes:
-        if kl.size >= 2:
-            target = kl
-            break
-    if target is None:
-        raise ValidationError("corrupt", "no class with two elements to corrupt")
+    target = theory.classes[_first_class_of_two(theory)]
     ch = theory.chars[0]
     new_ids = ch.ids.copy()
     field = theory.pool.field
@@ -582,13 +584,7 @@ def corrupt_class(theory):
     """Copy the theory with one element moved between two classes."""
     bad = copy.copy(theory)
     bad.classes = list(theory.classes)
-    src = None
-    for idx, kl in enumerate(theory.classes):
-        if kl.size >= 2:
-            src = idx
-            break
-    if src is None:
-        raise ValidationError("corrupt", "no class with two elements to corrupt")
+    src = _first_class_of_two(theory)
     dst = 0 if src != 0 else 1
     moved = int(theory.classes[src].members[-1])
     src_members = theory.classes[src].members[:-1]

@@ -86,6 +86,17 @@ def test_trivial_radical_is_usage_error(capsys):
     assert "trivial-radical" in err
 
 
+@pytest.mark.parametrize("command", ["spec", "orbits", "utheory", "gtheory", "verify"])
+@pytest.mark.parametrize("q", ["3", "5"])
+def test_d1_is_a_trivial_radical(capsys, command, q):
+    # D1 has a side block but no root, so u = 0: a usage error from the block
+    # sizes, before any array is built
+    code, out, err = run_cli([command, "--family", "D", "--n", "1", "--q", q, "--blocks", "1"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "trivial-radical" in err and "Traceback" not in err
+
+
 def test_unknown_flag_exits_2(capsys):
     code, _, _ = run_cli(["spec", "--bogus"], capsys)
     assert code == 2

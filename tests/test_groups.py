@@ -60,6 +60,7 @@ def test_build_spec_examples():
     ("B", 1, 3, (3,), "trivial-radical"),
     ("C", 1, 65537, (1, 0, 1), "q-too-large"),     # past the stacked eliminations' 2^16
     ("C", 1, 2 ** 89 - 1, (1, 0, 1), "q-too-large"),   # before any primality test
+    ("D", 1, 3, (1, 0, 1), "trivial-radical"),     # D1 has no roots: u = 0 with a side block
 ])
 def test_build_spec_rejects(family, n, q, blocks, code):
     with pytest.raises(ValidationError) as err:
@@ -121,6 +122,29 @@ def test_root_systems():
     by_pair = {(r.i, r.j): r.eps for r in c2.roots}
     assert by_pair[(2, -2)] == 0 and by_pair[(1, -1)] == 0
     assert by_pair[(2, 1)] in (1, -1) and by_pair[(2, -1)] in (1, -1)
+
+
+@pytest.mark.parametrize("family", ["B", "C", "D"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("q", [3, 5])
+def test_root_signs_are_the_only_anti_fixed_ones(family, n, q):
+    # eps = -s_i s_j (0 on a self-mirrored root) is the one sign that makes
+    # E(i,j) + eps E(-j,-i) anti-fixed: the other sign never is
+    spec = build_spec(family, n, q, (1,) * n + ((1,) if family == "B" else (0,)) + (1,) * n)
+    for r in spec.roots:
+        m = spec.root_matrix(r)
+        assert np.array_equal(spec.dagger(m), -m % q)
+        if r.eps:
+            other = (spec.E(r.i, r.j) - r.eps * spec.E(*r.mirror)) % q
+            assert not np.array_equal(spec.dagger(other), -other % q)
+
+
+def test_an_inconsistent_involution_is_caught(monkeypatch):
+    # with every sign +1, the symplectic self-mirrored roots E(i,-i) are
+    # fixed, not anti-fixed, and the batched check over the root matrices fires
+    monkeypatch.setattr(groups.GroupSpec, "sign", lambda self, label: 1)
+    with pytest.raises(RuntimeError, match="not anti-fixed"):
+        build_spec("C", 2, 3, (1, 1, 0, 1, 1))
 
 
 def test_root_basis_is_anti_fixed_and_independent(borel_b2):

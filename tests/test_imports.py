@@ -175,6 +175,19 @@ def test_callers_are_reported():
     assert callers(source, "mul_rows") == ["f", "C", None]
 
 
+def test_einsum_only_in_the_gram():
+    # `LinearAction.images` is the one batched image product, a matmul; only
+    # the Gram's `_dot_mod` contracts by einsum
+    calls = {path.name: callers(path.read_text(), "einsum") for path in sorted(SRC.glob("*.py"))}
+    assert {name: fns for name, fns in calls.items() if fns} == {"algebra.py": ["_dot_mod"]}
+
+
+def test_einsum_callers_are_reported():
+    source = ("import numpy as np\n\n\ndef f(a):\n    return np.einsum('ij->ji', a)\n\n\n"
+              "def g(a):\n    return a.T\n\n\nclass C:\n    x = np.einsum('ii', np.eye(2))\n")
+    assert callers(source, "einsum") == ["f", "C"]
+
+
 def table_indexing(source, names=("mulL", "conjL")):
     """Lines that index an attribute called one of `names`, as in `w.mulL[a, b]`."""
     return [node.lineno for node in ast.walk(ast.parse(source))

@@ -1,4 +1,4 @@
-"""Orbit machinery: closures, partitions, Levi images, bimodules, quotients."""
+"""Orbit machinery: images, closures, partitions, Levi stabilizers, bimodules, quotients."""
 
 import copy
 
@@ -11,7 +11,7 @@ from parasuper import groups, linalg
 from parasuper.errors import ValidationError
 from parasuper.groups import DEFAULT_GUARDS, ucstar_ad_matrix, ustar_action_matrix
 from parasuper.orbits import (
-    LinearAction, _bfs, dense_unique, enumerate_subspace, levi_images, orbit_closure,
+    LinearAction, _bfs, dense_unique, enumerate_subspace, orbit_closure,
     partition_by_perms, partition_orbits, quotient_orbits, smallest_bimodule, sorted_isin,
     sorted_unique,
 )
@@ -150,20 +150,25 @@ def test_invariant_span_is_the_span_of_the_orbits(act, data):
     assert np.array_equal(got, want) and piv == want_piv
 
 
+def images_under_L(w, space, points):
+    """(nL, k) images of k points under every Levi element."""
+    return w.action(space, "L").images(points)
+
+
 def pointwise(w, space, points):
     """Levi ids whose images of the points are the points themselves."""
-    return np.flatnonzero((levi_images(w, space, points) == points).all(axis=1)).tolist()
+    return np.flatnonzero((images_under_L(w, space, points) == points).all(axis=1)).tolist()
 
 
 def setwise(w, space, points):
     """Levi ids mapping the sorted point set onto itself."""
-    return np.flatnonzero((np.sort(levi_images(w, space, points), axis=1)
+    return np.flatnonzero((np.sort(images_under_L(w, space, points), axis=1)
                            == points).all(axis=1)).tolist()
 
 
 @pytest.mark.parametrize("name", ["borel_b2", "borel_c2"])
 def test_each_action_is_built_once_per_world(name, request):
-    # the Levi stacks that levi_images reads are the builders' matrices of L
+    # the Levi stacks that the "L" actions image by are the builders' matrices of L
     w = request.getfixturevalue(name)
     for space in ("u", "ustar", "ucstar-left", "ucstar-twosided"):
         for tag in ("Ub", "Hb", "Gb"):
@@ -187,23 +192,42 @@ def test_pointwise_stabilizer_of_the_span_is_that_of_the_orbit(name, request):
 
 
 @pytest.mark.parametrize("name", ["borel_b2", "borel_c2"])
-def test_levi_images_do_not_depend_on_the_slice(name, request, monkeypatch):
-    # levi_images images its points in slices of at most _BLOCK product
-    # entries; slices of a point or two give the same images as the default
+def test_images_do_not_depend_on_the_slice(name, request, monkeypatch):
+    # images takes its points in slices of at most _BLOCK product entries;
+    # slices of a point or two give the same images as the default, for a
+    # generator action and for all of L on u, u* and forms over Uc
     w = request.getfixturevalue(name)
     from parasuper import orbits
-    spaces = {"u": w.nU, "ustar": w.u_size, "ucstar": w.action("ucstar", "L").size}
-    want = {space: levi_images(w, space, np.arange(min(size, 200))) for space, size in spaces.items()}
+    acts = [w.action("ucstar-twosided", "Ub-simple")] + [w.action(space, "L")
+                                                         for space in ("u", "ustar", "ucstar")]
+    points = [np.arange(min(act.size, 200)) for act in acts]
+    want = [act.images(pts) for act, pts in zip(acts, points)]
     monkeypatch.setattr(orbits, "_BLOCK", 64)
-    for space, size in spaces.items():
-        assert np.array_equal(levi_images(w, space, np.arange(min(size, 200))), want[space])
-        assert levi_images(w, space, np.zeros(0, dtype=np.int64)).shape == (w.nL, 0)
+    for act, pts, img in zip(acts, points, want):
+        assert orbits._slice(act.width) < pts.size
+        assert np.array_equal(act.images(pts), img)
+        assert act.images(np.zeros(0, dtype=np.int64)).shape == (act.gen_mats.shape[0], 0)
+
+
+@pytest.mark.parametrize("block", [1, 200, 1000])
+def test_full_perms_under_a_tiny_block_are_the_generator_images(borel_b2, monkeypatch, block):
+    # full_perms images the whole space through images, one slice of a few
+    # points at a time (width 40: slices of 1, 5 and 25 of the 81 points);
+    # each permutation is the generator applied point by point
+    from parasuper import orbits
+    monkeypatch.setattr(orbits, "_BLOCK", block)
+    act = borel_b2.action("ustar", "Ub")
+    fresh = LinearAction(act.label, act.p, act.dim, act.gen_mats)
+    perms = fresh.full_perms(SPACE)
+    assert len(perms) == len(act.gen_mats)
+    for perm, m in zip(perms, act.gen_mats):
+        assert np.array_equal(perm, act.apply(m, np.arange(act.size)))
 
 
 def test_stabilizers_on_zero_orbit(borel_b2):
     w = borel_b2
     for space in ("ustar", "ucstar"):
-        img = levi_images(w, space, np.array([0]))
+        img = images_under_L(w, space, np.array([0]))
         assert img.shape == (w.nL, 1) and not img.any()
     fd = form_data(w, 0)
     assert fd.L0_ids == list(range(w.nL))
@@ -242,7 +266,7 @@ def test_stabilizers_by_direct_filter(borel_b2, space, mode):
         assert got == by_hand
         assert set(pointwise(w, space, points)) <= set(got)
         if mode == "setwise":
-            member = np.isin(levi_images(w, space, [seed])[:, 0], points)
+            member = np.isin(images_under_L(w, space, [seed])[:, 0], points)
             assert np.flatnonzero(member).tolist() == by_hand
             if space == "ustar":
                 assert fd.S_ids == by_hand
