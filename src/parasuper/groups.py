@@ -509,15 +509,18 @@ class world_table(cached_property):
 
 
 class Parabolic:
-    """One fully enumerated configuration: L, U, index tables, value field.
+    """One configuration: L enumerated by the build, which also checks |U|
+    against the space guard; U, index tables and the value field are world
+    tables, built on first read.
 
     L and U are (nL, N, N) and (nU, N, N) int64 stacks.  Elements of G = L U
     are addressed as packed ids r * |U| + u.  Radical element u is the Cayley
     preimage of the point of u with packed coordinates u, so evaluating f
     costs nothing and U is one batched inverse series.  A matrix of U is
     found again by its entries at the root positions of u: packed base p they
-    form a key onto 0..nU-1 (unitriangular in the block gap), which the build
-    checks.  A matrix of L is found by its entries in the blocks I_k, k >= 0.
+    form a key onto 0..nU-1 (unitriangular in the block gap), which
+    `_u_of_key` checks.  A matrix of L is found by its entries in the blocks
+    I_k, k >= 0.
     """
 
     def __init__(self, spec, guards=None):
@@ -543,29 +546,18 @@ class Parabolic:
         self._l_keys = keys[self._l_order]
         self.idL = int(self.l_ids(np.eye(spec.N, dtype=np.int64)))
 
-        self.u_size = p ** spec.u_dim
-        if self.u_size > self.guards["space"]:
-            raise ResourceGuardError("|u| = %d exceeds space guard" % self.u_size)
-        self.nU = self.u_size
-        self.U = _require_isometries(
-            spec, cayley_inv(spec, spec.mat_of_u(self.u_digits(np.arange(self.nU)))),
-            "Cayley preimage of u-point")
-        self._u_of_key = np.full(self.nU, -1, dtype=np.int64)
-        self._u_of_key[pack(self.U[:, spec.u_rows, spec.u_cols], p)] = np.arange(self.nU)
-        if (self._u_of_key < 0).any():
-            raise RuntimeError("root-entry keys of the radical are not a bijection onto "
-                               "0..%d" % (self.nU - 1))
-
-        self.exponent_L = _exponent(self.L, p)
-        self.field = CycField(lcm(p, self.exponent_L))
+        self.nU = p ** spec.u_dim
+        if self.nU > self.guards["space"]:
+            raise ResourceGuardError("|u| = %d exceeds space guard" % self.nU)
 
     def memo(self, key, build):
         """The value cached under `key` for this world, from `build()` on
         first use; a `build()` that raises stores nothing.  Every result
         computed once per world is kept here, under these key families:
 
-        - the name of a `world_table` (invL, U_times_basis, invU, conjUbyL,
-          levi_generator_conjugates, g_classes, u_group_classes), and
+        - the name of a `world_table` (U, _u_of_key, field, invL,
+          U_times_basis, invU, conjUbyL, levi_generator_conjugates,
+          g_classes, u_group_classes), and
           "levi_conj_orbits", "levi_parts_of_conjugates", "signature_classes":
           one value per world;
         - ("levi_generators", bytes of Levi ids): `first_moved_by_conjugation`;
@@ -620,6 +612,23 @@ class Parabolic:
 
     # -- matrix -> id lookups ------------------------------------------------
 
+    @world_table
+    def U(self):
+        spec = self.spec
+        return _require_isometries(
+            spec, cayley_inv(spec, spec.mat_of_u(self.u_digits(np.arange(self.nU)))),
+            "Cayley preimage of u-point")
+
+    @world_table
+    def _u_of_key(self):
+        spec = self.spec
+        out = np.full(self.nU, -1, dtype=np.int64)
+        out[pack(self.U[:, spec.u_rows, spec.u_cols], spec.p)] = np.arange(self.nU)
+        if (out < 0).any():
+            raise RuntimeError("root-entry keys of the radical are not a bijection onto "
+                               "0..%d" % (self.nU - 1))
+        return out
+
     def u_ids(self, mats):
         """Radical ids of a matrix or stack; raises on a matrix outside U."""
         spec = self.spec
@@ -664,13 +673,19 @@ class Parabolic:
         return self.mulL(a, b, self.invL[a])
 
     @world_table
+    def field(self):
+        """Q(zeta_M), M = lcm(p, exponent of L)."""
+        return CycField(lcm(self.spec.p, _exponent(self.L, self.spec.p)))
+
+    @world_table
     def invL(self):
         """Isometries invert by the dagger."""
         return self.l_ids(self.spec.dagger(self.L)).astype(np.int32)
 
     def mulU(self, a, b):
-        """Ids of U[a] U[b], elementwise over broadcast radical id arrays."""
-        return self.u_ids(self.U[np.asarray(a)] @ self.U[np.asarray(b)] % self.spec.p)
+        """Ids of U[a] U[b], elementwise over broadcast radical id arrays
+        (u_ids reduces the products mod p)."""
+        return self.u_ids(self.U[np.asarray(a)] @ self.U[np.asarray(b)])
 
     def generated(self, basis, name, where=None):
         """Sorted radical ids of the Cayley image of the span of `basis` (rows
@@ -680,7 +695,7 @@ class Parabolic:
         the set is <T>; else FalsificationError names the subgroup.  Once the
         set is closed, each column of at permutes it, and <T> is the whole set
         iff those permutations have one orbit.  The products are taken at
-        most |U| per mulU call.
+        most _BLOCK matrix entries per mulU call.
 
         Memoized per basis, read-only: forms with one annihilator subalgebra
         share its subgroup.  A failure stores nothing, so every failing
@@ -691,7 +706,7 @@ class Parabolic:
         def build():
             members = sorted_unique(self.pack_u(enumerate_subspace(basis, self.spec.p)))
             gens = self.pack_u(basis)
-            step = max(1, self.nU // max(1, gens.size))
+            step = _slice(gens.size * self.spec.N ** 2)
             prods = np.concatenate([self.mulU(members[lo:lo + step, None], gens[None, :])
                                     for lo in range(0, members.size, step)])
             at = np.searchsorted(members, prods).clip(max=members.size - 1)

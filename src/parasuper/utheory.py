@@ -153,7 +153,6 @@ class FormData:
 
     def __init__(self, world, batch, i):
         p = world.spec.p
-        self.world = world
         self.lam = batch.lams[i]
         if batch.failure[i]:
             self._fail(batch.failure[i])
@@ -231,8 +230,9 @@ def form_data(world, lam_packed):
 # supercharacters
 
 def orbit_eps_counts(world, orbit_points):
-    """counts[t, u] = #(forms mu in the orbit with mu(f(U[u])) = t)."""
-    p, block = world.spec.p, 256           # hold (block, nU) values, not (orbit, nU)
+    """counts[t, u] = #(forms mu in the orbit with mu(f(U[u])) = t), from
+    (slice, nU) values of at most _BLOCK entries, not (orbit, nU)."""
+    p, block = world.spec.p, _slice(world.nU)
     all_pts = world.u_digits(np.arange(world.nU)).T          # (d, nU)
     counts = np.zeros((p, world.nU), dtype=np.int64)
     for lo in range(0, len(orbit_points), block):

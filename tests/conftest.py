@@ -1,4 +1,5 @@
 import copy
+import os
 import sys
 import pathlib
 
@@ -17,6 +18,16 @@ def world_for(family, n, q, blocks):
     if key not in _WORLDS:
         _WORLDS[key] = Parabolic(build_spec(family, n, q, blocks))
     return _WORLDS[key]
+
+
+def subprocess_env(pythonpath, **extra):
+    """The minimal environment of a test subprocess: PYTHONPATH, and
+    PYTHONDONTWRITEBYTECODE when the caller sets it, so that a test run
+    that writes no bytecode leaves none in src/ through its subprocesses."""
+    env = {"PYTHONPATH": str(pythonpath), **extra}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 def cleared(world):

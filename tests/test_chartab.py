@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import subprocess_env
 from hypothesis import example, given, settings, strategies as st
 
 from parasuper import chartab, linalg
@@ -180,7 +181,7 @@ def test_orthogonality_check_survives_optimize():
     ])
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": str(src)})
+                         env=subprocess_env(src))
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("False row orthogonality fails [")
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import subprocess_env
 from hypothesis import given, strategies as st
 
 from parasuper import cli
@@ -218,7 +219,7 @@ def test_determinism_across_processes(tmp_path):
     # fresh interpreters: no shared caches, the strongest reproducibility check
     cmd = [sys.executable, "-m", "parasuper.cli", "spec", "--family", "B",
            "--n", "2", "--q", "3", "--blocks", "1,1,1"]
-    env = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"}
+    env = subprocess_env("src", PATH="/usr/bin:/bin")
     r1 = subprocess.run(cmd, capture_output=True, cwd=".", env=env)
     r2 = subprocess.run(cmd, capture_output=True, cwd=".", env=env)
     assert r1.returncode == 0
@@ -234,9 +235,32 @@ def test_verify_under_optimize_matches_golden(tmp_path):
     want = json.loads((root / "tests" / "golden" / "digests.json").read_text())[" ".join(argv)]
     out = tmp_path / "report.json"
     r = subprocess.run([sys.executable, "-O", "-m", "parasuper.cli"] + argv + ["--out", str(out)],
-                       capture_output=True, env={"PYTHONPATH": str(root / "src")})
+                       capture_output=True, env=subprocess_env(root / "src"))
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_spec_of_a_large_radical_stays_small():
+    # spec prints orders and the field, which need L alone: on D4 q=3 Borel
+    # the radical stack of 3^12 matrices would hold 272 MB by itself.  The
+    # child's ru_maxrss would also count this process's memory, which Linux
+    # carries into the child's peak at exec; VmHWM is the child's own peak
+    code = "\n".join([
+        "import contextlib, io",
+        "from parasuper.cli import main",
+        "argv = 'spec --family D --n 4 --q 3 --blocks 1,1,1,1'.split()",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = main(argv)",
+        "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM'))",
+        "print(code, hwm.split()[1])",
+    ])
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=subprocess_env(src))
+    assert out.returncode == 0, out.stderr
+    exit_code, peak_kb = out.stdout.split()
+    assert exit_code == "0" and int(peak_kb) < 100 * 1024
 
 
 def test_out_flag(tmp_path, capsys):

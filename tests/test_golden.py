@@ -5,8 +5,8 @@ The digests pin the exact bytes of the orbit partitions (their order too),
 both theories' tables and the full verification report on two small
 configurations, the verification report of B2 q=3 blocks 1,3 (|L| = 96),
 and both G-level tables of C2 Borel at q=5 and q=7 with the report of C2
-q=7 Borel, and the report of C2 q=5 blocks 2 (field dimension 32), so a
-refactor that changes any output is caught here.
+q=7 Borel, the report of C2 q=5 blocks 2 (field dimension 32) and the spec
+of D4 q=3 Borel, so a refactor that changes any output is caught here.
 Regenerate the file with `PYTHONPATH=src python tests/test_golden.py` only
 when an output is meant to change.
 """
@@ -54,6 +54,8 @@ def golden_commands():
     # Grams of the set, on the U-on-U theory
     out.append(("verify", "--family", "C", "--n", "2", "--q", "5", "--blocks", "2",
                 "--suite", "all"))
+    # |U| = 3^12: spec prints from L and the space guard alone
+    out.append(("spec", "--family", "D", "--n", "4", "--q", "3", "--blocks", "1,1,1,1"))
     return out
 
 
@@ -65,6 +67,22 @@ def output_digest(argv, path):
 
 @pytest.mark.parametrize("argv", golden_commands(), ids=" ".join)
 def test_output_matches_golden(argv, tmp_path):
+    want = json.loads(DIGESTS.read_text())[" ".join(argv)]
+    assert output_digest(argv, tmp_path / "out") == want
+
+
+@pytest.mark.parametrize("argv", [a for a in golden_commands() if a[0] in ("spec", "orbits")],
+                         ids=" ".join)
+def test_spec_and_orbits_never_build_the_radical(argv, tmp_path, monkeypatch):
+    # neither command prints a matrix of U, so neither builds the radical
+    # stack; orbits prints no field either, so it never finds L's exponent
+    from parasuper import groups
+
+    def unread(*args):
+        raise AssertionError("%s built what it does not print" % argv[0])
+    monkeypatch.setattr(groups, "cayley_inv", unread)
+    if argv[0] == "orbits":
+        monkeypatch.setattr(groups, "_exponent", unread)
     want = json.loads(DIGESTS.read_text())[" ".join(argv)]
     assert output_digest(argv, tmp_path / "out") == want
 

@@ -8,6 +8,7 @@ from conftest import cleared, levi_conjugates, world_for
 from hypothesis import given, settings, strategies as st
 
 from parasuper import groups, linalg
+from parasuper.algebra import CycField
 from parasuper.errors import FalsificationError, ValidationError
 from parasuper.groups import (
     Parabolic, build_spec, cayley, cayley_inv, enumerate_gl, enumerate_levi,
@@ -590,8 +591,8 @@ def test_first_moved_by_conjugation_on_large_scans_of_gl25():
     assert len(upper) == 80 and groups.first_moved_by_conjugation(w, upper, ids) is None
 
 
-WORLD_TABLES = ["invL", "U_times_basis", "invU", "conjUbyL", "levi_generator_conjugates",
-                "g_classes", "u_group_classes"]
+WORLD_TABLES = ["U", "_u_of_key", "field", "invL", "U_times_basis", "invU", "conjUbyL",
+                "levi_generator_conjugates", "g_classes", "u_group_classes"]
 
 
 def test_a_cleared_memo_rebuilds_every_world_table(borel_c2):
@@ -609,6 +610,8 @@ def test_a_cleared_memo_rebuilds_every_world_table(borel_c2):
     def same(a, b):
         if isinstance(a, (list, tuple)):
             return len(a) == len(b) and all(map(same, a, b))
+        if isinstance(a, CycField):
+            return isinstance(b, CycField) and a.M == b.M
         return np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
 
     for name in WORLD_TABLES:
@@ -619,6 +622,15 @@ def test_a_cleared_memo_rebuilds_every_world_table(borel_c2):
     flipped._memo = {}
     flipped.L = w.L[::-1]
     assert np.array_equal(flipped.conjUbyL, w.conjUbyL[::-1])
+
+
+def test_a_new_world_holds_only_l_and_its_keys(borel_c2):
+    # the build enumerates L alone; U, its key table, the field and every
+    # other table are world tables, built on first read
+    w = Parabolic(borel_c2.spec)
+    arrays = {name for name, value in vars(w).items() if isinstance(value, np.ndarray)}
+    assert arrays == {"L", "_l_rows", "_l_cols", "_l_lead", "_l_order", "_l_keys"}
+    assert not w._memo
 
 
 @pytest.mark.parametrize("world", [

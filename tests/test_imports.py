@@ -15,6 +15,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import subprocess_env
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "parasuper"
 
@@ -273,6 +274,6 @@ def test_verify_never_imports_numpy_ma():
         "print(code, 'numpy.ma' in sys.modules)",
     ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": str(SRC.parent)})
+                         env=subprocess_env(SRC.parent))
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["0", "False"]

@@ -39,7 +39,7 @@ def test_orbit_sizes_are_p_powers(borel_c2):
 def test_sub_orbit_containment(borel_c2):
     ub = borel_c2.action("ustar", "Ub")
     hb = borel_c2.action("ustar", "Hb")
-    for lam in range(borel_c2.u_size):
+    for lam in range(borel_c2.nU):
         o_h = orbit_closure(lam, hb)
         o_u = orbit_closure(lam, ub)
         assert np.isin(o_h, o_u).all()
@@ -48,7 +48,7 @@ def test_sub_orbit_containment(borel_c2):
 def test_partition_covers_disjointly(borel_d2):
     orbits = partition_orbits(borel_d2.action("u", "Ub"), SPACE)[1]
     total = np.concatenate(orbits)
-    assert np.array_equal(np.sort(total), np.arange(borel_d2.u_size))
+    assert np.array_equal(np.sort(total), np.arange(borel_d2.nU))
     # each orbit is generator-closed
     act = borel_d2.action("u", "Ub")
     for o in orbits:
@@ -185,7 +185,7 @@ def test_pointwise_stabilizer_of_the_span_is_that_of_the_orbit(name, request):
     # FormData reads L0 off the span of the two-sided orbit; the enumerated
     # orbit must give the same pointwise stabilizer for every form
     w = request.getfixturevalue(name)
-    for lam in range(w.u_size):
+    for lam in range(w.nU):
         fd = form_data(w, lam)
         orbit = orbit_closure(fd.Lam_packed, w.action("ucstar-twosided", "Ub"))
         assert fd.L0_ids == pointwise(w, "ucstar", orbit)
@@ -317,7 +317,7 @@ def test_quotient_cosets_cover_u(borel_b2):
         got = quotient_orbits(act, u_h, SPACE)
         omegas = [omega for omega, _ in got]
         assert omegas == sorted(set(omegas))
-        assert np.array_equal(np.sort(np.concatenate([m for _, m in got])), np.arange(w.u_size))
+        assert np.array_equal(np.sort(np.concatenate([m for _, m in got])), np.arange(w.nU))
 
 
 def test_quotient_orbits_reject_a_subspace_that_is_not_invariant(borel_d2):

@@ -14,7 +14,7 @@ from parasuper.chartab import conjugacy_classes, irr_characters, s_orbit_sums
 from parasuper.errors import FalsificationError, ValidationError
 from parasuper.groups import Parabolic, build_spec
 from parasuper.orbits import (
-    enumerate_subspace, pack, quotient_orbits, smallest_bimodule, unpack,
+    _slice, enumerate_subspace, pack, quotient_orbits, smallest_bimodule, unpack,
 )
 from parasuper.theory import SuperChar, SuperClass, SuperTheory, ValuePool
 from parasuper.utheory import (
@@ -82,7 +82,8 @@ def test_generator_checks_agree_with_all_pairs(name, request):
 
 
 def test_ub_on_g_never_builds_the_radical_table(monkeypatch):
-    # radical products are taken on demand, never more than |U| at once
+    # radical products are taken on demand, at most one slice of N x N
+    # products at once (orbits._slice), far fewer than the |U| x |U| table
     d3 = Parabolic(build_spec("D", 3, 3, (1, 1, 1, 0, 1, 1, 1)))
     batches = []
     real = Parabolic.mulU
@@ -94,7 +95,30 @@ def test_ub_on_g_never_builds_the_radical_table(monkeypatch):
     monkeypatch.setattr(Parabolic, "mulU", counted)
     theory = build_u_theory(d3, "G")
     assert check_supertheory(theory).passed
-    assert batches and max(batches) <= d3.nU
+    assert batches and max(batches) <= _slice(d3.spec.N ** 2) < d3.nU ** 2
+
+
+@pytest.mark.parametrize("name", ["borel_b2", "borel_c2"])
+def test_counts_and_generated_do_not_depend_on_the_slice(name, request, monkeypatch):
+    # orbit_eps_counts and Parabolic.generated take their products in slices
+    # of at most _BLOCK entries; slices of a point or two give the same
+    # counts, and the same members and positions, as the default
+    from parasuper import orbits
+    w = request.getfixturevalue(name)
+    ub_orbits = orbit_partition(w, "ustar", "Ub")[1]
+    bases = [np.eye(w.spec.u_dim, dtype=np.int64)] + [
+        form_data(w, int(orb[0])).u_lam_basis for orb in ub_orbits]
+    want_counts = [orbit_eps_counts(w, orb) for orb in ub_orbits]
+    want_generated = [w.generated(basis, "U") for basis in bases]
+    monkeypatch.setattr(orbits, "_BLOCK", 64)
+    assert _slice(w.nU) < max(orb.size for orb in ub_orbits)
+    assert _slice(w.spec.u_dim * w.spec.N ** 2) < w.nU
+    fresh = cleared(w)
+    for orb, counts in zip(ub_orbits, want_counts):
+        assert np.array_equal(orbit_eps_counts(fresh, orb), counts)
+    for basis, (members, at) in zip(bases, want_generated):
+        got_members, got_at = fresh.generated(basis, "U")
+        assert np.array_equal(got_members, members) and np.array_equal(got_at, at)
 
 
 def first_form_with(w, pred):
