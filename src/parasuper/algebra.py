@@ -1,24 +1,20 @@
 """Exact arithmetic: odd prime fields, rationals, and cyclotomic fields Q(zeta_M).
 
 Every character value in this package is an element of one fixed cyclotomic
-field per configuration, held in canonical form: a coefficient vector of
-rationals over the power basis zeta^0, ..., zeta^(phi(M)-1), reduced modulo
-the M-th cyclotomic polynomial.  Equality of values is coefficient-wise
-equality, so all downstream checks (orthogonality, constancy) are exact.
+field per configuration, held as an integer coefficient row over the power
+basis zeta^0, ..., zeta^(phi(M)-1), reduced modulo the M-th cyclotomic
+polynomial, and a positive denominator.  A value is canonical when the
+denominator is coprime to the row (`CycField.reduce_rows`); equality of
+canonical values is equality of (row, den) pairs, so all downstream checks
+(orthogonality, constancy) are exact, and `serialize` is the one place a
+value turns into text.
 
-Rationals are fractions.Fraction, normalized to plain int when integral so
-that hashing and comparison stay cheap.
-
-`Cyc` is the boundary form, for values that are interned, printed or
-reported.  Class functions (character tables, orbit sums, the Levi-averaged
-products) are integer coefficient rows from the start, and bulk arithmetic
-(products, inner products, induction) runs on such rows over one common
-denominator: `mul_rows` multiplies and `integer_gram` is the one inner
-product.  `from_rows` makes the `Cyc` values that enter a value pool or a
-report; `rows` turns a pool's values back into one numerator matrix, its
-only use.  Each picks int64 when an explicit bound shows that no
-intermediate can overflow, and exact Python integers (object dtype)
-otherwise.
+Class functions (character tables, orbit sums, the Levi-averaged products)
+are integer coefficient rows from the start, and bulk arithmetic (products,
+inner products, induction) runs on such rows over one common denominator:
+`mul_rows` multiplies and `integer_gram` is the one inner product.  Each
+picks int64 when an explicit bound shows that no intermediate can overflow,
+and exact Python integers (object dtype) otherwise.
 
 `integer_gram` works by evaluation.  For a prime ell = 1 (mod M),
 Z[zeta_M]/ell is F_ell^phi(M): a coefficient row maps to its values at the
@@ -42,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -155,41 +151,14 @@ def cyclotomic_poly(M):
     return _CYCLO_CACHE[M]
 
 
-def _num(x):
-    """Canonicalize a rational: Fraction with denominator 1 becomes int."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return x
-    return int(x)
-
-
 class CycField:
-    """The cyclotomic field Q(zeta_M), with reduction tables precomputed."""
+    """The cyclotomic field Q(zeta_M); its reduction tables are built on first use."""
 
     def __init__(self, M):
         if M < 2:
             raise ValidationError("cyc-order", "cyclotomic order must be >= 2, got %r" % (M,))
         self.M = M
-        poly = cyclotomic_poly(M)
-        self.dim = len(poly) - 1
-        # rows[k] = integer coefficient vector of zeta^k in the power basis
-        upto = max(M, 2 * self.dim - 1)
-        rows = []
-        for k in range(upto + 1):
-            if k < self.dim:
-                row = [0] * self.dim
-                row[k] = 1
-            else:
-                prev = rows[k - 1]
-                row = [0] + list(prev[:-1])
-                top = prev[-1]
-                if top:
-                    row = [c - top * poly[i] for i, c in enumerate(row)]
-            rows.append(row)
-        self._pow = [tuple(r) for r in rows]
-        self.zero = Cyc(self, (0,) * self.dim)
-        self.one = Cyc(self, self._pow[0])
+        self.dim = len(cyclotomic_poly(M)) - 1
         self._moduli = []            # Gram moduli, built by the first Gram
 
     def __repr__(self):
@@ -197,8 +166,14 @@ class CycField:
 
     @cached_property
     def pow_rows(self):
-        """int64 array whose row k is zeta^k in the power basis."""
-        return np.array(self._pow, dtype=np.int64)
+        """int64 array whose row k is zeta^k in the power basis, for k up to
+        max(M, 2 dim - 1): zeta^k is zeta zeta^(k - 1) reduced mod Phi_M."""
+        poly = cyclotomic_poly(self.M)
+        rows = np.eye(self.dim, dtype=np.int64).tolist()
+        for _ in range(self.dim, max(self.M, 2 * self.dim - 1) + 1):
+            prev = rows[-1]
+            rows.append([c - prev[-1] * a for c, a in zip([0] + prev[:-1], poly)])
+        return np.array(rows, dtype=np.int64)
 
     @cached_property
     def conj_tensor(self):
@@ -250,35 +225,24 @@ class CycField:
                                % (self.M, ell))
         return ell, E, red[:, self.dim:]
 
-    def rows(self, values):
-        """Values as integer coefficient rows over one common denominator:
-        (num, den) with values[i] == num[i] / den, num of shape (len, dim)."""
-        den = lcm(1, *(c.denominator for v in values for c in v.coeffs))
-        num = [[int(c * den) for c in v.coeffs] for v in values]
-        big = max((abs(c) for row in num for c in row), default=0)
-        return np.array(num, dtype=int_dtype(big)).reshape(len(values), self.dim), den
-
-    def from_rows(self, num, den=1):
-        """Inverse of rows: one canonical value per row of num / den, for a
-        positive rational den.  Each entry is reduced by one vectorised gcd,
-        and a Fraction is built only where the reduced denominator is not 1."""
+    def reduce_rows(self, num, den):
+        """The canonical pairs of the values num[i] / den, for an integer
+        array num of shape (n, dim) and a positive rational den: (rows,
+        dens) with rows[i] / dens[i] == num[i] / den, dens[i] > 0 and
+        gcd(dens[i], *rows[i]) == 1, by one vectorised gcd."""
         num, den = np.asarray(num), Fraction(den)
         if den.denominator != 1:
             m = den.denominator
             num = num.astype(int_dtype(max(absmax(num) * m, m))) * m
         den = den.numerator
         if den == 1:
-            return [Cyc(self, tuple(row)) for row in num.tolist()]
+            return num, np.ones(len(num), dtype=np.int64)
         if num.dtype == object or den >= 2 ** 62:
             num = num.astype(object)
-            g = _object_gcd(num, den)
+            g = _object_gcd(_object_gcd.reduce(num, axis=1), den)
         else:
-            g = np.gcd(num, den)
-        out = []
-        for nrow, drow in zip((num // g).tolist(), (den // g).tolist()):
-            out.append(Cyc(self, tuple(a if b == 1 else Fraction(a, b)
-                                       for a, b in zip(nrow, drow))))
-        return out
+            g = np.gcd(np.gcd.reduce(num, axis=1), den)
+        return num // g[:, None], den // g
 
     def mul_rows(self, A, B):
         """Row-wise products of two (n, dim) integer coefficient arrays, exact."""
@@ -290,16 +254,6 @@ class CycField:
         d2 = self.dim * self.dim
         return outer.reshape(len(A), d2) @ red.reshape(d2, self.dim).astype(dtype)
 
-    def zeta_pow(self, k):
-        """zeta_M^k as a canonical field element."""
-        return Cyc(self, self._pow[k % self.M])
-
-    def root_of_unity(self, order, k):
-        """zeta_order^k embedded in this field (order must divide M)."""
-        if self.M % order:
-            raise ValidationError("cyc-embed", "order %d does not divide M=%d" % (order, self.M))
-        return self.zeta_pow((self.M // order) * (k % order))
-
     def eps_rows(self, p):
         """The values eps(0), ..., eps(p - 1) of the fixed nontrivial character
         of (F_p, +), eps(t) = zeta_p^t, as integer coefficient rows (p must
@@ -308,145 +262,13 @@ class CycField:
             raise ValidationError("cyc-embed", "order %d does not divide M=%d" % (p, self.M))
         return self.pow_rows[(self.M // p) * np.arange(p)]
 
-    def from_coeffs(self, coeffs):
-        coeffs = tuple(_num(Fraction(c)) for c in coeffs)
-        if len(coeffs) != self.dim:
-            raise ValidationError(
-                "cyc-coeffs", "expected %d coefficients, got %d" % (self.dim, len(coeffs)))
-        return Cyc(self, coeffs)
 
-    def from_int(self, n):
-        return Cyc(self, (int(n),) + (0,) * (self.dim - 1))
-
-    def from_fraction(self, q):
-        return Cyc(self, (_num(Fraction(q)),) + (0,) * (self.dim - 1))
-
-    def parse(self, strings):
-        """Inverse of Cyc.serialize: list of 'num' or 'num/den' strings."""
-        vals = []
-        for s in strings:
-            if "/" in s:
-                a, b = s.split("/")
-                vals.append(Fraction(int(a), int(b)))
-            else:
-                vals.append(int(s))
-        return self.from_coeffs(vals)
-
-
-class Cyc:
-    """Immutable element of a CycField in canonical coefficient form."""
-
-    __slots__ = ("field", "coeffs", "_hash")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = tuple(coeffs)
-        self._hash = None
-
-    def _check(self, other):
-        if self.field is not other.field and self.field.M != other.field.M:
-            raise ValidationError("cyc-mismatch", "elements of Q(zeta_%d) and Q(zeta_%d) cannot mix"
-                                  % (self.field.M, other.field.M))
-
-    def __add__(self, other):
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        self._check(other)
-        return Cyc(self.field, tuple(_num(a + b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        self._check(other)
-        return Cyc(self.field, tuple(_num(a - b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return Cyc(self.field, tuple(_num(-a) for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        self._check(other)
-        d = self.field.dim
-        conv = [0] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        out = list(conv[:d])
-        pow_rows = self.field._pow
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = pow_rows[k]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return Cyc(self.field, tuple(_num(v) for v in out))
-
-    __rmul__ = __mul__
-
-    def scale(self, q):
-        if q == 1:
-            return self
-        return Cyc(self.field, tuple(_num(a * q) for a in self.coeffs))
-
-    def conjugate(self):
-        """Complex conjugation: zeta maps to zeta^(-1)."""
-        d = self.field.dim
-        M = self.field.M
-        out = [0] * d
-        pow_rows = self.field._pow
-        for k, a in enumerate(self.coeffs):
-            if a:
-                row = pow_rows[(M - k) % M]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += a * row[i]
-        return Cyc(self.field, tuple(_num(v) for v in out))
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def is_rational(self):
-        return not any(self.coeffs[1:])
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValidationError("cyc-not-rational", "value %r is not rational" % (self,))
-        return Fraction(self.coeffs[0])
-
-    def as_int(self):
-        q = self.as_fraction()
-        if q.denominator != 1:
-            raise ValidationError("cyc-not-integer", "value %r is not an integer" % (self,))
-        return int(q)
-
-    def serialize(self):
-        out = []
-        for c in self.coeffs:
-            f = Fraction(c)
-            if f.denominator == 1:
-                out.append(str(f.numerator))
-            else:
-                out.append("%d/%d" % (f.numerator, f.denominator))
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        return self.field.M == other.field.M and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field.M, self.coeffs))
-        return self._hash
-
-    def __repr__(self):
-        return "Cyc(M=%d, %s)" % (self.field.M, list(self.coeffs))
+def serialize(row, den=1):
+    """The text of the value row / den: per coefficient "n", or "n/d" in
+    lowest terms with d > 1.  The one place a value becomes text."""
+    if den == 1:
+        return [str(int(c)) for c in row]
+    return [str(Fraction(int(c), den)) for c in row]
 
 
 _object_gcd = np.frompyfunc(gcd, 2, 1)

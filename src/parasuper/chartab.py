@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
 from . import linalg
-from .algebra import integer_gram, lcm, next_prime_1_mod, primitive_root
+from .algebra import integer_gram, next_prime_1_mod, primitive_root, serialize
 from .errors import FalsificationError, ValidationError
 from .groups import DEFAULT_GUARDS, table_generators
 from .orbits import partition_by_perms, sorted_isin, sorted_unique
@@ -146,19 +146,19 @@ def check_orthogonality(table):
     diag = np.arange(k)
     want = np.zeros((k, k, field.dim), dtype=np.int64)
     want[diag, diag, 0] = n
-    _first_mismatch(field, integer_gram(field, X, X, sizes), want, "rows")
+    _first_mismatch(integer_gram(field, X, X, sizes), want, "rows")
     want[diag, diag, 0] = [n // s for s in sizes]
     Xt = X.transpose(1, 0, 2)
-    _first_mismatch(field, integer_gram(field, Xt, Xt, [1] * len(X)), want, "columns")
+    _first_mismatch(integer_gram(field, Xt, Xt, [1] * len(X)), want, "columns")
 
 
-def _first_mismatch(field, gram, want, what):
+def _first_mismatch(gram, want, what):
     bad = np.argwhere(np.triu((gram != want).any(axis=2)))
     if bad.size:
         i, j = bad[0].tolist()
         raise FalsificationError(
             "%s orthogonality fails" % what[:-1],
-            {what: [i, j], "sum": field.from_rows(gram[i, j][None])[0].serialize()})
+            {what: [i, j], "sum": serialize(gram[i, j])})
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ def emit_table(theory, world, fmt, out_path, config):
         })
     chars_payload = []
     for idx, ch in enumerate(theory.chars):
-        values = [ch.value_at(kl.rep).serialize() for kl in theory.classes]
+        values = [theory.pool.serialize(ch.ids[kl.rep]) for kl in theory.classes]
         chars_payload.append({
             "id": idx,
             "label": ch.label,

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
 from . import linalg
-from .algebra import CycField, is_odd_prime, lcm, primitive_root, smallest_nonsquare
+from .algebra import CycField, is_odd_prime, primitive_root, smallest_nonsquare
 from .errors import FalsificationError, ResourceGuardError, ValidationError
 from .orbits import (LinearAction, _bfs, _slice, enumerate_subspace, pack, partition_by_perms,
                      read_only, sorted_isin, sorted_unique, unpack)
@@ -266,9 +267,12 @@ def check_config(family, n, q, blocks, delta):
                               "type D1 has no roots, so blocks %r leave u = 0 and G = L; "
                               "take n >= 2" % (blocks,))
     if delta is not None:
-        delta = int(delta) % q
-        if delta in {(i * i) % q for i in range(1, q)} or delta == 0:
-            raise ValidationError("delta-not-nonsquare", "%r is a square mod %d" % (delta, q))
+        given, delta = delta, int(delta) % q
+        if delta == 0:
+            raise ValidationError("delta-not-nonsquare",
+                                  "delta %r is 0 mod %d, not a non-square" % (given, q))
+        if delta in {(i * i) % q for i in range(1, q)}:
+            raise ValidationError("delta-not-nonsquare", "delta %r is a square mod %d" % (given, q))
     return blocks, delta
 
 

@@ -71,9 +71,6 @@ class LinearAction:
     def pack(self, digits):
         return pack(digits, self.p)
 
-    def apply(self, mat, pts):
-        return self.pack(self.unpack(pts) @ np.asarray(mat).T)
-
     @property
     def width(self):
         """Entries of the product block per imaged point: k * dim."""

@@ -5,30 +5,35 @@ values are interned: each character stores a compact id array over the
 group's packed element ids plus a shared pool of exact cyclotomic values,
 so equality, constancy, and table emission are integer-array operations
 and every exact value is stored once.  The builders compute on integer
-coefficient rows and hand them to `ValuePool.intern`, the one place where
-values become `Cyc`; for arithmetic the pool hands its values back as one
-integer numerator matrix over a common denominator, the one place
-`CycField.rows` is called.  A `SuperTheory` drops repeated characters and
-classes and puts the rest in canonical order when it is made, so every
-builder ends by constructing one.
+coefficient rows and hand them to `ValuePool.intern`, which keeps each
+value as its canonical (row, den) pair (`CycField.reduce_rows`, called
+nowhere else); for arithmetic the pool hands its values back as one
+integer numerator matrix over a common denominator.  A `SuperTheory` drops
+repeated characters and classes and puts the rest in canonical order when
+it is made, so every builder ends by constructing one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 import numpy as np
 
+from .algebra import int_dtype, serialize
+from .errors import ValidationError
 from .orbits import sorted_unique
 
 
 class ValuePool:
-    """Interning pool of exact values; id 0 is always the zero of the field."""
+    """Interning pool of exact values, each a canonical (row, den) pair of a
+    tuple of ints and a positive int coprime to it; id 0 is always zero."""
 
     def __init__(self, cfield):
         self.field = cfield
-        self.values = [cfield.zero]
-        self.index = {cfield.zero: 0}
+        zero = ((0,) * cfield.dim, 1)
+        self.values = [zero]
+        self.index = {zero: 0}
         self._rows = None
 
     def numerators(self):
@@ -36,10 +41,14 @@ class ValuePool:
         (num, den) with values[i] == num[i] / den and num of shape
         (len, dim); rebuilt whenever the pool has grown since the last call."""
         if self._rows is None or len(self._rows[0]) != len(self.values):
-            self._rows = self.field.rows(self.values)
+            den = lcm(*(d for _, d in self.values))
+            num = [[c * (den // d) for c in row] for row, d in self.values]
+            big = max((abs(c) for row in num for c in row), default=0)
+            self._rows = np.array(num, dtype=int_dtype(big)), den
         return self._rows
 
     def id_of(self, value):
+        """The id of a canonical (row, den) pair, interned if it is new."""
         got = self.index.get(value)
         if got is None:
             got = len(self.values)
@@ -52,9 +61,13 @@ class ValuePool:
         rows over a positive rational den: the value at element i is
         rows[local_ids[i]] / den.  Values enter the pool in local-id order,
         which is printed output (see sort_canonical)."""
-        mapping = np.array([self.id_of(v) for v in self.field.from_rows(rows, den)],
-                           dtype=np.int32)
+        rows, dens = self.field.reduce_rows(rows, den)
+        mapping = np.array([self.id_of((tuple(r), d))
+                            for r, d in zip(rows.tolist(), dens.tolist())], dtype=np.int32)
         return mapping[local_ids]
+
+    def serialize(self, vid):
+        return serialize(*self.values[vid])
 
     def __len__(self):
         return len(self.values)
@@ -72,7 +85,12 @@ class SuperChar:
         return self.pool.values[int(self.ids[gid])]
 
     def degree(self, ident_id):
-        return self.value_at(ident_id).as_int()
+        """The value at the identity, which must be an integer."""
+        row, den = self.value_at(ident_id)
+        if den != 1 or any(row[1:]):
+            raise ValidationError("cyc-not-integer",
+                                  "value %s is not an integer" % (serialize(row, den),))
+        return row[0]
 
     def key(self):
         return self.ids.tobytes()

@@ -8,8 +8,8 @@ pool's numerator matrix, every inner product is `integer_gram`, and
 induction sums integer rows.  The Levi and ambient oracles induce theta *
 zeta from a subgroup H = R V: the elements of H are counted by (r, class,
 zeta id) once per H (product_counts), and each theta is induced from those
-counts (induce_product).  `Cyc` values are built only for
-counterexamples.
+counts (induce_product).  A value in a counterexample is the text of an
+integer row over a denominator (`algebra.serialize`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import lcm
 import numpy as np
 
 from . import linalg
-from .algebra import absmax, int_dtype, integer_gram, integer_norms
+from .algebra import absmax, int_dtype, integer_gram, integer_norms, serialize
 from .errors import FalsificationError, ValidationError
 from .groups import cayley, first_moved_by_conjugation, subgroup_generators
 from .orbits import orbit_closures, sorted_isin, sorted_unique
@@ -94,8 +94,6 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, Fraction):
         return str(obj)
-    if hasattr(obj, "serialize"):
-        return obj.serialize()
     if hasattr(obj, "ranks"):
         return {"ranks": _jsonable(obj.ranks), "d": _jsonable(obj.d)}
     return obj
@@ -178,8 +176,8 @@ def check_supertheory(theory):
                     "character is not constant on a class",
                     {"char": ch.label, "class": theory.classes[k].label,
                      "elements": [first, bad],
-                     "values": [ch.value_at(first).serialize(),
-                                ch.value_at(bad).serialize()]})
+                     "values": [ch.pool.serialize(ch.ids[first]),
+                                ch.pool.serialize(ch.ids[bad])]})
     report.run("S2-constancy", s2_check)
 
     def count_check():
@@ -191,10 +189,10 @@ def check_supertheory(theory):
 
     def degree_check():
         for ch in theory.chars:
-            v = ch.value_at(theory.ident_id)
-            if not v.is_rational() or v.as_fraction().denominator != 1 or v.as_fraction() <= 0:
+            row, den = ch.value_at(theory.ident_id)
+            if den != 1 or any(row[1:]) or row[0] <= 0:
                 raise FalsificationError("degree is not a positive integer",
-                                         {"char": ch.label, "value": v.serialize()})
+                                         {"char": ch.label, "value": serialize(row, den)})
     report.run("integer-degrees", degree_check)
 
     def s1_check():
@@ -207,7 +205,7 @@ def check_supertheory(theory):
             raise FalsificationError(
                 "two supercharacters are not orthogonal",
                 {"chars": [theory.chars[a].label, theory.chars[b].label],
-                 "inner_product": field.from_rows(gram[a, b][None], scale)[0].serialize()})
+                 "inner_product": serialize(gram[a, b], scale)})
         diag = np.arange(len(theory.chars))
         for a, vec in enumerate(gram[diag, diag].tolist()):
             if any(vec[1:]):
@@ -432,8 +430,8 @@ def _compare_char_to_induced(ch, scan, induced, what):
         raise FalsificationError(
             "closed formula disagrees with direct induction",
             {"char": ch.label, "what": what, "class_rep": int(reps[first]),
-             "formula": ch.pool.values[ch.ids[reps[first]]].serialize(),
-             "induction": ch.pool.field.from_rows(rows[first][None], den)[0].serialize()})
+             "formula": ch.pool.serialize(ch.ids[reps[first]]),
+             "induction": serialize(rows[first], den)})
 
 
 def check_oracles(world, theory_u, theory_ub_g, theory_gb_g):
@@ -549,7 +547,7 @@ def check_refinement(theory_ub_g, theory_gb_g):
                 raise FalsificationError(
                     "coarse character is outside the span of the fine characters",
                     {"char": ch.label,
-                     "projection_norm": field.from_rows([got], S * n * dG * dG)[0].serialize(),
+                     "projection_norm": serialize(got, S * n * dG * dG),
                      "norm": str(Fraction(own, n * dG * dG))})
     report.run("characters-in-span", span_check)
     return report
@@ -573,8 +571,8 @@ def corrupt_character(theory):
     target = theory.classes[_first_class_of_two(theory)]
     ch = theory.chars[0]
     new_ids = ch.ids.copy()
-    field = theory.pool.field
-    moved = theory.pool.id_of(ch.value_at(target.members[-1]) + field.one)
+    row, den = ch.value_at(target.members[-1])
+    moved = theory.pool.id_of(((row[0] + den,) + row[1:], den))
     new_ids[target.members[-1]] = moved
     bad.chars[0] = SuperChar(ch.label + "*", new_ids, theory.pool, dict(ch.provenance))
     return bad

@@ -8,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from cyclo import Cyclo  # noqa: E402
 from parasuper.groups import Parabolic, build_spec  # noqa: E402
 
 _WORLDS = {}
@@ -58,9 +59,9 @@ def levi_table(world, ids):
 
 
 def levi_values(world, theta):
-    """A Levi class function given as (ids, rows), as one Cyc per Levi id."""
+    """A Levi class function given as (ids, rows), as one Cyclo per Levi id."""
     ids, rows = theta
-    return world.field.from_rows(rows[ids])
+    return Cyclo.rows(world.field.M, rows[ids])
 
 
 @pytest.fixture(scope="session")

@@ -62,10 +62,15 @@ def test_build_spec_examples():
     ("C", 1, 65537, (1, 0, 1), "q-too-large"),     # past the stacked eliminations' 2^16
     ("C", 1, 2 ** 89 - 1, (1, 0, 1), "q-too-large"),   # before any primality test
     ("D", 1, 3, (1, 0, 1), "trivial-radical"),     # D1 has no roots: u = 0 with a side block
+    # build_spec's keyword arguments in place of the blocks: a delta that is
+    # 0 mod q, as given and reduced, is no non-square
+    ("C", 2, 3, {"blocks": (1, 1, 0, 1, 1), "delta": 3}, "delta-not-nonsquare"),
+    ("C", 2, 3, {"blocks": (1, 1, 0, 1, 1), "delta": 0}, "delta-not-nonsquare"),
 ])
 def test_build_spec_rejects(family, n, q, blocks, code):
+    kwargs = blocks if isinstance(blocks, dict) else {"blocks": blocks}
     with pytest.raises(ValidationError) as err:
-        build_spec(family, n, q, blocks)
+        build_spec(family, n, q, **kwargs)
     assert err.value.code == code
 
 
@@ -74,6 +79,11 @@ def test_delta_validation():
     assert spec.delta == 2
     with pytest.raises(ValidationError):
         build_spec("C", 2, 3, (1, 1, 0, 1, 1), delta=1)
+    # the message names the delta as given
+    with pytest.raises(ValidationError, match="^delta 4 is a square mod 3$"):
+        build_spec("C", 2, 3, (1, 1, 0, 1, 1), delta=4)
+    with pytest.raises(ValidationError, match="^delta 3 is 0 mod 3, not a non-square$"):
+        build_spec("C", 2, 3, (1, 1, 0, 1, 1), delta=3)
 
 
 # -- involution ---------------------------------------------------------------

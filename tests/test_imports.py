@@ -2,9 +2,10 @@
 function imports a module of the package (the import graph is the one the
 module headers show), no module holds an `assert`, which `python -O` would
 strip (invariants are checked with raises), no module does float
-arithmetic beyond the wall-clock seconds of a check, only the value pool turns
-`Cyc` values into integer coefficient rows, the theory builders hand their
-rows to the pool instead of making `Cyc` values, and sets of integers go through
+arithmetic beyond the wall-clock seconds of a check, only the value pool
+reduces integer rows to canonical (row, den) pairs, no module defines a class
+`Cyc` (values stay integer rows), the theory builders hand their rows to the
+pool and intern no value themselves, and sets of integers go through
 the sorted helpers of `orbits`, never `np.isin` or a flag-free `np.unique`,
 only `utheory.pair_products` multiplies coefficient rows, and Levi products
 are calls, never a table that is indexed."""
@@ -132,27 +133,29 @@ def test_float_arithmetic_is_reported():
 
 
 def method_calls(source, name):
-    """Lines of every call of a method called `name`, as in `field.rows(values)`."""
+    """Lines of every call of a method called `name`, as in `field.reduce_rows(num, den)`."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == name]
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "theory.py"],
-                         ids=lambda p: p.name)
-def test_cyc_rows_only_in_the_value_pool(path):
-    # class functions stay integer coefficient rows from the character tables
-    # to the value pools; `CycField.rows` converts values back into rows, and
-    # only `ValuePool.numerators` in theory.py may call it
-    assert method_calls(path.read_text(), "rows") == []
+def class_names(source):
+    return [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_cyc_class(path):
+    # values are integer coefficient rows from the character tables to the
+    # printed text, held by the value pools as canonical (row, den) pairs;
+    # no value object stands between them
+    assert "Cyc" not in class_names(path.read_text())
 
 
 @pytest.mark.parametrize("name", ["utheory.py", "gtheory.py"])
-def test_builders_make_no_cyc_values(name):
+def test_builders_intern_no_value(name):
     # the builders return integer rows over a denominator, and
-    # `ValuePool.intern` alone makes the `Cyc` values and numbers them
-    source = (SRC / name).read_text()
-    assert (method_calls(source, "from_rows"), method_calls(source, "id_of")) == ([], [])
+    # `ValuePool.intern` alone reduces them to pairs and numbers them
+    assert method_calls((SRC / name).read_text(), "id_of") == []
 
 
 def callers(source, name):
@@ -160,6 +163,14 @@ def callers(source, name):
     `name`, by the name they define (None for a statement defining none)."""
     return [getattr(top, "name", None) for top in ast.parse(source).body
             if method_calls(ast.get_source_segment(source, top), name)]
+
+
+def test_reduce_rows_only_in_the_value_pool():
+    # a value becomes a canonical (row, den) pair in one place, when
+    # `ValuePool.intern` interns it
+    calls = {path.name: callers(path.read_text(), "reduce_rows")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: fns for name, fns in calls.items() if fns} == {"theory.py": ["ValuePool"]}
 
 
 def test_pair_products_alone_multiplies_rows():
@@ -210,11 +221,13 @@ def test_levi_table_indexing_is_reported():
 
 
 def test_rows_call_is_reported():
-    source = ("def f(field, vals, pool):\n    num, den = field.rows(vals)\n"
-              "    rows = field.from_rows(num, den)\n    return [pool.id_of(v) for v in rows]\n")
-    assert method_calls(source, "rows") == [2]
-    assert method_calls(source, "from_rows") == [3]
-    assert method_calls(source, "id_of") == [4]
+    source = ("class Cyc:\n    pass\n\n\ndef f(field, num, pool):\n"
+              "    rows, dens = field.reduce_rows(num, 1)\n"
+              "    return [pool.id_of((tuple(r), d)) for r, d in zip(rows, dens)]\n")
+    assert class_names(source) == ["Cyc"]
+    assert method_calls(source, "reduce_rows") == [6]
+    assert callers(source, "reduce_rows") == ["f"]
+    assert method_calls(source, "id_of") == [7]
 
 
 def test_assert_is_reported():

@@ -1,8 +1,11 @@
 """Verification harness: suites on small configurations plus negative controls."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import cleared, levi_conjugates, levi_values
+from cyclo import Cyclo
 
 from parasuper.errors import FalsificationError
 from parasuper.groups import Parabolic
@@ -13,6 +16,12 @@ from parasuper.verify import (
     check_supertheory, corrupt_character, corrupt_class, induce_product, product_counts,
     run_suites, theories,
 )
+
+
+def cyclo_at(ch, gid):
+    """The value of a supercharacter at an element, as a Cyclo."""
+    row, den = ch.value_at(gid)
+    return Cyclo.rows(ch.pool.field.M, [row], den)[0]
 
 
 def test_all_suites_pass_d2(borel_d2):
@@ -54,17 +63,33 @@ def test_corrupt_character_fails_s2(borel_d2):
 def test_pool_numerators_follow_the_pool():
     # a value interned after the matrix was built (as corrupt_character
     # does) must be in the next matrix, over a denominator that covers it
-    from fractions import Fraction
     from parasuper.algebra import CycField
     from parasuper.theory import ValuePool
-    field = CycField(12)
-    pool = ValuePool(field)
-    pool.id_of(field.from_fraction(Fraction(1, 2)))
-    assert field.from_rows(*pool.numerators()) == pool.values
-    pool.id_of(field.zeta_pow(5).scale(Fraction(2, 3)))
+    pool = ValuePool(CycField(12))
+
+    def values():
+        return [Cyclo.rows(12, [row], den)[0] for row, den in pool.values]
+    pool.id_of(Cyclo(12, [Fraction(1, 2)]).pair())
+    assert Cyclo.rows(12, *pool.numerators()) == values()
+    pool.id_of((Cyclo.zeta(12, 5) * Fraction(2, 3)).pair())
     num, den = pool.numerators()
     assert len(num) == 3 and den == 6
-    assert field.from_rows(num, den) == pool.values
+    assert Cyclo.rows(12, num, den) == values()
+
+
+def test_degree_is_an_integer_or_an_error():
+    # a degree is read off a pool pair; a value that is not an integer,
+    # rational or not, raises instead of printing a wrong degree
+    from parasuper.algebra import CycField
+    from parasuper.errors import ValidationError
+    from parasuper.theory import ValuePool
+    pool = ValuePool(CycField(3))
+    ids = pool.intern(np.arange(4), [[6, 0], [3, 0], [0, 2], [-4, 0]], 2)
+    ch = SuperChar("x", ids, pool)
+    assert [ch.degree(0), ch.degree(3)] == [3, -2]
+    for gid in (1, 2):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            ch.degree(gid)
 
 
 def test_corrupt_class_detected(borel_d2):
@@ -84,8 +109,7 @@ def _spread(theory):
     ids = ch.ids.copy()
     for kl in theory.classes:
         if kl.size >= 2:
-            ids[kl.members[-1]] = theory.pool.id_of(
-                ch.value_at(kl.members[-1]) + theory.pool.field.one)
+            ids[kl.members[-1]] = theory.pool.id_of((cyclo_at(ch, kl.members[-1]) + 1).pair())
     bad.chars[0] = SuperChar(ch.label + "*", ids, theory.pool, dict(ch.provenance))
     return bad
 
@@ -122,8 +146,8 @@ def _s2_by_loops(theory):
                 bad = kl.members[np.where(ids != ids[0])[0][0]]
                 return {"char": ch.label, "class": kl.label,
                         "elements": [int(kl.members[0]), int(bad)],
-                        "values": [ch.value_at(kl.members[0]).serialize(),
-                                   ch.value_at(bad).serialize()],
+                        "values": [cyclo_at(ch, kl.members[0]).text(),
+                                   cyclo_at(ch, bad).text()],
                         "message": "character is not constant on a class"}
     return None
 
@@ -176,8 +200,8 @@ def _induction_comparison_by_loops(ch, clean, classes, what):
                     "message": "closed formula is not constant on a conjugacy class"}
         if ch.value_at(members[0]) != clean.value_at(members[0]):
             return {"char": ch.label, "what": what, "class_rep": int(members[0]),
-                    "formula": ch.value_at(members[0]).serialize(),
-                    "induction": clean.value_at(members[0]).serialize(),
+                    "formula": cyclo_at(ch, members[0]).text(),
+                    "induction": cyclo_at(clean, members[0]).text(),
                     "message": "closed formula disagrees with direct induction"}
     return None
 
@@ -242,9 +266,8 @@ def test_span_check_reports_the_missing_direction(borel_c2):
     # negative control: with one fine character dropped, a coarse character
     # above it leaves the span; the counterexample names the first such
     # character, with the Bessel sum over the remaining fine characters as
-    # the textbook computes it, one Cyc inner product at a time
+    # the textbook computes it, one inner product at a time
     import copy
-    from fractions import Fraction
     tU, tG, gG = theories(borel_c2)
     fine = copy.copy(tG)
     fine.chars = tG.chars[:-1]
@@ -255,22 +278,22 @@ def test_span_check_reports_the_missing_direction(borel_c2):
     field = borel_c2.field
 
     def inner(x, y):
-        acc = field.zero
+        acc = Cyclo(field.M)
         for kl in tG.classes:
-            acc = acc + (x.value_at(kl.rep) * y.value_at(kl.rep).conjugate()).scale(kl.size)
-        return acc.scale(Fraction(1, tG.group_size))
+            acc = acc + cyclo_at(x, kl.rep) * cyclo_at(y, kl.rep).conj() * kl.size
+        return acc * Fraction(1, tG.group_size)
 
     for chi in gG.chars:
-        total = field.zero
+        total = Cyclo(field.M)
         for psi in fine.chars:
             z = inner(chi, psi)
-            total = total + (z * z.conjugate()).scale(1 / inner(psi, psi).as_fraction())
+            total = total + z * z.conj() * (1 / Fraction(inner(psi, psi).rational()))
         if chi.label != ce["char"]:
             assert total == inner(chi, chi)
             continue
         assert total != inner(chi, chi)
-        assert ce["projection_norm"] == total.serialize()
-        assert ce["norm"] == str(inner(chi, chi).as_fraction())
+        assert ce["projection_norm"] == total.text()
+        assert ce["norm"] == str(inner(chi, chi).rational())
         break
 
 
@@ -349,7 +372,6 @@ def test_closure_guard_stops_the_lemma_suite():
 
 
 def test_gram_matches_elementwise_inner_product(borel_d2):
-    from fractions import Fraction
     from parasuper.verify import class_values_matrix, integer_gram
     theory = build_u_theory(borel_d2, "G")
     field = theory.pool.field
@@ -359,14 +381,13 @@ def test_gram_matches_elementwise_inner_product(borel_d2):
     n = theory.group_size
     for a in (0, 1, len(theory.chars) - 1):
         for b in (0, len(theory.chars) - 1):
-            acc = field.zero
+            acc = Cyclo(field.M)
             for kl in theory.classes:
-                va = theory.chars[a].value_at(kl.rep)
-                vb = theory.chars[b].value_at(kl.rep)
-                acc = acc + (va * vb.conjugate()).scale(kl.size)
-            direct = acc.scale(Fraction(1, n))
-            via_gram = field.from_coeffs(
-                [Fraction(int(x), n * den * den) for x in gram[a, b]])
+                va = cyclo_at(theory.chars[a], kl.rep)
+                vb = cyclo_at(theory.chars[b], kl.rep)
+                acc = acc + va * vb.conj() * kl.size
+            direct = acc * Fraction(1, n)
+            via_gram = Cyclo(field.M, [Fraction(int(x), n * den * den) for x in gram[a, b]])
             assert direct == via_gram
 
 
