@@ -105,6 +105,148 @@ def test_additive_character_properties():
         CycField(4).eps_rows(3)
 
 
+def zeta(F, k):
+    """zeta^k as a one-row integer array, from the field's power rows."""
+    return F.pow_rows[[k % F.M]]
+
+
+def conj_rows(F, A):
+    """Row-wise conjugates: zeta^d goes to zeta^(-d), read off the field's
+    conjugation tensor, whose [0, d] is zeta^(0 - d)."""
+    return np.asarray(A) @ F.conj_tensor[0]
+
+
+def test_additive_inverse_and_unity_roots():
+    F = CycField(5)
+    x = zeta(F, 1) + zeta(F, 3)
+    assert not (x + (-x)).any()
+    # zeta * zeta^(p-1) = 1 via reduction
+    assert (F.mul_rows(zeta(F, 1), zeta(F, 4)) == zeta(F, 0)).all()
+    # 1 + zeta + ... + zeta^(p-1) = 0
+    assert not F.pow_rows[:5].sum(axis=0).any()
+
+
+def test_conjugation():
+    F = CycField(5)
+    one = zeta(F, 0)
+    assert (conj_rows(F, one) == one).all()
+    assert (conj_rows(F, zeta(F, 1)) == zeta(F, 4)).all()
+    a = zeta(F, 1) + zeta(F, 2)
+    assert (conj_rows(F, conj_rows(F, a)) == a).all()
+    # oracle: (z + z^2)(z^4 + z^3) = z^5 + z^4 + z^6 + z^5 = 2 + z^4 + z
+    got = F.mul_rows(a, conj_rows(F, a))
+    assert (got == 2 * one + zeta(F, 4) + zeta(F, 1)).all()
+    assert Cyclo(F.M, got[0]) == Cyclo(F.M, a[0]) * Cyclo(F.M, a[0]).conj()
+
+
+def test_conjugate_product_is_rational_for_norm_sums():
+    F = CycField(12)
+    vals = np.concatenate([zeta(F, k) + k * zeta(F, 0) for k in range(12)])
+    total = F.mul_rows(vals, conj_rows(F, vals)).sum(axis=0)
+    # a full Galois-orbit style sum has rational norm total
+    assert (conj_rows(F, total) == total).all()
+    assert (integer_norms(F, vals[None], [1] * 12)[0] == total).all()
+
+
+def test_canonical_equality_and_hash():
+    # zeta^2 + zeta^2 over 1 and 4 zeta^2 over 2 are one canonical pair
+    F = CycField(7)
+    pairs = []
+    for num, den in ((zeta(F, 2) + zeta(F, 2), 1), (4 * zeta(F, 2), 2)):
+        rows, dens = F.reduce_rows(num, den)
+        pairs.append((tuple(rows[0].tolist()), int(dens[0])))
+    x, y = pairs
+    assert x == y and hash(x) == hash(y)
+    assert x == Cyclo(F.M, [0, 0, 2]).pair()
+
+
+def test_scale_fraction():
+    # zeta over the rational den 3/2 is 2/3 zeta
+    F = CycField(3)
+    rows, dens = F.reduce_rows(zeta(F, 1), Fraction(3, 2))
+    assert (rows.tolist(), dens.tolist()) == ([[0, 2]], [3])
+    assert serialize(rows[0], int(dens[0])) == ["0", "2/3"]
+
+
+def test_serialize_round_trip():
+    # a canonical pair prints the value's coefficients, and the text reads
+    # back as the same Fractions
+    random.seed(7)
+    for M in (3, 5, 12, 20):
+        F = CycField(M)
+        for _ in range(25):
+            coeffs = [Fraction(random.randrange(-9, 10), random.randrange(1, 7))
+                      for _ in range(F.dim)]
+            value = Cyclo(M, coeffs)
+            row, den = value.pair()
+            rows, dens = F.reduce_rows(np.array([row]), den)
+            text = serialize(rows[0], int(dens[0]))
+            assert text == value.text()
+            assert [Fraction(s) for s in text] == coeffs
+    # denominator-1 entries serialize without the slash
+    F = CycField(3)
+    rows, dens = F.reduce_rows(np.array([[2, 1]]), 2)
+    assert serialize(rows[0], int(dens[0])) == ["1", "1/2"]
+
+
+def random_rows(F, n, lo=-6, hi=6):
+    return np.array([[random.randint(lo, hi) for _ in range(F.dim)] for _ in range(n)])
+
+
+def test_ring_axioms_randomized():
+    random.seed(13)
+    for M in (5, 12, 20):
+        F = CycField(M)
+        one = np.repeat(zeta(F, 0), 30, axis=0)
+        a, b, c = random_rows(F, 30), random_rows(F, 30), random_rows(F, 30)
+        mul = F.mul_rows
+        assert (mul(a, b) == mul(b, a)).all()
+        assert (mul(mul(a, b), c) == mul(a, mul(b, c))).all()
+        assert (mul(a, b + c) == mul(a, b) + mul(a, c)).all()
+        assert (conj_rows(F, mul(a, b)) == mul(conj_rows(F, a), conj_rows(F, b))).all()
+        assert (mul(a, one) == a).all()
+        for x, y, xy in zip(a, b, mul(a, b)):
+            assert Cyclo(M, xy) == Cyclo(M, x) * Cyclo(M, y)
+
+
+def test_embedded_roots_of_unity():
+    # zeta_4 = zeta_20^5 inside Q(zeta_20); eps_rows(4) reads its powers
+    F = CycField(20)
+    z4 = zeta(F, 5)
+    assert (F.mul_rows(z4, z4) == zeta(F, 10)).all()
+    prod = zeta(F, 0)
+    for _ in range(4):
+        prod = F.mul_rows(prod, z4)
+    assert (prod == zeta(F, 0)).all()
+    assert (F.eps_rows(4)[1] == z4[0]).all()
+    with pytest.raises(ValidationError):
+        F.eps_rows(3)
+
+
+@st.composite
+def field_triples(draw):
+    F = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    rows = st.lists(st.lists(st.integers(-9, 9), min_size=F.dim, max_size=F.dim),
+                    min_size=3, max_size=3)
+    a, b, c = np.array(draw(rows))[:, None, :]
+    return F, a, b, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_triples())
+def test_field_axioms_hypothesis(triple):
+    F, a, b, c = triple
+    mul = F.mul_rows
+    assert (mul(mul(a, b), c) == mul(a, mul(b, c))).all()
+    assert (mul(a, b + c) == mul(a, b) + mul(a, c)).all()
+    assert Cyclo(F.M, mul(a, b)[0]) == Cyclo(F.M, a[0]) * Cyclo(F.M, b[0])
+    # conjugation is an involutive field automorphism
+    assert (conj_rows(F, conj_rows(F, a)) == a).all()
+    assert (conj_rows(F, a + b) == conj_rows(F, a) + conj_rows(F, b)).all()
+    assert (conj_rows(F, mul(a, b)) == mul(conj_rows(F, a), conj_rows(F, b))).all()
+    assert Cyclo(F.M, conj_rows(F, a)[0]) == Cyclo(F.M, a[0]).conj()
+
+
 @st.composite
 def gram_inputs(draw, big=False):
     """(field, A, B, weights); with big=True the first entry of A and of B
