@@ -133,35 +133,29 @@ def invariant_span(vecs, mats, p):
     """Smallest subspace that contains the vectors (rows) and is mapped into
     itself by every matrix (acting on column vectors), as rref (rows, pivots).
 
-    The rows found so far are kept reduced: each is 1 at its own pivot
-    column and 0 at the others, so a batch of candidates is reduced against
-    all of them by one product.  A candidate that leaves the span joins it
-    and its pivot is cleared from the earlier rows; the images of each row
-    under all matrices are the next batch.  A row only changes by multiples
-    of rows added after it, whose images are taken later, so by induction
-    from the last row the span is invariant.  The rows sorted by pivot are
-    the rref.
+    The span grows by layers, the first the rref of the vectors.  The images
+    of the last layer under every matrix are one product; they are reduced
+    against the span so far (its rref: one more product zeroes them at its
+    pivot columns), and the rref of those left over is the next layer, with
+    its pivots outside the span's.  Clearing the layer's pivot columns from
+    the span's rows and sorting by pivot keeps the span in rref.  The span is
+    invariant once a layer adds nothing: every row is a combination of the
+    layers' rows, whose images it holds.  The rref depends on the span
+    alone, so the result is that of any other order of the images.
     """
     mats = np.asarray(mats, dtype=np.int64)
     n = mats.shape[-1]
-    rows = np.zeros((0, n), dtype=np.int64)
-    pivots = []
-    cand = np.asarray(vecs, dtype=np.int64).reshape(-1, n) % p
-    done = 0
-    while True:
+    rows, pivots = rref(vecs, p, n)
+    layer = rows
+    while len(layer):
+        cand = (layer @ mats.transpose(0, 2, 1)).reshape(-1, n) % p
         cand = (cand - cand[:, pivots] @ rows) % p
-        cand = cand[cand.any(axis=1)]
-        if cand.size:
-            piv = int(np.flatnonzero(cand[0])[0])
-            row = cand[0] * pow(int(cand[0, piv]), p - 2, p) % p
-            rows = np.concatenate([(rows - rows[:, piv, None] * row) % p, row[None]])
-            pivots.append(piv)
-        elif done < len(rows):
-            cand = mats @ rows[done] % p
-            done += 1
-        else:
-            order = np.argsort(pivots)
-            return rows[order], [pivots[k] for k in order]
+        layer, new = rref(cand[cand.any(axis=1)], p, n)
+        rows = np.concatenate([(rows - rows[:, new] @ layer) % p, layer])
+        pivots = pivots + new
+        order = np.argsort(pivots)
+        rows, pivots = rows[order], [pivots[k] for k in order]
+    return rows, pivots
 
 
 def right_kernel(rows, p, ncols):

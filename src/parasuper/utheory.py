@@ -12,8 +12,11 @@ is built from the least form of each L-orbit of forms and the least
 element of each conjugacy class of L; the forms and Levi elements skipped
 would only repeat them, later in the order, so labels and value-pool order
 are those of the loop over all of them (see build_u_theory).  The orbit
-sum zeta of a form is counted once per Ub-orbit (orbit_sum), and its half
-of each character once per form (zeta_at_conjugates), so a theta of the
+sum zeta of a form is counted once per Ub-orbit (orbit_sum): a large orbit
+by the exact p-ary Fourier transform of its indicator over F_p^d, in
+d passes with coefficients in Z[C_p], a small one form by form, whichever
+costs less per point of U (orbit_eps_counts).  Its half of each character
+is built once per form (zeta_at_conjugates), so a theta of the
 stabilizer touches only zeta's distinct rows (chi_alpha_u).  Everything
 is exact; every structural identity the construction relies on is checked
 at build time, and a failure raises a FalsificationError with the form as
@@ -33,7 +36,7 @@ from .chartab import TableGroup, check_chartab_guard, irr_characters, s_orbit_su
 from .errors import FalsificationError, ValidationError
 from .orbits import (
     _slice, dense_unique, levi_stabilizers, pack, partition_by_perms, partition_orbits,
-    quotient_orbits, read_only, smallest_bimodule, sorted_isin, sorted_unique,
+    quotient_orbits, read_only, smallest_bimodule, sorted_isin, sorted_unique, unpack,
 )
 from .theory import SuperChar, SuperClass, SuperTheory, ValuePool
 
@@ -230,16 +233,73 @@ def form_data(world, lam_packed):
 # supercharacters
 
 def orbit_eps_counts(world, orbit_points):
-    """counts[t, u] = #(forms mu in the orbit with mu(f(U[u])) = t), from
-    (slice, nU) values of at most _BLOCK entries, not (orbit, nU)."""
-    p, block = world.spec.p, _slice(world.nU)
-    all_pts = world.u_digits(np.arange(world.nU)).T          # (d, nU)
-    counts = np.zeros((p, world.nU), dtype=np.int64)
-    for lo in range(0, len(orbit_points), block):
-        tvals = world.u_digits(orbit_points[lo:lo + block]) @ all_pts % p
+    """counts[t, u] = #(forms mu in the orbit with mu(f(U[u])) = t), an int64
+    (p, nU) array.  The id u packs the coordinates of f(U[u]) in F_p^d, so
+    mu(f(U[u])) is the dot product mu . u.  Each set of forms is counted
+    the cheaper of two exact ways (by_transform): a small set form by form
+    (eps_direct), a large one by the Fourier transform of its indicator
+    (eps_transform), which costs d p^2 per point of U whatever the set's
+    size."""
+    p, d = world.spec.p, world.spec.u_dim
+    points = np.asarray(orbit_points, dtype=np.int64)
+    count = eps_transform if by_transform(p, d, points.size) else eps_direct
+    return count(points, p, d)
+
+
+def by_transform(p, d, size):
+    """Whether orbit_eps_counts counts a set of `size` forms on F_p^d by the
+    transform.  Per point of F_p^d, the direct count costs about
+    size * (p + 2) operations (building mu . u, reducing it mod p and
+    counting each t) and the transform d * p^2 (p^2 shifted adds a pass)."""
+    return size * (p + 2) > d * p * p
+
+
+def eps_direct(points, p, d):
+    """orbit_eps_counts form by form, in slices of forms whose values at
+    every point of F_p^d fill at most _BLOCK entries.  A slice's values are
+    built digit by digit, with no digit table of F_p^d: the values at the
+    points whose next digit is c are the values so far plus mu_i c."""
+    n = p ** d
+    counts = np.zeros((p, n), dtype=np.int64)
+    step = _slice(n)
+    for lo in range(0, points.size, step):
+        mu = unpack(points[lo:lo + step], p, d)
+        vals = np.zeros((len(mu), 1), dtype=np.int64)
+        for i in range(d):
+            vals = (np.multiply.outer(mu[:, i], np.arange(p))[:, :, None]
+                    + vals[:, None, :]).reshape(len(mu), -1)
+        vals %= p
         for t in range(p):
-            counts[t] += (tvals == t).sum(axis=0)
+            counts[t] += (vals == t).sum(axis=0)
     return counts
+
+
+def eps_transform(points, p, d):
+    """orbit_eps_counts by the p-ary Fourier (Walsh-Hadamard) transform of
+    the set's indicator over F_p^d, with coefficients in Z[x]/(x^p - 1).
+    acc[e, v] is the coefficient of x^e at the point v; it starts as 1 at
+    e = 0 on each form of the set.  The pass over coordinate i takes the p
+    entries whose digit i is b, the other digits fixed, to
+    new[a] = sum_b x^(ab) old[b]; multiplying by x^s moves the coefficient
+    at e to e + s mod p.  After the d passes acc[t, u] counts the forms mu
+    with mu . u = t.  Every entry counts forms of the set, so the smallest
+    unsigned dtype that holds its size is exact."""
+    n = p ** d
+    acc = np.zeros((p, n), dtype=np.min_scalar_type(points.size))
+    acc[0] = np.bincount(points, minlength=n)
+    for i in range(d):
+        # axes: exponent, the digits above i, digit i, the digits below i
+        old = acc.reshape(p, n // p ** (i + 1), p, p ** i)
+        ext = np.concatenate([old, old[:-1]])   # ext[-s % p:][:p] is x^s old
+        new = np.empty_like(old)
+        for a in range(p):
+            out = new[:, :, a]
+            out[...] = old[:, :, 0]
+            for b in range(1, p):
+                start = -a * b % p                  # x^(ab) old[b]
+                out += ext[start:start + p, :, b]
+        acc = new.reshape(p, n)
+    return acc.astype(np.int64)
 
 
 def counts_to_values(world, counts):

@@ -80,5 +80,10 @@ def borel_b2():
 
 
 @pytest.fixture(scope="session")
+def borel_d3():
+    return world_for("D", 3, 3, (1, 1, 1, 0, 1, 1, 1))
+
+
+@pytest.fixture(scope="session")
 def twoblock_c2():
     return world_for("C", 2, 3, (2, 0, 2))

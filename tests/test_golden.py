@@ -5,8 +5,9 @@ The digests pin the exact bytes of the orbit partitions (their order too),
 both theories' tables and the full verification report on two small
 configurations, the verification report of B2 q=3 blocks 1,3 (|L| = 96),
 and both G-level tables of C2 Borel at q=5 and q=7 with the report of C2
-q=7 Borel, the report of C2 q=5 blocks 2 (field dimension 32) and the spec
-of D4 q=3 Borel, so a refactor that changes any output is caught here.
+q=7 Borel, the report of C2 q=5 blocks 2 (field dimension 32), both
+radical-orbit tables of D3 q=3 Borel and the spec of D4 q=3 Borel, so a
+refactor that changes any output is caught here.
 Regenerate the file with `PYTHONPATH=src python tests/test_golden.py` only
 when an output is meant to change.
 """
@@ -54,6 +55,11 @@ def golden_commands():
     # Grams of the set, on the U-on-U theory
     out.append(("verify", "--family", "C", "--n", "2", "--q", "5", "--blocks", "2",
                 "--suite", "all"))
+    # D3 Borel, |U| = 3^6: Ub-orbits on u* of 1 to 243 forms, the largest
+    # radical orbits of the set
+    cfg = ("--family", "D", "--n", "3", "--q", "3", "--blocks", "1,1,1")
+    for target in ("U", "G"):
+        out.append(("utheory",) + cfg + ("--target", target))
     # |U| = 3^12: spec prints from L and the space guard alone
     out.append(("spec", "--family", "D", "--n", "4", "--q", "3", "--blocks", "1,1,1,1"))
     return out

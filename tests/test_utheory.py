@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from conftest import cleared, levi_conjugates, levi_table, levi_values, world_for
 from cyclo import Cyclo
 
@@ -99,14 +100,16 @@ def test_ub_on_g_never_builds_the_radical_table(monkeypatch):
     assert batches and max(batches) <= _slice(d3.spec.N ** 2) < d3.nU ** 2
 
 
-@pytest.mark.parametrize("name", ["borel_b2", "borel_c2"])
+@pytest.mark.parametrize("name", ["borel_b2", "borel_c2", "borel_d3"])
 def test_counts_and_generated_do_not_depend_on_the_slice(name, request, monkeypatch):
-    # orbit_eps_counts and Parabolic.generated take their products in slices
-    # of at most _BLOCK entries; slices of a point or two give the same
-    # counts, and the same members and positions, as the default
+    # orbit_eps_counts (its direct count) and Parabolic.generated take their
+    # products in slices of at most _BLOCK entries; slices of a point or two
+    # give the same counts, and the same members and positions, as the default
     from parasuper import orbits
     w = request.getfixturevalue(name)
     ub_orbits = orbit_partition(w, "ustar", "Ub")[1]
+    direct = [orb.size for orb in ub_orbits
+              if not utheory.by_transform(w.spec.p, w.spec.u_dim, orb.size)]
     bases = [np.eye(w.spec.u_dim, dtype=np.int64)] + [
         form_data(w, int(orb[0])).u_lam_basis for orb in ub_orbits]
     want_counts = [orbit_eps_counts(w, orb) for orb in ub_orbits]
@@ -114,12 +117,95 @@ def test_counts_and_generated_do_not_depend_on_the_slice(name, request, monkeypa
     monkeypatch.setattr(orbits, "_BLOCK", 64)
     assert _slice(w.nU) < max(orb.size for orb in ub_orbits)
     assert _slice(w.spec.u_dim * w.spec.N ** 2) < w.nU
+    if name == "borel_d3":
+        # the 3-point orbits of D3 are counted directly, a point per slice
+        assert _slice(w.nU) < max(direct)
     fresh = cleared(w)
     for orb, counts in zip(ub_orbits, want_counts):
         assert np.array_equal(orbit_eps_counts(fresh, orb), counts)
     for basis, (members, at) in zip(bases, want_generated):
         got_members, got_at = fresh.generated(basis, "U")
         assert np.array_equal(got_members, members) and np.array_equal(got_at, at)
+
+
+def orbit_eps_counts_reference(world, orbit_points):
+    """Reference: the direct count of orbit_eps_counts, each form's values at
+    every u of U from the (d, nU) digits of all of U."""
+    p, block = world.spec.p, _slice(world.nU)
+    all_pts = world.u_digits(np.arange(world.nU)).T          # (d, nU)
+    counts = np.zeros((p, world.nU), dtype=np.int64)
+    for lo in range(0, len(orbit_points), block):
+        tvals = world.u_digits(orbit_points[lo:lo + block]) @ all_pts % p
+        for t in range(p):
+            counts[t] += (tvals == t).sum(axis=0)
+    return counts
+
+
+def coordinate_space(p, d):
+    """A stand-in world for orbit_eps_counts: F_p^d, no group."""
+    return SimpleNamespace(spec=SimpleNamespace(p=p, u_dim=d), nU=p ** d,
+                           u_digits=lambda pts: unpack(pts, p, d))
+
+
+@st.composite
+def point_sets(draw):
+    """(p, d, sorted distinct packed points of F_p^d): p in 3, 5, 7, d <= 5,
+    up to 40 points."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    d = draw(st.integers(1, 5))
+    pts = draw(st.sets(st.integers(0, p ** d - 1), max_size=40))
+    return p, d, np.array(sorted(pts), dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+def test_both_counts_are_the_direct_count(problem):
+    # the transform and the direct count agree with the reference on any
+    # set of forms, whichever of them orbit_eps_counts picks
+    p, d, pts = problem
+    want = orbit_eps_counts_reference(coordinate_space(p, d), pts)
+    for count in (utheory.eps_transform, utheory.eps_direct):
+        got = count(pts, p, d)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(orbit_eps_counts(coordinate_space(p, d), pts), want)
+
+
+@pytest.mark.parametrize("p, d", [(3, 1), (3, 5), (5, 3), (7, 2), (7, 3)])
+def test_counts_of_the_empty_set_one_point_and_the_whole_space(p, d):
+    # no forms: zero counts; one form mu: a single 1 at t = mu . u; every
+    # form: p^(d-1) forms at each t, but p^d at t = 0 on u = 0
+    n = p ** d
+    space = coordinate_space(p, d)
+    mu = n - 2 if n > 2 else n - 1
+    for pts in (np.zeros(0, dtype=np.int64), np.array([mu]), np.arange(n)):
+        want = orbit_eps_counts_reference(space, pts)
+        for count in (utheory.eps_transform, utheory.eps_direct):
+            assert np.array_equal(count(pts, p, d), want)
+    assert not utheory.eps_transform(np.zeros(0, dtype=np.int64), p, d).any()
+    whole = np.full((p, n), n // p)
+    whole[:, 0] = [n] + [0] * (p - 1)
+    assert np.array_equal(utheory.eps_transform(np.arange(n), p, d), whole)
+
+
+def test_a_tier1_world_takes_both_paths(borel_d3, monkeypatch):
+    # on D3 q=3 Borel (d = 6) the cut is |O| (p + 2) > d p^2 = 54: the
+    # orbits of 1, 3 and 9 forms are counted directly, those of 27 and 243
+    # by the transform
+    taken = {"direct": [], "transform": []}
+
+    def spy(path, real):
+        def count(points, p, d):
+            taken[path].append(points.size)
+            return real(points, p, d)
+        return count
+    monkeypatch.setattr(utheory, "eps_direct", spy("direct", utheory.eps_direct))
+    monkeypatch.setattr(utheory, "eps_transform", spy("transform", utheory.eps_transform))
+    ub_orbits = orbit_partition(borel_d3, "ustar", "Ub")[1]
+    for orb in ub_orbits:
+        orbit_eps_counts(borel_d3, orb)
+    assert sorted(set(taken["direct"])) == [1, 3, 9]
+    assert sorted(set(taken["transform"])) == [27, 243]
+    assert len(taken["direct"]) + len(taken["transform"]) == len(ub_orbits)
 
 
 def first_form_with(w, pred):
