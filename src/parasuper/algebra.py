@@ -42,7 +42,6 @@ from math import gcd, prod
 
 import numpy as np
 
-from . import linalg
 from .errors import ValidationError
 
 
@@ -117,38 +116,30 @@ def next_prime_1_mod(e, floor):
         ell += e
 
 
-def _poly_divmod_int(num, den):
-    # exact division of integer polynomials, den monic; coefficients ascending
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
+def _poly_div_exact(num, den):
+    """num / den for integer polynomials (coefficients ascending), den monic;
+    a nonzero remainder is a RuntimeError."""
+    num, out = list(num), [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        out[k] = c
+        out[k] = c = num[k + len(den) - 1]
         if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    if any(num[len(den) - 1:]):
-        raise RuntimeError("polynomial division left a high remainder: %r" % (num,))
-    return out, num[: len(den) - 1]
-
-
-_CYCLO_CACHE = {}
+            num[k:k + len(den)] = [a - c * d for a, d in zip(num[k:k + len(den)], den)]
+    if any(num):
+        raise RuntimeError("polynomial division left a remainder: %r" % (num,))
+    return out
 
 
 def cyclotomic_poly(M):
-    """Coefficients (ascending) of the M-th cyclotomic polynomial."""
-    if M in _CYCLO_CACHE:
-        return _CYCLO_CACHE[M]
-    poly = [-1] + [0] * (M - 1) + [1]  # x^M - 1
-    for d in range(1, M):
-        if M % d == 0:
-            phi_d = cyclotomic_poly(d)
-            poly, rem = _poly_divmod_int(poly, phi_d)
-            if any(rem):
-                raise RuntimeError("x^%d - 1 is not divisible by the %d-th cyclotomic "
-                                   "polynomial" % (M, d))
-    _CYCLO_CACHE[M] = tuple(poly)
-    return _CYCLO_CACHE[M]
+    """Coefficients (ascending) of the M-th cyclotomic polynomial, from the
+    squarefree kernel rad(M) of M: Phi_1(x) = x - 1, Phi_nr(x) =
+    Phi_n(x^r) / Phi_n(x) for each prime r of M (r does not divide n), and
+    Phi_M(x) = Phi_rad(M)(x^(M / rad(M)))."""
+    poly, rad = [-1, 1], 1
+    for r in prime_factors(M):
+        spread = [0 if k % r else poly[k // r] for k in range(r * len(poly) - r + 1)]
+        poly, rad = _poly_div_exact(spread, poly), rad * r
+    s = M // rad
+    return tuple(0 if k % s else poly[k // s] for k in range(s * len(poly) - s + 1))
 
 
 class CycField:
@@ -158,7 +149,8 @@ class CycField:
         if M < 2:
             raise ValidationError("cyc-order", "cyclotomic order must be >= 2, got %r" % (M,))
         self.M = M
-        self.dim = len(cyclotomic_poly(M)) - 1
+        self.poly = cyclotomic_poly(M)
+        self.dim = len(self.poly) - 1
         self._moduli = []            # Gram moduli, built by the first Gram
 
     def __repr__(self):
@@ -168,11 +160,10 @@ class CycField:
     def pow_rows(self):
         """int64 array whose row k is zeta^k in the power basis, for k up to
         max(M, 2 dim - 1): zeta^k is zeta zeta^(k - 1) reduced mod Phi_M."""
-        poly = cyclotomic_poly(self.M)
         rows = np.eye(self.dim, dtype=np.int64).tolist()
         for _ in range(self.dim, max(self.M, 2 * self.dim - 1) + 1):
             prev = rows[-1]
-            rows.append([c - prev[-1] * a for c, a in zip([0] + prev[:-1], poly)])
+            rows.append([c - prev[-1] * a for c, a in zip([0] + prev[:-1], self.poly)])
         return np.array(rows, dtype=np.int64)
 
     @cached_property
@@ -195,10 +186,11 @@ class CycField:
     def moduli(self, bound):
         """The first Gram moduli (ell, E, Einv), at least one, whose primes
         multiply to more than 2 bound, built on first use and kept.  Each
-        ell = 1 (mod M) is a prime in (_ELL_FLOOR, _ELL_CAP), g in F_ell has
-        order M, E[c, i] = g^(c j_i) evaluates a coefficient row at the
-        embedding of the i-th unit j_i, and Einv = E^-1 mod ell comes from
-        the rref of [E | I] on Python ints."""
+        ell = 1 (mod M) is a prime in (_ELL_FLOOR, _ELL_CAP), E[c, i] = x_i^c
+        evaluates a coefficient row at the embedding zeta -> x_i = g^j_i of
+        the i-th unit j_i, g of order M, and Einv = E^-1 mod ell by Lagrange
+        interpolation at the x_i, the roots of Phi_M mod ell: its row i is
+        Phi_M(t) / ((t - x_i) Phi_M'(x_i)), 1 at x_i and 0 at the other nodes."""
         count, P = 0, 1
         while not count or P <= 2 * bound:
             if count == len(self._moduli):
@@ -211,19 +203,20 @@ class CycField:
     def _modulus(self, ell):
         if ell >= _ELL_CAP:
             raise ValueError("no prime = 1 mod %d below 2^28 is left" % self.M)
-        factors = prime_factors(self.M)
-        for x in range(2, ell):
-            g = pow(x, (ell - 1) // self.M, ell)
-            if all(pow(g, self.M // r, ell) != 1 for r in factors):
-                break
+        g = pow(primitive_root(ell), (ell - 1) // self.M, ell)
         powers = np.array([pow(g, t, ell) for t in range(self.M)], dtype=np.int64)
         E = powers[np.arange(self.dim)[:, None] * self.units[None, :] % self.M]
-        red, pivots = linalg.rref(np.concatenate(
-            [E, np.eye(self.dim, dtype=np.int64)], axis=1), ell)
-        if pivots[:self.dim] != list(range(self.dim)):
+        # one Horner pass at every node x: quot[k] holds the coefficients of
+        # t^(dim - 1 - k) in Phi_M(t) / (t - x), rem is Phi_M(x), deriv Phi_M'(x)
+        x = powers[self.units]
+        quot, rem, deriv = [], np.ones_like(x), np.zeros_like(x)
+        for a in self.poly[-2::-1]:
+            quot.append(rem)
+            deriv, rem = (deriv * x + rem) % ell, (rem * x + a) % ell
+        if rem.any() or not deriv.all():
             raise RuntimeError("the evaluation matrix of Q(zeta_%d) is singular mod %d"
                                % (self.M, ell))
-        return ell, E, red[:, self.dim:]
+        return ell, E, np.array(quot[::-1]).T * [[pow(int(d), -1, ell)] for d in deriv] % ell
 
     def reduce_rows(self, num, den):
         """The canonical pairs of the values num[i] / den, for an integer

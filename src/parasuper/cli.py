@@ -130,7 +130,7 @@ def cmd_spec(args):
         "dim_uc": spec.uc_dim,
         "positive_roots": len(spec.roots),
         "crossing_roots": len(spec.roots_u),
-        "field": world.field.M,
+        "field": spec.field_order(),
     }
     emit(dump_json(payload), args.out)
     return 0

@@ -210,6 +210,10 @@ class GroupSpec:
         """Positions of the row-restricted ideal: block-crossing with row block >= 0."""
         return tuple(pos for pos in self.uc_positions if self.block_of[pos[0]] >= 0)
 
+    def field_order(self):
+        """M = lcm(p, exponent of L): Q(zeta_M) holds every value of both theories."""
+        return lcm(self.p, levi_exponent(self.family, self.p, self.blocks))
+
     def config_label(self):
         return "%s%d-q%d-blocks%s" % (
             self.family, self.n, self.p, "|".join(str(b) for b in self.blocks))
@@ -279,6 +283,24 @@ def check_config(family, n, q, blocks, delta):
 def build_spec(family, n, q, blocks, delta=None):
     """Validate a configuration and derive all index data."""
     return GroupSpec(family, n, q, *check_config(family, n, q, blocks, delta))
+
+
+def levi_exponent(family, p, blocks):
+    """The exponent of L over F_p from its full symmetric block sizes: the
+    lcm, over GL(n_k, p) for k >= 1 and the middle isometry group, of the
+    least power of p that is at least t, the largest unipotent Jordan block,
+    and of the orders of the cyclic tori (Carter, Finite Groups of Lie Type):
+      GL_n                  t = n       p^i - 1, i <= n
+      Sp_2m                 t = 2m      p^i +- 1, i <= m = n_0 // 2
+      O_2m+1 = SO x {+-1}   t = 2m + 1  p^i +- 1, i <= m, and 2
+      O+_2m                 t = 2m - 1  p^m - 1 and p^i +- 1, i < m (p^m + 1: O-_2m)"""
+    sides, mid = blocks[:len(blocks) // 2], blocks[len(blocks) // 2]
+    power = 1
+    while power < max(sides + (mid - (family == "D"),)):
+        power *= p
+    return lcm(power, 2 if family == "B" else 1,
+               *(p ** i - 1 for n in sides + (mid // 2,) for i in range(1, n + 1)),
+               *(p ** i + 1 for i in range(1, mid // 2 + (family != "D"))))
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +700,8 @@ class Parabolic:
 
     @world_table
     def field(self):
-        """Q(zeta_M), M = lcm(p, exponent of L)."""
-        return CycField(lcm(self.spec.p, _exponent(self.L, self.spec.p)))
+        """Q(zeta_M), M = spec.field_order()."""
+        return CycField(self.spec.field_order())
 
     @world_table
     def invL(self):
@@ -794,21 +816,6 @@ def _checked(stack, ids, mats, name):
     if not np.array_equal(stack[ids], mats):
         raise ValidationError("not-in-group", "matrix is not an element of %s" % name)
     return ids
-
-
-def _exponent(stack, p):
-    """Least common multiple of the orders of a stack of invertible matrices,
-    by one batched power loop that drops each element once it reaches 1."""
-    one = np.eye(stack.shape[-1], dtype=np.int64)
-    exp, k, power = 1, 1, stack
-    while len(stack):
-        done = (power == one).all(axis=(1, 2))
-        if done.any():
-            exp = lcm(exp, k)
-        stack = stack[~done]
-        power = power[~done] @ stack % p
-        k += 1
-    return exp
 
 
 def table_generators(elements, ident, mul):

@@ -315,7 +315,7 @@ def ub_orbit_counts(world, index):
     def build():
         orbit = orbit_partition(world, "ustar", "Ub")[1][index]
         cols, ids = unique_rows(orbit_eps_counts(world, orbit).T)
-        return ids, cols
+        return ids.astype(np.min_scalar_type(len(cols) - 1)), cols
     return world.memo(("orbit_counts", index), build)
 
 
@@ -395,7 +395,7 @@ def zeta_at_conjugates(world, fd):
              + z_ids[world.conjUbyL[:, u].T])
     codes.sort(axis=1)
     rows, at = unique_rows(codes)
-    levi, zid = np.divmod(rows, nz)
+    levi, zid = np.divmod(rows.astype(np.int64), nz)   # a uint64 zid makes theta codes float
     return levi, zid, at, z_rows
 
 

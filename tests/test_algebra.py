@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from cyclo import Cyclo
 from hypothesis import given, settings, strategies as st
 
+from parasuper import linalg
 from parasuper.algebra import (
     _SPRP_LIMIT, CycField, absmax, cyclotomic_poly, gram_bound, int_dtype, integer_gram, integer_norms,
     is_odd_prime, primitive_root, serialize, smallest_nonsquare,
@@ -84,6 +86,36 @@ def test_cyclotomic_poly_small():
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_divisors(M):
+    """Reference for cyclotomic_poly: x^M - 1 divided by Phi_d for every
+    proper divisor d of M, each by long division on int64 arrays (every
+    coefficient met here stays below 2^15)."""
+    num = np.zeros(M + 1, dtype=np.int64)
+    num[0], num[M] = -1, 1
+    for d in range(1, M):
+        if M % d == 0:
+            den = np.array(cyclotomic_by_divisors(d), dtype=np.int64)
+            k = len(den) - 1
+            out = np.zeros(len(num) - k, dtype=np.int64)
+            for i in range(len(out) - 1, -1, -1):
+                if num[i + k]:
+                    out[i] = num[i + k]
+                    num[i:i + k + 1] -= out[i] * den
+            if num.any():
+                raise ValueError("Phi_%d does not divide x^%d - 1" % (d, M))
+            num = out
+    return tuple(num.tolist())
+
+
+@pytest.mark.parametrize("orders", [range(1, 400), [2520], [6840], [15015]],
+                         ids=["below-400", "2520", "6840", "15015"])
+def test_cyclotomic_poly_is_the_divisor_recursion(orders):
+    # Phi_M from its squarefree kernel equals x^M - 1 over every other Phi_d
+    for M in orders:
+        assert cyclotomic_poly(M) == cyclotomic_by_divisors(M)
 
 
 def test_additive_character_properties():
@@ -369,6 +401,35 @@ def test_evaluated_gram_is_the_einsum_gram(scale, data):
         assert (got == einsum_gram(F, X, Y, weights)).all()
     diag = np.arange(len(A))
     assert (integer_norms(F, A, weights) == einsum_gram(F, A, A, weights)[diag, diag]).all()
+
+
+def inverse_by_rref(E, ell):
+    """E^-1 mod ell from the rref of [E | I]."""
+    n = len(E)
+    red, pivots = linalg.rref(np.concatenate([E, np.eye(n, dtype=np.int64)], axis=1), ell)
+    assert pivots[:n] == list(range(n))
+    return red[:, n:]
+
+
+@pytest.mark.parametrize("M", sorted(GRAM_FIELDS))
+def test_lagrange_inverse_is_the_rref_inverse(M):
+    # every Gram modulus of every field, up to a bound that takes eight
+    # primes: the inverse by Lagrange interpolation is the one that
+    # elimination gives
+    F = GRAM_FIELDS[M]
+    moduli = F.moduli(2 ** 210)
+    assert len(moduli) == 8
+    for ell, E, Einv in moduli:
+        assert np.array_equal(Einv, inverse_by_rref(E, ell))
+
+
+def test_nodes_off_the_modulus_polynomial_are_caught():
+    # the Horner pass finds a node x_i that is not a root of the field's
+    # polynomial, where elimination found a singular evaluation matrix
+    F = CycField(12)
+    F.poly = (1, 0, 1, 0, 1)                    # Phi_12 is 1 - x^2 + x^4
+    with pytest.raises(RuntimeError, match="singular mod"):
+        F.moduli(1)
 
 
 @pytest.mark.parametrize("n", [1, 8, 9, 17, 70])

@@ -265,6 +265,18 @@ def test_spec_of_a_large_radical_stays_small():
     assert exit_code == "0" and int(peak_kb) < 100 * 1024
 
 
+def test_spec_reads_the_field_order_off_the_blocks():
+    # L = GL_1(65521) is cyclic of order q - 1, so M = q (q - 1): spec takes
+    # it from the block sizes in well under a second, where raising all of L
+    # to successive powers ran for minutes; the timeout stops a slow path
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    argv = "spec --family C --n 1 --q 65521 --blocks 1".split()
+    r = subprocess.run([sys.executable, "-m", "parasuper.cli"] + argv, capture_output=True,
+                       text=True, env=subprocess_env(src), timeout=30)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["field"] == 65521 * 65520 == 4292935920
+
+
 def test_out_flag(tmp_path, capsys):
     path = tmp_path / "table.json"
     code, out, _ = run_cli(

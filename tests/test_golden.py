@@ -6,8 +6,8 @@ both theories' tables and the full verification report on two small
 configurations, the verification report of B2 q=3 blocks 1,3 (|L| = 96),
 and both G-level tables of C2 Borel at q=5 and q=7 with the report of C2
 q=7 Borel, the report of C2 q=5 blocks 2 (field dimension 32), both
-radical-orbit tables of D3 q=3 Borel and the spec of D4 q=3 Borel, so a
-refactor that changes any output is caught here.
+radical-orbit tables of D3 q=3 Borel and the specs of D4 q=3 Borel and
+C2 q=19 blocks 2, so a refactor that changes any output is caught here.
 Regenerate the file with `PYTHONPATH=src python tests/test_golden.py` only
 when an output is meant to change.
 """
@@ -62,6 +62,8 @@ def golden_commands():
         out.append(("utheory",) + cfg + ("--target", target))
     # |U| = 3^12: spec prints from L and the space guard alone
     out.append(("spec", "--family", "D", "--n", "4", "--q", "3", "--blocks", "1,1,1,1"))
+    # |L| = 123,120: spec prints M = 6840 from the block sizes alone
+    out.append(("spec", "--family", "C", "--n", "2", "--q", "19", "--blocks", "2"))
     return out
 
 
@@ -81,14 +83,14 @@ def test_output_matches_golden(argv, tmp_path):
                          ids=" ".join)
 def test_spec_and_orbits_never_build_the_radical(argv, tmp_path, monkeypatch):
     # neither command prints a matrix of U, so neither builds the radical
-    # stack; orbits prints no field either, so it never finds L's exponent
-    from parasuper import groups
+    # stack, and neither prints a value, so neither builds a field: spec
+    # reads M from the block sizes
+    from parasuper import algebra, groups
 
     def unread(*args):
         raise AssertionError("%s built what it does not print" % argv[0])
     monkeypatch.setattr(groups, "cayley_inv", unread)
-    if argv[0] == "orbits":
-        monkeypatch.setattr(groups, "_exponent", unread)
+    monkeypatch.setattr(algebra.CycField, "__init__", unread)
     want = json.loads(DIGESTS.read_text())[" ".join(argv)]
     assert output_digest(argv, tmp_path / "out") == want
 

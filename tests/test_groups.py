@@ -1,6 +1,7 @@
 """Group construction: validation, involution, roots, enumerations, Cayley map."""
 
 import random
+from math import lcm
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from parasuper import groups, linalg
 from parasuper.algebra import CycField
-from parasuper.errors import FalsificationError, ValidationError
+from parasuper.errors import FalsificationError, ResourceGuardError, ValidationError
 from parasuper.groups import (
     Parabolic, build_spec, cayley, cayley_inv, enumerate_gl, enumerate_levi,
     subgroup_generators,
@@ -188,6 +189,79 @@ def test_levi_is_a_group_of_isometries(borel_b2):
     for a in L[:4]:
         for b in L:
             assert key(a @ b % spec.p) in els
+
+
+def exponent(stack, p):
+    """Reference for the exponent of a group of matrices: the lcm of the
+    element orders, by one batched power loop that drops each element once
+    it reaches 1."""
+    one = np.eye(stack.shape[-1], dtype=np.int64)
+    exp, k, power = 1, 1, stack
+    while len(stack):
+        done = (power == one).all(axis=(1, 2))
+        if done.any():
+            exp = lcm(exp, k)
+        stack = stack[~done]
+        power = power[~done] @ stack % p
+        k += 1
+    return exp
+
+
+def compositions(k):
+    """Every tuple of positive integers summing to k."""
+    if k == 0:
+        yield ()
+    for first in range(1, k + 1):
+        for rest in compositions(k - first):
+            yield (first,) + rest
+
+
+def admitted_block_lists(family, n, q):
+    """Every full symmetric block tuple of rank n with a side block, that
+    the default Levi guard admits."""
+    N = 2 * n + 1 if family == "B" else 2 * n
+    for mid in range(N % 2, N, 2):
+        for side in compositions((N - mid) // 2):
+            blocks = side + (mid,) + side[::-1]
+            try:
+                groups.check_levi_bound(blocks, q, groups.DEFAULT_GUARDS["levi"])
+            except ResourceGuardError:
+                continue
+            yield blocks
+
+
+@pytest.mark.parametrize("family, n, q, blocks", [
+    (f, n, q, None) for q, ranks in ((3, (2, 3)), (5, (2,)), (7, (2,))) for f in "BCD"
+    for n in ranks] + [("D", 4, 3, (1, 1, 1, 1, 0, 1, 1, 1, 1)), ("C", 2, 19, (2, 0, 2))],
+    ids=lambda v: "all" if v is None else str(v))
+def test_field_order_is_lcm_of_p_and_the_exponent_of_l(family, n, q, blocks):
+    # the tier-1 worlds: every block list at ranks 2 and 3 that the Levi
+    # guard admits, D4 Borel and the C2 q=19 spec world (|L| = 123,120),
+    # where the closed form gives the exponent that powering all of L gives
+    for full in admitted_block_lists(family, n, q) if blocks is None else [blocks]:
+        spec = build_spec(family, n, q, full)
+        assert spec.field_order() == lcm(q, exponent(enumerate_levi(spec), q)), full
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_levi_exponent_of_every_admitted_block(q):
+    # every middle block alone that the Levi guard admits (B: 1, 3; C and D:
+    # 0, 2), and GL_n alone (a side block around an empty C middle) up to
+    # |GL_n(q)| <= 20,000, against enumeration
+    for family, blocks in [("B", (1,)), ("B", (3,)), ("C", (0,)), ("C", (2,)), ("D", (0,)),
+                           ("D", (2,)), ("C", (1, 0, 1)), ("C", (2, 0, 2)), ("C", (3, 0, 3))]:
+        try:
+            groups.check_levi_bound(blocks, q, 20000 if len(blocks) > 1 else
+                                    groups.DEFAULT_GUARDS["levi"])
+        except ResourceGuardError:
+            continue
+        if len(blocks) > 1:
+            stack = enumerate_gl(blocks[0], q)
+        else:
+            side = 2 if blocks == (0,) else 1        # D1 has no radical
+            spec = build_spec(family, side + blocks[0] // 2, q, (side,) + blocks + (side,))
+            stack = groups.enumerate_middle(spec)
+        assert groups.levi_exponent(family, q, blocks) == exponent(stack, q), (family, blocks)
 
 
 def test_middle_block_group_order():

@@ -7,8 +7,9 @@ reduces integer rows to canonical (row, den) pairs, no module defines a class
 `Cyc` (values stay integer rows), the theory builders hand their rows to the
 pool and intern no value themselves, and sets of integers go through
 the sorted helpers of `orbits`, never `np.isin` or a flag-free `np.unique`,
-only `utheory.pair_products` multiplies coefficient rows, and Levi products
-are calls, never a table that is indexed."""
+only `utheory.pair_products` multiplies coefficient rows, Levi products
+are calls, never a table that is indexed, and `algebra` imports no package
+module but `errors`."""
 
 import ast
 import pathlib
@@ -67,6 +68,35 @@ def local_package_imports(source):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_function_imports_a_package_module(path):
     assert local_package_imports(path.read_text()) == []
+
+
+def package_imports(source):
+    """The package modules a module imports, by name, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("parasuper"):
+            parts = node.module.split(".")
+            names.update(parts[1:2] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("parasuper."))
+    return sorted(names)
+
+
+def test_algebra_is_a_leaf():
+    # the arithmetic layer reads no other package module but its errors
+    assert set(package_imports((SRC / "algebra.py").read_text())) <= {"errors"}
+
+
+def test_package_imports_are_reported():
+    source = ("from . import linalg, orbits as o\nfrom .errors import E\nimport numpy\n"
+              "import parasuper.groups\nfrom parasuper.theory import T\n"
+              "from parasuper import cli\n\n\ndef f():\n    from .verify import check\n")
+    assert package_imports(source) == ["cli", "errors", "groups", "linalg", "orbits", "theory",
+                                       "verify"]
 
 
 def assert_lines(source):

@@ -208,6 +208,21 @@ def test_a_tier1_world_takes_both_paths(borel_d3, monkeypatch):
     assert len(taken["direct"]) + len(taken["transform"]) == len(ub_orbits)
 
 
+def test_orbit_counts_keep_ids_in_the_smallest_unsigned_dtype(borel_d3):
+    # on D3 q=3 Borel (nU = 729) each Ub-orbit keeps its count column ids in
+    # the smallest unsigned dtype that holds them, and its zeta is the one
+    # counted over the orbit's forms directly
+    w = cleared(borel_d3)
+    for index, orb in enumerate(orbit_partition(w, "ustar", "Ub")[1]):
+        ids, cols = utheory.ub_orbit_counts(w, index)
+        assert ids.dtype == np.min_scalar_type(len(cols) - 1) and ids.dtype.kind == "u"
+        counts = orbit_eps_counts(w, orb)
+        assert np.array_equal(cols[ids].T, counts)
+        z_ids, z_rows = utheory.orbit_sum(w, orb)
+        want_ids, want_rows = counts_to_values(w, counts)
+        assert np.array_equal(z_ids, want_ids) and np.array_equal(z_rows, want_rows)
+
+
 def first_form_with(w, pred):
     return next(int(orb[0]) for orb in orbit_partition(w, "ustar", "Ub")[1]
                 if pred(form_data(w, int(orb[0]))))
